@@ -1,9 +1,11 @@
 """Probability that an item is ranked first among a presented menu.
 
-For Mallows models this runs an O(m^3) dynamic program over the repeated
-insertion of center items, producing the whole pick distribution over the
-menu in a single pass; Plackett-Luce reduces to a softmax over the menu;
-explicit models are summed directly.
+For Mallows models one dynamic program over the repeated insertion of center
+items gives the whole pick distribution over a menu. It runs on a batch of B
+menus of k items at once (``choice_table``), in O(B k m^2) time and in blocks
+of ``MENU_BLOCK`` menus; the single-menu ``choice_dist`` is its B = 1 case.
+Plackett-Luce reduces to a softmax over the menu; explicit models are summed
+directly.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .models import ExplicitModel, MallowsModel, PlackettLuceModel
+from .models import ExplicitModel, MallowsModel, PlackettLuceModel, _insertion_rows
 
 
 @dataclass(frozen=True)
@@ -55,44 +57,128 @@ def _validated_menu(m: int, items) -> frozenset[int]:
     return menu
 
 
+MENU_BLOCK = 128  # menus per pass of the batched DP; bounds its working memory
+
+
+def _mallows_block(model: MallowsModel, pos: np.ndarray) -> np.ndarray:
+    """Pick probabilities of a block of menus, as center positions sorted per row.
+
+    ``pos`` has shape (B, k), k >= 2, and row b lists the 0-based center
+    positions of menu b's items in increasing order; slot j is the j-th of
+    them. State W[b, j, s - 1] is the probability that slot j's item is
+    currently menu b's front-runner and sits at position ``s`` of the partial
+    permutation; slot k carries the front-runner mass of all slots, whose
+    suffix sums decide whether a freshly inserted menu item takes the lead.
+    The no-menu-item-yet case is the fresh item being slot 0, so no side
+    enumeration over guesses is needed. Every row takes the same arithmetic
+    at every step from the block's first menu item to t = m (a row that does
+    not hold the step's item gets zero fresh mass, one that does gets zero
+    shift), so a row's bits do not depend on the other rows of its block.
+    Cost O(B k m^2).
+    """
+    B, k = pos.shape
+    m = model.m
+    probs, gammas, keeps = _insertion_rows(m, model.phi)
+    # enters[t-1, b, j] = 1 when step t inserts the item of slot j of menu b
+    # (and, for j = k, into the total)
+    enters = np.zeros((m, B, k + 1))
+    rows = np.arange(B)[:, None]
+    enters[pos, rows, np.arange(k)] = 1.0
+    enters[pos, rows, k] = 1.0
+    inserting = enters[:, :, k]
+    counts = inserting.sum(axis=1).tolist()
+    lead_steps = set(pos[:, 0].tolist())
+    # the block's first step finds nothing inserted yet in any menu
+    start = min(lead_steps)
+    W = enters[start, :, :, None] * (probs[start] * enters[start, :, :1])[:, None, :]
+    # views into W, which every later step updates in place
+    total, behind, ahead = W[:, k, ::-1], W[:, :, 1:], W[:, :, :-1]
+    for t in range(start + 2, m + 1):
+        inserted = counts[t - 1]
+        if inserted:
+            tail = total.cumsum(axis=1)[:, ::-1]
+            if t - 1 in lead_steps:
+                tail += enters[t - 1, :, :1]
+            fresh = probs[t - 1] * tail
+        if inserted < B:
+            # inserting a non-menu item ahead of the front-runner moves it back
+            moved = gammas[t - 1, :-1] * ahead
+            if inserted:
+                moved *= (1.0 - inserting[t - 1])[:, None, None]
+        W *= keeps[t - 1]
+        if inserted < B:
+            behind += moved
+        if inserted:
+            W += enters[t - 1, :, :, None] * fresh[:, None, :]
+    return W[:, :k].sum(axis=2)
+
+
+def _pl_rows(model: PlackettLuceModel, menus: np.ndarray) -> np.ndarray:
+    u = model._scaled()[menus]
+    w = np.exp(u - u.max(axis=1, keepdims=True))
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def choice_table(model, menus) -> np.ndarray:
+    """Pick probabilities for a batch of equal-size menus, one row per menu.
+
+    ``menus`` is an int array of shape (B, k) whose rows hold distinct items
+    in any order; entry [b, j] of the result is the probability that
+    ``menus[b, j]`` is picked from menu b. Mallows menus run through one
+    insertion DP per block of ``MENU_BLOCK`` menus and Plackett-Luce menus
+    are a softmax; both see each row sorted by center rank, so a menu's row
+    has the same bits as when it is scored alone. Explicit models are summed
+    menu by menu.
+    """
+    menus = np.asarray(menus, dtype=np.intp)
+    if menus.ndim != 2:
+        raise DimensionError(f"menus must be a 2-d array, got shape {menus.shape}")
+    B, k = menus.shape
+    if k == 0:
+        raise DomainError("menu must be nonempty")
+    m = model.m
+    if menus.size and (menus.min() < 0 or menus.max() >= m):
+        raise DimensionError(f"menus contain items outside 0..{m - 1}")
+    if k > 1 and (np.diff(np.sort(menus, axis=1), axis=1) == 0).any():
+        raise DomainError("menu items must be distinct")
+    if isinstance(model, ExplicitModel):
+        out = np.empty((B, k))
+        for b, row in enumerate(menus.tolist()):
+            out[b] = _explicit_choice_dist(model, row).as_tuple(row)
+        return out
+    if not isinstance(model, (MallowsModel, PlackettLuceModel)):
+        raise DomainError(f"unsupported noise model {type(model).__name__}")
+    if k == 1:
+        return np.ones((B, 1))
+    center = np.asarray(model.center.order, dtype=np.intp)
+    rank = np.empty(m, dtype=np.intp)
+    rank[center] = np.arange(m)
+    pos = rank[menus]
+    order = np.argsort(pos, axis=1)
+    pos = np.take_along_axis(pos, order, axis=1)
+    out = np.empty((B, k))
+    for lo in range(0, B, MENU_BLOCK):
+        block = pos[lo : lo + MENU_BLOCK]
+        if isinstance(model, MallowsModel):
+            rows = _mallows_block(model, block)
+        else:
+            rows = _pl_rows(model, center[block])
+        np.put_along_axis(out[lo : lo + MENU_BLOCK], order[lo : lo + MENU_BLOCK], rows, axis=1)
+    return out
+
+
 def mallows_choice_dist(model: MallowsModel, items) -> PickDistribution:
     """Exact pick distribution over ``items`` under a Mallows ranking model.
 
-    State W[a, s] tracks the probability that center item ``a`` is currently
-    the menu's front-runner and sits at position ``s`` of the partial
-    permutation. Inserting the t-th center item either shifts, preserves, or
-    replaces the front-runner; a running flag ``q`` carries the no-menu-item-
-    inserted-yet case, so no side enumeration over guesses is needed.
+    The one-menu case of the batched insertion DP (see ``_mallows_block``).
     """
     menu = _validated_menu(model.m, items)
-    m = model.m
     if len(menu) == 1:
         return PickDistribution({next(iter(menu)): 1.0})
+    pos = sorted(model.center.position(x) for x in menu)
+    row = _mallows_block(model, np.array([pos]))[0].tolist()
     center = model.center.order
-    table = model.insertion_table()
-    W = np.zeros((m, m + 1))
-    q = 1.0
-    for t in range(1, m + 1):
-        p_row = table.prob(t)
-        gamma = table.gamma(t)
-        if center[t - 1] in menu:
-            if t > 1:
-                col = W[:, 1:t].sum(axis=0)
-                tail = np.concatenate((np.cumsum(col[::-1])[::-1], [0.0]))
-            else:
-                tail = np.zeros(1)
-            W[:, 1 : t + 1] *= 1.0 - gamma
-            W[t - 1, 1 : t + 1] = p_row * (tail + q)
-            q = 0.0
-        else:
-            gamma_prev = np.concatenate(([0.0], gamma[:-1]))
-            W[:, 1 : t + 1] = (1.0 - gamma) * W[:, 1 : t + 1] + gamma_prev * W[:, 0:t]
-    probs = {
-        center[idx]: float(W[idx, 1:].sum())
-        for idx in range(m)
-        if center[idx] in menu
-    }
-    return PickDistribution(probs)
+    return PickDistribution({center[p]: x for p, x in zip(pos, row)})
 
 
 def choice_prob_mallows(model: MallowsModel, items, target: int) -> float:
@@ -105,11 +191,9 @@ def choice_prob_mallows(model: MallowsModel, items, target: int) -> float:
 
 def pl_choice_dist(model: PlackettLuceModel, items) -> PickDistribution:
     """Pick distribution over ``items``: a softmax of values at temperature beta."""
-    menu = sorted(_validated_menu(model.m, items))
-    u = np.asarray([model.item_values[x] for x in menu]) / model.beta
-    w = np.exp(u - np.max(u))
-    w /= w.sum()
-    return PickDistribution({x: float(p) for x, p in zip(menu, w)})
+    menu = sorted(_validated_menu(model.m, items), key=model.center.position)
+    row = _pl_rows(model, np.array([menu]))[0].tolist()
+    return PickDistribution(dict(zip(menu, row)))
 
 
 def choice_prob_pl(model: PlackettLuceModel, items, target: int) -> float:

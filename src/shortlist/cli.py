@@ -86,13 +86,13 @@ def _human_from_args(args) -> HumanType:
         item_values = tuple(values[center.position(x)] for x in range(center.m))
         noise = PlackettLuceModel(item_values, args.beta)
     else:
-        noise = MallowsModel(center, args.phi_h)
+        noise = MallowsModel(center, _require(args.phi_h, "--phi-h", args.command))
     return HumanType(center, noise, values, 1.0)
 
 
 def _policy_from_args(args) -> AlgorithmPolicy:
     center = _parse_ranking(args.alg_center)
-    accuracy = NOISELESS if args.noiseless else args.phi_a
+    accuracy = NOISELESS if args.noiseless else _require(args.phi_a, "--phi-a", args.command)
     return AlgorithmPolicy(center, accuracy, args.k)
 
 

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from .choice import PickDistribution, choice_dist
+from .choice import PickDistribution, choice_dist, choice_table
 from .errors import DomainError
 from .models import (
     MENU_ENUMERATION_CAP,
@@ -21,15 +21,25 @@ def solo_pick_dist(h: HumanType) -> PickDistribution:
 
 
 def joint_pick_from_menus(h: HumanType, menus: dict[frozenset[int], float]) -> PickDistribution:
-    """Pick distribution when the menu itself is drawn from ``menus``."""
-    probs: dict[int, float] = {}
+    """Pick distribution when the menu itself is drawn from ``menus``.
+
+    Menus of each size are scored in one batched ``choice_table`` call; the
+    support is every item of a menu with nonzero probability.
+    """
+    by_size: dict[int, tuple[list, list]] = {}
     for menu, p_menu in menus.items():
-        if p_menu == 0.0:
-            continue
-        inner = choice_dist(h.noise, menu)
-        for item, p in inner.items():
-            probs[item] = probs.get(item, 0.0) + p_menu * p
-    return PickDistribution(probs)
+        if p_menu != 0.0:
+            rows, weights = by_size.setdefault(len(menu), ([], []))
+            rows.append(tuple(menu))
+            weights.append(p_menu)
+    probs = np.zeros(h.m)
+    support: set[int] = set()
+    for rows, weights in by_size.values():
+        rows = np.array(rows, dtype=np.intp)
+        mass = choice_table(h.noise, rows) * np.asarray(weights)[:, None]
+        probs += np.bincount(rows.ravel(), weights=mass.ravel(), minlength=h.m)
+        support.update(rows.ravel().tolist())
+    return PickDistribution({x: float(probs[x]) for x in sorted(support)})
 
 
 def joint_pick_dist(h: HumanType, a: AlgorithmPolicy, cap: int = MENU_ENUMERATION_CAP) -> PickDistribution:

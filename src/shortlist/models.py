@@ -40,18 +40,22 @@ def _row_z_values(m: int, phi: float) -> tuple[float, ...]:
 
 
 @lru_cache(maxsize=256)
-def _insertion_rows(m: int, phi: float) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    probs = []
-    gammas = []
+def _insertion_rows(m: int, phi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Insertion probabilities of every step as read-only (m, m) arrays.
+
+    Row ``t - 1`` of ``probs`` holds ``p_{t,s}`` for ``s = 1..t`` and zeros
+    after; ``gammas`` are their running sums and ``keeps = 1 - gammas``, the
+    chance that an earlier item at position ``s`` stays there.
+    """
+    probs = np.zeros((m, m))
     for t in range(1, m + 1):
-        row = np.exp(-phi * (t - np.arange(1, t + 1, dtype=float)))
-        row /= row_z(t, phi)
-        row.setflags(write=False)
-        gamma = np.cumsum(row)
-        gamma.setflags(write=False)
-        probs.append(row)
-        gammas.append(gamma)
-    return tuple(probs), tuple(gammas)
+        probs[t - 1, :t] = np.exp(-phi * (t - np.arange(1, t + 1, dtype=float)))
+        probs[t - 1, :t] /= row_z(t, phi)
+    gammas = np.cumsum(probs, axis=1)
+    keeps = 1.0 - gammas
+    for array in (probs, gammas, keeps):
+        array.setflags(write=False)
+    return probs, gammas, keeps
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,19 +69,19 @@ class InsertionTable:
 
     m: int
     phi: float
-    probs: tuple[np.ndarray, ...] = field(init=False, repr=False)
-    gammas: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    probs: np.ndarray = field(init=False, repr=False)
+    gammas: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        probs, gammas = _insertion_rows(self.m, self.phi)
+        probs, gammas, _ = _insertion_rows(self.m, self.phi)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "gammas", gammas)
 
     def prob(self, t: int) -> np.ndarray:
-        return self.probs[t - 1]
+        return self.probs[t - 1, :t]
 
     def gamma(self, t: int) -> np.ndarray:
-        return self.gammas[t - 1]
+        return self.gammas[t - 1, :t]
 
 
 @dataclass(frozen=True)
@@ -92,9 +96,15 @@ class MallowsModel:
     phi: float
 
     def __post_init__(self):
-        if self.phi < 0:
-            raise DomainError("accuracy parameter phi must be nonnegative")
-        object.__setattr__(self, "phi", float(self.phi))
+        phi = float(self.phi)
+        if math.isnan(phi) or phi < 0:
+            raise DomainError(f"accuracy parameter phi must be nonnegative, got {phi!r}")
+        if math.isinf(phi):
+            raise DomainError(
+                "accuracy parameter phi must be finite; a point mass on the center "
+                "is the NOISELESS policy accuracy"
+            )
+        object.__setattr__(self, "phi", phi)
 
     @property
     def m(self) -> int:
@@ -198,12 +208,15 @@ class PlackettLuceModel:
 
     def __post_init__(self):
         values = tuple(float(v) for v in self.item_values)
+        beta = float(self.beta)
         if len(values) < 1:
             raise DomainError("need at least one item value")
-        if self.beta <= 0:
-            raise DomainError("noise scale beta must be positive")
+        if not all(math.isfinite(v) for v in values):
+            raise DomainError(f"item values must be finite: {values}")
+        if not (math.isfinite(beta) and beta > 0):
+            raise DomainError(f"noise scale beta must be positive and finite, got {beta!r}")
         object.__setattr__(self, "item_values", values)
-        object.__setattr__(self, "beta", float(self.beta))
+        object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "center", _sorted_by_value(values))
 
     @property
@@ -239,18 +252,32 @@ class PlackettLuceModel:
         return 1.0 / (1.0 + math.exp(-gap))
 
     def topk_set_prob(self, items) -> float:
-        """P[``items`` is the top-|items| set], summed over its orderings."""
-        items = tuple(frozenset(items))
+        """P[``items`` is the top-|items| set], by a DP over its subsets.
+
+        ``f(T)``, the chance that the first |T| picks are the set T, obeys
+        ``f(T) = sum_{x in T} f(T - x) * P[x is picked next after T - x]``;
+        each pick probability is a softmax over the items not yet picked,
+        normalized by their own log-sum-exp rather than by the total minus
+        the picked part, which would cancel. O(2^k k + 2^k m) for k items.
+        """
+        items = sorted(frozenset(items))
+        k = len(items)
         u = self._scaled()
-        prob = 0.0
-        for perm in itertools.permutations(items):
-            remaining = set(range(self.m))
-            log_p = 0.0
-            for x in perm:
-                log_p += u[x] - _logsumexp(u[sorted(remaining)])
-                remaining.remove(x)
-            prob += math.exp(log_p)
-        return prob
+        # taken[S, y]: item y is in the proper subset S of ``items`` (bit i
+        # stands for items[i]); the full set is never a denominator
+        taken = np.zeros(((1 << k) - 1, self.m), dtype=bool)
+        taken[:, items] = np.arange((1 << k) - 1)[:, None] >> np.arange(k) & 1
+        rest = np.where(taken, -np.inf, u)
+        hi = rest.max(axis=1, keepdims=True)
+        log_norm = (hi + np.log(np.exp(rest - hi).sum(axis=1, keepdims=True)))[:, 0]
+        f = [1.0] + [0.0] * ((1 << k) - 1)
+        for S in range(1, 1 << k):
+            f[S] = math.fsum(
+                f[S ^ (1 << i)] * math.exp(u[x] - log_norm[S ^ (1 << i)])
+                for i, x in enumerate(items)
+                if S >> i & 1
+            )
+        return f[-1]
 
     def sample(self, rng: np.random.Generator) -> Ranking:
         noisy = np.asarray(self.item_values) + rng.gumbel(0.0, self.beta, size=self.m)

@@ -11,12 +11,11 @@ from __future__ import annotations
 import io
 import itertools
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .choice import choice_dist
+from .choice import MENU_BLOCK, choice_dist, choice_table
 from .collab import solo_utility
 from .errors import CapacityError, DomainError
 from .models import (
@@ -48,7 +47,11 @@ def menu_utility(h: HumanType, menu) -> float:
 
 
 def menu_utility_table(pop: Population, k: int, cap: int = MENU_ENUMERATION_CAP):
-    """All k-menus (lexicographic) with per-type utilities, shape (menus, types)."""
+    """All k-menus (lexicographic) with per-type utilities, shape (menus, types).
+
+    Menus are scored in blocks of ``MENU_BLOCK`` through the batched choice
+    DP; each entry has the same bits as ``menu_utility`` of that menu.
+    """
     m = pop.m
     if math.comb(m, k) > cap:
         raise CapacityError(
@@ -56,10 +59,23 @@ def menu_utility_table(pop: Population, k: int, cap: int = MENU_ENUMERATION_CAP)
         )
     menus = list(itertools.combinations(range(m), k))
     table = np.empty((len(menus), pop.n))
-    for row, menu in enumerate(menus):
-        for col, h in enumerate(pop):
-            table[row, col] = menu_utility(h, menu)
+    values = [np.asarray([h.value_of(x) for x in range(m)]) for h in pop]
+    for lo in range(0, len(menus), MENU_BLOCK):
+        block = np.array(menus[lo : lo + MENU_BLOCK], dtype=np.intp)
+        for col, (h, v) in enumerate(zip(pop, values)):
+            terms = choice_table(h.noise, block) * v[block]
+            table[lo : lo + len(block), col] = [math.fsum(row) for row in terms.tolist()]
     return menus, table
+
+
+def _welfare(table: np.ndarray, weights) -> np.ndarray:
+    """Weighted sum of each row of a (menus, types) table, exactly rounded.
+
+    A menu's welfare then has the same bits whether the menu is scored alone
+    (branch and bound) or in a table (enumeration), so both break ties alike.
+    """
+    terms = table * np.asarray(weights)
+    return np.array([math.fsum(row.tolist()) for row in terms])
 
 
 @dataclass(frozen=True)
@@ -80,8 +96,7 @@ def enumerate_best_menu(pop: Population, k: int, cap: int = MENU_ENUMERATION_CAP
     if not 1 <= k <= pop.m:
         raise DomainError(f"menu size {k} out of range for m={pop.m}")
     menus, table = menu_utility_table(pop, k, cap=cap)
-    weights = np.asarray(pop.weights())
-    welfare = table @ weights
+    welfare = _welfare(table, pop.weights())
     best = int(np.argmax(welfare))  # argmax returns the first (lex-smallest) maximizer
     return OptimizeResult(
         menu=menus[best],
@@ -118,7 +133,7 @@ def branch_and_bound_menu(pop: Population, k: int) -> OptimizeResult:
         nonlocal best_menu, best_value, best_per_type, evaluations
         evaluations += 1
         per_type = np.asarray([menu_utility(h, menu) for h in pop])
-        value = float(per_type @ weights)
+        value = float(_welfare(per_type[None, :], weights)[0])
         if value > best_value:
             best_value = value
             best_menu = menu
@@ -176,12 +191,11 @@ def optimize_with_uplift(pop: Population, k: int, cap: int = MENU_ENUMERATION_CA
     Returns None when no k-menu achieves uplift.
     """
     menus, table = menu_utility_table(pop, k, cap=cap)
-    weights = np.asarray(pop.weights())
     solo = np.asarray([solo_utility(h) for h in pop])
     feasible = np.all(table > solo + UPLIFT_TOLERANCE, axis=1)
     if not feasible.any():
         return None
-    welfare = np.where(feasible, table @ weights, -np.inf)
+    welfare = np.where(feasible, _welfare(table, pop.weights()), -np.inf)
     best = int(np.argmax(welfare))
     return OptimizeResult(
         menu=menus[best],
@@ -507,22 +521,3 @@ def solve_mip(mip: MipInstance, fix_menu=None, time_limit: float | None = None):
         i for i in range(mip.m) if x[index[f"x_{i}"]] > 0.5
     )
     return -result.fun, menu
-
-
-def timed_solve(pop: Population, k: int, method: str = "bnb"):
-    """Solve one instance and report (result value, menu, seconds, counters)."""
-    start = time.perf_counter()
-    if method == "bnb":
-        res = branch_and_bound_menu(pop, k)
-        elapsed = time.perf_counter() - start
-        return res.welfare, res.menu, elapsed, {"nodes": res.nodes, "evaluations": res.evaluations}
-    if method == "enum":
-        res = enumerate_best_menu(pop, k)
-        elapsed = time.perf_counter() - start
-        return res.welfare, res.menu, elapsed, {"evaluations": res.evaluations}
-    if method == "mip":
-        mip = build_mip(pop, k)
-        value, menu = solve_mip(mip)
-        elapsed = time.perf_counter() - start
-        return value, menu, elapsed, {"variables": mip.num_variables}
-    raise DomainError(f"unknown method {method!r}")

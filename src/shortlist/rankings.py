@@ -144,8 +144,8 @@ class ValueProfile:
         values = tuple(float(v) for v in self.values)
         if len(values) < 1:
             raise DomainError("a value profile needs at least one entry")
-        if any(v < 0 for v in values):
-            raise DomainError("values must be nonnegative")
+        if any(not (math.isfinite(v) and v >= 0) for v in values):
+            raise DomainError(f"values must be finite and nonnegative: {values}")
         if any(values[p] < values[p + 1] for p in range(len(values) - 1)):
             raise DomainError(f"values must be non-increasing: {values}")
         object.__setattr__(self, "values", values)
@@ -272,8 +272,10 @@ class AlgorithmPolicy:
             )
         if not isinstance(self.accuracy, _Noiseless):
             acc = float(self.accuracy)
-            if acc < 0:
-                raise DomainError("accuracy must be nonnegative or NOISELESS")
+            if math.isnan(acc) or acc < 0:
+                raise DomainError(f"accuracy must be nonnegative or NOISELESS, got {acc!r}")
+            if math.isinf(acc):
+                raise DomainError("accuracy must be finite; use NOISELESS for a fixed menu")
             object.__setattr__(self, "accuracy", acc)
 
     @property

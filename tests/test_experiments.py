@@ -374,3 +374,13 @@ class TestCli:
         code = cli.main(["experiment", "sushi"])  # missing --output
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("given", [[], ["--phi-h", "1.0"]])
+    def test_collab_missing_accuracy_is_an_error(self, capsys, given):
+        code = cli.main([
+            "collab", "--human-center", "1 2 3", "--alg-center", "2 1 3",
+            "--values", "top", "-k", "2", *given,
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and ("--phi-a" if given else "--phi-h") in err

@@ -39,6 +39,14 @@ class TestMallowsPermProb:
         with pytest.raises(DimensionError):
             m3_half.perm_prob(R(0, 1))
 
+    def test_nan_phi_rejected(self):
+        with pytest.raises(DomainError):
+            MallowsModel(R(0, 1, 2), math.nan)
+
+    def test_infinite_phi_points_to_noiseless(self):
+        with pytest.raises(DomainError, match="NOISELESS"):
+            MallowsModel(R(0, 1, 2), math.inf)
+
     def test_matches_oracle(self, rng):
         for m in (2, 3, 4, 5):
             phi = float(rng.uniform(0.0, 3.0))
@@ -269,19 +277,30 @@ class TestPlackettLuce:
         with pytest.raises(DomainError):
             PlackettLuceModel((1.0, 0.0), 0.0)
 
+    def test_nan_beta_rejected(self):
+        with pytest.raises(DomainError):
+            PlackettLuceModel((1.0, 0.0), math.nan)
+
+    def test_nan_item_value_rejected(self):
+        with pytest.raises(DomainError):
+            PlackettLuceModel((1.0, math.nan), 1.0)
+
     def test_pairwise_is_logistic(self):
         model = PlackettLuceModel((1.0, 0.0, -1.0), 2.0)
         assert model.pairwise_prob(0, 2) == pytest.approx(1 / (1 + math.exp(-1)), abs=1e-15)
 
     def test_topk_set_prob_matches_enumeration(self, rng):
-        for m in (3, 4, 5):
-            values = tuple(float(v) for v in rng.normal(size=m))
-            model = PlackettLuceModel(values, float(rng.uniform(0.3, 2.0)))
+        for m in (1, 3, 4, 5, 6, 7):
+            values = tuple(float(v) for v in rng.normal(0.0, 2.0, size=m))
+            model = PlackettLuceModel(values, float(rng.uniform(0.1, 2.0)))
             support = list(model.support())
-            for k in (1, 2, m - 1):
+            for k in range(1, min(m, 5) + 1):
+                by_set: dict[frozenset, list] = {}
+                for r, p in support:
+                    by_set.setdefault(r.top(k), []).append(p)
                 for s in itertools.combinations(range(m), k):
-                    expected = math.fsum(p for r, p in support if r.top(k) == frozenset(s))
-                    assert model.topk_set_prob(s) == pytest.approx(expected, abs=1e-10)
+                    expected = math.fsum(by_set.get(frozenset(s), []))
+                    assert model.topk_set_prob(s) == pytest.approx(expected, abs=1e-12)
 
     def test_sampling_frequency(self, rng):
         model = PlackettLuceModel((1.0, 0.0), 1.0)

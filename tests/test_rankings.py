@@ -133,6 +133,8 @@ class TestValueProfiles:
             ValueProfile((1.0, 2.0))
         with pytest.raises(DomainError):
             ValueProfile((1.0, -0.5))
+        with pytest.raises(DomainError):
+            ValueProfile((math.nan, 0.0))
         ValueProfile((1.0, 1.0, 0.0))  # ties allowed
 
     def test_top_item_values(self):
@@ -195,6 +197,10 @@ class TestAlgorithmPolicy:
     def test_negative_accuracy(self):
         with pytest.raises(DomainError):
             AlgorithmPolicy(R(0, 1, 2), -0.1, 2)
+
+    def test_nan_accuracy(self):
+        with pytest.raises(DomainError):
+            AlgorithmPolicy(R(0, 1, 2), math.nan, 2)
 
     def test_noiseless_menu(self):
         policy = AlgorithmPolicy(R(2, 0, 1), NOISELESS, 2)
