@@ -4,8 +4,12 @@ For Mallows models one dynamic program over the repeated insertion of center
 items gives the whole pick distribution over a menu. It runs on a batch of B
 menus of k items at once (``choice_table``), in O(B k m^2) time and in blocks
 of ``MENU_BLOCK`` menus; the single-menu ``choice_dist`` is its B = 1 case.
-Plackett-Luce reduces to a softmax over the menu; explicit models are summed
-directly.
+The result depends on a menu only through (m, phi) and the sorted center
+positions of its items, so callers that score many types of one accuracy can
+share one table (see ``optimize.menu_utility_table``), and the full universe
+reads the first-item law off the last insertion row instead of running the
+DP. Plackett-Luce reduces to a softmax over the menu; explicit models are
+summed directly.
 """
 from __future__ import annotations
 
@@ -74,11 +78,14 @@ def _mallows_block(model: MallowsModel, pos: np.ndarray) -> np.ndarray:
     at every step from the block's first menu item to t = m (a row that does
     not hold the step's item gets zero fresh mass, one that does gets zero
     shift), so a row's bits do not depend on the other rows of its block.
-    Cost O(B k m^2).
+    Cost O(B k m^2). A full-universe menu (k = m) is the first-item law
+    e^{-phi j} / row_z(m), read off the last insertion row in O(m).
     """
     B, k = pos.shape
     m = model.m
     probs, gammas, keeps = _insertion_rows(m, model.phi)
+    if k == m:
+        return np.tile(probs[m - 1, ::-1], (B, 1))
     # enters[t-1, b, j] = 1 when step t inserts the item of slot j of menu b
     # (and, for j = k, into the total)
     enters = np.zeros((m, B, k + 1))

@@ -17,7 +17,7 @@ from .analysis import (
     swap_effect,
 )
 from .collab import expected_utility, joint_pick_dist, solo_pick_dist
-from .errors import ShortlistError
+from .errors import DimensionError, DomainError, ShortlistError
 from .experiments import (
     DEFAULT_PHI_GRID,
     TENSION_PHI_GRID,
@@ -50,13 +50,41 @@ from .rankings import (
 from .welfare import verify_uplift
 
 
-def _parse_items(text: str) -> tuple[int, ...]:
-    tokens = text.replace(",", " ").split()
-    return tuple(int(t) - 1 for t in tokens)
+def _numbers(tokens, kind, flag: str) -> tuple:
+    """``tokens`` converted by ``kind`` (int or float); a bad token names ``flag``."""
+    out = []
+    for token in tokens:
+        try:
+            out.append(kind(token))
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise ShortlistError(f"{flag}: {token!r} is not {noun}") from None
+    return tuple(out)
 
 
-def _parse_ranking(text: str) -> Ranking:
-    return Ranking(_parse_items(text))
+def _parse_list(text: str, kind, flag: str) -> tuple:
+    """A space- or comma-separated list, as item labels and values are given."""
+    return _numbers(text.replace(",", " ").split(), kind, flag)
+
+
+def _parse_grid(text: str | None, kind, flag: str, default):
+    """A comma-separated grid, or ``default`` without the flag; an empty entry is an error."""
+    return default if text is None else _numbers(text.split(","), kind, flag)
+
+
+def _parse_items(text: str, flag: str) -> tuple[int, ...]:
+    return tuple(x - 1 for x in _parse_list(text, int, flag))
+
+
+def _parse_pair(text: str, flag: str) -> tuple[int, int]:
+    items = _parse_items(text, flag)
+    if len(items) != 2:
+        raise ShortlistError(f"{flag} needs exactly two items, got {len(items)}")
+    return items
+
+
+def _parse_ranking(text: str, flag: str) -> Ranking:
+    return Ranking(_parse_items(text, flag))
 
 
 def _parse_values(text: str, m: int) -> ValueProfile:
@@ -66,7 +94,7 @@ def _parse_values(text: str, m: int) -> ValueProfile:
         from .rankings import top_item_values
 
         return top_item_values(m)
-    return ValueProfile(tuple(float(t) for t in text.replace(",", " ").split()))
+    return ValueProfile(_parse_list(text, float, "--values"))
 
 
 def _fmt_items(items) -> str:
@@ -80,8 +108,10 @@ def _fmt_dist(dist) -> str:
 
 
 def _human_from_args(args) -> HumanType:
-    center = _parse_ranking(args.human_center)
+    center = _parse_ranking(args.human_center, "--human-center")
     values = _parse_values(args.values, center.m)
+    if values.m != center.m:
+        raise DimensionError(f"--values has {values.m} entries for {center.m} items")
     if getattr(args, "beta", None) is not None:
         item_values = tuple(values[center.position(x)] for x in range(center.m))
         noise = PlackettLuceModel(item_values, args.beta)
@@ -91,7 +121,7 @@ def _human_from_args(args) -> HumanType:
 
 
 def _policy_from_args(args) -> AlgorithmPolicy:
-    center = _parse_ranking(args.alg_center)
+    center = _parse_ranking(args.alg_center, "--alg-center")
     accuracy = NOISELESS if args.noiseless else _require(args.phi_a, "--phi-a", args.command)
     return AlgorithmPolicy(center, accuracy, args.k)
 
@@ -124,27 +154,27 @@ def _require(value, flag: str, query: str):
 
 
 def _cmd_prob(args) -> int:
-    center = _parse_ranking(args.center)
+    center = _parse_ranking(args.center, "--center")
     if args.pl_values is not None:
-        values = tuple(float(t) for t in args.pl_values.replace(",", " ").split())
+        values = _parse_list(args.pl_values, float, "--pl-values")
         model = PlackettLuceModel(values, args.beta)
     else:
         if args.phi is None:
             raise ShortlistError("--phi is required for a Mallows model")
         model = MallowsModel(center, args.phi)
     if args.query == "perm":
-        out = model.perm_prob(_parse_ranking(_require(args.ranking, "--ranking", "perm")))
+        out = model.perm_prob(_parse_ranking(_require(args.ranking, "--ranking", "perm"), "--ranking"))
     elif args.query == "first":
         out = model.first_item_prob(_require(args.item, "--item", "first") - 1)
     elif args.query == "pairwise":
-        i, j = _parse_items(_require(args.pair, "--pair", "pairwise"))
+        i, j = _parse_pair(_require(args.pair, "--pair", "pairwise"), "--pair")
         out = model.pairwise_prob(i, j)
     elif args.query == "topk":
-        out = model.topk_set_prob(_parse_items(_require(args.menu, "--menu", "topk")))
+        out = model.topk_set_prob(_parse_items(_require(args.menu, "--menu", "topk"), "--menu"))
     else:
         from .choice import choice_prob
 
-        menu = _parse_items(_require(args.menu, "--menu", "choice"))
+        menu = _parse_items(_require(args.menu, "--menu", "choice"), "--menu")
         out = choice_prob(model, menu, _require(args.target, "--target", "choice") - 1)
     print(repr(out))
     return 0
@@ -281,7 +311,7 @@ def _add_analyze_parser(sub):
 def _cmd_analyze_swap(args) -> int:
     human = _human_from_args(args)
     policy = _policy_from_args(args)
-    i, j = _parse_items(args.pair)
+    i, j = _parse_pair(args.pair, "--pair")
     report = swap_effect(human, policy, i, j)
     print(f"swapped pair: x{i + 1}, x{j + 1}")
     print(f"utility delta (swapped - original): {report.utility_delta!r}")
@@ -292,7 +322,10 @@ def _cmd_analyze_swap(args) -> int:
 
 
 def _cmd_analyze_conditions(args) -> int:
-    ranks = [int(t) for t in args.ranks.replace(",", " ").split()]
+    ranks = _parse_list(args.ranks, int, "--ranks")
+    need = 1 if (args.family, args.kind) == ("pl", "harmful") else 2
+    if len(ranks) != need:
+        raise ShortlistError(f"--ranks needs {need} rank(s) for {args.family} {args.kind}, got {len(ranks)}")
     if args.family == "mallows" and args.kind == "harmful":
         values = _parse_values(args.values, len(args.values.split()))
         phi_h = _require(args.phi_h, "--phi-h", "mallows harmful")
@@ -306,7 +339,9 @@ def _cmd_analyze_conditions(args) -> int:
         alg_center = _require(args.alg_center, "--alg-center", "helpful")
         phi_a = _require(args.phi_a, "--phi-a", "helpful")
         human = _human_from_args(args)
-        policy = AlgorithmPolicy(_parse_ranking(alg_center), phi_a, 2)
+        policy = AlgorithmPolicy(_parse_ranking(alg_center, "--alg-center"), phi_a, 2)
+        if not all(1 <= r <= human.m for r in ranks):
+            raise DomainError(f"--ranks must lie in 1..{human.m}, got {ranks}")
         item_i = human.ground_truth.order[ranks[0] - 1]
         item_j = human.ground_truth.order[ranks[1] - 1]
         if args.family == "mallows":
@@ -328,7 +363,7 @@ def _cmd_analyze_conditions(args) -> int:
 def _cmd_analyze_order(args) -> int:
     human = _human_from_args(args)
     candidates = [
-        _parse_ranking(chunk) for chunk in args.candidates.split(";") if chunk.strip()
+        _parse_ranking(chunk, "--candidates") for chunk in args.candidates.split(";") if chunk.strip()
     ]
     result = derive_partial_order(human, candidates, args.phi_a, args.k)
     for idx, (cand, util) in enumerate(zip(candidates, result.utilities)):
@@ -374,36 +409,18 @@ def _cmd_experiment(args) -> int:
         raise ShortlistError("give an experiment name or --config")
     if not args.output:
         raise ShortlistError("--output is required")
-    grid = (
-        tuple(float(t) for t in args.phi_grid.split(","))
-        if args.phi_grid
-        else None
-    )
+    k = args.k if args.k is not None else (2 if args.name == "beta-sweep" else 3)
     if args.name == "sushi":
         profile = load_profile(args.profile) if args.profile else None
-        rows = sushi_experiment(
-            profile=profile,
-            phi_grid=grid or DEFAULT_PHI_GRID,
-            k=args.k or 3,
-        )
+        phi_grid = _parse_grid(args.phi_grid, float, "--phi-grid", DEFAULT_PHI_GRID)
+        rows = sushi_experiment(profile=profile, phi_grid=phi_grid, k=k)
     elif args.name == "beta-sweep":
-        beta_grid = (
-            tuple(float(t) for t in args.beta_grid.split(","))
-            if args.beta_grid
-            else None
-        )
-        rows = beta_sweep(beta_grid=beta_grid, k=args.k or 2)
+        rows = beta_sweep(beta_grid=_parse_grid(args.beta_grid, float, "--beta-grid", None), k=k)
     elif args.name == "tension":
-        rows = tension_experiment(
-            gamma=args.gamma, phi_grid=grid or TENSION_PHI_GRID, k=args.k or 3
-        )
+        phi_grid = _parse_grid(args.phi_grid, float, "--phi-grid", TENSION_PHI_GRID)
+        rows = tension_experiment(gamma=args.gamma, phi_grid=phi_grid, k=k)
     else:
-        sizes = (
-            tuple(int(t) for t in args.sizes.split(","))
-            if args.sizes
-            else (8, 10, 12)
-        )
-        rows = mip_bench(sizes=sizes, solver=args.solver)
+        rows = mip_bench(sizes=_parse_grid(args.sizes, int, "--sizes", (8, 10, 12)), solver=args.solver)
     emit_csv(rows, args.output)
     print(f"wrote {args.output} ({len(rows)} rows)")
     return 0
@@ -429,7 +446,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ShortlistError as exc:
+    except (ShortlistError, OSError) as exc:
+        # OSError: an input file that cannot be read or an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

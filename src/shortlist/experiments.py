@@ -21,6 +21,7 @@ from .collab import expected_utility, joint_pick_from_menus, joint_utility, solo
 from .errors import DimensionError, DomainError, ProfileParseError
 from .models import MallowsModel, PlackettLuceModel, model_menu_distribution
 from .optimize import (
+    _welfare,
     branch_and_bound_menu,
     build_mip,
     enumerate_best_menu,
@@ -189,7 +190,7 @@ def sushi_experiment(
         weights = np.asarray(pop.weights())
         solo = np.asarray([solo_utility(h) for h in pop])
         menus, table = menu_utility_table(pop, k)
-        welfare = table @ weights
+        welfare = _welfare(table, weights)
         uplifted = table > solo + 1e-12
         fractions = uplifted @ weights
 
@@ -449,7 +450,10 @@ def run_config(config) -> list[str]:
     """
     if isinstance(config, (str, Path)):
         with open(config, "r", encoding="utf-8") as handle:
-            config = json.load(handle)
+            try:
+                config = json.load(handle)
+            except json.JSONDecodeError as exc:
+                raise DomainError(f"config {config} is not valid JSON: {exc}") from None
     if not isinstance(config, dict):
         raise DomainError("config must be a JSON object")
     name = config.get("experiment")

@@ -226,6 +226,10 @@ class PlackettLuceModel:
     def _scaled(self) -> np.ndarray:
         return np.asarray(self.item_values, dtype=float) / self.beta
 
+    def _check_items(self, *items: int) -> None:
+        if min(items) < 0 or max(items) >= len(self.item_values):
+            raise DimensionError(f"items {sorted(set(items))} outside 0..{self.m - 1}")
+
     def log_perm_prob(self, r: Ranking) -> float:
         if r.m != self.m:
             raise DimensionError(f"ranking over {r.m} items, model over {self.m}")
@@ -241,6 +245,7 @@ class PlackettLuceModel:
         return math.exp(self.log_perm_prob(r))
 
     def first_item_prob(self, item: int) -> float:
+        self._check_items(item)
         u = self._scaled()
         return float(np.exp(u[item] - _logsumexp(u)))
 
@@ -248,6 +253,7 @@ class PlackettLuceModel:
         """P[i before j]; the Gumbel race makes this a logistic in the value gap."""
         if i == j:
             raise DomainError("pairwise comparison needs two distinct items")
+        self._check_items(i, j)
         gap = (self.item_values[i] - self.item_values[j]) / self.beta
         return 1.0 / (1.0 + math.exp(-gap))
 
@@ -261,6 +267,9 @@ class PlackettLuceModel:
         the picked part, which would cancel. O(2^k k + 2^k m) for k items.
         """
         items = sorted(frozenset(items))
+        if not items:
+            raise DomainError("top-k set must be nonempty")
+        self._check_items(items[0], items[-1])
         k = len(items)
         u = self._scaled()
         # taken[S, y]: item y is in the proper subset S of ``items`` (bit i

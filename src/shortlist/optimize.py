@@ -46,25 +46,71 @@ def menu_utility(h: HumanType, menu) -> float:
     return math.fsum(p * h.value_of(item) for item, p in dist.items())
 
 
+def position_set_rank(m: int, k: int):
+    """Map rows of k increasing positions to their rank among the C(m, k) sets.
+
+    The rank is the row's index in ``itertools.combinations(range(m), k)``.
+    Reflecting positions (p -> m-1-p) turns lexicographic order into reversed
+    colexicographic order, whose rank is a sum of binomials; no term of a
+    valid row exceeds C(m, k), so the table is clipped there.
+    """
+    total = math.comb(m, k)
+    binom = np.array([[min(math.comb(n, r), total) for r in range(k, 0, -1)] for n in range(m)], dtype=np.intp)
+    slots = np.arange(k)
+    return lambda pos: total - 1 - binom[m - 1 - pos, slots].sum(axis=1)
+
+
 def menu_utility_table(pop: Population, k: int, cap: int = MENU_ENUMERATION_CAP):
     """All k-menus (lexicographic) with per-type utilities, shape (menus, types).
 
-    Menus are scored in blocks of ``MENU_BLOCK`` through the batched choice
-    DP; each entry has the same bits as ``menu_utility`` of that menu.
+    A Mallows pick distribution depends on a menu only through (m, phi) and
+    the sorted center positions of its items, so the batched choice DP runs
+    once per distinct Mallows accuracy, over all C(m, k) position sets: they
+    are the lexicographic menus under the identity center. Each type of that
+    accuracy reads its menu's row at ``position_set_rank`` of the menu's
+    sorted positions. Plackett-Luce and explicit types get a table each.
+    Entries are ``math.fsum`` of the same products as ``menu_utility``, so
+    they have its bits.
     """
     m = pop.m
+    if not 1 <= k <= m:
+        raise DomainError(f"menu size {k} out of range for m={m}")
     if math.comb(m, k) > cap:
         raise CapacityError(
             f"C({m},{k}) = {math.comb(m, k)} menus exceeds the exact-enumeration cap"
         )
     menus = list(itertools.combinations(range(m), k))
+    items = np.array(menus, dtype=np.intp)
     table = np.empty((len(menus), pop.n))
-    values = [np.asarray([h.value_of(x) for x in range(m)]) for h in pop]
-    for lo in range(0, len(menus), MENU_BLOCK):
-        block = np.array(menus[lo : lo + MENU_BLOCK], dtype=np.intp)
-        for col, (h, v) in enumerate(zip(pop, values)):
-            terms = choice_table(h.noise, block) * v[block]
+    lex_rank = position_set_rank(m, k)
+
+    def fill(col: int, h: HumanType, probs: np.ndarray, center: list[int] | None = None):
+        v = np.asarray([h.value_of(x) for x in range(m)])
+        if center is not None:
+            rank = np.empty(m, dtype=np.intp)
+            rank[center] = np.arange(m)
+            v = v[center]  # by center position, as the kernel's rows are
+        for lo in range(0, len(menus), MENU_BLOCK):
+            block = items[lo : lo + MENU_BLOCK]
+            if center is None:
+                terms = probs[lo : lo + MENU_BLOCK] * v[block]
+            else:
+                pos = np.sort(rank[block], axis=1)
+                terms = probs[lex_rank(pos)] * v[pos]
             table[lo : lo + len(block), col] = [math.fsum(row) for row in terms.tolist()]
+
+    by_phi: dict[float, list[int]] = {}
+    for col, h in enumerate(pop):
+        if isinstance(h.noise, MallowsModel):
+            by_phi.setdefault(h.noise.phi, []).append(col)
+        else:
+            fill(col, h, choice_table(h.noise, items))
+    for phi, cols in by_phi.items():
+        kernel = choice_table(MallowsModel(Ranking.identity(m), phi), items)
+        for col in cols:
+            h = pop.types[col]
+            fill(col, h, kernel, list(h.noise.center.order))
+        del kernel  # one accuracy's kernel alive at a time
     return menus, table
 
 
@@ -93,8 +139,6 @@ class OptimizeResult:
 
 def enumerate_best_menu(pop: Population, k: int, cap: int = MENU_ENUMERATION_CAP) -> OptimizeResult:
     """Exact argmax over all k-menus; ties go to the lexicographically smallest."""
-    if not 1 <= k <= pop.m:
-        raise DomainError(f"menu size {k} out of range for m={pop.m}")
     menus, table = menu_utility_table(pop, k, cap=cap)
     welfare = _welfare(table, pop.weights())
     best = int(np.argmax(welfare))  # argmax returns the first (lex-smallest) maximizer

@@ -1,4 +1,7 @@
 """Property tests for the batched choice kernel and the callers routed through it."""
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,8 +22,9 @@ from shortlist import (
 from shortlist.choice import MENU_BLOCK, oracle_choice_dist
 from shortlist.collab import joint_pick_from_menus
 from shortlist.errors import DimensionError, DomainError
-from shortlist.experiments import tension_population
-from shortlist.optimize import menu_utility, menu_utility_table
+from shortlist.experiments import sushi_profile, tension_population
+from shortlist.optimize import menu_utility, menu_utility_table, position_set_rank
+from shortlist.rankings import Population
 
 accuracies = st.floats(min_value=0.0, max_value=4.0, allow_nan=False)
 
@@ -102,6 +106,24 @@ class TestChoiceTable:
         with pytest.raises(DimensionError):
             choice_table(model, [0, 1])
 
+    @pytest.mark.parametrize("phi", [0.0, 700.0])
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_full_universe_rows_match_oracle(self, rng, m, phi):
+        model = mallows_model(rng, m, phi)
+        menus = random_menus(rng, m, m, 3)
+        for row, probs in zip(menus.tolist(), choice_table(model, menus)):
+            oracle = oracle_choice_dist(model, row)
+            assert np.max(np.abs(probs - oracle.as_tuple(row))) <= 1e-12
+
+    @pytest.mark.parametrize("m", [2, 5, 9, 16])
+    def test_full_universe_single_menu_is_bitwise_batch_row(self, rng, m):
+        model = mallows_model(rng, m, float(rng.uniform(0.0, 3.0)))
+        menus = random_menus(rng, m, m, 5)
+        table = choice_table(model, menus)
+        for b, row in enumerate(menus.tolist()):
+            assert np.array_equal(choice_table(model, menus[b : b + 1])[0], table[b])
+            assert choice_dist(model, row).as_tuple(row) == tuple(table[b].tolist())
+
     def test_extreme_accuracy_table_is_finite(self):
         pop = tension_population(1.0, 700.0)
         _, table = menu_utility_table(pop, 3)
@@ -160,9 +182,39 @@ class TestTableAgreement:
         assert bnb.per_type == enum.per_type
 
     def test_table_entries_equal_single_menu_utility(self, rng):
-        pop = tension_population(0.7, 1.3)
-        menus, table = menu_utility_table(pop, 3)
-        for row in rng.choice(len(menus), size=8, replace=False):
-            for col, h in enumerate(pop):
-                assert table[row, col] == menu_utility(h, menus[row])
+        populations = (
+            sushi_profile().to_population(0.9),  # 33 types sharing one accuracy
+            tension_population(0.7, 1.3),  # 6 types sharing one accuracy
+            mixed_population(rng, 6),
+        )
+        for pop in populations:
+            for k in (1, 3, pop.m):
+                menus, table = menu_utility_table(pop, k)
+                assert table.shape == (math.comb(pop.m, k), pop.n)
+                for row in range(len(menus)):
+                    for col, h in enumerate(pop):
+                        assert table[row, col] == menu_utility(h, menus[row])
+
+
+def mixed_population(rng, m: int) -> Population:
+    """Mallows types at a shared and a distinct accuracy, Plackett-Luce and explicit types."""
+    types = []
+    for noise in ("shared", "shared", "distinct", "pl", "explicit"):
+        values = ValueProfile(tuple(sorted(rng.uniform(0.0, 5.0, m), reverse=True)))
+        if noise == "pl":
+            model = pl_model(rng, m)
+        elif noise == "explicit":
+            model = explicit_model(rng, m)
+        else:
+            model = mallows_model(rng, m, 0.8 if noise == "shared" else 1.7)
+        gt = getattr(model, "center", None) or Ranking(tuple(int(x) for x in rng.permutation(m)))
+        types.append(HumanType(gt, model, values, 0.2))
+    return Population(tuple(types))
+
+
+@pytest.mark.parametrize("m", range(1, 10))
+def test_position_set_rank_round_trips(m):
+    for k in range(1, m + 1):
+        sets = np.array(list(itertools.combinations(range(m), k)), dtype=np.intp)
+        assert np.array_equal(position_set_rank(m, k)(sets), np.arange(len(sets)))
 

@@ -110,6 +110,15 @@ class TestSushiExperiment:
                 by[(phi, "A_m")]["uplift_fraction"], by[(phi, "A_w")]["uplift_fraction"]
             ) - 1e-12
 
+    @pytest.mark.parametrize("phi", [0.0, 0.25, 0.5, 1.0])
+    def test_welfare_row_has_the_bits_of_enumeration(self, phi):
+        from shortlist import enumerate_best_menu
+
+        a_w = next(r for r in sushi_experiment(phi_grid=(phi,)) if r["algorithm"] == "A_w")
+        best = enumerate_best_menu(sushi_profile().to_population(phi), 3)
+        assert a_w["menu"] == "+".join(str(x + 1) for x in best.menu)
+        assert a_w["welfare"] == best.welfare
+
     def test_rejects_bad_grid(self):
         with pytest.raises(DomainError):
             sushi_experiment(phi_grid=())
@@ -374,6 +383,53 @@ class TestCli:
         code = cli.main(["experiment", "sushi"])  # missing --output
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["prob", "first", "--center", "1 x 3", "--phi", "1", "--item", "1"], "--center"),
+            (["collab", "--human-center", "1 2 3", "--phi-h", "1", "--values", "1 a 0",
+              "--alg-center", "1 2 3", "--noiseless", "-k", "2"], "--values"),
+            (["experiment", "sushi", "--phi-grid", "0.5,,1", "--output", "out.csv"], "--phi-grid"),
+            (["analyze", "conditions", "--family", "mallows", "--kind", "harmful",
+              "--values", "3 2 1", "--phi-h", "1", "--ranks", "1 x"], "--ranks"),
+            (["experiment", "bench", "--sizes", "4,x", "--output", "out.csv"], "--sizes"),
+            (["prob", "pairwise", "--center", "1 2 3", "--phi", "1", "--pair", "1"], "--pair"),
+            (["analyze", "conditions", "--family", "mallows", "--kind", "harmful",
+              "--values", "3 2 1", "--phi-h", "1", "--ranks", "1"], "--ranks"),
+        ],
+    )
+    def test_bad_token_is_an_error(self, tmp_path, monkeypatch, capsys, argv, flag):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flag in err and "Traceback" not in err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize", "--profile", "{tmp}/missing.txt", "--phi-h", "1", "-k", "2"],
+            ["experiment", "tension", "--phi-grid", "0.5", "--output", "{tmp}/no/dir/out.csv"],
+            ["experiment", "tension", "--phi-grid", "0.5", "--output", "{tmp}"],
+            ["optimize", "--phi-h", "1", "-k", "2", "--export-lp", "{tmp}/no/dir/x.lp"],
+            ["experiment", "--config", "{tmp}/missing.json"],
+            ["experiment", "--config", "{tmp}/bad.json"],
+        ],
+    )
+    def test_file_error_is_an_error(self, tmp_path, capsys, argv):
+        (tmp_path / "bad.json").write_text("{not json")
+        assert cli.main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["sushi", "tension", "beta-sweep"])
+    def test_experiment_k_zero_is_an_error(self, tmp_path, capsys, name):
+        out_path = tmp_path / "out.csv"
+        code = cli.main(["experiment", name, "-k", "0", "--output", str(out_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out_path.exists()
 
     @pytest.mark.parametrize("given", [[], ["--phi-h", "1.0"]])
     def test_collab_missing_accuracy_is_an_error(self, capsys, given):

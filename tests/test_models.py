@@ -258,6 +258,18 @@ class TestPlackettLuce:
         for perm in itertools.permutations(range(3)):
             assert model.perm_prob(Ranking(perm)) == pytest.approx(1 / 6, abs=1e-12)
 
+    def test_items_outside_the_universe_are_rejected(self):
+        model = PlackettLuceModel((1.0, 0.0, -1.0), 1.0)
+        for query in (
+            lambda: model.topk_set_prob([0, 3]),
+            lambda: model.first_item_prob(-1),
+            lambda: model.pairwise_prob(0, 3),
+        ):
+            with pytest.raises(DimensionError):
+                query()
+        with pytest.raises(DomainError):
+            model.topk_set_prob([])
+
     def test_low_noise_concentrates(self):
         model = PlackettLuceModel((3.0, 2.0, 1.0), 1e-3)
         assert model.perm_prob(R(0, 1, 2)) == pytest.approx(1.0, abs=1e-10)
