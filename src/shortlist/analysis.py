@@ -13,7 +13,6 @@ from .collab import expected_utility, joint_pick_dist
 from .errors import DomainError
 from .models import (
     MENU_ENUMERATION_CAP,
-    ExplicitModel,
     MallowsModel,
     PlackettLuceModel,
     policy_ranking_model,
@@ -79,9 +78,7 @@ def _top2_prob(alg, pair) -> float:
         if model is None:
             return 1.0 if alg.fixed_menu() == pair else 0.0
         return model.topk_set_prob(pair)
-    if isinstance(alg, (MallowsModel, PlackettLuceModel, ExplicitModel)):
-        return alg.topk_set_prob(pair)
-    raise DomainError(f"unsupported algorithm object {type(alg).__name__}")
+    return alg.topk_set_prob(pair)
 
 
 def psi(alg, i: int, j: int, r: int) -> float:

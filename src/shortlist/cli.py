@@ -18,18 +18,7 @@ from .analysis import (
 )
 from .collab import expected_utility, joint_pick_dist, solo_pick_dist
 from .errors import DimensionError, DomainError, ShortlistError
-from .experiments import (
-    DEFAULT_PHI_GRID,
-    TENSION_PHI_GRID,
-    beta_sweep,
-    emit_csv,
-    load_profile,
-    mip_bench,
-    run_config,
-    sushi_experiment,
-    sushi_profile,
-    tension_experiment,
-)
+from .experiments import EXPERIMENTS, load_profile, run_config, sushi_profile
 from .models import MallowsModel, PlackettLuceModel
 from .optimize import (
     branch_and_bound_menu,
@@ -47,7 +36,7 @@ from .rankings import (
     ValueProfile,
     borda_values,
 )
-from .welfare import verify_uplift
+from .welfare import UPLIFT_TOLERANCE, verify_uplift
 
 
 def _numbers(tokens, kind, flag: str) -> tuple:
@@ -65,11 +54,6 @@ def _numbers(tokens, kind, flag: str) -> tuple:
 def _parse_list(text: str, kind, flag: str) -> tuple:
     """A space- or comma-separated list, as item labels and values are given."""
     return _numbers(text.replace(",", " ").split(), kind, flag)
-
-
-def _parse_grid(text: str | None, kind, flag: str, default):
-    """A comma-separated grid, or ``default`` without the flag; an empty entry is an error."""
-    return default if text is None else _numbers(text.split(","), kind, flag)
 
 
 def _parse_items(text: str, flag: str) -> tuple[int, ...]:
@@ -158,6 +142,10 @@ def _cmd_prob(args) -> int:
     if args.pl_values is not None:
         values = _parse_list(args.pl_values, float, "--pl-values")
         model = PlackettLuceModel(values, args.beta)
+        if center != model.center:
+            raise ShortlistError(
+                f"--center must be the value order of --pl-values, {_fmt_ranking(model.center)}"
+            )
     else:
         if args.phi is None:
             raise ShortlistError("--phi is required for a Mallows model")
@@ -204,7 +192,7 @@ def _cmd_collab(args) -> int:
     print(f"joint pick dist: {_fmt_dist(joint)}")
     print(f"solo utility: {solo_u!r}")
     print(f"joint utility: {joint_u!r}")
-    print(f"uplifted: {joint_u > solo_u + 1e-12}")
+    print(f"uplifted: {joint_u > solo_u + UPLIFT_TOLERANCE}")
     return 0
 
 
@@ -381,48 +369,51 @@ def _fmt_ranking(r: Ranking) -> str:
 
 def _add_experiment_parser(sub):
     p = sub.add_parser("experiment", help="run a shipped experiment, write CSV")
-    p.add_argument(
-        "name",
-        nargs="?",
-        choices=["sushi", "beta-sweep", "tension", "bench"],
-        help="experiment name (or use --config)",
-    )
+    p.add_argument("name", nargs="?", choices=list(EXPERIMENTS), help="experiment name (or use --config)")
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--output", default=None, help="CSV destination")
     p.add_argument("--profile", default=None)
     p.add_argument("-k", type=int, default=None)
-    p.add_argument("--gamma", type=float, default=3.0)
+    p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--phi-grid", default=None, help="comma-separated accuracies")
     p.add_argument("--beta-grid", default=None, help="comma-separated value decays")
     p.add_argument("--sizes", default=None, help="comma-separated m values (bench)")
-    p.add_argument("--solver", choices=["bnb", "mip"], default="bnb")
+    p.add_argument("--solver", choices=["bnb", "mip"], default=None)
     p.set_defaults(func=_cmd_experiment)
 
 
+# experiment flags by config key (the argparse dest), with the element type of a grid
+_EXPERIMENT_FLAGS = {
+    "profile": ("--profile", None),
+    "k": ("-k", None),
+    "gamma": ("--gamma", None),
+    "phi_grid": ("--phi-grid", float),
+    "beta_grid": ("--beta-grid", float),
+    "sizes": ("--sizes", int),
+    "solver": ("--solver", None),
+}
+
+
 def _cmd_experiment(args) -> int:
+    """Run the named experiment, or ``--config``, through ``run_config``."""
+    given = {key: getattr(args, key) for key in _EXPERIMENT_FLAGS if getattr(args, key) is not None}
     if args.config:
-        paths = run_config(args.config)
-        for path in paths:
-            print(f"wrote {path}")
-        return 0
-    if not args.name:
-        raise ShortlistError("give an experiment name or --config")
-    if not args.output:
-        raise ShortlistError("--output is required")
-    k = args.k if args.k is not None else (2 if args.name == "beta-sweep" else 3)
-    if args.name == "sushi":
-        profile = load_profile(args.profile) if args.profile else None
-        phi_grid = _parse_grid(args.phi_grid, float, "--phi-grid", DEFAULT_PHI_GRID)
-        rows = sushi_experiment(profile=profile, phi_grid=phi_grid, k=k)
-    elif args.name == "beta-sweep":
-        rows = beta_sweep(beta_grid=_parse_grid(args.beta_grid, float, "--beta-grid", None), k=k)
-    elif args.name == "tension":
-        phi_grid = _parse_grid(args.phi_grid, float, "--phi-grid", TENSION_PHI_GRID)
-        rows = tension_experiment(gamma=args.gamma, phi_grid=phi_grid, k=k)
+        if args.name or args.output or given:
+            raise ShortlistError("--config takes no experiment name, --output or experiment flags")
+        config = args.config
     else:
-        rows = mip_bench(sizes=_parse_grid(args.sizes, int, "--sizes", (8, 10, 12)), solver=args.solver)
-    emit_csv(rows, args.output)
-    print(f"wrote {args.output} ({len(rows)} rows)")
+        if not args.name:
+            raise ShortlistError("give an experiment name or --config")
+        if not args.output:
+            raise ShortlistError("--output is required")
+        config = {"experiment": args.name, "output": args.output}
+        for key, value in given.items():
+            flag, kind = _EXPERIMENT_FLAGS[key]
+            if key not in EXPERIMENTS[args.name]:
+                raise ShortlistError(f"{flag} does not apply to the {args.name!r} experiment")
+            config[key] = value if kind is None else _numbers(value.split(","), kind, flag)
+    for path in run_config(config):
+        print(f"wrote {path}")
     return 0
 
 

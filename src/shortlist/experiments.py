@@ -37,6 +37,7 @@ from .rankings import (
     ValueProfile,
     borda_values,
 )
+from .welfare import UPLIFT_TOLERANCE
 
 DEFAULT_PHI_GRID = tuple(0.25 * i for i in range(13))  # 0 .. 3 step 0.25
 TENSION_PHI_GRID = tuple(round(0.3 * i, 10) for i in range(11))  # 0 .. 3 step 0.3
@@ -191,7 +192,7 @@ def sushi_experiment(
         solo = np.asarray([solo_utility(h) for h in pop])
         menus, table = menu_utility_table(pop, k)
         welfare = _welfare(table, weights)
-        uplifted = table > solo + 1e-12
+        uplifted = table > solo + UPLIFT_TOLERANCE
         fractions = uplifted @ weights
 
         idx_w = int(np.argmax(welfare))
@@ -290,7 +291,7 @@ def tension_population(gamma: float, phi_h: float) -> Population:
     return Population(tuple(types))
 
 
-def tension_experiment(gamma: float, phi_grid=TENSION_PHI_GRID, k: int = 3) -> list[dict]:
+def tension_experiment(gamma: float = 3.0, phi_grid=TENSION_PHI_GRID, k: int = 3) -> list[dict]:
     """Optimal welfare with and without the uplift constraint, per accuracy."""
     rows: list[dict] = []
     for phi_h in _validated_grid(phi_grid, "accuracy"):
@@ -437,16 +438,61 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-EXPERIMENTS = ("sushi", "beta-sweep", "tension", "bench")
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _nonempty_list(check, noun: str):
+    def is_list(x) -> bool:
+        return isinstance(x, (list, tuple)) and len(x) > 0 and all(check(v) for v in x)
+
+    return is_list, f"a nonempty list of {noun}"
+
+
+_INT = (_is_int, "an integer")
+_NUMBER = (_is_number, "a number")
+_INTS = _nonempty_list(_is_int, "integers")
+_NUMBERS = _nonempty_list(_is_number, "numbers")
+
+# The knobs each experiment accepts, beyond "experiment" and "output": a key
+# is the driver's parameter of that name, and a knob left out takes the
+# driver's default. Each maps to (check, what the check wants).
+EXPERIMENTS = {
+    "sushi": {
+        "profile": (lambda x: isinstance(x, str), "a profile path"),
+        "phi_grid": _NUMBERS,
+        "k": _INT,
+        "allow_any_m": (lambda x: isinstance(x, bool), "true or false"),
+    },
+    "beta-sweep": {
+        "beta_grid": _NUMBERS,
+        "m": _INT,
+        "k": _INT,
+        "phi": _NUMBER,
+        "gumbel_beta": _NUMBER,
+        "families": _nonempty_list(lambda x: x in ("mallows", "rum"), "'mallows' and 'rum'"),
+    },
+    "tension": {"gamma": _NUMBER, "phi_grid": _NUMBERS, "k": _INT},
+    "bench": {
+        "sizes": _INTS,
+        "k_list": _INTS,
+        "type_counts": _INTS,
+        "solver": (lambda x: x in ("bnb", "mip"), "'bnb' or 'mip'"),
+    },
+}
 
 
 def run_config(config) -> list[str]:
     """Run the experiment a JSON config selects; returns written output paths.
 
-    Recognized keys: ``experiment`` (required), ``output`` (required),
-    ``seed`` (accepted for forward compatibility; all drivers are exact),
-    plus per-experiment knobs (``k``, ``phi_grid``, ``gamma``, ``beta_grid``,
-    ``profile``, ``sizes``, ``k_list``, ``solver``).
+    ``config`` is a dict or the path of a JSON file holding one. It needs
+    ``experiment`` (a name in ``EXPERIMENTS``) and ``output`` (the CSV path);
+    any other key must be one of that experiment's knobs, with a value of
+    the type its table names, or the run is refused with a ``DomainError``.
     """
     if isinstance(config, (str, Path)):
         with open(config, "r", encoding="utf-8") as handle:
@@ -457,43 +503,31 @@ def run_config(config) -> list[str]:
     if not isinstance(config, dict):
         raise DomainError("config must be a JSON object")
     name = config.get("experiment")
-    if name not in EXPERIMENTS:
+    if not isinstance(name, str) or name not in EXPERIMENTS:
         raise DomainError(
             f"unknown experiment {name!r}; valid names: {', '.join(EXPERIMENTS)}"
         )
     output = config.get("output")
-    if not output:
+    if not isinstance(output, (str, Path)) or not output:
         raise DomainError("config needs an 'output' path")
-
-    if name == "sushi":
-        profile = load_profile(config["profile"]) if "profile" in config else None
-        rows = sushi_experiment(
-            profile=profile,
-            phi_grid=config.get("phi_grid", DEFAULT_PHI_GRID),
-            k=config.get("k", 3),
-            allow_any_m=config.get("allow_any_m", False),
-        )
-    elif name == "beta-sweep":
-        rows = beta_sweep(
-            beta_grid=config.get("beta_grid"),
-            m=config.get("m", 4),
-            k=config.get("k", 2),
-            phi=config.get("phi", 0.5),
-            gumbel_beta=config.get("gumbel_beta", 0.1),
-            families=tuple(config.get("families", ("mallows", "rum"))),
-        )
-    elif name == "tension":
-        rows = tension_experiment(
-            gamma=config.get("gamma", 3.0),
-            phi_grid=config.get("phi_grid", TENSION_PHI_GRID),
-            k=config.get("k", 3),
-        )
-    else:
-        rows = mip_bench(
-            sizes=tuple(config.get("sizes", (8, 10, 12))),
-            k_list=tuple(config.get("k_list", (2, 4))),
-            type_counts=tuple(config.get("type_counts", (1, 2, 3))),
-            solver=config.get("solver", "bnb"),
-        )
+    knobs = {key: value for key, value in config.items() if key not in ("experiment", "output")}
+    accepted = EXPERIMENTS[name]
+    for key, value in knobs.items():
+        if key not in accepted:
+            raise DomainError(
+                f"unknown key {key!r} for experiment {name!r}; valid keys: {', '.join(accepted)}"
+            )
+        check, wanted = accepted[key]
+        if not check(value):
+            raise DomainError(f"config key {key!r} must be {wanted}, got {value!r}")
+    if "profile" in knobs:
+        knobs["profile"] = load_profile(knobs["profile"])
+    driver = {
+        "sushi": sushi_experiment,
+        "beta-sweep": beta_sweep,
+        "tension": tension_experiment,
+        "bench": mip_bench,
+    }[name]
+    rows = driver(**knobs)
     emit_csv(rows, output)
     return [str(output)]

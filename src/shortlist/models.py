@@ -1,11 +1,22 @@
 """Exact probabilities and sampling for noisy ranking distributions.
 
-Three model families share a small duck-typed surface (``m``, ``perm_prob``,
-``support``): a Mallows model with closed forms for the events the rest of
-the library needs, a Plackett-Luce model driven by per-item values with
-Gumbel noise, and an explicit finite distribution over rankings. A
-brute-force enumeration oracle sits alongside them so every closed form can
-be cross-checked at desk scale.
+Three model families: a Mallows model with closed forms for the events the
+rest of the library needs, a Plackett-Luce model driven by per-item values
+with Gumbel noise, and an explicit finite distribution over rankings. Each
+class holds its own math behind one duck-typed surface, so the rest of the
+library never asks which family it has:
+
+- ``m``, ``perm_prob``, ``sample`` and ``support`` (the enumeration oracle,
+  refused above ``ENUMERATION_CAP`` items for the closed-form families);
+- ``topk_set_prob``, the law of the top-k set, and ``pairwise_prob``;
+- ``ranks``, each item's position in the model's own order (the center for
+  Mallows and Plackett-Luce, item order for explicit models), and
+  ``pick_rows``, the pick probabilities of a block of menus whose rows are
+  listed in that order; ``choice.choice_table`` and ``choice.choice_dist``
+  sort menus and call it.
+
+A brute-force enumeration oracle sits alongside them so every closed form
+can be cross-checked at desk scale.
 
 Two different normalizers both get called "Z" in the Mallows literature; here
 ``row_z(j)`` is the single-row sum ``1 + e^{-phi} + ... + e^{-phi (j-1)}`` and
@@ -16,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -56,32 +67,6 @@ def _insertion_rows(m: int, phi: float) -> tuple[np.ndarray, np.ndarray, np.ndar
     for array in (probs, gammas, keeps):
         array.setflags(write=False)
     return probs, gammas, keeps
-
-
-@dataclass(frozen=True, eq=False)
-class InsertionTable:
-    """Per-step insertion probabilities of the repeated-insertion sampler.
-
-    ``prob(t)[s-1]`` is the chance of placing the t-th center item at
-    position ``s`` among the ``t`` slots (``p_{t,s} = e^{-phi (t-s)} / row_z(t)``);
-    ``gamma(t)[s-1]`` is the cumulative ``sum_{l<=s} p_{t,l}``.
-    """
-
-    m: int
-    phi: float
-    probs: np.ndarray = field(init=False, repr=False)
-    gammas: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        probs, gammas, _ = _insertion_rows(self.m, self.phi)
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "gammas", gammas)
-
-    def prob(self, t: int) -> np.ndarray:
-        return self.probs[t - 1, :t]
-
-    def gamma(self, t: int) -> np.ndarray:
-        return self.gammas[t - 1, :t]
 
 
 @dataclass(frozen=True)
@@ -169,17 +154,80 @@ class MallowsModel:
         """Probability that ``items`` is exactly the unordered top-|items| set."""
         return math.exp(self.log_topk_set_prob(items))
 
-    def insertion_table(self) -> InsertionTable:
-        return InsertionTable(self.m, self.phi)
-
     def sample(self, rng: np.random.Generator) -> Ranking:
         """Draw one ranking by repeated insertion of the center items."""
-        table = self.insertion_table()
+        probs = _insertion_rows(self.m, self.phi)[0]
         order: list[int] = []
         for t in range(1, self.m + 1):
-            s = rng.choice(t, p=table.prob(t)) + 1
-            order.insert(s - 1, self.center.order[t - 1])
+            order.insert(rng.choice(t, p=probs[t - 1, :t]), self.center.order[t - 1])
         return Ranking(tuple(order))
+
+    @property
+    def ranks(self) -> tuple[int, ...]:
+        """Each item's center position: the order ``pick_rows`` takes rows in."""
+        return self.center.positions
+
+    @cached_property
+    def _rank_array(self) -> np.ndarray:
+        return np.asarray(self.ranks, dtype=np.intp)
+
+    def pick_rows(self, menus: np.ndarray) -> np.ndarray:
+        """Pick probabilities of a (B, k) block of menus listed in center order.
+
+        One insertion DP over the menus' center positions: state W[b, j, s - 1]
+        is the probability that slot j's item (the j-th of menu b in center
+        order) is currently menu b's front-runner and sits at position ``s``
+        of the partial permutation; slot k carries the front-runner mass of
+        all slots, whose suffix sums decide whether a freshly inserted menu
+        item takes the lead. The no-menu-item-yet case is the fresh item being
+        slot 0, so no side enumeration over guesses is needed. Every row takes
+        the same arithmetic at every step from the block's first menu item to
+        t = m (a row that does not hold the step's item gets zero fresh mass,
+        one that does gets zero shift), so a row's bits do not depend on the
+        other rows of its block. Cost O(B k m^2). A full-universe menu (k = m)
+        is the first-item law e^{-phi j} / row_z(m), read off the last
+        insertion row in O(m).
+        """
+        B, k = menus.shape
+        m = self.m
+        if k == 1:
+            return np.ones((B, 1))
+        probs, gammas, keeps = _insertion_rows(m, self.phi)
+        if k == m:
+            return np.tile(probs[m - 1, ::-1], (B, 1))
+        pos = self._rank_array[menus]
+        # enters[t-1, b, j] = 1 when step t inserts the item of slot j of menu b
+        # (and, for j = k, into the total)
+        enters = np.zeros((m, B, k + 1))
+        rows = np.arange(B)[:, None]
+        enters[pos, rows, np.arange(k)] = 1.0
+        enters[pos, rows, k] = 1.0
+        inserting = enters[:, :, k]
+        counts = inserting.sum(axis=1).tolist()
+        lead_steps = set(pos[:, 0].tolist())
+        # the block's first step finds nothing inserted yet in any menu
+        start = min(lead_steps)
+        W = enters[start, :, :, None] * (probs[start] * enters[start, :, :1])[:, None, :]
+        # views into W, which every later step updates in place
+        total, behind, ahead = W[:, k, ::-1], W[:, :, 1:], W[:, :, :-1]
+        for t in range(start + 2, m + 1):
+            inserted = counts[t - 1]
+            if inserted:
+                tail = total.cumsum(axis=1)[:, ::-1]
+                if t - 1 in lead_steps:
+                    tail += enters[t - 1, :, :1]
+                fresh = probs[t - 1] * tail
+            if inserted < B:
+                # inserting a non-menu item ahead of the front-runner moves it back
+                moved = gammas[t - 1, :-1] * ahead
+                if inserted:
+                    moved *= (1.0 - inserting[t - 1])[:, None, None]
+            W *= keeps[t - 1]
+            if inserted < B:
+                behind += moved
+            if inserted:
+                W += enters[t - 1, :, :, None] * fresh[:, None, :]
+        return W[:, :k].sum(axis=2)
 
     def support(self, cap: int = ENUMERATION_CAP):
         if self.m > cap:
@@ -288,6 +336,21 @@ class PlackettLuceModel:
             )
         return f[-1]
 
+    @property
+    def ranks(self) -> tuple[int, ...]:
+        """Each item's center position: the order ``pick_rows`` takes rows in."""
+        return self.center.positions
+
+    def pick_rows(self, menus: np.ndarray) -> np.ndarray:
+        """Pick probabilities of (B, k) menus: a softmax of their scaled values.
+
+        Rows come in center order, so a menu's row sums its terms in the same
+        order alone or in a batch.
+        """
+        u = self._scaled()[menus]
+        w = np.exp(u - u.max(axis=1, keepdims=True))
+        return w / w.sum(axis=1, keepdims=True)
+
     def sample(self, rng: np.random.Generator) -> Ranking:
         noisy = np.asarray(self.item_values) + rng.gumbel(0.0, self.beta, size=self.m)
         order = np.argsort(-noisy, kind="stable")
@@ -345,6 +408,27 @@ class ExplicitModel:
         k = len(items)
         return math.fsum(p for r, p in self.entries if r.top(k) == items)
 
+    def pairwise_prob(self, i: int, j: int) -> float:
+        """P[i before j], for either orientation of the pair."""
+        if i == j:
+            raise DomainError("pairwise comparison needs two distinct items")
+        return math.fsum(p for r, p in self.entries if r.position(i) < r.position(j))
+
+    @property
+    def ranks(self) -> tuple[int, ...]:
+        """Item order, the order ``pick_rows`` takes rows in."""
+        return tuple(range(self.m))
+
+    def pick_rows(self, menus: np.ndarray) -> np.ndarray:
+        """Pick probabilities of (B, k) menus, summed over the support in entry order."""
+        out = np.empty(menus.shape)
+        for b, menu in enumerate(menus.tolist()):
+            probs = dict.fromkeys(menu, 0.0)
+            for ranking, p in self.entries:
+                probs[min(menu, key=ranking.position)] += p
+            out[b] = list(probs.values())
+        return out
+
     def sample(self, rng: np.random.Generator) -> Ranking:
         idx = rng.choice(len(self.entries), p=[p for _, p in self.entries])
         return self.entries[idx][0]
@@ -366,18 +450,14 @@ def enumerate_event_prob(model, predicate, cap: int = ENUMERATION_CAP) -> float:
 
 
 def oriented_pairwise_prob(model, i: int, j: int) -> float:
-    """P[i before j] for any model and either orientation of the pair."""
-    if isinstance(model, MallowsModel):
-        if model.center.position(i) < model.center.position(j):
-            return model.pairwise_prob(i, j)
+    """P[i before j] for any model and either orientation of the pair.
+
+    Mallows' ``pairwise_prob`` takes the center-better item first, so a
+    reversed pair goes through its complement.
+    """
+    if isinstance(model, MallowsModel) and model.center.position(i) > model.center.position(j):
         return 1.0 - model.pairwise_prob(j, i)
-    if isinstance(model, PlackettLuceModel):
-        return model.pairwise_prob(i, j)
-    if isinstance(model, ExplicitModel):
-        return math.fsum(
-            p for r, p in model.entries if r.position(i) < r.position(j)
-        )
-    raise DomainError(f"unsupported noise model {type(model).__name__}")
+    return model.pairwise_prob(i, j)
 
 
 def pairwise_matrix(model) -> np.ndarray:
@@ -415,12 +495,6 @@ def model_menu_distribution(model, k: int, cap: int = MENU_ENUMERATION_CAP) -> d
         raise CapacityError(
             f"C({m},{k}) = {math.comb(m, k)} menus exceeds the exact-enumeration cap"
         )
-    if isinstance(model, ExplicitModel):
-        dist: dict[frozenset[int], float] = {}
-        for r, p in model.entries:
-            menu = r.top(k)
-            dist[menu] = dist.get(menu, 0.0) + p
-        return dist
     return {
         frozenset(s): model.topk_set_prob(s)
         for s in itertools.combinations(range(m), k)

@@ -21,6 +21,7 @@ from .errors import CapacityError, DomainError
 from .models import (
     MENU_ENUMERATION_CAP,
     MallowsModel,
+    _insertion_rows,
     pairwise_matrix,
 )
 from .rankings import NOISELESS, AlgorithmPolicy, HumanType, Population, Ranking
@@ -330,7 +331,7 @@ def build_mip(pop: Population, k: int) -> MipInstance:
     for h_idx, h in enumerate(pop):
         model: MallowsModel = h.noise
         center = model.center.order
-        table = model.insertion_table()
+        probs, gammas, _ = _insertion_rows(m, model.phi)
         prefix = f"type{h_idx}"
 
         def W(a: int, s: int, t: int) -> str:
@@ -359,8 +360,8 @@ def build_mip(pop: Population, k: int) -> MipInstance:
 
         for t in range(1, m + 1):
             item_t = center[t - 1]
-            p_row = table.prob(t)
-            gamma = table.gamma(t)
+            p_row = probs[t - 1, :t]
+            gamma = gammas[t - 1, :t]
 
             for s in range(1, t + 1):
                 # diagonal states are exactly the fresh-insertion mass

@@ -37,12 +37,12 @@ NOISELESS = _Noiseless()
 class Ranking:
     """A strict total order over items ``0..m-1``, most preferred first.
 
-    ``order[p]`` is the item at (0-based) position ``p``; ``position(x)``
-    is the inverse accessor.
+    ``order[p]`` is the item at (0-based) position ``p``; ``positions`` is
+    the inverse tuple and ``position(x)`` its range-checked accessor.
     """
 
     order: tuple[int, ...]
-    _positions: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    positions: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         order = tuple(int(x) for x in self.order)
@@ -55,7 +55,7 @@ class Ranking:
         for pos, item in enumerate(order):
             positions[item] = pos
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "_positions", tuple(positions))
+        object.__setattr__(self, "positions", tuple(positions))
 
     @classmethod
     def identity(cls, m: int) -> "Ranking":
@@ -69,7 +69,7 @@ class Ranking:
         """0-based rank of ``item`` (0 = most preferred)."""
         if not 0 <= item < self.m:
             raise DomainError(f"unknown item {item} for m={self.m}")
-        return self._positions[item]
+        return self.positions[item]
 
     def prefix(self, k: int) -> tuple[int, ...]:
         """The first ``k`` items in order."""

@@ -50,7 +50,6 @@ from shortlist import (
     top_item_values,
     verify_uplift,
 )
-from shortlist.choice import mallows_choice_dist
 from shortlist.experiments import (
     TENSION_PHI_GRID,
     sushi_experiment,
@@ -111,7 +110,7 @@ def test_criterion_1_closed_forms_vs_oracle():
             for s in subsets:
                 expected = math.fsum(p for r, p in support if r.top(len(s)) == frozenset(s))
                 worst = max(worst, abs(model.topk_set_prob(s) - expected))
-                dist = mallows_choice_dist(model, s)
+                dist = choice_dist(model, s)
                 for x in s:
                     expected_first = math.fsum(
                         p for r, p in support if first_in_menu(r, s) == x

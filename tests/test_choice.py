@@ -13,12 +13,7 @@ from shortlist import (
     choice_dist,
     choice_prob,
 )
-from shortlist.choice import (
-    choice_prob_mallows,
-    choice_prob_pl,
-    mallows_choice_dist,
-    oracle_choice_dist,
-)
+from shortlist.choice import oracle_choice_dist
 from shortlist.errors import DimensionError, DomainError
 
 LN2 = math.log(2)
@@ -38,23 +33,23 @@ class TestPickDistribution:
 class TestMallowsChoice:
     def test_gap_two_menu(self):
         model = MallowsModel(R(0, 1, 2), LN2)
-        assert choice_prob_mallows(model, {0, 2}, 0) == pytest.approx(16 / 21, abs=1e-12)
+        assert choice_prob(model, {0, 2}, 0) == pytest.approx(16 / 21, abs=1e-12)
 
     def test_singleton(self):
         model = MallowsModel(R(0, 1, 2), LN2)
-        assert choice_prob_mallows(model, {1}, 1) == 1.0
+        assert choice_prob(model, {1}, 1) == 1.0
 
     def test_full_menu_equals_first_item(self):
         model = MallowsModel(R(3, 1, 0, 2), 0.9)
         for x in range(4):
-            assert choice_prob_mallows(model, range(4), x) == pytest.approx(
+            assert choice_prob(model, range(4), x) == pytest.approx(
                 model.first_item_prob(x), abs=1e-12
             )
 
     def test_target_must_be_in_menu(self):
         model = MallowsModel(R(0, 1, 2), LN2)
         with pytest.raises(DomainError):
-            choice_prob_mallows(model, {0, 1}, 2)
+            choice_prob(model, {0, 1}, 2)
 
     def test_empty_menu(self):
         model = MallowsModel(R(0, 1, 2), LN2)
@@ -84,7 +79,7 @@ class TestMallowsChoice:
             support = mallows_support_oracle(center, phi)
             for k in range(1, m + 1):
                 for menu in itertools.combinations(range(m), k):
-                    dist = mallows_choice_dist(model, menu)
+                    dist = choice_dist(model, menu)
                     for x in menu:
                         expected = math.fsum(
                             p for r, p in support if first_in_menu(r, menu) == x
@@ -98,7 +93,7 @@ class TestMallowsChoice:
         for _ in range(4):
             k = int(rng.integers(2, 8))
             menu = tuple(int(x) for x in rng.choice(7, size=k, replace=False))
-            dp = mallows_choice_dist(model, menu)
+            dp = choice_dist(model, menu)
             orc = oracle_choice_dist(model, menu)
             for x in menu:
                 assert dp[x] == pytest.approx(orc[x], abs=1e-10)
@@ -113,14 +108,14 @@ class TestMallowsChoice:
             i, j = (int(x) for x in rng.choice(m, size=2, replace=False))
             if center.position(i) > center.position(j):
                 i, j = j, i
-            dp = mallows_choice_dist(model, {i, j})
+            dp = choice_dist(model, {i, j})
             assert dp[i] == pytest.approx(model.pairwise_prob(i, j), abs=1e-10)
 
     def test_large_m_full_menu_matches_first_item_closed_form(self, rng):
         m = 25
         center = Ranking(tuple(rng.permutation(m)))
         model = MallowsModel(center, 0.6)
-        dist = mallows_choice_dist(model, range(m))
+        dist = choice_dist(model, range(m))
         for x in range(m):
             assert dist[x] == pytest.approx(model.first_item_prob(x), abs=1e-10)
 
@@ -148,16 +143,16 @@ class TestMallowsChoice:
 class TestPlackettLuceChoice:
     def test_even_pair(self):
         model = PlackettLuceModel((0.7, 0.7), 1.0)
-        assert choice_prob_pl(model, {0, 1}, 0) == pytest.approx(0.5)
+        assert choice_prob(model, {0, 1}, 0) == pytest.approx(0.5)
 
     def test_three_item_softmax(self):
         model = PlackettLuceModel((1.0, 0.0, -1.0), 1.0)
         expected = math.e / (math.e + 1 + math.exp(-1))
-        assert choice_prob_pl(model, {0, 1, 2}, 0) == pytest.approx(expected, abs=1e-12)
+        assert choice_prob(model, {0, 1, 2}, 0) == pytest.approx(expected, abs=1e-12)
 
     def test_low_noise_picks_max(self):
         model = PlackettLuceModel((3.0, 1.0, 0.5), 1e-3)
-        assert choice_prob_pl(model, {0, 1, 2}, 0) == pytest.approx(1.0, abs=1e-12)
+        assert choice_prob(model, {0, 1, 2}, 0) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_enumeration(self, rng):
         for m in (3, 4, 5):
@@ -176,7 +171,7 @@ class TestPlackettLuceChoice:
     def test_target_validation(self):
         model = PlackettLuceModel((1.0, 0.0), 1.0)
         with pytest.raises(DomainError):
-            choice_prob_pl(model, {0}, 1)
+            choice_prob(model, {0}, 1)
 
 
 class TestExplicitChoice:

@@ -67,14 +67,17 @@ class TestChoiceTable:
         m=st.integers(2, 16),
         phi=accuracies,
         seed=st.integers(0, 2**32 - 1),
-        family=st.sampled_from(["mallows", "pl"]),
+        family=st.sampled_from(["mallows", "pl", "explicit"]),
         data=st.data(),
     )
     @settings(max_examples=60, deadline=None)
     def test_single_menu_row_is_bitwise_batch_row(self, m, phi, seed, family, data):
         k = data.draw(st.integers(1, m), label="k")
         rng = np.random.default_rng(seed)
-        model = mallows_model(rng, m, phi) if family == "mallows" else pl_model(rng, m)
+        if family == "mallows":
+            model = mallows_model(rng, m, phi)
+        else:
+            model = pl_model(rng, m) if family == "pl" else explicit_model(rng, m)
         menus = random_menus(rng, m, k, data.draw(st.integers(1, 40), label="menus"))
         table = choice_table(model, menus)
         for b, row in enumerate(menus.tolist()):

@@ -1,3 +1,5 @@
+import csv
+import importlib.resources
 import io
 import json
 import math
@@ -430,6 +432,96 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"experiment": "sushi", "phi-grid": [0.5]},
+            {"experiment": "sushi", "seed": 1},
+            {"experiment": "sushi", "k": "x"},
+            {"experiment": "sushi", "k": 2.5},
+            {"experiment": "sushi", "k": True},
+            {"experiment": "sushi", "phi_grid": "0.5"},
+            {"experiment": "tension", "gamma": "3"},
+            {"experiment": "tension", "sizes": [5]},
+            {"experiment": "bench", "sizes": 8},
+            {"experiment": "bench", "sizes": []},
+            {"experiment": "bench", "k_list": []},
+            {"experiment": "bench", "type_counts": [1, False]},
+            {"experiment": "bench", "solver": "glpk"},
+            {"experiment": "beta-sweep", "families": "mallows"},
+            {"experiment": "beta-sweep", "families": ["mallows", "plackett"]},
+            {"experiment": ["sushi"]},
+            {"experiment": "sushi", "output": 5},
+        ],
+    )
+    def test_bad_config_is_an_error(self, tmp_path, capsys, config):
+        out_path = tmp_path / "out.csv"
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"output": str(out_path), **config}))
+        assert cli.main(["experiment", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert list(config)[-1] in err  # the error names the offending key
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["experiment", "sushi", "--config", "{tmp}/config.json"],
+            ["experiment", "--config", "{tmp}/config.json", "--output", "{tmp}/out.csv"],
+            ["experiment", "--config", "{tmp}/config.json", "-k", "2"],
+            ["experiment", "sushi", "--gamma", "1.0", "--output", "{tmp}/out.csv"],
+            ["experiment", "bench", "-k", "2", "--sizes", "5", "--output", "{tmp}/out.csv"],
+            ["experiment", "tension", "--sizes", "5", "--output", "{tmp}/out.csv"],
+            ["experiment", "beta-sweep", "--phi-grid", "0.5", "--output", "{tmp}/out.csv"],
+        ],
+    )
+    def test_flag_that_does_not_apply_is_an_error(self, tmp_path, capsys, argv):
+        config = {"experiment": "tension", "output": str(tmp_path / "config.csv"), "phi_grid": [0.5]}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        assert cli.main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "out.csv").exists() and not (tmp_path / "config.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["sushi", "-k", "2", "--phi-grid", "0.5,1", "--profile", "{tmp}/profile.txt"],
+             {"experiment": "sushi", "k": 2, "phi_grid": [0.5, 1], "profile": "{tmp}/profile.txt"}),
+            (["tension", "--gamma", "1.5", "--phi-grid", "0.3,0.9", "-k", "2"],
+             {"experiment": "tension", "gamma": 1.5, "phi_grid": [0.3, 0.9], "k": 2}),
+            (["beta-sweep", "--beta-grid", "0,1.5", "-k", "2"],
+             {"experiment": "beta-sweep", "beta_grid": [0, 1.5], "k": 2}),
+            (["bench", "--sizes", "5,6", "--solver", "bnb"],
+             {"experiment": "bench", "sizes": [5, 6], "solver": "bnb"}),
+        ],
+    )
+    def test_flags_and_config_write_the_same_csv(self, tmp_path, capsys, argv, config):
+        fixture = importlib.resources.files("shortlist").joinpath("data/sushi_top33.txt")
+        (tmp_path / "profile.txt").write_text(fixture.read_text(encoding="utf-8"))
+        config = {key: v.replace("{tmp}", str(tmp_path)) if isinstance(v, str) else v for key, v in config.items()}
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        assert cli.main(["experiment", *argv, "--output", str(tmp_path / "cli.csv")]) == 0
+        (tmp_path / "config.json").write_text(json.dumps({**config, "output": str(tmp_path / "config.csv")}))
+        assert cli.main(["experiment", "--config", str(tmp_path / "config.json")]) == 0
+        cli_rows = list(csv.DictReader((tmp_path / "cli.csv").read_text().splitlines()))
+        config_rows = list(csv.DictReader((tmp_path / "config.csv").read_text().splitlines()))
+        if config["experiment"] == "bench":
+            for row in cli_rows + config_rows:
+                del row["seconds"]
+            assert cli_rows == config_rows and len(cli_rows) == 7
+        else:
+            assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "config.csv").read_bytes()
+
+    @pytest.mark.parametrize("center", ["1 2 3 4", "2 1 3"])
+    def test_prob_pl_center_must_match_the_values(self, capsys, center):
+        code = cli.main([
+            "prob", "topk", "--center", center, "--pl-values", "-1 -2 -3", "--menu", "1 2",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--center" in err
 
     @pytest.mark.parametrize("given", [[], ["--phi-h", "1.0"]])
     def test_collab_missing_accuracy_is_an_error(self, capsys, given):

@@ -12,9 +12,10 @@ from shortlist import (
     Ranking,
     apply_swap,
     enumerate_event_prob,
+    model_menu_distribution,
 )
 from shortlist.errors import CapacityError, DimensionError, DomainError
-from shortlist.models import row_z
+from shortlist.models import _insertion_rows, row_z
 
 LN2 = math.log(2)
 
@@ -184,25 +185,25 @@ class TestMallowsTopK:
 
 class TestInsertionTable:
     def test_two_slot_row(self):
-        table = MallowsModel(R(0, 1), LN2).insertion_table()
-        assert tuple(table.prob(2)) == pytest.approx((1 / 3, 2 / 3), abs=1e-15)
+        probs, _, _ = _insertion_rows(2, LN2)
+        assert tuple(probs[1, :2]) == pytest.approx((1 / 3, 2 / 3), abs=1e-15)
 
     def test_first_row_trivial(self):
-        table = MallowsModel(R(0, 1, 2), 1.7).insertion_table()
-        assert tuple(table.prob(1)) == (1.0,)
+        probs, _, _ = _insertion_rows(3, 1.7)
+        assert tuple(probs[0, :1]) == (1.0,)
 
     def test_uniform_rows_at_phi_zero(self):
-        table = MallowsModel(R(0, 1, 2, 3), 0.0).insertion_table()
+        probs, _, _ = _insertion_rows(4, 0.0)
         for t in range(1, 5):
-            assert tuple(table.prob(t)) == pytest.approx(tuple([1 / t] * t))
+            assert tuple(probs[t - 1, :t]) == pytest.approx(tuple([1 / t] * t))
 
     def test_rows_sum_to_one_and_gamma_monotone(self, rng):
         for _ in range(20):
             m = int(rng.integers(1, 9))
             phi = float(rng.uniform(0.0, 3.0))
-            table = MallowsModel(Ranking.identity(m), phi).insertion_table()
+            probs, gammas, _ = _insertion_rows(m, phi)
             for t in range(1, m + 1):
-                row, gamma = table.prob(t), table.gamma(t)
+                row, gamma = probs[t - 1, :t], gammas[t - 1, :t]
                 assert math.fsum(row) == pytest.approx(1.0, abs=1e-12)
                 assert np.all(np.diff(gamma) >= -1e-15)
                 assert gamma[-1] == pytest.approx(1.0, abs=1e-12)
@@ -214,14 +215,14 @@ class TestInsertionTable:
             phi = float(rng.uniform(0.0, 3.0))
             center = Ranking(tuple(rng.permutation(m)))
             model = MallowsModel(center, phi)
-            table = model.insertion_table()
+            probs, _, _ = _insertion_rows(m, phi)
             for perm in itertools.permutations(range(m)):
                 r = Ranking(perm)
                 prob = 1.0
                 for t in range(1, m + 1):
                     prefix = [x for x in r.order if center.position(x) < t]
                     s = prefix.index(center.order[t - 1]) + 1
-                    prob *= float(table.prob(t)[s - 1])
+                    prob *= float(probs[t - 1, s - 1])
                 assert prob == pytest.approx(model.perm_prob(r), rel=1e-12)
 
 
@@ -351,6 +352,17 @@ class TestExplicitModel:
         assert model.perm_prob(R(0, 1, 2)) == 0.9
         assert model.perm_prob(R(2, 1, 0)) == 0.0
 
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_menu_distribution_matches_enumeration(self, rng, m):
+        perms = {tuple(int(x) for x in rng.permutation(m)) for _ in range(6)}
+        weights = rng.dirichlet(np.ones(len(perms)))
+        model = ExplicitModel(tuple((Ranking(p), float(w)) for p, w in zip(sorted(perms), weights)))
+        for k in range(1, m + 1):
+            dist = model_menu_distribution(model, k)
+            assert set(dist) == {frozenset(s) for s in itertools.combinations(range(m), k)}
+            for menu, p in dist.items():
+                assert abs(p - enumerate_event_prob(model, lambda r: r.top(k) == menu)) <= 1e-12
+
 
 class TestOrientedPairwise:
     def test_both_orientations_match_enumeration(self, rng):
@@ -372,6 +384,9 @@ class TestOrientedPairwise:
         model = ExplicitModel(((R(0, 1, 2), 0.9), (R(1, 0, 2), 0.1)))
         assert oriented_pairwise_prob(model, 0, 1) == pytest.approx(0.9)
         assert oriented_pairwise_prob(model, 1, 0) == pytest.approx(0.1)
+        assert model.pairwise_prob(1, 0) == pytest.approx(0.1)
+        with pytest.raises(DomainError):
+            model.pairwise_prob(2, 2)
 
 
 class TestEnumerationOracle:
