@@ -97,6 +97,8 @@ def _human_from_args(args) -> HumanType:
     if values.m != center.m:
         raise DimensionError(f"--values has {values.m} entries for {center.m} items")
     if getattr(args, "beta", None) is not None:
+        if args.phi_h is not None:
+            raise ShortlistError("--phi-h (Mallows) and --beta (Plackett-Luce) select different human models")
         item_values = tuple(values[center.position(x)] for x in range(center.m))
         noise = PlackettLuceModel(item_values, args.beta)
     else:
@@ -122,7 +124,7 @@ def _add_prob_parser(sub):
     p.add_argument("--center", required=True, help="center ranking, 1-indexed")
     p.add_argument("--phi", type=float, default=None, help="Mallows accuracy")
     p.add_argument("--pl-values", default=None, help="per-item values (selects Plackett-Luce)")
-    p.add_argument("--beta", type=float, default=1.0, help="Plackett-Luce noise scale")
+    p.add_argument("--beta", type=float, default=None, help="Plackett-Luce noise scale (default 1)")
     p.add_argument("--ranking", help="query ranking (perm)")
     p.add_argument("--item", type=int, help="query item (first)")
     p.add_argument("--pair", help="two items, better first (pairwise)")
@@ -140,8 +142,10 @@ def _require(value, flag: str, query: str):
 def _cmd_prob(args) -> int:
     center = _parse_ranking(args.center, "--center")
     if args.pl_values is not None:
+        if args.phi is not None:
+            raise ShortlistError("--phi is a Mallows accuracy; --pl-values selects Plackett-Luce")
         values = _parse_list(args.pl_values, float, "--pl-values")
-        model = PlackettLuceModel(values, args.beta)
+        model = PlackettLuceModel(values, 1.0 if args.beta is None else args.beta)
         if center != model.center:
             raise ShortlistError(
                 f"--center must be the value order of --pl-values, {_fmt_ranking(model.center)}"
@@ -149,6 +153,8 @@ def _cmd_prob(args) -> int:
     else:
         if args.phi is None:
             raise ShortlistError("--phi is required for a Mallows model")
+        if args.beta is not None:
+            raise ShortlistError("--beta needs --pl-values; a Mallows model takes --phi only")
         model = MallowsModel(center, args.phi)
     if args.query == "perm":
         out = model.perm_prob(_parse_ranking(_require(args.ranking, "--ranking", "perm"), "--ranking"))
@@ -314,6 +320,9 @@ def _cmd_analyze_conditions(args) -> int:
     need = 1 if (args.family, args.kind) == ("pl", "harmful") else 2
     if len(ranks) != need:
         raise ShortlistError(f"--ranks needs {need} rank(s) for {args.family} {args.kind}, got {len(ranks)}")
+    flag, other = ("--beta", args.beta) if args.family == "mallows" else ("--phi-h", args.phi_h)
+    if other is not None:
+        raise ShortlistError(f"{flag} does not apply to --family {args.family}")
     if args.family == "mallows" and args.kind == "harmful":
         values = _parse_values(args.values, len(args.values.split()))
         phi_h = _require(args.phi_h, "--phi-h", "mallows harmful")

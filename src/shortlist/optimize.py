@@ -2,9 +2,9 @@
 
 By the noiselessness of the optimum, the search space is k-item menus rather
 than full center rankings. Exactness comes from plain enumeration or a
-branch-and-bound with an admissible per-type relaxation; the mixed-integer
-program is built (and exportable in LP format) as the bridge to external
-solvers for larger instances.
+branch-and-bound whose admissible per-type bound uses that a menu's pick
+probabilities sum to 1; the mixed-integer program is built (and exportable
+in LP format) as the bridge to external solvers for larger instances.
 """
 from __future__ import annotations
 
@@ -152,21 +152,75 @@ def enumerate_best_menu(pop: Population, k: int, cap: int = MENU_ENUMERATION_CAP
     )
 
 
+def _bound_inputs(pop: Population):
+    """Per-type values (types, m), pairwise caps (types, m, m) and weights.
+
+    ``caps[h, x, f]`` is P[x before f] for type h, with a diagonal of 1, so a
+    minimum over a set's columns ignores the item itself.
+    """
+    values = np.asarray([[h.value_of(x) for x in range(pop.m)] for h in pop])
+    caps = np.asarray([pairwise_matrix(h.noise) for h in pop])
+    caps[:, np.arange(pop.m), np.arange(pop.m)] = 1.0
+    return values, caps, np.asarray(pop.weights())
+
+
+def _node_bound(values, caps, weights, fixed, rest, slots: int) -> float:
+    """Upper bound on the welfare of ``fixed`` plus any ``slots`` items of ``rest``.
+
+    An item is picked from a menu no more often than it beats any other item
+    of the menu pairwise, so each item's pick probability is capped by its
+    weakest comparison against the other fixed items. Per type the bound is
+    the smaller of two relaxations of the menu's utility:
+
+    - the fixed items at their caps plus the ``slots`` best candidates by
+      value times cap;
+    - a fractional knapsack: the pick probabilities sum to 1, so mass 1 is
+      poured in descending value over the fixed items and every candidate,
+      each taking at most its cap.
+
+    Values are nonnegative, so both over-promise and the bound is admissible.
+    """
+    fixed = list(fixed)
+    items = fixed + list(rest)
+    v = values[:, items]
+    if fixed:
+        cap = caps[:, items][:, :, fixed].min(axis=2)
+    else:
+        cap = np.ones_like(v)
+    worth = v * cap
+    best_rest = -np.sort(-worth[:, len(fixed):], axis=1)[:, :slots]
+    pairwise_bound = worth[:, : len(fixed)].sum(axis=1) + best_rest.sum(axis=1)
+    rows = np.arange(len(v))[:, None]
+    by_value = np.argsort(-v, axis=1, kind="stable")
+    poured = np.minimum(np.cumsum(cap[rows, by_value], axis=1), 1.0)
+    mass = poured.copy()
+    mass[:, 1:] -= poured[:, :-1]
+    knapsack = (v[rows, by_value] * mass).sum(axis=1)
+    return float(weights @ np.minimum(pairwise_bound, knapsack))
+
+
 def branch_and_bound_menu(pop: Population, k: int) -> OptimizeResult:
     """Exact menu optimization by depth-first branch and bound.
 
-    The node bound relaxes the problem per type: every type may complete the
-    fixed partial menu with its own best remaining items, and each candidate's
-    pick probability is over-estimated by its weakest pairwise comparison
-    against the forced-in items only. Both relaxations over-promise, so the
-    bound is admissible and the search exact.
+    Items are branched on in descending population value
+    ``sum_h w_h v_h(x)`` (ties by item id), include before exclude, so the
+    first leaf is the top-``k`` menu by value and a strong incumbent comes
+    early. A node is pruned when ``_node_bound`` (the per-type minimum of a
+    pairwise-capped top-``slots`` bound and a probability-mass knapsack) is
+    below the incumbent by more than ``BOUND_SLACK``; a node whose menu is
+    complete is bounded on that menu alone before it is scored. Leaves are
+    scored with ``menu_utility`` and ``_welfare``, so a menu has the same
+    welfare bits as in ``enumerate_best_menu``; since the visit order is not
+    lexicographic, a leaf of equal welfare replaces the incumbent when its
+    sorted menu is lexicographically smaller, and both solvers return the
+    same menu.
     """
     m = pop.m
     if not 1 <= k <= m:
         raise DomainError(f"menu size {k} out of range for m={m}")
-    weights = np.asarray(pop.weights())
-    values = [np.asarray([h.value_of(x) for x in range(m)]) for h in pop]
-    pairwise = [pairwise_matrix(h.noise) for h in pop]
+    values, caps, weights = _bound_inputs(pop)
+    item_value = weights @ values
+    order = sorted(range(m), key=lambda x: (-item_value[x], x))
 
     best_menu: tuple[int, ...] | None = None
     best_value = -math.inf
@@ -179,43 +233,24 @@ def branch_and_bound_menu(pop: Population, k: int) -> OptimizeResult:
         evaluations += 1
         per_type = np.asarray([menu_utility(h, menu) for h in pop])
         value = float(_welfare(per_type[None, :], weights)[0])
-        if value > best_value:
+        if value > best_value or (value == best_value and menu < best_menu):
             best_value = value
             best_menu = menu
             best_per_type = tuple(float(u) for u in per_type)
 
-    def bound(fixed: tuple[int, ...], next_idx: int) -> float:
-        slots = k - len(fixed)
-        total = 0.0
-        for w, v, pw in zip(weights, values, pairwise):
-            fixed_part = 0.0
-            for x in fixed:
-                others = [f for f in fixed if f != x]
-                cap = min((pw[x, f] for f in others), default=1.0)
-                fixed_part += v[x] * cap
-            caps = []
-            for x in range(next_idx, m):
-                cap = min((pw[x, f] for f in fixed), default=1.0)
-                caps.append(v[x] * cap)
-            caps.sort(reverse=True)
-            total += w * (fixed_part + sum(caps[:slots]))
-        return total
-
     def descend(fixed: tuple[int, ...], next_idx: int):
         nonlocal nodes
         nodes += 1
-        if len(fixed) == k:
-            evaluate(fixed)
+        slots = k - len(fixed)
+        rest = order[next_idx:]
+        if slots == 0 or len(rest) == slots:
+            menu = fixed + tuple(rest[:slots])
+            if _node_bound(values, caps, weights, menu, (), 0) > best_value - BOUND_SLACK:
+                evaluate(tuple(sorted(menu)))
             return
-        remaining = m - next_idx
-        if len(fixed) + remaining < k:
+        if _node_bound(values, caps, weights, fixed, rest, slots) <= best_value - BOUND_SLACK:
             return
-        if len(fixed) + remaining == k:
-            evaluate(fixed + tuple(range(next_idx, m)))
-            return
-        if bound(fixed, next_idx) <= best_value - BOUND_SLACK:
-            return
-        descend(fixed + (next_idx,), next_idx + 1)
+        descend(fixed + (rest[0],), next_idx + 1)
         descend(fixed, next_idx + 1)
 
     descend((), 0)
@@ -497,8 +532,9 @@ def solve_mip(mip: MipInstance, fix_menu=None, time_limit: float | None = None):
     The dynamic-program states decay geometrically with position, so the
     coefficient range widens quickly in ``m``; the bundled backend handles
     the fixed-menu LP to m around 20 but its integer path degrades above
-    m around 10. Past that, optimize internally (``branch_and_bound_menu``)
-    or export the LP to a stronger solver.
+    m around 10. Past that, use ``enumerate_best_menu`` or
+    ``branch_and_bound_menu``, which are exact, or export the LP to a
+    stronger solver.
     """
     from scipy import sparse
     from scipy.optimize import Bounds, LinearConstraint, milp

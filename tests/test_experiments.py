@@ -523,6 +523,36 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "--center" in err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["prob", "topk", "--center", "1 2 3", "--pl-values", "1 0 -1", "--phi", "0.5",
+              "--menu", "1 2"], "--phi"),
+            (["prob", "topk", "--center", "1 2 3", "--phi", "0.5", "--beta", "7", "--menu", "1 2"], "--beta"),
+            (["collab", "--human-center", "1 2 3", "--phi-h", "1", "--beta", "1", "--values", "top",
+              "--alg-center", "1 2 3", "--noiseless", "-k", "2"], "--phi-h"),
+            (["analyze", "swap", "--human-center", "1 2 3", "--phi-h", "1", "--beta", "1",
+              "--values", "borda", "--alg-center", "1 2 3", "--phi-a", "1", "-k", "2", "--pair", "1 2"],
+             "--phi-h"),
+            (["analyze", "conditions", "--family", "mallows", "--kind", "harmful",
+              "--values", "3 2 1", "--phi-h", "1", "--beta", "1", "--ranks", "1 2"], "--beta"),
+            (["analyze", "conditions", "--family", "pl", "--kind", "harmful",
+              "--values", "3 2 1", "--phi-h", "1", "--beta", "1", "--ranks", "2"], "--phi-h"),
+        ],
+    )
+    def test_flag_of_the_other_model_family_is_an_error(self, capsys, argv, flag):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and flag in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_prob_pl_beta_defaults_to_one(self, capsys):
+        argv = ["prob", "topk", "--center", "1 2 3", "--pl-values", "1 0 -1", "--menu", "1 2"]
+        assert cli.main(argv) == 0
+        assert cli.main([*argv, "--beta", "1"]) == 0
+        default, explicit = capsys.readouterr().out.split()
+        assert default == explicit
+
     @pytest.mark.parametrize("given", [[], ["--phi-h", "1.0"]])
     def test_collab_missing_accuracy_is_an_error(self, capsys, given):
         code = cli.main([

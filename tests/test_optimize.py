@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 import re
 
@@ -28,7 +29,9 @@ from shortlist import (
     verify_uplift,
 )
 from shortlist.errors import CapacityError, DomainError
-from shortlist.models import PlackettLuceModel, _insertion_rows
+from shortlist.experiments import tension_population
+from shortlist.models import ExplicitModel, PlackettLuceModel, _insertion_rows
+from shortlist.optimize import BOUND_SLACK, _bound_inputs, _node_bound, _welfare, menu_utility_table
 
 LN2 = math.log(2)
 
@@ -50,6 +53,47 @@ def random_population(rng, m, n):
             mallows_type(gt, float(rng.uniform(0.05, 3.0)), ValueProfile(tuple(vals)), float(weights[i]))
         )
     return Population(tuple(types))
+
+
+def heterogeneous_population(rng, m, n, families=("mallows", "pl", "explicit")):
+    """Random types of the given families; values random, tied or flat; phi may be 0."""
+    raw = rng.uniform(0.2, 1.0, size=n)
+    types = []
+    for i in range(n):
+        family = families[i % len(families)]
+        shape = rng.integers(3)
+        if shape == 0:
+            vals = np.sort(rng.uniform(0.0, 3.0, size=m))[::-1]
+        elif shape == 1:
+            vals = np.maximum(2.0 - np.arange(m) // 2, 0.0)  # (2, 2, 1, 1, 0, ...)
+        else:
+            vals = np.ones(m)
+        values = ValueProfile(tuple(float(v) for v in vals))
+        gt = Ranking(tuple(int(x) for x in rng.permutation(m)))
+        if family == "pl":
+            noise = PlackettLuceModel(tuple(values[gt.position(x)] for x in range(m)), float(rng.uniform(0.1, 2.0)))
+            gt = noise.center
+        elif family == "explicit":
+            perms = {gt.order} | {tuple(int(x) for x in rng.permutation(m)) for _ in range(3)}
+            probs = rng.uniform(0.1, 1.0, len(perms))
+            probs /= probs.sum()
+            noise = ExplicitModel(tuple((Ranking(r), float(p)) for r, p in zip(sorted(perms), probs)))
+        else:
+            noise = MallowsModel(gt, float(rng.choice([0.0, rng.uniform(0.0, 3.0)])))
+        types.append(HumanType(gt, noise, values, float(raw[i] / raw.sum())))
+    return Population(tuple(types))
+
+
+def search_nodes(order, k, fixed=(), next_idx=0):
+    """The bound's arguments at every node of the unpruned include/exclude tree over ``order``."""
+    rest = order[next_idx:]
+    slots = k - len(fixed)
+    if slots == 0 or len(rest) == slots:
+        yield fixed + rest[:slots], (), 0
+        return
+    yield fixed, rest, slots
+    yield from search_nodes(order, k, fixed + (rest[0],), next_idx + 1)
+    yield from search_nodes(order, k, fixed, next_idx + 1)
 
 
 class TestEnumerateBestMenu:
@@ -126,6 +170,51 @@ class TestBranchAndBound:
         pop = random_population(rng, 9, 2)
         bnb = branch_and_bound_menu(pop, 3)
         assert bnb.evaluations <= math.comb(9, 3)
+
+    def test_exact_on_random_heterogeneous_instances(self):
+        rng = np.random.default_rng(7)
+        cases = [(tension_population(0.0, phi_h), k) for phi_h in (0.0, 0.7) for k in (1, 3, 5)]
+        for i in range(60):
+            m = int(rng.integers(4, 12))
+            families = ("mallows", "pl", "explicit") if i % 2 else ("mallows",)
+            pop = heterogeneous_population(rng, m, int(rng.integers(1, 6)), families)
+            cases.append((pop, int(rng.integers(1, min(5, m) + 1))))
+        for pop, k in cases:
+            enum = enumerate_best_menu(pop, k)
+            bnb = branch_and_bound_menu(pop, k)
+            assert bnb.menu == enum.menu
+            assert bnb.welfare == enum.welfare
+            assert bnb.per_type == enum.per_type
+
+    def test_node_bound_is_admissible(self):
+        rng = np.random.default_rng(11)
+        for i in range(40):
+            m = int(rng.integers(3, 9))
+            k = int(rng.integers(1, m + 1))
+            families = ("mallows", "pl", "explicit") if i % 3 == 0 else ("mallows",)
+            pop = heterogeneous_population(rng, m, int(rng.integers(1, 4)), families)
+            menus, table = menu_utility_table(pop, k)
+            welfare = dict(zip(menus, _welfare(table, pop.weights())))
+            values, caps, weights = _bound_inputs(pop)
+            order = tuple(int(x) for x in rng.permutation(m))
+            for fixed, rest, slots in search_nodes(order, k):
+                best = max(welfare[tuple(sorted(fixed + extra))] for extra in itertools.combinations(rest, slots))
+                assert _node_bound(values, caps, weights, fixed, rest, slots) >= best - BOUND_SLACK
+
+    def test_prunes_decreasing_values_population(self):
+        # the shape of the benchmark's m = 16, k = 4 decreasing-values instance
+        rng = np.random.default_rng(3)
+        m, k = 16, 4
+        raw = rng.uniform(0.2, 1.0, 3)
+        types = []
+        for w in raw / raw.sum():
+            gt = Ranking(tuple(int(x) for x in rng.permutation(m)))
+            values = ValueProfile(tuple(float(v) for v in np.sort(rng.uniform(0.0, 1.0, m))[::-1]))
+            types.append(mallows_type(gt, float(rng.uniform(0.2, 1.5)), values, float(w)))
+        pop = Population(tuple(types))
+        bnb = branch_and_bound_menu(pop, k)
+        assert bnb.evaluations < math.comb(m, k) / 4
+        assert bnb.menu == enumerate_best_menu(pop, k).menu
 
 
 class TestUpliftConstrainedOptimum:
