@@ -9,14 +9,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .collab import expected_utility, joint_pick_dist
+from .collab import expected_utility, joint_pick_dist, joint_utility
 from .errors import DomainError
-from .models import (
-    MENU_ENUMERATION_CAP,
-    MallowsModel,
-    PlackettLuceModel,
-    policy_ranking_model,
-)
+from .models import MallowsModel, PlackettLuceModel, policy_ranking_model
 from .rankings import AlgorithmPolicy, HumanType, Ranking, ValueProfile, apply_swap
 
 
@@ -45,9 +40,7 @@ class ConditionVerdict:
     note: str = ""
 
 
-def swap_effect(
-    h: HumanType, a: AlgorithmPolicy, i: int, j: int, cap: int = MENU_ENUMERATION_CAP
-) -> SwapReport:
+def swap_effect(h: HumanType, a: AlgorithmPolicy, i: int, j: int) -> SwapReport:
     """Exact pick distributions before and after swapping (i, j) in the center.
 
     ``i`` must be strictly ahead of ``j`` in the policy's center; the swapped
@@ -62,8 +55,8 @@ def swap_effect(
         accuracy=a.accuracy,
         menu_size=a.menu_size,
     )
-    d1 = joint_pick_dist(h, a, cap=cap)
-    d2 = joint_pick_dist(h, swapped, cap=cap)
+    d1 = joint_pick_dist(h, a)
+    d2 = joint_pick_dist(h, swapped)
     item_probs = {x: (d1[x], d2[x]) for x in range(h.m)}
     delta = expected_utility(d2, h) - expected_utility(d1, h)
     return SwapReport(pair=(i, j), item_probs=item_probs, utility_delta=delta)
@@ -273,13 +266,7 @@ def _single_swap(a: Ranking, b: Ranking) -> tuple[int, int] | None:
     return None
 
 
-def derive_partial_order(
-    h: HumanType,
-    candidates,
-    phi_a: float,
-    k: int,
-    cap: int = MENU_ENUMERATION_CAP,
-) -> CandidateOrder:
+def derive_partial_order(h: HumanType, candidates, phi_a: float, k: int) -> CandidateOrder:
     """Certified preference edges between candidate algorithm centers.
 
     Edges come only from the two safe single-swap arguments: demoting one of
@@ -324,10 +311,10 @@ def derive_partial_order(
                     closed.add((b1, w2))
                     edges.add((b1, w2, "transitive"))
                     changed = True
-    utilities = []
-    for center in candidates:
-        policy = AlgorithmPolicy(center=center, accuracy=phi_a, menu_size=k)
-        utilities.append(expected_utility(joint_pick_dist(h, policy, cap=cap), h))
+    utilities = [
+        joint_utility(h, AlgorithmPolicy(center=center, accuracy=phi_a, menu_size=k))
+        for center in candidates
+    ]
     ordered = tuple(
         PreferenceEdge(b, w, prov)
         for b, w, prov in sorted(edges)

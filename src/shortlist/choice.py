@@ -106,11 +106,11 @@ def choice_prob(model, items, target: int) -> float:
     return choice_dist(model, menu)[target]
 
 
-def oracle_choice_dist(model, items, cap: int = 7) -> PickDistribution:
+def oracle_choice_dist(model, items) -> PickDistribution:
     """Enumeration-based pick distribution, for validating the closed routes."""
     menu = _validated_menu(model.m, items)
     probs = {x: 0.0 for x in menu}
-    for ranking, p in model.support(cap=cap):
+    for ranking, p in model.support():
         first = min(menu, key=ranking.position)
         probs[first] += p
     return PickDistribution(probs)

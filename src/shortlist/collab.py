@@ -7,11 +7,7 @@ import numpy as np
 
 from .choice import PickDistribution, choice_dist, choice_table
 from .errors import DomainError
-from .models import (
-    MENU_ENUMERATION_CAP,
-    menu_distribution,
-    sample_policy_menu,
-)
+from .models import menu_distribution, sample_policy_menu
 from .rankings import AlgorithmPolicy, HumanType
 
 
@@ -42,7 +38,7 @@ def joint_pick_from_menus(h: HumanType, menus: dict[frozenset[int], float]) -> P
     return PickDistribution({x: float(probs[x]) for x in sorted(support)})
 
 
-def joint_pick_dist(h: HumanType, a: AlgorithmPolicy, cap: int = MENU_ENUMERATION_CAP) -> PickDistribution:
+def joint_pick_dist(h: HumanType, a: AlgorithmPolicy) -> PickDistribution:
     """Exact pick distribution of the human-algorithm system.
 
     Sums the human's conditional pick over every menu the policy can present;
@@ -51,7 +47,7 @@ def joint_pick_dist(h: HumanType, a: AlgorithmPolicy, cap: int = MENU_ENUMERATIO
     """
     if h.m != a.m:
         raise DomainError("human and policy must share the item universe")
-    return joint_pick_from_menus(h, menu_distribution(a, cap=cap))
+    return joint_pick_from_menus(h, menu_distribution(a))
 
 
 def mc_joint_pick_dist(
@@ -82,5 +78,5 @@ def solo_utility(h: HumanType) -> float:
     return expected_utility(solo_pick_dist(h), h)
 
 
-def joint_utility(h: HumanType, a: AlgorithmPolicy, cap: int = MENU_ENUMERATION_CAP) -> float:
-    return expected_utility(joint_pick_dist(h, a, cap=cap), h)
+def joint_utility(h: HumanType, a: AlgorithmPolicy) -> float:
+    return expected_utility(joint_pick_dist(h, a), h)

@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .collab import expected_utility, joint_pick_from_menus, joint_utility, solo_utility
-from .errors import DimensionError, DomainError, ProfileParseError
-from .models import MallowsModel, PlackettLuceModel, model_menu_distribution
+from .errors import CapacityError, DimensionError, DomainError, ProfileParseError
+from .models import ENUMERATION_CAP, MallowsModel, PlackettLuceModel, model_menu_distribution
 from .optimize import (
     _welfare,
     branch_and_bound_menu,
@@ -169,10 +169,9 @@ def sushi_experiment(
     profile: PreferenceProfile | None = None,
     phi_grid=DEFAULT_PHI_GRID,
     k: int = 3,
-    values: ValueProfile | None = None,
     allow_any_m: bool = False,
 ) -> list[dict]:
-    """Welfare and uplift of three benchmark menus across human accuracies.
+    """Welfare and uplift of three benchmark menus across human accuracies, Borda values.
 
     ``majority`` presents the top-k of the modal ranking, ``welfare`` the
     welfare-maximizing menu, ``uplift`` the menu maximizing the weighted
@@ -183,11 +182,10 @@ def sushi_experiment(
         raise DimensionError(
             f"the canonical run expects 5 items, profile has {profile.m}"
         )
-    values = values if values is not None else borda_values(profile.m)
     modal_menu = tuple(sorted(profile.modal_ranking().prefix(k)))
     rows: list[dict] = []
     for phi_h in _validated_grid(phi_grid, "accuracy"):
-        pop = profile.to_population(phi_h, values)
+        pop = profile.to_population(phi_h)
         weights = np.asarray(pop.weights())
         solo = np.asarray([solo_utility(h) for h in pop])
         menus, table = menu_utility_table(pop, k)
@@ -227,22 +225,23 @@ def beta_sweep(
     k: int = 2,
     phi: float = 0.5,
     gumbel_beta: float = 0.1,
-    centers=None,
     families=("mallows", "rum"),
 ) -> list[dict]:
-    """Utility difference of each misaligned center vs the aligned one.
+    """Utility difference of each of the m! - 1 misaligned centers vs the aligned one.
 
     Values decay as ``exp(-beta * rank)``; the sweep crosses the top-item
     recovery regime as ``beta`` grows. The Mallows family fixes both
     accuracies at ``phi``; the RUM family gives both sides Gumbel noise of
-    scale ``gumbel_beta`` over the same value magnitudes.
+    scale ``gumbel_beta`` over the same value magnitudes. ``m`` above
+    ``ENUMERATION_CAP`` is refused before any center is built.
     """
     if beta_grid is None:
         beta_grid = tuple(round(0.5 * i, 10) for i in range(13))  # 0 .. 6
     beta_grid = _validated_grid(beta_grid, "value-decay")
+    if m > ENUMERATION_CAP:
+        raise CapacityError(f"beta-sweep over {m}! - 1 centers exceeds the cap m <= {ENUMERATION_CAP}")
     gt = Ranking.identity(m)
-    if centers is None:
-        centers = [Ranking(p) for p in itertools.permutations(range(m)) if p != gt.order]
+    centers = [Ranking(p) for p in itertools.permutations(range(m)) if p != gt.order]
     rows: list[dict] = []
     for beta in beta_grid:
         vals = ValueProfile(tuple(math.exp(-beta * j) for j in range(m)))
@@ -279,16 +278,20 @@ def beta_sweep(
     return rows
 
 
-def tension_population(gamma: float, phi_h: float) -> Population:
-    """Six types differing only in their top-3 order, weighted Mallows(gamma)."""
-    values = ValueProfile(TENSION_VALUES)
-    head_model = MallowsModel(Ranking.identity(3), gamma)
+def _head_population(values: ValueProfile, t: int, gamma: float, phi_h: float) -> Population:
+    """t! Mallows(phi_h) types differing only in their top-t order, weighted Mallows(gamma)."""
+    head_model = MallowsModel(Ranking.identity(t), gamma)
     types = []
-    for perm in itertools.permutations(range(3)):
+    for perm in itertools.permutations(range(t)):
         weight = head_model.perm_prob(Ranking(perm))
-        gt = Ranking(tuple(perm) + (3, 4, 5))
+        gt = Ranking(tuple(perm) + tuple(range(t, values.m)))
         types.append(HumanType(gt, MallowsModel(gt, phi_h), values, weight))
     return Population(tuple(types))
+
+
+def tension_population(gamma: float, phi_h: float) -> Population:
+    """Six types differing only in their top-3 order, weighted Mallows(gamma)."""
+    return _head_population(ValueProfile(TENSION_VALUES), 3, gamma, phi_h)
 
 
 def tension_experiment(gamma: float = 3.0, phi_grid=TENSION_PHI_GRID, k: int = 3) -> list[dict]:
@@ -315,29 +318,22 @@ def tension_experiment(gamma: float = 3.0, phi_grid=TENSION_PHI_GRID, k: int = 3
     return rows
 
 
-def _bench_two_type_population(m: int, phi_h: float = 1.0) -> Population:
+def _bench_values(m: int) -> ValueProfile:
+    return ValueProfile((4.0, 3.0, 2.0, 1.0) + (0.0,) * (m - 4))
+
+
+def _bench_two_type_population(m: int) -> Population:
     gt1 = Ranking.identity(m)
     order = list(range(m))
     order[0], order[3] = order[3], order[0]
     gt2 = Ranking(tuple(order))
-    values = ValueProfile((4.0, 3.0, 2.0, 1.0) + (0.0,) * (m - 4))
+    values = _bench_values(m)
     return Population(
         (
-            HumanType(gt1, MallowsModel(gt1, phi_h), values, 0.5),
-            HumanType(gt2, MallowsModel(gt2, phi_h), values, 0.5),
+            HumanType(gt1, MallowsModel(gt1, 1.0), values, 0.5),
+            HumanType(gt2, MallowsModel(gt2, 1.0), values, 0.5),
         )
     )
-
-
-def _bench_mallows_population(m: int, t: int, gamma: float = 1.0, phi_h: float = 1.0) -> Population:
-    values = ValueProfile((4.0, 3.0, 2.0, 1.0) + (0.0,) * (m - 4))
-    head_model = MallowsModel(Ranking.identity(t), gamma)
-    types = []
-    for perm in itertools.permutations(range(t)):
-        weight = head_model.perm_prob(Ranking(perm))
-        gt = Ranking(tuple(perm) + tuple(range(t, m)))
-        types.append(HumanType(gt, MallowsModel(gt, phi_h), values, weight))
-    return Population(tuple(types))
 
 
 def mip_bench(
@@ -345,15 +341,19 @@ def mip_bench(
     k_list=(2, 4),
     type_counts=(1, 2, 3),
     solver: str = "bnb",
-    verify_against_enumeration: bool = True,
 ) -> list[dict]:
     """Timing study over instance sizes and population sizes.
 
     The two-type family swaps the first and fourth item between its types
     while varying ``m``; the population family fixes ``m`` and grows the
-    number of types factorially. ``solver`` is ``bnb`` or ``mip`` (external,
-    via SciPy's HiGHS).
+    number of types factorially, so a type count above ``ENUMERATION_CAP``
+    is refused before any population is built. ``solver`` is ``bnb`` or
+    ``mip`` (external, via SciPy's HiGHS). Rows with C(m, k) <= 5000 are
+    checked against enumeration.
     """
+    too_many = [t for t in type_counts if t > ENUMERATION_CAP]
+    if too_many:
+        raise CapacityError(f"bench type counts {too_many} exceed the cap t <= {ENUMERATION_CAP} (t! types)")
     rows: list[dict] = []
     for m in sizes:
         if m < 4:
@@ -362,17 +362,15 @@ def mip_bench(
             if k > m:
                 continue
             pop = _bench_two_type_population(m)
-            rows.append(_bench_row("two-type", pop, m, k, solver, verify_against_enumeration))
+            rows.append(_bench_row("two-type", pop, m, k, solver))
     m_pop = max(sizes)
     for t in type_counts:
-        pop = _bench_mallows_population(m_pop, t)
-        rows.append(
-            _bench_row(f"mallows-pop(t={t})", pop, m_pop, min(k_list), solver, verify_against_enumeration)
-        )
+        pop = _head_population(_bench_values(m_pop), t, 1.0, 1.0)
+        rows.append(_bench_row(f"mallows-pop(t={t})", pop, m_pop, min(k_list), solver))
     return rows
 
 
-def _bench_row(family: str, pop: Population, m: int, k: int, solver: str, verify: bool) -> dict:
+def _bench_row(family: str, pop: Population, m: int, k: int, solver: str) -> dict:
     start = time.perf_counter()
     status = "ok"
     if solver == "mip":
@@ -402,7 +400,7 @@ def _bench_row(family: str, pop: Population, m: int, k: int, solver: str, verify
         "menu": _menu_label(menu),
     }
     row.update(counters)
-    if verify and status == "ok" and math.comb(m, k) <= 5000:
+    if status == "ok" and math.comb(m, k) <= 5000:
         if solver == "mip":
             # the MIP's cardinality row is <= k, so smaller menus compete too
             exact = max(enumerate_best_menu(pop, kk).welfare for kk in range(1, k + 1))
@@ -412,12 +410,11 @@ def _bench_row(family: str, pop: Population, m: int, k: int, solver: str, verify
     return row
 
 
-def emit_csv(rows: list[dict], destination, fieldnames=None) -> None:
+def emit_csv(rows: list[dict], destination) -> None:
     """Write rows with a deterministic column order (insertion order of row 0)."""
     if not rows:
         raise DomainError("no rows to write")
-    if fieldnames is None:
-        fieldnames = list(rows[0].keys())
+    fieldnames = list(rows[0].keys())
     if hasattr(destination, "write"):
         _write_csv(rows, destination, fieldnames)
         return

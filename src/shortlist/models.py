@@ -229,12 +229,17 @@ class MallowsModel:
                 W += enters[t - 1, :, :, None] * fresh[:, None, :]
         return W[:, :k].sum(axis=2)
 
-    def support(self, cap: int = ENUMERATION_CAP):
-        if self.m > cap:
-            raise CapacityError(f"enumeration over {self.m}! rankings exceeds cap {cap}")
-        for perm in itertools.permutations(range(self.m)):
-            r = Ranking(perm)
-            yield r, self.perm_prob(r)
+    def support(self):
+        return _enumerated_support(self)
+
+
+def _enumerated_support(model):
+    """Every ranking with its probability, refused above ``ENUMERATION_CAP`` items."""
+    if model.m > ENUMERATION_CAP:
+        raise CapacityError(f"enumeration over {model.m}! rankings exceeds cap {ENUMERATION_CAP}")
+    for perm in itertools.permutations(range(model.m)):
+        r = Ranking(perm)
+        yield r, model.perm_prob(r)
 
 
 def _sorted_by_value(values: tuple[float, ...]) -> Ranking:
@@ -356,12 +361,8 @@ class PlackettLuceModel:
         order = np.argsort(-noisy, kind="stable")
         return Ranking(tuple(int(x) for x in order))
 
-    def support(self, cap: int = ENUMERATION_CAP):
-        if self.m > cap:
-            raise CapacityError(f"enumeration over {self.m}! rankings exceeds cap {cap}")
-        for perm in itertools.permutations(range(self.m)):
-            r = Ranking(perm)
-            yield r, self.perm_prob(r)
+    def support(self):
+        return _enumerated_support(self)
 
 
 def _logsumexp(u: np.ndarray) -> float:
@@ -405,6 +406,10 @@ class ExplicitModel:
 
     def topk_set_prob(self, items) -> float:
         items = frozenset(items)
+        if not items:
+            raise DomainError("top-k set must be nonempty")
+        if min(items) < 0 or max(items) >= self.m:
+            raise DimensionError(f"items {sorted(items)} outside 0..{self.m - 1}")
         k = len(items)
         return math.fsum(p for r, p in self.entries if r.top(k) == items)
 
@@ -433,20 +438,17 @@ class ExplicitModel:
         idx = rng.choice(len(self.entries), p=[p for _, p in self.entries])
         return self.entries[idx][0]
 
-    def support(self, cap: int = ENUMERATION_CAP):
-        yield from self.entries
+    def support(self):
+        return iter(self.entries)
 
 
-NoiseModel = MallowsModel | PlackettLuceModel | ExplicitModel
-
-
-def enumerate_event_prob(model, predicate, cap: int = ENUMERATION_CAP) -> float:
+def enumerate_event_prob(model, predicate) -> float:
     """Exact probability of ``predicate(ranking)`` by summing over the support.
 
     The universal brute-force oracle: valid for any model kind, but full
-    permutation enumeration is refused above ``cap`` items.
+    permutation enumeration is refused above ``ENUMERATION_CAP`` items.
     """
-    return math.fsum(p for r, p in model.support(cap=cap) if predicate(r))
+    return math.fsum(p for r, p in model.support() if predicate(r))
 
 
 def oriented_pairwise_prob(model, i: int, j: int) -> float:
@@ -480,30 +482,36 @@ def policy_ranking_model(policy: AlgorithmPolicy) -> MallowsModel | None:
 
 
 def sample_policy_menu(policy: AlgorithmPolicy, rng: np.random.Generator) -> frozenset[int]:
-    if policy.is_noiseless:
+    model = policy_ranking_model(policy)
+    if model is None:
         return policy.fixed_menu()
-    model = MallowsModel(policy.center, policy.accuracy)
     return model.sample(rng).top(policy.menu_size)
 
 
-def model_menu_distribution(model, k: int, cap: int = MENU_ENUMERATION_CAP) -> dict[frozenset[int], float]:
-    """Distribution of the top-``k`` set of a sampled ranking, over all k-subsets."""
-    m = model.m
+def k_menus(m: int, k: int) -> list[tuple[int, ...]]:
+    """Every k-subset of ``0..m-1`` in lexicographic order, if there are few enough.
+
+    The one place that decides which menus can be enumerated: raises
+    DomainError unless ``1 <= k <= m`` and CapacityError when C(m, k) exceeds
+    ``MENU_ENUMERATION_CAP``, before any menu is built.
+    """
     if not 1 <= k <= m:
         raise DomainError(f"menu size {k} out of range for m={m}")
-    if math.comb(m, k) > cap:
+    if math.comb(m, k) > MENU_ENUMERATION_CAP:
         raise CapacityError(
             f"C({m},{k}) = {math.comb(m, k)} menus exceeds the exact-enumeration cap"
         )
-    return {
-        frozenset(s): model.topk_set_prob(s)
-        for s in itertools.combinations(range(m), k)
-    }
+    return list(itertools.combinations(range(m), k))
 
 
-def menu_distribution(policy: AlgorithmPolicy, cap: int = MENU_ENUMERATION_CAP) -> dict[frozenset[int], float]:
+def model_menu_distribution(model, k: int) -> dict[frozenset[int], float]:
+    """Distribution of the top-``k`` set of a sampled ranking, over all k-subsets."""
+    return {frozenset(s): model.topk_set_prob(s) for s in k_menus(model.m, k)}
+
+
+def menu_distribution(policy: AlgorithmPolicy) -> dict[frozenset[int], float]:
     """Exact distribution over the menus a policy presents."""
-    if policy.is_noiseless:
+    model = policy_ranking_model(policy)
+    if model is None:
         return {policy.fixed_menu(): 1.0}
-    model = MallowsModel(policy.center, policy.accuracy)
-    return model_menu_distribution(model, policy.menu_size, cap=cap)
+    return model_menu_distribution(model, policy.menu_size)

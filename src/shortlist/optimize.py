@@ -9,21 +9,15 @@ in LP format) as the bridge to external solvers for larger instances.
 from __future__ import annotations
 
 import io
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .choice import MENU_BLOCK, choice_dist, choice_table
-from .collab import solo_utility
-from .errors import CapacityError, DomainError
-from .models import (
-    MENU_ENUMERATION_CAP,
-    MallowsModel,
-    _insertion_rows,
-    pairwise_matrix,
-)
+from .collab import expected_utility, solo_utility
+from .errors import DomainError
+from .models import MallowsModel, _insertion_rows, k_menus, pairwise_matrix
 from .rankings import NOISELESS, AlgorithmPolicy, HumanType, Population, Ranking
 from .welfare import UPLIFT_TOLERANCE, verify_uplift
 
@@ -43,8 +37,7 @@ def menu_policy(m: int, menu, k: int | None = None) -> AlgorithmPolicy:
 
 def menu_utility(h: HumanType, menu) -> float:
     """Expected utility for one type when ``menu`` is always presented."""
-    dist = choice_dist(h.noise, menu)
-    return math.fsum(p * h.value_of(item) for item, p in dist.items())
+    return expected_utility(choice_dist(h.noise, menu), h)
 
 
 def position_set_rank(m: int, k: int):
@@ -61,8 +54,8 @@ def position_set_rank(m: int, k: int):
     return lambda pos: total - 1 - binom[m - 1 - pos, slots].sum(axis=1)
 
 
-def menu_utility_table(pop: Population, k: int, cap: int = MENU_ENUMERATION_CAP):
-    """All k-menus (lexicographic) with per-type utilities, shape (menus, types).
+def menu_utility_table(pop: Population, k: int):
+    """All k-menus (``models.k_menus``) with per-type utilities, shape (menus, types).
 
     A Mallows pick distribution depends on a menu only through (m, phi) and
     the sorted center positions of its items, so the batched choice DP runs
@@ -74,13 +67,7 @@ def menu_utility_table(pop: Population, k: int, cap: int = MENU_ENUMERATION_CAP)
     they have its bits.
     """
     m = pop.m
-    if not 1 <= k <= m:
-        raise DomainError(f"menu size {k} out of range for m={m}")
-    if math.comb(m, k) > cap:
-        raise CapacityError(
-            f"C({m},{k}) = {math.comb(m, k)} menus exceeds the exact-enumeration cap"
-        )
-    menus = list(itertools.combinations(range(m), k))
+    menus = k_menus(m, k)
     items = np.array(menus, dtype=np.intp)
     table = np.empty((len(menus), pop.n))
     lex_rank = position_set_rank(m, k)
@@ -134,13 +121,10 @@ class OptimizeResult:
     evaluations: int
     nodes: int | None = None
 
-    def policy(self, m: int) -> AlgorithmPolicy:
-        return menu_policy(m, self.menu)
 
-
-def enumerate_best_menu(pop: Population, k: int, cap: int = MENU_ENUMERATION_CAP) -> OptimizeResult:
+def enumerate_best_menu(pop: Population, k: int) -> OptimizeResult:
     """Exact argmax over all k-menus; ties go to the lexicographically smallest."""
-    menus, table = menu_utility_table(pop, k, cap=cap)
+    menus, table = menu_utility_table(pop, k)
     welfare = _welfare(table, pop.weights())
     best = int(np.argmax(welfare))  # argmax returns the first (lex-smallest) maximizer
     return OptimizeResult(
@@ -265,12 +249,12 @@ def branch_and_bound_menu(pop: Population, k: int) -> OptimizeResult:
     )
 
 
-def optimize_with_uplift(pop: Population, k: int, cap: int = MENU_ENUMERATION_CAP) -> OptimizeResult | None:
+def optimize_with_uplift(pop: Population, k: int) -> OptimizeResult | None:
     """Best menu among those whose noiseless policy uplifts every type.
 
     Returns None when no k-menu achieves uplift.
     """
-    menus, table = menu_utility_table(pop, k, cap=cap)
+    menus, table = menu_utility_table(pop, k)
     solo = np.asarray([solo_utility(h) for h in pop])
     feasible = np.all(table > solo + UPLIFT_TOLERANCE, axis=1)
     if not feasible.any():
@@ -286,7 +270,7 @@ def optimize_with_uplift(pop: Population, k: int, cap: int = MENU_ENUMERATION_CA
     )
 
 
-def noisy_uplift_search(pop: Population, center: Ranking, phi_grid, k: int, cap: int = MENU_ENUMERATION_CAP):
+def noisy_uplift_search(pop: Population, center: Ranking, phi_grid, k: int):
     """Evaluate uplift for every accuracy on a grid, keeping the best by min gain.
 
     ``phi_grid`` may mix floats and the NOISELESS sentinel. Returns
@@ -304,7 +288,7 @@ def noisy_uplift_search(pop: Population, center: Ranking, phi_grid, k: int, cap:
     best_report = None
     for phi in phi_grid:
         policy = AlgorithmPolicy(center=center, accuracy=phi, menu_size=k)
-        report = verify_uplift(pop, policy, cap=cap)
+        report = verify_uplift(pop, policy)
         reports.append((phi, report))
         if best_report is None or report.min_gain > best_report.min_gain:
             best_phi, best_report = phi, report
@@ -480,18 +464,16 @@ def _format_coeff(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _format_terms(coeffs: dict[str, float], indent: str = "", wrap: int = 8) -> str:
+def _format_terms(coeffs: dict[str, float]) -> str:
     parts: list[str] = []
     for name, coef in coeffs.items():
         sign = "-" if coef < 0 else "+"
         parts.append(f"{sign} {_format_coeff(abs(coef))} {name}")
     if parts and parts[0].startswith("+ "):
         parts[0] = parts[0][2:]
-    # keep lines short enough for strict LP readers
-    lines = [
-        " ".join(parts[i : i + wrap]) for i in range(0, len(parts), wrap)
-    ]
-    return ("\n" + indent).join(lines)
+    # keep lines short enough for strict LP readers: eight terms a line
+    lines = [" ".join(parts[i : i + 8]) for i in range(0, len(parts), 8)]
+    return "\n      ".join(lines)
 
 
 def export_lp(mip: MipInstance, destination) -> None:
@@ -506,11 +488,11 @@ def export_lp(mip: MipInstance, destination) -> None:
 def _write_lp(mip: MipInstance, out: io.TextIOBase) -> None:
     out.write(f"\\ welfare-maximizing menu: m={mip.m} k={mip.k} types={mip.n_types}\n")
     out.write("Maximize\n")
-    terms = _format_terms(mip.objective, indent="      ")
+    terms = _format_terms(mip.objective)
     out.write(f" obj: {terms}\n")
     out.write("Subject To\n")
     for idx, (coeffs, sense, rhs) in enumerate(mip.constraints):
-        body = _format_terms(coeffs, indent="      ")
+        body = _format_terms(coeffs)
         out.write(f" c{idx}: {body} {sense} {_format_coeff(rhs)}\n")
     out.write("Bounds\n")
     for name in mip.var_names:
@@ -522,7 +504,7 @@ def _write_lp(mip: MipInstance, out: io.TextIOBase) -> None:
     out.write("End\n")
 
 
-def solve_mip(mip: MipInstance, fix_menu=None, time_limit: float | None = None):
+def solve_mip(mip: MipInstance, fix_menu=None):
     """Solve the instance with SciPy's HiGHS backend.
 
     With ``fix_menu`` the binaries are pinned to that menu and the continuous
@@ -575,26 +557,16 @@ def solve_mip(mip: MipInstance, fix_menu=None, time_limit: float | None = None):
             idx = index[f"x_{i}"]
             lb[idx] = ub[idx] = 1.0 if i in menu else 0.0
 
-    options = {}
-    if time_limit is not None:
-        options["time_limit"] = time_limit
-    result = milp(
-        c,
-        constraints=LinearConstraint(A, lo, hi),
-        bounds=Bounds(lb, ub),
-        integrality=integrality,
-        options=options,
-    )
+    problem = {
+        "constraints": LinearConstraint(A, lo, hi),
+        "bounds": Bounds(lb, ub),
+        "integrality": integrality,
+    }
+    result = milp(c, **problem)
     if result.status == 2:
         # presolve can misjudge the long equality chains as infeasible once
         # their coefficient range gets wide (large m); retry without it
-        result = milp(
-            c,
-            constraints=LinearConstraint(A, lo, hi),
-            bounds=Bounds(lb, ub),
-            integrality=integrality,
-            options={**options, "presolve": False},
-        )
+        result = milp(c, **problem, options={"presolve": False})
     if not result.success:
         raise RuntimeError(f"solver failed: {result.message}")
     x = result.x

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 from .collab import joint_utility, solo_utility
 from .errors import DomainError
-from .models import MENU_ENUMERATION_CAP
 from .rankings import NOISELESS, AlgorithmPolicy, Population, Ranking
 
 UPLIFT_TOLERANCE = 1e-12
@@ -53,21 +52,14 @@ class WelfareReport:
         return min(t.gain for t in self.per_type)
 
 
-def type_outcomes(pop: Population, a: AlgorithmPolicy, cap: int = MENU_ENUMERATION_CAP) -> tuple[TypeOutcome, ...]:
-    return tuple(
-        TypeOutcome(solo=solo_utility(h), joint=joint_utility(h, a, cap=cap))
-        for h in pop
-    )
-
-
-def social_welfare(pop: Population, a: AlgorithmPolicy, cap: int = MENU_ENUMERATION_CAP) -> float:
+def social_welfare(pop: Population, a: AlgorithmPolicy) -> float:
     """Weighted sum of every type's expected utility under the policy."""
-    return math.fsum(h.weight * joint_utility(h, a, cap=cap) for h in pop)
+    return math.fsum(h.weight * joint_utility(h, a) for h in pop)
 
 
-def verify_uplift(pop: Population, a: AlgorithmPolicy, cap: int = MENU_ENUMERATION_CAP) -> WelfareReport:
+def verify_uplift(pop: Population, a: AlgorithmPolicy) -> WelfareReport:
     """Exact per-type solo/joint comparison for a given policy."""
-    outcomes = type_outcomes(pop, a, cap=cap)
+    outcomes = tuple(TypeOutcome(solo=solo_utility(h), joint=joint_utility(h, a)) for h in pop)
     welfare = math.fsum(h.weight * o.joint for h, o in zip(pop, outcomes))
     return WelfareReport(social_welfare=welfare, per_type=outcomes, weights=pop.weights())
 

@@ -1,6 +1,7 @@
 import csv
 import importlib.resources
 import io
+import itertools
 import json
 import math
 
@@ -8,7 +9,7 @@ import pytest
 
 from conftest import make_ranking as R
 from shortlist import Ranking
-from shortlist.errors import DimensionError, DomainError, ProfileParseError
+from shortlist.errors import CapacityError, DimensionError, DomainError, ProfileParseError
 from shortlist.experiments import (
     beta_sweep,
     emit_csv,
@@ -273,6 +274,25 @@ class TestCsvAndConfig:
             }
         )
         assert len(sweep_out.read_text().splitlines()) == 24  # header + 23 centers
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [{"experiment": "beta-sweep", "m": 8}, {"experiment": "bench", "type_counts": [8]}],
+        ids=["beta-sweep-m8", "bench-types8"],
+    )
+    def test_run_config_refuses_factorial_enumerations(self, tmp_path, monkeypatch, capsys, knobs):
+        def refuse(*args):
+            raise AssertionError("rankings were enumerated")
+
+        monkeypatch.setattr(itertools, "permutations", refuse)
+        config = {**knobs, "output": str(tmp_path / "x.csv")}
+        with pytest.raises(CapacityError):
+            run_config(config)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        assert cli.main(["experiment", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "x.csv").exists()
 
     def test_unknown_experiment_lists_names(self, tmp_path):
         with pytest.raises(DomainError) as err:

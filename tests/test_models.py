@@ -364,6 +364,28 @@ class TestExplicitModel:
                 assert abs(p - enumerate_event_prob(model, lambda r: r.top(k) == menu)) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "model, bad_item_error",
+    [
+        # a Mallows center refuses an unknown item as its rankings do
+        (MallowsModel(R(0, 1, 2), LN2), DomainError),
+        (PlackettLuceModel((1.0, 0.0, -1.0), 1.0), DimensionError),
+        (ExplicitModel(((R(0, 1, 2), 0.9), (R(1, 0, 2), 0.1))), DimensionError),
+    ],
+    ids=["mallows", "pl", "explicit"],
+)
+def test_topk_set_prob_rejects_empty_and_unknown_items(model, bad_item_error):
+    from shortlist import psi
+
+    with pytest.raises(DomainError):
+        model.topk_set_prob([])
+    for items in ([0, 9], [-1], [3]):
+        with pytest.raises(bad_item_error):
+            model.topk_set_prob(items)
+    with pytest.raises(bad_item_error):
+        psi(model, 0, 1, 9)
+
+
 class TestOrientedPairwise:
     def test_both_orientations_match_enumeration(self, rng):
         from shortlist.models import oriented_pairwise_prob

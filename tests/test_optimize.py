@@ -21,6 +21,7 @@ from shortlist import (
     enumerate_best_menu,
     export_lp,
     menu_policy,
+    model_menu_distribution,
     noisy_uplift_search,
     optimize_with_uplift,
     social_welfare,
@@ -132,6 +133,42 @@ class TestEnumerateBestMenu:
         assert enum.welfare == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.fixture
+def no_combinations(monkeypatch):
+    """Fail any enumeration of menus while the test runs."""
+
+    def refuse(*args):
+        raise AssertionError("menus were enumerated")
+
+    monkeypatch.setattr(itertools, "combinations", refuse)
+
+
+def _gated_calls(m):
+    pop = Population((mallows_type(Ranking.identity(m), 1.0, top_item_values(m), 1.0),))
+    return {
+        "model_menu_distribution": lambda k: model_menu_distribution(pop.types[0].noise, k),
+        "menu_utility_table": lambda k: menu_utility_table(pop, k),
+        "enumerate_best_menu": lambda k: enumerate_best_menu(pop, k),
+        "optimize_with_uplift": lambda k: optimize_with_uplift(pop, k),
+    }
+
+
+class TestMenuEnumerationGate:
+    """Every k-menu enumeration passes ``models.k_menus`` before building a menu."""
+
+    @pytest.mark.parametrize("name", list(_gated_calls(4)))
+    def test_menu_size_out_of_range(self, name, no_combinations):
+        call = _gated_calls(4)[name]
+        for k in (0, 5):
+            with pytest.raises(DomainError):
+                call(k)
+
+    @pytest.mark.parametrize("name", list(_gated_calls(40)))
+    def test_too_many_menus(self, name, no_combinations):
+        with pytest.raises(CapacityError):
+            _gated_calls(40)[name](18)
+
+
 class TestBranchAndBound:
     def test_matches_enumeration_small_batch(self, rng):
         for _ in range(10):
@@ -169,7 +206,7 @@ class TestBranchAndBound:
     def test_prunes_at_least_sometimes(self, rng):
         pop = random_population(rng, 9, 2)
         bnb = branch_and_bound_menu(pop, 3)
-        assert bnb.evaluations <= math.comb(9, 3)
+        assert bnb.evaluations < math.comb(9, 3)
 
     def test_exact_on_random_heterogeneous_instances(self):
         rng = np.random.default_rng(7)
