@@ -124,6 +124,28 @@ def check_mallows_helpful(
     the psi-weighted comparison ratio; the first witness is reported.
     """
     phi_h = _mallows_phi(h)
+
+    def terms(psis, rank, rank_i, rank_j):
+        weighted = {
+            r: p * math.exp(-phi_h * (rank_j - rank[r] + 1))
+            for r, p in psis.items()
+            if rank[r] < rank_i
+        }
+        return psis, weighted, 1.0 / -math.expm1(-phi_h * (rank_j - rank_i + 1))
+
+    return _helpful_witness(h, a, i, j, terms)
+
+
+def _helpful_witness(h: HumanType, a, i: int, j: int, terms) -> ConditionVerdict:
+    """The witness search both helpfulness checkers share.
+
+    With the human's 1-based ranks, a witness rank ``w < rank(i)`` holds when
+    ``v_w / v_i >= (sum(num) / sum(den[r] for rank(r) <= w)) * scale``.
+    ``terms(psis, rank, rank_i, rank_j)`` turns psi of every item ``r`` other
+    than i and j into the family's numerator and denominator terms (dicts
+    keyed by ``r``) and its scale, ``inf`` when no witness can hold. The
+    first holding witness is reported, else the first one tried.
+    """
     rank_i = h.ground_truth.position(i) + 1
     rank_j = h.ground_truth.position(j) + 1
     if rank_i >= rank_j:
@@ -139,26 +161,18 @@ def check_mallows_helpful(
             holds=False, lhs=None, rhs=None, applicable=False,
             note="value ratio undefined: v_i = 0",
         )
-    delta = rank_j - rank_i + 1
-    others = [r for r in range(h.m) if r not in (i, j)]
-    psis = {r: psi(a, i, j, r) for r in others}
-    numerator = math.fsum(psis.values())
-    factor = 1.0 / -math.expm1(-phi_h * delta)
+    rank = [p + 1 for p in h.ground_truth.positions]
+    psis = {r: psi(a, i, j, r) for r in range(h.m) if r not in (i, j)}
+    num, den, scale = terms(psis, rank, rank_i, rank_j)
+    numerator = math.fsum(num.values())
     best: ConditionVerdict | None = None
     for witness_rank in range(1, rank_i):
-        denom = math.fsum(
-            psis[r] * math.exp(-phi_h * (rank_j - (h.ground_truth.position(r) + 1) + 1))
-            for r in others
-            if h.ground_truth.position(r) + 1 <= witness_rank
-        )
-        if denom <= 0:
-            verdict = ConditionVerdict(
-                holds=False, lhs=h.values[witness_rank - 1] / v_i, rhs=math.inf,
-                witness=witness_rank,
-            )
+        lhs = h.values[witness_rank - 1] / v_i
+        denom = math.fsum(t for r, t in den.items() if rank[r] <= witness_rank)
+        if denom <= 0 or scale == math.inf:
+            verdict = ConditionVerdict(holds=False, lhs=lhs, rhs=math.inf, witness=witness_rank)
         else:
-            lhs = h.values[witness_rank - 1] / v_i
-            rhs = (numerator / denom) * factor
+            rhs = (numerator / denom) * scale
             verdict = ConditionVerdict(holds=lhs >= rhs, lhs=lhs, rhs=rhs, witness=witness_rank)
         if verdict.holds:
             return verdict
@@ -184,50 +198,17 @@ def check_pl_helpful(h: HumanType, a, i: int, j: int) -> ConditionVerdict:
     if not isinstance(h.noise, PlackettLuceModel):
         raise DomainError("human noise model must be Plackett-Luce")
     beta = h.noise.beta
-    rank_i = h.ground_truth.position(i) + 1
-    rank_j = h.ground_truth.position(j) + 1
-    if rank_i >= rank_j:
-        raise DomainError("item i must be human-better than item j")
-    if rank_i < 2:
-        return ConditionVerdict(
-            holds=False, lhs=None, rhs=None, applicable=False,
-            note="no candidate witness ranks above i",
-        )
-    v = [h.values[h.ground_truth.position(x)] for x in range(h.m)]
-    if v[i] == 0:
-        return ConditionVerdict(
-            holds=False, lhs=None, rhs=None, applicable=False,
-            note="value ratio undefined: v_i = 0",
-        )
-    delta = v[i] - v[j]
-    others = [r for r in range(h.m) if r not in (i, j)]
-    weights = {
-        r: psi(a, i, j, r) / (math.exp((v[r] - v[i]) / beta) + 1.0) for r in others
-    }
-    numerator = math.fsum(weights.values())
-    gap_term = -math.expm1(-delta / beta)
-    best: ConditionVerdict | None = None
-    for witness_rank in range(1, rank_i):
-        denom = math.fsum(
-            weights[r]
-            for r in others
-            if h.ground_truth.position(r) + 1 <= witness_rank
-        )
-        if denom <= 0 or gap_term <= 0:
-            verdict = ConditionVerdict(
-                holds=False, lhs=h.values[witness_rank - 1] / v[i], rhs=math.inf,
-                witness=witness_rank,
-            )
-        else:
-            lhs = h.values[witness_rank - 1] / v[i]
-            rhs = (numerator / denom) * (2.0 / gap_term)
-            verdict = ConditionVerdict(holds=lhs >= rhs, lhs=lhs, rhs=rhs, witness=witness_rank)
-        if verdict.holds:
-            return verdict
-        if best is None:
-            best = verdict
-    assert best is not None
-    return best
+
+    def terms(psis, rank, rank_i, rank_j):
+        v_i = h.values[rank_i - 1]
+        weights = {
+            r: p / (math.exp((h.values[rank[r] - 1] - v_i) / beta) + 1.0)
+            for r, p in psis.items()
+        }
+        gap_term = -math.expm1(-(v_i - h.values[rank_j - 1]) / beta)
+        return weights, weights, 2.0 / gap_term if gap_term > 0 else math.inf
+
+    return _helpful_witness(h, a, i, j, terms)
 
 
 def _mallows_phi(h: HumanType) -> float:

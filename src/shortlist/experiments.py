@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .collab import expected_utility, joint_pick_from_menus, joint_utility, solo_utility
+from .collab import expected_utility, joint_pick_from_menus, solo_utility
 from .errors import CapacityError, DimensionError, DomainError, ProfileParseError
 from .models import ENUMERATION_CAP, MallowsModel, PlackettLuceModel, model_menu_distribution
 from .optimize import (
@@ -29,14 +29,7 @@ from .optimize import (
     optimize_with_uplift,
     solve_mip,
 )
-from .rankings import (
-    AlgorithmPolicy,
-    HumanType,
-    Population,
-    Ranking,
-    ValueProfile,
-    borda_values,
-)
+from .rankings import HumanType, Population, Ranking, ValueProfile, borda_values
 from .welfare import UPLIFT_TOLERANCE
 
 DEFAULT_PHI_GRID = tuple(0.25 * i for i in range(13))  # 0 .. 3 step 0.25
@@ -113,12 +106,13 @@ def _parse_ranking_tokens(tokens, m_expected: int | None, line_no: int) -> Ranki
     return Ranking(tuple(x - 1 for x in labels))
 
 
-def load_profile(source, fmt: str = "auto") -> PreferenceProfile:
+def load_profile(source) -> PreferenceProfile:
     """Parse a preference profile from text lines or CSV.
 
     Text rows look like ``<count> <r1> <r2> ... <rm>`` with 1-indexed items;
-    CSV needs a header whose first column is the count. ``source`` may be a
-    path, a file object, or an iterable of lines.
+    CSV needs a header whose first column is the count. A source whose first
+    data line holds a comma is read as CSV, any other as text. ``source`` may
+    be a path, a file object, or an iterable of lines.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as handle:
@@ -133,14 +127,12 @@ def load_profile(source, fmt: str = "auto") -> PreferenceProfile:
     if not content:
         raise ProfileParseError("profile source contains no data rows")
 
-    if fmt == "auto":
-        fmt = "csv" if "," in content[0][1] else "text"
-
+    is_csv = "," in content[0][1]
     entries: list[tuple[Ranking, float]] = []
     m: int | None = None
-    rows = content[1:] if fmt == "csv" else content  # csv: skip header row
+    rows = content[1:] if is_csv else content  # csv: skip header row
     for line_no, line in rows:
-        tokens = [t for t in (line.split(",") if fmt == "csv" else line.split()) if t != ""]
+        tokens = [t for t in (line.split(",") if is_csv else line.split()) if t != ""]
         if len(tokens) < 3:
             raise ProfileParseError(f"too few fields: {line!r}", line_no)
         try:
@@ -162,26 +154,23 @@ def sushi_profile() -> PreferenceProfile:
         .joinpath("data/sushi_top33.txt")
         .read_text(encoding="utf-8")
     )
-    return load_profile(io.StringIO(text), fmt="text")
+    return load_profile(io.StringIO(text))
 
 
 def sushi_experiment(
     profile: PreferenceProfile | None = None,
     phi_grid=DEFAULT_PHI_GRID,
     k: int = 3,
-    allow_any_m: bool = False,
 ) -> list[dict]:
     """Welfare and uplift of three benchmark menus across human accuracies, Borda values.
 
     ``majority`` presents the top-k of the modal ranking, ``welfare`` the
     welfare-maximizing menu, ``uplift`` the menu maximizing the weighted
     fraction of strictly-benefiting types (ties: welfare, then lexicographic).
+    Any profile with at least ``k`` items works; the default is the packaged
+    sushi fixture.
     """
     profile = profile if profile is not None else sushi_profile()
-    if profile.m != 5 and not allow_any_m:
-        raise DimensionError(
-            f"the canonical run expects 5 items, profile has {profile.m}"
-        )
     modal_menu = tuple(sorted(profile.modal_ranking().prefix(k)))
     rows: list[dict] = []
     for phi_h in _validated_grid(phi_grid, "accuracy"):
@@ -194,12 +183,7 @@ def sushi_experiment(
         fractions = uplifted @ weights
 
         idx_w = int(np.argmax(welfare))
-        idx_u = 0
-        for i in range(1, len(menus)):
-            if fractions[i] > fractions[idx_u] or (
-                fractions[i] == fractions[idx_u] and welfare[i] > welfare[idx_u]
-            ):
-                idx_u = i
+        idx_u = int(np.lexsort((-welfare, -fractions))[0])
         idx_m = menus.index(modal_menu)
 
         for name, idx in (("A_m", idx_m), ("A_w", idx_w), ("A_u", idx_u)):
@@ -230,9 +214,11 @@ def beta_sweep(
     """Utility difference of each of the m! - 1 misaligned centers vs the aligned one.
 
     Values decay as ``exp(-beta * rank)``; the sweep crosses the top-item
-    recovery regime as ``beta`` grows. The Mallows family fixes both
+    recovery regime as ``beta`` grows. Human and algorithm are models of
+    the same family around their centers: the Mallows family fixes both
     accuracies at ``phi``; the RUM family gives both sides Gumbel noise of
-    scale ``gumbel_beta`` over the same value magnitudes. ``m`` above
+    scale ``gumbel_beta`` over the same value magnitudes. Rows list Mallows
+    before RUM whatever the order of ``families``. ``m`` above
     ``ENUMERATION_CAP`` is refused before any center is built.
     """
     if beta_grid is None:
@@ -242,37 +228,32 @@ def beta_sweep(
         raise CapacityError(f"beta-sweep over {m}! - 1 centers exceeds the cap m <= {ENUMERATION_CAP}")
     gt = Ranking.identity(m)
     centers = [Ranking(p) for p in itertools.permutations(range(m)) if p != gt.order]
+    model_of = {
+        "mallows": lambda center, vals: MallowsModel(center, phi),
+        "rum": lambda center, vals: PlackettLuceModel(
+            tuple(vals[center.position(x)] for x in range(m)), gumbel_beta
+        ),
+    }
     rows: list[dict] = []
     for beta in beta_grid:
         vals = ValueProfile(tuple(math.exp(-beta * j) for j in range(m)))
-        outcomes: dict[str, dict[Ranking, float]] = {}
-        if "mallows" in families:
-            h = HumanType(gt, MallowsModel(gt, phi), vals, 1.0)
-            aligned = joint_utility(h, AlgorithmPolicy(gt, phi, k))
-            outcomes["mallows"] = {
-                c: joint_utility(h, AlgorithmPolicy(c, phi, k)) - aligned for c in centers
-            }
-        if "rum" in families:
-            item_vals = tuple(vals[gt.position(x)] for x in range(m))
-            h = HumanType(gt, PlackettLuceModel(item_vals, gumbel_beta), vals, 1.0)
+        for family, model in model_of.items():
+            if family not in families:
+                continue
+            h = HumanType(gt, model(gt, vals), vals, 1.0)
 
-            def rum_utility(center: Ranking) -> float:
-                alg_vals = tuple(vals[center.position(x)] for x in range(m))
-                menus = model_menu_distribution(
-                    PlackettLuceModel(alg_vals, gumbel_beta), k
-                )
+            def utility(center: Ranking) -> float:
+                menus = model_menu_distribution(model(center, vals), k)
                 return expected_utility(joint_pick_from_menus(h, menus), h)
 
-            aligned = rum_utility(gt)
-            outcomes["rum"] = {c: rum_utility(c) - aligned for c in centers}
-        for family, diffs in outcomes.items():
-            for center, diff in diffs.items():
+            aligned = utility(gt)
+            for center in centers:
                 rows.append(
                     {
                         "beta": beta,
                         "family": family,
                         "center": " ".join(str(x + 1) for x in center.order),
-                        "utility_difference": diff,
+                        "utility_difference": utility(center) - aligned,
                     }
                 )
     return rows
@@ -463,7 +444,6 @@ EXPERIMENTS = {
         "profile": (lambda x: isinstance(x, str), "a profile path"),
         "phi_grid": _NUMBERS,
         "k": _INT,
-        "allow_any_m": (lambda x: isinstance(x, bool), "true or false"),
     },
     "beta-sweep": {
         "beta_grid": _NUMBERS,

@@ -45,6 +45,12 @@ def row_z(j: int, phi: float) -> float:
     return math.expm1(-phi * j) / math.expm1(-phi)
 
 
+def _check_items(m: int, items) -> None:
+    """Refuse with DimensionError a nonempty ``items`` with any item outside ``0..m-1``."""
+    if min(items) < 0 or max(items) >= m:
+        raise DimensionError(f"items {sorted(set(items))} outside 0..{m - 1}")
+
+
 @lru_cache(maxsize=256)
 def _row_z_values(m: int, phi: float) -> tuple[float, ...]:
     return tuple(row_z(j, phi) for j in range(1, m + 1))
@@ -107,7 +113,8 @@ class MallowsModel:
 
     def first_item_prob(self, item: int) -> float:
         """Probability that ``item`` comes first in a sampled ranking."""
-        pos = self.center.position(item)
+        _check_items(self.m, (item,))
+        pos = self.center.positions[item]
         return math.exp(-self.phi * pos) / row_z(self.m, self.phi)
 
     def pairwise_prob(self, i: int, j: int) -> float:
@@ -118,7 +125,8 @@ class MallowsModel:
         """
         if i == j:
             raise DomainError("pairwise comparison needs two distinct items")
-        pi, pj = self.center.position(i), self.center.position(j)
+        _check_items(self.m, (i, j))
+        pi, pj = self.center.positions[i], self.center.positions[j]
         if pi > pj:
             raise DomainError(
                 "pairwise_prob expects the center-better item first; "
@@ -142,12 +150,14 @@ class MallowsModel:
         items = frozenset(items)
         if not items:
             raise DomainError("top-k set must be nonempty")
+        m = self.m
+        _check_items(m, items)
         k = len(items)
-        positions = [self.center.position(x) + 1 for x in items]
-        zs = _row_z_values(self.m, self.phi)
-        log_p = -self.phi * (sum(positions) - k * (k + 1) // 2)
+        positions = self.center.positions
+        zs = _row_z_values(m, self.phi)
+        log_p = -self.phi * (sum([positions[x] for x in items]) - k * (k - 1) // 2)
         for i in range(1, k + 1):
-            log_p += math.log(zs[i - 1]) - math.log(zs[self.m - i])
+            log_p += math.log(zs[i - 1]) - math.log(zs[m - i])
         return log_p
 
     def topk_set_prob(self, items) -> float:
@@ -279,10 +289,6 @@ class PlackettLuceModel:
     def _scaled(self) -> np.ndarray:
         return np.asarray(self.item_values, dtype=float) / self.beta
 
-    def _check_items(self, *items: int) -> None:
-        if min(items) < 0 or max(items) >= len(self.item_values):
-            raise DimensionError(f"items {sorted(set(items))} outside 0..{self.m - 1}")
-
     def log_perm_prob(self, r: Ranking) -> float:
         if r.m != self.m:
             raise DimensionError(f"ranking over {r.m} items, model over {self.m}")
@@ -298,7 +304,7 @@ class PlackettLuceModel:
         return math.exp(self.log_perm_prob(r))
 
     def first_item_prob(self, item: int) -> float:
-        self._check_items(item)
+        _check_items(self.m, (item,))
         u = self._scaled()
         return float(np.exp(u[item] - _logsumexp(u)))
 
@@ -306,7 +312,7 @@ class PlackettLuceModel:
         """P[i before j]; the Gumbel race makes this a logistic in the value gap."""
         if i == j:
             raise DomainError("pairwise comparison needs two distinct items")
-        self._check_items(i, j)
+        _check_items(self.m, (i, j))
         gap = (self.item_values[i] - self.item_values[j]) / self.beta
         return 1.0 / (1.0 + math.exp(-gap))
 
@@ -322,7 +328,7 @@ class PlackettLuceModel:
         items = sorted(frozenset(items))
         if not items:
             raise DomainError("top-k set must be nonempty")
-        self._check_items(items[0], items[-1])
+        _check_items(self.m, items)
         k = len(items)
         u = self._scaled()
         # taken[S, y]: item y is in the proper subset S of ``items`` (bit i
@@ -408,8 +414,7 @@ class ExplicitModel:
         items = frozenset(items)
         if not items:
             raise DomainError("top-k set must be nonempty")
-        if min(items) < 0 or max(items) >= self.m:
-            raise DimensionError(f"items {sorted(items)} outside 0..{self.m - 1}")
+        _check_items(self.m, items)
         k = len(items)
         return math.fsum(p for r, p in self.entries if r.top(k) == items)
 
@@ -417,7 +422,8 @@ class ExplicitModel:
         """P[i before j], for either orientation of the pair."""
         if i == j:
             raise DomainError("pairwise comparison needs two distinct items")
-        return math.fsum(p for r, p in self.entries if r.position(i) < r.position(j))
+        _check_items(self.m, (i, j))
+        return math.fsum(p for r, p in self.entries if r.positions[i] < r.positions[j])
 
     @property
     def ranks(self) -> tuple[int, ...]:

@@ -62,9 +62,10 @@ def menu_utility_table(pop: Population, k: int):
     once per distinct Mallows accuracy, over all C(m, k) position sets: they
     are the lexicographic menus under the identity center. Each type of that
     accuracy reads its menu's row at ``position_set_rank`` of the menu's
-    sorted positions. Plackett-Luce and explicit types get a table each.
-    Entries are ``math.fsum`` of the same products as ``menu_utility``, so
-    they have its bits.
+    sorted positions. Plackett-Luce and explicit types get a table each,
+    read the same way with the identity as center. Entries are
+    ``math.fsum`` of the same products as ``menu_utility``, so they have its
+    bits.
     """
     m = pop.m
     menus = k_menus(m, k)
@@ -72,27 +73,22 @@ def menu_utility_table(pop: Population, k: int):
     table = np.empty((len(menus), pop.n))
     lex_rank = position_set_rank(m, k)
 
-    def fill(col: int, h: HumanType, probs: np.ndarray, center: list[int] | None = None):
+    def fill(col: int, h: HumanType, probs: np.ndarray, center):
         v = np.asarray([h.value_of(x) for x in range(m)])
-        if center is not None:
-            rank = np.empty(m, dtype=np.intp)
-            rank[center] = np.arange(m)
-            v = v[center]  # by center position, as the kernel's rows are
+        rank = np.empty(m, dtype=np.intp)
+        rank[center] = np.arange(m)
+        v = v[center]  # by center position, as the table's rows are
         for lo in range(0, len(menus), MENU_BLOCK):
-            block = items[lo : lo + MENU_BLOCK]
-            if center is None:
-                terms = probs[lo : lo + MENU_BLOCK] * v[block]
-            else:
-                pos = np.sort(rank[block], axis=1)
-                terms = probs[lex_rank(pos)] * v[pos]
-            table[lo : lo + len(block), col] = [math.fsum(row) for row in terms.tolist()]
+            pos = np.sort(rank[items[lo : lo + MENU_BLOCK]], axis=1)
+            terms = probs[lex_rank(pos)] * v[pos]
+            table[lo : lo + len(pos), col] = [math.fsum(row) for row in terms.tolist()]
 
     by_phi: dict[float, list[int]] = {}
     for col, h in enumerate(pop):
         if isinstance(h.noise, MallowsModel):
             by_phi.setdefault(h.noise.phi, []).append(col)
         else:
-            fill(col, h, choice_table(h.noise, items))
+            fill(col, h, choice_table(h.noise, items), range(m))
     for phi, cols in by_phi.items():
         kernel = choice_table(MallowsModel(Ranking.identity(m), phi), items)
         for col in cols:
@@ -305,13 +301,12 @@ class MipInstance:
 
     Binary ``x_<item>`` marks menu membership; per type ``h``, continuous
     variables ``type<h>_W_<item>_<s>_<t>`` carry the insertion dynamic
-    program, with ``y``/``z``/``q`` as its linearization helpers. Constraints
+    program, with ``y``/``z``/``q`` as its linearization helpers. Every
+    variable lies in [0, 1], and the binaries come first. Constraints
     are (coefficients, sense, rhs) rows; the objective is maximized.
     """
 
     var_names: tuple[str, ...]
-    bounds: dict[str, tuple[float, float]]
-    binaries: tuple[str, ...]
     constraints: tuple[tuple[dict[str, float], str, float], ...]
     objective: dict[str, float]
     m: int
@@ -321,6 +316,11 @@ class MipInstance:
     @property
     def num_variables(self) -> int:
         return len(self.var_names)
+
+    @property
+    def binaries(self) -> tuple[str, ...]:
+        """The menu indicators ``x_0 .. x_{m-1}``, the first ``m`` variables."""
+        return self.var_names[: self.m]
 
 
 def build_mip(pop: Population, k: int) -> MipInstance:
@@ -339,13 +339,8 @@ def build_mip(pop: Population, k: int) -> MipInstance:
             raise DomainError("the MIP requires every type's noise model to be Mallows")
 
     var_names: list[str] = [f"x_{i}" for i in range(m)]
-    bounds: dict[str, tuple[float, float]] = {f"x_{i}": (0.0, 1.0) for i in range(m)}
     constraints: list[tuple[dict[str, float], str, float]] = []
     objective: dict[str, float] = {}
-
-    def add_var(name: str):
-        var_names.append(name)
-        bounds[name] = (0.0, 1.0)
 
     for h_idx, h in enumerate(pop):
         model: MallowsModel = h.noise
@@ -367,15 +362,15 @@ def build_mip(pop: Population, k: int) -> MipInstance:
 
         for t in range(1, m + 1):
             for s in range(1, t + 1):
-                add_var(Z(s, t))
+                var_names.append(Z(s, t))
             for a in center[:t]:
                 for s in range(1, t + 1):
-                    add_var(W(a, s, t))
+                    var_names.append(W(a, s, t))
             for a in center[: t - 1]:
                 for s in range(1, t + 1):
-                    add_var(Y(a, s, t))
+                    var_names.append(Y(a, s, t))
         for t in range(1, m):
-            add_var(Q(t))
+            var_names.append(Q(t))
 
         for t in range(1, m + 1):
             item_t = center[t - 1]
@@ -450,8 +445,6 @@ def build_mip(pop: Population, k: int) -> MipInstance:
 
     return MipInstance(
         var_names=tuple(var_names),
-        bounds=bounds,
-        binaries=tuple(f"x_{i}" for i in range(m)),
         constraints=tuple(constraints),
         objective=dict(objective),
         m=m,
@@ -496,8 +489,7 @@ def _write_lp(mip: MipInstance, out: io.TextIOBase) -> None:
         out.write(f" c{idx}: {body} {sense} {_format_coeff(rhs)}\n")
     out.write("Bounds\n")
     for name in mip.var_names:
-        lb, ub = mip.bounds[name]
-        out.write(f" {_format_coeff(lb)} <= {name} <= {_format_coeff(ub)}\n")
+        out.write(f" 0 <= {name} <= 1\n")
     out.write("Binary\n")
     for name in mip.binaries:
         out.write(f" {name}\n")
@@ -545,17 +537,14 @@ def solve_mip(mip: MipInstance, fix_menu=None):
             hi.append(rhs)
     A = sparse.csr_matrix((vals, (rows, cols)), shape=(len(mip.constraints), n))
 
-    lb = np.array([mip.bounds[name][0] for name in mip.var_names])
-    ub = np.array([mip.bounds[name][1] for name in mip.var_names])
+    lb, ub = np.zeros(n), np.ones(n)
     integrality = np.zeros(n)
     if fix_menu is None:
-        for name in mip.binaries:
-            integrality[index[name]] = 1
+        integrality[: mip.m] = 1
     else:
         menu = set(fix_menu)
         for i in range(mip.m):
-            idx = index[f"x_{i}"]
-            lb[idx] = ub[idx] = 1.0 if i in menu else 0.0
+            lb[i] = ub[i] = 1.0 if i in menu else 0.0
 
     problem = {
         "constraints": LinearConstraint(A, lo, hi),
@@ -570,7 +559,5 @@ def solve_mip(mip: MipInstance, fix_menu=None):
     if not result.success:
         raise RuntimeError(f"solver failed: {result.message}")
     x = result.x
-    menu = tuple(
-        i for i in range(mip.m) if x[index[f"x_{i}"]] > 0.5
-    )
+    menu = tuple(i for i in range(mip.m) if x[i] > 0.5)
     return -result.fun, menu

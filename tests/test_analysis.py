@@ -279,6 +279,73 @@ class TestPlHelpful:
         assert verdict.rhs == math.inf
 
 
+class TestHelpfulWitness:
+    """Both helpful checkers against their inequality, recomputed from psi."""
+
+    @staticmethod
+    def _sides(h, a, i, j, w):
+        """(lhs, rhs) of the checker's inequality at witness rank ``w``."""
+        rank = {x: h.ground_truth.position(x) + 1 for x in range(h.m)}
+        v = {x: h.value_of(x) for x in range(h.m)}
+        others = [r for r in range(h.m) if r not in (i, j)]
+        p = {r: psi(a, i, j, r) for r in others}
+        if isinstance(h.noise, MallowsModel):
+            phi = h.noise.phi
+            num = sum(p.values())
+            den = sum(p[r] * math.exp(-phi * (rank[j] - rank[r] + 1)) for r in others if rank[r] <= w)
+            scale = 1.0 / (1.0 - math.exp(-phi * (rank[j] - rank[i] + 1)))
+        else:
+            beta = h.noise.beta
+            weight = {r: p[r] / (math.exp((v[r] - v[i]) / beta) + 1.0) for r in others}
+            num = sum(weight.values())
+            den = sum(weight[r] for r in others if rank[r] <= w)
+            gap = 1.0 - math.exp(-(v[i] - v[j]) / beta)
+            scale = 2.0 / gap if gap > 0 else math.inf
+        lhs = h.values[w - 1] / v[i]
+        return lhs, (num / den * scale if den > 0 else math.inf)
+
+    @pytest.mark.parametrize("family", ["mallows", "pl"])
+    def test_witness_sides_match_psi(self, rng, family):
+        checked = held = 0
+        for _ in range(40):
+            m = int(rng.integers(4, 7))
+            gt = Ranking(tuple(int(x) for x in rng.permutation(m)))
+            # spread over three decades, so that some pairs meet the condition
+            values = ValueProfile(tuple(sorted(10.0 ** rng.uniform(-1.0, 2.0, m), reverse=True)))
+            center = Ranking(tuple(int(x) for x in rng.permutation(m)))
+            if family == "mallows":
+                h = mallows_human(gt, float(rng.uniform(0.2, 2.0)), values)
+                a = AlgorithmPolicy(center, float(rng.uniform(0.2, 2.0)), 2)
+                check = check_mallows_helpful
+            else:
+                beta = float(rng.uniform(0.5, 3.0))
+                item_values = tuple(values[gt.position(x)] for x in range(m))
+                h = HumanType(gt, PlackettLuceModel(item_values, beta), values, 1.0)
+                a = PlackettLuceModel(tuple(float(x) for x in rng.uniform(0.0, 5.0, m)), 1.0)
+                check = check_pl_helpful
+            for i in range(m):
+                for j in range(m):
+                    if gt.position(i) >= gt.position(j) or a.center.position(i) >= a.center.position(j):
+                        continue
+                    verdict = check(h, a, i, j)
+                    if not verdict.applicable:
+                        assert gt.position(i) == 0 or values[gt.position(i)] == 0
+                        continue
+                    checked += 1
+                    held += verdict.holds
+                    lhs, rhs = self._sides(h, a, i, j, verdict.witness)
+                    assert verdict.lhs == pytest.approx(lhs, rel=1e-12)
+                    assert verdict.rhs == pytest.approx(rhs, rel=1e-9)
+                    assert verdict.holds == (rhs != math.inf and lhs >= rhs)
+                    # the reported witness is the first that holds, else rank 1
+                    for w in range(1, verdict.witness):
+                        earlier_lhs, earlier_rhs = self._sides(h, a, i, j, w)
+                        assert earlier_rhs == math.inf or earlier_lhs < earlier_rhs
+                    if not verdict.holds:
+                        assert verdict.witness == 1
+        assert checked > 100 and 0 < held < checked
+
+
 def _pl_utility(h, alg_values):
     from shortlist.collab import expected_utility, joint_pick_from_menus
     from shortlist.models import PlackettLuceModel, model_menu_distribution

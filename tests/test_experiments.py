@@ -9,7 +9,7 @@ import pytest
 
 from conftest import make_ranking as R
 from shortlist import Ranking
-from shortlist.errors import CapacityError, DimensionError, DomainError, ProfileParseError
+from shortlist.errors import CapacityError, DomainError, ProfileParseError
 from shortlist.experiments import (
     beta_sweep,
     emit_csv,
@@ -42,7 +42,7 @@ class TestLoadProfile:
 
     def test_csv_variant(self):
         text = "count,r1,r2,r3\n10,2,1,3\n5,1,2,3\n"
-        profile = load_profile(io.StringIO(text), fmt="csv")
+        profile = load_profile(io.StringIO(text))
         assert profile.entries[0][0] == R(1, 0, 2)
         assert profile.total == 15
 
@@ -130,9 +130,7 @@ class TestSushiExperiment:
 
     def test_rejects_wrong_m(self):
         profile = load_profile(io.StringIO("3 1 2\n1 2 1\n"))
-        with pytest.raises(DimensionError):
-            sushi_experiment(profile=profile)
-        rows = sushi_experiment(profile=profile, phi_grid=(1.0,), k=1, allow_any_m=True)
+        rows = sushi_experiment(profile=profile, phi_grid=(1.0,), k=1)
         assert rows
 
 
@@ -164,6 +162,19 @@ class TestBetaSweep:
         assert len(rows) == 23
         best = max(rows, key=lambda r: r["utility_difference"])
         assert best["center"].startswith("1 ")
+
+    def test_rows_list_mallows_before_rum(self):
+        rows = beta_sweep(beta_grid=(1.0, 2.0), m=3, families=("rum", "mallows"))
+        assert [(r["beta"], r["family"]) for r in rows] == [
+            (beta, family) for beta in (1.0, 2.0) for family in ("mallows", "rum") for _ in range(5)
+        ]
+
+    def test_unselected_family_builds_no_model(self, tmp_path):
+        # phi = -1 would be refused by a Mallows model, which a RUM-only sweep never builds
+        out = tmp_path / "sweep.csv"
+        run_config({"experiment": "beta-sweep", "families": ["rum"], "phi": -1, "output": str(out)})
+        with open(out, newline="") as handle:
+            assert {r["family"] for r in csv.DictReader(handle)} == {"rum"}
 
 
 class TestTensionExperiment:
@@ -328,6 +339,22 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "uplifted: True" in out
+
+    def test_experiment_sushi_other_profile(self, tmp_path, capsys):
+        profile = tmp_path / "three.txt"
+        profile.write_text("3 1 2 3\n2 2 1 3\n1 3 2 1\n")
+        out = tmp_path / "sushi.csv"
+        code = cli.main([
+            "experiment", "sushi", "--profile", str(profile), "-k", "1",
+            "--phi-grid", "0.5,1.0", "--output", str(out),
+        ])
+        assert code == 0, capsys.readouterr().err
+        with open(out, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [(r["phi_h"], r["algorithm"]) for r in rows] == [
+            (phi, name) for phi in ("0.5", "1.0") for name in ("A_m", "A_w", "A_u")
+        ]
+        assert {r["menu"] for r in rows} <= {"1", "2", "3"}
 
     def test_optimize_with_lp_export(self, tmp_path, capsys):
         lp_path = tmp_path / "instance.lp"

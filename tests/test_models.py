@@ -365,25 +365,34 @@ class TestExplicitModel:
 
 
 @pytest.mark.parametrize(
-    "model, bad_item_error",
+    "model",
     [
-        # a Mallows center refuses an unknown item as its rankings do
-        (MallowsModel(R(0, 1, 2), LN2), DomainError),
-        (PlackettLuceModel((1.0, 0.0, -1.0), 1.0), DimensionError),
-        (ExplicitModel(((R(0, 1, 2), 0.9), (R(1, 0, 2), 0.1))), DimensionError),
+        MallowsModel(R(0, 1, 2), LN2),
+        PlackettLuceModel((1.0, 0.0, -1.0), 1.0),
+        ExplicitModel(((R(0, 1, 2), 0.9), (R(1, 0, 2), 0.1))),
     ],
     ids=["mallows", "pl", "explicit"],
 )
-def test_topk_set_prob_rejects_empty_and_unknown_items(model, bad_item_error):
+def test_topk_set_prob_rejects_empty_and_unknown_items(model):
+    """Every family refuses an item outside 0..m-1 with DimensionError."""
     from shortlist import psi
 
     with pytest.raises(DomainError):
         model.topk_set_prob([])
-    for items in ([0, 9], [-1], [3]):
-        with pytest.raises(bad_item_error):
-            model.topk_set_prob(items)
-    with pytest.raises(bad_item_error):
-        psi(model, 0, 1, 9)
+    queries = [lambda: psi(model, 0, 1, 9)]
+    for bad in (-1, 3, 9):
+        queries += [
+            lambda bad=bad: model.topk_set_prob([0, bad]),
+            lambda bad=bad: model.topk_set_prob([bad]),
+            lambda bad=bad: model.pairwise_prob(0, bad),
+            lambda bad=bad: model.pairwise_prob(bad, 0),
+        ]
+        # an explicit model has no first-item closed form
+        if hasattr(model, "first_item_prob"):
+            queries.append(lambda bad=bad: model.first_item_prob(bad))
+    for query in queries:
+        with pytest.raises(DimensionError):
+            query()
 
 
 class TestOrientedPairwise:
