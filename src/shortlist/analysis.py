@@ -9,10 +9,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .collab import expected_utility, joint_pick_dist, joint_utility
+import numpy as np
+
+from .collab import expected_utility, joint_pick_dist
 from .errors import DomainError
 from .models import MallowsModel, PlackettLuceModel, policy_ranking_model
-from .rankings import AlgorithmPolicy, HumanType, Ranking, ValueProfile, apply_swap
+from .optimize import center_menu_rows, center_utilities, identity_menu_law, menu_utility_table
+from .rankings import AlgorithmPolicy, HumanType, Population, Ranking, ValueProfile, apply_swap
 
 
 @dataclass(frozen=True)
@@ -201,14 +204,24 @@ def check_pl_helpful(h: HumanType, a, i: int, j: int) -> ConditionVerdict:
 
     def terms(psis, rank, rank_i, rank_j):
         v_i = h.values[rank_i - 1]
+        # p / (e^gap + 1) for gap = (v_r - v_i) / beta, in a form that
+        # underflows to 0 at a large gap instead of overflowing
         weights = {
-            r: p / (math.exp((h.values[rank[r] - 1] - v_i) / beta) + 1.0)
+            r: p * _logistic(-(h.values[rank[r] - 1] - v_i) / beta)
             for r, p in psis.items()
         }
         gap_term = -math.expm1(-(v_i - h.values[rank_j - 1]) / beta)
         return weights, weights, 2.0 / gap_term if gap_term > 0 else math.inf
 
     return _helpful_witness(h, a, i, j, terms)
+
+
+def _logistic(x: float) -> float:
+    """``1 / (1 + e^-x)``, without overflow at either tail."""
+    if x >= 0:
+        return 1.0 / (1.0 + math.exp(-x))
+    e = math.exp(x)
+    return e / (1.0 + e)
 
 
 def _mallows_phi(h: HumanType) -> float:
@@ -254,7 +267,9 @@ def derive_partial_order(h: HumanType, candidates, phi_a: float, k: int) -> Cand
     two tied-least-valued items helps (or is neutral), demoting the single
     top-valued item hurts. Certified edges are closed transitively; exact
     utilities for every candidate come along so uncertified pairs can be
-    compared numerically.
+    compared numerically. A Mallows policy at a candidate center is the
+    identity's policy relabelled, so one menu table of the human and one
+    ``identity_menu_law`` give every candidate's utility (``center_utilities``).
     """
     candidates = list(candidates)
     if any(c.m != h.m for c in candidates):
@@ -292,12 +307,13 @@ def derive_partial_order(h: HumanType, candidates, phi_a: float, k: int) -> Cand
                     closed.add((b1, w2))
                     edges.add((b1, w2, "transitive"))
                     changed = True
-    utilities = [
-        joint_utility(h, AlgorithmPolicy(center=center, accuracy=phi_a, menu_size=k))
-        for center in candidates
-    ]
+    model = policy_ranking_model(AlgorithmPolicy(Ranking.identity(h.m), phi_a, k))
+    _, table = menu_utility_table(Population.single(h), k)
+    centers = np.array([c.order for c in candidates], dtype=np.intp).reshape(-1, h.m)
+    rows = center_menu_rows(centers, k)
+    utilities = center_utilities(table, identity_menu_law(h.m, k, model), rows)[:, 0]
     ordered = tuple(
         PreferenceEdge(b, w, prov)
         for b, w, prov in sorted(edges)
     )
-    return CandidateOrder(edges=ordered, utilities=tuple(utilities))
+    return CandidateOrder(edges=ordered, utilities=tuple(utilities.tolist()))

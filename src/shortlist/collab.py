@@ -7,8 +7,10 @@ import numpy as np
 
 from .choice import PickDistribution, choice_dist, choice_table
 from .errors import DomainError
-from .models import menu_distribution, sample_policy_menu
+from .models import menu_distribution, policy_ranking_model
 from .rankings import AlgorithmPolicy, HumanType
+
+MC_BLOCK = 1 << 14  # Monte Carlo samples drawn per pass; bounds the sample arrays
 
 
 def solo_pick_dist(h: HumanType) -> PickDistribution:
@@ -56,17 +58,28 @@ def mc_joint_pick_dist(
     """Monte-Carlo estimate of the joint pick distribution.
 
     Each sample draws an algorithm menu and an independent human ranking;
-    per-item standard error is at most ``1 / (2 sqrt(samples))``.
+    per-item standard error is at most ``1 / (2 sqrt(samples))``. The menus
+    and then the rankings are drawn through ``sample_many``, ``MC_BLOCK``
+    samples at a time.
     """
     if samples < 1:
         raise DomainError("need at least one sample")
-    counts: dict[int, int] = {}
-    for _ in range(samples):
-        menu = sample_policy_menu(a, rng)
-        human_ranking = h.noise.sample(rng)
-        pick = min(menu, key=human_ranking.position)
-        counts[pick] = counts.get(pick, 0) + 1
-    return PickDistribution({x: c / samples for x, c in counts.items()})
+    if h.m != a.m:
+        raise DomainError("human and policy must share the item universe")
+    model = policy_ranking_model(a)
+    counts = np.zeros(h.m, dtype=np.int64)
+    for lo in range(0, samples, MC_BLOCK):
+        n = min(MC_BLOCK, samples - lo)
+        if model is None:
+            menus = np.tile(sorted(a.fixed_menu()), (n, 1))
+        else:
+            menus = model.sample_many(rng, n)[:, : a.menu_size]
+        orders = h.noise.sample_many(rng, n)
+        positions = np.empty_like(orders)
+        np.put_along_axis(positions, orders, np.arange(h.m), axis=1)
+        first = np.argmin(np.take_along_axis(positions, menus, axis=1), axis=1)
+        counts += np.bincount(menus[np.arange(n), first], minlength=h.m)
+    return PickDistribution({x: c / samples for x, c in enumerate(counts.tolist()) if c})
 
 
 def expected_utility(dist: PickDistribution, h: HumanType) -> float:

@@ -17,14 +17,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .collab import expected_utility, joint_pick_from_menus, solo_utility
+from .collab import solo_utility
 from .errors import CapacityError, DimensionError, DomainError, ProfileParseError
-from .models import ENUMERATION_CAP, MallowsModel, PlackettLuceModel, model_menu_distribution
+from .models import ENUMERATION_CAP, MallowsModel, PlackettLuceModel
 from .optimize import (
     _welfare,
     branch_and_bound_menu,
     build_mip,
+    center_menu_rows,
+    center_utilities,
     enumerate_best_menu,
+    identity_menu_law,
     menu_utility_table,
     optimize_with_uplift,
     solve_mip,
@@ -220,6 +223,10 @@ def beta_sweep(
     scale ``gumbel_beta`` over the same value magnitudes. Rows list Mallows
     before RUM whatever the order of ``families``. ``m`` above
     ``ENUMERATION_CAP`` is refused before any center is built.
+
+    Both sides are the identity's model relabelled by their center, so each
+    (beta, family) builds one human table and one ``identity_menu_law``, and
+    ``center_utilities`` scores every center through one ``center_menu_rows``.
     """
     if beta_grid is None:
         beta_grid = tuple(round(0.5 * i, 10) for i in range(13))  # 0 .. 6
@@ -227,36 +234,28 @@ def beta_sweep(
     if m > ENUMERATION_CAP:
         raise CapacityError(f"beta-sweep over {m}! - 1 centers exceeds the cap m <= {ENUMERATION_CAP}")
     gt = Ranking.identity(m)
-    centers = [Ranking(p) for p in itertools.permutations(range(m)) if p != gt.order]
+    centers = np.array(list(itertools.permutations(range(m))), dtype=np.intp)  # row 0 is gt
+    labels = [" ".join(str(x + 1) for x in center) for center in centers[1:].tolist()]
+    rows = center_menu_rows(centers, k)
     model_of = {
-        "mallows": lambda center, vals: MallowsModel(center, phi),
-        "rum": lambda center, vals: PlackettLuceModel(
-            tuple(vals[center.position(x)] for x in range(m)), gumbel_beta
-        ),
+        "mallows": lambda vals: MallowsModel(gt, phi),
+        "rum": lambda vals: PlackettLuceModel(tuple(vals), gumbel_beta),
     }
-    rows: list[dict] = []
+    out: list[dict] = []
     for beta in beta_grid:
         vals = ValueProfile(tuple(math.exp(-beta * j) for j in range(m)))
         for family, model in model_of.items():
             if family not in families:
                 continue
-            h = HumanType(gt, model(gt, vals), vals, 1.0)
-
-            def utility(center: Ranking) -> float:
-                menus = model_menu_distribution(model(center, vals), k)
-                return expected_utility(joint_pick_from_menus(h, menus), h)
-
-            aligned = utility(gt)
-            for center in centers:
-                rows.append(
-                    {
-                        "beta": beta,
-                        "family": family,
-                        "center": " ".join(str(x + 1) for x in center.order),
-                        "utility_difference": utility(center) - aligned,
-                    }
+            h = HumanType(gt, model(vals), vals, 1.0)
+            _, table = menu_utility_table(Population.single(h), k)
+            utilities = center_utilities(table, identity_menu_law(m, k, h.noise), rows)
+            aligned, *misaligned = utilities[:, 0].tolist()
+            for label, u in zip(labels, misaligned):
+                out.append(
+                    {"beta": beta, "family": family, "center": label, "utility_difference": u - aligned}
                 )
-    return rows
+    return out
 
 
 def _head_population(values: ValueProfile, t: int, gamma: float, phi_h: float) -> Population:
@@ -280,8 +279,9 @@ def tension_experiment(gamma: float = 3.0, phi_grid=TENSION_PHI_GRID, k: int = 3
     rows: list[dict] = []
     for phi_h in _validated_grid(phi_grid, "accuracy"):
         pop = tension_population(gamma, phi_h)
-        unconstrained = enumerate_best_menu(pop, k)
-        constrained = optimize_with_uplift(pop, k)
+        table = menu_utility_table(pop, k)
+        unconstrained = enumerate_best_menu(pop, k, table=table)
+        constrained = optimize_with_uplift(pop, k, table=table)
         rows.append(
             {
                 "gamma": gamma,

@@ -6,7 +6,8 @@ with Gumbel noise, and an explicit finite distribution over rankings. Each
 class holds its own math behind one duck-typed surface, so the rest of the
 library never asks which family it has:
 
-- ``m``, ``perm_prob``, ``sample`` and ``support`` (the enumeration oracle,
+- ``m``, ``perm_prob``, ``sample_many`` (n rankings as an (n, m) array of
+  orders), ``sample`` (its n = 1 case) and ``support`` (the enumeration oracle,
   refused above ``ENUMERATION_CAP`` items for the closed-form families);
 - ``topk_set_prob``, the law of the top-k set, and ``pairwise_prob``;
 - ``ranks``, each item's position in the model's own order (the center for
@@ -164,13 +165,26 @@ class MallowsModel:
         """Probability that ``items`` is exactly the unordered top-|items| set."""
         return math.exp(self.log_topk_set_prob(items))
 
-    def sample(self, rng: np.random.Generator) -> Ranking:
-        """Draw one ranking by repeated insertion of the center items."""
-        probs = _insertion_rows(self.m, self.phi)[0]
-        order: list[int] = []
+    def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """Draw n rankings by repeated insertion of the center items, as (n, m) orders.
+
+        Step t inserts the center's t-th item at 0-based slot s with
+        probability ``p_{t,s+1}``, drawn for all n rankings at once by
+        inverting the step's cumulative row ``gammas`` at one uniform each.
+        """
+        gammas = _insertion_rows(self.m, self.phi)[1]
+        orders = np.zeros((n, self.m), dtype=np.intp)
         for t in range(1, self.m + 1):
-            order.insert(rng.choice(t, p=probs[t - 1, :t]), self.center.order[t - 1])
-        return Ranking(tuple(order))
+            slot = np.searchsorted(gammas[t - 1, : t - 1], rng.random(n), side="right")[:, None]
+            cols = np.arange(t)
+            # items before the slot stay, the rest move one place back
+            moved = np.where(cols == slot, self.center.order[t - 1], orders[:, cols - 1])
+            orders[:, :t] = np.where(cols < slot, orders[:, :t], moved)
+        return orders
+
+    def sample(self, rng: np.random.Generator) -> Ranking:
+        """Draw one ranking: ``sample_many``'s n = 1 case."""
+        return Ranking(tuple(self.sample_many(rng, 1)[0].tolist()))
 
     @property
     def ranks(self) -> tuple[int, ...]:
@@ -362,10 +376,14 @@ class PlackettLuceModel:
         w = np.exp(u - u.max(axis=1, keepdims=True))
         return w / w.sum(axis=1, keepdims=True)
 
+    def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """Draw n rankings as (n, m) orders: values plus one (n, m) Gumbel draw, sorted."""
+        noisy = np.asarray(self.item_values) + rng.gumbel(0.0, self.beta, size=(n, self.m))
+        return np.argsort(-noisy, axis=1, kind="stable")
+
     def sample(self, rng: np.random.Generator) -> Ranking:
-        noisy = np.asarray(self.item_values) + rng.gumbel(0.0, self.beta, size=self.m)
-        order = np.argsort(-noisy, kind="stable")
-        return Ranking(tuple(int(x) for x in order))
+        """Draw one ranking: ``sample_many``'s n = 1 case."""
+        return Ranking(tuple(self.sample_many(rng, 1)[0].tolist()))
 
     def support(self):
         return _enumerated_support(self)
@@ -440,9 +458,14 @@ class ExplicitModel:
             out[b] = list(probs.values())
         return out
 
+    def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """Draw n rankings as (n, m) orders, by one ``rng.choice`` over the entries."""
+        idx = rng.choice(len(self.entries), size=n, p=[p for _, p in self.entries])
+        return np.array([r.order for r, _ in self.entries], dtype=np.intp)[idx]
+
     def sample(self, rng: np.random.Generator) -> Ranking:
-        idx = rng.choice(len(self.entries), p=[p for _, p in self.entries])
-        return self.entries[idx][0]
+        """Draw one ranking: ``sample_many``'s n = 1 case."""
+        return Ranking(tuple(self.sample_many(rng, 1)[0].tolist()))
 
     def support(self):
         return iter(self.entries)
@@ -485,13 +508,6 @@ def policy_ranking_model(policy: AlgorithmPolicy) -> MallowsModel | None:
     if policy.is_noiseless:
         return None
     return MallowsModel(policy.center, policy.accuracy)
-
-
-def sample_policy_menu(policy: AlgorithmPolicy, rng: np.random.Generator) -> frozenset[int]:
-    model = policy_ranking_model(policy)
-    if model is None:
-        return policy.fixed_menu()
-    return model.sample(rng).top(policy.menu_size)
 
 
 def k_menus(m: int, k: int) -> list[tuple[int, ...]]:

@@ -17,11 +17,19 @@ import numpy as np
 from .choice import MENU_BLOCK, choice_dist, choice_table
 from .collab import expected_utility, solo_utility
 from .errors import DomainError
-from .models import MallowsModel, _insertion_rows, k_menus, pairwise_matrix
+from .models import (
+    MallowsModel,
+    _insertion_rows,
+    k_menus,
+    model_menu_distribution,
+    pairwise_matrix,
+    policy_ranking_model,
+)
 from .rankings import NOISELESS, AlgorithmPolicy, HumanType, Population, Ranking
-from .welfare import UPLIFT_TOLERANCE, verify_uplift
+from .welfare import UPLIFT_TOLERANCE, welfare_report
 
 BOUND_SLACK = 1e-12
+PRODUCT_BLOCK = 1 << 16  # (center, menu) pairs per pass of center_utilities; bounds its memory
 
 
 def menu_policy(m: int, menu, k: int | None = None) -> AlgorithmPolicy:
@@ -98,6 +106,59 @@ def menu_utility_table(pop: Population, k: int):
     return menus, table
 
 
+def identity_menu_law(m: int, k: int, model) -> np.ndarray:
+    """P_id: a menu law over ``k_menus(m, k)``, as an array in that order.
+
+    ``model`` is the policy's ranking model at the identity center, and its
+    top-k set law is read from ``model_menu_distribution``. ``None`` stands
+    for a NOISELESS policy, which presents the identity's first k items
+    (the first menu) with certainty.
+    """
+    if model is None:
+        law = np.zeros(math.comb(m, k))
+        law[0] = 1.0
+        return law
+    return np.fromiter(model_menu_distribution(model, k).values(), dtype=float)
+
+
+def center_menu_rows(centers, k: int) -> np.ndarray:
+    """Table row of every identity menu moved to every center, shape (centers, menus).
+
+    ``centers`` is a (centers, m) array of center orders. Entry (c, T) is
+    ``position_set_rank`` of the sorted items at positions T (the T-th menu
+    of ``k_menus(m, k)``) of center c: the ``menu_utility_table`` row of
+    the menu a policy at c presents where the identity's policy presents T.
+    """
+    centers = np.asarray(centers, dtype=np.intp)
+    m = centers.shape[1]
+    positions = np.array(k_menus(m, k), dtype=np.intp)
+    items = np.sort(centers[:, positions], axis=2)
+    return position_set_rank(m, k)(items.reshape(-1, k)).reshape(len(centers), len(positions))
+
+
+def center_utilities(table: np.ndarray, p_id: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Expected utility of every type under a menu law moved to each center.
+
+    ``table`` is ``menu_utility_table``'s (menus, types) table, ``p_id`` an
+    ``identity_menu_law`` and ``rows`` the centers' ``center_menu_rows``.
+    Entry (c, t) is ``sum_T p_id[T] * table[rows[c, T], t]``, the type's
+    joint utility under the identity's menu law relabelled by center c.
+    That is a Mallows policy at c, or a Plackett-Luce one whose values
+    follow center position. Each entry is ``math.fsum`` of its terms, and
+    menus of zero probability are skipped. Returns (centers, types).
+    """
+    menus = np.flatnonzero(p_id)
+    weights = np.asarray(p_id)[menus, None]
+    rows = rows[:, menus]
+    out = np.empty((len(rows), table.shape[1]))
+    step = max(1, PRODUCT_BLOCK // len(menus))
+    for lo in range(0, len(rows), step):
+        terms = weights * table[rows[lo : lo + step]]  # (centers, menus, types)
+        by_entry = terms.transpose(0, 2, 1).reshape(-1, len(menus)).tolist()
+        out[lo : lo + len(terms)] = np.reshape([math.fsum(t) for t in by_entry], (len(terms), -1))
+    return out
+
+
 def _welfare(table: np.ndarray, weights) -> np.ndarray:
     """Weighted sum of each row of a (menus, types) table, exactly rounded.
 
@@ -118,9 +179,12 @@ class OptimizeResult:
     nodes: int | None = None
 
 
-def enumerate_best_menu(pop: Population, k: int) -> OptimizeResult:
-    """Exact argmax over all k-menus; ties go to the lexicographically smallest."""
-    menus, table = menu_utility_table(pop, k)
+def enumerate_best_menu(pop: Population, k: int, *, table=None) -> OptimizeResult:
+    """Exact argmax over all k-menus; ties go to the lexicographically smallest.
+
+    ``table`` is ``menu_utility_table(pop, k)`` when the caller already has it.
+    """
+    menus, table = table if table is not None else menu_utility_table(pop, k)
     welfare = _welfare(table, pop.weights())
     best = int(np.argmax(welfare))  # argmax returns the first (lex-smallest) maximizer
     return OptimizeResult(
@@ -245,12 +309,13 @@ def branch_and_bound_menu(pop: Population, k: int) -> OptimizeResult:
     )
 
 
-def optimize_with_uplift(pop: Population, k: int) -> OptimizeResult | None:
+def optimize_with_uplift(pop: Population, k: int, *, table=None) -> OptimizeResult | None:
     """Best menu among those whose noiseless policy uplifts every type.
 
-    Returns None when no k-menu achieves uplift.
+    Returns None when no k-menu achieves uplift. ``table`` is
+    ``menu_utility_table(pop, k)`` when the caller already has it.
     """
-    menus, table = menu_utility_table(pop, k)
+    menus, table = table if table is not None else menu_utility_table(pop, k)
     solo = np.asarray([solo_utility(h) for h in pop])
     feasible = np.all(table > solo + UPLIFT_TOLERANCE, axis=1)
     if not feasible.any():
@@ -272,19 +337,26 @@ def noisy_uplift_search(pop: Population, center: Ranking, phi_grid, k: int):
     ``phi_grid`` may mix floats and the NOISELESS sentinel. Returns
     ``(best_accuracy, best_report, all_reports)`` where ``all_reports`` is a
     list of ``(accuracy, WelfareReport)`` in grid order and "best" maximizes
-    the minimum per-type utility gain.
+    the minimum per-type utility gain. One ``menu_utility_table`` and each
+    type's solo utility serve the whole grid; an accuracy's joint utilities
+    are ``center_utilities`` of its ``identity_menu_law`` at ``center``.
     """
     phi_grid = list(phi_grid)
     if not phi_grid:
         raise DomainError("accuracy grid must be nonempty")
     if center.m != pop.m:
         raise DomainError("center and population must share the item universe")
+    _, table = menu_utility_table(pop, k)
+    solo = [solo_utility(h) for h in pop]
+    rows = center_menu_rows([center.order], k)
+    identity = Ranking.identity(pop.m)
     reports = []
     best_phi = None
     best_report = None
     for phi in phi_grid:
-        policy = AlgorithmPolicy(center=center, accuracy=phi, menu_size=k)
-        report = verify_uplift(pop, policy)
+        model = policy_ranking_model(AlgorithmPolicy(center=identity, accuracy=phi, menu_size=k))
+        joint = center_utilities(table, identity_menu_law(pop.m, k, model), rows)[0]
+        report = welfare_report(pop, solo, joint.tolist())
         reports.append((phi, report))
         if best_report is None or report.min_gain > best_report.min_gain:
             best_phi, best_report = phi, report

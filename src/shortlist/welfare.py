@@ -57,11 +57,16 @@ def social_welfare(pop: Population, a: AlgorithmPolicy) -> float:
     return math.fsum(h.weight * joint_utility(h, a) for h in pop)
 
 
-def verify_uplift(pop: Population, a: AlgorithmPolicy) -> WelfareReport:
-    """Exact per-type solo/joint comparison for a given policy."""
-    outcomes = tuple(TypeOutcome(solo=solo_utility(h), joint=joint_utility(h, a)) for h in pop)
+def welfare_report(pop: Population, solo, joint) -> WelfareReport:
+    """The report of per-type solo and joint utilities, in population order."""
+    outcomes = tuple(TypeOutcome(solo=s, joint=j) for s, j in zip(solo, joint))
     welfare = math.fsum(h.weight * o.joint for h, o in zip(pop, outcomes))
     return WelfareReport(social_welfare=welfare, per_type=outcomes, weights=pop.weights())
+
+
+def verify_uplift(pop: Population, a: AlgorithmPolicy) -> WelfareReport:
+    """Exact per-type solo/joint comparison for a given policy."""
+    return welfare_report(pop, [solo_utility(h) for h in pop], [joint_utility(h, a) for h in pop])
 
 
 def top_recovery_strategy(pop: Population, k: int) -> AlgorithmPolicy | None:

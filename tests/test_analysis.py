@@ -278,6 +278,15 @@ class TestPlHelpful:
         assert not verdict.holds
         assert verdict.rhs == math.inf
 
+    def test_value_gap_past_the_exp_range_gives_a_verdict(self):
+        # (v_1 - v_i) / beta = 998 is past where exp overflows (~709); the
+        # rank-1 item's psi weight underflows to 0, so no witness holds
+        h = self._pl_human((1000.0, 2.0, 1.0, 0.5))
+        verdict = check_pl_helpful(h, AlgorithmPolicy(Ranking.identity(4), 1.0, 2), 1, 2)
+        assert verdict.applicable and not verdict.holds
+        assert verdict.witness == 1
+        assert verdict.lhs == 500.0 and verdict.rhs == math.inf
+
 
 class TestHelpfulWitness:
     """Both helpful checkers against their inequality, recomputed from psi."""

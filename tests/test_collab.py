@@ -18,7 +18,7 @@ from shortlist import (
     solo_utility,
     top_item_values,
 )
-from shortlist.errors import CapacityError
+from shortlist.errors import CapacityError, DomainError
 from shortlist.models import menu_distribution
 from shortlist.rankings import borda_values
 
@@ -141,6 +141,10 @@ class TestMonteCarlo:
         a = AlgorithmPolicy(Ranking.identity(3), NOISELESS, 2)
         est = mc_joint_pick_dist(h, a, 200, rng)
         assert est[0] == 1.0
+
+    def test_universe_mismatch_rejected(self, rng):
+        with pytest.raises(DomainError):
+            mc_joint_pick_dist(aligned_human(m=3), AlgorithmPolicy(Ranking.identity(4), 0.5, 2), 10, rng)
 
 
 class TestExpectedUtility:

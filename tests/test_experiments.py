@@ -418,6 +418,16 @@ class TestCli:
         assert code == 0
         assert "holds: True" in out and "lhs: 50.0" in out
 
+    def test_analyze_conditions_pl_value_gap_past_the_exp_range(self, capsys):
+        code = cli.main([
+            "analyze", "conditions", "--family", "pl", "--kind", "helpful",
+            "--values", "1000 2 1 0.5", "--beta", "1", "--ranks", "2 3",
+            "--human-center", "1 2 3 4", "--alg-center", "1 2 3 4", "--phi-a", "1",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "holds: False" in out and "nan" not in out.lower()
+
     def test_experiment_tension(self, tmp_path, capsys):
         out_path = tmp_path / "tension.csv"
         code = cli.main([

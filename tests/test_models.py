@@ -243,10 +243,37 @@ class TestMallowsSampling:
     def test_center_frequency(self, rng):
         model = MallowsModel(R(0, 1, 2), LN2)
         n = 100_000
-        hits = sum(model.sample(rng) == R(0, 1, 2) for _ in range(n))
+        hits = int((model.sample_many(rng, n) == [0, 1, 2]).all(axis=1).sum())
         p = 8 / 21
         sigma = math.sqrt(p * (1 - p) / n)
         assert abs(hits / n - p) < 3 * sigma
+
+
+class TestSampleMany:
+    MODELS = {
+        "mallows": lambda: MallowsModel(R(2, 0, 3, 1), 0.7),
+        "pl": lambda: PlackettLuceModel((0.5, 2.0, -1.0, 1.0), 0.8),
+        "explicit": lambda: ExplicitModel(((R(0, 1, 2, 3), 0.5), (R(3, 1, 0, 2), 0.3), (R(1, 2, 3, 0), 0.2))),
+    }
+
+    @pytest.mark.parametrize("family", sorted(MODELS))
+    def test_rows_are_orders_and_sample_is_the_one_row_case(self, family):
+        model = self.MODELS[family]()
+        orders = model.sample_many(np.random.default_rng(7), 500)
+        assert orders.shape == (500, 4)
+        assert (np.sort(orders, axis=1) == np.arange(4)).all()
+        one = model.sample_many(np.random.default_rng(7), 1)
+        assert model.sample(np.random.default_rng(7)).order == tuple(one[0].tolist())
+
+    @pytest.mark.parametrize("family", sorted(MODELS))
+    def test_frequencies_match_perm_prob(self, family, rng):
+        model = self.MODELS[family]()
+        n = 40_000
+        orders = model.sample_many(rng, n)
+        for perm in itertools.permutations(range(4)):
+            p = model.perm_prob(Ranking(perm))
+            freq = float((orders == perm).all(axis=1).mean())
+            assert abs(freq - p) < 4 * math.sqrt(p * (1 - p) / n) + 1e-12, (perm, freq, p)
 
 
 class TestPlackettLuce:

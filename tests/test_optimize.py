@@ -293,6 +293,16 @@ class TestUpliftConstrainedOptimum:
                 assert constrained.welfare <= enumerate_best_menu(pop, k).welfare + 1e-12
 
 
+class TestSharedTable:
+    @pytest.mark.parametrize("gamma, phi_h", [(3.0, 0.9), (0.5, 0.0), (3.0, 2.7)])
+    def test_passed_table_gives_the_same_result(self, gamma, phi_h):
+        pop = tension_population(gamma, phi_h)
+        for k in (1, 3, 5):
+            table = menu_utility_table(pop, k)
+            assert enumerate_best_menu(pop, k, table=table) == enumerate_best_menu(pop, k)
+            assert optimize_with_uplift(pop, k, table=table) == optimize_with_uplift(pop, k)
+
+
 class TestNoisyUpliftSearch:
     def test_noiseless_on_optimal_center_weakly_best_welfare(self):
         # noiselessness is optimal at the policy-class level: put the optimal
