@@ -13,7 +13,7 @@ import numpy as np
 
 from .collab import expected_utility, joint_pick_dist
 from .errors import DomainError
-from .models import MallowsModel, PlackettLuceModel, policy_ranking_model
+from .models import MallowsModel, PlackettLuceModel, _logistic, policy_ranking_model
 from .optimize import center_menu_rows, center_utilities, identity_menu_law, menu_utility_table
 from .rankings import AlgorithmPolicy, HumanType, Population, Ranking, ValueProfile, apply_swap
 
@@ -214,14 +214,6 @@ def check_pl_helpful(h: HumanType, a, i: int, j: int) -> ConditionVerdict:
         return weights, weights, 2.0 / gap_term if gap_term > 0 else math.inf
 
     return _helpful_witness(h, a, i, j, terms)
-
-
-def _logistic(x: float) -> float:
-    """``1 / (1 + e^-x)``, without overflow at either tail."""
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
 
 
 def _mallows_phi(h: HumanType) -> float:

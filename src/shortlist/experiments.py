@@ -392,10 +392,13 @@ def _bench_row(family: str, pop: Population, m: int, k: int, solver: str) -> dic
 
 
 def emit_csv(rows: list[dict], destination) -> None:
-    """Write rows with a deterministic column order (insertion order of row 0)."""
+    """Write rows with a deterministic column order: every row's keys, in first-seen order.
+
+    A key missing from a row leaves its cell empty.
+    """
     if not rows:
         raise DomainError("no rows to write")
-    fieldnames = list(rows[0].keys())
+    fieldnames = list(dict.fromkeys(key for row in rows for key in row))
     if hasattr(destination, "write"):
         _write_csv(rows, destination, fieldnames)
         return

@@ -327,8 +327,7 @@ class PlackettLuceModel:
         if i == j:
             raise DomainError("pairwise comparison needs two distinct items")
         _check_items(self.m, (i, j))
-        gap = (self.item_values[i] - self.item_values[j]) / self.beta
-        return 1.0 / (1.0 + math.exp(-gap))
+        return _logistic((self.item_values[i] - self.item_values[j]) / self.beta)
 
     def topk_set_prob(self, items) -> float:
         """P[``items`` is the top-|items| set], by a DP over its subsets.
@@ -392,6 +391,14 @@ class PlackettLuceModel:
 def _logsumexp(u: np.ndarray) -> float:
     hi = float(np.max(u))
     return hi + math.log(float(np.sum(np.exp(u - hi))))
+
+
+def _logistic(x: float) -> float:
+    """``1 / (1 + e^-x)``, without overflow at either tail."""
+    if x >= 0:
+        return 1.0 / (1.0 + math.exp(-x))
+    e = math.exp(x)
+    return e / (1.0 + e)
 
 
 @dataclass(frozen=True)

@@ -286,6 +286,20 @@ class TestCsvAndConfig:
         )
         assert len(sweep_out.read_text().splitlines()) == 24  # header + 23 centers
 
+    def test_bench_csv_keeps_a_column_row_0_lacks(self, tmp_path):
+        # m = 30 is past the enumeration check, m = 8 is not (C(8, 4) = 70)
+        out = tmp_path / "bench.csv"
+        run_config({"experiment": "bench", "output": str(out), "sizes": [30, 8], "k_list": [4], "type_counts": [1]})
+        rows = list(csv.DictReader(out.open()))
+        assert [r["m"] for r in rows] == ["30", "8", "30"]
+        assert [r["welfare_gap_vs_enumeration"] != "" for r in rows] == [False, True, False]
+        assert float(rows[1]["welfare_gap_vs_enumeration"]) <= 1e-9
+
+    def test_csv_columns_are_the_union_in_first_seen_order(self):
+        buf = io.StringIO()
+        emit_csv([{"a": 1, "b": 2.5}, {"a": 3, "c": "x"}, {"b": 0.5, "d": 4}], buf)
+        assert buf.getvalue() == "a,b,c,d\n1,2.5,,\n3,,x,\n,0.5,,4\n"
+
     @pytest.mark.parametrize(
         "knobs",
         [{"experiment": "beta-sweep", "m": 8}, {"experiment": "bench", "type_counts": [8]}],
@@ -407,6 +421,16 @@ class TestCli:
             "--menu", "1 2",
         ]) == 0
         assert float(capsys.readouterr().out.strip()) == pytest.approx(4 / 7, abs=1e-12)
+
+    @pytest.mark.parametrize("pair, want", [("2 1", 0.0), ("1 2", 1.0)], ids=["gap-1000", "gap+1000"])
+    def test_prob_pairwise_pl_value_gap_past_the_exp_range(self, capsys, pair, want):
+        code = cli.main([
+            "prob", "pairwise", "--center", "1 2", "--pl-values", "1000 0", "--beta", "1", "--pair", pair,
+        ])
+        assert code == 0
+        value = float(capsys.readouterr().out.strip())
+        assert 0.0 <= value <= 1.0
+        assert value == pytest.approx(want, abs=1e-300)
 
     def test_analyze_conditions(self, capsys):
         code = cli.main([

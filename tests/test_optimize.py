@@ -30,9 +30,9 @@ from shortlist import (
     verify_uplift,
 )
 from shortlist.errors import CapacityError, DomainError
-from shortlist.experiments import tension_population
+from shortlist.experiments import _bench_two_type_population, tension_population
 from shortlist.models import ExplicitModel, PlackettLuceModel, _insertion_rows
-from shortlist.optimize import BOUND_SLACK, _bound_inputs, _node_bound, _welfare, menu_utility_table
+from shortlist.optimize import BOUND_SLACK, _bound_inputs, _node_bound, _welfare, menu_utility, menu_utility_table
 
 LN2 = math.log(2)
 
@@ -377,6 +377,36 @@ class TestMipBuild:
                     assert rows, (z_name, x_name)
                     assert -rows[0][0][x_name] == pytest.approx(float(probs[t - 1, s - 1]))
 
+    @pytest.mark.parametrize("m", [2, 5, 8, 12])
+    @pytest.mark.parametrize("n_types", [1, 3])
+    def test_size_is_the_closed_form(self, rng, m, n_types):
+        # stated in build_mip's docstring: O(types m^2), not one chain per item
+        mip = build_mip(random_population(rng, m, n_types), 1)
+        assert mip.num_variables == m + n_types * ((5 * m * m + 3 * m) // 2 - 1)
+        assert len(mip.constraints) == 1 + n_types * ((9 * m * m + m) // 2 - 1)
+        assert len(set(mip.var_names)) == mip.num_variables
+
+    def test_type_without_value_adds_no_objective_terms(self):
+        pop = Population(
+            (
+                mallows_type(Ranking.identity(3), 0.9, borda_values(3), 0.5),
+                mallows_type(R(1, 0, 2), 1.1, ValueProfile((0.0, 0.0, 0.0)), 0.5),
+            )
+        )
+        assert sorted(build_mip(pop, 2).objective) == [f"type0_V_{s}_3" for s in (1, 2, 3)]
+
+    def test_fixed_binaries_lp_with_values_above_one(self):
+        # every variable is bounded to [0, 1], so the value chain must carry
+        # values scaled by the type's largest; the bench values reach 4
+        pop = _bench_two_type_population(5)
+        assert max(h.values[0] for h in pop) == 4.0
+        mip = build_mip(pop, 2)
+        for size in (1, 2):
+            for menu in itertools.combinations(range(5), size):
+                lp_value, _ = solve_mip(mip, fix_menu=menu)
+                per_type = np.asarray([[menu_utility(h, menu) for h in pop]])
+                assert lp_value == pytest.approx(_welfare(per_type, pop.weights())[0], abs=1e-9), menu
+
     def test_requires_mallows(self):
         gt = Ranking.identity(3)
         pl = HumanType(
@@ -416,7 +446,7 @@ class TestLpExport:
         text = buf.getvalue()
         for section in ("Maximize", "Subject To", "Bounds", "Binary", "End"):
             assert section in text
-        assert re.search(r"\btype0_W_\d+_\d+_\d+\b", text)
+        assert re.search(r"\btype0_V_\d+_\d+\b", text)
         assert re.search(r"\bx_\d+\b", text)
 
     def test_objective_term_count(self):
@@ -431,9 +461,9 @@ class TestLpExport:
         export_lp(mip, buf)
         text = buf.getvalue()
         objective = text.split("Subject To")[0].split("obj:")[1]
-        terms = re.findall(r"type\d+_W_\d+_\d+_\d+", objective)
-        # borda: two valued items x3 positions; top-item: one valued item
-        assert len(terms) == (2 * 3) + (1 * 3)
+        terms = re.findall(r"type\d+_\w+_\d+_\d+", objective)
+        # one value-chain term per final position, for each type with value
+        assert sorted(terms) == [f"type{h}_V_{s}_3" for h in (0, 1) for s in (1, 2, 3)]
 
     def test_file_destination(self, tmp_path):
         pop = Population((mallows_type(Ranking.identity(3), 0.9, borda_values(3), 1.0),))
