@@ -66,14 +66,10 @@ def swap_effect(h: HumanType, a: AlgorithmPolicy, i: int, j: int) -> SwapReport:
 
 
 def _top2_prob(alg, pair) -> float:
-    pair = frozenset(pair)
     if isinstance(alg, AlgorithmPolicy):
         if alg.menu_size != 2:
             raise DomainError("psi is defined for menu size 2")
-        model = policy_ranking_model(alg)
-        if model is None:
-            return 1.0 if alg.fixed_menu() == pair else 0.0
-        return model.topk_set_prob(pair)
+        alg = policy_ranking_model(alg)
     return alg.topk_set_prob(pair)
 
 
@@ -303,7 +299,7 @@ def derive_partial_order(h: HumanType, candidates, phi_a: float, k: int) -> Cand
     _, table = menu_utility_table(Population.single(h), k)
     centers = np.array([c.order for c in candidates], dtype=np.intp).reshape(-1, h.m)
     rows = center_menu_rows(centers, k)
-    utilities = center_utilities(table, identity_menu_law(h.m, k, model), rows)[:, 0]
+    utilities = center_utilities(table, identity_menu_law(k, model), rows)[:, 0]
     ordered = tuple(
         PreferenceEdge(b, w, prov)
         for b, w, prov in sorted(edges)

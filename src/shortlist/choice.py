@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
+from .models import _check_items
 
 
 @dataclass(frozen=True)
@@ -48,15 +49,6 @@ class PickDistribution:
     def as_tuple(self, order) -> tuple[float, ...]:
         """Probabilities read out in a caller-chosen item order."""
         return tuple(self[x] for x in order)
-
-
-def _validated_menu(m: int, items) -> frozenset[int]:
-    menu = frozenset(int(x) for x in items)
-    if not menu:
-        raise DomainError("menu must be nonempty")
-    if any(not 0 <= x < m for x in menu):
-        raise DimensionError(f"menu {sorted(menu)} contains items outside 0..{m - 1}")
-    return menu
 
 
 MENU_BLOCK = 128  # menus per pass of the batched DP; bounds its working memory
@@ -94,13 +86,13 @@ def choice_table(model, menus) -> np.ndarray:
 
 def choice_dist(model, items) -> PickDistribution:
     """Pick distribution over one menu, with the bits of its ``choice_table`` row."""
-    menu = sorted(_validated_menu(model.m, items), key=model.ranks.__getitem__)
+    menu = sorted(_check_items(model.m, items), key=model.ranks.__getitem__)
     row = model.pick_rows(np.array([menu]))[0].tolist()
     return PickDistribution(dict(zip(menu, row)))
 
 
 def choice_prob(model, items, target: int) -> float:
-    menu = _validated_menu(model.m, items)
+    menu = _check_items(model.m, items)
     if target not in menu:
         raise DomainError(f"target {target} is not in the menu {sorted(menu)}")
     return choice_dist(model, menu)[target]
@@ -108,7 +100,7 @@ def choice_prob(model, items, target: int) -> float:
 
 def oracle_choice_dist(model, items) -> PickDistribution:
     """Enumeration-based pick distribution, for validating the closed routes."""
-    menu = _validated_menu(model.m, items)
+    menu = _check_items(model.m, items)
     probs = {x: 0.0 for x in menu}
     for ranking, p in model.support():
         first = min(menu, key=ranking.position)

@@ -17,7 +17,7 @@ from .analysis import (
     swap_effect,
 )
 from .collab import expected_utility, joint_pick_dist, solo_pick_dist
-from .errors import DimensionError, DomainError, ShortlistError
+from .errors import CapacityError, DimensionError, DomainError, ShortlistError
 from .experiments import EXPERIMENTS, load_profile, run_config, sushi_profile
 from .models import MallowsModel, PlackettLuceModel
 from .optimize import (
@@ -57,7 +57,11 @@ def _parse_list(text: str, kind, flag: str) -> tuple:
 
 
 def _parse_items(text: str, flag: str) -> tuple[int, ...]:
-    return tuple(x - 1 for x in _parse_list(text, int, flag))
+    """1-indexed item labels as 0-based items; a repeated label names ``flag``."""
+    items = tuple(x - 1 for x in _parse_list(text, int, flag))
+    if len(set(items)) != len(items):
+        raise ShortlistError(f"{flag}: repeated item label in {text!r}")
+    return items
 
 
 def _parse_pair(text: str, flag: str) -> tuple[int, int]:
@@ -108,6 +112,8 @@ def _human_from_args(args) -> HumanType:
 
 def _policy_from_args(args) -> AlgorithmPolicy:
     center = _parse_ranking(args.alg_center, "--alg-center")
+    if args.noiseless and args.phi_a is not None:
+        raise ShortlistError("--noiseless and --phi-a both set the policy accuracy; give one")
     accuracy = NOISELESS if args.noiseless else _require(args.phi_a, "--phi-a", args.command)
     return AlgorithmPolicy(center, accuracy, args.k)
 
@@ -237,7 +243,6 @@ def _add_optimize_parser(sub):
     p.add_argument("--values", default=None)
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--uplift", action="store_true", help="restrict to menus achieving uplift")
-    p.add_argument("--method", choices=["enum", "bnb"], default="enum")
     p.add_argument("--export-lp", default=None, metavar="PATH")
     p.set_defaults(func=_cmd_optimize)
 
@@ -253,10 +258,12 @@ def _cmd_optimize(args) -> int:
         if result is None:
             print("infeasible: no menu achieves uplift")
             return 1
-    elif args.method == "bnb":
-        result = branch_and_bound_menu(pop, args.k)
     else:
-        result = enumerate_best_menu(pop, args.k)
+        try:
+            result = enumerate_best_menu(pop, args.k)
+        except CapacityError:
+            # too many menus to tabulate: branch and bound builds no table
+            result = branch_and_bound_menu(pop, args.k)
     print(f"menu: {_fmt_items(result.menu)}")
     print(f"welfare: {result.welfare!r}")
     print(f"method: {result.method} ({result.evaluations} evaluations)")
@@ -323,18 +330,20 @@ def _cmd_analyze_conditions(args) -> int:
     flag, other = ("--beta", args.beta) if args.family == "mallows" else ("--phi-h", args.phi_h)
     if other is not None:
         raise ShortlistError(f"{flag} does not apply to --family {args.family}")
+    if args.kind == "harmful":
+        values = ValueProfile(_parse_list(args.values, float, "--values"))
     if args.family == "mallows" and args.kind == "harmful":
-        values = _parse_values(args.values, len(args.values.split()))
         phi_h = _require(args.phi_h, "--phi-h", "mallows harmful")
         verdict = check_mallows_harmful(values, phi_h, ranks[0], ranks[1])
     elif args.family == "pl" and args.kind == "harmful":
-        values = _parse_values(args.values, len(args.values.split()))
         beta = _require(args.beta, "--beta", "pl harmful")
         verdict = check_pl_harmful(values, beta, ranks[0])
     else:
         _require(args.human_center, "--human-center", "helpful")
         alg_center = _require(args.alg_center, "--alg-center", "helpful")
         phi_a = _require(args.phi_a, "--phi-a", "helpful")
+        if args.family == "pl":
+            _require(args.beta, "--beta", "pl helpful")
         human = _human_from_args(args)
         policy = AlgorithmPolicy(_parse_ranking(alg_center, "--alg-center"), phi_a, 2)
         if not all(1 <= r <= human.m for r in ranks):

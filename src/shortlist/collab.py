@@ -58,9 +58,9 @@ def mc_joint_pick_dist(
     """Monte-Carlo estimate of the joint pick distribution.
 
     Each sample draws an algorithm menu and an independent human ranking;
-    per-item standard error is at most ``1 / (2 sqrt(samples))``. The menus
-    and then the rankings are drawn through ``sample_many``, ``MC_BLOCK``
-    samples at a time.
+    per-item standard error is at most ``1 / (2 sqrt(samples))``. The menus,
+    as top sets of ``policy_ranking_model``, and then the rankings are drawn
+    through ``sample_many``, ``MC_BLOCK`` samples at a time.
     """
     if samples < 1:
         raise DomainError("need at least one sample")
@@ -70,10 +70,7 @@ def mc_joint_pick_dist(
     counts = np.zeros(h.m, dtype=np.int64)
     for lo in range(0, samples, MC_BLOCK):
         n = min(MC_BLOCK, samples - lo)
-        if model is None:
-            menus = np.tile(sorted(a.fixed_menu()), (n, 1))
-        else:
-            menus = model.sample_many(rng, n)[:, : a.menu_size]
+        menus = model.sample_many(rng, n)[:, : a.menu_size]
         orders = h.noise.sample_many(rng, n)
         positions = np.empty_like(orders)
         np.put_along_axis(positions, orders, np.arange(h.m), axis=1)

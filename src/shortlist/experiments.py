@@ -249,7 +249,7 @@ def beta_sweep(
                 continue
             h = HumanType(gt, model(vals), vals, 1.0)
             _, table = menu_utility_table(Population.single(h), k)
-            utilities = center_utilities(table, identity_menu_law(m, k, h.noise), rows)
+            utilities = center_utilities(table, identity_menu_law(k, h.noise), rows)
             aligned, *misaligned = utilities[:, 0].tolist()
             for label, u in zip(labels, misaligned):
                 out.append(

@@ -46,10 +46,14 @@ def row_z(j: int, phi: float) -> float:
     return math.expm1(-phi * j) / math.expm1(-phi)
 
 
-def _check_items(m: int, items) -> None:
-    """Refuse with DimensionError a nonempty ``items`` with any item outside ``0..m-1``."""
+def _check_items(m: int, items) -> frozenset:
+    """``items`` as a set, refused when empty (DomainError) or outside ``0..m-1`` (DimensionError)."""
+    items = frozenset(items)
+    if not items:
+        raise DomainError("item set must be nonempty")
     if min(items) < 0 or max(items) >= m:
-        raise DimensionError(f"items {sorted(set(items))} outside 0..{m - 1}")
+        raise DimensionError(f"items {sorted(items)} outside 0..{m - 1}")
+    return items
 
 
 @lru_cache(maxsize=256)
@@ -148,11 +152,8 @@ class MallowsModel:
         return (term(u2) - term(u1)) / self.phi
 
     def log_topk_set_prob(self, items) -> float:
-        items = frozenset(items)
-        if not items:
-            raise DomainError("top-k set must be nonempty")
         m = self.m
-        _check_items(m, items)
+        items = _check_items(m, items)
         k = len(items)
         positions = self.center.positions
         zs = _row_z_values(m, self.phi)
@@ -338,10 +339,7 @@ class PlackettLuceModel:
         normalized by their own log-sum-exp rather than by the total minus
         the picked part, which would cancel. O(2^k k + 2^k m) for k items.
         """
-        items = sorted(frozenset(items))
-        if not items:
-            raise DomainError("top-k set must be nonempty")
-        _check_items(self.m, items)
+        items = sorted(_check_items(self.m, items))
         k = len(items)
         u = self._scaled()
         # taken[S, y]: item y is in the proper subset S of ``items`` (bit i
@@ -436,10 +434,7 @@ class ExplicitModel:
         return 0.0
 
     def topk_set_prob(self, items) -> float:
-        items = frozenset(items)
-        if not items:
-            raise DomainError("top-k set must be nonempty")
-        _check_items(self.m, items)
+        items = _check_items(self.m, items)
         k = len(items)
         return math.fsum(p for r, p in self.entries if r.top(k) == items)
 
@@ -510,10 +505,10 @@ def pairwise_matrix(model) -> np.ndarray:
     return out
 
 
-def policy_ranking_model(policy: AlgorithmPolicy) -> MallowsModel | None:
-    """The noisy ranking model behind a policy, or None when noiseless."""
+def policy_ranking_model(policy: AlgorithmPolicy) -> MallowsModel | ExplicitModel:
+    """The ranking model behind a policy; a NOISELESS one is the point mass on its center."""
     if policy.is_noiseless:
-        return None
+        return ExplicitModel(((policy.center, 1.0),))
     return MallowsModel(policy.center, policy.accuracy)
 
 
@@ -539,8 +534,12 @@ def model_menu_distribution(model, k: int) -> dict[frozenset[int], float]:
 
 
 def menu_distribution(policy: AlgorithmPolicy) -> dict[frozenset[int], float]:
-    """Exact distribution over the menus a policy presents."""
-    model = policy_ranking_model(policy)
-    if model is None:
+    """Exact distribution over the menus a policy presents.
+
+    A noiseless policy's one menu is given directly, not through its point
+    mass's ``model_menu_distribution``, which enumerates all C(m, k) menus:
+    so a fixed menu still scores above ``MENU_ENUMERATION_CAP``.
+    """
+    if policy.is_noiseless:
         return {policy.fixed_menu(): 1.0}
-    return model_menu_distribution(model, policy.menu_size)
+    return model_menu_distribution(policy_ranking_model(policy), policy.menu_size)

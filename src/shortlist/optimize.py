@@ -106,18 +106,14 @@ def menu_utility_table(pop: Population, k: int):
     return menus, table
 
 
-def identity_menu_law(m: int, k: int, model) -> np.ndarray:
-    """P_id: a menu law over ``k_menus(m, k)``, as an array in that order.
+def identity_menu_law(k: int, model) -> np.ndarray:
+    """P_id: a menu law over ``k_menus(model.m, k)``, as an array in that order.
 
-    ``model`` is the policy's ranking model at the identity center, and its
-    top-k set law is read from ``model_menu_distribution``. ``None`` stands
-    for a NOISELESS policy, which presents the identity's first k items
-    (the first menu) with certainty.
+    ``model`` is the policy's ranking model at the identity center (for a
+    NOISELESS policy, ``policy_ranking_model``'s point mass, which puts
+    probability 1 on the first menu), and its top-k set law is read from
+    ``model_menu_distribution``.
     """
-    if model is None:
-        law = np.zeros(math.comb(m, k))
-        law[0] = 1.0
-        return law
     return np.fromiter(model_menu_distribution(model, k).values(), dtype=float)
 
 
@@ -208,21 +204,16 @@ def _bound_inputs(pop: Population):
     return values, caps, np.asarray(pop.weights())
 
 
-def _node_bound(values, caps, weights, fixed, rest, slots: int) -> float:
-    """Upper bound on the welfare of ``fixed`` plus any ``slots`` items of ``rest``.
+def _node_bound(values, caps, weights, fixed, rest) -> float:
+    """Upper bound on the welfare of any menu of ``fixed`` plus items of ``rest``.
 
     An item is picked from a menu no more often than it beats any other item
     of the menu pairwise, so each item's pick probability is capped by its
-    weakest comparison against the other fixed items. Per type the bound is
-    the smaller of two relaxations of the menu's utility:
-
-    - the fixed items at their caps plus the ``slots`` best candidates by
-      value times cap;
-    - a fractional knapsack: the pick probabilities sum to 1, so mass 1 is
-      poured in descending value over the fixed items and every candidate,
-      each taking at most its cap.
-
-    Values are nonnegative, so both over-promise and the bound is admissible.
+    weakest comparison against the other fixed items. The pick probabilities
+    sum to 1, so per type the bound is a fractional knapsack: mass 1 is
+    poured in descending value over the fixed items and every candidate,
+    each taking at most its cap. It ignores how many candidates still fit,
+    and values are nonnegative, so it over-promises and is admissible.
     """
     fixed = list(fixed)
     items = fixed + list(rest)
@@ -231,16 +222,13 @@ def _node_bound(values, caps, weights, fixed, rest, slots: int) -> float:
         cap = caps[:, items][:, :, fixed].min(axis=2)
     else:
         cap = np.ones_like(v)
-    worth = v * cap
-    best_rest = -np.sort(-worth[:, len(fixed):], axis=1)[:, :slots]
-    pairwise_bound = worth[:, : len(fixed)].sum(axis=1) + best_rest.sum(axis=1)
     rows = np.arange(len(v))[:, None]
     by_value = np.argsort(-v, axis=1, kind="stable")
     poured = np.minimum(np.cumsum(cap[rows, by_value], axis=1), 1.0)
     mass = poured.copy()
     mass[:, 1:] -= poured[:, :-1]
     knapsack = (v[rows, by_value] * mass).sum(axis=1)
-    return float(weights @ np.minimum(pairwise_bound, knapsack))
+    return float(weights @ knapsack)
 
 
 def branch_and_bound_menu(pop: Population, k: int) -> OptimizeResult:
@@ -249,15 +237,16 @@ def branch_and_bound_menu(pop: Population, k: int) -> OptimizeResult:
     Items are branched on in descending population value
     ``sum_h w_h v_h(x)`` (ties by item id), include before exclude, so the
     first leaf is the top-``k`` menu by value and a strong incumbent comes
-    early. A node is pruned when ``_node_bound`` (the per-type minimum of a
-    pairwise-capped top-``slots`` bound and a probability-mass knapsack) is
-    below the incumbent by more than ``BOUND_SLACK``; a node whose menu is
-    complete is bounded on that menu alone before it is scored. Leaves are
-    scored with ``menu_utility`` and ``_welfare``, so a menu has the same
-    welfare bits as in ``enumerate_best_menu``; since the visit order is not
-    lexicographic, a leaf of equal welfare replaces the incumbent when its
-    sorted menu is lexicographically smaller, and both solvers return the
-    same menu.
+    early. A node is pruned when ``_node_bound`` (a per-type knapsack of
+    pick-probability mass under pairwise caps) is below the incumbent by
+    more than ``BOUND_SLACK``; a node whose menu is complete is bounded on
+    that menu alone before it is scored. Leaves are scored with
+    ``menu_utility`` and ``_welfare``, so a menu has the same welfare bits as
+    in ``enumerate_best_menu``; since the visit order is not lexicographic, a
+    leaf of equal welfare replaces the incumbent when its sorted menu is
+    lexicographically smaller, and both solvers return the same menu. No menu
+    table is built, so it also runs where C(m, k) exceeds
+    ``MENU_ENUMERATION_CAP``.
     """
     m = pop.m
     if not 1 <= k <= m:
@@ -289,10 +278,10 @@ def branch_and_bound_menu(pop: Population, k: int) -> OptimizeResult:
         rest = order[next_idx:]
         if slots == 0 or len(rest) == slots:
             menu = fixed + tuple(rest[:slots])
-            if _node_bound(values, caps, weights, menu, (), 0) > best_value - BOUND_SLACK:
+            if _node_bound(values, caps, weights, menu, ()) > best_value - BOUND_SLACK:
                 evaluate(tuple(sorted(menu)))
             return
-        if _node_bound(values, caps, weights, fixed, rest, slots) <= best_value - BOUND_SLACK:
+        if _node_bound(values, caps, weights, fixed, rest) <= best_value - BOUND_SLACK:
             return
         descend(fixed + (rest[0],), next_idx + 1)
         descend(fixed, next_idx + 1)
@@ -355,7 +344,7 @@ def noisy_uplift_search(pop: Population, center: Ranking, phi_grid, k: int):
     best_report = None
     for phi in phi_grid:
         model = policy_ranking_model(AlgorithmPolicy(center=identity, accuracy=phi, menu_size=k))
-        joint = center_utilities(table, identity_menu_law(pop.m, k, model), rows)[0]
+        joint = center_utilities(table, identity_menu_law(k, model), rows)[0]
         report = welfare_report(pop, solo, joint.tolist())
         reports.append((phi, report))
         if best_report is None or report.min_gain > best_report.min_gain:

@@ -38,7 +38,7 @@ COMMANDS = {
     "welfare": {"--profile": PATHS, "--phi-h": NUMBERS, "--values": VALUES, **POLICY},
     "optimize": {
         "--profile": PATHS, "--phi-h": NUMBERS, "--values": VALUES, "-k": INTS,
-        "--uplift": [FLAG], "--method": ["enum", "bnb", "x"], "--export-lp": PATHS,
+        "--uplift": [FLAG], "--export-lp": PATHS,
     },
     "analyze swap": {**HUMAN, **POLICY, "--pair": PAIRS},
     "analyze conditions": {

@@ -5,10 +5,12 @@ import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 
 from conftest import make_ranking as R
-from shortlist import Ranking
+from shortlist import MallowsModel, PlackettLuceModel, Ranking, ValueProfile, enumerate_event_prob
+from shortlist.analysis import check_mallows_harmful, check_pl_harmful
 from shortlist.errors import CapacityError, DomainError, ProfileParseError
 from shortlist.experiments import (
     beta_sweep,
@@ -643,3 +645,103 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and ("--phi-a" if given else "--phi-h") in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["collab", "--human-center", "1 2 3", "--phi-h", "0.7", "--values", "top"],
+            ["welfare", "--phi-h", "1.0"],
+            ["analyze", "swap", "--human-center", "1 2 3", "--phi-h", "0.7", "--values", "top",
+             "--pair", "2 3"],
+        ],
+        ids=["collab", "welfare", "analyze-swap"],
+    )
+    def test_noiseless_beside_phi_a_is_an_error(self, capsys, argv):
+        code = cli.main([*argv, "--alg-center", "1 2 3", "--phi-a", "0.5", "--noiseless", "-k", "2"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
+        assert "--noiseless" in captured.err and "--phi-a" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["prob", "choice", "--center", "1 2 3", "--phi", "0.7", "--menu", "1 1 2", "--target", "1"], "--menu"),
+            (["prob", "topk", "--center", "1 2 3", "--phi", "0.7", "--menu", "1 1"], "--menu"),
+            (["prob", "pairwise", "--center", "1 2 3", "--phi", "0.7", "--pair", "2 2"], "--pair"),
+            (["prob", "first", "--center", "1 1 2", "--phi", "0.7", "--item", "1"], "--center"),
+            (["collab", "--human-center", "1 2 3", "--phi-h", "0.7", "--values", "top",
+              "--alg-center", "2 2 3", "--noiseless", "-k", "2"], "--alg-center"),
+        ],
+    )
+    def test_repeated_item_label_is_an_error(self, capsys, argv, flag):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and flag in captured.err and "repeated" in captured.err
+        assert captured.out == ""
+
+    def test_conditions_pl_helpful_without_beta_names_beta(self, capsys):
+        code = cli.main([
+            "analyze", "conditions", "--family", "pl", "--kind", "helpful",
+            "--values", "4 3 2 1", "--ranks", "2 3", "--human-center", "1 2 3 4",
+            "--alg-center", "1 2 3 4", "--phi-a", "1",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--beta" in err and "--phi-h" not in err
+
+    @pytest.mark.parametrize(
+        "family, flags, ranks, verdict",
+        [
+            ("mallows", ["--phi-h", "1"], "2 3", lambda v: check_mallows_harmful(v, 1.0, 2, 3)),
+            ("pl", ["--beta", "1"], "3", lambda v: check_pl_harmful(v, 1.0, 3)),
+        ],
+        ids=["mallows", "pl"],
+    )
+    def test_conditions_harmful_reads_the_explicit_values(self, capsys, family, flags, ranks, verdict):
+        base = ["analyze", "conditions", "--family", family, "--kind", "harmful", *flags, "--ranks", ranks]
+        assert cli.main([*base, "--values", "1 0.9 0.5 0"]) == 0
+        want = verdict(ValueProfile((1.0, 0.9, 0.5, 0.0)))
+        assert want.holds
+        assert capsys.readouterr().out.splitlines() == [
+            "holds: True", "applicable: True", f"lhs: {want.lhs!r}", f"rhs: {want.rhs!r}",
+        ]
+        # the list is read as given, so a named profile is not a value list
+        assert cli.main([*base, "--values", "borda"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--values" in err
+
+    @pytest.mark.parametrize(
+        "model_flags, model",
+        [
+            (["--phi", "0.7"], MallowsModel(Ranking((1, 0, 2)), 0.7)),
+            (["--pl-values", "0.5 1 -1", "--beta", "2"], PlackettLuceModel((0.5, 1.0, -1.0), 2.0)),
+        ],
+        ids=["mallows", "pl"],
+    )
+    def test_prob_first(self, capsys, model_flags, model):
+        for item in range(3):
+            assert cli.main(["prob", "first", "--center", "2 1 3", *model_flags, "--item", str(item + 1)]) == 0
+            got = float(capsys.readouterr().out.strip())
+            assert got == model.first_item_prob(item)
+            assert got == pytest.approx(enumerate_event_prob(model, lambda r: r.order[0] == item), abs=1e-12)
+
+    def test_optimize_uplift_on_sushi_is_infeasible(self, capsys):
+        assert cli.main(["optimize", "--phi-h", "1.0", "-k", "3", "--uplift"]) == 1
+        assert capsys.readouterr().out == "infeasible: no menu achieves uplift\n"
+
+    def test_optimize_falls_back_to_branch_and_bound_above_the_cap(self, tmp_path, capsys):
+        assert cli.main(["optimize", "--phi-h", "1.0", "-k", "3"]) == 0
+        assert "method: enumeration (10 evaluations)" in capsys.readouterr().out
+        # C(45, 5) = 1,221,759 menus is over the enumeration cap
+        rng = np.random.default_rng(0)
+        profile = tmp_path / "wide.txt"
+        profile.write_text("".join(
+            f"{count} " + " ".join(str(x + 1) for x in rng.permutation(45)) + "\n" for count in (3, 2, 1)
+        ))
+        code = cli.main(["optimize", "--profile", str(profile), "--phi-h", "0.8", "--values", "top", "-k", "5"])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        lines = captured.out.splitlines()
+        assert len(lines[0].split()) == 6  # "menu:" and five items
+        assert lines[2].startswith("method: branch-and-bound (")

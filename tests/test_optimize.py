@@ -236,7 +236,7 @@ class TestBranchAndBound:
             order = tuple(int(x) for x in rng.permutation(m))
             for fixed, rest, slots in search_nodes(order, k):
                 best = max(welfare[tuple(sorted(fixed + extra))] for extra in itertools.combinations(rest, slots))
-                assert _node_bound(values, caps, weights, fixed, rest, slots) >= best - BOUND_SLACK
+                assert _node_bound(values, caps, weights, fixed, rest) >= best - BOUND_SLACK
 
     def test_prunes_decreasing_values_population(self):
         # the shape of the benchmark's m = 16, k = 4 decreasing-values instance

@@ -58,7 +58,7 @@ def product(pop: Population, centers, accuracy, k: int) -> np.ndarray:
     _, table = menu_utility_table(pop, k)
     model = policy_ranking_model(AlgorithmPolicy(Ranking.identity(pop.m), accuracy, k))
     rows = center_menu_rows([c.order for c in centers], k)
-    return center_utilities(table, identity_menu_law(pop.m, k, model), rows)
+    return center_utilities(table, identity_menu_law(k, model), rows)
 
 
 class Oracle:
@@ -123,7 +123,8 @@ class TestCenterUtilities:
         pop = three_family_population(rng, 4)
         _, table = menu_utility_table(pop, 2)
         rows = center_menu_rows(np.empty((0, 4), dtype=np.intp), 2)
-        assert center_utilities(table, identity_menu_law(4, 2, None), rows).shape == (0, 3)
+        law = identity_menu_law(2, policy_ranking_model(AlgorithmPolicy(Ranking.identity(4), NOISELESS, 2)))
+        assert center_utilities(table, law, rows).shape == (0, 3)
 
 
 class TestRoutedCallers:
