@@ -133,7 +133,7 @@ def _add_prob_parser(sub):
     p.add_argument("--beta", type=float, default=None, help="Plackett-Luce noise scale (default 1)")
     p.add_argument("--ranking", help="query ranking (perm)")
     p.add_argument("--item", type=int, help="query item (first)")
-    p.add_argument("--pair", help="two items, better first (pairwise)")
+    p.add_argument("--pair", help="two items, P[first before second] (pairwise)")
     p.add_argument("--menu", help="item set (topk, choice)")
     p.add_argument("--target", type=int, help="target item (choice)")
     p.set_defaults(func=_cmd_prob)
@@ -165,7 +165,7 @@ def _cmd_prob(args) -> int:
     if args.query == "perm":
         out = model.perm_prob(_parse_ranking(_require(args.ranking, "--ranking", "perm"), "--ranking"))
     elif args.query == "first":
-        out = model.first_item_prob(_require(args.item, "--item", "first") - 1)
+        out = model.topk_set_prob({_require(args.item, "--item", "first") - 1})
     elif args.query == "pairwise":
         i, j = _parse_pair(_require(args.pair, "--pair", "pairwise"), "--pair")
         out = model.pairwise_prob(i, j)

@@ -7,9 +7,10 @@ class holds its own math behind one duck-typed surface, so the rest of the
 library never asks which family it has:
 
 - ``m``, ``perm_prob``, ``sample_many`` (n rankings as an (n, m) array of
-  orders), ``sample`` (its n = 1 case) and ``support`` (the enumeration oracle,
-  refused above ``ENUMERATION_CAP`` items for the closed-form families);
-- ``topk_set_prob``, the law of the top-k set, and ``pairwise_prob``;
+  orders) and ``support`` (the enumeration oracle, refused above
+  ``ENUMERATION_CAP`` items for the closed-form families);
+- ``topk_set_prob``, the law of the top-k set, whose singletons are the
+  first-item law, and ``pairwise_prob``, P[i before j] in either order;
 - ``ranks``, each item's position in the model's own order (the center for
   Mallows and Plackett-Luce, item order for explicit models), and
   ``pick_rows``, the pick probabilities of a block of menus whose rows are
@@ -106,52 +107,39 @@ class MallowsModel:
     def m(self) -> int:
         return self.center.m
 
-    def log_perm_prob(self, r: Ranking) -> float:
+    def perm_prob(self, r: Ranking) -> float:
+        """Probability of sampling exactly the ranking ``r``."""
         if r.m != self.m:
             raise DimensionError(f"ranking over {r.m} items, model over {self.m}")
         log_perm_z = sum(math.log(z) for z in _row_z_values(self.m, self.phi))
-        return -self.phi * kendall_tau(self.center, r) - log_perm_z
-
-    def perm_prob(self, r: Ranking) -> float:
-        """Probability of sampling exactly the ranking ``r``."""
-        return math.exp(self.log_perm_prob(r))
-
-    def first_item_prob(self, item: int) -> float:
-        """Probability that ``item`` comes first in a sampled ranking."""
-        _check_items(self.m, (item,))
-        pos = self.center.positions[item]
-        return math.exp(-self.phi * pos) / row_z(self.m, self.phi)
+        return math.exp(-self.phi * kendall_tau(self.center, r) - log_perm_z)
 
     def pairwise_prob(self, i: int, j: int) -> float:
-        """P[i before j] for ``i`` strictly ahead of ``j`` in the center.
+        """P[i before j], for either orientation of the pair.
 
-        Uses the two-term closed form in the position gap; evaluated via
-        ``expm1`` so sweeps with small ``phi`` stay accurate.
+        With ``g`` the gap between the two center positions plus one, the
+        center-worse item comes first with chance ``w(g-1) - w(g)``, where
+        ``w(n) = n e^{-phi n} / (1 - e^{-phi n})`` underflows to 0 rather than
+        overflowing at large ``phi``; the center-better side is its
+        complement, so the pair sums to one and stays in [0, 1].
         """
         if i == j:
             raise DomainError("pairwise comparison needs two distinct items")
         _check_items(self.m, (i, j))
         pi, pj = self.center.positions[i], self.center.positions[j]
-        if pi > pj:
-            raise DomainError(
-                "pairwise_prob expects the center-better item first; "
-                f"item {i} is behind item {j} in the center"
-            )
-        if self.phi == 0.0:
-            return 0.5
-        g = pj - pi + 1
+        g = abs(pj - pi) + 1
         u1, u2 = self.phi * (g - 1), self.phi * g
         if u2 < 1e-3:
-            # difference of the two closed-form terms cancels catastrophically
-            # here; use the expansion of u/(1-e^-u) instead
-            return 0.5 + (u1 + u2) / 12.0 - (u1 + u2) * (u1 * u1 + u2 * u2) / 720.0
+            # the two w terms cancel catastrophically here (and are singular at
+            # phi = 0); use the expansion of u/(1-e^-u) instead
+            worse = 0.5 - (u1 + u2) / 12.0 + (u1 + u2) * (u1 * u1 + u2 * u2) / 720.0
+        else:
+            worse = (g - 1) * math.exp(-u1) / -math.expm1(-u1)
+            worse -= g * math.exp(-u2) / -math.expm1(-u2)
+        return 1.0 - worse if pi < pj else worse
 
-        def term(u: float) -> float:
-            return u / -math.expm1(-u)
-
-        return (term(u2) - term(u1)) / self.phi
-
-    def log_topk_set_prob(self, items) -> float:
+    def topk_set_prob(self, items) -> float:
+        """Probability that ``items`` is exactly the unordered top-|items| set."""
         m = self.m
         items = _check_items(m, items)
         k = len(items)
@@ -160,11 +148,7 @@ class MallowsModel:
         log_p = -self.phi * (sum([positions[x] for x in items]) - k * (k - 1) // 2)
         for i in range(1, k + 1):
             log_p += math.log(zs[i - 1]) - math.log(zs[m - i])
-        return log_p
-
-    def topk_set_prob(self, items) -> float:
-        """Probability that ``items`` is exactly the unordered top-|items| set."""
-        return math.exp(self.log_topk_set_prob(items))
+        return math.exp(log_p)
 
     def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw n rankings by repeated insertion of the center items, as (n, m) orders.
@@ -182,10 +166,6 @@ class MallowsModel:
             moved = np.where(cols == slot, self.center.order[t - 1], orders[:, cols - 1])
             orders[:, :t] = np.where(cols < slot, orders[:, :t], moved)
         return orders
-
-    def sample(self, rng: np.random.Generator) -> Ranking:
-        """Draw one ranking: ``sample_many``'s n = 1 case."""
-        return Ranking(tuple(self.sample_many(rng, 1)[0].tolist()))
 
     @property
     def ranks(self) -> tuple[int, ...]:
@@ -304,7 +284,8 @@ class PlackettLuceModel:
     def _scaled(self) -> np.ndarray:
         return np.asarray(self.item_values, dtype=float) / self.beta
 
-    def log_perm_prob(self, r: Ranking) -> float:
+    def perm_prob(self, r: Ranking) -> float:
+        """Sequential-choice probability of the exact ranking ``r``."""
         if r.m != self.m:
             raise DimensionError(f"ranking over {r.m} items, model over {self.m}")
         u = self._scaled()[list(r.order)]
@@ -312,16 +293,7 @@ class PlackettLuceModel:
         for j in range(self.m):
             tail = u[j:]
             total += u[j] - _logsumexp(tail)
-        return total
-
-    def perm_prob(self, r: Ranking) -> float:
-        """Sequential-choice probability of the exact ranking ``r``."""
-        return math.exp(self.log_perm_prob(r))
-
-    def first_item_prob(self, item: int) -> float:
-        _check_items(self.m, (item,))
-        u = self._scaled()
-        return float(np.exp(u[item] - _logsumexp(u)))
+        return math.exp(total)
 
     def pairwise_prob(self, i: int, j: int) -> float:
         """P[i before j]; the Gumbel race makes this a logistic in the value gap."""
@@ -377,10 +349,6 @@ class PlackettLuceModel:
         """Draw n rankings as (n, m) orders: values plus one (n, m) Gumbel draw, sorted."""
         noisy = np.asarray(self.item_values) + rng.gumbel(0.0, self.beta, size=(n, self.m))
         return np.argsort(-noisy, axis=1, kind="stable")
-
-    def sample(self, rng: np.random.Generator) -> Ranking:
-        """Draw one ranking: ``sample_many``'s n = 1 case."""
-        return Ranking(tuple(self.sample_many(rng, 1)[0].tolist()))
 
     def support(self):
         return _enumerated_support(self)
@@ -465,10 +433,6 @@ class ExplicitModel:
         idx = rng.choice(len(self.entries), size=n, p=[p for _, p in self.entries])
         return np.array([r.order for r, _ in self.entries], dtype=np.intp)[idx]
 
-    def sample(self, rng: np.random.Generator) -> Ranking:
-        """Draw one ranking: ``sample_many``'s n = 1 case."""
-        return Ranking(tuple(self.sample_many(rng, 1)[0].tolist()))
-
     def support(self):
         return iter(self.entries)
 
@@ -482,24 +446,13 @@ def enumerate_event_prob(model, predicate) -> float:
     return math.fsum(p for r, p in model.support() if predicate(r))
 
 
-def oriented_pairwise_prob(model, i: int, j: int) -> float:
-    """P[i before j] for any model and either orientation of the pair.
-
-    Mallows' ``pairwise_prob`` takes the center-better item first, so a
-    reversed pair goes through its complement.
-    """
-    if isinstance(model, MallowsModel) and model.center.position(i) > model.center.position(j):
-        return 1.0 - model.pairwise_prob(j, i)
-    return model.pairwise_prob(i, j)
-
-
 def pairwise_matrix(model) -> np.ndarray:
     """Matrix P with P[i, j] = P[i before j] (diagonal zero)."""
     m = model.m
     out = np.zeros((m, m))
     for i in range(m):
         for j in range(i + 1, m):
-            p = oriented_pairwise_prob(model, i, j)
+            p = model.pairwise_prob(i, j)
             out[i, j] = p
             out[j, i] = 1.0 - p
     return out

@@ -32,15 +32,11 @@ BOUND_SLACK = 1e-12
 PRODUCT_BLOCK = 1 << 16  # (center, menu) pairs per pass of center_utilities; bounds its memory
 
 
-def menu_policy(m: int, menu, k: int | None = None) -> AlgorithmPolicy:
+def menu_policy(m: int, menu) -> AlgorithmPolicy:
     """The noiseless policy that always presents ``menu``."""
     menu = sorted(menu)
     rest = [x for x in range(m) if x not in menu]
-    return AlgorithmPolicy(
-        center=Ranking(tuple(menu + rest)),
-        accuracy=NOISELESS,
-        menu_size=k if k is not None else len(menu),
-    )
+    return AlgorithmPolicy(center=Ranking(tuple(menu + rest)), accuracy=NOISELESS, menu_size=len(menu))
 
 
 def menu_utility(h: HumanType, menu) -> float:

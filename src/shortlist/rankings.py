@@ -6,6 +6,7 @@ construction and safe to share across workers.
 """
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -93,34 +94,16 @@ def kendall_tau(a: Ranking, b: Ranking) -> int:
     """Number of item pairs ordered oppositely by ``a`` and ``b``.
 
     Computed as the inversion count of ``b`` re-expressed in ``a``'s
-    coordinates (merge-sort style), so it stays O(m log m).
+    coordinates: walking ``b`` from the back, each item adds the number of
+    later items that ``a`` puts ahead of it, counted by bisection.
     """
     if a.m != b.m:
         raise DimensionError(f"rankings over different universes: {a.m} vs {b.m}")
-    seq = [a.position(item) for item in b.order]
-    return _count_inversions(seq)
-
-
-def _count_inversions(seq: list[int]) -> int:
-    n = len(seq)
-    if n < 2:
-        return 0
-    mid = n // 2
-    left, right = seq[:mid], seq[mid:]
-    count = _count_inversions(left) + _count_inversions(right)
-    merged = []
-    i = j = 0
-    while i < len(left) and j < len(right):
-        if left[i] <= right[j]:
-            merged.append(left[i])
-            i += 1
-        else:
-            merged.append(right[j])
-            j += 1
-            count += len(left) - i
-    merged.extend(left[i:])
-    merged.extend(right[j:])
-    seq[:] = merged
+    later: list[int] = []
+    count = 0
+    for pos in reversed([a.position(item) for item in b.order]):
+        count += bisect.bisect_left(later, pos)
+        bisect.insort(later, pos)
     return count
 
 

@@ -90,15 +90,11 @@ def test_criterion_1_closed_forms_vs_oracle():
             # first item
             for x in range(m):
                 expected = math.fsum(p for r, p in support if r.order[0] == x)
-                worst = max(worst, abs(model.first_item_prob(x) - expected))
-            # pairwise, every oriented pair
-            for i in range(m):
-                for j in range(m):
-                    if center.position(i) < center.position(j):
-                        expected = math.fsum(
-                            p for r, p in support if r.position(i) < r.position(j)
-                        )
-                        worst = max(worst, abs(model.pairwise_prob(i, j) - expected))
+                worst = max(worst, abs(model.topk_set_prob({x}) - expected))
+            # pairwise, every ordered pair
+            for i, j in itertools.permutations(range(m), 2):
+                expected = math.fsum(p for r, p in support if r.position(i) < r.position(j))
+                worst = max(worst, abs(model.pairwise_prob(i, j) - expected))
             # top-k sets and the choice dynamic program
             subsets = [
                 s
@@ -408,7 +404,7 @@ def test_criterion_9_noise_helps_uplift_construction():
         pop = three_type_top_recovery(m, phi_h)
         gts = [h.ground_truth for h in pop]
         for menu in itertools.combinations(range(m), k):
-            assert not verify_uplift(pop, menu_policy(m, menu, k)).uplift_all, (m, menu)
+            assert not verify_uplift(pop, menu_policy(m, menu)).uplift_all, (m, menu)
         best_phi, best_report, reports = noisy_uplift_search(pop, gts[0], grid, k)
         oracle = _oracle_min_gain(gts, phi_h, gts[0], best_phi, k)
         assert abs(best_report.min_gain - oracle) <= 1e-12, (m, best_report.min_gain, oracle)

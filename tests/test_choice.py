@@ -43,7 +43,7 @@ class TestMallowsChoice:
         model = MallowsModel(R(3, 1, 0, 2), 0.9)
         for x in range(4):
             assert choice_prob(model, range(4), x) == pytest.approx(
-                model.first_item_prob(x), abs=1e-12
+                model.topk_set_prob({x}), abs=1e-12
             )
 
     def test_target_must_be_in_menu(self):
@@ -117,7 +117,7 @@ class TestMallowsChoice:
         model = MallowsModel(center, 0.6)
         dist = choice_dist(model, range(m))
         for x in range(m):
-            assert dist[x] == pytest.approx(model.first_item_prob(x), abs=1e-10)
+            assert dist[x] == pytest.approx(model.topk_set_prob({x}), abs=1e-10)
 
     def test_replacement_monotonicity(self, rng):
         # swapping a menu member for a center-worse outsider helps the others

@@ -720,11 +720,28 @@ class TestCli:
         ids=["mallows", "pl"],
     )
     def test_prob_first(self, capsys, model_flags, model):
+        # the first-item closed forms: e^{-phi pos} / row_z(m) and a softmax of value / beta
+        if isinstance(model, MallowsModel):
+            weights = [math.exp(-0.7 * model.center.position(x)) for x in range(3)]
+        else:
+            weights = [math.exp(v / 2.0) for v in model.item_values]
         for item in range(3):
             assert cli.main(["prob", "first", "--center", "2 1 3", *model_flags, "--item", str(item + 1)]) == 0
             got = float(capsys.readouterr().out.strip())
-            assert got == model.first_item_prob(item)
+            assert got == model.topk_set_prob({item})
+            assert got == pytest.approx(weights[item] / math.fsum(weights), rel=1e-14)
             assert got == pytest.approx(enumerate_event_prob(model, lambda r: r.order[0] == item), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "phi, pair, want",
+        [("1e308", "1 3", 1.0), ("1e308", "3 1", 0.0), ("0.6931471805599453", "3 1", 5 / 21)],
+        ids=["huge-phi", "huge-phi-reversed", "reversed"],
+    )
+    def test_prob_pairwise_answers_either_order(self, capsys, phi, pair, want):
+        assert cli.main(["prob", "pairwise", "--center", "1 2 3", "--phi", phi, "--pair", pair]) == 0
+        value = float(capsys.readouterr().out.strip())
+        assert 0.0 <= value <= 1.0
+        assert value == pytest.approx(want, abs=1e-12)
 
     def test_optimize_uplift_on_sushi_is_infeasible(self, capsys):
         assert cli.main(["optimize", "--phi-h", "1.0", "-k", "3", "--uplift"]) == 1

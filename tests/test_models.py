@@ -15,9 +15,16 @@ from shortlist import (
     model_menu_distribution,
 )
 from shortlist.errors import CapacityError, DimensionError, DomainError
-from shortlist.models import _insertion_rows, row_z
+from shortlist.models import ENUMERATION_CAP, _insertion_rows, row_z
 
 LN2 = math.log(2)
+
+# one model of each family over four items
+FAMILIES = {
+    "mallows": lambda: MallowsModel(R(2, 0, 3, 1), 0.7),
+    "pl": lambda: PlackettLuceModel((0.5, 2.0, -1.0, 1.0), 0.8),
+    "explicit": lambda: ExplicitModel(((R(0, 1, 2, 3), 0.5), (R(3, 1, 0, 2), 0.3), (R(1, 2, 3, 0), 0.2))),
+}
 
 
 @pytest.fixture
@@ -59,15 +66,15 @@ class TestMallowsPermProb:
 
 class TestMallowsFirstItem:
     def test_second_center_item(self, m3_half):
-        assert m3_half.first_item_prob(1) == pytest.approx(2 / 7, abs=1e-15)
+        assert m3_half.topk_set_prob({1}) == pytest.approx(2 / 7, abs=1e-15)
 
     def test_uniform_limit(self):
         model = MallowsModel(R(0, 1, 2, 3), 0.0)
         for x in range(4):
-            assert model.first_item_prob(x) == pytest.approx(0.25)
+            assert model.topk_set_prob({x}) == pytest.approx(0.25)
 
     def test_sums_to_one(self, m3_half):
-        assert math.fsum(m3_half.first_item_prob(x) for x in range(3)) == pytest.approx(1.0)
+        assert math.fsum(m3_half.topk_set_prob({x}) for x in range(3)) == pytest.approx(1.0)
 
     def test_matches_oracle(self, rng):
         for m in (3, 5):
@@ -77,7 +84,7 @@ class TestMallowsFirstItem:
             support = mallows_support_oracle(center, phi)
             for x in range(m):
                 expected = math.fsum(p for r, p in support if r.order[0] == x)
-                assert model.first_item_prob(x) == pytest.approx(expected, abs=1e-12)
+                assert model.topk_set_prob({x}) == pytest.approx(expected, abs=1e-12)
 
 
 class TestMallowsPairwise:
@@ -94,9 +101,9 @@ class TestMallowsPairwise:
     def test_uniform_limit(self):
         assert MallowsModel(R(0, 1, 2), 0.0).pairwise_prob(0, 2) == 0.5
 
-    def test_orientation_required(self, m3_half):
-        with pytest.raises(DomainError):
-            m3_half.pairwise_prob(2, 0)
+    def test_either_orientation(self, m3_half):
+        assert m3_half.pairwise_prob(2, 0) == pytest.approx(5 / 21, abs=1e-15)
+        assert m3_half.pairwise_prob(1, 0) == pytest.approx(1 / 3, abs=1e-15)
         with pytest.raises(DomainError):
             m3_half.pairwise_prob(1, 1)
 
@@ -127,6 +134,28 @@ class TestMallowsPairwise:
                             p for r, p in support if r.position(i) < r.position(j)
                         )
                         assert model.pairwise_prob(i, j) == pytest.approx(expected, abs=1e-12)
+
+    # accuracies from the uniform limit to past where expm1(phi * gap) overflows;
+    # at 1.24 the gap-29 pair once came out at 1 + 1.6e-15
+    PHI_GRID = [0.0] + [10.0**e for e in range(-6, 7)] + [1.24, 800.0, 1e308]
+
+    @pytest.mark.parametrize("phi", PHI_GRID)
+    def test_both_orientations_stay_in_the_unit_interval(self, phi):
+        model = MallowsModel(Ranking.identity(40), phi)
+        for gap in range(1, 40):
+            better, worse = model.pairwise_prob(0, gap), model.pairwise_prob(gap, 0)
+            assert 0.0 <= better <= 1.0 and 0.0 <= worse <= 1.0, (gap, better, worse)
+            assert abs(better + worse - 1.0) <= 4.5e-16, (gap, better, worse)
+
+    @pytest.mark.parametrize("phi", PHI_GRID)
+    def test_every_ordered_pair_matches_enumeration(self, phi, rng):
+        for m in range(2, ENUMERATION_CAP + 1):
+            model = MallowsModel(Ranking(tuple(rng.permutation(m))), phi)
+            # one enumeration of the support per model; the sum is enumerate_event_prob's
+            support = list(model.support())
+            for i, j in itertools.permutations(range(m), 2):
+                expected = math.fsum(p for r, p in support if r.positions[i] < r.positions[j])
+                assert abs(model.pairwise_prob(i, j) - expected) <= 1e-12, (m, i, j)
 
 
 class TestMallowsTopK:
@@ -229,16 +258,15 @@ class TestInsertionTable:
 class TestMallowsSampling:
     def test_noiseless_limit(self, rng):
         model = MallowsModel(R(2, 0, 1), 80.0)
-        for _ in range(20):
-            assert model.sample(rng) == R(2, 0, 1)
+        assert (model.sample_many(rng, 20) == [2, 0, 1]).all()
 
     def test_seed_determinism(self):
         model = MallowsModel(R(0, 1, 2, 3), 0.8)
-        a = [model.sample(np.random.default_rng(5)).order for _ in range(1)]
-        b = [model.sample(np.random.default_rng(5)).order for _ in range(1)]
-        draws1 = [model.sample(np.random.default_rng(99)).order for _ in range(10)]
-        draws2 = [model.sample(np.random.default_rng(99)).order for _ in range(10)]
-        assert a == b and draws1 == draws2
+        a = model.sample_many(np.random.default_rng(5), 1)
+        b = model.sample_many(np.random.default_rng(5), 1)
+        draws1 = model.sample_many(np.random.default_rng(99), 10)
+        draws2 = model.sample_many(np.random.default_rng(99), 10)
+        assert (a == b).all() and (draws1 == draws2).all()
 
     def test_center_frequency(self, rng):
         model = MallowsModel(R(0, 1, 2), LN2)
@@ -250,24 +278,17 @@ class TestMallowsSampling:
 
 
 class TestSampleMany:
-    MODELS = {
-        "mallows": lambda: MallowsModel(R(2, 0, 3, 1), 0.7),
-        "pl": lambda: PlackettLuceModel((0.5, 2.0, -1.0, 1.0), 0.8),
-        "explicit": lambda: ExplicitModel(((R(0, 1, 2, 3), 0.5), (R(3, 1, 0, 2), 0.3), (R(1, 2, 3, 0), 0.2))),
-    }
-
-    @pytest.mark.parametrize("family", sorted(MODELS))
-    def test_rows_are_orders_and_sample_is_the_one_row_case(self, family):
-        model = self.MODELS[family]()
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_rows_are_orders_and_seeded(self, family):
+        model = FAMILIES[family]()
         orders = model.sample_many(np.random.default_rng(7), 500)
         assert orders.shape == (500, 4)
         assert (np.sort(orders, axis=1) == np.arange(4)).all()
-        one = model.sample_many(np.random.default_rng(7), 1)
-        assert model.sample(np.random.default_rng(7)).order == tuple(one[0].tolist())
+        assert (model.sample_many(np.random.default_rng(7), 500) == orders).all()
 
-    @pytest.mark.parametrize("family", sorted(MODELS))
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_frequencies_match_perm_prob(self, family, rng):
-        model = self.MODELS[family]()
+        model = FAMILIES[family]()
         n = 40_000
         orders = model.sample_many(rng, n)
         for perm in itertools.permutations(range(4)):
@@ -290,7 +311,7 @@ class TestPlackettLuce:
         model = PlackettLuceModel((1.0, 0.0, -1.0), 1.0)
         for query in (
             lambda: model.topk_set_prob([0, 3]),
-            lambda: model.first_item_prob(-1),
+            lambda: model.topk_set_prob({-1}),
             lambda: model.pairwise_prob(0, 3),
         ):
             with pytest.raises(DimensionError):
@@ -345,7 +366,7 @@ class TestPlackettLuce:
     def test_sampling_frequency(self, rng):
         model = PlackettLuceModel((1.0, 0.0), 1.0)
         n = 100_000
-        draws = sum(model.sample(rng) == R(0, 1) for _ in range(n))
+        draws = int((model.sample_many(rng, n) == [0, 1]).all(axis=1).sum())
         p = math.e / (math.e + 1)
         sigma = math.sqrt(p * (1 - p) / n)
         assert abs(draws / n - p) < 3 * sigma
@@ -353,16 +374,14 @@ class TestPlackettLuce:
     def test_sampling_uniform_when_values_equal(self, rng):
         model = PlackettLuceModel((1.0, 1.0, 1.0), 1.0)
         n = 60_000
-        counts: dict[tuple, int] = {}
-        for _ in range(n):
-            counts[model.sample(rng).order] = counts.get(model.sample(rng).order, 0) + 1
+        orders = model.sample_many(rng, n)
         for perm in itertools.permutations(range(3)):
-            freq = counts.get(perm, 0) / n
+            freq = int((orders == perm).all(axis=1).sum()) / n
             assert abs(freq - 1 / 6) < 4 * math.sqrt((1 / 6) * (5 / 6) / n)
 
     def test_low_noise_sampling(self, rng):
         model = PlackettLuceModel((5.0, 1.0, 0.0), 1e-3)
-        assert model.sample(rng) == R(0, 1, 2)
+        assert model.sample_many(rng, 1)[0].tolist() == [0, 1, 2]
 
 
 class TestExplicitModel:
@@ -414,18 +433,26 @@ def test_topk_set_prob_rejects_empty_and_unknown_items(model):
             lambda bad=bad: model.pairwise_prob(0, bad),
             lambda bad=bad: model.pairwise_prob(bad, 0),
         ]
-        # an explicit model has no first-item closed form
-        if hasattr(model, "first_item_prob"):
-            queries.append(lambda bad=bad: model.first_item_prob(bad))
     for query in queries:
         with pytest.raises(DimensionError):
             query()
 
 
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_every_family_answers_the_same_queries(family):
+    model = FAMILIES[family]()
+    methods = {name for name, attr in vars(type(model)).items() if callable(attr) and not name.startswith("_")}
+    assert methods == {"perm_prob", "topk_set_prob", "pairwise_prob", "sample_many", "pick_rows", "support"}
+    assert model.m == len(model.ranks) == 4
+    for i, j in itertools.permutations(range(4), 2):
+        assert abs(model.pairwise_prob(i, j) + model.pairwise_prob(j, i) - 1.0) <= 4.5e-16
+    for x in range(4):
+        expected = enumerate_event_prob(model, lambda r: r.order[0] == x)
+        assert model.topk_set_prob({x}) == pytest.approx(expected, abs=1e-12)
+
+
 class TestOrientedPairwise:
     def test_both_orientations_match_enumeration(self, rng):
-        from shortlist.models import oriented_pairwise_prob
-
         center = Ranking(tuple(rng.permutation(5)))
         model = MallowsModel(center, 0.8)
         support = mallows_support_oracle(center, 0.8)
@@ -434,14 +461,11 @@ class TestOrientedPairwise:
                 if i == j:
                     continue
                 expected = math.fsum(p for r, p in support if r.position(i) < r.position(j))
-                assert oriented_pairwise_prob(model, i, j) == pytest.approx(expected, abs=1e-12)
+                assert model.pairwise_prob(i, j) == pytest.approx(expected, abs=1e-12)
 
     def test_explicit_model(self):
-        from shortlist.models import oriented_pairwise_prob
-
         model = ExplicitModel(((R(0, 1, 2), 0.9), (R(1, 0, 2), 0.1)))
-        assert oriented_pairwise_prob(model, 0, 1) == pytest.approx(0.9)
-        assert oriented_pairwise_prob(model, 1, 0) == pytest.approx(0.1)
+        assert model.pairwise_prob(0, 1) == pytest.approx(0.9)
         assert model.pairwise_prob(1, 0) == pytest.approx(0.1)
         with pytest.raises(DomainError):
             model.pairwise_prob(2, 2)

@@ -96,7 +96,7 @@ class TestVerifyUplift:
     def test_three_type_noiseless_menus_all_fail(self):
         pop = three_type_top_recovery(5, 0.01)
         for menu in itertools.combinations(range(5), 2):
-            report = verify_uplift(pop, menu_policy(5, menu, 2))
+            report = verify_uplift(pop, menu_policy(5, menu))
             assert not report.uplift_all
 
     def test_report_welfare_consistency(self):
@@ -206,7 +206,7 @@ class TestNoiseHelpsUplift:
         m = 17
         pop = three_type_top_recovery(m, 0.01)
         for menu in itertools.combinations(range(m), 2):
-            assert not verify_uplift(pop, menu_policy(m, menu, 2)).uplift_all
+            assert not verify_uplift(pop, menu_policy(m, menu)).uplift_all
         center = Ranking.identity(m)
         best_phi, best_report, reports = noisy_uplift_search(
             pop, center, (0.25, LN2, 2.0), 2
