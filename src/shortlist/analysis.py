@@ -6,6 +6,7 @@ her favorite). The two value-only checkers take 1-based ranks directly.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -284,17 +285,13 @@ def derive_partial_order(h: HumanType, candidates, phi_a: float, k: int) -> Cand
                 edges.add((demoted, promoted, "swap-least"))
             elif vx == vmax and vx > vy:
                 edges.add((promoted, demoted, "swap-top"))
-    # transitive closure over the certified relation
+    # transitive closure over the certified relation (Warshall, O(n^3))
     closed = {(b, w) for b, w, _ in edges}
-    changed = True
-    while changed:
-        changed = False
-        for b1, w1 in list(closed):
-            for b2, w2 in list(closed):
-                if w1 == b2 and (b1, w2) not in closed and b1 != w2:
-                    closed.add((b1, w2))
-                    edges.add((b1, w2, "transitive"))
-                    changed = True
+    n = len(candidates)
+    for via, b, w in itertools.product(range(n), repeat=3):
+        if b != w and (b, via) in closed and (via, w) in closed and (b, w) not in closed:
+            closed.add((b, w))
+            edges.add((b, w, "transitive"))
     model = policy_ranking_model(AlgorithmPolicy(Ranking.identity(h.m), phi_a, k))
     _, table = menu_utility_table(Population.single(h), k)
     centers = np.array([c.order for c in candidates], dtype=np.intp).reshape(-1, h.m)

@@ -106,7 +106,7 @@ def _human_from_args(args) -> HumanType:
         item_values = tuple(values[center.position(x)] for x in range(center.m))
         noise = PlackettLuceModel(item_values, args.beta)
     else:
-        noise = MallowsModel(center, _require(args.phi_h, "--phi-h", args.command))
+        noise = MallowsModel(center, _require(args.phi_h, "--phi-h", args))
     return HumanType(center, noise, values, 1.0)
 
 
@@ -114,7 +114,7 @@ def _policy_from_args(args) -> AlgorithmPolicy:
     center = _parse_ranking(args.alg_center, "--alg-center")
     if args.noiseless and args.phi_a is not None:
         raise ShortlistError("--noiseless and --phi-a both set the policy accuracy; give one")
-    accuracy = NOISELESS if args.noiseless else _require(args.phi_a, "--phi-a", args.command)
+    accuracy = NOISELESS if args.noiseless else _require(args.phi_a, "--phi-a", args)
     return AlgorithmPolicy(center, accuracy, args.k)
 
 
@@ -139,9 +139,13 @@ def _add_prob_parser(sub):
     p.set_defaults(func=_cmd_prob)
 
 
-def _require(value, flag: str, query: str):
+def _require(value, flag: str, args):
+    """``value``, or an error naming ``flag`` and the command that needs it."""
     if value is None:
-        raise ShortlistError(f"{flag} is required for the {query!r} query")
+        words = [args.command, getattr(args, "query", None), getattr(args, "analysis", None)]
+        if hasattr(args, "family"):
+            words += ["--family", args.family, "--kind", args.kind]
+        raise ShortlistError(f"{flag} is required for '{' '.join(filter(None, words))}'")
     return value
 
 
@@ -163,19 +167,19 @@ def _cmd_prob(args) -> int:
             raise ShortlistError("--beta needs --pl-values; a Mallows model takes --phi only")
         model = MallowsModel(center, args.phi)
     if args.query == "perm":
-        out = model.perm_prob(_parse_ranking(_require(args.ranking, "--ranking", "perm"), "--ranking"))
+        out = model.perm_prob(_parse_ranking(_require(args.ranking, "--ranking", args), "--ranking"))
     elif args.query == "first":
-        out = model.topk_set_prob({_require(args.item, "--item", "first") - 1})
+        out = model.topk_set_prob({_require(args.item, "--item", args) - 1})
     elif args.query == "pairwise":
-        i, j = _parse_pair(_require(args.pair, "--pair", "pairwise"), "--pair")
+        i, j = _parse_pair(_require(args.pair, "--pair", args), "--pair")
         out = model.pairwise_prob(i, j)
     elif args.query == "topk":
-        out = model.topk_set_prob(_parse_items(_require(args.menu, "--menu", "topk"), "--menu"))
+        out = model.topk_set_prob(_parse_items(_require(args.menu, "--menu", args), "--menu"))
     else:
         from .choice import choice_prob
 
-        menu = _parse_items(_require(args.menu, "--menu", "choice"), "--menu")
-        out = choice_prob(model, menu, _require(args.target, "--target", "choice") - 1)
+        menu = _parse_items(_require(args.menu, "--menu", args), "--menu")
+        out = choice_prob(model, menu, _require(args.target, "--target", args) - 1)
     print(repr(out))
     return 0
 
@@ -333,17 +337,17 @@ def _cmd_analyze_conditions(args) -> int:
     if args.kind == "harmful":
         values = ValueProfile(_parse_list(args.values, float, "--values"))
     if args.family == "mallows" and args.kind == "harmful":
-        phi_h = _require(args.phi_h, "--phi-h", "mallows harmful")
+        phi_h = _require(args.phi_h, "--phi-h", args)
         verdict = check_mallows_harmful(values, phi_h, ranks[0], ranks[1])
     elif args.family == "pl" and args.kind == "harmful":
-        beta = _require(args.beta, "--beta", "pl harmful")
+        beta = _require(args.beta, "--beta", args)
         verdict = check_pl_harmful(values, beta, ranks[0])
     else:
-        _require(args.human_center, "--human-center", "helpful")
-        alg_center = _require(args.alg_center, "--alg-center", "helpful")
-        phi_a = _require(args.phi_a, "--phi-a", "helpful")
+        _require(args.human_center, "--human-center", args)
+        alg_center = _require(args.alg_center, "--alg-center", args)
+        phi_a = _require(args.phi_a, "--phi-a", args)
         if args.family == "pl":
-            _require(args.beta, "--beta", "pl helpful")
+            _require(args.beta, "--beta", args)
         human = _human_from_args(args)
         policy = AlgorithmPolicy(_parse_ranking(alg_center, "--alg-center"), phi_a, 2)
         if not all(1 <= r <= human.m for r in ranks):

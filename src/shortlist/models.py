@@ -85,8 +85,9 @@ def _insertion_rows(m: int, phi: float) -> tuple[np.ndarray, np.ndarray, np.ndar
 class MallowsModel:
     """Distribution over rankings with P[r] proportional to exp(-phi * d(center, r)).
 
-    ``phi = 0`` is accepted and means the uniform distribution (the limits of
-    all closed forms are used where the textbook expressions are singular).
+    ``phi = 0`` is the uniform distribution and ``phi`` must be finite: the
+    ``phi -> inf`` limit, a point mass on the center, is the policy accuracy
+    ``NOISELESS`` (see ``policy_ranking_model``).
     """
 
     center: Ranking
@@ -117,26 +118,23 @@ class MallowsModel:
     def pairwise_prob(self, i: int, j: int) -> float:
         """P[i before j], for either orientation of the pair.
 
-        With ``g`` the gap between the two center positions plus one, the
-        center-worse item comes first with chance ``w(g-1) - w(g)``, where
-        ``w(n) = n e^{-phi n} / (1 - e^{-phi n})`` underflows to 0 rather than
-        overflowing at large ``phi``; the center-better side is its
+        With ``n`` the gap between the two center positions, the center-worse
+        item comes first with chance ``e^{-phi n} (Z_1 + ... + Z_n) / (Z_n Z_{n+1})``
+        for the ``row_z`` values ``Z_j``. That is ``w(n) - w(n+1)`` for
+        ``w(x) = x e^{-phi x} / (1 - e^{-phi x})``, rewritten through
+        ``sum_{t<n} (n - t) e^{-phi t} = Z_1 + ... + Z_n``: every term is
+        positive, so nothing cancels at small ``phi`` and the exponential
+        underflows to 0 at large ``phi``. The center-better side is its
         complement, so the pair sums to one and stays in [0, 1].
         """
         if i == j:
             raise DomainError("pairwise comparison needs two distinct items")
         _check_items(self.m, (i, j))
-        pi, pj = self.center.positions[i], self.center.positions[j]
-        g = abs(pj - pi) + 1
-        u1, u2 = self.phi * (g - 1), self.phi * g
-        if u2 < 1e-3:
-            # the two w terms cancel catastrophically here (and are singular at
-            # phi = 0); use the expansion of u/(1-e^-u) instead
-            worse = 0.5 - (u1 + u2) / 12.0 + (u1 + u2) * (u1 * u1 + u2 * u2) / 720.0
-        else:
-            worse = (g - 1) * math.exp(-u1) / -math.expm1(-u1)
-            worse -= g * math.exp(-u2) / -math.expm1(-u2)
-        return 1.0 - worse if pi < pj else worse
+        pos = self.center.positions
+        n = abs(pos[j] - pos[i])
+        zs = _row_z_values(len(pos), self.phi)
+        worse = math.exp(-self.phi * n) * sum(zs[:n]) / (zs[n - 1] * zs[n])
+        return 1.0 - worse if pos[i] < pos[j] else worse
 
     def topk_set_prob(self, items) -> float:
         """Probability that ``items`` is exactly the unordered top-|items| set."""
@@ -459,7 +457,7 @@ def pairwise_matrix(model) -> np.ndarray:
 
 
 def policy_ranking_model(policy: AlgorithmPolicy) -> MallowsModel | ExplicitModel:
-    """The ranking model behind a policy; a NOISELESS one is the point mass on its center."""
+    """The ranking model behind a policy; at accuracy NOISELESS (inf) it is the point mass on its center."""
     if policy.is_noiseless:
         return ExplicitModel(((policy.center, 1.0),))
     return MallowsModel(policy.center, policy.accuracy)

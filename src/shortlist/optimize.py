@@ -105,10 +105,10 @@ def menu_utility_table(pop: Population, k: int):
 def identity_menu_law(k: int, model) -> np.ndarray:
     """P_id: a menu law over ``k_menus(model.m, k)``, as an array in that order.
 
-    ``model`` is the policy's ranking model at the identity center (for a
-    NOISELESS policy, ``policy_ranking_model``'s point mass, which puts
-    probability 1 on the first menu), and its top-k set law is read from
-    ``model_menu_distribution``.
+    ``model`` is the policy's ranking model at the identity center (at
+    accuracy ``NOISELESS = inf``, ``policy_ranking_model``'s point mass,
+    which puts probability 1 on the first menu), and its top-k set law is
+    read from ``model_menu_distribution``.
     """
     return np.fromiter(model_menu_distribution(model, k).values(), dtype=float)
 
@@ -319,7 +319,7 @@ def optimize_with_uplift(pop: Population, k: int, *, table=None) -> OptimizeResu
 def noisy_uplift_search(pop: Population, center: Ranking, phi_grid, k: int):
     """Evaluate uplift for every accuracy on a grid, keeping the best by min gain.
 
-    ``phi_grid`` may mix floats and the NOISELESS sentinel. Returns
+    ``phi_grid`` holds accuracies in [0, inf]; ``NOISELESS`` is inf. Returns
     ``(best_accuracy, best_report, all_reports)`` where ``all_reports`` is a
     list of ``(accuracy, WelfareReport)`` in grid order and "best" maximizes
     the minimum per-type utility gain. One ``menu_utility_table`` and each

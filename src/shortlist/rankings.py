@@ -17,21 +17,8 @@ from .errors import DimensionError, DomainError
 WEIGHT_TOLERANCE = 1e-9
 
 
-class _Noiseless:
-    """Sentinel accuracy meaning a point mass on the policy's center ranking."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "NOISELESS"
-
-
-NOISELESS = _Noiseless()
+# the Mallows limit phi -> inf: all mass on the center, so a fixed menu
+NOISELESS = math.inf
 
 
 @dataclass(frozen=True)
@@ -242,10 +229,10 @@ class Population:
 
 @dataclass(frozen=True)
 class AlgorithmPolicy:
-    """A curation strategy: center ranking, accuracy (or NOISELESS), menu size."""
+    """A curation strategy: center ranking, Mallows accuracy in [0, NOISELESS = inf], menu size."""
 
     center: Ranking
-    accuracy: float | _Noiseless
+    accuracy: float
     menu_size: int
 
     def __post_init__(self):
@@ -253,13 +240,10 @@ class AlgorithmPolicy:
             raise DomainError(
                 f"menu size {self.menu_size} out of range for m={self.center.m}"
             )
-        if not isinstance(self.accuracy, _Noiseless):
-            acc = float(self.accuracy)
-            if math.isnan(acc) or acc < 0:
-                raise DomainError(f"accuracy must be nonnegative or NOISELESS, got {acc!r}")
-            if math.isinf(acc):
-                raise DomainError("accuracy must be finite; use NOISELESS for a fixed menu")
-            object.__setattr__(self, "accuracy", acc)
+        acc = float(self.accuracy)
+        if math.isnan(acc) or acc < 0:
+            raise DomainError(f"accuracy must be nonnegative, got {acc!r}")
+        object.__setattr__(self, "accuracy", acc)
 
     @property
     def m(self) -> int:
@@ -267,7 +251,7 @@ class AlgorithmPolicy:
 
     @property
     def is_noiseless(self) -> bool:
-        return isinstance(self.accuracy, _Noiseless)
+        return self.accuracy == NOISELESS
 
     def fixed_menu(self) -> frozenset[int]:
         """The single menu a noiseless policy always presents."""

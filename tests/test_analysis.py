@@ -12,6 +12,7 @@ from shortlist import (
     PlackettLuceModel,
     Ranking,
     ValueProfile,
+    apply_swap,
     borda_values,
     check_mallows_harmful,
     check_mallows_helpful,
@@ -378,6 +379,36 @@ class TestDerivePartialOrder:
         # numeric utilities agree with every certified edge
         for edge in order.edges:
             assert order.utilities[edge.better] >= order.utilities[edge.worse] - 1e-12
+
+    def test_closure_is_reachability_over_the_swap_edges(self, rng):
+        transitive = 0
+        for _ in range(20):
+            m = int(rng.integers(4, 6))
+            gt = Ranking(tuple(rng.permutation(m)))
+            values = sorted(rng.choice([0.0, 0.0, 1.0, 2.0], size=m - 1), reverse=True)
+            h = mallows_human(gt, 0.8, ValueProfile((5.0, *values)))
+            # candidates one swap apart from an earlier one, so swap edges chain
+            candidates = [Ranking(tuple(rng.permutation(m)))]
+            while len(candidates) < 8:
+                i, j = rng.choice(m, 2, replace=False)
+                swapped = apply_swap(candidates[int(rng.integers(len(candidates)))], int(i), int(j))
+                if swapped not in candidates:
+                    candidates.append(swapped)
+            order = derive_partial_order(h, candidates, 0.7, 2)
+            direct = {(e.better, e.worse) for e in order.edges if e.provenance != "transitive"}
+            reach = set()
+            for start in range(len(candidates)):
+                frontier = [start]
+                while frontier:
+                    node = frontier.pop()
+                    for b, w in direct:
+                        if b == node and (start, w) not in reach:
+                            reach.add((start, w))
+                            frontier.append(w)
+            assert {(e.better, e.worse) for e in order.edges} == {(b, w) for b, w in reach if b != w}
+            assert not any(e.provenance == "transitive" and (e.better, e.worse) in direct for e in order.edges)
+            transitive += sum(e.provenance == "transitive" for e in order.edges)
+        assert transitive > 0
 
     def test_single_candidate_no_edges(self):
         h = mallows_human(Ranking.identity(3), 1.0, borda_values(3))

@@ -23,7 +23,7 @@ from shortlist.experiments import (
     tension_experiment,
     tension_population,
 )
-from shortlist import cli
+from shortlist import cli, experiments
 
 # cumulative fractions as printed alongside the shipped 33 rows (denominator
 # 5000 = the full survey)
@@ -235,6 +235,19 @@ class TestMipBench:
         for row in rows:
             assert row["solver"] == "mip"
             assert row.get("welfare_gap_vs_enumeration", 0.0) <= 1e-6
+
+
+    def test_solver_error_row(self, monkeypatch):
+        def fail(mip):
+            raise RuntimeError("solver failed: infeasible")
+
+        monkeypatch.setattr(experiments, "solve_mip", fail)
+        rows = mip_bench(sizes=(5,), k_list=(2,), type_counts=(1,), solver="mip")
+        assert rows
+        for row in rows:
+            assert row["status"] == "solver-error: solver failed: infeasible"
+            assert math.isnan(row["welfare"])
+            assert "welfare_gap_vs_enumeration" not in row
 
 
 class TestCsvAndConfig:
@@ -664,6 +677,25 @@ class TestCli:
         assert "--noiseless" in captured.err and "--phi-a" in captured.err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["collab", "--human-center", "1 2 3 4", "--phi-h", "0.7", "--values", "borda",
+             "--alg-center", "2 1 3 4", "-k", "2"],
+            ["welfare", "--phi-h", "1.0", "--alg-center", "2 4 5 1 3", "-k", "3"],
+        ],
+        ids=["collab", "welfare"],
+    )
+    def test_infinite_phi_a_is_noiseless(self, capsys, argv):
+        assert cli.main([*argv, "--noiseless"]) == 0
+        noiseless = capsys.readouterr()
+        assert cli.main([*argv, "--phi-a", "inf"]) == 0
+        assert capsys.readouterr() == noiseless
+        # inf is an accuracy, so it still clashes with --noiseless
+        assert cli.main([*argv, "--phi-a", "inf", "--noiseless"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
+
+    @pytest.mark.parametrize(
         "argv, flag",
         [
             (["prob", "choice", "--center", "1 2 3", "--phi", "0.7", "--menu", "1 1 2", "--target", "1"], "--menu"),
@@ -679,6 +711,41 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and flag in captured.err and "repeated" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["collab", "--human-center", "1 2 3", "--phi-h", "0.7", "--values", "3 2 1 0",
+              "--alg-center", "1 2 3", "--noiseless", "-k", "2"], "--values"),
+            (["prob", "perm", "--center", "1 2 3", "--ranking", "2 1 3"], "--phi"),
+            (["analyze", "conditions", "--family", "mallows", "--kind", "helpful", "--values", "4 3 2 1",
+              "--human-center", "1 2 3 4", "--phi-h", "1", "--alg-center", "1 2 3 4", "--phi-a", "1",
+              "--ranks", "2 5"], "--ranks"),
+        ],
+        ids=["values-count", "prob-without-phi", "helpful-ranks-range"],
+    )
+    def test_inconsistent_input_is_one_error_line(self, capsys, argv, flag):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1 and flag in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["prob", "perm", "--center", "1 2 3", "--phi", "1"], "--ranking is required for 'prob perm'"),
+            (["collab", "--human-center", "1 2 3", "--values", "top", "--alg-center", "1 2 3", "--noiseless",
+              "-k", "2"], "--phi-h is required for 'collab'"),
+            (["analyze", "swap", "--human-center", "1 2 3", "--phi-h", "1", "--values", "top",
+              "--alg-center", "1 2 3", "-k", "2", "--pair", "1 2"], "--phi-a is required for 'analyze swap'"),
+            (["analyze", "conditions", "--family", "pl", "--kind", "harmful", "--values", "3 2 1", "--ranks", "2"],
+             "--beta is required for 'analyze conditions --family pl --kind harmful'"),
+        ],
+        ids=["prob", "collab", "analyze-swap", "analyze-conditions"],
+    )
+    def test_missing_flag_names_the_command(self, capsys, argv, want):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {want}\n"
 
     def test_conditions_pl_helpful_without_beta_names_beta(self, capsys):
         code = cli.main([

@@ -1,3 +1,4 @@
+import decimal
 import itertools
 import math
 
@@ -116,7 +117,7 @@ class TestMallowsPairwise:
             assert all(a <= b + 1e-15 for a, b in zip(probs, probs[1:]))
 
     def test_tiny_phi_large_gap_stable(self):
-        # expm1-based evaluation keeps the small-phi sweep accurate
+        # the sum of positive terms keeps the small-phi sweep accurate
         model = MallowsModel(Ranking.identity(30), 1e-9)
         p = model.pairwise_prob(0, 29)
         assert 0.5 < p < 0.5 + 1e-6
@@ -146,6 +147,21 @@ class TestMallowsPairwise:
             better, worse = model.pairwise_prob(0, gap), model.pairwise_prob(gap, 0)
             assert 0.0 <= better <= 1.0 and 0.0 <= worse <= 1.0, (gap, better, worse)
             assert abs(better + worse - 1.0) <= 4.5e-16, (gap, better, worse)
+
+    @pytest.mark.parametrize("phi", [10.0 ** (e / 4) for e in range(-40, 9)] + [3.2e-5, 1.24])
+    def test_matches_a_60_digit_evaluation(self, phi):
+        # w(n) - w(n+1) with w(x) = x e^{-phi x} / (1 - e^{-phi x}) cancels
+        # in floats at small phi * gap (1.2e-11 off at phi = 3.2e-5, gap 31);
+        # in 60-digit decimals it is the reference
+        model = MallowsModel(Ranking.identity(40), phi)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            q = (-decimal.Decimal(phi)).exp()
+            w = [x * q**x / (1 - q**x) for x in range(1, 41)]
+            for gap in range(1, 40):
+                worse = w[gap - 1] - w[gap]
+                assert abs(model.pairwise_prob(gap, 0) - float(worse)) <= 1e-14, gap
+                assert abs(model.pairwise_prob(0, gap) - float(1 - worse)) <= 1e-14, gap
 
     @pytest.mark.parametrize("phi", PHI_GRID)
     def test_every_ordered_pair_matches_enumeration(self, phi, rng):

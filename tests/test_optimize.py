@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from conftest import make_ranking as R
 from shortlist import (
@@ -424,6 +425,30 @@ class TestMipBuild:
             best = enumerate_best_menu(pop, k)
             lp_value, _ = solve_mip(mip, fix_menu=best.menu)
             assert lp_value == pytest.approx(best.welfare, abs=1e-8)
+
+    def test_presolve_failure_is_retried_without_presolve(self, monkeypatch):
+        real, calls, solved = scipy.optimize.milp, [], []
+
+        def milp(c, **kwargs):
+            calls.append(kwargs.get("options"))
+            if len(calls) == 1:
+                return scipy.optimize.OptimizeResult(status=2, success=False, message="infeasible")
+            solved.append(real(c, **kwargs))
+            return solved[-1]
+
+        monkeypatch.setattr(scipy.optimize, "milp", milp)
+        value, menu = solve_mip(build_mip(self._small_pop(), 2))
+        assert calls == [None, {"presolve": False}]
+        assert value == -solved[0].fun
+        assert menu == tuple(i for i in range(3) if solved[0].x[i] > 0.5)
+
+    def test_second_solver_failure_raises(self, monkeypatch):
+        failed = scipy.optimize.OptimizeResult(status=2, success=False, message="infeasible")
+        calls = []
+        monkeypatch.setattr(scipy.optimize, "milp", lambda c, **kwargs: calls.append(kwargs) or failed)
+        with pytest.raises(RuntimeError, match="solver failed: infeasible"):
+            solve_mip(build_mip(self._small_pop(), 2))
+        assert len(calls) == 2
 
     def test_external_solve_matches_enumeration(self, rng):
         # the cardinality row is <= k, so compare against the best over all

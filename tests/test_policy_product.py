@@ -89,7 +89,7 @@ def enumerated_menu_law(support, k: int) -> dict:
 
 
 def mallows_menu_law(center: Ranking, accuracy, k: int) -> dict:
-    if accuracy is NOISELESS:
+    if accuracy == NOISELESS:
         return {tuple(sorted(center.order[:k])): 1.0}
     return enumerated_menu_law(mallows_support_oracle(center, accuracy), k)
 

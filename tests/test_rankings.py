@@ -207,6 +207,13 @@ class TestAlgorithmPolicy:
         assert policy.is_noiseless
         assert policy.fixed_menu() == frozenset({2, 0})
 
+    def test_infinite_accuracy_is_noiseless(self):
+        # NOISELESS is the phi -> inf limit itself, not a separate marker
+        policy = AlgorithmPolicy(R(2, 0, 1), math.inf, 2)
+        assert policy.is_noiseless and policy == AlgorithmPolicy(R(2, 0, 1), NOISELESS, 2)
+        assert policy.fixed_menu() == frozenset({2, 0})
+        assert not AlgorithmPolicy(R(2, 0, 1), 1e308, 2).is_noiseless
+
     def test_noisy_has_no_fixed_menu(self):
         with pytest.raises(DomainError):
             AlgorithmPolicy(R(0, 1, 2), 1.0, 2).fixed_menu()
