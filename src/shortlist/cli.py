@@ -6,6 +6,7 @@ space- or comma-separated labels, e.g. ``--center "2 1 3"``.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .analysis import (
@@ -16,6 +17,7 @@ from .analysis import (
     derive_partial_order,
     swap_effect,
 )
+from .choice import choice_prob
 from .collab import expected_utility, joint_pick_dist, solo_pick_dist
 from .errors import CapacityError, DimensionError, DomainError, ShortlistError
 from .experiments import EXPERIMENTS, load_profile, run_config, sushi_profile
@@ -28,13 +30,13 @@ from .optimize import (
     optimize_with_uplift,
 )
 from .rankings import (
-    NOISELESS,
     AlgorithmPolicy,
     HumanType,
     Population,
     Ranking,
     ValueProfile,
     borda_values,
+    top_item_values,
 )
 from .welfare import UPLIFT_TOLERANCE, verify_uplift
 
@@ -56,16 +58,23 @@ def _parse_list(text: str, kind, flag: str) -> tuple:
     return _numbers(text.replace(",", " ").split(), kind, flag)
 
 
-def _parse_items(text: str, flag: str) -> tuple[int, ...]:
-    """1-indexed item labels as 0-based items; a repeated label names ``flag``."""
-    items = tuple(x - 1 for x in _parse_list(text, int, flag))
-    if len(set(items)) != len(items):
+def _item(label: int, m: int, flag: str) -> int:
+    """The 0-based item of a 1-indexed ``label``; a label outside ``1..m`` names ``flag``."""
+    if not 1 <= label <= m:
+        raise DomainError(f"{flag}: item {label} outside 1..{m}")
+    return label - 1
+
+
+def _parse_items(text: str, flag: str, m: int | None = None) -> tuple[int, ...]:
+    """Distinct 1-indexed labels in ``1..m`` (default: how many are given) as 0-based items."""
+    labels = _parse_list(text, int, flag)
+    if len(set(labels)) != len(labels):
         raise ShortlistError(f"{flag}: repeated item label in {text!r}")
-    return items
+    return tuple(_item(x, len(labels) if m is None else m, flag) for x in labels)
 
 
-def _parse_pair(text: str, flag: str) -> tuple[int, int]:
-    items = _parse_items(text, flag)
+def _parse_pair(text: str, flag: str, m: int) -> tuple[int, int]:
+    items = _parse_items(text, flag, m)
     if len(items) != 2:
         raise ShortlistError(f"{flag} needs exactly two items, got {len(items)}")
     return items
@@ -79,8 +88,6 @@ def _parse_values(text: str, m: int) -> ValueProfile:
     if text == "borda":
         return borda_values(m)
     if text == "top":
-        from .rankings import top_item_values
-
         return top_item_values(m)
     return ValueProfile(_parse_list(text, float, "--values"))
 
@@ -95,14 +102,28 @@ def _fmt_dist(dist) -> str:
     )
 
 
+# Each flag group is a parent parser: the commands that build a human type, a
+# policy or a population take its flags, and one constructor below reads them.
+_HUMAN_FLAGS = argparse.ArgumentParser(add_help=False)
+_HUMAN_FLAGS.add_argument("--human-center", required=True, help="human ground-truth ranking")
+_HUMAN_FLAGS.add_argument("--phi-h", type=float, default=None, help="Mallows human accuracy")
+_HUMAN_FLAGS.add_argument("--beta", type=float, default=None, help="Plackett-Luce human instead of Mallows")
+_HUMAN_FLAGS.add_argument("--values", required=True, help="'borda', 'top', or explicit list by rank")
+
+
+def _family(args) -> str:
+    """The human model family: "pl" when --beta is given, else "mallows"."""
+    if args.beta is not None and args.phi_h is not None:
+        raise ShortlistError("--phi-h (Mallows) and --beta (Plackett-Luce) select different human models")
+    return "mallows" if args.beta is None else "pl"
+
+
 def _human_from_args(args) -> HumanType:
     center = _parse_ranking(args.human_center, "--human-center")
     values = _parse_values(args.values, center.m)
     if values.m != center.m:
         raise DimensionError(f"--values has {values.m} entries for {center.m} items")
-    if getattr(args, "beta", None) is not None:
-        if args.phi_h is not None:
-            raise ShortlistError("--phi-h (Mallows) and --beta (Plackett-Luce) select different human models")
+    if _family(args) == "pl":
         item_values = tuple(values[center.position(x)] for x in range(center.m))
         noise = PlackettLuceModel(item_values, args.beta)
     else:
@@ -110,12 +131,21 @@ def _human_from_args(args) -> HumanType:
     return HumanType(center, noise, values, 1.0)
 
 
+_POLICY_FLAGS = argparse.ArgumentParser(add_help=False)
+_POLICY_FLAGS.add_argument("--alg-center", required=True, help="algorithm center ranking")
+_POLICY_FLAGS.add_argument("--phi-a", type=float, default=None, help="Mallows accuracy (inf: the center's top k)")
+_POLICY_FLAGS.add_argument("-k", type=int, required=True, help="menu size")
+
+
 def _policy_from_args(args) -> AlgorithmPolicy:
     center = _parse_ranking(args.alg_center, "--alg-center")
-    if args.noiseless and args.phi_a is not None:
-        raise ShortlistError("--noiseless and --phi-a both set the policy accuracy; give one")
-    accuracy = NOISELESS if args.noiseless else _require(args.phi_a, "--phi-a", args)
-    return AlgorithmPolicy(center, accuracy, args.k)
+    return AlgorithmPolicy(center, _require(args.phi_a, "--phi-a", args), args.k)
+
+
+_POPULATION_FLAGS = argparse.ArgumentParser(add_help=False)
+_POPULATION_FLAGS.add_argument("--profile", default=None, help="profile file (default: sushi fixture)")
+_POPULATION_FLAGS.add_argument("--phi-h", type=float, required=True, help="Mallows accuracy of every type")
+_POPULATION_FLAGS.add_argument("--values", default=None, help="'borda' (default), 'top', or explicit list")
 
 
 def _population_from_args(args) -> Population:
@@ -127,9 +157,9 @@ def _population_from_args(args) -> Population:
 def _add_prob_parser(sub):
     p = sub.add_parser("prob", help="single-query probabilities under one model")
     p.add_argument("query", choices=["perm", "first", "pairwise", "topk", "choice"])
-    p.add_argument("--center", required=True, help="center ranking, 1-indexed")
+    p.add_argument("--center", default=None, help="Mallows center ranking, 1-indexed")
     p.add_argument("--phi", type=float, default=None, help="Mallows accuracy")
-    p.add_argument("--pl-values", default=None, help="per-item values (selects Plackett-Luce)")
+    p.add_argument("--pl-values", default=None, help="per-item values (Plackett-Luce, centered on their order)")
     p.add_argument("--beta", type=float, default=None, help="Plackett-Luce noise scale (default 1)")
     p.add_argument("--ranking", help="query ranking (perm)")
     p.add_argument("--item", type=int, help="query item (first)")
@@ -143,57 +173,45 @@ def _require(value, flag: str, args):
     """``value``, or an error naming ``flag`` and the command that needs it."""
     if value is None:
         words = [args.command, getattr(args, "query", None), getattr(args, "analysis", None)]
-        if hasattr(args, "family"):
-            words += ["--family", args.family, "--kind", args.kind]
         raise ShortlistError(f"{flag} is required for '{' '.join(filter(None, words))}'")
     return value
 
 
 def _cmd_prob(args) -> int:
-    center = _parse_ranking(args.center, "--center")
     if args.pl_values is not None:
         if args.phi is not None:
             raise ShortlistError("--phi is a Mallows accuracy; --pl-values selects Plackett-Luce")
+        if args.center is not None:
+            raise ShortlistError("--center is a Mallows center; --pl-values is centered on the value order")
         values = _parse_list(args.pl_values, float, "--pl-values")
         model = PlackettLuceModel(values, 1.0 if args.beta is None else args.beta)
-        if center != model.center:
-            raise ShortlistError(
-                f"--center must be the value order of --pl-values, {_fmt_ranking(model.center)}"
-            )
     else:
-        if args.phi is None:
-            raise ShortlistError("--phi is required for a Mallows model")
+        center = _parse_ranking(_require(args.center, "--center", args), "--center")
         if args.beta is not None:
             raise ShortlistError("--beta needs --pl-values; a Mallows model takes --phi only")
-        model = MallowsModel(center, args.phi)
+        model = MallowsModel(center, _require(args.phi, "--phi", args))
     if args.query == "perm":
         out = model.perm_prob(_parse_ranking(_require(args.ranking, "--ranking", args), "--ranking"))
     elif args.query == "first":
-        out = model.topk_set_prob({_require(args.item, "--item", args) - 1})
+        out = model.topk_set_prob({_item(_require(args.item, "--item", args), model.m, "--item")})
     elif args.query == "pairwise":
-        i, j = _parse_pair(_require(args.pair, "--pair", args), "--pair")
-        out = model.pairwise_prob(i, j)
-    elif args.query == "topk":
-        out = model.topk_set_prob(_parse_items(_require(args.menu, "--menu", args), "--menu"))
+        out = model.pairwise_prob(*_parse_pair(_require(args.pair, "--pair", args), "--pair", model.m))
     else:
-        from .choice import choice_prob
-
-        menu = _parse_items(_require(args.menu, "--menu", args), "--menu")
-        out = choice_prob(model, menu, _require(args.target, "--target", args) - 1)
+        menu = _parse_items(_require(args.menu, "--menu", args), "--menu", model.m)
+        if args.query == "topk":
+            out = model.topk_set_prob(menu)
+        else:
+            target = _item(_require(args.target, "--target", args), model.m, "--target")
+            if target not in menu:
+                raise DomainError(f"--target: item {target + 1} is not in --menu {_fmt_items(menu)}")
+            out = choice_prob(model, menu, target)
     print(repr(out))
     return 0
 
 
 def _add_collab_parser(sub):
-    p = sub.add_parser("collab", help="solo and joint pick distributions and utilities")
-    p.add_argument("--human-center", required=True)
-    p.add_argument("--phi-h", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None, help="Plackett-Luce human instead of Mallows")
-    p.add_argument("--values", required=True, help="'borda', 'top', or explicit list")
-    p.add_argument("--alg-center", required=True)
-    p.add_argument("--phi-a", type=float, default=None)
-    p.add_argument("--noiseless", action="store_true")
-    p.add_argument("-k", type=int, required=True, help="menu size")
+    p = sub.add_parser("collab", help="solo and joint pick distributions and utilities",
+                       parents=[_HUMAN_FLAGS, _POLICY_FLAGS])
     p.set_defaults(func=_cmd_collab)
 
 
@@ -213,14 +231,8 @@ def _cmd_collab(args) -> int:
 
 
 def _add_welfare_parser(sub):
-    p = sub.add_parser("welfare", help="population welfare and uplift for one policy")
-    p.add_argument("--profile", default=None, help="profile file (default: sushi fixture)")
-    p.add_argument("--phi-h", type=float, required=True)
-    p.add_argument("--values", default=None, help="'borda', 'top', or explicit list")
-    p.add_argument("--alg-center", required=True)
-    p.add_argument("--phi-a", type=float, default=None)
-    p.add_argument("--noiseless", action="store_true")
-    p.add_argument("-k", type=int, required=True)
+    p = sub.add_parser("welfare", help="population welfare and uplift for one policy",
+                       parents=[_POPULATION_FLAGS, _POLICY_FLAGS])
     p.set_defaults(func=_cmd_welfare)
 
 
@@ -241,11 +253,8 @@ def _cmd_welfare(args) -> int:
 
 
 def _add_optimize_parser(sub):
-    p = sub.add_parser("optimize", help="welfare-maximizing menu for a population")
-    p.add_argument("--profile", default=None, help="profile file (default: sushi fixture)")
-    p.add_argument("--phi-h", type=float, required=True)
-    p.add_argument("--values", default=None)
-    p.add_argument("-k", type=int, required=True)
+    p = sub.add_parser("optimize", parents=[_POPULATION_FLAGS], help="welfare-maximizing menu for a population")
+    p.add_argument("-k", type=int, required=True, help="menu size")
     p.add_argument("--uplift", action="store_true", help="restrict to menus achieving uplift")
     p.add_argument("--export-lp", default=None, metavar="PATH")
     p.set_defaults(func=_cmd_optimize)
@@ -278,20 +287,12 @@ def _add_analyze_parser(sub):
     p = sub.add_parser("analyze", help="misalignment analysis tools")
     kind = p.add_subparsers(dest="analysis", required=True)
 
-    swap = kind.add_parser("swap", help="effect of swapping two items in the algorithm center")
-    swap.add_argument("--human-center", required=True)
-    swap.add_argument("--phi-h", type=float, default=None)
-    swap.add_argument("--beta", type=float, default=None)
-    swap.add_argument("--values", required=True)
-    swap.add_argument("--alg-center", required=True)
-    swap.add_argument("--phi-a", type=float, default=None)
-    swap.add_argument("--noiseless", action="store_true")
-    swap.add_argument("-k", type=int, required=True)
+    swap = kind.add_parser("swap", help="effect of swapping two items in the algorithm center",
+                           parents=[_HUMAN_FLAGS, _POLICY_FLAGS])
     swap.add_argument("--pair", required=True, help="two items, algorithm-better first")
     swap.set_defaults(func=_cmd_analyze_swap)
 
     cond = kind.add_parser("conditions", help="sufficient-condition checkers")
-    cond.add_argument("--family", choices=["mallows", "pl"], required=True)
     cond.add_argument("--kind", choices=["harmful", "helpful"], required=True)
     cond.add_argument("--values", required=True, help="explicit value list by rank")
     cond.add_argument("--phi-h", type=float, default=None)
@@ -302,11 +303,7 @@ def _add_analyze_parser(sub):
     cond.add_argument("--phi-a", type=float, default=None)
     cond.set_defaults(func=_cmd_analyze_conditions)
 
-    order = kind.add_parser("order", help="certified preference order over candidate centers")
-    order.add_argument("--human-center", required=True)
-    order.add_argument("--phi-h", type=float, default=None)
-    order.add_argument("--beta", type=float, default=None)
-    order.add_argument("--values", required=True)
+    order = kind.add_parser("order", parents=[_HUMAN_FLAGS], help="certified preference order over candidate centers")
     order.add_argument("--phi-a", type=float, required=True)
     order.add_argument("-k", type=int, required=True)
     order.add_argument("--candidates", required=True, help="semicolon-separated rankings")
@@ -316,7 +313,9 @@ def _add_analyze_parser(sub):
 def _cmd_analyze_swap(args) -> int:
     human = _human_from_args(args)
     policy = _policy_from_args(args)
-    i, j = _parse_pair(args.pair, "--pair")
+    i, j = _parse_pair(args.pair, "--pair", policy.center.m)
+    if policy.center.position(i) > policy.center.position(j):
+        raise DomainError(f"--pair: item {i + 1} must be ahead of item {j + 1} in --alg-center")
     report = swap_effect(human, policy, i, j)
     print(f"swapped pair: x{i + 1}, x{j + 1}")
     print(f"utility delta (swapped - original): {report.utility_delta!r}")
@@ -327,34 +326,30 @@ def _cmd_analyze_swap(args) -> int:
 
 
 def _cmd_analyze_conditions(args) -> int:
+    family = _family(args)
+    if family == "mallows":
+        _require(args.phi_h, "--phi-h or --beta", args)
     ranks = _parse_list(args.ranks, int, "--ranks")
-    need = 1 if (args.family, args.kind) == ("pl", "harmful") else 2
+    need = 1 if (family, args.kind) == ("pl", "harmful") else 2
     if len(ranks) != need:
-        raise ShortlistError(f"--ranks needs {need} rank(s) for {args.family} {args.kind}, got {len(ranks)}")
-    flag, other = ("--beta", args.beta) if args.family == "mallows" else ("--phi-h", args.phi_h)
-    if other is not None:
-        raise ShortlistError(f"{flag} does not apply to --family {args.family}")
+        raise ShortlistError(f"--ranks needs {need} rank(s) for {family} {args.kind}, got {len(ranks)}")
     if args.kind == "harmful":
         values = ValueProfile(_parse_list(args.values, float, "--values"))
-    if args.family == "mallows" and args.kind == "harmful":
-        phi_h = _require(args.phi_h, "--phi-h", args)
-        verdict = check_mallows_harmful(values, phi_h, ranks[0], ranks[1])
-    elif args.family == "pl" and args.kind == "harmful":
-        beta = _require(args.beta, "--beta", args)
-        verdict = check_pl_harmful(values, beta, ranks[0])
+    if family == "mallows" and args.kind == "harmful":
+        verdict = check_mallows_harmful(values, args.phi_h, ranks[0], ranks[1])
+    elif args.kind == "harmful":
+        verdict = check_pl_harmful(values, args.beta, ranks[0])
     else:
         _require(args.human_center, "--human-center", args)
         alg_center = _require(args.alg_center, "--alg-center", args)
         phi_a = _require(args.phi_a, "--phi-a", args)
-        if args.family == "pl":
-            _require(args.beta, "--beta", args)
         human = _human_from_args(args)
         policy = AlgorithmPolicy(_parse_ranking(alg_center, "--alg-center"), phi_a, 2)
         if not all(1 <= r <= human.m for r in ranks):
             raise DomainError(f"--ranks must lie in 1..{human.m}, got {ranks}")
         item_i = human.ground_truth.order[ranks[0] - 1]
         item_j = human.ground_truth.order[ranks[1] - 1]
-        if args.family == "mallows":
+        if family == "mallows":
             verdict = check_mallows_helpful(human, policy, item_i, item_j)
         else:
             verdict = check_pl_helpful(human, policy, item_i, item_j)
@@ -429,9 +424,10 @@ def _cmd_experiment(args) -> int:
         if not args.output:
             raise ShortlistError("--output is required")
         config = {"experiment": args.name, "output": args.output}
+        _, knobs = EXPERIMENTS[args.name]
         for key, value in given.items():
             flag, kind = _EXPERIMENT_FLAGS[key]
-            if key not in EXPERIMENTS[args.name]:
+            if key not in knobs:
                 raise ShortlistError(f"{flag} does not apply to the {args.name!r} experiment")
             config[key] = value if kind is None else _numbers(value.split(","), kind, flag)
     for path in run_config(config):
@@ -439,7 +435,9 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="shortlist",
         description="Exact curation outcomes under noisy ranking models",

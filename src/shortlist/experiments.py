@@ -439,30 +439,32 @@ _NUMBER = (_is_number, "a number")
 _INTS = _nonempty_list(_is_int, "integers")
 _NUMBERS = _nonempty_list(_is_number, "numbers")
 
-# The knobs each experiment accepts, beyond "experiment" and "output": a key
-# is the driver's parameter of that name, and a knob left out takes the
-# driver's default. Each maps to (check, what the check wants).
+# Each experiment's driver and the knobs it accepts beyond "experiment" and
+# "output": a key is the driver's parameter of that name, and a knob left out
+# takes the driver's default. Each knob maps to (check, what the check wants).
+# A driver is named, not held, so a run calls whatever this module binds to
+# that name: perfbench traces a driver by rebinding it.
 EXPERIMENTS = {
-    "sushi": {
+    "sushi": ("sushi_experiment", {
         "profile": (lambda x: isinstance(x, str), "a profile path"),
         "phi_grid": _NUMBERS,
         "k": _INT,
-    },
-    "beta-sweep": {
+    }),
+    "beta-sweep": ("beta_sweep", {
         "beta_grid": _NUMBERS,
         "m": _INT,
         "k": _INT,
         "phi": _NUMBER,
         "gumbel_beta": _NUMBER,
         "families": _nonempty_list(lambda x: x in ("mallows", "rum"), "'mallows' and 'rum'"),
-    },
-    "tension": {"gamma": _NUMBER, "phi_grid": _NUMBERS, "k": _INT},
-    "bench": {
+    }),
+    "tension": ("tension_experiment", {"gamma": _NUMBER, "phi_grid": _NUMBERS, "k": _INT}),
+    "bench": ("mip_bench", {
         "sizes": _INTS,
         "k_list": _INTS,
         "type_counts": _INTS,
         "solver": (lambda x: x in ("bnb", "mip"), "'bnb' or 'mip'"),
-    },
+    }),
 }
 
 
@@ -491,7 +493,7 @@ def run_config(config) -> list[str]:
     if not isinstance(output, (str, Path)) or not output:
         raise DomainError("config needs an 'output' path")
     knobs = {key: value for key, value in config.items() if key not in ("experiment", "output")}
-    accepted = EXPERIMENTS[name]
+    driver, accepted = EXPERIMENTS[name]
     for key, value in knobs.items():
         if key not in accepted:
             raise DomainError(
@@ -502,12 +504,6 @@ def run_config(config) -> list[str]:
             raise DomainError(f"config key {key!r} must be {wanted}, got {value!r}")
     if "profile" in knobs:
         knobs["profile"] = load_profile(knobs["profile"])
-    driver = {
-        "sushi": sushi_experiment,
-        "beta-sweep": beta_sweep,
-        "tension": tension_experiment,
-        "bench": mip_bench,
-    }[name]
-    rows = driver(**knobs)
+    rows = globals()[driver](**knobs)
     emit_csv(rows, output)
     return [str(output)]

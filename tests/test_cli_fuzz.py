@@ -27,7 +27,8 @@ PATHS = ["@ok.csv", "@missing/out.csv", "@dir", "@nope.txt", "@garbage.txt", "@p
 FLAG = object()  # a store_true flag takes no token
 
 HUMAN = {"--human-center": RANKINGS, "--phi-h": NUMBERS, "--beta": NUMBERS, "--values": VALUES}
-POLICY = {"--alg-center": RANKINGS, "--phi-a": NUMBERS, "--noiseless": [FLAG], "-k": INTS}
+POLICY = {"--alg-center": RANKINGS, "--phi-a": NUMBERS, "-k": INTS}
+POPULATION = {"--profile": PATHS, "--phi-h": NUMBERS, "--values": VALUES}
 COMMANDS = {
     "prob": {
         None: ["perm", "first", "pairwise", "topk", "choice", "bogus"],
@@ -35,14 +36,11 @@ COMMANDS = {
         "--ranking": RANKINGS, "--item": INTS, "--pair": PAIRS, "--menu": RANKINGS, "--target": INTS,
     },
     "collab": {**HUMAN, **POLICY},
-    "welfare": {"--profile": PATHS, "--phi-h": NUMBERS, "--values": VALUES, **POLICY},
-    "optimize": {
-        "--profile": PATHS, "--phi-h": NUMBERS, "--values": VALUES, "-k": INTS,
-        "--uplift": [FLAG], "--export-lp": PATHS,
-    },
+    "welfare": {**POPULATION, **POLICY},
+    "optimize": {**POPULATION, "-k": INTS, "--uplift": [FLAG], "--export-lp": PATHS},
     "analyze swap": {**HUMAN, **POLICY, "--pair": PAIRS},
     "analyze conditions": {
-        "--family": ["mallows", "pl", "x"], "--kind": ["harmful", "helpful"], "--values": VALUES,
+        "--kind": ["harmful", "helpful"], "--values": VALUES,
         "--phi-h": NUMBERS, "--beta": NUMBERS, "--ranks": PAIRS, "--human-center": RANKINGS,
         "--alg-center": RANKINGS, "--phi-a": NUMBERS,
     },
@@ -103,3 +101,14 @@ def test_fuzzed_command_lines_exit_cleanly(paths, argv):
     code, err = run(argv)
     assert code in (0, 1, 2), (argv, code, err)
     assert "Traceback" not in err, argv
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_help_lists_each_flag_once(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command.split(), "--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    flags = [t for t in usage.replace("[", " ").replace("]", " ").split() if t.startswith("-")]
+    assert len(flags) == len(set(flags)), usage
+    assert set(COMMANDS[command]) - {None} <= set(flags), usage

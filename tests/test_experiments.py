@@ -1,5 +1,6 @@
 import csv
 import importlib.resources
+import inspect
 import io
 import itertools
 import json
@@ -11,6 +12,7 @@ import pytest
 from conftest import make_ranking as R
 from shortlist import MallowsModel, PlackettLuceModel, Ranking, ValueProfile, enumerate_event_prob
 from shortlist.analysis import check_mallows_harmful, check_pl_harmful
+from shortlist.collab import expected_utility, joint_pick_dist
 from shortlist.errors import CapacityError, DomainError, ProfileParseError
 from shortlist.experiments import (
     beta_sweep,
@@ -23,6 +25,8 @@ from shortlist.experiments import (
     tension_experiment,
     tension_population,
 )
+from shortlist.rankings import NOISELESS, AlgorithmPolicy, HumanType, borda_values
+from shortlist.welfare import verify_uplift
 from shortlist import cli, experiments
 
 # cumulative fractions as printed alongside the shipped 33 rows (denominator
@@ -334,6 +338,10 @@ class TestCsvAndConfig:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "x.csv").exists()
 
+    def test_every_experiment_names_a_driver_that_takes_its_knobs(self):
+        for driver, knobs in experiments.EXPERIMENTS.values():
+            assert set(knobs) <= set(inspect.signature(getattr(experiments, driver)).parameters)
+
     def test_unknown_experiment_lists_names(self, tmp_path):
         with pytest.raises(DomainError) as err:
             run_config({"experiment": "nope", "output": str(tmp_path / "x.csv")})
@@ -353,7 +361,7 @@ class TestCli:
 
     def test_prob_choice_pl(self, capsys):
         assert cli.main([
-            "prob", "choice", "--center", "1 2 3", "--pl-values", "1 0 -1",
+            "prob", "choice", "--pl-values", "1 0 -1",
             "--beta", "1.0", "--menu", "1 2 3", "--target", "1",
         ]) == 0
         out = capsys.readouterr().out.strip()
@@ -398,7 +406,7 @@ class TestCli:
     def test_welfare_report(self, capsys):
         code = cli.main([
             "welfare", "--phi-h", "1.0", "--alg-center", "2 4 5 1 3",
-            "--noiseless", "-k", "3",
+            "--phi-a", "inf", "-k", "3",
         ])
         out = capsys.readouterr().out
         assert code == 0
@@ -440,7 +448,7 @@ class TestCli:
     @pytest.mark.parametrize("pair, want", [("2 1", 0.0), ("1 2", 1.0)], ids=["gap-1000", "gap+1000"])
     def test_prob_pairwise_pl_value_gap_past_the_exp_range(self, capsys, pair, want):
         code = cli.main([
-            "prob", "pairwise", "--center", "1 2", "--pl-values", "1000 0", "--beta", "1", "--pair", pair,
+            "prob", "pairwise", "--pl-values", "1000 0", "--beta", "1", "--pair", pair,
         ])
         assert code == 0
         value = float(capsys.readouterr().out.strip())
@@ -449,7 +457,7 @@ class TestCli:
 
     def test_analyze_conditions(self, capsys):
         code = cli.main([
-            "analyze", "conditions", "--family", "mallows", "--kind", "helpful",
+            "analyze", "conditions", "--kind", "helpful",
             "--values", "100 2 1 1", "--human-center", "1 2 3 4", "--phi-h", "1.0",
             "--alg-center", "1 2 3 4", "--phi-a", "1.0", "--ranks", "2 3",
         ])
@@ -459,7 +467,7 @@ class TestCli:
 
     def test_analyze_conditions_pl_value_gap_past_the_exp_range(self, capsys):
         code = cli.main([
-            "analyze", "conditions", "--family", "pl", "--kind", "helpful",
+            "analyze", "conditions", "--kind", "helpful",
             "--values", "1000 2 1 0.5", "--beta", "1", "--ranks", "2 3",
             "--human-center", "1 2 3 4", "--alg-center", "1 2 3 4", "--phi-a", "1",
         ])
@@ -487,13 +495,13 @@ class TestCli:
         [
             (["prob", "first", "--center", "1 x 3", "--phi", "1", "--item", "1"], "--center"),
             (["collab", "--human-center", "1 2 3", "--phi-h", "1", "--values", "1 a 0",
-              "--alg-center", "1 2 3", "--noiseless", "-k", "2"], "--values"),
+              "--alg-center", "1 2 3", "--phi-a", "inf", "-k", "2"], "--values"),
             (["experiment", "sushi", "--phi-grid", "0.5,,1", "--output", "out.csv"], "--phi-grid"),
-            (["analyze", "conditions", "--family", "mallows", "--kind", "harmful",
+            (["analyze", "conditions", "--kind", "harmful",
               "--values", "3 2 1", "--phi-h", "1", "--ranks", "1 x"], "--ranks"),
             (["experiment", "bench", "--sizes", "4,x", "--output", "out.csv"], "--sizes"),
             (["prob", "pairwise", "--center", "1 2 3", "--phi", "1", "--pair", "1"], "--pair"),
-            (["analyze", "conditions", "--family", "mallows", "--kind", "harmful",
+            (["analyze", "conditions", "--kind", "harmful",
               "--values", "3 2 1", "--phi-h", "1", "--ranks", "1"], "--ranks"),
         ],
     )
@@ -626,13 +634,13 @@ class TestCli:
               "--menu", "1 2"], "--phi"),
             (["prob", "topk", "--center", "1 2 3", "--phi", "0.5", "--beta", "7", "--menu", "1 2"], "--beta"),
             (["collab", "--human-center", "1 2 3", "--phi-h", "1", "--beta", "1", "--values", "top",
-              "--alg-center", "1 2 3", "--noiseless", "-k", "2"], "--phi-h"),
+              "--alg-center", "1 2 3", "--phi-a", "inf", "-k", "2"], "--phi-h"),
             (["analyze", "swap", "--human-center", "1 2 3", "--phi-h", "1", "--beta", "1",
               "--values", "borda", "--alg-center", "1 2 3", "--phi-a", "1", "-k", "2", "--pair", "1 2"],
              "--phi-h"),
-            (["analyze", "conditions", "--family", "mallows", "--kind", "harmful",
+            (["analyze", "conditions", "--kind", "harmful",
               "--values", "3 2 1", "--phi-h", "1", "--beta", "1", "--ranks", "1 2"], "--beta"),
-            (["analyze", "conditions", "--family", "pl", "--kind", "harmful",
+            (["analyze", "conditions", "--kind", "harmful",
               "--values", "3 2 1", "--phi-h", "1", "--beta", "1", "--ranks", "2"], "--phi-h"),
         ],
     )
@@ -642,8 +650,59 @@ class TestCli:
         assert captured.err.startswith("error:") and flag in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
 
+    def test_prob_pl_takes_no_center(self, capsys):
+        # "1 2 3" is the value order of the values, so even a matching center is refused
+        code = cli.main(["prob", "topk", "--center", "1 2 3", "--pl-values", "-1 -2 -3", "--menu", "1 2"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1 and "--center" in captured.err
+
+    @pytest.mark.parametrize("kind", ["harmful", "helpful"])
+    @pytest.mark.parametrize("family_flags", [[], ["--phi-h", "1", "--beta", "1"]], ids=["neither", "both"])
+    def test_conditions_take_one_of_phi_h_and_beta(self, capsys, kind, family_flags):
+        code = cli.main([
+            "analyze", "conditions", "--kind", kind, "--values", "4 3 2 1", "--ranks", "2 3",
+            "--human-center", "1 2 3 4", "--alg-center", "1 2 3 4", "--phi-a", "1", *family_flags,
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "--phi-h" in captured.err and "--beta" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["prob", "first", "--center", "1 2 3", "--phi", "1", "--item", "4"], "--item: item 4 outside 1..3"),
+            (["prob", "topk", "--center", "1 2 3", "--phi", "1", "--menu", "1 4"], "--menu: item 4 outside 1..3"),
+            (["prob", "choice", "--center", "1 2 3", "--phi", "1", "--menu", "1 2", "--target", "3"],
+             "--target: item 3 is not in --menu 1 2"),
+            (["collab", "--human-center", "1 2 3", "--phi-h", "1", "--values", "top",
+              "--alg-center", "0 1 2", "--phi-a", "1", "-k", "2"], "--alg-center: item 0 outside 1..3"),
+            (["analyze", "swap", "--human-center", "1 2 3", "--phi-h", "1", "--values", "top",
+              "--alg-center", "1 2 3", "--phi-a", "1", "-k", "2", "--pair", "3 1"],
+             "--pair: item 3 must be ahead of item 1 in --alg-center"),
+        ],
+        ids=["prob-item", "prob-menu", "prob-target", "collab-alg-center", "swap-pair"],
+    )
+    def test_bad_item_label_is_named_as_given(self, capsys, argv, want):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {want}\n")
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_main_calls_share_no_state(self, tmp_path, capsys):
+        flags = ["--phi-grid", "0.3,0.9", "--output"]
+        assert cli.main(["experiment", "tension", "--gamma", "2", *flags, str(tmp_path / "gamma2.csv")]) == 0
+        assert cli.main(["experiment", "tension", *flags, str(tmp_path / "second.csv")]) == 0
+        run_config({"experiment": "tension", "phi_grid": [0.3, 0.9], "output": str(tmp_path / "fresh.csv")})
+        second = (tmp_path / "second.csv").read_bytes()
+        assert second == (tmp_path / "fresh.csv").read_bytes() != (tmp_path / "gamma2.csv").read_bytes()
+
     def test_prob_pl_beta_defaults_to_one(self, capsys):
-        argv = ["prob", "topk", "--center", "1 2 3", "--pl-values", "1 0 -1", "--menu", "1 2"]
+        argv = ["prob", "topk", "--pl-values", "1 0 -1", "--menu", "1 2"]
         assert cli.main(argv) == 0
         assert cli.main([*argv, "--beta", "1"]) == 0
         default, explicit = capsys.readouterr().out.split()
@@ -660,21 +719,27 @@ class TestCli:
         assert err.startswith("error:") and ("--phi-a" if given else "--phi-h") in err
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, center",
         [
-            ["collab", "--human-center", "1 2 3", "--phi-h", "0.7", "--values", "top"],
-            ["welfare", "--phi-h", "1.0"],
-            ["analyze", "swap", "--human-center", "1 2 3", "--phi-h", "0.7", "--values", "top",
-             "--pair", "2 3"],
+            (["collab", "--human-center", "1 2 3", "--phi-h", "0.7", "--values", "top"], R(0, 1, 2)),
+            (["welfare", "--phi-h", "1.0"], R(1, 3, 4, 0, 2)),
+            (["analyze", "swap", "--human-center", "1 2 3", "--phi-h", "0.7", "--values", "top",
+              "--pair", "2 3"], R(0, 1, 2)),
         ],
         ids=["collab", "welfare", "analyze-swap"],
     )
-    def test_noiseless_beside_phi_a_is_an_error(self, capsys, argv):
-        code = cli.main([*argv, "--alg-center", "1 2 3", "--phi-a", "0.5", "--noiseless", "-k", "2"])
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error:") and captured.out == ""
-        assert "--noiseless" in captured.err and "--phi-a" in captured.err
+    def test_phi_a_inf_builds_the_noiseless_policy(self, monkeypatch, capsys, argv, center):
+        built = []
+        policy_from_args = cli._policy_from_args
+
+        def recorded(args):
+            built.append(policy_from_args(args))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "_policy_from_args", recorded)
+        labels = " ".join(str(x + 1) for x in center.order)
+        assert cli.main([*argv, "--alg-center", labels, "--phi-a", "inf", "-k", "2"]) == 0, capsys.readouterr().err
+        assert built == [AlgorithmPolicy(center, NOISELESS, 2)] and built[0].is_noiseless
 
     @pytest.mark.parametrize(
         "argv",
@@ -686,14 +751,17 @@ class TestCli:
         ids=["collab", "welfare"],
     )
     def test_infinite_phi_a_is_noiseless(self, capsys, argv):
-        assert cli.main([*argv, "--noiseless"]) == 0
-        noiseless = capsys.readouterr()
         assert cli.main([*argv, "--phi-a", "inf"]) == 0
-        assert capsys.readouterr() == noiseless
-        # inf is an accuracy, so it still clashes with --noiseless
-        assert cli.main([*argv, "--phi-a", "inf", "--noiseless"]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error:") and captured.out == ""
+        out = capsys.readouterr().out.splitlines()
+        if argv[0] == "collab":
+            human = HumanType(R(0, 1, 2, 3), MallowsModel(R(0, 1, 2, 3), 0.7), borda_values(4), 1.0)
+            joint = joint_pick_dist(human, AlgorithmPolicy(R(1, 0, 2, 3), NOISELESS, 2))
+            assert out[1] == f"joint pick dist: {cli._fmt_dist(joint)}"
+            assert out[3] == f"joint utility: {expected_utility(joint, human)!r}"
+        else:
+            policy = AlgorithmPolicy(R(1, 3, 4, 0, 2), NOISELESS, 3)
+            report = verify_uplift(sushi_profile().to_population(1.0), policy)
+            assert out[0] == f"social welfare: {report.social_welfare!r}"
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -703,7 +771,7 @@ class TestCli:
             (["prob", "pairwise", "--center", "1 2 3", "--phi", "0.7", "--pair", "2 2"], "--pair"),
             (["prob", "first", "--center", "1 1 2", "--phi", "0.7", "--item", "1"], "--center"),
             (["collab", "--human-center", "1 2 3", "--phi-h", "0.7", "--values", "top",
-              "--alg-center", "2 2 3", "--noiseless", "-k", "2"], "--alg-center"),
+              "--alg-center", "2 2 3", "--phi-a", "inf", "-k", "2"], "--alg-center"),
         ],
     )
     def test_repeated_item_label_is_an_error(self, capsys, argv, flag):
@@ -716,9 +784,9 @@ class TestCli:
         "argv, flag",
         [
             (["collab", "--human-center", "1 2 3", "--phi-h", "0.7", "--values", "3 2 1 0",
-              "--alg-center", "1 2 3", "--noiseless", "-k", "2"], "--values"),
+              "--alg-center", "1 2 3", "--phi-a", "inf", "-k", "2"], "--values"),
             (["prob", "perm", "--center", "1 2 3", "--ranking", "2 1 3"], "--phi"),
-            (["analyze", "conditions", "--family", "mallows", "--kind", "helpful", "--values", "4 3 2 1",
+            (["analyze", "conditions", "--kind", "helpful", "--values", "4 3 2 1",
               "--human-center", "1 2 3 4", "--phi-h", "1", "--alg-center", "1 2 3 4", "--phi-a", "1",
               "--ranks", "2 5"], "--ranks"),
         ],
@@ -734,12 +802,12 @@ class TestCli:
         "argv, want",
         [
             (["prob", "perm", "--center", "1 2 3", "--phi", "1"], "--ranking is required for 'prob perm'"),
-            (["collab", "--human-center", "1 2 3", "--values", "top", "--alg-center", "1 2 3", "--noiseless",
+            (["collab", "--human-center", "1 2 3", "--values", "top", "--alg-center", "1 2 3", "--phi-a", "inf",
               "-k", "2"], "--phi-h is required for 'collab'"),
             (["analyze", "swap", "--human-center", "1 2 3", "--phi-h", "1", "--values", "top",
               "--alg-center", "1 2 3", "-k", "2", "--pair", "1 2"], "--phi-a is required for 'analyze swap'"),
-            (["analyze", "conditions", "--family", "pl", "--kind", "harmful", "--values", "3 2 1", "--ranks", "2"],
-             "--beta is required for 'analyze conditions --family pl --kind harmful'"),
+            (["analyze", "conditions", "--kind", "harmful", "--values", "3 2 1", "--ranks", "2"],
+             "--phi-h or --beta is required for 'analyze conditions'"),
         ],
         ids=["prob", "collab", "analyze-swap", "analyze-conditions"],
     )
@@ -749,24 +817,24 @@ class TestCli:
 
     def test_conditions_pl_helpful_without_beta_names_beta(self, capsys):
         code = cli.main([
-            "analyze", "conditions", "--family", "pl", "--kind", "helpful",
+            "analyze", "conditions", "--kind", "helpful",
             "--values", "4 3 2 1", "--ranks", "2 3", "--human-center", "1 2 3 4",
             "--alg-center", "1 2 3 4", "--phi-a", "1",
         ])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "--beta" in err and "--phi-h" not in err
+        assert err.startswith("error:") and err.count("\n") == 1 and "--beta" in err
 
     @pytest.mark.parametrize(
-        "family, flags, ranks, verdict",
+        "flags, ranks, verdict",
         [
-            ("mallows", ["--phi-h", "1"], "2 3", lambda v: check_mallows_harmful(v, 1.0, 2, 3)),
-            ("pl", ["--beta", "1"], "3", lambda v: check_pl_harmful(v, 1.0, 3)),
+            (["--phi-h", "1"], "2 3", lambda v: check_mallows_harmful(v, 1.0, 2, 3)),
+            (["--beta", "1"], "3", lambda v: check_pl_harmful(v, 1.0, 3)),
         ],
         ids=["mallows", "pl"],
     )
-    def test_conditions_harmful_reads_the_explicit_values(self, capsys, family, flags, ranks, verdict):
-        base = ["analyze", "conditions", "--family", family, "--kind", "harmful", *flags, "--ranks", ranks]
+    def test_conditions_harmful_reads_the_explicit_values(self, capsys, flags, ranks, verdict):
+        base = ["analyze", "conditions", "--kind", "harmful", *flags, "--ranks", ranks]
         assert cli.main([*base, "--values", "1 0.9 0.5 0"]) == 0
         want = verdict(ValueProfile((1.0, 0.9, 0.5, 0.0)))
         assert want.holds
@@ -781,7 +849,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "model_flags, model",
         [
-            (["--phi", "0.7"], MallowsModel(Ranking((1, 0, 2)), 0.7)),
+            (["--center", "2 1 3", "--phi", "0.7"], MallowsModel(Ranking((1, 0, 2)), 0.7)),
             (["--pl-values", "0.5 1 -1", "--beta", "2"], PlackettLuceModel((0.5, 1.0, -1.0), 2.0)),
         ],
         ids=["mallows", "pl"],
@@ -793,7 +861,7 @@ class TestCli:
         else:
             weights = [math.exp(v / 2.0) for v in model.item_values]
         for item in range(3):
-            assert cli.main(["prob", "first", "--center", "2 1 3", *model_flags, "--item", str(item + 1)]) == 0
+            assert cli.main(["prob", "first", *model_flags, "--item", str(item + 1)]) == 0
             got = float(capsys.readouterr().out.strip())
             assert got == model.topk_set_prob({item})
             assert got == pytest.approx(weights[item] / math.fsum(weights), rel=1e-14)
