@@ -1,13 +1,17 @@
 """Probability that an item is ranked first among a presented menu.
 
-``choice_table`` scores a batch of B menus of k items, in blocks of
-``MENU_BLOCK`` menus, and ``choice_dist`` scores one; both validate the
-menus, sort each into the model's own order and leave the family's math to
-the model's ``pick_rows`` (see ``models``), so neither knows the family and
-a menu has the same bits alone or in a batch. For Mallows models that math
-is one insertion DP of O(B k m^2); its result depends on a menu only through
-(m, phi) and the sorted center positions of its items, so callers that score
-many types of one accuracy can share one table (see
+``choice_table`` scores a batch of B menus of k items and ``choice_dist``
+scores one; both validate the menus, sort each into the model's own order and
+leave the family's math to the model's ``pick_rows`` (see ``models``), so
+neither knows the family. ``choice_table`` sorts the rows by their positions
+in that order before it cuts them into blocks of ``MENU_BLOCK`` menus, so a
+block holds whole runs of menus with common leading items. For Mallows models
+the math is one insertion DP whose states are the distinct prefixes of a
+block's menus: menus that share leading items share those steps, and each
+whole menu's state still rides on to the last step, so a menu has the same
+bits alone or in any batch. The result depends on a menu only through (m,
+phi) and the sorted center positions of its items, so callers that score many
+types of one accuracy can share one table (see
 ``optimize.menu_utility_table``).
 """
 from __future__ import annotations
@@ -51,7 +55,9 @@ class PickDistribution:
         return tuple(self[x] for x in order)
 
 
-MENU_BLOCK = 128  # menus per pass of the batched DP; bounds its working memory
+# menus per pass of the batched DP: a pass holds at most k * MENU_BLOCK prefix
+# states of k * m floats, so the block bounds its working memory
+MENU_BLOCK = 512
 
 
 def choice_table(model, menus) -> np.ndarray:
@@ -60,9 +66,10 @@ def choice_table(model, menus) -> np.ndarray:
     ``menus`` is an int array of shape (B, k) whose rows hold distinct items
     in any order; entry [b, j] of the result is the probability that
     ``menus[b, j]`` is picked from menu b. Each row is sorted into the
-    model's own order (``model.ranks``) and scored by ``model.pick_rows`` in
-    blocks of ``MENU_BLOCK`` menus, so a menu's row has the same bits as
-    when it is scored alone.
+    model's own order (``model.ranks``), the rows are sorted by those
+    positions, and ``model.pick_rows`` scores them in blocks of
+    ``MENU_BLOCK`` menus; a menu's row has the same bits as when it is
+    scored alone.
     """
     menus = np.asarray(menus, dtype=np.intp)
     if menus.ndim != 2:
@@ -75,12 +82,15 @@ def choice_table(model, menus) -> np.ndarray:
         raise DimensionError(f"menus contain items outside 0..{m - 1}")
     if k > 1 and (np.diff(np.sort(menus, axis=1), axis=1) == 0).any():
         raise DomainError("menu items must be distinct")
-    order = np.argsort(np.asarray(model.ranks)[menus], axis=1)
+    ranks = np.asarray(model.ranks)[menus]
+    order = np.argsort(ranks, axis=1)
     rows = np.take_along_axis(menus, order, axis=1)
+    # blocks cut from rows sorted by their positions hold whole prefix subtrees
+    by_position = np.lexsort(np.take_along_axis(ranks, order, axis=1).T[::-1])
     out = np.empty((B, k))
     for lo in range(0, B, MENU_BLOCK):
-        hi = lo + MENU_BLOCK
-        np.put_along_axis(out[lo:hi], order[lo:hi], model.pick_rows(rows[lo:hi]), axis=1)
+        block = by_position[lo : lo + MENU_BLOCK]
+        out[block[:, None], order[block]] = model.pick_rows(rows[block])
     return out
 
 

@@ -63,12 +63,14 @@ def _row_z_values(m: int, phi: float) -> tuple[float, ...]:
 
 
 @lru_cache(maxsize=256)
-def _insertion_rows(m: int, phi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Insertion probabilities of every step as read-only (m, m) arrays.
+def _insertion_rows(m: int, phi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
+    """Insertion probabilities of every step as read-only (m, m) arrays, and the rows per step.
 
     Row ``t - 1`` of ``probs`` holds ``p_{t,s}`` for ``s = 1..t`` and zeros
     after; ``gammas`` are their running sums and ``keeps = 1 - gammas``, the
-    chance that an earlier item at position ``s`` stays there.
+    chance that an earlier item at position ``s`` stays there. The fourth
+    value holds per step the rows ``MallowsModel.pick_rows`` reads: ``probs``
+    forwards and backwards, ``gammas`` without its last entry, and ``keeps``.
     """
     probs = np.zeros((m, m))
     for t in range(1, m + 1):
@@ -78,7 +80,7 @@ def _insertion_rows(m: int, phi: float) -> tuple[np.ndarray, np.ndarray, np.ndar
     keeps = 1.0 - gammas
     for array in (probs, gammas, keeps):
         array.setflags(write=False)
-    return probs, gammas, keeps
+    return probs, gammas, keeps, tuple(zip(probs, probs[:, ::-1], gammas[:, :-1], keeps))
 
 
 @dataclass(frozen=True)
@@ -177,63 +179,130 @@ class MallowsModel:
     def pick_rows(self, menus: np.ndarray) -> np.ndarray:
         """Pick probabilities of a (B, k) block of menus listed in center order.
 
-        One insertion DP over the menus' center positions: state W[b, j, s - 1]
-        is the probability that slot j's item (the j-th of menu b in center
-        order) is currently menu b's front-runner and sits at position ``s``
-        of the partial permutation; slot k carries the front-runner mass of
-        all slots, whose suffix sums decide whether a freshly inserted menu
-        item takes the lead. The no-menu-item-yet case is the fresh item being
-        slot 0, so no side enumeration over guesses is needed. Every row takes
-        the same arithmetic at every step from the block's first menu item to
-        t = m (a row that does not hold the step's item gets zero fresh mass,
-        one that does gets zero shift), so a row's bits do not depend on the
-        other rows of its block. Cost O(B k m^2). A full-universe menu (k = m)
-        is the first-item law e^{-phi j} / row_z(m), read off the last
-        insertion row in O(m).
+        The insertion DP over center positions, run once per distinct prefix
+        of the block's menus (``_prefix_tree``). Step t inserts the item at
+        center position t - 1. A state W[j, s - 1] is the probability that
+        the menu's j-th item in center order is inserted, leads the menu and
+        sits at position ``s`` of the partial permutation. After step t it
+        depends on a menu only through its items at positions below t, so
+        menus with a common prefix share one state until their next items.
+        Each step gives every live state the keep/shift update of an item
+        outside its menu, and spawns each prefix that ends in the step's item
+        from its parent's state: the item leads at ``s`` with probability
+        ``p_{t,s}`` times the front-runner mass at ``s`` or behind (1 for a
+        first item), and an earlier front-runner keeps the lead only where
+        the item lands behind it. A prefix keeps that front-runner mass in
+        its last slot, where a whole menu keeps its k-th item. Whole-menu
+        states ride on to t = m, as the per-menu DP's rows do, so a row has
+        the same bits alone, in any block and beside any rows. A block of B
+        menus has at most k B states of k m floats, and a step costs O(k m)
+        per live state. A full-universe menu (k = m) is the first-item law
+        e^{-phi j} / row_z(m), read off the last insertion row in O(m).
         """
         B, k = menus.shape
         m = self.m
         if k == 1:
             return np.ones((B, 1))
-        probs, gammas, keeps = _insertion_rows(m, self.phi)
         if k == m:
-            return np.tile(probs[m - 1, ::-1], (B, 1))
-        pos = self._rank_array[menus]
-        # enters[t-1, b, j] = 1 when step t inserts the item of slot j of menu b
-        # (and, for j = k, into the total)
-        enters = np.zeros((m, B, k + 1))
-        rows = np.arange(B)[:, None]
-        enters[pos, rows, np.arange(k)] = 1.0
-        enters[pos, rows, k] = 1.0
-        inserting = enters[:, :, k]
-        counts = inserting.sum(axis=1).tolist()
-        lead_steps = set(pos[:, 0].tolist())
-        # the block's first step finds nothing inserted yet in any menu
-        start = min(lead_steps)
-        W = enters[start, :, :, None] * (probs[start] * enters[start, :, :1])[:, None, :]
-        # views into W, which every later step updates in place
-        total, behind, ahead = W[:, k, ::-1], W[:, :, 1:], W[:, :, :-1]
-        for t in range(start + 2, m + 1):
-            inserted = counts[t - 1]
-            if inserted:
-                tail = total.cumsum(axis=1)[:, ::-1]
-                if t - 1 in lead_steps:
-                    tail += enters[t - 1, :, :1]
-                fresh = probs[t - 1] * tail
-            if inserted < B:
-                # inserting a non-menu item ahead of the front-runner moves it back
-                moved = gammas[t - 1, :-1] * ahead
-                if inserted:
-                    moved *= (1.0 - inserting[t - 1])[:, None, None]
-            W *= keeps[t - 1]
-            if inserted < B:
+            return np.tile(_insertion_rows(m, self.phi)[0][m - 1, ::-1], (B, 1))
+        top = k - 1  # a prefix's front-runner mass, and a whole menu's k-th item
+        nodes, rows, plan = _prefix_tree(self._rank_array[menus], m)
+        W = np.zeros((nodes, k, m))
+        cells = W.reshape(-1, m)  # one row per (state, slot)
+        steps = _insertion_rows(m, self.phi)[3]
+        span = None
+        for t, a, c, b, lo, parents, targets in plan:
+            p, p_back, g, kp = steps[t]
+            if b > c:
+                # prefixes ending in the step's item: the item leads where it
+                # lands at or ahead of the parent's front-runner
+                W[c:b] = W[parents]
+                X = W[c:b]
+                fresh = p_back * X[:, top, ::-1].cumsum(axis=1)  # by position from the back
+                X *= kp
+                X[:, top, ::-1] += fresh
+                cells[targets] = fresh[:, ::-1]
+            if a > lo:
+                # an item outside the menu: the front-runner stays, or moves back one place
+                if span != (lo, a):
+                    span = (lo, a)
+                    live = W[lo:a]
+                    ahead, behind = live[:, :, :-1], live[:, :, 1:]
+                moved = g * ahead
+                live *= kp
                 behind += moved
-            if inserted:
-                W += enters[t - 1, :, :, None] * fresh[:, None, :]
-        return W[:, :k].sum(axis=2)
+            if c > a:
+                # a one-item prefix leads wherever its item lands
+                W[a:c, 0] = W[a:c, top] = p
+        return W[rows].sum(axis=2)
 
     def support(self):
         return _enumerated_support(self)
+
+
+def _prefix_tree(pos: np.ndarray, m: int):
+    """The prefix tree of a block of menus, laid out for ``MallowsModel.pick_rows``.
+
+    ``pos`` is (B, k), each row a menu's center positions in increasing
+    order. The tree's nodes are the runs of adjacent rows that share a
+    prefix, so rows in lexicographic order share every common prefix. A
+    node is born at the step that inserts its last item and is needed
+    until the step that spawns its last child; a whole menu is needed to
+    the end. Nodes are listed by birth and, within a birth, by length, so
+    the nodes born at a step are a contiguous run and so are those alive
+    across it (with some dead ones among them). Returns the number of
+    nodes, each row's whole-menu node, and per step from the first birth:
+    the step, the first node born at it, the first such node with a parent,
+    the first node born after it, the first node still needed after it, and
+    the parents and (node * k + slot) cells of that step's nodes with a
+    parent. One menu's tree is a chain, written out directly with slices in
+    place of index arrays; a block's is built with array operations and
+    cached.
+    """
+    B, k = pos.shape
+    if B == 1:
+        # one menu: a chain whose node j is born at its (j + 1)-th position
+        p = pos[0].tolist() + [m]
+        plan = [(p[0], 0, 1, 1, 0, None, None)]
+        for j in range(1, k + 1):
+            plan += [(t, j, j, j, j - 1, None, None) for t in range(p[j - 1] + 1, p[j])]
+            if j < k:
+                plan.append((p[j], j, j, j + 1, j, slice(j - 1, j), slice(j * (k + 1), j * (k + 1) + 1)))
+        return k, slice(k - 1, k), plan
+    return _shared_prefixes(m, k, pos.tobytes())
+
+
+@lru_cache(maxsize=64)
+def _shared_prefixes(m: int, k: int, block: bytes):
+    """``_prefix_tree`` of a block of several menus, given as the bytes of its
+    positions: the tree depends on nothing else, so blocks that recur (every
+    accuracy of one population, every call over the same menus) reuse it."""
+    pos = np.frombuffer(block, dtype=np.intp).reshape(-1, k)
+    B = len(pos)
+    starts = np.ones((k, B), dtype=bool)  # starts[j, b]: row b starts a prefix of j + 1 items
+    starts[:, 1:] = np.logical_or.accumulate(pos[1:] != pos[:-1], axis=1).T
+    flat = starts.ravel()
+    ids = np.cumsum(flat) - 1
+    nodes = np.flatnonzero(flat)  # node (j, b) as j * B + b, shorter prefixes first
+    at = np.append(pos.T.ravel(), np.full(B, m))  # at[n + B]: the next position in n's row
+    death = np.maximum.reduceat(at[B:], nodes)  # its last child's birth, or m for a whole menu
+    key = at[nodes] * k + nodes // B  # birth, then length - 1, the last item's slot
+    by_birth = np.argsort(key)
+    key, death = key[by_birth], death[by_birth]
+    where = np.empty_like(by_birth)
+    where[by_birth] = np.arange(len(nodes))
+    parent = where[ids[nodes[by_birth] - B]]  # junk for one-item prefixes, never read
+    target = np.arange(len(nodes)) * k + key % k
+    born, deep = np.searchsorted(key, np.arange(m + 1)[:, None] * k + (0, 1)).T.tolist()
+    live = np.searchsorted(np.maximum.accumulate(death), np.arange(m), side="right").tolist()
+    rows = where[ids[(k - 1) * B :]]
+    for array in (parent, target, rows):
+        array.setflags(write=False)  # shared by every caller of the cached tree
+    plan = tuple(
+        (t, born[t], deep[t], born[t + 1], live[t], parent[deep[t] : born[t + 1]], target[deep[t] : born[t + 1]])
+        for t in range(key[0] // k, m)
+    )
+    return len(nodes), rows, plan
 
 
 def _enumerated_support(model):

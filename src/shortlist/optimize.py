@@ -428,7 +428,7 @@ def build_mip(pop: Population, k: int) -> MipInstance:
     for h_idx, h in enumerate(pop):
         model: MallowsModel = h.noise
         center = model.center.order
-        probs, gammas, keeps = _insertion_rows(m, model.phi)
+        probs, gammas, keeps, _ = _insertion_rows(m, model.phi)
         v_max = h.values[0]
         prefix = f"type{h_idx}"
 

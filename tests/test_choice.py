@@ -12,6 +12,7 @@ from shortlist import (
     Ranking,
     choice_dist,
     choice_prob,
+    choice_table,
 )
 from shortlist.choice import oracle_choice_dist
 from shortlist.errors import DimensionError, DomainError
@@ -100,16 +101,17 @@ class TestMallowsChoice:
 
     def test_large_m_pair_menus_match_pairwise_closed_form(self, rng):
         # beyond enumeration reach the two-item menus still have an
-        # independent closed-form route
-        m = 25
-        center = Ranking(tuple(rng.permutation(m)))
-        model = MallowsModel(center, 0.35)
-        for _ in range(30):
-            i, j = (int(x) for x in rng.choice(m, size=2, replace=False))
-            if center.position(i) > center.position(j):
-                i, j = j, i
-            dp = choice_dist(model, {i, j})
-            assert dp[i] == pytest.approx(model.pairwise_prob(i, j), abs=1e-10)
+        # independent closed-form route; one batch of every pair shares each
+        # first item's prefix, and a pair scored alone keeps the batch's bits
+        m = 40
+        pairs = list(itertools.combinations(range(m), 2))
+        for phi in (0.0, 0.35, 30.0):
+            model = MallowsModel(Ranking(tuple(rng.permutation(m))), phi)
+            table = choice_table(model, pairs)
+            for b, (i, j) in enumerate(pairs):
+                assert table[b, 0] == pytest.approx(model.pairwise_prob(i, j), abs=1e-14)
+                if b % 13 == 0:
+                    assert choice_dist(model, {i, j}).as_tuple((i, j)) == tuple(table[b].tolist())
 
     def test_large_m_full_menu_matches_first_item_closed_form(self, rng):
         m = 25

@@ -91,6 +91,21 @@ class TestChoiceTable:
         for b in (0, MENU_BLOCK - 1, MENU_BLOCK, MENU_BLOCK + 49):
             assert np.array_equal(choice_table(model, menus[b : b + 1])[0], table[b])
         assert np.allclose(table.sum(axis=1), 1.0, atol=1e-12)
+        # menus that share a prefix share its DP state, so a row must not
+        # depend on which rows sit beside it: the whole C(12, 4) lattice in
+        # order, shuffled (rows and items), and with repeats past a block
+        model = mallows_model(rng, 12, 0.8)
+        lattice = np.array(list(itertools.combinations(range(12), 4)), dtype=np.intp)
+        shuffled = rng.permuted(lattice, axis=1)[rng.permutation(len(lattice))]
+        repeated = np.concatenate([lattice, shuffled, lattice[::7]])
+        for batch in (lattice, shuffled, repeated):
+            table = choice_table(model, batch)
+            for b in range(len(batch)):
+                assert choice_table(model, batch[b : b + 1])[0].tobytes() == table[b].tobytes()
+        # pick_rows itself takes rows in any order: unsorted rows share fewer
+        # prefixes but keep their bits
+        rows = np.take_along_axis(shuffled, np.argsort(np.asarray(model.ranks)[shuffled], axis=1), axis=1)
+        assert model.pick_rows(rows[:MENU_BLOCK]).tobytes() == choice_table(model, rows[:MENU_BLOCK]).tobytes()
 
     def test_explicit_model_rows(self, rng):
         model = explicit_model(rng, 5)

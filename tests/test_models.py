@@ -230,15 +230,15 @@ class TestMallowsTopK:
 
 class TestInsertionTable:
     def test_two_slot_row(self):
-        probs, _, _ = _insertion_rows(2, LN2)
+        probs, _, _, _ = _insertion_rows(2, LN2)
         assert tuple(probs[1, :2]) == pytest.approx((1 / 3, 2 / 3), abs=1e-15)
 
     def test_first_row_trivial(self):
-        probs, _, _ = _insertion_rows(3, 1.7)
+        probs, _, _, _ = _insertion_rows(3, 1.7)
         assert tuple(probs[0, :1]) == (1.0,)
 
     def test_uniform_rows_at_phi_zero(self):
-        probs, _, _ = _insertion_rows(4, 0.0)
+        probs, _, _, _ = _insertion_rows(4, 0.0)
         for t in range(1, 5):
             assert tuple(probs[t - 1, :t]) == pytest.approx(tuple([1 / t] * t))
 
@@ -246,7 +246,7 @@ class TestInsertionTable:
         for _ in range(20):
             m = int(rng.integers(1, 9))
             phi = float(rng.uniform(0.0, 3.0))
-            probs, gammas, _ = _insertion_rows(m, phi)
+            probs, gammas, _, _ = _insertion_rows(m, phi)
             for t in range(1, m + 1):
                 row, gamma = probs[t - 1, :t], gammas[t - 1, :t]
                 assert math.fsum(row) == pytest.approx(1.0, abs=1e-12)
@@ -260,7 +260,7 @@ class TestInsertionTable:
             phi = float(rng.uniform(0.0, 3.0))
             center = Ranking(tuple(rng.permutation(m)))
             model = MallowsModel(center, phi)
-            probs, _, _ = _insertion_rows(m, phi)
+            probs, _, _, _ = _insertion_rows(m, phi)
             for perm in itertools.permutations(range(m)):
                 r = Ranking(perm)
                 prob = 1.0
