@@ -10,9 +10,9 @@ the math is one insertion DP whose states are the distinct prefixes of a
 block's menus: menus that share leading items share those steps, and each
 whole menu's state still rides on to the last step, so a menu has the same
 bits alone or in any batch. The result depends on a menu only through (m,
-phi) and the sorted center positions of its items, so callers that score many
-types of one accuracy can share one table (see
-``optimize.menu_utility_table``).
+phi) and the sorted center positions of its items, so a menu table builds one
+utility column per (accuracy, values by center position) and each type of
+that pair gathers its column from it (see ``optimize.menu_utility_table``).
 """
 from __future__ import annotations
 

@@ -275,7 +275,16 @@ def tension_population(gamma: float, phi_h: float) -> Population:
 
 
 def tension_experiment(gamma: float = 3.0, phi_grid=TENSION_PHI_GRID, k: int = 3) -> list[dict]:
-    """Optimal welfare with and without the uplift constraint, per accuracy."""
+    """Optimal welfare with and without the uplift constraint, per accuracy.
+
+    ``gamma`` weights the six head orders by Mallows(gamma), so it must be
+    finite, nonnegative and small enough (below about 248.4) that the least
+    likely order, the reversed one, keeps a positive weight.
+    """
+    if not 0 <= gamma < math.inf:
+        raise DomainError(f"gamma must be finite and nonnegative, got {gamma!r}")
+    if MallowsModel(Ranking.identity(3), gamma).perm_prob(Ranking((2, 1, 0))) == 0:
+        raise DomainError(f"gamma {gamma!r} is too large: the weight of the reversed head order underflows to 0")
     rows: list[dict] = []
     for phi_h in _validated_grid(phi_grid, "accuracy"):
         pop = tension_population(gamma, phi_h)

@@ -74,7 +74,8 @@ def _insertion_rows(m: int, phi: float) -> tuple[np.ndarray, np.ndarray, np.ndar
     """
     probs = np.zeros((m, m))
     for t in range(1, m + 1):
-        probs[t - 1, :t] = np.exp(-phi * (t - np.arange(1, t + 1, dtype=float)))
+        with np.errstate(over="ignore"):  # phi times a gap may round to inf; exp(-inf) = 0 is right
+            probs[t - 1, :t] = np.exp(-phi * (t - np.arange(1, t + 1, dtype=float)))
         probs[t - 1, :t] /= row_z(t, phi)
     gammas = np.cumsum(probs, axis=1)
     keeps = 1.0 - gammas

@@ -61,15 +61,16 @@ def position_set_rank(m: int, k: int):
 def menu_utility_table(pop: Population, k: int):
     """All k-menus (``models.k_menus``) with per-type utilities, shape (menus, types).
 
-    A Mallows pick distribution depends on a menu only through (m, phi) and
-    the sorted center positions of its items, so the batched choice DP runs
-    once per distinct Mallows accuracy, over all C(m, k) position sets: they
-    are the lexicographic menus under the identity center. Each type of that
-    accuracy reads its menu's row at ``position_set_rank`` of the menu's
-    sorted positions. Plackett-Luce and explicit types get a table each,
-    read the same way with the identity as center. Entries are
-    ``math.fsum`` of the same products as ``menu_utility``, so they have its
-    bits.
+    A Mallows type's utility depends on a menu only through (m, phi), its
+    values by center position (its value profile, as the center is the
+    ground truth) and the sorted center positions of the menu's items. So
+    one utility column is built per distinct (phi, values), over all C(m, k)
+    position sets: they are the lexicographic menus under the identity
+    center. Each type of that group gathers its column's entry at
+    ``position_set_rank`` of each menu's sorted positions. A Plackett-Luce
+    or explicit type gets a column of its own, with values in item order.
+    Entries are ``math.fsum`` of the same products as ``menu_utility``, so
+    they have its bits.
     """
     m = pop.m
     menus = k_menus(m, k)
@@ -77,28 +78,30 @@ def menu_utility_table(pop: Population, k: int):
     table = np.empty((len(menus), pop.n))
     lex_rank = position_set_rank(m, k)
 
-    def fill(col: int, h: HumanType, probs: np.ndarray, center):
-        v = np.asarray([h.value_of(x) for x in range(m)])
-        rank = np.empty(m, dtype=np.intp)
-        rank[center] = np.arange(m)
-        v = v[center]  # by center position, as the table's rows are
+    def column(model, values) -> np.ndarray:
+        """``model``'s utility of every menu, with ``values`` indexed as its items are."""
+        probs = choice_table(model, items)
+        values = np.asarray(values)
+        out = np.empty(len(menus))
         for lo in range(0, len(menus), MENU_BLOCK):
-            pos = np.sort(rank[items[lo : lo + MENU_BLOCK]], axis=1)
-            terms = probs[lex_rank(pos)] * v[pos]
-            table[lo : lo + len(pos), col] = [math.fsum(row) for row in terms.tolist()]
+            terms = probs[lo : lo + MENU_BLOCK] * values[items[lo : lo + MENU_BLOCK]]
+            out[lo : lo + len(terms)] = [math.fsum(row) for row in terms.tolist()]
+        return out
 
-    by_phi: dict[float, list[int]] = {}
+    groups: dict[tuple, list[int]] = {}
     for col, h in enumerate(pop):
         if isinstance(h.noise, MallowsModel):
-            by_phi.setdefault(h.noise.phi, []).append(col)
+            groups.setdefault((h.noise.phi, h.values.values), []).append(col)
         else:
-            fill(col, h, choice_table(h.noise, items), range(m))
-    for phi, cols in by_phi.items():
-        kernel = choice_table(MallowsModel(Ranking.identity(m), phi), items)
-        for col in cols:
-            h = pop.types[col]
-            fill(col, h, kernel, list(h.noise.center.order))
-        del kernel  # one accuracy's kernel alive at a time
+            table[:, col] = column(h.noise, [h.value_of(x) for x in range(m)])
+    for (phi, values), cols in groups.items():
+        shared = column(MallowsModel(Ranking.identity(m), phi), values)
+        # each type's center position of every item: the inverse of its center order
+        ranks = np.argsort([pop.types[col].noise.center.order for col in cols], axis=1)
+        for lo in range(0, len(menus), MENU_BLOCK):
+            pos = np.sort(ranks[:, items[lo : lo + MENU_BLOCK]], axis=2)
+            rows = lex_rank(pos.reshape(-1, k)).reshape(len(cols), -1)
+            table[lo : lo + rows.shape[1], cols] = shared[rows].T
     return menus, table
 
 

@@ -213,6 +213,31 @@ class TestTableAgreement:
                     for col, h in enumerate(pop):
                         assert table[row, col] == menu_utility(h, menus[row])
 
+    def test_gathered_columns_span_menu_blocks(self, rng):
+        # C(13, 4) = 715 menus: the gather crosses a MENU_BLOCK boundary
+        m, k = 13, 4
+        shared, other = (ValueProfile(tuple(sorted(rng.uniform(0.0, 5.0, m), reverse=True))) for _ in range(2))
+        types = [
+            HumanType(model.center, model, values, 0.1)
+            for model, values in (
+                (mallows_model(rng, m, 0.8), shared),  # three types of one (phi, values) column
+                (mallows_model(rng, m, 0.8), shared),
+                (mallows_model(rng, m, 0.8), shared),
+                (mallows_model(rng, m, 0.8), other),  # same phi, other values
+                (mallows_model(rng, m, 1.7), shared),  # same values, other phi
+            )
+        ]
+        pl = pl_model(rng, m)
+        types.append(HumanType(pl.center, pl, other, 0.25))
+        gt = Ranking(tuple(int(x) for x in rng.permutation(m)))
+        types.append(HumanType(gt, explicit_model(rng, m), shared, 0.25))
+        pop = Population(tuple(types))
+        menus, table = menu_utility_table(pop, k)
+        assert len(menus) > MENU_BLOCK
+        for row, menu in enumerate(menus):
+            for col, h in enumerate(pop):
+                assert table[row, col] == menu_utility(h, menu)
+
 
 def mixed_population(rng, m: int) -> Population:
     """Mallows types at a shared and a distinct accuracy, Plackett-Luce and explicit types."""

@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from shortlist.experiments import (
     tension_experiment,
     tension_population,
 )
+from shortlist.models import _insertion_rows
 from shortlist.rankings import NOISELESS, AlgorithmPolicy, HumanType, borda_values
 from shortlist.welfare import verify_uplift
 from shortlist import cli, experiments
@@ -689,6 +691,26 @@ class TestCli:
     def test_bad_item_label_is_named_as_given(self, capsys, argv, want):
         assert cli.main(argv) == 2
         assert capsys.readouterr() == ("", f"error: {want}\n")
+
+    @pytest.mark.parametrize("gamma", ["-1", "nan", "inf", "260"])
+    def test_tension_bad_gamma_is_named(self, tmp_path, capsys, gamma):
+        out_path = tmp_path / "out.csv"
+        assert cli.main(["experiment", "tension", "--gamma", gamma, "--output", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: gamma") and captured.err.count("\n") == 1
+        assert not out_path.exists()
+
+    def test_sushi_at_extreme_accuracy_warns_nothing(self, tmp_path, capsys):
+        _insertion_rows.cache_clear()  # the rows are built, and could warn, once per (m, phi)
+        paths = {grid: tmp_path / f"{grid}.csv" for grid in ("1e308", "1e300")}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for grid, path in paths.items():
+                assert cli.main(["experiment", "sushi", "--phi-grid", grid, "--output", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+        huge, large = ([row[1:] for row in csv.reader(path.open())] for path in paths.values())
+        assert huge == large  # both accuracies give the noiseless pick
 
     def test_parser_is_built_once(self):
         assert cli.build_parser() is cli.build_parser()
