@@ -104,7 +104,9 @@ def check_mallows_harmful(
     """
     if not 1 <= rank_i < rank_j <= values.m:
         raise DomainError("need ranks 1 <= rank_i < rank_j <= m")
-    if phi_h <= 0:
+    if not 0 <= phi_h < math.inf:
+        raise DomainError(f"accuracy phi_h must be nonnegative and finite, got {phi_h!r}")
+    if phi_h == 0:
         return ConditionVerdict(
             holds=False, lhs=None, rhs=None, applicable=False,
             note="condition is stated for phi_h > 0",
@@ -184,8 +186,8 @@ def _helpful_witness(h: HumanType, a, i: int, j: int, terms) -> ConditionVerdict
 
 def check_pl_harmful(values: ValueProfile, beta: float, rank_j: int) -> ConditionVerdict:
     """Harmfulness condition for a Plackett-Luce human: top value gap <= 1.27 beta."""
-    if beta <= 0:
-        raise DomainError("beta must be positive")
+    if not 0 < beta < math.inf:
+        raise DomainError(f"noise scale beta must be positive and finite, got {beta!r}")
     if not 1 <= rank_j <= values.m:
         raise DomainError("rank_j out of range")
     lhs = values[0] - values[rank_j - 1]

@@ -1,18 +1,17 @@
 """Probability that an item is ranked first among a presented menu.
 
 ``choice_table`` scores a batch of B menus of k items and ``choice_dist``
-scores one; both validate the menus, sort each into the model's own order and
-leave the family's math to the model's ``pick_rows`` (see ``models``), so
-neither knows the family. ``choice_table`` sorts the rows by their positions
-in that order before it cuts them into blocks of ``MENU_BLOCK`` menus, so a
-block holds whole runs of menus with common leading items. For Mallows models
-the math is one insertion DP whose states are the distinct prefixes of a
-block's menus: menus that share leading items share those steps, and each
-whole menu's state still rides on to the last step, so a menu has the same
-bits alone or in any batch. The result depends on a menu only through (m,
-phi) and the sorted center positions of its items, so a menu table builds one
-utility column per (accuracy, values by center position) and each type of
-that pair gathers its column from it (see ``optimize.menu_utility_table``).
+scores one. Both validate the menus, map each to the sorted positions of its
+items in the model's own order (``ranks``) and leave the family's math to the
+model's ``pick_rows`` (see ``models``), which reads positions, so neither
+knows the family. ``choice_table`` sorts the rows by those positions before
+it cuts them into blocks of ``MENU_BLOCK`` menus, so a block holds whole runs
+of menus with common leading items. For Mallows models the math is one
+insertion DP whose states are the distinct prefixes of a block's menus:
+menus that share leading items share those steps, and each whole menu's
+state still rides on to the last step, so a menu has the same bits alone or
+in any batch. A menu table calls ``pick_rows`` directly on position sets
+(see ``optimize.menu_utility_table``).
 """
 from __future__ import annotations
 
@@ -67,8 +66,8 @@ def choice_table(model, menus) -> np.ndarray:
     in any order; entry [b, j] of the result is the probability that
     ``menus[b, j]`` is picked from menu b. Each row is sorted into the
     model's own order (``model.ranks``), the rows are sorted by those
-    positions, and ``model.pick_rows`` scores them in blocks of
-    ``MENU_BLOCK`` menus; a menu's row has the same bits as when it is
+    positions, and ``model.pick_rows`` scores the sorted positions in blocks
+    of ``MENU_BLOCK`` menus; a menu's row has the same bits as when it is
     scored alone.
     """
     menus = np.asarray(menus, dtype=np.intp)
@@ -82,11 +81,11 @@ def choice_table(model, menus) -> np.ndarray:
         raise DimensionError(f"menus contain items outside 0..{m - 1}")
     if k > 1 and (np.diff(np.sort(menus, axis=1), axis=1) == 0).any():
         raise DomainError("menu items must be distinct")
-    ranks = np.asarray(model.ranks)[menus]
+    ranks = np.asarray(model.ranks, dtype=np.intp)[menus]
     order = np.argsort(ranks, axis=1)
-    rows = np.take_along_axis(menus, order, axis=1)
+    rows = np.take_along_axis(ranks, order, axis=1)
     # blocks cut from rows sorted by their positions hold whole prefix subtrees
-    by_position = np.lexsort(np.take_along_axis(ranks, order, axis=1).T[::-1])
+    by_position = np.lexsort(rows.T[::-1])
     out = np.empty((B, k))
     for lo in range(0, B, MENU_BLOCK):
         block = by_position[lo : lo + MENU_BLOCK]
@@ -96,8 +95,9 @@ def choice_table(model, menus) -> np.ndarray:
 
 def choice_dist(model, items) -> PickDistribution:
     """Pick distribution over one menu, with the bits of its ``choice_table`` row."""
-    menu = sorted(_check_items(model.m, items), key=model.ranks.__getitem__)
-    row = model.pick_rows(np.array([menu]))[0].tolist()
+    ranks = model.ranks
+    menu = sorted(_check_items(model.m, items), key=ranks.__getitem__)
+    row = model.pick_rows(np.array([[ranks[x] for x in menu]], dtype=np.intp))[0].tolist()
     return PickDistribution(dict(zip(menu, row)))
 
 

@@ -44,8 +44,8 @@ def _validated_grid(grid, name: str) -> tuple[float, ...]:
     values = tuple(float(x) for x in grid)
     if not values:
         raise DomainError(f"{name} grid must be nonempty")
-    if any(not math.isfinite(x) for x in values):
-        raise DomainError(f"{name} grid must contain finite values")
+    if not all(0 <= x < math.inf for x in values):
+        raise DomainError(f"{name} grid must contain finite nonnegative values, got {values}")
     return values
 
 
@@ -61,8 +61,12 @@ class PreferenceProfile:
         m = self.entries[0][0].m
         if any(r.m != m for r, _ in self.entries):
             raise DimensionError("profile rankings must share the same item count")
-        if any(c <= 0 for _, c in self.entries):
-            raise DomainError("profile counts must be positive")
+        try:
+            finite = all(c > 0 for _, c in self.entries) and self.total < math.inf
+        except OverflowError:  # fsum of finite counts that overflows
+            finite = False
+        if not finite:
+            raise DomainError("profile counts must be positive and finite, with a finite total")
 
     @property
     def m(self) -> int:
@@ -142,8 +146,8 @@ def load_profile(source) -> PreferenceProfile:
             count = float(tokens[0])
         except ValueError:
             raise ProfileParseError(f"bad count field {tokens[0]!r}", line_no) from None
-        if count <= 0:
-            raise ProfileParseError(f"count must be positive, got {count}", line_no)
+        if not (math.isfinite(count) and count > 0):
+            raise ProfileParseError(f"count must be positive and finite, got {count}", line_no)
         ranking = _parse_ranking_tokens(tokens[1:], m, line_no)
         m = ranking.m
         entries.append((ranking, count))
@@ -341,6 +345,9 @@ def mip_bench(
     ``mip`` (external, via SciPy's HiGHS). Rows with C(m, k) <= 5000 are
     checked against enumeration.
     """
+    too_few = [t for t in type_counts if t < 1]
+    if too_few:
+        raise DomainError(f"bench type_counts must be at least 1, got {too_few}")
     too_many = [t for t in type_counts if t > ENUMERATION_CAP]
     if too_many:
         raise CapacityError(f"bench type counts {too_many} exceed the cap t <= {ENUMERATION_CAP} (t! types)")

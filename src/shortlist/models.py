@@ -13,9 +13,10 @@ library never asks which family it has:
   first-item law, and ``pairwise_prob``, P[i before j] in either order;
 - ``ranks``, each item's position in the model's own order (the center for
   Mallows and Plackett-Luce, item order for explicit models), and
-  ``pick_rows``, the pick probabilities of a block of menus whose rows are
-  listed in that order; ``choice.choice_table`` and ``choice.choice_dist``
-  sort menus and call it.
+  ``pick_rows``, the pick probabilities of a block of menus given as rows
+  of increasing positions in that order. Items are mapped to positions only
+  where menus enter: ``choice.choice_table`` and ``choice.choice_dist`` for
+  menus of items, and ``optimize.center_menu_rows`` for a menu table.
 
 A brute-force enumeration oracle sits alongside them so every closed form
 can be cross-checked at desk scale.
@@ -29,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -173,12 +174,8 @@ class MallowsModel:
         """Each item's center position: the order ``pick_rows`` takes rows in."""
         return self.center.positions
 
-    @cached_property
-    def _rank_array(self) -> np.ndarray:
-        return np.asarray(self.ranks, dtype=np.intp)
-
     def pick_rows(self, menus: np.ndarray) -> np.ndarray:
-        """Pick probabilities of a (B, k) block of menus listed in center order.
+        """Pick probabilities of a (B, k) intp block of menus as increasing center positions.
 
         The insertion DP over center positions, run once per distinct prefix
         of the block's menus (``_prefix_tree``). Step t inserts the item at
@@ -207,7 +204,7 @@ class MallowsModel:
         if k == m:
             return np.tile(_insertion_rows(m, self.phi)[0][m - 1, ::-1], (B, 1))
         top = k - 1  # a prefix's front-runner mass, and a whole menu's k-th item
-        nodes, rows, plan = _prefix_tree(self._rank_array[menus], m)
+        nodes, rows, plan = _prefix_tree(menus, m)
         W = np.zeros((nodes, k, m))
         cells = W.reshape(-1, m)  # one row per (state, slot)
         steps = _insertion_rows(m, self.phi)[3]
@@ -404,12 +401,11 @@ class PlackettLuceModel:
         return self.center.positions
 
     def pick_rows(self, menus: np.ndarray) -> np.ndarray:
-        """Pick probabilities of (B, k) menus: a softmax of their scaled values.
+        """Pick probabilities of (B, k) menus as increasing center positions.
 
-        Rows come in center order, so a menu's row sums its terms in the same
-        order alone or in a batch.
+        A softmax of their scaled values, summed in center order alone or in a batch.
         """
-        u = self._scaled()[menus]
+        u = self._scaled()[list(self.center.order)][menus]
         w = np.exp(u - u.max(axis=1, keepdims=True))
         return w / w.sum(axis=1, keepdims=True)
 
@@ -487,7 +483,7 @@ class ExplicitModel:
         return tuple(range(self.m))
 
     def pick_rows(self, menus: np.ndarray) -> np.ndarray:
-        """Pick probabilities of (B, k) menus, summed over the support in entry order."""
+        """Pick probabilities of (B, k) menus as increasing items, summed over the support in entry order."""
         out = np.empty(menus.shape)
         for b, menu in enumerate(menus.tolist()):
             probs = dict.fromkeys(menu, 0.0)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .choice import MENU_BLOCK, choice_dist, choice_table
+from .choice import MENU_BLOCK, choice_dist
 from .collab import expected_utility, solo_utility
 from .errors import DomainError
 from .models import (
@@ -61,47 +61,32 @@ def position_set_rank(m: int, k: int):
 def menu_utility_table(pop: Population, k: int):
     """All k-menus (``models.k_menus``) with per-type utilities, shape (menus, types).
 
-    A Mallows type's utility depends on a menu only through (m, phi), its
-    values by center position (its value profile, as the center is the
-    ground truth) and the sorted center positions of the menu's items. So
-    one utility column is built per distinct (phi, values), over all C(m, k)
-    position sets: they are the lexicographic menus under the identity
-    center. Each type of that group gathers its column's entry at
-    ``position_set_rank`` of each menu's sorted positions. A Plackett-Luce
-    or explicit type gets a column of its own, with values in item order.
-    Entries are ``math.fsum`` of the same products as ``menu_utility``, so
-    they have its bits.
+    A type's utility of a menu depends only on the menu's position set in
+    its model's order (``ranks``). So a column holds the utility of every
+    position set: the model's ``pick_rows`` over the C(m, k) lexicographic
+    sets, each row times the type's values in that order and summed with
+    ``math.fsum``, the bits of ``menu_utility``. Mallows types with the same
+    (phi, value profile) share a column; every other type has its own. All
+    types read their columns at the rows of one ``center_menu_rows`` call.
     """
     m = pop.m
     menus = k_menus(m, k)
-    items = np.array(menus, dtype=np.intp)
+    positions = np.array(menus, dtype=np.intp)
     table = np.empty((len(menus), pop.n))
-    lex_rank = position_set_rank(m, k)
-
-    def column(model, values) -> np.ndarray:
-        """``model``'s utility of every menu, with ``values`` indexed as its items are."""
-        probs = choice_table(model, items)
-        values = np.asarray(values)
-        out = np.empty(len(menus))
-        for lo in range(0, len(menus), MENU_BLOCK):
-            terms = probs[lo : lo + MENU_BLOCK] * values[items[lo : lo + MENU_BLOCK]]
-            out[lo : lo + len(terms)] = [math.fsum(row) for row in terms.tolist()]
-        return out
-
-    groups: dict[tuple, list[int]] = {}
+    groups: dict = {}
     for col, h in enumerate(pop):
-        if isinstance(h.noise, MallowsModel):
-            groups.setdefault((h.noise.phi, h.values.values), []).append(col)
-        else:
-            table[:, col] = column(h.noise, [h.value_of(x) for x in range(m)])
-    for (phi, values), cols in groups.items():
-        shared = column(MallowsModel(Ranking.identity(m), phi), values)
-        # each type's center position of every item: the inverse of its center order
-        ranks = np.argsort([pop.types[col].noise.center.order for col in cols], axis=1)
+        key = (h.noise.phi, h.values.values) if isinstance(h.noise, MallowsModel) else col
+        groups.setdefault(key, []).append(col)
+    rows = center_menu_rows([h.noise.ranks for h in pop], k)
+    for cols in groups.values():
+        h = pop.types[cols[0]]
+        values = np.array([h.value_of(x) for x in np.argsort(h.noise.ranks)])
+        column = np.empty(len(menus))
         for lo in range(0, len(menus), MENU_BLOCK):
-            pos = np.sort(ranks[:, items[lo : lo + MENU_BLOCK]], axis=2)
-            rows = lex_rank(pos.reshape(-1, k)).reshape(len(cols), -1)
-            table[lo : lo + rows.shape[1], cols] = shared[rows].T
+            block = positions[lo : lo + MENU_BLOCK]
+            terms = h.noise.pick_rows(block) * values[block]
+            column[lo : lo + len(block)] = [math.fsum(row) for row in terms.tolist()]
+        table[:, cols] = column[rows[cols]].T
     return menus, table
 
 
@@ -117,18 +102,23 @@ def identity_menu_law(k: int, model) -> np.ndarray:
 
 
 def center_menu_rows(centers, k: int) -> np.ndarray:
-    """Table row of every identity menu moved to every center, shape (centers, menus).
+    """Each k-set of ``k_menus(m, k)`` moved by each permutation, shape (centers, sets).
 
-    ``centers`` is a (centers, m) array of center orders. Entry (c, T) is
-    ``position_set_rank`` of the sorted items at positions T (the T-th menu
-    of ``k_menus(m, k)``) of center c: the ``menu_utility_table`` row of
-    the menu a policy at c presents where the identity's policy presents T.
+    Entry (c, T) is ``position_set_rank`` of the sorted images of the T-th
+    set under row c of ``centers``, a (centers, m) array of permutations,
+    taken ``MENU_BLOCK`` sets at a time. For center orders it is the table
+    row of the menu a policy at c presents where the identity's presents T;
+    for a model's ``ranks``, the position set whose column entry menu T reads.
     """
     centers = np.asarray(centers, dtype=np.intp)
     m = centers.shape[1]
-    positions = np.array(k_menus(m, k), dtype=np.intp)
-    items = np.sort(centers[:, positions], axis=2)
-    return position_set_rank(m, k)(items.reshape(-1, k)).reshape(len(centers), len(positions))
+    lex_rank = position_set_rank(m, k)
+    sets = np.array(k_menus(m, k), dtype=np.intp)
+    out = np.empty((len(centers), len(sets)), dtype=np.intp)
+    for lo in range(0, len(sets), MENU_BLOCK):
+        images = np.sort(centers[:, sets[lo : lo + MENU_BLOCK]], axis=2)
+        out[:, lo : lo + images.shape[1]] = lex_rank(images.reshape(-1, k)).reshape(images.shape[:2])
+    return out
 
 
 def center_utilities(table: np.ndarray, p_id: np.ndarray, rows: np.ndarray) -> np.ndarray:

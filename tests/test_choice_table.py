@@ -23,7 +23,7 @@ from shortlist.choice import MENU_BLOCK, oracle_choice_dist
 from shortlist.collab import joint_pick_from_menus
 from shortlist.errors import DimensionError, DomainError
 from shortlist.experiments import sushi_profile, tension_population
-from shortlist.optimize import menu_utility, menu_utility_table, position_set_rank
+from shortlist.optimize import center_menu_rows, menu_utility, menu_utility_table, position_set_rank
 from shortlist.rankings import Population
 
 accuracies = st.floats(min_value=0.0, max_value=4.0, allow_nan=False)
@@ -102,10 +102,32 @@ class TestChoiceTable:
             table = choice_table(model, batch)
             for b in range(len(batch)):
                 assert choice_table(model, batch[b : b + 1])[0].tobytes() == table[b].tobytes()
-        # pick_rows itself takes rows in any order: unsorted rows share fewer
-        # prefixes but keep their bits
+        # pick_rows itself takes position rows in any order: unsorted rows
+        # share fewer prefixes but keep their bits
         rows = np.take_along_axis(shuffled, np.argsort(np.asarray(model.ranks)[shuffled], axis=1), axis=1)
-        assert model.pick_rows(rows[:MENU_BLOCK]).tobytes() == choice_table(model, rows[:MENU_BLOCK]).tobytes()
+        positions = np.asarray(model.ranks, dtype=np.intp)[rows[:MENU_BLOCK]]
+        assert model.pick_rows(positions).tobytes() == choice_table(model, rows[:MENU_BLOCK]).tobytes()
+
+    @given(
+        m=st.integers(1, 16),
+        phi=accuracies,
+        seed=st.integers(0, 2**32 - 1),
+        family=st.sampled_from(["mallows", "pl", "explicit"]),
+        data=st.data(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_pick_rows_reads_sorted_positions(self, m, phi, seed, family, data):
+        k = data.draw(st.integers(1, m), label="k")
+        count = data.draw(st.one_of(st.integers(1, 40), st.integers(MENU_BLOCK - 3, MENU_BLOCK + 60)), label="menus")
+        rng = np.random.default_rng(seed)
+        if family == "mallows":
+            model = mallows_model(rng, m, phi)
+        else:
+            model = pl_model(rng, m) if family == "pl" else explicit_model(rng, m)
+        ranks = np.asarray(model.ranks, dtype=np.intp)
+        menus = random_menus(rng, m, k, count)
+        items = np.take_along_axis(menus, np.argsort(ranks[menus], axis=1), axis=1)  # in model order
+        assert model.pick_rows(ranks[items]).tobytes() == choice_table(model, items).tobytes()
 
     def test_explicit_model_rows(self, rng):
         model = explicit_model(rng, 5)
@@ -261,3 +283,14 @@ def test_position_set_rank_round_trips(m):
         sets = np.array(list(itertools.combinations(range(m), k)), dtype=np.intp)
         assert np.array_equal(position_set_rank(m, k)(sets), np.arange(len(sets)))
 
+
+@pytest.mark.parametrize("m, k", [(12, 5), (13, 4), (4, 2)])
+def test_center_menu_rows_ranks_each_moved_set(rng, m, k):
+    sets = list(itertools.combinations(range(m), k))
+    lex = {s: i for i, s in enumerate(sets)}
+    centers = np.array([rng.permutation(m) for _ in range(3)], dtype=np.intp)
+    rows = center_menu_rows(centers, k)
+    assert rows.shape == (3, len(sets))
+    for c, center in enumerate(centers.tolist()):
+        assert rows[c].tolist() == [lex[tuple(sorted(center[x] for x in s))] for s in sets]
+    assert center_menu_rows(np.empty((0, m), dtype=np.intp), k).shape == (0, len(sets))

@@ -2,12 +2,15 @@
 
 Arguments are drawn per subcommand from its flags, each with a mix of valid
 and invalid tokens over small universes (m <= 5), so runs get past argparse
-and into the library as often as they stop at a bad token.
+and into the library as often as they stop at a bad token. Two narrower
+fuzzes draw profile counts and harmful-condition accuracies, and a count or
+accuracy outside its domain must exit 2.
 """
 import contextlib
 import importlib.resources
 import io
 import json
+import math
 import traceback
 
 import pytest
@@ -91,16 +94,57 @@ def run(argv):
             code = exc.code
         except Exception:
             pytest.fail(f"{argv} raised\n{traceback.format_exc()}")
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 @given(argv=argvs())
 @settings(max_examples=150, deadline=None)
 def test_fuzzed_command_lines_exit_cleanly(paths, argv):
     argv = [str(paths / t[1:]) if t.startswith("@") else t for t in argv]
-    code, err = run(argv)
+    code, out, err = run(argv)
     assert code in (0, 1, 2), (argv, code, err)
     assert "Traceback" not in err, argv
+    assert code != 0 or "nan" not in out, (argv, out)  # invalid input is refused, not answered with NaN
+
+
+PROFILE_COMMANDS = [
+    ["experiment", "sushi", "-k", "1", "--phi-grid", "0.5", "--output", "@fuzzed.csv"],
+    ["optimize", "--phi-h", "1", "-k", "2"],
+    ["welfare", "--phi-h", "1", "--alg-center", "1 2 3", "--phi-a", "1", "-k", "2"],
+]
+
+
+@given(
+    command=st.sampled_from(PROFILE_COMMANDS),
+    counts=st.lists(
+        st.sampled_from(["1", "2.5", "1e-300", "0", "-1", "nan", "inf", "1e308", "x"]), min_size=1, max_size=3
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_fuzzed_profile_counts_are_refused_unless_finite(paths, command, counts):
+    orders = ["1 2 3", "2 1 3", "3 2 1"]
+    (paths / "fuzzed.txt").write_text("".join(f"{c} {r}\n" for c, r in zip(counts, orders)))
+    argv = [str(paths / t[1:]) if t.startswith("@") else t for t in command] + ["--profile", str(paths / "fuzzed.txt")]
+    code, out, err = run(argv)
+    assert code in (0, 1, 2) and "Traceback" not in err, (argv, counts, code, err)
+    if not all(math.isfinite(float(c)) for c in counts if c != "x") or counts.count("1e308") > 1:
+        assert code == 2, (counts, out)
+
+
+@given(
+    flag=st.sampled_from(["--phi-h", "--beta"]),
+    accuracy=st.sampled_from(["0", "0.5", "2", "700", "-1", "-0.25", "nan", "inf"]),
+    values=st.sampled_from(VALUES),
+    ranks=st.sampled_from(PAIRS),
+)
+@settings(max_examples=60, deadline=None)
+def test_fuzzed_harmful_conditions_refuse_invalid_accuracies(flag, accuracy, values, ranks):
+    argv = ["analyze", "conditions", "--kind", "harmful", flag, accuracy, "--values", values, "--ranks", ranks]
+    code, out, err = run(argv)
+    assert code in (0, 1, 2) and "Traceback" not in err, (argv, code, err)
+    x = float(accuracy)
+    if not (0 <= x < math.inf if flag == "--phi-h" else 0 < x < math.inf):
+        assert code == 2, (argv, out)
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))

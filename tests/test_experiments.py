@@ -701,6 +701,47 @@ class TestCli:
         assert captured.err.startswith("error: gamma") and captured.err.count("\n") == 1
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("counts, want", [
+        (("3", "nan"), "line 2: count"), (("inf", "2"), "line 1: count"), (("1e308", "1e308"), "counts"),
+    ])
+    @pytest.mark.parametrize("command", [
+        ["experiment", "sushi", "--output", "{tmp}/out.csv"],
+        ["optimize", "--phi-h", "1", "-k", "1"],
+        ["welfare", "--phi-h", "1", "--alg-center", "1 2 3", "--phi-a", "1", "-k", "1"],
+    ])
+    def test_profile_count_that_is_not_finite_is_an_error(self, tmp_path, capsys, counts, want, command):
+        profile = tmp_path / "profile.txt"
+        profile.write_text(f"{counts[0]} 1 2 3\n{counts[1]} 2 1 3\n")
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in command] + ["--profile", str(profile)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error:") and want in captured.err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--phi-h", "nan", "--ranks", "1 3"], ["--phi-h", "inf", "--ranks", "1 3"],
+        ["--phi-h", "-1", "--ranks", "1 3"], ["--beta", "nan", "--ranks", "3"], ["--beta", "inf", "--ranks", "3"],
+    ])
+    def test_harmful_condition_refuses_an_invalid_accuracy(self, capsys, flags):
+        argv = ["analyze", "conditions", "--kind", "harmful", "--values", "1 0.5 0", *flags]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error:") and flags[0].lstrip("-").replace("-", "_") in captured.err
+
+    @pytest.mark.parametrize("argv, want", [
+        (["experiment", "beta-sweep", "--beta-grid", "0,-0.5", "--output", "{tmp}/out.csv"], "value-decay grid"),
+        (["experiment", "--config", "{tmp}/bench.json"], "type_counts"),
+    ])
+    def test_driver_error_names_the_bad_input(self, tmp_path, capsys, argv, want):
+        config = {"experiment": "bench", "type_counts": [0], "sizes": [4], "output": str(tmp_path / "out.csv")}
+        (tmp_path / "bench.json").write_text(json.dumps(config))
+        assert cli.main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and want in captured.err and captured.err.count("\n") == 1
+        assert not (tmp_path / "out.csv").exists()
+
     def test_sushi_at_extreme_accuracy_warns_nothing(self, tmp_path, capsys):
         _insertion_rows.cache_clear()  # the rows are built, and could warn, once per (m, phi)
         paths = {grid: tmp_path / f"{grid}.csv" for grid in ("1e308", "1e300")}
