@@ -14,8 +14,8 @@ import numpy as np
 
 from .collab import expected_utility, joint_pick_dist
 from .errors import DomainError
-from .models import MallowsModel, PlackettLuceModel, _logistic, policy_ranking_model
-from .optimize import center_menu_rows, center_utilities, identity_menu_law, menu_utility_table
+from .models import MallowsModel, PlackettLuceModel, _logistic, model_menu_distribution, policy_ranking_model
+from .optimize import center_menu_rows, center_utilities, menu_utility_table
 from .rankings import AlgorithmPolicy, HumanType, Population, Ranking, ValueProfile, apply_swap
 
 
@@ -260,7 +260,7 @@ def derive_partial_order(h: HumanType, candidates, phi_a: float, k: int) -> Cand
     utilities for every candidate come along so uncertified pairs can be
     compared numerically. A Mallows policy at a candidate center is the
     identity's policy relabelled, so one menu table of the human and one
-    ``identity_menu_law`` give every candidate's utility (``center_utilities``).
+    ``model_menu_distribution`` give every candidate's utility (``center_utilities``).
     """
     candidates = list(candidates)
     if any(c.m != h.m for c in candidates):
@@ -298,7 +298,7 @@ def derive_partial_order(h: HumanType, candidates, phi_a: float, k: int) -> Cand
     _, table = menu_utility_table(Population.single(h), k)
     centers = np.array([c.order for c in candidates], dtype=np.intp).reshape(-1, h.m)
     rows = center_menu_rows(centers, k)
-    utilities = center_utilities(table, identity_menu_law(k, model), rows)[:, 0]
+    utilities = center_utilities(table, model_menu_distribution(model, k), rows)[:, 0]
     ordered = tuple(
         PreferenceEdge(b, w, prov)
         for b, w, prov in sorted(edges)

@@ -36,7 +36,7 @@ class PickDistribution:
         if any(p < -1e-12 for p in self.probs.values()):
             raise DomainError("pick probabilities must be nonnegative")
         total = math.fsum(self.probs.values())
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:  # NaN fails too
             raise DomainError(f"pick probabilities sum to {total!r}, expected 1")
         object.__setattr__(self, "probs", dict(self.probs))
 

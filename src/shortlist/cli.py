@@ -38,7 +38,7 @@ from .rankings import (
     borda_values,
     top_item_values,
 )
-from .welfare import UPLIFT_TOLERANCE, verify_uplift
+from .welfare import uplifted, verify_uplift
 
 
 def _numbers(tokens, kind, flag: str) -> tuple:
@@ -226,7 +226,7 @@ def _cmd_collab(args) -> int:
     print(f"joint pick dist: {_fmt_dist(joint)}")
     print(f"solo utility: {solo_u!r}")
     print(f"joint utility: {joint_u!r}")
-    print(f"uplifted: {joint_u > solo_u + UPLIFT_TOLERANCE}")
+    print(f"uplifted: {uplifted(joint_u, solo_u)}")
     return 0
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .collab import solo_utility
 from .errors import CapacityError, DimensionError, DomainError, ProfileParseError
-from .models import ENUMERATION_CAP, MallowsModel, PlackettLuceModel
+from .models import ENUMERATION_CAP, MallowsModel, PlackettLuceModel, model_menu_distribution
 from .optimize import (
     _welfare,
     branch_and_bound_menu,
@@ -27,13 +27,12 @@ from .optimize import (
     center_menu_rows,
     center_utilities,
     enumerate_best_menu,
-    identity_menu_law,
     menu_utility_table,
     optimize_with_uplift,
     solve_mip,
 )
 from .rankings import HumanType, Population, Ranking, ValueProfile, borda_values
-from .welfare import UPLIFT_TOLERANCE
+from .welfare import uplifted
 
 DEFAULT_PHI_GRID = tuple(0.25 * i for i in range(13))  # 0 .. 3 step 0.25
 TENSION_PHI_GRID = tuple(round(0.3 * i, 10) for i in range(11))  # 0 .. 3 step 0.3
@@ -183,11 +182,12 @@ def sushi_experiment(
     for phi_h in _validated_grid(phi_grid, "accuracy"):
         pop = profile.to_population(phi_h)
         weights = np.asarray(pop.weights())
-        solo = np.asarray([solo_utility(h) for h in pop])
+        # every type shares phi_h and the Borda values, and the solo pick law
+        # is read in rank order, so each type's solo utility is this float
+        solo = solo_utility(pop.types[0])
         menus, table = menu_utility_table(pop, k)
         welfare = _welfare(table, weights)
-        uplifted = table > solo + UPLIFT_TOLERANCE
-        fractions = uplifted @ weights
+        fractions = uplifted(table, solo) @ weights
 
         idx_w = int(np.argmax(welfare))
         idx_u = int(np.lexsort((-welfare, -fractions))[0])
@@ -229,8 +229,8 @@ def beta_sweep(
     ``ENUMERATION_CAP`` is refused before any center is built.
 
     Both sides are the identity's model relabelled by their center, so each
-    (beta, family) builds one human table and one ``identity_menu_law``, and
-    ``center_utilities`` scores every center through one ``center_menu_rows``.
+    (beta, family) builds one human table and one ``model_menu_distribution``,
+    and ``center_utilities`` scores every center through one ``center_menu_rows``.
     """
     if beta_grid is None:
         beta_grid = tuple(round(0.5 * i, 10) for i in range(13))  # 0 .. 6
@@ -253,7 +253,7 @@ def beta_sweep(
                 continue
             h = HumanType(gt, model(vals), vals, 1.0)
             _, table = menu_utility_table(Population.single(h), k)
-            utilities = center_utilities(table, identity_menu_law(k, h.noise), rows)
+            utilities = center_utilities(table, model_menu_distribution(h.noise, k), rows)
             aligned, *misaligned = utilities[:, 0].tolist()
             for label, u in zip(labels, misaligned):
                 out.append(

@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError, DimensionError, DomainError
-from .rankings import AlgorithmPolicy, Ranking, kendall_tau
+from .rankings import AlgorithmPolicy, Ranking, check_menu_size, kendall_tau
 
 ENUMERATION_CAP = 7
 MENU_ENUMERATION_CAP = 10**6
@@ -338,6 +338,8 @@ class PlackettLuceModel:
             raise DomainError(f"item values must be finite: {values}")
         if not (math.isfinite(beta) and beta > 0):
             raise DomainError(f"noise scale beta must be positive and finite, got {beta!r}")
+        if not all(math.isfinite(v / beta) for v in values):
+            raise DomainError(f"item values divided by noise scale beta={beta!r} overflow")
         object.__setattr__(self, "item_values", values)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "center", _sorted_by_value(values))
@@ -533,11 +535,10 @@ def k_menus(m: int, k: int) -> list[tuple[int, ...]]:
     """Every k-subset of ``0..m-1`` in lexicographic order, if there are few enough.
 
     The one place that decides which menus can be enumerated: raises
-    DomainError unless ``1 <= k <= m`` and CapacityError when C(m, k) exceeds
+    ``check_menu_size``'s DomainError, and CapacityError when C(m, k) exceeds
     ``MENU_ENUMERATION_CAP``, before any menu is built.
     """
-    if not 1 <= k <= m:
-        raise DomainError(f"menu size {k} out of range for m={m}")
+    check_menu_size(k, m)
     if math.comb(m, k) > MENU_ENUMERATION_CAP:
         raise CapacityError(
             f"C({m},{k}) = {math.comb(m, k)} menus exceeds the exact-enumeration cap"

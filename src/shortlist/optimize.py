@@ -16,17 +16,18 @@ import numpy as np
 
 from .choice import MENU_BLOCK, choice_dist
 from .collab import expected_utility, solo_utility
-from .errors import DomainError
+from .errors import DimensionError, DomainError
 from .models import (
     MallowsModel,
+    _check_items,
     _insertion_rows,
     k_menus,
     model_menu_distribution,
     pairwise_matrix,
     policy_ranking_model,
 )
-from .rankings import NOISELESS, AlgorithmPolicy, HumanType, Population, Ranking
-from .welfare import UPLIFT_TOLERANCE, welfare_report
+from .rankings import NOISELESS, AlgorithmPolicy, HumanType, Population, Ranking, check_menu_size
+from .welfare import uplifted, welfare_report
 
 BOUND_SLACK = 1e-12
 PRODUCT_BLOCK = 1 << 16  # (center, menu) pairs per pass of center_utilities; bounds its memory
@@ -90,17 +91,6 @@ def menu_utility_table(pop: Population, k: int):
     return menus, table
 
 
-def identity_menu_law(k: int, model) -> np.ndarray:
-    """P_id: a menu law over ``k_menus(model.m, k)``, as an array in that order.
-
-    ``model`` is the policy's ranking model at the identity center (at
-    accuracy ``NOISELESS = inf``, ``policy_ranking_model``'s point mass,
-    which puts probability 1 on the first menu), and its top-k set law is
-    read from ``model_menu_distribution``.
-    """
-    return np.fromiter(model_menu_distribution(model, k).values(), dtype=float)
-
-
 def center_menu_rows(centers, k: int) -> np.ndarray:
     """Each k-set of ``k_menus(m, k)`` moved by each permutation, shape (centers, sets).
 
@@ -121,19 +111,21 @@ def center_menu_rows(centers, k: int) -> np.ndarray:
     return out
 
 
-def center_utilities(table: np.ndarray, p_id: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Expected utility of every type under a menu law moved to each center.
+def center_utilities(table: np.ndarray, law, rows: np.ndarray) -> np.ndarray:
+    """Expected utility of every type under a curator's menu law moved to each center.
 
-    ``table`` is ``menu_utility_table``'s (menus, types) table, ``p_id`` an
-    ``identity_menu_law`` and ``rows`` the centers' ``center_menu_rows``.
-    Entry (c, t) is ``sum_T p_id[T] * table[rows[c, T], t]``, the type's
-    joint utility under the identity's menu law relabelled by center c.
-    That is a Mallows policy at c, or a Plackett-Luce one whose values
-    follow center position. Each entry is ``math.fsum`` of its terms, and
-    menus of zero probability are skipped. Returns (centers, types).
+    ``table`` is ``menu_utility_table``'s (menus, types) table, ``law`` the
+    ``model_menu_distribution`` of a curator's model at the identity center
+    and ``rows`` the centers' ``center_menu_rows``. Entry (c, t) is
+    ``sum_T law[T] * table[rows[c, T], t]``, the type's joint utility under
+    that law relabelled by center c. That is a Mallows policy at c, or a
+    Plackett-Luce one whose values follow center position. Each entry is
+    ``math.fsum`` of its terms, and menus of zero probability are skipped.
+    Returns (centers, types).
     """
+    p_id = np.fromiter(law.values(), dtype=float)
     menus = np.flatnonzero(p_id)
-    weights = np.asarray(p_id)[menus, None]
+    weights = p_id[menus, None]
     rows = rows[:, menus]
     out = np.empty((len(rows), table.shape[1]))
     step = max(1, PRODUCT_BLOCK // len(menus))
@@ -164,21 +156,37 @@ class OptimizeResult:
     nodes: int | None = None
 
 
+def _menu_table(pop: Population, k: int, table):
+    """A caller's ``menu_utility_table(pop, k)``, refused unless (C(m, k), types), or a new one."""
+    if table is None:
+        return menu_utility_table(pop, k)
+    check_menu_size(k, pop.m)
+    menus, utilities = table
+    expected = (math.comb(pop.m, k), pop.n)
+    if np.shape(utilities) != expected or len(menus) != expected[0]:
+        raise DimensionError(f"menu table of shape {np.shape(utilities)}, expected {expected} for k={k}")
+    return menus, utilities
+
+
+def _best_menu(menus, table: np.ndarray, welfare: np.ndarray, method: str) -> OptimizeResult:
+    """The row of largest ``welfare``; argmax takes the first, lexicographically smallest, of ties."""
+    best = int(np.argmax(welfare))
+    return OptimizeResult(
+        menu=menus[best],
+        welfare=float(welfare[best]),
+        per_type=tuple(float(u) for u in table[best]),
+        method=method,
+        evaluations=len(menus),
+    )
+
+
 def enumerate_best_menu(pop: Population, k: int, *, table=None) -> OptimizeResult:
     """Exact argmax over all k-menus; ties go to the lexicographically smallest.
 
     ``table`` is ``menu_utility_table(pop, k)`` when the caller already has it.
     """
-    menus, table = table if table is not None else menu_utility_table(pop, k)
-    welfare = _welfare(table, pop.weights())
-    best = int(np.argmax(welfare))  # argmax returns the first (lex-smallest) maximizer
-    return OptimizeResult(
-        menu=menus[best],
-        welfare=float(welfare[best]),
-        per_type=tuple(float(u) for u in table[best]),
-        method="enumeration",
-        evaluations=len(menus),
-    )
+    menus, table = _menu_table(pop, k, table)
+    return _best_menu(menus, table, _welfare(table, pop.weights()), "enumeration")
 
 
 def _bound_inputs(pop: Population):
@@ -238,8 +246,7 @@ def branch_and_bound_menu(pop: Population, k: int) -> OptimizeResult:
     ``MENU_ENUMERATION_CAP``.
     """
     m = pop.m
-    if not 1 <= k <= m:
-        raise DomainError(f"menu size {k} out of range for m={m}")
+    check_menu_size(k, m)
     values, caps, weights = _bound_inputs(pop)
     item_value = weights @ values
     order = sorted(range(m), key=lambda x: (-item_value[x], x))
@@ -293,20 +300,13 @@ def optimize_with_uplift(pop: Population, k: int, *, table=None) -> OptimizeResu
     Returns None when no k-menu achieves uplift. ``table`` is
     ``menu_utility_table(pop, k)`` when the caller already has it.
     """
-    menus, table = table if table is not None else menu_utility_table(pop, k)
+    menus, table = _menu_table(pop, k, table)
     solo = np.asarray([solo_utility(h) for h in pop])
-    feasible = np.all(table > solo + UPLIFT_TOLERANCE, axis=1)
+    feasible = np.all(uplifted(table, solo), axis=1)
     if not feasible.any():
         return None
     welfare = np.where(feasible, _welfare(table, pop.weights()), -np.inf)
-    best = int(np.argmax(welfare))
-    return OptimizeResult(
-        menu=menus[best],
-        welfare=float(welfare[best]),
-        per_type=tuple(float(u) for u in table[best]),
-        method="enumeration+uplift",
-        evaluations=len(menus),
-    )
+    return _best_menu(menus, table, welfare, "enumeration+uplift")
 
 
 def noisy_uplift_search(pop: Population, center: Ranking, phi_grid, k: int):
@@ -317,7 +317,7 @@ def noisy_uplift_search(pop: Population, center: Ranking, phi_grid, k: int):
     list of ``(accuracy, WelfareReport)`` in grid order and "best" maximizes
     the minimum per-type utility gain. One ``menu_utility_table`` and each
     type's solo utility serve the whole grid; an accuracy's joint utilities
-    are ``center_utilities`` of its ``identity_menu_law`` at ``center``.
+    are ``center_utilities`` of its ``model_menu_distribution`` at ``center``.
     """
     phi_grid = list(phi_grid)
     if not phi_grid:
@@ -333,7 +333,7 @@ def noisy_uplift_search(pop: Population, center: Ranking, phi_grid, k: int):
     best_report = None
     for phi in phi_grid:
         model = policy_ranking_model(AlgorithmPolicy(center=identity, accuracy=phi, menu_size=k))
-        joint = center_utilities(table, identity_menu_law(k, model), rows)[0]
+        joint = center_utilities(table, model_menu_distribution(model, k), rows)[0]
         report = welfare_report(pop, solo, joint.tolist())
         reports.append((phi, report))
         if best_report is None or report.min_gain > best_report.min_gain:
@@ -408,8 +408,7 @@ def build_mip(pop: Population, k: int) -> MipInstance:
     ``export_lp``).
     """
     m = pop.m
-    if not 1 <= k <= m:
-        raise DomainError(f"menu size {k} out of range for m={m}")
+    check_menu_size(k, m)
     for h in pop:
         if not isinstance(h.noise, MallowsModel):
             raise DomainError("the MIP requires every type's noise model to be Mallows")
@@ -538,7 +537,8 @@ def solve_mip(mip: MipInstance, fix_menu=None):
 
     With ``fix_menu`` the binaries are pinned to that menu and the continuous
     relaxation is solved (an LP); otherwise the full MIP is solved. Returns
-    ``(objective_value, menu)``.
+    ``(objective_value, menu)``. A fixed menu must hold 1 to ``k`` items of
+    ``0..m-1``.
 
     The dynamic-program states decay geometrically with position, so the
     coefficient range widens in ``m``. With random decreasing values the
@@ -553,6 +553,10 @@ def solve_mip(mip: MipInstance, fix_menu=None):
     from scipy import sparse
     from scipy.optimize import Bounds, LinearConstraint, milp
 
+    if fix_menu is not None:
+        fix_menu = _check_items(mip.m, fix_menu)
+        if len(fix_menu) > mip.k:
+            raise DomainError(f"fixed menu of {len(fix_menu)} items exceeds k={mip.k}")
     index = {name: i for i, name in enumerate(mip.var_names)}
     n = len(mip.var_names)
     c = np.zeros(n)
@@ -582,9 +586,8 @@ def solve_mip(mip: MipInstance, fix_menu=None):
     if fix_menu is None:
         integrality[: mip.m] = 1
     else:
-        menu = set(fix_menu)
         for i in range(mip.m):
-            lb[i] = ub[i] = 1.0 if i in menu else 0.0
+            lb[i] = ub[i] = 1.0 if i in fix_menu else 0.0
 
     problem = {
         "constraints": LinearConstraint(A, lo, hi),

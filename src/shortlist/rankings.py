@@ -21,6 +21,12 @@ WEIGHT_TOLERANCE = 1e-9
 NOISELESS = math.inf
 
 
+def check_menu_size(k: int, m: int) -> None:
+    """Refuse a menu size outside ``1..m`` (DomainError)."""
+    if not 1 <= k <= m:
+        raise DomainError(f"menu size {k} out of range for m={m}")
+
+
 @dataclass(frozen=True)
 class Ranking:
     """A strict total order over items ``0..m-1``, most preferred first.
@@ -165,6 +171,8 @@ class HumanType:
             raise DomainError(f"weight must be in (0, 1]: {self.weight}")
         if self.values.m != self.ground_truth.m:
             raise DimensionError("value profile and ranking sizes differ")
+        if self.noise.m != self.ground_truth.m:
+            raise DimensionError(f"noise model over {self.noise.m} items, ground truth over {self.m}")
         center = getattr(self.noise, "center", None)
         if isinstance(center, Ranking) and center != self.ground_truth:
             raise DomainError("noise model center must equal the ground-truth ranking")
@@ -236,10 +244,7 @@ class AlgorithmPolicy:
     menu_size: int
 
     def __post_init__(self):
-        if not 1 <= self.menu_size <= self.center.m:
-            raise DomainError(
-                f"menu size {self.menu_size} out of range for m={self.center.m}"
-            )
+        check_menu_size(self.menu_size, self.center.m)
         acc = float(self.accuracy)
         if math.isnan(acc) or acc < 0:
             raise DomainError(f"accuracy must be nonnegative, got {acc!r}")

@@ -6,9 +6,14 @@ from dataclasses import dataclass
 
 from .collab import joint_utility, solo_utility
 from .errors import DomainError
-from .rankings import NOISELESS, AlgorithmPolicy, Population, Ranking
+from .rankings import NOISELESS, AlgorithmPolicy, Population, Ranking, check_menu_size
 
 UPLIFT_TOLERANCE = 1e-12
+
+
+def uplifted(joint, solo):
+    """``joint > solo + UPLIFT_TOLERANCE``, for floats or elementwise for arrays."""
+    return joint > solo + UPLIFT_TOLERANCE
 
 
 @dataclass(frozen=True)
@@ -19,7 +24,7 @@ class TypeOutcome:
     @property
     def uplifted(self) -> bool:
         """Strictly better with the algorithm than alone (tolerance 1e-12)."""
-        return self.joint > self.solo + UPLIFT_TOLERANCE
+        return uplifted(self.joint, self.solo)
 
     @property
     def gain(self) -> float:
@@ -79,8 +84,7 @@ def top_recovery_strategy(pop: Population, k: int) -> AlgorithmPolicy | None:
     if any(not h.values.is_top_item_recovery() for h in pop):
         raise DomainError("population is not in the top-item-recovery setting")
     m = pop.m
-    if not 1 <= k <= m:
-        raise DomainError(f"menu size {k} out of range for m={m}")
+    check_menu_size(k, m)
     tops = sorted({h.ground_truth.order[0] for h in pop})
     if len(tops) > min(k, m - 1):
         return None

@@ -25,6 +25,11 @@ class TestPickDistribution:
         with pytest.raises(DomainError):
             PickDistribution({0: 0.5, 1: 0.4})
 
+    @pytest.mark.parametrize("probs", [{0: math.nan}, {0: 0.5, 1: math.nan}])
+    def test_a_total_that_is_not_a_number_is_refused(self, probs):
+        with pytest.raises(DomainError):
+            PickDistribution(probs)
+
     def test_default_zero(self):
         d = PickDistribution({0: 1.0})
         assert d[3] == 0.0

@@ -2,9 +2,10 @@
 
 Arguments are drawn per subcommand from its flags, each with a mix of valid
 and invalid tokens over small universes (m <= 5), so runs get past argparse
-and into the library as often as they stop at a bad token. Two narrower
-fuzzes draw profile counts and harmful-condition accuracies, and a count or
-accuracy outside its domain must exit 2.
+and into the library as often as they stop at a bad token. Three narrower
+fuzzes draw profile counts, harmful-condition accuracies and Plackett-Luce
+values and scales: a count or accuracy outside its domain must exit 2, and a
+scale that overflows the values must not be answered with NaN.
 """
 import contextlib
 import importlib.resources
@@ -21,9 +22,9 @@ from shortlist import cli
 
 RANKINGS = ["1 2 3", "2 1 3", "3,1,2", "1 2 3 4", "2 4 5 1 3", "1 x 3", "", "0 1 2", "1 1 2", "1 2 9"]
 PAIRS = ["1 2", "2 3", "3 1", "1", "1 2 3", "1 x", "0 1"]
-NUMBERS = ["0", "0.5", "1.0", "2", "-1", "700", "nan", "inf", "x", ""]
+NUMBERS = ["0", "0.5", "1.0", "2", "-1", "700", "5e-324", "nan", "inf", "x", ""]
 INTS = ["0", "1", "2", "3", "5", "9", "-1", "x", "2.5"]
-VALUES = ["borda", "top", "3 2 1", "2,1,0", "1 0.5 0 0 0", "1 2 3", "1 x 0", "1 nan 0", "-1 -2 -3", ""]
+VALUES = ["borda", "top", "3 2 1", "2,1,0", "1 0.5 0 0 0", "1 2 3", "1e308 0 0", "1 x 0", "1 nan 0", "-1 -2 -3", ""]
 GRIDS = ["0.5", "0,1.5", "0.5,,1", "x", "nan", "", "-1", "0.25,3"]
 # a path token is replaced by a real path in a per-module directory
 PATHS = ["@ok.csv", "@missing/out.csv", "@dir", "@nope.txt", "@garbage.txt", "@profile.txt", "@config.json", "@bad.json"]
@@ -145,6 +146,24 @@ def test_fuzzed_harmful_conditions_refuse_invalid_accuracies(flag, accuracy, val
     x = float(accuracy)
     if not (0 <= x < math.inf if flag == "--phi-h" else 0 < x < math.inf):
         assert code == 2, (argv, out)
+
+
+PL_COMMANDS = [
+    ["prob", "first", "--item", "2", "--pl-values"],
+    ["prob", "choice", "--menu", "1 2", "--target", "2", "--pl-values"],
+    ["collab", "--human-center", "1 2 3", "--alg-center", "2 1 3", "--phi-a", "1", "-k", "2", "--values"],
+    ["analyze", "swap", "--human-center", "1 2 3", "--alg-center", "1 2 3", "--phi-a", "1", "-k", "2",
+     "--pair", "1 2", "--values"],
+]
+
+
+@given(command=st.sampled_from(PL_COMMANDS), values=st.sampled_from(VALUES), beta=st.sampled_from(NUMBERS))
+@settings(max_examples=60, deadline=None)
+def test_fuzzed_plackett_luce_scales_never_answer_nan(command, values, beta):
+    argv = [*command, values, "--beta", beta]
+    code, out, err = run(argv)
+    assert code in (0, 1, 2) and "Traceback" not in err, (argv, code, err)
+    assert code != 0 or "nan" not in out, (argv, out)
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))

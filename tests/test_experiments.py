@@ -531,6 +531,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["prob", "first", "--pl-values", "1e308,0", "--beta", "0.5", "--item", "2"],
+            ["collab", "--human-center", "1,2,3", "--beta", "5e-324", "--values", "1,0.5,0",
+             "--alg-center", "1,2,3", "--phi-a", "1", "-k", "2"],
+        ],
+    )
+    def test_plackett_luce_scale_that_overflows_is_an_error(self, capsys, argv):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and "beta" in err
+
     @pytest.mark.parametrize("name", ["sushi", "tension", "beta-sweep"])
     def test_experiment_k_zero_is_an_error(self, tmp_path, capsys, name):
         out_path = tmp_path / "out.csv"

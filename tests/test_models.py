@@ -335,6 +335,11 @@ class TestPlackettLuce:
         with pytest.raises(DomainError):
             model.topk_set_prob([])
 
+    @pytest.mark.parametrize("values, beta", [((1e308, 0.0), 0.5), ((1.0, 0.5, 0.0), 5e-324), ((-1e308, 0.0), 0.1)])
+    def test_values_that_overflow_once_scaled_are_rejected(self, values, beta):
+        with pytest.raises(DomainError, match="beta"):
+            PlackettLuceModel(values, beta)
+
     def test_low_noise_concentrates(self):
         model = PlackettLuceModel((3.0, 2.0, 1.0), 1e-3)
         assert model.perm_prob(R(0, 1, 2)) == pytest.approx(1.0, abs=1e-10)

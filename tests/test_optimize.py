@@ -28,11 +28,12 @@ from shortlist import (
     social_welfare,
     solve_mip,
     top_item_values,
+    top_recovery_strategy,
     verify_uplift,
 )
-from shortlist.errors import CapacityError, DomainError
+from shortlist.errors import CapacityError, DimensionError, DomainError
 from shortlist.experiments import _bench_two_type_population, tension_population
-from shortlist.models import ExplicitModel, PlackettLuceModel, _insertion_rows
+from shortlist.models import ExplicitModel, PlackettLuceModel, _insertion_rows, k_menus
 from shortlist.optimize import BOUND_SLACK, _bound_inputs, _node_bound, _welfare, menu_utility, menu_utility_table
 
 LN2 = math.log(2)
@@ -170,6 +171,25 @@ class TestMenuEnumerationGate:
             _gated_calls(40)[name](18)
 
 
+def _menu_size_entry_points(m):
+    pop = Population((mallows_type(Ranking.identity(m), 1.0, top_item_values(m), 1.0),))
+    return {
+        "AlgorithmPolicy": lambda k: AlgorithmPolicy(Ranking.identity(m), 1.0, k),
+        "k_menus": lambda k: k_menus(m, k),
+        "branch_and_bound_menu": lambda k: branch_and_bound_menu(pop, k),
+        "build_mip": lambda k: build_mip(pop, k),
+        "top_recovery_strategy": lambda k: top_recovery_strategy(pop, k),
+    }
+
+
+@pytest.mark.parametrize("k", [0, 5])
+@pytest.mark.parametrize("name", list(_menu_size_entry_points(4)))
+def test_every_entry_point_checks_the_menu_size_in_one_place(name, k):
+    with pytest.raises(DomainError, match=re.escape(f"menu size {k} out of range for m=4")) as err:
+        _menu_size_entry_points(4)[name](k)
+    assert err.traceback[-1].name == "check_menu_size"
+
+
 class TestBranchAndBound:
     def test_matches_enumeration_small_batch(self, rng):
         for _ in range(10):
@@ -303,6 +323,14 @@ class TestSharedTable:
             assert enumerate_best_menu(pop, k, table=table) == enumerate_best_menu(pop, k)
             assert optimize_with_uplift(pop, k, table=table) == optimize_with_uplift(pop, k)
 
+    @pytest.mark.parametrize("solver", [enumerate_best_menu, optimize_with_uplift])
+    def test_a_table_of_another_shape_is_refused(self, solver):
+        pop = tension_population(3.0, 0.9)
+        other = Population.single(pop.types[0])
+        for table in (menu_utility_table(pop, 2), menu_utility_table(other, 3)):
+            with pytest.raises(DimensionError):
+                solver(pop, 3, table=table)
+
 
 class TestNoisyUpliftSearch:
     def test_noiseless_on_optimal_center_weakly_best_welfare(self):
@@ -407,6 +435,16 @@ class TestMipBuild:
                 lp_value, _ = solve_mip(mip, fix_menu=menu)
                 per_type = np.asarray([[menu_utility(h, menu) for h in pop]])
                 assert lp_value == pytest.approx(_welfare(per_type, pop.weights())[0], abs=1e-9), menu
+
+    @pytest.mark.parametrize(
+        "menu, error",
+        [((0, 9), DimensionError), ((7, 9), DimensionError), ((-1,), DimensionError),
+         ((), DomainError), ((0, 1, 2), DomainError)],
+    )
+    def test_fixed_menu_is_checked(self, menu, error):
+        pop = _bench_two_type_population(4)
+        with pytest.raises(error):
+            solve_mip(build_mip(pop, 2), fix_menu=menu)
 
     def test_requires_mallows(self):
         gt = Ranking.identity(3)

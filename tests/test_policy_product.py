@@ -21,8 +21,8 @@ from shortlist import (
     verify_uplift,
 )
 from shortlist.experiments import beta_sweep
-from shortlist.models import policy_ranking_model
-from shortlist.optimize import center_menu_rows, center_utilities, identity_menu_law, menu_utility_table
+from shortlist.models import model_menu_distribution, policy_ranking_model
+from shortlist.optimize import center_menu_rows, center_utilities, menu_utility_table
 
 from conftest import mallows_support_oracle
 
@@ -58,7 +58,7 @@ def product(pop: Population, centers, accuracy, k: int) -> np.ndarray:
     _, table = menu_utility_table(pop, k)
     model = policy_ranking_model(AlgorithmPolicy(Ranking.identity(pop.m), accuracy, k))
     rows = center_menu_rows([c.order for c in centers], k)
-    return center_utilities(table, identity_menu_law(k, model), rows)
+    return center_utilities(table, model_menu_distribution(model, k), rows)
 
 
 class Oracle:
@@ -123,7 +123,7 @@ class TestCenterUtilities:
         pop = three_family_population(rng, 4)
         _, table = menu_utility_table(pop, 2)
         rows = center_menu_rows(np.empty((0, 4), dtype=np.intp), 2)
-        law = identity_menu_law(2, policy_ranking_model(AlgorithmPolicy(Ranking.identity(4), NOISELESS, 2)))
+        law = model_menu_distribution(policy_ranking_model(AlgorithmPolicy(Ranking.identity(4), NOISELESS, 2)), 2)
         assert center_utilities(table, law, rows).shape == (0, 3)
 
 

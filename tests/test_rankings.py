@@ -18,7 +18,7 @@ from shortlist import (
     top_item_values,
 )
 from shortlist.errors import DimensionError, DomainError
-from shortlist.models import MallowsModel
+from shortlist.models import ExplicitModel, MallowsModel
 
 permutations = st.integers(2, 8).flatmap(
     lambda m: st.permutations(list(range(m)))
@@ -149,6 +149,10 @@ class TestHumanType:
         gt = R(0, 1, 2)
         with pytest.raises(DomainError):
             HumanType(gt, MallowsModel(R(1, 0, 2), 1.0), top_item_values(3), 1.0)
+
+    def test_noise_model_must_cover_the_same_items(self):
+        with pytest.raises(DimensionError):
+            HumanType(Ranking.identity(3), ExplicitModel(((Ranking.identity(4), 1.0),)), borda_values(3), 1.0)
 
     def test_value_of(self):
         h = HumanType(R(2, 0, 1), MallowsModel(R(2, 0, 1), 1.0), borda_values(3), 1.0)
