@@ -263,6 +263,8 @@ def derive_partial_order(h: HumanType, candidates, phi_a: float, k: int) -> Cand
     ``model_menu_distribution`` give every candidate's utility (``center_utilities``).
     """
     candidates = list(candidates)
+    if not candidates:
+        raise DomainError("candidate list must be nonempty")
     if any(c.m != h.m for c in candidates):
         raise DomainError("candidates must share the human's item universe")
     values = h.values

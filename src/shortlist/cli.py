@@ -389,25 +389,21 @@ def _add_experiment_parser(sub):
     p.add_argument("name", nargs="?", choices=list(EXPERIMENTS), help="experiment name (or use --config)")
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--output", default=None, help="CSV destination")
-    p.add_argument("--profile", default=None)
-    p.add_argument("-k", type=int, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--phi-grid", default=None, help="comma-separated accuracies")
-    p.add_argument("--beta-grid", default=None, help="comma-separated value decays")
-    p.add_argument("--sizes", default=None, help="comma-separated m values (bench)")
-    p.add_argument("--solver", choices=["bnb", "mip"], default=None)
+    for flag, _, options in _EXPERIMENT_FLAGS.values():
+        p.add_argument(flag, default=None, **options)
     p.set_defaults(func=_cmd_experiment)
 
 
-# experiment flags by config key (the argparse dest), with the element type of a grid
+# experiment flags by config key (the argparse dest): the flag, the element
+# type of a grid, and the flag's argparse options
 _EXPERIMENT_FLAGS = {
-    "profile": ("--profile", None),
-    "k": ("-k", None),
-    "gamma": ("--gamma", None),
-    "phi_grid": ("--phi-grid", float),
-    "beta_grid": ("--beta-grid", float),
-    "sizes": ("--sizes", int),
-    "solver": ("--solver", None),
+    "profile": ("--profile", None, {}),
+    "k": ("-k", None, {"type": int}),
+    "gamma": ("--gamma", None, {"type": float}),
+    "phi_grid": ("--phi-grid", float, {"help": "comma-separated accuracies"}),
+    "beta_grid": ("--beta-grid", float, {"help": "comma-separated value decays"}),
+    "sizes": ("--sizes", int, {"help": "comma-separated m values (bench)"}),
+    "solver": ("--solver", None, {"choices": ["bnb", "mip"]}),
 }
 
 
@@ -426,7 +422,7 @@ def _cmd_experiment(args) -> int:
         config = {"experiment": args.name, "output": args.output}
         _, knobs = EXPERIMENTS[args.name]
         for key, value in given.items():
-            flag, kind = _EXPERIMENT_FLAGS[key]
+            flag, kind, _ = _EXPERIMENT_FLAGS[key]
             if key not in knobs:
                 raise ShortlistError(f"{flag} does not apply to the {args.name!r} experiment")
             config[key] = value if kind is None else _numbers(value.split(","), kind, flag)

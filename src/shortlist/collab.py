@@ -7,8 +7,8 @@ import numpy as np
 
 from .choice import PickDistribution, choice_dist, choice_table
 from .errors import DomainError
-from .models import menu_distribution, policy_ranking_model
-from .rankings import AlgorithmPolicy, HumanType
+from .models import MallowsModel, menu_distribution, policy_ranking_model
+from .rankings import AlgorithmPolicy, HumanType, Population
 
 MC_BLOCK = 1 << 14  # Monte Carlo samples drawn per pass; bounds the sample arrays
 
@@ -86,6 +86,26 @@ def expected_utility(dist: PickDistribution, h: HumanType) -> float:
 
 def solo_utility(h: HumanType) -> float:
     return expected_utility(solo_pick_dist(h), h)
+
+
+def interchangeable_types(pop: Population) -> list[list[int]]:
+    """Type indices grouped into relabellings of one another, in first-seen order.
+
+    Mallows types with one (phi, value profile) differ only in their center; any other type is alone.
+    """
+    groups: dict = {}
+    for col, h in enumerate(pop):
+        key = (h.noise.phi, h.values.values) if isinstance(h.noise, MallowsModel) else col
+        groups.setdefault(key, []).append(col)
+    return list(groups.values())
+
+
+def solo_utilities(pop: Population) -> np.ndarray:
+    """Every type's ``solo_utility``, computed once per group of ``interchangeable_types``."""
+    solo = np.empty(pop.n)
+    for cols in interchangeable_types(pop):
+        solo[cols] = solo_utility(pop.types[cols[0]])
+    return solo
 
 
 def joint_utility(h: HumanType, a: AlgorithmPolicy) -> float:

@@ -17,11 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .collab import solo_utility
+from .collab import solo_utilities
 from .errors import CapacityError, DimensionError, DomainError, ProfileParseError
 from .models import ENUMERATION_CAP, MallowsModel, PlackettLuceModel, model_menu_distribution
 from .optimize import (
-    _welfare,
     branch_and_bound_menu,
     build_mip,
     center_menu_rows,
@@ -31,8 +30,8 @@ from .optimize import (
     optimize_with_uplift,
     solve_mip,
 )
-from .rankings import HumanType, Population, Ranking, ValueProfile, borda_values
-from .welfare import uplifted
+from .rankings import HumanType, Population, Ranking, ValueProfile, apply_swap, borda_values
+from .welfare import _welfare, uplifted
 
 DEFAULT_PHI_GRID = tuple(0.25 * i for i in range(13))  # 0 .. 3 step 0.25
 TENSION_PHI_GRID = tuple(round(0.3 * i, 10) for i in range(11))  # 0 .. 3 step 0.3
@@ -172,22 +171,18 @@ def sushi_experiment(
 
     ``majority`` presents the top-k of the modal ranking, ``welfare`` the
     welfare-maximizing menu, ``uplift`` the menu maximizing the weighted
-    fraction of strictly-benefiting types (ties: welfare, then lexicographic).
-    Any profile with at least ``k`` items works; the default is the packaged
-    sushi fixture.
+    fraction of strictly-benefiting types (ties: welfare, then lexicographic),
+    both with ``verify_uplift``'s bits. Any profile with at least ``k`` items
+    works; the default is the packaged sushi fixture.
     """
     profile = profile if profile is not None else sushi_profile()
     modal_menu = tuple(sorted(profile.modal_ranking().prefix(k)))
     rows: list[dict] = []
     for phi_h in _validated_grid(phi_grid, "accuracy"):
         pop = profile.to_population(phi_h)
-        weights = np.asarray(pop.weights())
-        # every type shares phi_h and the Borda values, and the solo pick law
-        # is read in rank order, so each type's solo utility is this float
-        solo = solo_utility(pop.types[0])
         menus, table = menu_utility_table(pop, k)
-        welfare = _welfare(table, weights)
-        fractions = uplifted(table, solo) @ weights
+        welfare = _welfare(table, pop.weights())
+        fractions = _welfare(uplifted(table, solo_utilities(pop)), pop.weights())
 
         idx_w = int(np.argmax(welfare))
         idx_u = int(np.lexsort((-welfare, -fractions))[0])
@@ -318,9 +313,7 @@ def _bench_values(m: int) -> ValueProfile:
 
 def _bench_two_type_population(m: int) -> Population:
     gt1 = Ranking.identity(m)
-    order = list(range(m))
-    order[0], order[3] = order[3], order[0]
-    gt2 = Ranking(tuple(order))
+    gt2 = apply_swap(gt1, 0, 3)
     values = _bench_values(m)
     return Population(
         (
@@ -410,7 +403,7 @@ def _bench_row(family: str, pop: Population, m: int, k: int, solver: str) -> dic
 def emit_csv(rows: list[dict], destination) -> None:
     """Write rows with a deterministic column order: every row's keys, in first-seen order.
 
-    A key missing from a row leaves its cell empty.
+    The csv module writes each cell: a float as its repr, a missing key or None as empty.
     """
     if not rows:
         raise DomainError("no rows to write")
@@ -423,16 +416,9 @@ def emit_csv(rows: list[dict], destination) -> None:
 
 
 def _write_csv(rows, handle, fieldnames) -> None:
-    writer = csv.DictWriter(handle, fieldnames=fieldnames, lineterminator="\n")
+    writer = csv.DictWriter(handle, fieldnames=fieldnames, restval="", lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow({k: _csv_cell(row.get(k, "")) for k in fieldnames})
-
-
-def _csv_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    writer.writerows(rows)
 
 
 def _is_int(x) -> bool:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .choice import MENU_BLOCK, choice_dist
-from .collab import expected_utility, solo_utility
+from .collab import expected_utility, interchangeable_types, solo_utilities
 from .errors import DimensionError, DomainError
 from .models import (
     MallowsModel,
@@ -27,7 +27,7 @@ from .models import (
     policy_ranking_model,
 )
 from .rankings import NOISELESS, AlgorithmPolicy, HumanType, Population, Ranking, check_menu_size
-from .welfare import uplifted, welfare_report
+from .welfare import _welfare, uplifted, welfare_report
 
 BOUND_SLACK = 1e-12
 PRODUCT_BLOCK = 1 << 16  # (center, menu) pairs per pass of center_utilities; bounds its memory
@@ -66,20 +66,16 @@ def menu_utility_table(pop: Population, k: int):
     its model's order (``ranks``). So a column holds the utility of every
     position set: the model's ``pick_rows`` over the C(m, k) lexicographic
     sets, each row times the type's values in that order and summed with
-    ``math.fsum``, the bits of ``menu_utility``. Mallows types with the same
-    (phi, value profile) share a column; every other type has its own. All
-    types read their columns at the rows of one ``center_menu_rows`` call.
+    ``math.fsum``, the bits of ``menu_utility``. Each group of
+    ``interchangeable_types`` shares a column, and all types read their
+    columns at the rows of one ``center_menu_rows`` call.
     """
     m = pop.m
     menus = k_menus(m, k)
     positions = np.array(menus, dtype=np.intp)
     table = np.empty((len(menus), pop.n))
-    groups: dict = {}
-    for col, h in enumerate(pop):
-        key = (h.noise.phi, h.values.values) if isinstance(h.noise, MallowsModel) else col
-        groups.setdefault(key, []).append(col)
     rows = center_menu_rows([h.noise.ranks for h in pop], k)
-    for cols in groups.values():
+    for cols in interchangeable_types(pop):
         h = pop.types[cols[0]]
         values = np.array([h.value_of(x) for x in np.argsort(h.noise.ranks)])
         column = np.empty(len(menus))
@@ -134,16 +130,6 @@ def center_utilities(table: np.ndarray, law, rows: np.ndarray) -> np.ndarray:
         by_entry = terms.transpose(0, 2, 1).reshape(-1, len(menus)).tolist()
         out[lo : lo + len(terms)] = np.reshape([math.fsum(t) for t in by_entry], (len(terms), -1))
     return out
-
-
-def _welfare(table: np.ndarray, weights) -> np.ndarray:
-    """Weighted sum of each row of a (menus, types) table, exactly rounded.
-
-    A menu's welfare then has the same bits whether the menu is scored alone
-    (branch and bound) or in a table (enumeration), so both break ties alike.
-    """
-    terms = table * np.asarray(weights)
-    return np.array([math.fsum(row.tolist()) for row in terms])
 
 
 @dataclass(frozen=True)
@@ -301,7 +287,7 @@ def optimize_with_uplift(pop: Population, k: int, *, table=None) -> OptimizeResu
     ``menu_utility_table(pop, k)`` when the caller already has it.
     """
     menus, table = _menu_table(pop, k, table)
-    solo = np.asarray([solo_utility(h) for h in pop])
+    solo = solo_utilities(pop)
     feasible = np.all(uplifted(table, solo), axis=1)
     if not feasible.any():
         return None
@@ -315,9 +301,9 @@ def noisy_uplift_search(pop: Population, center: Ranking, phi_grid, k: int):
     ``phi_grid`` holds accuracies in [0, inf]; ``NOISELESS`` is inf. Returns
     ``(best_accuracy, best_report, all_reports)`` where ``all_reports`` is a
     list of ``(accuracy, WelfareReport)`` in grid order and "best" maximizes
-    the minimum per-type utility gain. One ``menu_utility_table`` and each
-    type's solo utility serve the whole grid; an accuracy's joint utilities
-    are ``center_utilities`` of its ``model_menu_distribution`` at ``center``.
+    the minimum per-type utility gain (the first of ties). One table and one
+    ``solo_utilities`` serve the grid; an accuracy's joint utilities are
+    ``center_utilities`` of its ``model_menu_distribution`` at ``center``.
     """
     phi_grid = list(phi_grid)
     if not phi_grid:
@@ -325,19 +311,15 @@ def noisy_uplift_search(pop: Population, center: Ranking, phi_grid, k: int):
     if center.m != pop.m:
         raise DomainError("center and population must share the item universe")
     _, table = menu_utility_table(pop, k)
-    solo = [solo_utility(h) for h in pop]
+    solo = solo_utilities(pop).tolist()
     rows = center_menu_rows([center.order], k)
     identity = Ranking.identity(pop.m)
     reports = []
-    best_phi = None
-    best_report = None
     for phi in phi_grid:
         model = policy_ranking_model(AlgorithmPolicy(center=identity, accuracy=phi, menu_size=k))
         joint = center_utilities(table, model_menu_distribution(model, k), rows)[0]
-        report = welfare_report(pop, solo, joint.tolist())
-        reports.append((phi, report))
-        if best_report is None or report.min_gain > best_report.min_gain:
-            best_phi, best_report = phi, report
+        reports.append((phi, welfare_report(pop, solo, joint.tolist())))
+    best_phi, best_report = max(reports, key=lambda item: item[1].min_gain)
     return best_phi, best_report, reports
 
 

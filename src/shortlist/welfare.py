@@ -4,7 +4,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .collab import joint_utility, solo_utility
+import numpy as np
+
+from .collab import joint_utility, solo_utilities
 from .errors import DomainError
 from .rankings import NOISELESS, AlgorithmPolicy, Population, Ranking, check_menu_size
 
@@ -14,6 +16,16 @@ UPLIFT_TOLERANCE = 1e-12
 def uplifted(joint, solo):
     """``joint > solo + UPLIFT_TOLERANCE``, for floats or elementwise for arrays."""
     return joint > solo + UPLIFT_TOLERANCE
+
+
+def _welfare(table, weights) -> np.ndarray:
+    """Weighted sum of each row of a (rows, types) table, exactly rounded (``math.fsum``).
+
+    Every population sum (welfare, and the uplift share over ``uplifted`` flags)
+    goes through here, so a value has the same bits on every path, and ties break alike.
+    """
+    terms = np.asarray(table) * np.asarray(weights)
+    return np.array([math.fsum(row) for row in terms.tolist()])
 
 
 @dataclass(frozen=True)
@@ -46,7 +58,7 @@ class WelfareReport:
     @property
     def uplift_fraction(self) -> float:
         """Population-weighted share of types that strictly gain."""
-        return math.fsum(w for w, t in zip(self.weights, self.per_type) if t.uplifted)
+        return float(_welfare([[t.uplifted for t in self.per_type]], self.weights)[0])
 
     @property
     def uplifted_count(self) -> int:
@@ -59,19 +71,19 @@ class WelfareReport:
 
 def social_welfare(pop: Population, a: AlgorithmPolicy) -> float:
     """Weighted sum of every type's expected utility under the policy."""
-    return math.fsum(h.weight * joint_utility(h, a) for h in pop)
+    return float(_welfare([[joint_utility(h, a) for h in pop]], pop.weights())[0])
 
 
 def welfare_report(pop: Population, solo, joint) -> WelfareReport:
     """The report of per-type solo and joint utilities, in population order."""
     outcomes = tuple(TypeOutcome(solo=s, joint=j) for s, j in zip(solo, joint))
-    welfare = math.fsum(h.weight * o.joint for h, o in zip(pop, outcomes))
+    welfare = float(_welfare([joint], pop.weights())[0])
     return WelfareReport(social_welfare=welfare, per_type=outcomes, weights=pop.weights())
 
 
 def verify_uplift(pop: Population, a: AlgorithmPolicy) -> WelfareReport:
-    """Exact per-type solo/joint comparison for a given policy."""
-    return welfare_report(pop, [solo_utility(h) for h in pop], [joint_utility(h, a) for h in pop])
+    """Exact per-type comparison of ``solo_utilities`` with each type's ``joint_utility``."""
+    return welfare_report(pop, solo_utilities(pop).tolist(), [joint_utility(h, a) for h in pop])
 
 
 def top_recovery_strategy(pop: Population, k: int) -> AlgorithmPolicy | None:

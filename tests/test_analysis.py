@@ -365,6 +365,11 @@ def _pl_utility(h, alg_values):
 
 
 class TestDerivePartialOrder:
+    def test_empty_candidate_list_is_refused(self):
+        h = mallows_human(Ranking.identity(3), 1.0, ValueProfile((1.0, 0.25, 0.25)))
+        with pytest.raises(DomainError, match="nonempty"):
+            derive_partial_order(h, [], 1.0, 2)
+
     def test_four_candidate_diamond(self):
         # centers: aligned, low-swap, top-swap of the low-swap, full reversal
         h = mallows_human(Ranking.identity(3), 1.0, ValueProfile((1.0, 0.25, 0.25)))

@@ -48,7 +48,7 @@ COMMANDS = {
         "--phi-h": NUMBERS, "--beta": NUMBERS, "--ranks": PAIRS, "--human-center": RANKINGS,
         "--alg-center": RANKINGS, "--phi-a": NUMBERS,
     },
-    "analyze order": {**HUMAN, "--phi-a": NUMBERS, "-k": INTS, "--candidates": ["1 2 3; 2 1 3", "1 2 3;", "1 x 3; 3 2 1", ""]},
+    "analyze order": {**HUMAN, "--phi-a": NUMBERS, "-k": INTS, "--candidates": ["1 2 3; 2 1 3", "1 2 3;", "1 x 3; 3 2 1", "", ";"]},
     "experiment": {
         None: ["sushi", "tension", "beta-sweep", "bench", "bogus"],
         "--config": PATHS, "--output": PATHS, "--profile": PATHS, "-k": INTS, "--gamma": NUMBERS,

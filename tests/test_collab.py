@@ -10,6 +10,8 @@ from shortlist import (
     ExplicitModel,
     HumanType,
     MallowsModel,
+    PlackettLuceModel,
+    Population,
     Ranking,
     joint_pick_dist,
     joint_utility,
@@ -18,6 +20,7 @@ from shortlist import (
     solo_utility,
     top_item_values,
 )
+from shortlist import collab
 from shortlist.errors import CapacityError, DomainError
 from shortlist.models import menu_distribution
 from shortlist.rankings import borda_values
@@ -169,6 +172,25 @@ class TestExpectedUtility:
             1.0,
         )
         assert solo_utility(zeroed) == 0.0
+
+
+class TestSoloUtilities:
+    def test_one_solo_utility_per_interchangeable_group(self, monkeypatch):
+        values = borda_values(4)
+        a, b, c = R(0, 1, 2, 3), R(2, 0, 3, 1), R(3, 1, 0, 2)
+        pop = Population((
+            HumanType(a, MallowsModel(a, 0.7), values, 0.2),
+            HumanType(b, MallowsModel(b, 0.7), values, 0.2),  # a relabelling of type 0
+            HumanType(c, MallowsModel(c, 1.3), values, 0.2),
+            HumanType(a, PlackettLuceModel((4.0, 3.0, 2.0, 1.0), 0.8), values, 0.2),
+            HumanType(b, ExplicitModel(((b, 0.6), (c, 0.4))), values, 0.2),
+        ))
+        assert collab.interchangeable_types(pop) == [[0, 1], [2], [3], [4]]
+        want = [solo_utility(h).hex() for h in pop]
+        calls = []
+        monkeypatch.setattr(collab, "solo_utility", lambda h: calls.append(h) or solo_utility(h))
+        assert [u.hex() for u in collab.solo_utilities(pop).tolist()] == want
+        assert calls == [pop.types[i] for i in (0, 2, 3, 4)]
 
 
 class TestStochasticDominance:

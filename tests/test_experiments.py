@@ -16,6 +16,8 @@ from shortlist.analysis import check_mallows_harmful, check_pl_harmful
 from shortlist.collab import expected_utility, joint_pick_dist
 from shortlist.errors import CapacityError, DomainError, ProfileParseError
 from shortlist.experiments import (
+    DEFAULT_PHI_GRID,
+    TENSION_PHI_GRID,
     beta_sweep,
     emit_csv,
     load_profile,
@@ -27,9 +29,10 @@ from shortlist.experiments import (
     tension_population,
 )
 from shortlist.models import _insertion_rows
+from shortlist.optimize import menu_policy
 from shortlist.rankings import NOISELESS, AlgorithmPolicy, HumanType, borda_values
 from shortlist.welfare import verify_uplift
-from shortlist import cli, experiments
+from shortlist import cli, collab, experiments, optimize, welfare
 
 # cumulative fractions as printed alongside the shipped 33 rows (denominator
 # 5000 = the full survey)
@@ -94,6 +97,31 @@ class TestSushiFixture:
         assert pop.n == 33 and pop.m == 5
 
 
+def count_solo_calls(monkeypatch) -> list[float]:
+    """Record the accuracy of every ``solo_utility`` call, at each module that binds it."""
+    calls = []
+    real = collab.solo_utility
+
+    def counted(h):
+        calls.append(h.noise.phi)
+        return real(h)
+
+    for module in (collab, experiments, optimize, welfare):
+        if getattr(module, "solo_utility", None) is real:
+            monkeypatch.setattr(module, "solo_utility", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "experiment, grid", [(tension_experiment, TENSION_PHI_GRID), (sushi_experiment, DEFAULT_PHI_GRID)]
+)
+def test_one_solo_utility_per_accuracy(monkeypatch, experiment, grid):
+    # every type of either population shares its accuracy and value profile
+    calls = count_solo_calls(monkeypatch)
+    experiment()
+    assert calls == list(grid)
+
+
 @pytest.fixture(scope="module")
 def rows():
     return sushi_experiment(phi_grid=(0.5, 1.5, 3.0))
@@ -129,6 +157,16 @@ class TestSushiExperiment:
         best = enumerate_best_menu(sushi_profile().to_population(phi), 3)
         assert a_w["menu"] == "+".join(str(x + 1) for x in best.menu)
         assert a_w["welfare"] == best.welfare
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_rows_have_the_bits_of_verify_uplift(self, k):
+        profile = sushi_profile()
+        for row in sushi_experiment(k=k):
+            pop = profile.to_population(row["phi_h"])
+            menu = [int(x) - 1 for x in row["menu"].split("+")]
+            report = verify_uplift(pop, menu_policy(pop.m, menu))
+            got = (row["welfare"].hex(), row["uplift_fraction"].hex())
+            assert got == (report.social_welfare.hex(), report.uplift_fraction.hex()), row
 
     def test_rejects_bad_grid(self):
         with pytest.raises(DomainError):
@@ -318,8 +356,11 @@ class TestCsvAndConfig:
 
     def test_csv_columns_are_the_union_in_first_seen_order(self):
         buf = io.StringIO()
-        emit_csv([{"a": 1, "b": 2.5}, {"a": 3, "c": "x"}, {"b": 0.5, "d": 4}], buf)
-        assert buf.getvalue() == "a,b,c,d\n1,2.5,,\n3,,x,\n,0.5,,4\n"
+        odd = {"a": 0.1 + 0.2, "b": -0.0, "c": math.inf, "d": math.nan, "e": 5e-324, "f": True}
+        emit_csv([{"a": 1, "b": 2.5}, {"a": 3, "c": "x"}, {"b": 0.5, "d": 4}, odd], buf)
+        assert buf.getvalue() == (
+            "a,b,c,d,e,f\n1,2.5,,,,\n3,,x,,,\n,0.5,,4,,\n0.30000000000000004,-0.0,inf,nan,5e-324,True\n"
+        )
 
     @pytest.mark.parametrize(
         "knobs",
@@ -423,6 +464,28 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "utility delta" in out
+
+    def test_sushi_row_prints_the_welfare_commands_uplift_fraction(self, tmp_path, capsys):
+        path = tmp_path / "sushi.csv"
+        assert cli.main(["experiment", "sushi", "-k", "4", "--phi-grid", "1", "--output", str(path)]) == 0
+        with open(path, newline="") as handle:
+            cells = {row["menu"]: row["uplift_fraction"] for row in csv.DictReader(handle)}
+        capsys.readouterr()
+        assert cli.main([
+            "welfare", "--phi-h", "1", "--alg-center", "1 2 4 5 3", "--phi-a", "inf", "-k", "4",
+        ]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert f"uplift fraction (weighted): {cells['1+2+4+5']}" in printed
+
+    def test_analyze_order_refuses_an_empty_candidate_list(self, capsys):
+        code = cli.main([
+            "analyze", "order", "--human-center", "1 2 3", "--phi-h", "1", "--values", "borda",
+            "--phi-a", "1", "-k", "2", "--candidates", ";",
+        ])
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert code == 2 and captured.out == ""
+        assert len(err) == 1 and err[0].startswith("error:")
 
     def test_analyze_order(self, capsys):
         code = cli.main([
