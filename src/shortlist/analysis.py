@@ -10,11 +10,9 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .collab import expected_utility, joint_pick_dist
 from .errors import DomainError
-from .models import MallowsModel, PlackettLuceModel, _logistic, model_menu_distribution, policy_ranking_model
+from .models import MallowsModel, PlackettLuceModel, _logistic, policy_ranking_model
 from .optimize import center_menu_rows, center_utilities, menu_utility_table
 from .rankings import AlgorithmPolicy, HumanType, Population, Ranking, ValueProfile, apply_swap
 
@@ -259,8 +257,8 @@ def derive_partial_order(h: HumanType, candidates, phi_a: float, k: int) -> Cand
     top-valued item hurts. Certified edges are closed transitively; exact
     utilities for every candidate come along so uncertified pairs can be
     compared numerically. A Mallows policy at a candidate center is the
-    identity's policy relabelled, so one menu table of the human and one
-    ``model_menu_distribution`` give every candidate's utility (``center_utilities``).
+    identity's policy relabelled, so one menu table of the human and the
+    identity's ranking model give every candidate's utility (``center_utilities``).
     """
     candidates = list(candidates)
     if not candidates:
@@ -270,37 +268,32 @@ def derive_partial_order(h: HumanType, candidates, phi_a: float, k: int) -> Cand
     values = h.values
     vmin = min(values)
     vmax = max(values)
+    n = len(candidates)
     edges: set[tuple[int, int, str]] = set()
-    for a_idx in range(len(candidates)):
-        for b_idx in range(len(candidates)):
-            if a_idx == b_idx:
-                continue
-            pair = _single_swap(candidates[a_idx], candidates[b_idx])
-            if pair is None:
-                continue
-            x, y = pair
-            if h.ground_truth.position(x) > h.ground_truth.position(y):
-                x, y = y, x  # x is the human-better item
-            vx = h.value_of(x)
-            vy = h.value_of(y)
-            a_first = candidates[a_idx].position(x) < candidates[a_idx].position(y)
-            promoted, demoted = (a_idx, b_idx) if a_first else (b_idx, a_idx)
-            if vx == vy == vmin:
-                edges.add((demoted, promoted, "swap-least"))
-            elif vx == vmax and vx > vy:
-                edges.add((promoted, demoted, "swap-top"))
+    for a_idx, b_idx in itertools.combinations(range(n), 2):
+        pair = _single_swap(candidates[a_idx], candidates[b_idx])
+        if pair is None:
+            continue
+        x, y = pair
+        if h.ground_truth.position(x) > h.ground_truth.position(y):
+            x, y = y, x  # x is the human-better item
+        vx = h.value_of(x)
+        vy = h.value_of(y)
+        a_first = candidates[a_idx].position(x) < candidates[a_idx].position(y)
+        promoted, demoted = (a_idx, b_idx) if a_first else (b_idx, a_idx)
+        if vx == vy == vmin:
+            edges.add((demoted, promoted, "swap-least"))
+        elif vx == vmax and vx > vy:
+            edges.add((promoted, demoted, "swap-top"))
     # transitive closure over the certified relation (Warshall, O(n^3))
     closed = {(b, w) for b, w, _ in edges}
-    n = len(candidates)
     for via, b, w in itertools.product(range(n), repeat=3):
         if b != w and (b, via) in closed and (via, w) in closed and (b, w) not in closed:
             closed.add((b, w))
             edges.add((b, w, "transitive"))
     model = policy_ranking_model(AlgorithmPolicy(Ranking.identity(h.m), phi_a, k))
-    _, table = menu_utility_table(Population.single(h), k)
-    centers = np.array([c.order for c in candidates], dtype=np.intp).reshape(-1, h.m)
-    rows = center_menu_rows(centers, k)
-    utilities = center_utilities(table, model_menu_distribution(model, k), rows)[:, 0]
+    rows = center_menu_rows([c.order for c in candidates], k)
+    utilities = center_utilities(menu_utility_table(Population.single(h), k), model, rows)[:, 0]
     ordered = tuple(
         PreferenceEdge(b, w, prov)
         for b, w, prov in sorted(edges)

@@ -142,6 +142,12 @@ def _policy_from_args(args) -> AlgorithmPolicy:
     return AlgorithmPolicy(center, _require(args.phi_a, "--phi-a", args), args.k)
 
 
+def _check_ahead(policy: AlgorithmPolicy, i: int, j: int, flag: str) -> None:
+    """Refuse items ``i``, ``j`` (given by ``flag``) unless ``i`` is ahead of ``j`` in --alg-center."""
+    if policy.center.position(i) > policy.center.position(j):
+        raise DomainError(f"{flag}: item {i + 1} must be ahead of item {j + 1} in --alg-center")
+
+
 _POPULATION_FLAGS = argparse.ArgumentParser(add_help=False)
 _POPULATION_FLAGS.add_argument("--profile", default=None, help="profile file (default: sushi fixture)")
 _POPULATION_FLAGS.add_argument("--phi-h", type=float, required=True, help="Mallows accuracy of every type")
@@ -314,8 +320,7 @@ def _cmd_analyze_swap(args) -> int:
     human = _human_from_args(args)
     policy = _policy_from_args(args)
     i, j = _parse_pair(args.pair, "--pair", policy.center.m)
-    if policy.center.position(i) > policy.center.position(j):
-        raise DomainError(f"--pair: item {i + 1} must be ahead of item {j + 1} in --alg-center")
+    _check_ahead(policy, i, j, "--pair")
     report = swap_effect(human, policy, i, j)
     print(f"swapped pair: x{i + 1}, x{j + 1}")
     print(f"utility delta (swapped - original): {report.utility_delta!r}")
@@ -345,10 +350,11 @@ def _cmd_analyze_conditions(args) -> int:
         phi_a = _require(args.phi_a, "--phi-a", args)
         human = _human_from_args(args)
         policy = AlgorithmPolicy(_parse_ranking(alg_center, "--alg-center"), phi_a, 2)
-        if not all(1 <= r <= human.m for r in ranks):
-            raise DomainError(f"--ranks must lie in 1..{human.m}, got {ranks}")
+        if not 1 <= ranks[0] < ranks[1] <= human.m:
+            raise DomainError(f"--ranks needs 1 <= i < j <= {human.m}, got {ranks}")
         item_i = human.ground_truth.order[ranks[0] - 1]
         item_j = human.ground_truth.order[ranks[1] - 1]
+        _check_ahead(policy, item_i, item_j, "--ranks")
         if family == "mallows":
             verdict = check_mallows_helpful(human, policy, item_i, item_j)
         else:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .collab import solo_utilities
 from .errors import CapacityError, DimensionError, DomainError, ProfileParseError
-from .models import ENUMERATION_CAP, MallowsModel, PlackettLuceModel, model_menu_distribution
+from .models import ENUMERATION_CAP, MallowsModel, PlackettLuceModel
 from .optimize import (
     branch_and_bound_menu,
     build_mip,
@@ -79,9 +79,11 @@ class PreferenceProfile:
         return tuple(c / total for _, c in self.entries)
 
     def modal_ranking(self) -> Ranking:
-        best = max(c for _, c in self.entries)
-        tied = [r for r, c in self.entries if c == best]
-        return min(tied, key=lambda r: r.order)
+        """The ranking with the largest total count; a tie goes to the lexicographically smallest."""
+        counts: dict[tuple[int, ...], list[float]] = {}
+        for r, c in self.entries:
+            counts.setdefault(r.order, []).append(c)
+        return Ranking(min(counts, key=lambda order: (-math.fsum(counts[order]), order)))
 
     def to_population(self, phi_h: float, values: ValueProfile | None = None) -> Population:
         """Population of Mallows humans, weighted by profile fractions."""
@@ -133,6 +135,13 @@ def load_profile(source) -> PreferenceProfile:
         raise ProfileParseError("profile source contains no data rows")
 
     is_csv = "," in content[0][1]
+    if is_csv:
+        try:
+            float(content[0][1].split(",")[0])
+        except ValueError:
+            pass  # the header row, which the loop skips
+        else:
+            raise ProfileParseError("a CSV profile needs a header row, but the first cell is a number", content[0][0])
     entries: list[tuple[Ranking, float]] = []
     m: int | None = None
     rows = content[1:] if is_csv else content  # csv: skip header row
@@ -223,9 +232,9 @@ def beta_sweep(
     before RUM whatever the order of ``families``. ``m`` above
     ``ENUMERATION_CAP`` is refused before any center is built.
 
-    Both sides are the identity's model relabelled by their center, so each
-    (beta, family) builds one human table and one ``model_menu_distribution``,
-    and ``center_utilities`` scores every center through one ``center_menu_rows``.
+    Both sides are the identity's model relabelled by their center, so for
+    each (beta, family) ``center_utilities`` scores every center from one human
+    table and the human's model, through one ``center_menu_rows``.
     """
     if beta_grid is None:
         beta_grid = tuple(round(0.5 * i, 10) for i in range(13))  # 0 .. 6
@@ -247,8 +256,7 @@ def beta_sweep(
             if family not in families:
                 continue
             h = HumanType(gt, model(vals), vals, 1.0)
-            _, table = menu_utility_table(Population.single(h), k)
-            utilities = center_utilities(table, model_menu_distribution(h.noise, k), rows)
+            utilities = center_utilities(menu_utility_table(Population.single(h), k), h.noise, rows)
             aligned, *misaligned = utilities[:, 0].tolist()
             for label, u in zip(labels, misaligned):
                 out.append(

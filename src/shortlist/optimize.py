@@ -26,18 +26,11 @@ from .models import (
     pairwise_matrix,
     policy_ranking_model,
 )
-from .rankings import NOISELESS, AlgorithmPolicy, HumanType, Population, Ranking, check_menu_size
+from .rankings import AlgorithmPolicy, HumanType, Population, Ranking, check_menu_size
 from .welfare import _welfare, uplifted, welfare_report
 
 BOUND_SLACK = 1e-12
 PRODUCT_BLOCK = 1 << 16  # (center, menu) pairs per pass of center_utilities; bounds its memory
-
-
-def menu_policy(m: int, menu) -> AlgorithmPolicy:
-    """The noiseless policy that always presents ``menu``."""
-    menu = sorted(menu)
-    rest = [x for x in range(m) if x not in menu]
-    return AlgorithmPolicy(center=Ranking(tuple(menu + rest)), accuracy=NOISELESS, menu_size=len(menu))
 
 
 def menu_utility(h: HumanType, menu) -> float:
@@ -107,27 +100,28 @@ def center_menu_rows(centers, k: int) -> np.ndarray:
     return out
 
 
-def center_utilities(table: np.ndarray, law, rows: np.ndarray) -> np.ndarray:
+def center_utilities(table, model, rows: np.ndarray) -> np.ndarray:
     """Expected utility of every type under a curator's menu law moved to each center.
 
-    ``table`` is ``menu_utility_table``'s (menus, types) table, ``law`` the
-    ``model_menu_distribution`` of a curator's model at the identity center
-    and ``rows`` the centers' ``center_menu_rows``. Entry (c, t) is
-    ``sum_T law[T] * table[rows[c, T], t]``, the type's joint utility under
-    that law relabelled by center c. That is a Mallows policy at c, or a
-    Plackett-Luce one whose values follow center position. Each entry is
-    ``math.fsum`` of its terms, and menus of zero probability are skipped.
-    Returns (centers, types).
+    ``table`` is ``menu_utility_table``'s (menus, utilities) pair, ``model``
+    a curator's ranking model at the identity center and ``rows`` the
+    centers' ``center_menu_rows``. With ``p`` the model's
+    ``model_menu_distribution``, read by position in ``k_menus`` order, entry
+    (c, t) is ``sum_T p[T] * utilities[rows[c, T], t]``: the type's joint
+    utility under a Mallows policy at c, or a Plackett-Luce one whose values
+    follow center position. Each entry is ``math.fsum`` of its terms, and
+    menus of zero probability are skipped. Returns (centers, types).
     """
-    p_id = np.fromiter(law.values(), dtype=float)
-    menus = np.flatnonzero(p_id)
-    weights = p_id[menus, None]
-    rows = rows[:, menus]
-    out = np.empty((len(rows), table.shape[1]))
-    step = max(1, PRODUCT_BLOCK // len(menus))
+    menus, utilities = table
+    p_id = np.fromiter(model_menu_distribution(model, len(menus[0])).values(), dtype=float)
+    support = np.flatnonzero(p_id)
+    weights = p_id[support, None]
+    rows = rows[:, support]
+    out = np.empty((len(rows), utilities.shape[1]))
+    step = max(1, PRODUCT_BLOCK // len(support))
     for lo in range(0, len(rows), step):
-        terms = weights * table[rows[lo : lo + step]]  # (centers, menus, types)
-        by_entry = terms.transpose(0, 2, 1).reshape(-1, len(menus)).tolist()
+        terms = weights * utilities[rows[lo : lo + step]]  # (centers, menus, types)
+        by_entry = terms.transpose(0, 2, 1).reshape(-1, len(support)).tolist()
         out[lo : lo + len(terms)] = np.reshape([math.fsum(t) for t in by_entry], (len(terms), -1))
     return out
 
@@ -303,21 +297,21 @@ def noisy_uplift_search(pop: Population, center: Ranking, phi_grid, k: int):
     list of ``(accuracy, WelfareReport)`` in grid order and "best" maximizes
     the minimum per-type utility gain (the first of ties). One table and one
     ``solo_utilities`` serve the grid; an accuracy's joint utilities are
-    ``center_utilities`` of its ``model_menu_distribution`` at ``center``.
+    ``center_utilities`` of its ranking model moved to ``center``.
     """
     phi_grid = list(phi_grid)
     if not phi_grid:
         raise DomainError("accuracy grid must be nonempty")
     if center.m != pop.m:
         raise DomainError("center and population must share the item universe")
-    _, table = menu_utility_table(pop, k)
+    table = menu_utility_table(pop, k)
     solo = solo_utilities(pop).tolist()
     rows = center_menu_rows([center.order], k)
     identity = Ranking.identity(pop.m)
     reports = []
     for phi in phi_grid:
         model = policy_ranking_model(AlgorithmPolicy(center=identity, accuracy=phi, menu_size=k))
-        joint = center_utilities(table, model_menu_distribution(model, k), rows)[0]
+        joint = center_utilities(table, model, rows)[0]
         reports.append((phi, welfare_report(pop, solo, joint.tolist())))
     best_phi, best_report = max(reports, key=lambda item: item[1].min_gain)
     return best_phi, best_report, reports

@@ -175,7 +175,14 @@ class HumanType:
             raise DimensionError(f"noise model over {self.noise.m} items, ground truth over {self.m}")
         center = getattr(self.noise, "center", None)
         if isinstance(center, Ranking) and center != self.ground_truth:
-            raise DomainError("noise model center must equal the ground-truth ranking")
+            # a Plackett-Luce center breaks value ties by item index, so it
+            # stands for every order its item values do not increase along
+            scores = getattr(self.noise, "item_values", None)
+            if scores is None:
+                raise DomainError("noise model center must equal the ground-truth ranking")
+            order = self.ground_truth.order
+            if any(scores[x] < scores[y] for x, y in zip(order, order[1:])):
+                raise DomainError("noise model item values must not increase along the ground-truth ranking")
 
     @property
     def m(self) -> int:
@@ -263,3 +270,10 @@ class AlgorithmPolicy:
         if not self.is_noiseless:
             raise DomainError("policy is noisy; its menu is random")
         return self.center.top(self.menu_size)
+
+
+def menu_policy(m: int, menu) -> AlgorithmPolicy:
+    """The noiseless policy that always presents ``menu``: its items in increasing order, then the rest."""
+    menu = sorted(menu)
+    rest = [x for x in range(m) if x not in menu]
+    return AlgorithmPolicy(center=Ranking(tuple(menu + rest)), accuracy=NOISELESS, menu_size=len(menu))

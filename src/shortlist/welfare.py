@@ -8,7 +8,7 @@ import numpy as np
 
 from .collab import joint_utility, solo_utilities
 from .errors import DomainError
-from .rankings import NOISELESS, AlgorithmPolicy, Population, Ranking, check_menu_size
+from .rankings import AlgorithmPolicy, Population, Ranking, check_menu_size, menu_policy
 
 UPLIFT_TOLERANCE = 1e-12
 
@@ -101,10 +101,7 @@ def top_recovery_strategy(pop: Population, k: int) -> AlgorithmPolicy | None:
     if len(tops) > min(k, m - 1):
         return None
     padding = [x for x in range(m) if x not in tops]
-    menu = tops + padding[: k - len(tops)]
-    rest = [x for x in range(m) if x not in menu]
-    center = Ranking(tuple(menu + rest))
-    return AlgorithmPolicy(center=center, accuracy=NOISELESS, menu_size=k)
+    return menu_policy(m, tops + padding[: k - len(tops)])
 
 
 def best_worst_topitem_rankings(m: int) -> tuple[Ranking, Ranking]:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -414,6 +415,18 @@ class TestDerivePartialOrder:
             assert not any(e.provenance == "transitive" and (e.better, e.worse) in direct for e in order.edges)
             transitive += sum(e.provenance == "transitive" for e in order.edges)
         assert transitive > 0
+
+    def test_each_pair_of_candidates_is_compared_once(self, monkeypatch):
+        from shortlist import analysis
+
+        pairs = []
+        real = analysis._single_swap
+        monkeypatch.setattr(analysis, "_single_swap", lambda a, b: pairs.append((a, b)) or real(a, b))
+        h = mallows_human(Ranking.identity(3), 1.0, ValueProfile((1.0, 0.25, 0.25)))
+        candidates = [R(0, 1, 2), R(0, 2, 1), R(2, 0, 1), R(2, 1, 0)]
+        derive_partial_order(h, candidates, 1.0, 2)
+        assert len(pairs) == math.comb(len(candidates), 2)
+        assert {frozenset(p) for p in pairs} == {frozenset(p) for p in itertools.combinations(candidates, 2)}
 
     def test_single_candidate_no_edges(self):
         h = mallows_human(Ranking.identity(3), 1.0, borda_values(3))

@@ -29,8 +29,7 @@ from shortlist.experiments import (
     tension_population,
 )
 from shortlist.models import _insertion_rows
-from shortlist.optimize import menu_policy
-from shortlist.rankings import NOISELESS, AlgorithmPolicy, HumanType, borda_values
+from shortlist.rankings import NOISELESS, AlgorithmPolicy, HumanType, borda_values, menu_policy
 from shortlist.welfare import verify_uplift
 from shortlist import cli, collab, experiments, optimize, welfare
 
@@ -69,6 +68,17 @@ class TestLoadProfile:
     def test_bad_ranking(self):
         with pytest.raises(ProfileParseError):
             load_profile(io.StringIO("10 1 1 3\n"))
+
+    def test_csv_without_a_header_is_refused(self):
+        with pytest.raises(ProfileParseError, match="header") as err:
+            load_profile(io.StringIO("10,1,2,3\n5,2,1,3\n"))
+        assert err.value.line == 1
+
+    def test_modal_ranking_adds_up_repeated_rankings(self):
+        profile = load_profile(io.StringIO("5 2 1 3\n5 2 1 3\n8 1 2 3\n"))
+        assert profile.modal_ranking() == R(1, 0, 2)
+        tied = load_profile(io.StringIO("4 2 1 3\n4 2 1 3\n8 1 2 3\n"))
+        assert tied.modal_ranking() == R(0, 1, 2)  # a tie goes to the lexicographically smallest
 
     def test_empty_source(self):
         with pytest.raises(ProfileParseError):
@@ -281,6 +291,14 @@ class TestMipBench:
             assert row.get("welfare_gap_vs_enumeration", 0.0) <= 1e-6
 
 
+    def test_only_the_seconds_column_varies(self, tmp_path, capsys):
+        runs = []
+        for name in ("a.csv", "b.csv"):
+            assert cli.main(["experiment", "bench", "--sizes", "8", "--output", str(tmp_path / name)]) == 0
+            with open(tmp_path / name, newline="") as handle:
+                runs.append([{c: v for c, v in row.items() if c != "seconds"} for row in csv.DictReader(handle)])
+        assert runs[0] == runs[1] and len(runs[0]) == 5
+
     def test_solver_error_row(self, monkeypatch):
         def fail(mip):
             raise RuntimeError("solver failed: infeasible")
@@ -435,6 +453,57 @@ class TestCli:
             (phi, name) for phi in ("0.5", "1.0") for name in ("A_m", "A_w", "A_u")
         ]
         assert {r["menu"] for r in rows} <= {"1", "2", "3"}
+
+    def test_sushi_majority_menu_adds_up_repeated_rankings(self, tmp_path, capsys):
+        profile = tmp_path / "dup.txt"
+        profile.write_text("5 2 1 3\n5 2 1 3\n8 1 2 3\n")
+        out = tmp_path / "sushi.csv"
+        argv = ["experiment", "sushi", "--profile", str(profile), "-k", "1", "--phi-grid", "1", "--output", str(out)]
+        assert cli.main(argv) == 0, capsys.readouterr().err
+        with open(out, newline="") as handle:
+            rows = {r["algorithm"]: r for r in csv.DictReader(handle)}
+        assert rows["A_m"]["menu"] == "2" and rows["A_m"]["welfare"] == rows["A_w"]["welfare"]
+
+    def test_csv_profile_without_a_header_is_an_error(self, tmp_path, capsys):
+        profile = tmp_path / "p.csv"
+        profile.write_text("10,1,2,3\n5,2,1,3\n")
+        assert cli.main(["optimize", "--profile", str(profile), "--phi-h", "1", "-k", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: line 1:") and "header" in captured.err
+
+    @pytest.mark.parametrize("center", [" ".join(map(str, p)) for p in itertools.permutations((1, 2, 3))])
+    def test_plackett_luce_human_answers_at_every_center(self, capsys, center):
+        # --values top ties the two items after the favourite, so a center that
+        # lists them in either order is the same human; each command answers
+        first, *tied = center.split()
+        policy = ["--alg-center", "1 2 3", "--phi-a", "1", "-k", "2"]
+        outputs = []
+        for human_center in (center, " ".join([first, *sorted(tied)])):
+            flags = ["--human-center", human_center, "--beta", "1", "--values", "top"]
+            for argv in (
+                ["collab", *flags, *policy],
+                ["analyze", "swap", *flags, *policy, "--pair", "1 2"],
+                ["analyze", "order", *flags, "--phi-a", "1", "-k", "2", "--candidates", "1 2 3;2 1 3"],
+                ["analyze", "conditions", "--kind", "helpful", *flags, "--alg-center", human_center,
+                 "--phi-a", "1", "--ranks", "2 3"],
+            ):
+                assert cli.main(argv) == 0, capsys.readouterr().err
+                outputs.append(capsys.readouterr().out)
+        assert outputs[:2] == outputs[4:6]  # collab and swap; order and conditions name the items
+
+    @pytest.mark.parametrize("ranks, want", [
+        ("2 3", "--ranks: item 3 must be ahead of item 2 in --alg-center"),
+        ("3 2", "--ranks needs 1 <= i < j <= 3, got (3, 2)"),
+        ("2 2", "--ranks needs 1 <= i < j <= 3, got (2, 2)"),
+    ])
+    def test_helpful_condition_names_its_ranks_by_label(self, capsys, ranks, want):
+        argv = ["analyze", "conditions", "--kind", "helpful", "--values", "3 2 1", "--human-center", "1 3 2",
+                "--phi-h", "1", "--alg-center", "1 2 3", "--phi-a", "1", "--ranks", ranks]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {want}\n"
 
     def test_optimize_with_lp_export(self, tmp_path, capsys):
         lp_path = tmp_path / "instance.lp"

@@ -21,7 +21,7 @@ from shortlist import (
     verify_uplift,
 )
 from shortlist.experiments import beta_sweep
-from shortlist.models import model_menu_distribution, policy_ranking_model
+from shortlist.models import policy_ranking_model
 from shortlist.optimize import center_menu_rows, center_utilities, menu_utility_table
 
 from conftest import mallows_support_oracle
@@ -55,10 +55,9 @@ def three_family_population(rng, m: int) -> Population:
 
 def product(pop: Population, centers, accuracy, k: int) -> np.ndarray:
     """center_utilities of a Mallows(accuracy) or NOISELESS policy at each center."""
-    _, table = menu_utility_table(pop, k)
     model = policy_ranking_model(AlgorithmPolicy(Ranking.identity(pop.m), accuracy, k))
     rows = center_menu_rows([c.order for c in centers], k)
-    return center_utilities(table, model_menu_distribution(model, k), rows)
+    return center_utilities(menu_utility_table(pop, k), model, rows)
 
 
 class Oracle:
@@ -121,10 +120,9 @@ class TestCenterUtilities:
 
     def test_empty_center_list(self, rng):
         pop = three_family_population(rng, 4)
-        _, table = menu_utility_table(pop, 2)
         rows = center_menu_rows(np.empty((0, 4), dtype=np.intp), 2)
-        law = model_menu_distribution(policy_ranking_model(AlgorithmPolicy(Ranking.identity(4), NOISELESS, 2)), 2)
-        assert center_utilities(table, law, rows).shape == (0, 3)
+        model = policy_ranking_model(AlgorithmPolicy(Ranking.identity(4), NOISELESS, 2))
+        assert center_utilities(menu_utility_table(pop, 2), model, rows).shape == (0, 3)
 
 
 class TestRoutedCallers:

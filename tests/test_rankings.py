@@ -18,7 +18,7 @@ from shortlist import (
     top_item_values,
 )
 from shortlist.errors import DimensionError, DomainError
-from shortlist.models import ExplicitModel, MallowsModel
+from shortlist.models import ExplicitModel, MallowsModel, PlackettLuceModel
 
 permutations = st.integers(2, 8).flatmap(
     lambda m: st.permutations(list(range(m)))
@@ -149,6 +149,15 @@ class TestHumanType:
         gt = R(0, 1, 2)
         with pytest.raises(DomainError):
             HumanType(gt, MallowsModel(R(1, 0, 2), 1.0), top_item_values(3), 1.0)
+
+    def test_plackett_luce_human_takes_any_order_its_values_do_not_increase_along(self):
+        tied = PlackettLuceModel((1.0, 0.0, 0.0), 1.0)  # its center breaks the tie: (0, 1, 2)
+        for gt in (R(0, 1, 2), R(0, 2, 1)):
+            assert HumanType(gt, tied, top_item_values(3), 1.0).ground_truth == gt
+        increasing = PlackettLuceModel((0.0, 1.0, 2.0), 1.0)
+        for gt, model in ((R(1, 0, 2), tied), (R(2, 1, 0), tied), (R(0, 1, 2), increasing)):
+            with pytest.raises(DomainError, match="item values must not increase"):
+                HumanType(gt, model, top_item_values(3), 1.0)
 
     def test_noise_model_must_cover_the_same_items(self):
         with pytest.raises(DimensionError):

@@ -22,7 +22,8 @@ from shortlist import (
     verify_uplift,
 )
 from shortlist.errors import DomainError
-from shortlist.optimize import menu_policy, noisy_uplift_search
+from shortlist.optimize import noisy_uplift_search
+from shortlist.rankings import menu_policy
 
 LN2 = math.log(2)
 
