@@ -10,10 +10,9 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .collab import expected_utility, joint_pick_dist
+from .collab import center_menu_rows, center_utilities, expected_utility, joint_pick_dist, menu_utility_table
 from .errors import DomainError
 from .models import MallowsModel, PlackettLuceModel, _logistic, policy_ranking_model
-from .optimize import center_menu_rows, center_utilities, menu_utility_table
 from .rankings import AlgorithmPolicy, HumanType, Population, Ranking, ValueProfile, apply_swap
 
 

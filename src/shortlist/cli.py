@@ -18,7 +18,7 @@ from .analysis import (
     swap_effect,
 )
 from .choice import choice_prob
-from .collab import expected_utility, joint_pick_dist, solo_pick_dist
+from .collab import expected_utility, joint_pick_dist, joint_utility, solo_pick_dist
 from .errors import CapacityError, DimensionError, DomainError, ShortlistError
 from .experiments import EXPERIMENTS, load_profile, run_config, sushi_profile
 from .models import MallowsModel, PlackettLuceModel
@@ -227,7 +227,7 @@ def _cmd_collab(args) -> int:
     solo = solo_pick_dist(human)
     joint = joint_pick_dist(human, policy)
     solo_u = expected_utility(solo, human)
-    joint_u = expected_utility(joint, human)
+    joint_u = joint_utility(human, policy)
     print(f"solo pick dist: {_fmt_dist(solo)}")
     print(f"joint pick dist: {_fmt_dist(joint)}")
     print(f"solo utility: {solo_u!r}")

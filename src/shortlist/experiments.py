@@ -17,19 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .collab import solo_utilities
+from .collab import center_menu_rows, center_utilities, menu_utility_table, solo_utilities
 from .errors import CapacityError, DimensionError, DomainError, ProfileParseError
 from .models import ENUMERATION_CAP, MallowsModel, PlackettLuceModel
-from .optimize import (
-    branch_and_bound_menu,
-    build_mip,
-    center_menu_rows,
-    center_utilities,
-    enumerate_best_menu,
-    menu_utility_table,
-    optimize_with_uplift,
-    solve_mip,
-)
+from .optimize import branch_and_bound_menu, build_mip, enumerate_best_menu, optimize_with_uplift, solve_mip
 from .rankings import HumanType, Population, Ranking, ValueProfile, apply_swap, borda_values
 from .welfare import _welfare, uplifted
 
@@ -229,13 +220,15 @@ def beta_sweep(
     the same family around their centers: the Mallows family fixes both
     accuracies at ``phi``; the RUM family gives both sides Gumbel noise of
     scale ``gumbel_beta`` over the same value magnitudes. Rows list Mallows
-    before RUM whatever the order of ``families``. ``m`` above
-    ``ENUMERATION_CAP`` is refused before any center is built.
+    before RUM whatever the order of ``families``, a nonempty list of the
+    two names as in a config. ``m`` above ``ENUMERATION_CAP`` is refused
+    before any center is built.
 
     Both sides are the identity's model relabelled by their center, so for
     each (beta, family) ``center_utilities`` scores every center from one human
     table and the human's model, through one ``center_menu_rows``.
     """
+    _check_knob("beta-sweep", "families", families)
     if beta_grid is None:
         beta_grid = tuple(round(0.5 * i, 10) for i in range(13))  # 0 .. 6
     beta_grid = _validated_grid(beta_grid, "value-decay")
@@ -343,9 +336,12 @@ def mip_bench(
     while varying ``m``; the population family fixes ``m`` and grows the
     number of types factorially, so a type count above ``ENUMERATION_CAP``
     is refused before any population is built. ``solver`` is ``bnb`` or
-    ``mip`` (external, via SciPy's HiGHS). Rows with C(m, k) <= 5000 are
-    checked against enumeration.
+    ``mip`` (external, via SciPy's HiGHS); a knob value a config refuses is
+    refused here too. Rows with C(m, k) <= 5000 are checked against
+    enumeration.
     """
+    for key, value in (("sizes", sizes), ("k_list", k_list), ("type_counts", type_counts), ("solver", solver)):
+        _check_knob("bench", key, value)
     too_few = [t for t in type_counts if t < 1]
     if too_few:
         raise DomainError(f"bench type_counts must be at least 1, got {too_few}")
@@ -478,6 +474,13 @@ EXPERIMENTS = {
 }
 
 
+def _check_knob(experiment: str, key: str, value) -> None:
+    """Refuse a value of an experiment's knob that its ``EXPERIMENTS`` check rejects (DomainError)."""
+    check, wanted = EXPERIMENTS[experiment][1][key]
+    if not check(value):
+        raise DomainError(f"config key {key!r} must be {wanted}, got {value!r}")
+
+
 def run_config(config) -> list[str]:
     """Run the experiment a JSON config selects; returns written output paths.
 
@@ -509,9 +512,7 @@ def run_config(config) -> list[str]:
             raise DomainError(
                 f"unknown key {key!r} for experiment {name!r}; valid keys: {', '.join(accepted)}"
             )
-        check, wanted = accepted[key]
-        if not check(value):
-            raise DomainError(f"config key {key!r} must be {wanted}, got {value!r}")
+        _check_knob(name, key, value)
     if "profile" in knobs:
         knobs["profile"] = load_profile(knobs["profile"])
     rows = globals()[driver](**knobs)

@@ -446,9 +446,9 @@ class ExplicitModel:
         m = entries[0][0].m
         if any(r.m != m for r, _ in entries):
             raise DimensionError("support rankings must share the same item count")
-        if any(p <= 0 for _, p in entries):
-            raise DomainError("support probabilities must be positive")
-        total = sum(p for _, p in entries)
+        if any(not (math.isfinite(p) and p > 0) for _, p in entries):
+            raise DomainError("support probabilities must be finite and positive")
+        total = math.fsum(p for _, p in entries)
         if abs(total - 1.0) > 1e-12:
             raise DomainError(f"support probabilities sum to {total!r}, expected 1")
         if len({r.order for r, _ in entries}) != len(entries):

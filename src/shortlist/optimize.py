@@ -14,116 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .choice import MENU_BLOCK, choice_dist
-from .collab import expected_utility, interchangeable_types, solo_utilities
+from .collab import center_utilities, menu_utility, menu_utility_table, solo_utilities
 from .errors import DimensionError, DomainError
-from .models import (
-    MallowsModel,
-    _check_items,
-    _insertion_rows,
-    k_menus,
-    model_menu_distribution,
-    pairwise_matrix,
-    policy_ranking_model,
-)
-from .rankings import AlgorithmPolicy, HumanType, Population, Ranking, check_menu_size
+from .models import MallowsModel, _check_items, _insertion_rows, pairwise_matrix, policy_ranking_model
+from .rankings import AlgorithmPolicy, Population, Ranking, check_menu_size
 from .welfare import _welfare, uplifted, welfare_report
 
 BOUND_SLACK = 1e-12
-PRODUCT_BLOCK = 1 << 16  # (center, menu) pairs per pass of center_utilities; bounds its memory
-
-
-def menu_utility(h: HumanType, menu) -> float:
-    """Expected utility for one type when ``menu`` is always presented."""
-    return expected_utility(choice_dist(h.noise, menu), h)
-
-
-def position_set_rank(m: int, k: int):
-    """Map rows of k increasing positions to their rank among the C(m, k) sets.
-
-    The rank is the row's index in ``itertools.combinations(range(m), k)``.
-    Reflecting positions (p -> m-1-p) turns lexicographic order into reversed
-    colexicographic order, whose rank is a sum of binomials; no term of a
-    valid row exceeds C(m, k), so the table is clipped there.
-    """
-    total = math.comb(m, k)
-    binom = np.array([[min(math.comb(n, r), total) for r in range(k, 0, -1)] for n in range(m)], dtype=np.intp)
-    slots = np.arange(k)
-    return lambda pos: total - 1 - binom[m - 1 - pos, slots].sum(axis=1)
-
-
-def menu_utility_table(pop: Population, k: int):
-    """All k-menus (``models.k_menus``) with per-type utilities, shape (menus, types).
-
-    A type's utility of a menu depends only on the menu's position set in
-    its model's order (``ranks``). So a column holds the utility of every
-    position set: the model's ``pick_rows`` over the C(m, k) lexicographic
-    sets, each row times the type's values in that order and summed with
-    ``math.fsum``, the bits of ``menu_utility``. Each group of
-    ``interchangeable_types`` shares a column, and all types read their
-    columns at the rows of one ``center_menu_rows`` call.
-    """
-    m = pop.m
-    menus = k_menus(m, k)
-    positions = np.array(menus, dtype=np.intp)
-    table = np.empty((len(menus), pop.n))
-    rows = center_menu_rows([h.noise.ranks for h in pop], k)
-    for cols in interchangeable_types(pop):
-        h = pop.types[cols[0]]
-        values = np.array([h.value_of(x) for x in np.argsort(h.noise.ranks)])
-        column = np.empty(len(menus))
-        for lo in range(0, len(menus), MENU_BLOCK):
-            block = positions[lo : lo + MENU_BLOCK]
-            terms = h.noise.pick_rows(block) * values[block]
-            column[lo : lo + len(block)] = [math.fsum(row) for row in terms.tolist()]
-        table[:, cols] = column[rows[cols]].T
-    return menus, table
-
-
-def center_menu_rows(centers, k: int) -> np.ndarray:
-    """Each k-set of ``k_menus(m, k)`` moved by each permutation, shape (centers, sets).
-
-    Entry (c, T) is ``position_set_rank`` of the sorted images of the T-th
-    set under row c of ``centers``, a (centers, m) array of permutations,
-    taken ``MENU_BLOCK`` sets at a time. For center orders it is the table
-    row of the menu a policy at c presents where the identity's presents T;
-    for a model's ``ranks``, the position set whose column entry menu T reads.
-    """
-    centers = np.asarray(centers, dtype=np.intp)
-    m = centers.shape[1]
-    lex_rank = position_set_rank(m, k)
-    sets = np.array(k_menus(m, k), dtype=np.intp)
-    out = np.empty((len(centers), len(sets)), dtype=np.intp)
-    for lo in range(0, len(sets), MENU_BLOCK):
-        images = np.sort(centers[:, sets[lo : lo + MENU_BLOCK]], axis=2)
-        out[:, lo : lo + images.shape[1]] = lex_rank(images.reshape(-1, k)).reshape(images.shape[:2])
-    return out
-
-
-def center_utilities(table, model, rows: np.ndarray) -> np.ndarray:
-    """Expected utility of every type under a curator's menu law moved to each center.
-
-    ``table`` is ``menu_utility_table``'s (menus, utilities) pair, ``model``
-    a curator's ranking model at the identity center and ``rows`` the
-    centers' ``center_menu_rows``. With ``p`` the model's
-    ``model_menu_distribution``, read by position in ``k_menus`` order, entry
-    (c, t) is ``sum_T p[T] * utilities[rows[c, T], t]``: the type's joint
-    utility under a Mallows policy at c, or a Plackett-Luce one whose values
-    follow center position. Each entry is ``math.fsum`` of its terms, and
-    menus of zero probability are skipped. Returns (centers, types).
-    """
-    menus, utilities = table
-    p_id = np.fromiter(model_menu_distribution(model, len(menus[0])).values(), dtype=float)
-    support = np.flatnonzero(p_id)
-    weights = p_id[support, None]
-    rows = rows[:, support]
-    out = np.empty((len(rows), utilities.shape[1]))
-    step = max(1, PRODUCT_BLOCK // len(support))
-    for lo in range(0, len(rows), step):
-        terms = weights * utilities[rows[lo : lo + step]]  # (centers, menus, types)
-        by_entry = terms.transpose(0, 2, 1).reshape(-1, len(support)).tolist()
-        out[lo : lo + len(terms)] = np.reshape([math.fsum(t) for t in by_entry], (len(terms), -1))
-    return out
 
 
 @dataclass(frozen=True)
@@ -297,7 +194,9 @@ def noisy_uplift_search(pop: Population, center: Ranking, phi_grid, k: int):
     list of ``(accuracy, WelfareReport)`` in grid order and "best" maximizes
     the minimum per-type utility gain (the first of ties). One table and one
     ``solo_utilities`` serve the grid; an accuracy's joint utilities are
-    ``center_utilities`` of its ranking model moved to ``center``.
+    ``center_utilities`` of its policy's ranking model at the identity rows,
+    ``collab.joint_utility``'s formula, so each equals that type's
+    ``joint_utility`` bit for bit.
     """
     phi_grid = list(phi_grid)
     if not phi_grid:
@@ -306,12 +205,11 @@ def noisy_uplift_search(pop: Population, center: Ranking, phi_grid, k: int):
         raise DomainError("center and population must share the item universe")
     table = menu_utility_table(pop, k)
     solo = solo_utilities(pop).tolist()
-    rows = center_menu_rows([center.order], k)
-    identity = Ranking.identity(pop.m)
+    identity = np.arange(len(table[0]))[None]
     reports = []
     for phi in phi_grid:
-        model = policy_ranking_model(AlgorithmPolicy(center=identity, accuracy=phi, menu_size=k))
-        joint = center_utilities(table, model, rows)[0]
+        model = policy_ranking_model(AlgorithmPolicy(center=center, accuracy=phi, menu_size=k))
+        joint = center_utilities(table, model, identity)[0]
         reports.append((phi, welfare_report(pop, solo, joint.tolist())))
     best_phi, best_report = max(reports, key=lambda item: item[1].min_gain)
     return best_phi, best_report, reports

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -22,8 +23,8 @@ NOISELESS = math.inf
 
 
 def check_menu_size(k: int, m: int) -> None:
-    """Refuse a menu size outside ``1..m`` (DomainError)."""
-    if not 1 <= k <= m:
+    """Refuse a menu size that is not an integer in ``1..m`` (DomainError)."""
+    if not isinstance(k, numbers.Integral) or not 1 <= k <= m:
         raise DomainError(f"menu size {k} out of range for m={m}")
 
 

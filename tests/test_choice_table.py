@@ -20,10 +20,9 @@ from shortlist import (
     enumerate_best_menu,
 )
 from shortlist.choice import MENU_BLOCK, oracle_choice_dist
-from shortlist.collab import joint_pick_from_menus
+from shortlist.collab import center_menu_rows, joint_pick_from_menus, menu_utility, menu_utility_table, position_set_rank
 from shortlist.errors import DimensionError, DomainError
 from shortlist.experiments import sushi_profile, tension_population
-from shortlist.optimize import center_menu_rows, menu_utility, menu_utility_table, position_set_rank
 from shortlist.rankings import Population
 
 accuracies = st.floats(min_value=0.0, max_value=4.0, allow_nan=False)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from shortlist import (
     solo_pick_dist,
     solo_utility,
     top_item_values,
+    verify_uplift,
 )
 from shortlist import collab
 from shortlist.errors import CapacityError, DomainError
@@ -120,6 +122,27 @@ class TestJointPick:
         a = AlgorithmPolicy(gt, 1.0, 20)
         with pytest.raises(CapacityError):
             joint_pick_dist(h, a)
+
+
+class TestJointUtility:
+    def test_noiseless_policy_above_the_cap_scores_its_fixed_menu(self):
+        m, k = 60, 5  # C(60, 5) menus exceed MENU_ENUMERATION_CAP
+        gt = Ranking.identity(m)
+        h = HumanType(gt, MallowsModel(gt, 0.7), borda_values(m), 1.0)
+        center = Ranking(tuple(reversed(range(m))))
+        fixed = AlgorithmPolicy(center, NOISELESS, k)
+        want = collab.menu_utility(h, fixed.fixed_menu())
+        assert joint_utility(h, fixed) == want
+        assert verify_uplift(Population.single(h), fixed).per_type[0].joint == want
+        noisy = AlgorithmPolicy(center, 1.0, k)
+        for score in (lambda: joint_utility(h, noisy), lambda: verify_uplift(Population.single(h), noisy)):
+            with pytest.raises(CapacityError, match=re.escape("C(60,5) = 5461512 menus exceeds")):
+                score()
+
+    @pytest.mark.parametrize("accuracy", [0.0, 1.0, NOISELESS])
+    def test_universe_mismatch_rejected(self, accuracy):
+        with pytest.raises(DomainError, match="human and policy must share the item universe"):
+            joint_utility(aligned_human(m=3), AlgorithmPolicy(Ranking.identity(4), accuracy, 2))
 
 
 class TestMonteCarlo:

@@ -225,6 +225,11 @@ class TestBetaSweep:
             (beta, family) for beta in (1.0, 2.0) for family in ("mallows", "rum") for _ in range(5)
         ]
 
+    @pytest.mark.parametrize("families", [(), ("foo",), ("rum", "plackett")])
+    def test_refuses_families_its_config_refuses(self, families):
+        with pytest.raises(DomainError, match="'families'"):
+            beta_sweep(beta_grid=(1.0,), families=families)
+
     def test_unselected_family_builds_no_model(self, tmp_path):
         # phi = -1 would be refused by a Mallows model, which a RUM-only sweep never builds
         out = tmp_path / "sweep.csv"
@@ -298,6 +303,14 @@ class TestMipBench:
             with open(tmp_path / name, newline="") as handle:
                 runs.append([{c: v for c, v in row.items() if c != "seconds"} for row in csv.DictReader(handle)])
         assert runs[0] == runs[1] and len(runs[0]) == 5
+
+    @pytest.mark.parametrize(
+        "knob, value", [("solver", "glpk"), ("sizes", ()), ("k_list", ()), ("type_counts", ())]
+    )
+    def test_refuses_knobs_its_config_refuses(self, knob, value):
+        knobs = {"sizes": (5,), "k_list": (2,), "type_counts": (1,), knob: value}
+        with pytest.raises(DomainError, match=repr(knob)):
+            mip_bench(**knobs)
 
     def test_solver_error_row(self, monkeypatch):
         def fail(mip):

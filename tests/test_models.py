@@ -414,6 +414,11 @@ class TestExplicitModel:
         with pytest.raises(DimensionError):
             ExplicitModel(((R(0, 1), 0.5), (R(0, 1, 2), 0.5)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_refuses_probabilities_that_are_not_finite_and_positive(self, bad):
+        with pytest.raises(DomainError, match="support probabilities must be finite and positive"):
+            ExplicitModel(((R(0, 1, 2), bad), (R(1, 0, 2), 1.0)))
+
     def test_perm_prob(self):
         model = ExplicitModel(((R(0, 1, 2), 0.9), (R(1, 0, 2), 0.1)))
         assert model.perm_prob(R(0, 1, 2)) == 0.9

@@ -18,11 +18,12 @@ from shortlist import (
     derive_partial_order,
     joint_utility,
     noisy_uplift_search,
+    social_welfare,
     verify_uplift,
 )
+from shortlist.collab import center_menu_rows, center_utilities, menu_utility_table
 from shortlist.experiments import beta_sweep
 from shortlist.models import policy_ranking_model
-from shortlist.optimize import center_menu_rows, center_utilities, menu_utility_table
 
 from conftest import mallows_support_oracle
 
@@ -194,3 +195,25 @@ class TestRoutedCallers:
         assert len(order.utilities) == len(candidates)
         for center, got in zip(candidates, order.utilities):
             assert abs(got - joint_utility(h, AlgorithmPolicy(center, accuracy, k))) <= 1e-12
+
+
+class TestOneFormula:
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_curated_utilities_have_the_product_bits(self, data, seed):
+        m = data.draw(st.integers(2, 7), label="m")
+        k = data.draw(st.integers(1, m), label="k")
+        rng = np.random.default_rng(seed)
+        pop = three_family_population(rng, m)
+        center = Ranking(random_order(rng, m))
+        candidates = [center] + [Ranking(random_order(rng, m)) for _ in range(2)]
+        grid = [0.0, float(rng.uniform(0.05, 3.0)), NOISELESS]
+        _, _, reports = noisy_uplift_search(pop, center, grid, k)
+        for phi, report in reports:
+            a = AlgorithmPolicy(center, phi, k)
+            assert [joint_utility(h, a) for h in pop] == [t.joint for t in report.per_type]
+            assert social_welfare(pop, a) == report.social_welfare
+            assert verify_uplift(pop, a) == report
+            for h in pop:
+                order = derive_partial_order(h, candidates, phi, k)
+                assert list(order.utilities) == [joint_utility(h, AlgorithmPolicy(c, phi, k)) for c in candidates]
