@@ -11,7 +11,7 @@ insertion DP whose states are the distinct prefixes of a block's menus:
 menus that share leading items share those steps, and each whole menu's
 state still rides on to the last step, so a menu has the same bits alone or
 in any batch. A menu table calls ``pick_rows`` directly on position sets
-(see ``optimize.menu_utility_table``).
+(see ``collab.menu_utility_table``).
 """
 from __future__ import annotations
 
@@ -70,7 +70,10 @@ def choice_table(model, menus) -> np.ndarray:
     of ``MENU_BLOCK`` menus; a menu's row has the same bits as when it is
     scored alone.
     """
-    menus = np.asarray(menus, dtype=np.intp)
+    menus = np.asarray(menus)
+    if menus.size and not np.issubdtype(menus.dtype, np.integer):
+        raise DomainError(f"menu items must be integers, got an array of {menus.dtype}")
+    menus = menus.astype(np.intp, copy=False)
     if menus.ndim != 2:
         raise DimensionError(f"menus must be a 2-d array, got shape {menus.shape}")
     B, k = menus.shape

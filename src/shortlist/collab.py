@@ -7,8 +7,8 @@ import numpy as np
 
 from .choice import MENU_BLOCK, PickDistribution, choice_dist, choice_table
 from .errors import DomainError
-from .models import MallowsModel, k_menus, menu_distribution, model_menu_distribution, policy_ranking_model
-from .rankings import AlgorithmPolicy, HumanType, Population
+from .models import MallowsModel, k_menus, model_menu_distribution, policy_ranking_model
+from .rankings import AlgorithmPolicy, HumanType, Population, is_integer
 
 MC_BLOCK = 1 << 14  # Monte Carlo samples drawn per pass; bounds the sample arrays
 PRODUCT_BLOCK = 1 << 16  # (center, menu) pairs per pass of center_utilities; bounds its memory
@@ -22,8 +22,10 @@ def solo_pick_dist(h: HumanType) -> PickDistribution:
 def joint_pick_from_menus(h: HumanType, menus: dict[frozenset[int], float]) -> PickDistribution:
     """Pick distribution when the menu itself is drawn from ``menus``.
 
-    Menus of each size are scored in one batched ``choice_table`` call; the
-    support is every item of a menu with nonzero probability.
+    Menus of each size are scored in one batched ``choice_table`` call. An
+    item's probability is one ``math.fsum`` of its pick masses p(S) P(x | S)
+    over the law, so it is exactly rounded and does not depend on the law's
+    order; the support is every item of a menu with nonzero probability.
     """
     by_size: dict[int, tuple[list, list]] = {}
     for menu, p_menu in menus.items():
@@ -31,26 +33,31 @@ def joint_pick_from_menus(h: HumanType, menus: dict[frozenset[int], float]) -> P
             rows, weights = by_size.setdefault(len(menu), ([], []))
             rows.append(tuple(menu))
             weights.append(p_menu)
-    probs = np.zeros(h.m)
-    support: set[int] = set()
+    items, masses = [np.empty(0, dtype=np.intp)], [np.empty(0)]  # an empty law is PickDistribution's error
     for rows, weights in by_size.values():
         rows = np.array(rows, dtype=np.intp)
-        mass = choice_table(h.noise, rows) * np.asarray(weights)[:, None]
-        probs += np.bincount(rows.ravel(), weights=mass.ravel(), minlength=h.m)
-        support.update(rows.ravel().tolist())
-    return PickDistribution({x: float(probs[x]) for x in sorted(support)})
+        items.append(rows.ravel())
+        masses.append((choice_table(h.noise, rows) * np.asarray(weights)[:, None]).ravel())
+    items = np.concatenate(items)
+    by_item = np.argsort(items)
+    support, starts = np.unique(items[by_item], return_index=True)
+    mass = np.concatenate(masses)[by_item].tolist()
+    bounds = starts.tolist() + [len(mass)]
+    return PickDistribution({x: math.fsum(mass[lo:hi]) for x, lo, hi in zip(support.tolist(), bounds, bounds[1:])})
 
 
 def joint_pick_dist(h: HumanType, a: AlgorithmPolicy) -> PickDistribution:
     """Exact pick distribution of the human-algorithm system.
 
-    Sums the human's conditional pick over every menu the policy can present;
-    raises CapacityError when that menu enumeration is infeasible (use
-    ``mc_joint_pick_dist`` then).
+    A noiseless policy's fixed menu is scored by ``choice_dist`` at any
+    C(m, k); only a noisy policy raises CapacityError above
+    ``MENU_ENUMERATION_CAP`` (use ``mc_joint_pick_dist`` then).
     """
     if h.m != a.m:
         raise DomainError("human and policy must share the item universe")
-    return joint_pick_from_menus(h, menu_distribution(a))
+    if a.is_noiseless:
+        return choice_dist(h.noise, a.fixed_menu())
+    return joint_pick_from_menus(h, model_menu_distribution(policy_ranking_model(a), a.menu_size))
 
 
 def mc_joint_pick_dist(
@@ -63,8 +70,8 @@ def mc_joint_pick_dist(
     as top sets of ``policy_ranking_model``, and then the rankings are drawn
     through ``sample_many``, ``MC_BLOCK`` samples at a time.
     """
-    if samples < 1:
-        raise DomainError("need at least one sample")
+    if not is_integer(samples) or samples < 1:
+        raise DomainError(f"need an integer number of samples, at least one, got {samples!r}")
     if h.m != a.m:
         raise DomainError("human and policy must share the item universe")
     model = policy_ranking_model(a)

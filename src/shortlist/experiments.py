@@ -173,8 +173,13 @@ def sushi_experiment(
     welfare-maximizing menu, ``uplift`` the menu maximizing the weighted
     fraction of strictly-benefiting types (ties: welfare, then lexicographic),
     both with ``verify_uplift``'s bits. Any profile with at least ``k`` items
-    works; the default is the packaged sushi fixture.
+    works; the default is the packaged sushi fixture. A knob value a config
+    refuses is refused here too, and ``profile`` is a loaded profile, not a path.
     """
+    if profile is not None and not isinstance(profile, PreferenceProfile):
+        raise DomainError(f"profile must be a PreferenceProfile (load_profile reads a path), got {profile!r}")
+    for key, value in (("phi_grid", phi_grid), ("k", k)):
+        _check_knob("sushi", key, value)
     profile = profile if profile is not None else sushi_profile()
     modal_menu = tuple(sorted(profile.modal_ranking().prefix(k)))
     rows: list[dict] = []
@@ -279,8 +284,11 @@ def tension_experiment(gamma: float = 3.0, phi_grid=TENSION_PHI_GRID, k: int = 3
 
     ``gamma`` weights the six head orders by Mallows(gamma), so it must be
     finite, nonnegative and small enough (below about 248.4) that the least
-    likely order, the reversed one, keeps a positive weight.
+    likely order, the reversed one, keeps a positive weight. A knob value a
+    config refuses is refused here too.
     """
+    for key, value in (("gamma", gamma), ("phi_grid", phi_grid), ("k", k)):
+        _check_knob("tension", key, value)
     if not 0 <= gamma < math.inf:
         raise DomainError(f"gamma must be finite and nonnegative, got {gamma!r}")
     if MallowsModel(Ranking.identity(3), gamma).perm_prob(Ranking((2, 1, 0))) == 0:

@@ -16,7 +16,7 @@ library never asks which family it has:
   ``pick_rows``, the pick probabilities of a block of menus given as rows
   of increasing positions in that order. Items are mapped to positions only
   where menus enter: ``choice.choice_table`` and ``choice.choice_dist`` for
-  menus of items, and ``optimize.center_menu_rows`` for a menu table.
+  menus of items, and ``collab.center_menu_rows`` for a menu table.
 
 A brute-force enumeration oracle sits alongside them so every closed form
 can be cross-checked at desk scale.
@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError, DimensionError, DomainError
-from .rankings import AlgorithmPolicy, Ranking, check_menu_size, kendall_tau
+from .rankings import AlgorithmPolicy, Ranking, check_menu_size, is_integer, kendall_tau
 
 ENUMERATION_CAP = 7
 MENU_ENUMERATION_CAP = 10**6
@@ -49,10 +49,12 @@ def row_z(j: int, phi: float) -> float:
 
 
 def _check_items(m: int, items) -> frozenset:
-    """``items`` as a set, refused when empty (DomainError) or outside ``0..m-1`` (DimensionError)."""
+    """``items`` as a set, refused when empty or not integers (DomainError) or outside ``0..m-1`` (DimensionError)."""
     items = frozenset(items)
     if not items:
         raise DomainError("item set must be nonempty")
+    if not all(map(is_integer, items)):
+        raise DomainError(f"items must be integers, got {set(items)}")
     if min(items) < 0 or max(items) >= m:
         raise DimensionError(f"items {sorted(items)} outside 0..{m - 1}")
     return items
@@ -376,10 +378,13 @@ class PlackettLuceModel:
         ``f(T) = sum_{x in T} f(T - x) * P[x is picked next after T - x]``;
         each pick probability is a softmax over the items not yet picked,
         normalized by their own log-sum-exp rather than by the total minus
-        the picked part, which would cancel. O(2^k k + 2^k m) for k items.
+        the picked part, which would cancel. O(2^k k + 2^k m) for k items;
+        CapacityError when its 2^k m table exceeds ``MENU_ENUMERATION_CAP``.
         """
         items = sorted(_check_items(self.m, items))
         k = len(items)
+        if (1 << k) * self.m > MENU_ENUMERATION_CAP:
+            raise CapacityError(f"top-{k} set law over 2^{k} subsets x {self.m} items exceeds the cap")
         u = self._scaled()
         # taken[S, y]: item y is in the proper subset S of ``items`` (bit i
         # stands for items[i]); the full set is never a denominator
@@ -549,15 +554,3 @@ def k_menus(m: int, k: int) -> list[tuple[int, ...]]:
 def model_menu_distribution(model, k: int) -> dict[frozenset[int], float]:
     """Distribution of the top-``k`` set of a sampled ranking, over all k-subsets."""
     return {frozenset(s): model.topk_set_prob(s) for s in k_menus(model.m, k)}
-
-
-def menu_distribution(policy: AlgorithmPolicy) -> dict[frozenset[int], float]:
-    """Exact distribution over the menus a policy presents.
-
-    A noiseless policy's one menu is given directly, not through its point
-    mass's ``model_menu_distribution``, which enumerates all C(m, k) menus:
-    so a fixed menu still scores above ``MENU_ENUMERATION_CAP``.
-    """
-    if policy.is_noiseless:
-        return {policy.fixed_menu(): 1.0}
-    return model_menu_distribution(policy_ranking_model(policy), policy.menu_size)

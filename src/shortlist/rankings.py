@@ -22,9 +22,17 @@ WEIGHT_TOLERANCE = 1e-9
 NOISELESS = math.inf
 
 
+def is_integer(x) -> bool:
+    """The one rule for an item or a count: ``numbers.Integral``, numpy integers included.
+
+    ``int`` is tested first because the ABC check costs far more per call.
+    """
+    return type(x) is int or isinstance(x, numbers.Integral)
+
+
 def check_menu_size(k: int, m: int) -> None:
     """Refuse a menu size that is not an integer in ``1..m`` (DomainError)."""
-    if not isinstance(k, numbers.Integral) or not 1 <= k <= m:
+    if not is_integer(k) or not 1 <= k <= m:
         raise DomainError(f"menu size {k} out of range for m={m}")
 
 
@@ -40,7 +48,10 @@ class Ranking:
     positions: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        order = tuple(int(x) for x in self.order)
+        order = tuple(self.order)
+        if not all(map(is_integer, order)):
+            raise DomainError(f"ranking items must be integers, got {order}")
+        order = tuple(map(int, order))
         m = len(order)
         if m < 1:
             raise DomainError("a ranking needs at least one item")
@@ -62,7 +73,7 @@ class Ranking:
 
     def position(self, item: int) -> int:
         """0-based rank of ``item`` (0 = most preferred)."""
-        if not 0 <= item < self.m:
+        if not is_integer(item) or not 0 <= item < self.m:
             raise DomainError(f"unknown item {item} for m={self.m}")
         return self.positions[item]
 

@@ -14,6 +14,7 @@ from shortlist import (
     PlackettLuceModel,
     Population,
     Ranking,
+    choice_dist,
     joint_pick_dist,
     joint_utility,
     mc_joint_pick_dist,
@@ -24,7 +25,7 @@ from shortlist import (
 )
 from shortlist import collab
 from shortlist.errors import CapacityError, DomainError
-from shortlist.models import menu_distribution
+from shortlist.models import model_menu_distribution, policy_ranking_model
 from shortlist.rankings import borda_values
 
 LN2 = math.log(2)
@@ -111,7 +112,7 @@ class TestJointPick:
         a = AlgorithmPolicy(R(4, 2, 0, 1, 3), 0.9, 2)
         dist = joint_pick_dist(h, a)
         assert math.fsum(dist.probs.values()) == pytest.approx(1.0, abs=1e-9)
-        menus = menu_distribution(a)
+        menus = model_menu_distribution(policy_ranking_model(a), a.menu_size)
         reachable = frozenset().union(*menus)
         assert dist.support() <= reachable
 
@@ -122,6 +123,31 @@ class TestJointPick:
         a = AlgorithmPolicy(gt, 1.0, 20)
         with pytest.raises(CapacityError):
             joint_pick_dist(h, a)
+
+    def test_noiseless_policy_above_the_cap_picks_from_its_fixed_menu(self):
+        m, k = 60, 5  # C(60, 5) menus exceed MENU_ENUMERATION_CAP
+        gt = Ranking.identity(m)
+        h = HumanType(gt, MallowsModel(gt, 0.7), borda_values(m), 1.0)
+        center = Ranking(tuple(reversed(range(m))))
+        fixed = AlgorithmPolicy(center, NOISELESS, k)
+        assert joint_pick_dist(h, fixed) == choice_dist(h.noise, fixed.fixed_menu())
+        with pytest.raises(CapacityError, match=re.escape("C(60,5) = 5461512 menus exceeds")):
+            joint_pick_dist(h, AlgorithmPolicy(center, 1.0, k))
+
+    def test_equal_laws_in_any_order_give_equal_pick_laws(self, rng):
+        for _ in range(10):
+            m = int(rng.integers(5, 9))
+            gt = Ranking(tuple(int(x) for x in rng.permutation(m)))
+            h = HumanType(gt, MallowsModel(gt, float(rng.uniform(0, 3))), borda_values(m), 1.0)
+            alg = MallowsModel(Ranking(tuple(int(x) for x in rng.permutation(m))), float(rng.uniform(0, 3)))
+            k = int(rng.integers(2, m - 1))
+            mixed = {s: p / 2 for size in (k, k + 1) for s, p in model_menu_distribution(alg, size).items()}
+            for law in (model_menu_distribution(alg, k), mixed):
+                menus = list(law)
+                rng.shuffle(menus)
+                shuffled = {menu: law[menu] for menu in menus}
+                assert shuffled == law
+                assert collab.joint_pick_from_menus(h, shuffled) == collab.joint_pick_from_menus(h, law)
 
 
 class TestJointUtility:

@@ -184,6 +184,15 @@ class TestSushiExperiment:
         with pytest.raises(DomainError):
             sushi_experiment(phi_grid=(0.5, float("inf")))
 
+    @pytest.mark.parametrize(
+        "knobs, key",
+        [({"phi_grid": ["a"]}, "'phi_grid'"), ({"phi_grid": [True]}, "'phi_grid'"), ({"k": 2.0}, "'k'"),
+         ({"profile": "x.txt"}, "PreferenceProfile")],
+    )
+    def test_refuses_knobs_its_config_refuses(self, knobs, key):
+        with pytest.raises(DomainError, match=key):
+            sushi_experiment(**knobs)
+
     def test_rejects_wrong_m(self):
         profile = load_profile(io.StringIO("3 1 2\n1 2 1\n"))
         rows = sushi_experiment(profile=profile, phi_grid=(1.0,), k=1)
@@ -239,6 +248,13 @@ class TestBetaSweep:
 
 
 class TestTensionExperiment:
+    @pytest.mark.parametrize(
+        "knobs, key", [({"gamma": "3"}, "'gamma'"), ({"phi_grid": ["0.5"]}, "'phi_grid'"), ({"k": 3.0}, "'k'")]
+    )
+    def test_refuses_knobs_its_config_refuses(self, knobs, key):
+        with pytest.raises(DomainError, match=key):
+            tension_experiment(**knobs)
+
     def test_constrained_never_beats_unconstrained(self):
         for gamma in (0.5, 3.0):
             rows = tension_experiment(gamma, phi_grid=(0.0, 0.9, 1.8))
@@ -591,6 +607,13 @@ class TestCli:
             "--menu", "1 2",
         ]) == 0
         assert float(capsys.readouterr().out.strip()) == pytest.approx(4 / 7, abs=1e-12)
+
+    def test_prob_topk_over_the_plackett_luce_cap_is_an_error(self, capsys):
+        labels = [str(x) for x in range(1, 31)]
+        code = cli.main(["prob", "topk", "--pl-values", " ".join(labels), "--menu", " ".join(labels[:16])])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("pair, want", [("2 1", 0.0), ("1 2", 1.0)], ids=["gap-1000", "gap+1000"])
     def test_prob_pairwise_pl_value_gap_past_the_exp_range(self, capsys, pair, want):

@@ -464,6 +464,48 @@ def test_topk_set_prob_rejects_empty_and_unknown_items(model):
             query()
 
 
+def test_plackett_luce_topk_set_prob_refuses_a_table_over_the_cap():
+    # the subset DP holds (2^k - 1) x m cells: 2^16 x 30 is past MENU_ENUMERATION_CAP
+    model = PlackettLuceModel(tuple(float(v) for v in range(30)), 1.0)
+    assert 0.0 < model.topk_set_prob(range(12)) < 1.0
+    with pytest.raises(CapacityError, match="top-16 set law"):
+        model.topk_set_prob(range(16))
+
+
+def _non_integer_item_calls():
+    from shortlist import AlgorithmPolicy, HumanType, borda_values, choice_dist, choice_table, mc_joint_pick_dist
+
+    mallows = MallowsModel(R(0, 1, 2), LN2)
+    h = HumanType(R(0, 1, 2), mallows, borda_values(3), 1.0)
+    return {
+        "Ranking": lambda: Ranking((1.5, 0.2, 2)),
+        "Ranking.position": lambda: R(0, 1, 2).position(1.5),
+        "choice_table": lambda: choice_table(mallows, [[0.5, 1.7]]),
+        "choice_dist": lambda: choice_dist(mallows, [0.5, 1]),
+        "pairwise_prob": lambda: mallows.pairwise_prob(0.5, 1),
+        "pl_topk_set_prob": lambda: PlackettLuceModel((1.0, 0.0, -1.0), 1.0).topk_set_prob({0.5, 1}),
+        "mc_joint_pick_dist": lambda: mc_joint_pick_dist(
+            h, AlgorithmPolicy(R(0, 1, 2), 1.0, 2), 10.5, np.random.default_rng(0)
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_non_integer_item_calls()))
+def test_every_entry_point_refuses_a_non_integer_item(name):
+    with pytest.raises(DomainError, match="integer|unknown item 1.5"):
+        _non_integer_item_calls()[name]()
+
+
+def test_numpy_integers_are_items():
+    from shortlist import choice_dist, choice_table
+
+    model = MallowsModel(Ranking(np.array([2, 0, 1])), LN2)
+    assert model.center.order == (2, 0, 1)
+    assert model.center.position(np.int64(2)) == 0
+    menu = np.array([[0, 2]], dtype=np.int32)
+    assert choice_table(model, menu)[0].tolist() == list(choice_dist(model, np.array([2, 0])).as_tuple((0, 2)))
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_every_family_answers_the_same_queries(family):
     model = FAMILIES[family]()

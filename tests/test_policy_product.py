@@ -15,7 +15,9 @@ from shortlist import (
     Population,
     Ranking,
     ValueProfile,
+    choice_table,
     derive_partial_order,
+    joint_pick_dist,
     joint_utility,
     noisy_uplift_search,
     social_welfare,
@@ -23,7 +25,7 @@ from shortlist import (
 )
 from shortlist.collab import center_menu_rows, center_utilities, menu_utility_table
 from shortlist.experiments import beta_sweep
-from shortlist.models import policy_ranking_model
+from shortlist.models import k_menus, policy_ranking_model
 
 from conftest import mallows_support_oracle
 
@@ -217,3 +219,24 @@ class TestOneFormula:
             for h in pop:
                 order = derive_partial_order(h, candidates, phi, k)
                 assert list(order.utilities) == [joint_utility(h, AlgorithmPolicy(c, phi, k)) for c in candidates]
+
+    @given(
+        data=st.data(),
+        accuracy=st.one_of(st.just(0.0), st.floats(0.05, 3.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_pick_laws_have_the_product_bits(self, data, accuracy, seed):
+        m = data.draw(st.integers(3, 7), label="m")
+        k = data.draw(st.integers(2, m - 1), label="k")
+        rng = np.random.default_rng(seed)
+        a = AlgorithmPolicy(Ranking(random_order(rng, m)), accuracy, k)
+        menus = k_menus(m, k)
+        rows = np.array(menus, dtype=np.intp)
+        for family in ("mallows", "pl", "explicit"):
+            h = human(rng, m, family)
+            picks = np.zeros((len(menus), m))  # one-hot: P(x | menu) in column x
+            np.put_along_axis(picks, rows, choice_table(h.noise, rows), axis=1)
+            want = center_utilities((menus, picks), policy_ranking_model(a), np.arange(len(menus))[None])[0]
+            got = joint_pick_dist(h, a)
+            assert [got[x] for x in range(m)] == want.tolist(), family

@@ -1,0 +1,50 @@
+"""README's examples run as printed: every `shortlist` command line and the library example."""
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from shortlist import cli
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+
+def blocks(language: str) -> list[str]:
+    return re.findall(rf"^```{language}\n(.*?)^```", README, flags=re.M | re.S)
+
+
+def commands() -> list[str]:
+    """Each `shortlist ...` line of the sh blocks, continuation lines joined and comments dropped."""
+    lines = []
+    for block in blocks("sh"):
+        for line in block.replace("\\\n", " ").splitlines():
+            line = line.split(" #")[0].strip()
+            if line.startswith("shortlist "):
+                lines.append(" ".join(line.split()))
+    return lines
+
+
+def test_readme_has_the_examples_this_file_runs():
+    assert len(commands()) >= 14 and len(blocks("json")) == 1 and len(blocks("python")) == 1
+
+
+@pytest.mark.parametrize("command", commands())
+def test_command_runs(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text(blocks("json")[0], encoding="utf-8")
+    code = cli.main(shlex.split(command)[1:])
+    captured = capsys.readouterr()
+    # README: the uplift-constrained sushi optimum is infeasible, so that run exits 1
+    assert code == (1 if "--uplift" in command else 0), captured.err
+    assert captured.err == ""
+
+
+def test_library_example_prints_its_comments(capsys):
+    code = blocks("python")[0]
+    assert "# 88/147 > 4/7" in code and "# (0, 2):" in code
+    exec(compile(code, "README.md", "exec"), {})
+    first, second = capsys.readouterr().out.splitlines()
+    joint, solo = map(float, first.split(" > "))
+    assert joint == pytest.approx(88 / 147, abs=1e-12) and solo == pytest.approx(4 / 7, abs=1e-12)
+    assert second.startswith("(0, 2) ")
