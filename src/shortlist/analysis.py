@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .collab import center_menu_rows, center_utilities, expected_utility, joint_pick_dist, menu_utility_table
 from .errors import DomainError
 from .models import MallowsModel, PlackettLuceModel, _logistic, policy_ranking_model
-from .rankings import AlgorithmPolicy, HumanType, Population, Ranking, ValueProfile, apply_swap
+from .rankings import AlgorithmPolicy, HumanType, Population, Ranking, ValueProfile, apply_swap, is_number
 
 
 @dataclass(frozen=True)
@@ -101,8 +101,8 @@ def check_mallows_harmful(
     """
     if not 1 <= rank_i < rank_j <= values.m:
         raise DomainError("need ranks 1 <= rank_i < rank_j <= m")
-    if not 0 <= phi_h < math.inf:
-        raise DomainError(f"accuracy phi_h must be nonnegative and finite, got {phi_h!r}")
+    if not is_number(phi_h) or not 0 <= phi_h < math.inf:
+        raise DomainError(f"accuracy phi_h must be a nonnegative finite number, got {phi_h!r}")
     if phi_h == 0:
         return ConditionVerdict(
             holds=False, lhs=None, rhs=None, applicable=False,
@@ -183,8 +183,8 @@ def _helpful_witness(h: HumanType, a, i: int, j: int, terms) -> ConditionVerdict
 
 def check_pl_harmful(values: ValueProfile, beta: float, rank_j: int) -> ConditionVerdict:
     """Harmfulness condition for a Plackett-Luce human: top value gap <= 1.27 beta."""
-    if not 0 < beta < math.inf:
-        raise DomainError(f"noise scale beta must be positive and finite, got {beta!r}")
+    if not is_number(beta) or not 0 < beta < math.inf:
+        raise DomainError(f"noise scale beta must be a positive finite number, got {beta!r}")
     if not 1 <= rank_j <= values.m:
         raise DomainError("rank_j out of range")
     lhs = values[0] - values[rank_j - 1]

@@ -21,21 +21,13 @@ from .collab import center_menu_rows, center_utilities, menu_utility_table, solo
 from .errors import CapacityError, DimensionError, DomainError, ProfileParseError
 from .models import ENUMERATION_CAP, MallowsModel, PlackettLuceModel
 from .optimize import branch_and_bound_menu, build_mip, enumerate_best_menu, optimize_with_uplift, solve_mip
-from .rankings import HumanType, Population, Ranking, ValueProfile, apply_swap, borda_values
+from .rankings import HumanType, Population, Ranking, ValueProfile, apply_swap, borda_values, is_integer, is_number
 from .welfare import _welfare, uplifted
 
 DEFAULT_PHI_GRID = tuple(0.25 * i for i in range(13))  # 0 .. 3 step 0.25
 TENSION_PHI_GRID = tuple(round(0.3 * i, 10) for i in range(11))  # 0 .. 3 step 0.3
 TENSION_VALUES = (1.0, 1.0, 0.5, 0.2, 0.0, 0.0)
-
-
-def _validated_grid(grid, name: str) -> tuple[float, ...]:
-    values = tuple(float(x) for x in grid)
-    if not values:
-        raise DomainError(f"{name} grid must be nonempty")
-    if not all(0 <= x < math.inf for x in values):
-        raise DomainError(f"{name} grid must contain finite nonnegative values, got {values}")
-    return values
+BETA_GRID = tuple(round(0.5 * i, 10) for i in range(13))  # 0 .. 6 step 0.5
 
 
 @dataclass(frozen=True)
@@ -108,9 +100,10 @@ def load_profile(source) -> PreferenceProfile:
     """Parse a preference profile from text lines or CSV.
 
     Text rows look like ``<count> <r1> <r2> ... <rm>`` with 1-indexed items;
-    CSV needs a header whose first column is the count. A source whose first
-    data line holds a comma is read as CSV, any other as text. ``source`` may
-    be a path, a file object, or an iterable of lines.
+    CSV needs a header whose first column is the count, and refuses an empty
+    cell before a row's last filled one. A source whose first data line holds
+    a comma is read as CSV, any other as text. ``source`` may be a path, a
+    file object, or an iterable of lines.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as handle:
@@ -137,7 +130,9 @@ def load_profile(source) -> PreferenceProfile:
     m: int | None = None
     rows = content[1:] if is_csv else content  # csv: skip header row
     for line_no, line in rows:
-        tokens = [t for t in (line.split(",") if is_csv else line.split()) if t != ""]
+        tokens = line.rstrip(",").split(",") if is_csv else line.split()  # trailing empty cells dropped
+        if "" in tokens:
+            raise ProfileParseError(f"empty cell in {line!r}", line_no)
         if len(tokens) < 3:
             raise ProfileParseError(f"too few fields: {line!r}", line_no)
         try:
@@ -178,12 +173,11 @@ def sushi_experiment(
     """
     if profile is not None and not isinstance(profile, PreferenceProfile):
         raise DomainError(f"profile must be a PreferenceProfile (load_profile reads a path), got {profile!r}")
-    for key, value in (("phi_grid", phi_grid), ("k", k)):
-        _check_knob("sushi", key, value)
+    _check_knobs("sushi", phi_grid=phi_grid, k=k)
     profile = profile if profile is not None else sushi_profile()
     modal_menu = tuple(sorted(profile.modal_ranking().prefix(k)))
     rows: list[dict] = []
-    for phi_h in _validated_grid(phi_grid, "accuracy"):
+    for phi_h in map(float, phi_grid):
         pop = profile.to_population(phi_h)
         menus, table = menu_utility_table(pop, k)
         welfare = _welfare(table, pop.weights())
@@ -211,7 +205,7 @@ def _menu_label(menu) -> str:
 
 
 def beta_sweep(
-    beta_grid=None,
+    beta_grid=BETA_GRID,
     m: int = 4,
     k: int = 2,
     phi: float = 0.5,
@@ -226,17 +220,14 @@ def beta_sweep(
     accuracies at ``phi``; the RUM family gives both sides Gumbel noise of
     scale ``gumbel_beta`` over the same value magnitudes. Rows list Mallows
     before RUM whatever the order of ``families``, a nonempty list of the
-    two names as in a config. ``m`` above ``ENUMERATION_CAP`` is refused
-    before any center is built.
+    two names as in a config. A knob value a config refuses is refused here
+    too, and ``m`` above ``ENUMERATION_CAP`` before any center is built.
 
     Both sides are the identity's model relabelled by their center, so for
     each (beta, family) ``center_utilities`` scores every center from one human
     table and the human's model, through one ``center_menu_rows``.
     """
-    _check_knob("beta-sweep", "families", families)
-    if beta_grid is None:
-        beta_grid = tuple(round(0.5 * i, 10) for i in range(13))  # 0 .. 6
-    beta_grid = _validated_grid(beta_grid, "value-decay")
+    _check_knobs("beta-sweep", beta_grid=beta_grid, m=m, k=k, phi=phi, gumbel_beta=gumbel_beta, families=families)
     if m > ENUMERATION_CAP:
         raise CapacityError(f"beta-sweep over {m}! - 1 centers exceeds the cap m <= {ENUMERATION_CAP}")
     gt = Ranking.identity(m)
@@ -248,7 +239,7 @@ def beta_sweep(
         "rum": lambda vals: PlackettLuceModel(tuple(vals), gumbel_beta),
     }
     out: list[dict] = []
-    for beta in beta_grid:
+    for beta in map(float, beta_grid):
         vals = ValueProfile(tuple(math.exp(-beta * j) for j in range(m)))
         for family, model in model_of.items():
             if family not in families:
@@ -287,14 +278,13 @@ def tension_experiment(gamma: float = 3.0, phi_grid=TENSION_PHI_GRID, k: int = 3
     likely order, the reversed one, keeps a positive weight. A knob value a
     config refuses is refused here too.
     """
-    for key, value in (("gamma", gamma), ("phi_grid", phi_grid), ("k", k)):
-        _check_knob("tension", key, value)
+    _check_knobs("tension", gamma=gamma, phi_grid=phi_grid, k=k)
     if not 0 <= gamma < math.inf:
         raise DomainError(f"gamma must be finite and nonnegative, got {gamma!r}")
     if MallowsModel(Ranking.identity(3), gamma).perm_prob(Ranking((2, 1, 0))) == 0:
         raise DomainError(f"gamma {gamma!r} is too large: the weight of the reversed head order underflows to 0")
     rows: list[dict] = []
-    for phi_h in _validated_grid(phi_grid, "accuracy"):
+    for phi_h in map(float, phi_grid):
         pop = tension_population(gamma, phi_h)
         table = menu_utility_table(pop, k)
         unconstrained = enumerate_best_menu(pop, k, table=table)
@@ -348,18 +338,12 @@ def mip_bench(
     refused here too. Rows with C(m, k) <= 5000 are checked against
     enumeration.
     """
-    for key, value in (("sizes", sizes), ("k_list", k_list), ("type_counts", type_counts), ("solver", solver)):
-        _check_knob("bench", key, value)
-    too_few = [t for t in type_counts if t < 1]
-    if too_few:
-        raise DomainError(f"bench type_counts must be at least 1, got {too_few}")
+    _check_knobs("bench", sizes=sizes, k_list=k_list, type_counts=type_counts, solver=solver)
     too_many = [t for t in type_counts if t > ENUMERATION_CAP]
     if too_many:
         raise CapacityError(f"bench type counts {too_many} exceed the cap t <= {ENUMERATION_CAP} (t! types)")
     rows: list[dict] = []
     for m in sizes:
-        if m < 4:
-            raise DomainError("bench sizes need m >= 4")
         for k in k_list:
             if k > m:
                 continue
@@ -433,14 +417,6 @@ def _write_csv(rows, handle, fieldnames) -> None:
     writer.writerows(rows)
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 def _nonempty_list(check, noun: str):
     def is_list(x) -> bool:
         return isinstance(x, (list, tuple)) and len(x) > 0 and all(check(v) for v in x)
@@ -448,45 +424,52 @@ def _nonempty_list(check, noun: str):
     return is_list, f"a nonempty list of {noun}"
 
 
-_INT = (_is_int, "an integer")
-_NUMBER = (_is_number, "a number")
-_INTS = _nonempty_list(_is_int, "integers")
-_NUMBERS = _nonempty_list(_is_number, "numbers")
+def _grid(name: str):
+    check, wanted = _nonempty_list(lambda x: is_number(x) and 0 <= x < math.inf, "finite nonnegative numbers")
+    return check, f"{name}: {wanted}"
+
+
+_INT = (is_integer, "an integer")
+_NUMBER = (is_number, "a number")
 
 # Each experiment's driver and the knobs it accepts beyond "experiment" and
 # "output": a key is the driver's parameter of that name, and a knob left out
-# takes the driver's default. Each knob maps to (check, what the check wants).
+# takes the driver's default. Each knob maps to (check, what the check wants),
+# the whole rule for a value whose validity depends on that value alone; the
+# driver checks all of its knobs on entry, so a config and a call agree.
 # A driver is named, not held, so a run calls whatever this module binds to
 # that name: perfbench traces a driver by rebinding it.
 EXPERIMENTS = {
     "sushi": ("sushi_experiment", {
         "profile": (lambda x: isinstance(x, str), "a profile path"),
-        "phi_grid": _NUMBERS,
+        "phi_grid": _grid("an accuracy grid"),
         "k": _INT,
     }),
     "beta-sweep": ("beta_sweep", {
-        "beta_grid": _NUMBERS,
+        "beta_grid": _grid("a value-decay grid"),
         "m": _INT,
         "k": _INT,
         "phi": _NUMBER,
         "gumbel_beta": _NUMBER,
         "families": _nonempty_list(lambda x: x in ("mallows", "rum"), "'mallows' and 'rum'"),
     }),
-    "tension": ("tension_experiment", {"gamma": _NUMBER, "phi_grid": _NUMBERS, "k": _INT}),
+    "tension": ("tension_experiment", {"gamma": _NUMBER, "phi_grid": _grid("an accuracy grid"), "k": _INT}),
     "bench": ("mip_bench", {
-        "sizes": _INTS,
-        "k_list": _INTS,
-        "type_counts": _INTS,
+        "sizes": _nonempty_list(lambda x: is_integer(x) and x >= 4, "integers >= 4"),
+        "k_list": _nonempty_list(is_integer, "integers"),
+        "type_counts": _nonempty_list(lambda x: is_integer(x) and x >= 1, "integers >= 1"),
         "solver": (lambda x: x in ("bnb", "mip"), "'bnb' or 'mip'"),
     }),
 }
 
 
-def _check_knob(experiment: str, key: str, value) -> None:
-    """Refuse a value of an experiment's knob that its ``EXPERIMENTS`` check rejects (DomainError)."""
-    check, wanted = EXPERIMENTS[experiment][1][key]
-    if not check(value):
-        raise DomainError(f"config key {key!r} must be {wanted}, got {value!r}")
+def _check_knobs(experiment: str, **knobs) -> None:
+    """Refuse the first knob value that its ``EXPERIMENTS`` check rejects (DomainError naming the key)."""
+    accepted = EXPERIMENTS[experiment][1]
+    for key, value in knobs.items():
+        check, wanted = accepted[key]
+        if not check(value):
+            raise DomainError(f"config key {key!r} must be {wanted}, got {value!r}")
 
 
 def run_config(config) -> list[str]:
@@ -494,8 +477,10 @@ def run_config(config) -> list[str]:
 
     ``config`` is a dict or the path of a JSON file holding one. It needs
     ``experiment`` (a name in ``EXPERIMENTS``) and ``output`` (the CSV path);
-    any other key must be one of that experiment's knobs, with a value of
-    the type its table names, or the run is refused with a ``DomainError``.
+    any other key must be one of that experiment's knobs, or the run is
+    refused with a ``DomainError``. The driver checks each knob's value
+    against the table; only ``profile``, a path here, is checked before
+    the profile is loaded.
     """
     if isinstance(config, (str, Path)):
         with open(config, "r", encoding="utf-8") as handle:
@@ -515,13 +500,13 @@ def run_config(config) -> list[str]:
         raise DomainError("config needs an 'output' path")
     knobs = {key: value for key, value in config.items() if key not in ("experiment", "output")}
     driver, accepted = EXPERIMENTS[name]
-    for key, value in knobs.items():
+    for key in knobs:
         if key not in accepted:
             raise DomainError(
                 f"unknown key {key!r} for experiment {name!r}; valid keys: {', '.join(accepted)}"
             )
-        _check_knob(name, key, value)
     if "profile" in knobs:
+        _check_knobs(name, profile=knobs["profile"])
         knobs["profile"] = load_profile(knobs["profile"])
     rows = globals()[driver](**knobs)
     emit_csv(rows, output)

@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError, DimensionError, DomainError
-from .rankings import AlgorithmPolicy, Ranking, check_menu_size, is_integer, kendall_tau
+from .rankings import AlgorithmPolicy, Ranking, check_menu_size, is_integer, is_number, kendall_tau
 
 ENUMERATION_CAP = 7
 MENU_ENUMERATION_CAP = 10**6
@@ -100,6 +100,8 @@ class MallowsModel:
     phi: float
 
     def __post_init__(self):
+        if not is_number(self.phi):
+            raise DomainError(f"accuracy parameter phi must be a number, got {self.phi!r}")
         phi = float(self.phi)
         if math.isnan(phi) or phi < 0:
             raise DomainError(f"accuracy parameter phi must be nonnegative, got {phi!r}")
@@ -332,7 +334,10 @@ class PlackettLuceModel:
     center: Ranking = field(init=False, compare=False)
 
     def __post_init__(self):
-        values = tuple(float(v) for v in self.item_values)
+        values = tuple(self.item_values)
+        if not all(map(is_number, values)) or not is_number(self.beta):
+            raise DomainError(f"item values and noise scale beta must be numbers, got {values} and {self.beta!r}")
+        values = tuple(map(float, values))
         beta = float(self.beta)
         if len(values) < 1:
             raise DomainError("need at least one item value")
@@ -445,7 +450,10 @@ class ExplicitModel:
     entries: tuple[tuple[Ranking, float], ...]
 
     def __post_init__(self):
-        entries = tuple((r, float(p)) for r, p in self.entries)
+        entries = tuple(self.entries)
+        if not all(is_number(p) for _, p in entries):
+            raise DomainError(f"support probabilities must be numbers, got {[p for _, p in entries]}")
+        entries = tuple((r, float(p)) for r, p in entries)
         if not entries:
             raise DomainError("explicit model needs a nonempty support")
         m = entries[0][0].m

@@ -23,11 +23,19 @@ NOISELESS = math.inf
 
 
 def is_integer(x) -> bool:
-    """The one rule for an item or a count: ``numbers.Integral``, numpy integers included.
+    """The one rule for an item or a count: ``numbers.Integral``, numpy integers included, ``bool`` refused.
 
     ``int`` is tested first because the ABC check costs far more per call.
     """
-    return type(x) is int or isinstance(x, numbers.Integral)
+    return type(x) is int or (isinstance(x, numbers.Integral) and not isinstance(x, bool))
+
+
+def is_number(x) -> bool:
+    """The one rule for a real parameter: ``numbers.Real``, numpy floats and integers included, ``bool`` refused.
+
+    ``float`` and ``int`` are tested first because the ABC check costs far more per call.
+    """
+    return type(x) is float or type(x) is int or (isinstance(x, numbers.Real) and not isinstance(x, bool))
 
 
 def check_menu_size(k: int, m: int) -> None:
@@ -129,7 +137,10 @@ class ValueProfile:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        values = tuple(float(v) for v in self.values)
+        values = tuple(self.values)
+        if not all(map(is_number, values)):
+            raise DomainError(f"values must be numbers: {values}")
+        values = tuple(map(float, values))
         if len(values) < 1:
             raise DomainError("a value profile needs at least one entry")
         if any(not (math.isfinite(v) and v >= 0) for v in values):
@@ -179,8 +190,8 @@ class HumanType:
     weight: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.weight <= 1:
-            raise DomainError(f"weight must be in (0, 1]: {self.weight}")
+        if not is_number(self.weight) or not 0 < self.weight <= 1:
+            raise DomainError(f"weight must be a number in (0, 1]: {self.weight!r}")
         if self.values.m != self.ground_truth.m:
             raise DimensionError("value profile and ranking sizes differ")
         if self.noise.m != self.ground_truth.m:
@@ -264,6 +275,8 @@ class AlgorithmPolicy:
 
     def __post_init__(self):
         check_menu_size(self.menu_size, self.center.m)
+        if not is_number(self.accuracy):
+            raise DomainError(f"accuracy must be a number, got {self.accuracy!r}")
         acc = float(self.accuracy)
         if math.isnan(acc) or acc < 0:
             raise DomainError(f"accuracy must be nonnegative, got {acc!r}")

@@ -143,6 +143,11 @@ class TestPsi:
 
 
 class TestMallowsHarmful:
+    @pytest.mark.parametrize("phi_h", ["x", "1.5", True, None])
+    def test_accuracy_must_be_a_number(self, phi_h):
+        with pytest.raises(DomainError, match="phi_h must be a nonnegative finite number"):
+            check_mallows_harmful(ValueProfile((1.0, 0.9, 0.5, 0.0)), phi_h, 2, 3)
+
     def test_near_top_item_holds(self):
         # x_i nearly top valued, adjacent swap: demoting it must be harmful
         verdict = check_mallows_harmful(ValueProfile((1.0, 0.9, 0.5, 0.0)), 1.0, 2, 3)
@@ -226,6 +231,11 @@ class TestMallowsHelpful:
 
 
 class TestPlHarmful:
+    @pytest.mark.parametrize("beta", ["x", "1.5", True, None])
+    def test_scale_must_be_a_number(self, beta):
+        with pytest.raises(DomainError, match="beta must be a positive finite number"):
+            check_pl_harmful(ValueProfile((1.0, 0.5, 0.0)), beta, 3)
+
     def test_unit_gap_holds(self):
         verdict = check_pl_harmful(ValueProfile((1.0, 0.5, 0.0)), 1.0, 3)
         assert verdict.holds and verdict.lhs == 1.0 and verdict.rhs == 1.27

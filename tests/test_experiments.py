@@ -84,6 +84,13 @@ class TestLoadProfile:
         with pytest.raises(ProfileParseError):
             load_profile(io.StringIO("# only a comment\n"))
 
+    def test_csv_empty_cell_among_the_items_is_refused(self):
+        with pytest.raises(ProfileParseError, match="empty cell") as err:
+            load_profile(io.StringIO("count,a,b,c\n4,2,1,3\n3,1,,2\n"))
+        assert err.value.line == 3
+        trailing = load_profile(io.StringIO("count,a,b,c,\n4,2,1,3,\n3,1,3,2,,\n"))
+        assert [r for r, _ in trailing.entries] == [R(1, 0, 2), R(0, 2, 1)]
+
 
 class TestSushiFixture:
     def test_row_count_and_total(self):
@@ -105,6 +112,22 @@ class TestSushiFixture:
         pop = sushi_profile().to_population(1.0)
         assert math.fsum(pop.weights()) == pytest.approx(1.0, abs=1e-12)
         assert pop.n == 33 and pop.m == 5
+
+
+@pytest.mark.parametrize("value", ["1", True, [True]], ids=["str", "bool", "list"])
+@pytest.mark.parametrize(
+    "name, key",
+    [(name, key) for name, (_, knobs) in experiments.EXPERIMENTS.items() for key in knobs if key != "profile"],
+)
+def test_every_driver_checks_each_knob_on_entry(monkeypatch, name, key, value):
+    def build(*args):
+        raise AssertionError("a model was built")
+
+    for model in ("MallowsModel", "PlackettLuceModel"):
+        monkeypatch.setattr(experiments, model, build)
+    driver = getattr(experiments, experiments.EXPERIMENTS[name][0])
+    with pytest.raises(DomainError, match=f"config key {key!r}"):
+        driver(**{key: value})
 
 
 def count_solo_calls(monkeypatch) -> list[float]:
@@ -192,6 +215,9 @@ class TestSushiExperiment:
     def test_refuses_knobs_its_config_refuses(self, knobs, key):
         with pytest.raises(DomainError, match=key):
             sushi_experiment(**knobs)
+
+    def test_numpy_integer_k_is_an_integer(self):
+        assert sushi_experiment(phi_grid=(0.5, 1.0), k=np.int64(2)) == sushi_experiment(phi_grid=(0.5, 1.0), k=2)
 
     def test_rejects_wrong_m(self):
         profile = load_profile(io.StringIO("3 1 2\n1 2 1\n"))
@@ -327,6 +353,14 @@ class TestMipBench:
         knobs = {"sizes": (5,), "k_list": (2,), "type_counts": (1,), knob: value}
         with pytest.raises(DomainError, match=repr(knob)):
             mip_bench(**knobs)
+
+    def test_sizes_are_checked_before_any_search(self, monkeypatch):
+        def search(*args):
+            raise AssertionError("a menu was searched")
+
+        monkeypatch.setattr(experiments, "branch_and_bound_menu", search)
+        with pytest.raises(DomainError, match="'sizes'"):
+            mip_bench(sizes=(8, 3), k_list=(2,), type_counts=(1,))
 
     def test_solver_error_row(self, monkeypatch):
         def fail(mip):

@@ -487,6 +487,11 @@ def _non_integer_item_calls():
         "mc_joint_pick_dist": lambda: mc_joint_pick_dist(
             h, AlgorithmPolicy(R(0, 1, 2), 1.0, 2), 10.5, np.random.default_rng(0)
         ),
+        "choice_dist_bool": lambda: choice_dist(mallows, [True, False]),
+        "Ranking_bool": lambda: Ranking((True, False, 2)),
+        "mc_joint_pick_dist_bool": lambda: mc_joint_pick_dist(
+            h, AlgorithmPolicy(R(0, 1, 2), 1.0, 2), True, np.random.default_rng(0)
+        ),
     }
 
 

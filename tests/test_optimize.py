@@ -182,7 +182,7 @@ def _menu_size_entry_points(m):
     }
 
 
-@pytest.mark.parametrize("k", [0, 5, 2.0, 2.5])
+@pytest.mark.parametrize("k", [0, 5, 2.0, 2.5, True])
 @pytest.mark.parametrize("name", list(_menu_size_entry_points(4)))
 def test_every_entry_point_checks_the_menu_size_in_one_place(name, k):
     with pytest.raises(DomainError, match=re.escape(f"menu size {k} out of range for m=4")) as err:

@@ -230,3 +230,44 @@ class TestAlgorithmPolicy:
     def test_noisy_has_no_fixed_menu(self):
         with pytest.raises(DomainError):
             AlgorithmPolicy(R(0, 1, 2), 1.0, 2).fixed_menu()
+
+
+# a numeric string, a bool and None are not numbers: each constructor refuses them with a DomainError
+NOT_NUMBERS = ["x", "1.5", True, None]
+
+
+@pytest.mark.parametrize("phi", NOT_NUMBERS)
+def test_mallows_accuracy_must_be_a_number(phi):
+    with pytest.raises(DomainError, match="phi must be a number"):
+        MallowsModel(R(0, 1, 2), phi)
+
+
+@pytest.mark.parametrize("accuracy", NOT_NUMBERS)
+def test_policy_accuracy_must_be_a_number(accuracy):
+    with pytest.raises(DomainError, match="accuracy must be a number"):
+        AlgorithmPolicy(R(0, 1, 2), accuracy, 2)
+
+
+@pytest.mark.parametrize("value", NOT_NUMBERS)
+def test_values_must_be_numbers(value):
+    with pytest.raises(DomainError, match="values must be numbers"):
+        ValueProfile((value, 0.0))
+
+
+@pytest.mark.parametrize("weight", NOT_NUMBERS)
+def test_type_weight_must_be_a_number(weight):
+    r = R(0, 1, 2)
+    with pytest.raises(DomainError, match="weight must be a number"):
+        HumanType(r, MallowsModel(r, 1.0), borda_values(3), weight)
+
+
+@pytest.mark.parametrize("values, beta", [((bad, 0.0), 1.0) for bad in NOT_NUMBERS] + [((1.0, 0.0), bad) for bad in NOT_NUMBERS])
+def test_plackett_luce_values_and_scale_must_be_numbers(values, beta):
+    with pytest.raises(DomainError, match="must be numbers"):
+        PlackettLuceModel(values, beta)
+
+
+@pytest.mark.parametrize("p", NOT_NUMBERS)
+def test_explicit_probabilities_must_be_numbers(p):
+    with pytest.raises(DomainError, match="probabilities must be numbers"):
+        ExplicitModel(((R(0, 1), p),))

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from shortlist import cli
+from shortlist.experiments import EXPERIMENTS
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -48,3 +49,23 @@ def test_library_example_prints_its_comments(capsys):
     joint, solo = map(float, first.split(" > "))
     assert joint == pytest.approx(88 / 147, abs=1e-12) and solo == pytest.approx(4 / 7, abs=1e-12)
     assert second.startswith("(0, 2) ")
+
+
+def experiment_table() -> dict[str, list[list[str]]]:
+    """The `| experiment | key | ... |` table: each experiment's rows as [key, type, default, CLI flag]."""
+    body = re.search(r"^\| experiment +\| key .*\n\|[-|]+\|\n((?:\|.*\n)+)", README, flags=re.M).group(1)
+    table: dict[str, list[list[str]]] = {}
+    for line in body.splitlines():
+        name, *cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        experiment = name.strip("`") or experiment
+        table.setdefault(experiment, []).append([cell.strip("`") for cell in cells])
+    return table
+
+
+def test_experiment_table_matches_the_knobs_and_flags():
+    table = experiment_table()
+    assert sorted(table) == sorted(EXPERIMENTS)
+    for name, (_, knobs) in EXPERIMENTS.items():
+        assert [row[0] for row in table[name]] == list(knobs), name
+        for key, *_, flag in table[name]:
+            assert flag == (cli._EXPERIMENT_FLAGS[key][0] if key in cli._EXPERIMENT_FLAGS else ""), (name, key)
