@@ -96,16 +96,26 @@ def solo_utility(h: HumanType) -> float:
     return expected_utility(solo_pick_dist(h), h)
 
 
+def _relabelling_groups(pop: Population) -> dict:
+    """Type indices keyed by (model key, value profile), in first-seen order.
+
+    A Mallows type's model key is its phi: types of one phi differ only in
+    their center, so they share ``pick_rows``, and with one value profile
+    they are relabellings of one another. Any other type is its own key.
+    """
+    groups: dict = {}
+    for col, h in enumerate(pop):
+        model = h.noise.phi if isinstance(h.noise, MallowsModel) else ("type", col)
+        groups.setdefault((model, h.values.values), []).append(col)
+    return groups
+
+
 def interchangeable_types(pop: Population) -> list[list[int]]:
     """Type indices grouped into relabellings of one another, in first-seen order.
 
     Mallows types with one (phi, value profile) differ only in their center; any other type is alone.
     """
-    groups: dict = {}
-    for col, h in enumerate(pop):
-        key = (h.noise.phi, h.values.values) if isinstance(h.noise, MallowsModel) else col
-        groups.setdefault(key, []).append(col)
-    return list(groups.values())
+    return list(_relabelling_groups(pop).values())
 
 
 def solo_utilities(pop: Population) -> np.ndarray:
@@ -143,22 +153,27 @@ def menu_utility_table(pop: Population, k: int):
     position set: the model's ``pick_rows`` over the C(m, k) lexicographic
     sets, each row times the type's values in that order and summed with
     ``math.fsum``, the bits of ``menu_utility``. Each group of
-    ``interchangeable_types`` shares a column, and all types read their
-    columns at the rows of one ``center_menu_rows`` call.
+    ``interchangeable_types`` shares a column, the groups of one Mallows
+    phi share each block's ``pick_rows``, and all types read their columns
+    at the rows of one ``center_menu_rows`` call.
     """
     m = pop.m
     menus = k_menus(m, k)
     positions = np.array(menus, dtype=np.intp)
+    groups = _relabelling_groups(pop)
+    heads = [pop.types[cols[0]] for cols in groups.values()]
+    values = [np.array([h.value_of(x) for x in np.argsort(h.noise.ranks)]) for h in heads]
+    columns = np.empty((len(groups), len(menus)))
+    for lo in range(0, len(menus), MENU_BLOCK):
+        block = positions[lo : lo + MENU_BLOCK]
+        picks: dict = {}  # model key -> the block's pick_rows
+        for g, (model, _) in enumerate(groups):
+            if model not in picks:
+                picks[model] = heads[g].noise.pick_rows(block)
+            columns[g, lo : lo + len(block)] = [math.fsum(row) for row in (picks[model] * values[g][block]).tolist()]
     table = np.empty((len(menus), pop.n))
     rows = center_menu_rows([h.noise.ranks for h in pop], k)
-    for cols in interchangeable_types(pop):
-        h = pop.types[cols[0]]
-        values = np.array([h.value_of(x) for x in np.argsort(h.noise.ranks)])
-        column = np.empty(len(menus))
-        for lo in range(0, len(menus), MENU_BLOCK):
-            block = positions[lo : lo + MENU_BLOCK]
-            terms = h.noise.pick_rows(block) * values[block]
-            column[lo : lo + len(block)] = [math.fsum(row) for row in terms.tolist()]
+    for cols, column in zip(groups.values(), columns):
         table[:, cols] = column[rows[cols]].T
     return menus, table
 

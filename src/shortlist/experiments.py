@@ -223,9 +223,13 @@ def beta_sweep(
     two names as in a config. A knob value a config refuses is refused here
     too, and ``m`` above ``ENUMERATION_CAP`` before any center is built.
 
-    Both sides are the identity's model relabelled by their center, so for
-    each (beta, family) ``center_utilities`` scores every center from one human
-    table and the human's model, through one ``center_menu_rows``.
+    Both sides are the identity's model relabelled by their center, so
+    ``center_utilities`` scores every center from the human's table and
+    model, through one ``center_menu_rows``. The Mallows family's models do
+    not depend on ``beta``: its whole grid is one population, one type per
+    ``beta``, scored by one ``menu_utility_table`` and one
+    ``center_utilities`` call. The RUM family's models do, so it is scored
+    per ``beta``, from a one-type table.
     """
     _check_knobs("beta-sweep", beta_grid=beta_grid, m=m, k=k, phi=phi, gumbel_beta=gumbel_beta, families=families)
     if m > ENUMERATION_CAP:
@@ -234,19 +238,22 @@ def beta_sweep(
     centers = np.array(list(itertools.permutations(range(m))), dtype=np.intp)  # row 0 is gt
     labels = [" ".join(str(x + 1) for x in center) for center in centers[1:].tolist()]
     rows = center_menu_rows(centers, k)
-    model_of = {
-        "mallows": lambda vals: MallowsModel(gt, phi),
-        "rum": lambda vals: PlackettLuceModel(tuple(vals), gumbel_beta),
-    }
+    betas = list(map(float, beta_grid))
+    profiles = [ValueProfile(tuple(math.exp(-beta * j) for j in range(m))) for beta in betas]
+    utilities = {}  # family -> (centers, betas) utilities
+    if "mallows" in families:
+        mallows = MallowsModel(gt, phi)
+        pop = Population(tuple(HumanType(gt, mallows, vals, 1 / len(betas)) for vals in profiles))
+        utilities["mallows"] = center_utilities(menu_utility_table(pop, k), mallows, rows)
+    if "rum" in families:
+        humans = [HumanType(gt, PlackettLuceModel(vals.values, gumbel_beta), vals, 1.0) for vals in profiles]
+        utilities["rum"] = np.hstack(
+            [center_utilities(menu_utility_table(Population.single(h), k), h.noise, rows) for h in humans]
+        )
     out: list[dict] = []
-    for beta in map(float, beta_grid):
-        vals = ValueProfile(tuple(math.exp(-beta * j) for j in range(m)))
-        for family, model in model_of.items():
-            if family not in families:
-                continue
-            h = HumanType(gt, model(vals), vals, 1.0)
-            utilities = center_utilities(menu_utility_table(Population.single(h), k), h.noise, rows)
-            aligned, *misaligned = utilities[:, 0].tolist()
+    for col, beta in enumerate(betas):
+        for family, table in utilities.items():
+            aligned, *misaligned = table[:, col].tolist()
             for label, u in zip(labels, misaligned):
                 out.append(
                     {"beta": beta, "family": family, "center": label, "utility_difference": u - aligned}
@@ -412,9 +419,9 @@ def emit_csv(rows: list[dict], destination) -> None:
 
 
 def _write_csv(rows, handle, fieldnames) -> None:
-    writer = csv.DictWriter(handle, fieldnames=fieldnames, restval="", lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(fieldnames)
+    writer.writerows([row.get(f, "") for f in fieldnames] for row in rows)
 
 
 def _nonempty_list(check, noun: str):
@@ -456,7 +463,7 @@ EXPERIMENTS = {
     "tension": ("tension_experiment", {"gamma": _NUMBER, "phi_grid": _grid("an accuracy grid"), "k": _INT}),
     "bench": ("mip_bench", {
         "sizes": _nonempty_list(lambda x: is_integer(x) and x >= 4, "integers >= 4"),
-        "k_list": _nonempty_list(is_integer, "integers"),
+        "k_list": _nonempty_list(lambda x: is_integer(x) and x >= 1, "integers >= 1"),
         "type_counts": _nonempty_list(lambda x: is_integer(x) and x >= 1, "integers >= 1"),
         "solver": (lambda x: x in ("bnb", "mip"), "'bnb' or 'mip'"),
     }),

@@ -332,6 +332,9 @@ class PlackettLuceModel:
     item_values: tuple[float, ...]
     beta: float
     center: Ranking = field(init=False, compare=False)
+    # topk_set_prob's subset memo: item bitmask -> log-normaliser of the
+    # items outside it, and item bitmask -> prefix-set probability f(T)
+    _subsets: tuple[dict, dict] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         values = tuple(self.item_values)
@@ -350,6 +353,7 @@ class PlackettLuceModel:
         object.__setattr__(self, "item_values", values)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "center", _sorted_by_value(values))
+        object.__setattr__(self, "_subsets", ({}, {0: 1.0}))
 
     @property
     def m(self) -> int:
@@ -383,29 +387,41 @@ class PlackettLuceModel:
         ``f(T) = sum_{x in T} f(T - x) * P[x is picked next after T - x]``;
         each pick probability is a softmax over the items not yet picked,
         normalized by their own log-sum-exp rather than by the total minus
-        the picked part, which would cancel. O(2^k k + 2^k m) for k items;
+        the picked part, which would cancel. Each subset's log-normaliser
+        and f(T) are kept in a per-model memo, so a law over many sets (as
+        in ``model_menu_distribution``) computes each subset once: the
+        missing log-normalisers in one batch, each missing f(T) by one
+        ``math.fsum`` in item order, the same bits as a cold model. The memo
+        lives as long as the model, one entry per subset of a queried set. A
+        cold query costs O(2^k k + 2^k m) for k items and a warm one O(2^k);
         CapacityError when its 2^k m table exceeds ``MENU_ENUMERATION_CAP``.
         """
-        items = sorted(_check_items(self.m, items))
+        items = sorted(map(int, _check_items(self.m, items)))
         k = len(items)
         if (1 << k) * self.m > MENU_ENUMERATION_CAP:
             raise CapacityError(f"top-{k} set law over 2^{k} subsets x {self.m} items exceeds the cap")
-        u = self._scaled()
-        # taken[S, y]: item y is in the proper subset S of ``items`` (bit i
-        # stands for items[i]); the full set is never a denominator
-        taken = np.zeros(((1 << k) - 1, self.m), dtype=bool)
-        taken[:, items] = np.arange((1 << k) - 1)[:, None] >> np.arange(k) & 1
-        rest = np.where(taken, -np.inf, u)
-        hi = rest.max(axis=1, keepdims=True)
-        log_norm = (hi + np.log(np.exp(rest - hi).sum(axis=1, keepdims=True)))[:, 0]
-        f = [1.0] + [0.0] * ((1 << k) - 1)
-        for S in range(1, 1 << k):
-            f[S] = math.fsum(
-                f[S ^ (1 << i)] * math.exp(u[x] - log_norm[S ^ (1 << i)])
-                for i, x in enumerate(items)
-                if S >> i & 1
-            )
-        return f[-1]
+        log_norm, f = self._subsets
+        bits = [1 << x for x in items]
+        masks = [0]  # masks[S]: the item bitmask of S, whose bit i stands for items[i]
+        for bit in bits:
+            masks += [mask | bit for mask in masks]
+        missing = [S for S, mask in enumerate(masks[:-1]) if mask not in log_norm]
+        if missing:
+            # taken[row, y]: item y is in that row's proper subset of ``items``;
+            # the full set is never a denominator
+            taken = np.zeros((len(missing), self.m), dtype=bool)
+            taken[:, items] = np.array(missing)[:, None] >> np.arange(k) & 1
+            rest = np.where(taken, -np.inf, self._scaled())
+            hi = rest.max(axis=1, keepdims=True)
+            rows = (hi + np.log(np.exp(rest - hi).sum(axis=1, keepdims=True)))[:, 0]
+            log_norm.update(zip((masks[S] for S in missing), rows.tolist()))
+        u = self._scaled().tolist()
+        for T in masks[1:]:
+            if T not in f:
+                f[T] = math.fsum(
+                    f[T ^ bit] * math.exp(u[x] - log_norm[T ^ bit]) for x, bit in zip(items, bits) if T & bit
+                )
+        return f[masks[-1]]
 
     @property
     def ranks(self) -> tuple[int, ...]:

@@ -259,6 +259,25 @@ class TestTableAgreement:
             for col, h in enumerate(pop):
                 assert table[row, col] == menu_utility(h, menu)
 
+    def test_one_phi_shares_pick_rows_and_keeps_each_types_bits(self, rng, monkeypatch):
+        # C(13, 4) = 715 menus in two blocks; Mallows types of one phi, each with its own center and values
+        m, k = 13, 4
+        types = []
+        for _ in range(4):
+            model = mallows_model(rng, m, 0.8)
+            values = ValueProfile(tuple(sorted(rng.uniform(0.0, 5.0, m).tolist(), reverse=True)))
+            types.append(HumanType(model.center, model, values, 0.25))
+        pop = Population(tuple(types))
+        want = [[u.hex() for u in menu_utility_table(Population.single(h), k)[1][:, 0].tolist()] for h in pop]
+        blocks = []
+        pick_rows = MallowsModel.pick_rows
+        monkeypatch.setattr(
+            MallowsModel, "pick_rows", lambda model, menus: blocks.append(len(menus)) or pick_rows(model, menus)
+        )
+        menus, table = menu_utility_table(pop, k)
+        assert blocks == [MENU_BLOCK, len(menus) - MENU_BLOCK]
+        assert [[u.hex() for u in column] for column in table.T.tolist()] == want
+
 
 def mixed_population(rng, m: int) -> Population:
     """Mallows types at a shared and a distinct accuracy, Plackett-Luce and explicit types."""

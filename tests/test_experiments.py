@@ -29,7 +29,7 @@ from shortlist.experiments import (
     tension_population,
 )
 from shortlist.models import _insertion_rows
-from shortlist.rankings import NOISELESS, AlgorithmPolicy, HumanType, borda_values, menu_policy
+from shortlist.rankings import NOISELESS, AlgorithmPolicy, HumanType, Population, borda_values, menu_policy
 from shortlist.welfare import verify_uplift
 from shortlist import cli, collab, experiments, optimize, welfare
 
@@ -260,6 +260,37 @@ class TestBetaSweep:
             (beta, family) for beta in (1.0, 2.0) for family in ("mallows", "rum") for _ in range(5)
         ]
 
+    @pytest.mark.parametrize(
+        "grid, families",
+        [
+            ((0.0, 0.5, 2.0, 6.0), ("mallows", "rum")),
+            ((1.5, 4.0), ("mallows",)),
+            ((1.5, 4.0), ("rum",)),
+            ((2.0, 0.5, 2.0), ("rum", "mallows")),
+        ],
+        ids=["both", "mallows", "rum", "repeated-beta"],
+    )
+    def test_rows_equal_one_table_per_beta_and_family(self, grid, families):
+        m, k, phi, gumbel_beta = 4, 2, 0.5, 0.1
+        gt = Ranking.identity(m)
+        centers = list(itertools.permutations(range(m)))
+        rows = collab.center_menu_rows(centers, k)
+        want = []
+        for beta in grid:
+            vals = ValueProfile(tuple(math.exp(-beta * j) for j in range(m)))
+            for family in ("mallows", "rum"):
+                if family in families:
+                    if family == "mallows":
+                        noise = MallowsModel(gt, phi)
+                    else:
+                        noise = PlackettLuceModel(vals.values, gumbel_beta)
+                    h = HumanType(gt, noise, vals, 1.0)
+                    u = collab.center_utilities(collab.menu_utility_table(Population.single(h), k), h.noise, rows)
+                    aligned, *misaligned = u[:, 0].tolist()
+                    want += [(beta, family, (x - aligned).hex()) for x in misaligned]
+        got = beta_sweep(beta_grid=grid, m=m, k=k, phi=phi, gumbel_beta=gumbel_beta, families=families)
+        assert [(r["beta"], r["family"], r["utility_difference"].hex()) for r in got] == want
+
     @pytest.mark.parametrize("families", [(), ("foo",), ("rum", "plackett")])
     def test_refuses_families_its_config_refuses(self, families):
         with pytest.raises(DomainError, match="'families'"):
@@ -362,6 +393,14 @@ class TestMipBench:
         with pytest.raises(DomainError, match="'sizes'"):
             mip_bench(sizes=(8, 3), k_list=(2,), type_counts=(1,))
 
+    def test_menu_sizes_are_checked_before_any_search(self, monkeypatch):
+        def search(*args):
+            raise AssertionError("a menu was searched")
+
+        monkeypatch.setattr(experiments, "branch_and_bound_menu", search)
+        with pytest.raises(DomainError, match="'k_list'"):
+            mip_bench(sizes=(8, 10), k_list=(2, 0), type_counts=(1,))
+
     def test_solver_error_row(self, monkeypatch):
         def fail(mip):
             raise RuntimeError("solver failed: infeasible")
@@ -434,6 +473,11 @@ class TestCsvAndConfig:
         assert [r["m"] for r in rows] == ["30", "8", "30"]
         assert [r["welfare_gap_vs_enumeration"] != "" for r in rows] == [False, True, False]
         assert float(rows[1]["welfare_gap_vs_enumeration"]) <= 1e-9
+
+    def test_csv_bytes_of_missing_none_and_float_cells(self):
+        buf = io.StringIO()
+        emit_csv([{"x": 1.0, "y": None, "z": "a,b"}, {"z": 1 / 3}, {"y": 1e-17, "x": -2.5e300}], buf)
+        assert buf.getvalue() == 'x,y,z\n1.0,,"a,b"\n,,0.3333333333333333\n-2.5e+300,1e-17,\n'
 
     def test_csv_columns_are_the_union_in_first_seen_order(self):
         buf = io.StringIO()

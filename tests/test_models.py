@@ -472,6 +472,66 @@ def test_plackett_luce_topk_set_prob_refuses_a_table_over_the_cap():
         model.topk_set_prob(range(16))
 
 
+class TestPlackettLuceSubsetMemo:
+    """``topk_set_prob`` keeps each subset's terms per model; a warm model answers with a cold model's bits."""
+
+    @staticmethod
+    def cold(model, items) -> str:
+        return PlackettLuceModel(model.item_values, model.beta).topk_set_prob(items).hex()
+
+    @staticmethod
+    def reference(model, items) -> str:
+        """The subset DP without a memo: every log-normaliser in one batch, then each f(S) in subset order."""
+        items = sorted(items)
+        k = len(items)
+        u = np.asarray(model.item_values) / model.beta
+        taken = np.zeros(((1 << k) - 1, model.m), dtype=bool)
+        taken[:, items] = np.arange((1 << k) - 1)[:, None] >> np.arange(k) & 1
+        rest = np.where(taken, -np.inf, u)
+        hi = rest.max(axis=1, keepdims=True)
+        log_norm = (hi + np.log(np.exp(rest - hi).sum(axis=1, keepdims=True)))[:, 0]
+        f = [1.0] + [0.0] * ((1 << k) - 1)
+        for S in range(1, 1 << k):
+            f[S] = math.fsum(
+                f[S ^ (1 << i)] * math.exp(u[x] - log_norm[S ^ (1 << i)]) for i, x in enumerate(items) if S >> i & 1
+            )
+        return f[-1].hex()
+
+    @pytest.mark.parametrize("m", range(2, 11))
+    def test_warm_law_in_any_order_equals_cold_queries(self, m):
+        rng = np.random.default_rng(m)
+        model = PlackettLuceModel(tuple(float(v) for v in rng.normal(0.0, 2.0, m)), float(rng.uniform(0.05, 3.0)))
+        for k in rng.permutation(np.arange(1, m + 1)).tolist():
+            sets = list(itertools.combinations(range(m), k))
+            want = [self.cold(model, s) for s in sets]
+            assert want == [self.reference(model, s) for s in sets]
+            shuffled = rng.permutation(len(sets)).tolist()
+            got = {i: model.topk_set_prob(sets[i]).hex() for i in shuffled}
+            assert [got[i] for i in range(len(sets))] == want
+            law = model_menu_distribution(model, k)
+            assert [p.hex() for p in law.values()] == want
+
+    def test_single_set_after_a_law_equals_a_cold_query(self, rng):
+        model = PlackettLuceModel(tuple(float(v) for v in rng.normal(0.0, 2.0, 9)), 0.4)
+        model_menu_distribution(model, 3)
+        for items in ((0, 4, 8), (1, 2, 5, 7), (0, 1, 2, 3, 4, 5), tuple(range(9))):
+            assert model.topk_set_prob(items).hex() == self.cold(model, items)
+
+    def test_memo_is_not_part_of_equality_or_hash(self):
+        warm, fresh = PlackettLuceModel((1.0, 0.0, -1.0), 1.0), PlackettLuceModel((1.0, 0.0, -1.0), 1.0)
+        model_menu_distribution(warm, 2)
+        assert warm == fresh and hash(warm) == hash(fresh)
+        assert "_subsets" not in repr(warm)
+
+    def test_cap_fires_on_a_warm_model(self):
+        model = PlackettLuceModel(tuple(float(v) for v in range(30)), 1.0)
+        model.topk_set_prob(range(12))
+        with pytest.raises(CapacityError, match="top-16 set law"):
+            model.topk_set_prob(range(16))
+        with pytest.raises(CapacityError, match="top-16 set law"):
+            model.topk_set_prob(range(14, 30))
+
+
 def _non_integer_item_calls():
     from shortlist import AlgorithmPolicy, HumanType, borda_values, choice_dist, choice_table, mc_joint_pick_dist
 
