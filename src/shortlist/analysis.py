@@ -63,26 +63,18 @@ def swap_effect(h: HumanType, a: AlgorithmPolicy, i: int, j: int) -> SwapReport:
     return SwapReport(pair=(i, j), item_probs=item_probs, utility_delta=delta)
 
 
-def _top2_prob(alg, pair) -> float:
-    if isinstance(alg, AlgorithmPolicy):
-        if alg.menu_size != 2:
-            raise DomainError("psi is defined for menu size 2")
-        alg = policy_ranking_model(alg)
-    return alg.topk_set_prob(pair)
-
-
-def psi(alg, i: int, j: int, r: int) -> float:
-    """Difference of the algorithm's top-2 menu probabilities {i, r} vs {j, r}.
+def psi(model, i: int, j: int, r: int) -> float:
+    """Difference of the top-2 menu probabilities {i, r} vs {j, r} under a curator's ranking model.
 
     Nonnegative whenever ``i`` is center-better than ``j``: replacing a menu
     item with a center-worse one can only lose probability.
     """
     if r in (i, j) or i == j:
         raise DomainError("psi needs three distinct items")
-    center = getattr(alg, "center", None)
+    center = getattr(model, "center", None)
     if isinstance(center, Ranking) and center.position(i) >= center.position(j):
         raise DomainError(f"item {i} must be center-better than item {j}")
-    return _top2_prob(alg, (i, r)) - _top2_prob(alg, (j, r))
+    return model.topk_set_prob((i, r)) - model.topk_set_prob((j, r))
 
 
 def check_mallows_harmful(
@@ -143,8 +135,11 @@ def _helpful_witness(h: HumanType, a, i: int, j: int, terms) -> ConditionVerdict
     ``terms(psis, rank, rank_i, rank_j)`` turns psi of every item ``r`` other
     than i and j into the family's numerator and denominator terms (dicts
     keyed by ``r``) and its scale, ``inf`` when no witness can hold. The
-    first holding witness is reported, else the first one tried.
+    first holding witness is reported, else the first one tried. A policy
+    ``a`` must rank i ahead of j and show 2-item menus; its model is built once.
     """
+    if a.m != h.m:
+        raise DomainError("human and curator must share the item universe")
     rank_i = h.ground_truth.position(i) + 1
     rank_j = h.ground_truth.position(j) + 1
     if rank_i >= rank_j:
@@ -160,6 +155,12 @@ def _helpful_witness(h: HumanType, a, i: int, j: int, terms) -> ConditionVerdict
             holds=False, lhs=None, rhs=None, applicable=False,
             note="value ratio undefined: v_i = 0",
         )
+    if isinstance(a, AlgorithmPolicy):
+        if a.center.position(i) >= a.center.position(j):
+            raise DomainError(f"item {i} must be center-better than item {j}")
+        if a.menu_size != 2:
+            raise DomainError("psi is defined for menu size 2")
+        a = policy_ranking_model(a)
     rank = [p + 1 for p in h.ground_truth.positions]
     psis = {r: psi(a, i, j, r) for r in range(h.m) if r not in (i, j)}
     num, den, scale = terms(psis, rank, rank_i, rank_j)

@@ -49,10 +49,6 @@ class PickDistribution:
     def items(self):
         return self.probs.items()
 
-    def as_tuple(self, order) -> tuple[float, ...]:
-        """Probabilities read out in a caller-chosen item order."""
-        return tuple(self[x] for x in order)
-
 
 # menus per pass of the batched DP: a pass holds at most k * MENU_BLOCK prefix
 # states of k * m floats, so the block bounds its working memory
@@ -102,13 +98,6 @@ def choice_dist(model, items) -> PickDistribution:
     menu = sorted(_check_items(model.m, items), key=ranks.__getitem__)
     row = model.pick_rows(np.array([[ranks[x] for x in menu]], dtype=np.intp))[0].tolist()
     return PickDistribution(dict(zip(menu, row)))
-
-
-def choice_prob(model, items, target: int) -> float:
-    menu = _check_items(model.m, items)
-    if target not in menu:
-        raise DomainError(f"target {target} is not in the menu {sorted(menu)}")
-    return choice_dist(model, menu)[target]
 
 
 def oracle_choice_dist(model, items) -> PickDistribution:

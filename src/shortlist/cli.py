@@ -17,7 +17,7 @@ from .analysis import (
     derive_partial_order,
     swap_effect,
 )
-from .choice import choice_prob
+from .choice import choice_dist
 from .collab import expected_utility, joint_pick_dist, joint_utility, solo_pick_dist
 from .errors import CapacityError, DimensionError, DomainError, ShortlistError
 from .experiments import EXPERIMENTS, load_profile, run_config, sushi_profile
@@ -210,7 +210,7 @@ def _cmd_prob(args) -> int:
             target = _item(_require(args.target, "--target", args), model.m, "--target")
             if target not in menu:
                 raise DomainError(f"--target: item {target + 1} is not in --menu {_fmt_items(menu)}")
-            out = choice_prob(model, menu, target)
+            out = choice_dist(model, menu)[target]
     print(repr(out))
     return 0
 
@@ -350,6 +350,8 @@ def _cmd_analyze_conditions(args) -> int:
         phi_a = _require(args.phi_a, "--phi-a", args)
         human = _human_from_args(args)
         policy = AlgorithmPolicy(_parse_ranking(alg_center, "--alg-center"), phi_a, 2)
+        if policy.m != human.m:
+            raise DimensionError(f"--alg-center has {policy.m} items, --human-center has {human.m}")
         if not 1 <= ranks[0] < ranks[1] <= human.m:
             raise DomainError(f"--ranks needs 1 <= i < j <= {human.m}, got {ranks}")
         item_i = human.ground_truth.order[ranks[0] - 1]

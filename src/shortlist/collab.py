@@ -33,17 +33,13 @@ def joint_pick_from_menus(h: HumanType, menus: dict[frozenset[int], float]) -> P
             rows, weights = by_size.setdefault(len(menu), ([], []))
             rows.append(tuple(menu))
             weights.append(p_menu)
-    items, masses = [np.empty(0, dtype=np.intp)], [np.empty(0)]  # an empty law is PickDistribution's error
+    mass: dict[int, list[float]] = {}  # an empty law is PickDistribution's error
     for rows, weights in by_size.values():
         rows = np.array(rows, dtype=np.intp)
-        items.append(rows.ravel())
-        masses.append((choice_table(h.noise, rows) * np.asarray(weights)[:, None]).ravel())
-    items = np.concatenate(items)
-    by_item = np.argsort(items)
-    support, starts = np.unique(items[by_item], return_index=True)
-    mass = np.concatenate(masses)[by_item].tolist()
-    bounds = starts.tolist() + [len(mass)]
-    return PickDistribution({x: math.fsum(mass[lo:hi]) for x, lo, hi in zip(support.tolist(), bounds, bounds[1:])})
+        picks = choice_table(h.noise, rows) * np.asarray(weights)[:, None]
+        for x, p in zip(rows.ravel().tolist(), picks.ravel().tolist()):
+            mass.setdefault(x, []).append(p)
+    return PickDistribution({x: math.fsum(mass[x]) for x in sorted(mass)})
 
 
 def joint_pick_dist(h: HumanType, a: AlgorithmPolicy) -> PickDistribution:
@@ -110,18 +106,10 @@ def _relabelling_groups(pop: Population) -> dict:
     return groups
 
 
-def interchangeable_types(pop: Population) -> list[list[int]]:
-    """Type indices grouped into relabellings of one another, in first-seen order.
-
-    Mallows types with one (phi, value profile) differ only in their center; any other type is alone.
-    """
-    return list(_relabelling_groups(pop).values())
-
-
 def solo_utilities(pop: Population) -> np.ndarray:
-    """Every type's ``solo_utility``, computed once per group of ``interchangeable_types``."""
+    """Every type's ``solo_utility``, computed once per group of ``_relabelling_groups``."""
     solo = np.empty(pop.n)
-    for cols in interchangeable_types(pop):
+    for cols in _relabelling_groups(pop).values():
         solo[cols] = solo_utility(pop.types[cols[0]])
     return solo
 
@@ -129,20 +117,6 @@ def solo_utilities(pop: Population) -> np.ndarray:
 def menu_utility(h: HumanType, menu) -> float:
     """Expected utility for one type when ``menu`` is always presented."""
     return expected_utility(choice_dist(h.noise, menu), h)
-
-
-def position_set_rank(m: int, k: int):
-    """Map rows of k increasing positions to their rank among the C(m, k) sets.
-
-    The rank is the row's index in ``itertools.combinations(range(m), k)``.
-    Reflecting positions (p -> m-1-p) turns lexicographic order into reversed
-    colexicographic order, whose rank is a sum of binomials; no term of a
-    valid row exceeds C(m, k), so the table is clipped there.
-    """
-    total = math.comb(m, k)
-    binom = np.array([[min(math.comb(n, r), total) for r in range(k, 0, -1)] for n in range(m)], dtype=np.intp)
-    slots = np.arange(k)
-    return lambda pos: total - 1 - binom[m - 1 - pos, slots].sum(axis=1)
 
 
 def menu_utility_table(pop: Population, k: int):
@@ -153,9 +127,9 @@ def menu_utility_table(pop: Population, k: int):
     position set: the model's ``pick_rows`` over the C(m, k) lexicographic
     sets, each row times the type's values in that order and summed with
     ``math.fsum``, the bits of ``menu_utility``. Each group of
-    ``interchangeable_types`` shares a column, the groups of one Mallows
-    phi share each block's ``pick_rows``, and all types read their columns
-    at the rows of one ``center_menu_rows`` call.
+    ``_relabelling_groups`` shares a column, the groups of one Mallows phi
+    share each block's ``pick_rows``, and all types read their columns at
+    the rows of one ``center_menu_rows`` call.
     """
     m = pop.m
     menus = k_menus(m, k)
@@ -181,7 +155,7 @@ def menu_utility_table(pop: Population, k: int):
 def center_menu_rows(centers, k: int) -> np.ndarray:
     """Each k-set of ``k_menus(m, k)`` moved by each permutation, shape (centers, sets).
 
-    Entry (c, T) is ``position_set_rank`` of the sorted images of the T-th
+    Entry (c, T) is the ``k_menus`` index of the sorted images of the T-th
     set under row c of ``centers``, a (centers, m) array of permutations,
     taken ``MENU_BLOCK`` sets at a time. For center orders it is the table
     row of the menu a policy at c presents where the identity's presents T;
@@ -189,12 +163,15 @@ def center_menu_rows(centers, k: int) -> np.ndarray:
     """
     centers = np.asarray(centers, dtype=np.intp)
     m = centers.shape[1]
-    lex_rank = position_set_rank(m, k)
     sets = np.array(k_menus(m, k), dtype=np.intp)
-    out = np.empty((len(centers), len(sets)), dtype=np.intp)
-    for lo in range(0, len(sets), MENU_BLOCK):
+    total = len(sets)
+    # reflecting positions (p -> m-1-p) turns lexicographic order into reversed colexicographic
+    # order, whose rank is a sum of binomials; no term of a valid set exceeds C(m, k): clip there
+    binom = np.array([[min(math.comb(n, r), total) for r in range(k, 0, -1)] for n in range(m)], dtype=np.intp)
+    out = np.empty((len(centers), total), dtype=np.intp)
+    for lo in range(0, total, MENU_BLOCK):
         images = np.sort(centers[:, sets[lo : lo + MENU_BLOCK]], axis=2)
-        out[:, lo : lo + images.shape[1]] = lex_rank(images.reshape(-1, k)).reshape(images.shape[:2])
+        out[:, lo : lo + images.shape[1]] = total - 1 - binom[m - 1 - images, np.arange(k)].sum(axis=2)
     return out
 
 

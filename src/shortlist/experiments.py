@@ -175,7 +175,7 @@ def sushi_experiment(
         raise DomainError(f"profile must be a PreferenceProfile (load_profile reads a path), got {profile!r}")
     _check_knobs("sushi", phi_grid=phi_grid, k=k)
     profile = profile if profile is not None else sushi_profile()
-    modal_menu = tuple(sorted(profile.modal_ranking().prefix(k)))
+    modal_menu = tuple(sorted(profile.modal_ranking().top(k)))
     rows: list[dict] = []
     for phi_h in map(float, phi_grid):
         pop = profile.to_population(phi_h)
@@ -339,16 +339,19 @@ def mip_bench(
 
     The two-type family swaps the first and fourth item between its types
     while varying ``m``; the population family fixes ``m`` and grows the
-    number of types factorially, so a type count above ``ENUMERATION_CAP``
-    is refused before any population is built. ``solver`` is ``bnb`` or
-    ``mip`` (external, via SciPy's HiGHS); a knob value a config refuses is
-    refused here too. Rows with C(m, k) <= 5000 are checked against
-    enumeration.
+    number of types factorially among the first t of ``max(sizes)`` items,
+    so a type count above ``ENUMERATION_CAP`` or above ``max(sizes)`` is
+    refused before any population is built. ``solver`` is ``bnb`` or ``mip``
+    (external, via SciPy's HiGHS); a knob value a config refuses is refused
+    here too. Rows with C(m, k) <= 5000 are checked against enumeration.
     """
     _check_knobs("bench", sizes=sizes, k_list=k_list, type_counts=type_counts, solver=solver)
     too_many = [t for t in type_counts if t > ENUMERATION_CAP]
     if too_many:
         raise CapacityError(f"bench type counts {too_many} exceed the cap t <= {ENUMERATION_CAP} (t! types)")
+    m_pop = max(sizes)
+    if max(type_counts) > m_pop:
+        raise DomainError(f"bench 'type_counts' {list(type_counts)} must be at most the largest of 'sizes', {m_pop}")
     rows: list[dict] = []
     for m in sizes:
         for k in k_list:
@@ -356,7 +359,6 @@ def mip_bench(
                 continue
             pop = _bench_two_type_population(m)
             rows.append(_bench_row("two-type", pop, m, k, solver))
-    m_pop = max(sizes)
     for t in type_counts:
         pop = _head_population(_bench_values(m_pop), t, 1.0, 1.0)
         rows.append(_bench_row(f"mallows-pop(t={t})", pop, m_pop, min(k_list), solver))

@@ -22,8 +22,9 @@ A brute-force enumeration oracle sits alongside them so every closed form
 can be cross-checked at desk scale.
 
 Two different normalizers both get called "Z" in the Mallows literature; here
-``row_z(j)`` is the single-row sum ``1 + e^{-phi} + ... + e^{-phi (j-1)}`` and
-``perm_z`` is the full product ``row_z(1) * ... * row_z(m)``.
+``row_z(j)`` is the single-row sum ``1 + e^{-phi} + ... + e^{-phi (j-1)}``, and
+the full product ``row_z(1) * ... * row_z(m)`` is the one whose log
+``perm_prob`` subtracts.
 """
 from __future__ import annotations
 

@@ -85,10 +85,6 @@ class Ranking:
             raise DomainError(f"unknown item {item} for m={self.m}")
         return self.positions[item]
 
-    def prefix(self, k: int) -> tuple[int, ...]:
-        """The first ``k`` items in order."""
-        return self.order[:k]
-
     def top(self, k: int) -> frozenset[int]:
         """The first ``k`` items as an unordered set."""
         return frozenset(self.order[:k])
@@ -171,13 +167,11 @@ def borda_values(m: int) -> ValueProfile:
     return ValueProfile(tuple(float(m - 1 - p) for p in range(m)))
 
 
-def top_item_values(m: int, value: float = 1.0) -> ValueProfile:
-    """Top-item-recovery profile: only the best item carries value."""
+def top_item_values(m: int) -> ValueProfile:
+    """Top-item-recovery profile: only the best item carries value, 1.0."""
     if m < 1:
         raise DomainError("m must be at least 1")
-    if value <= 0:
-        raise DomainError("top value must be positive")
-    return ValueProfile((float(value),) + (0.0,) * (m - 1))
+    return ValueProfile((1.0,) + (0.0,) * (m - 1))
 
 
 @dataclass(frozen=True)

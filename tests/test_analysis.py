@@ -26,13 +26,20 @@ from shortlist import (
     swap_effect,
     top_item_values,
 )
+from shortlist import analysis
 from shortlist.errors import DomainError
+from shortlist.models import policy_ranking_model
 
 LN2 = math.log(2)
 
 
 def mallows_human(gt, phi, values):
     return HumanType(gt, MallowsModel(gt, phi), values, 1.0)
+
+
+def pl_human(values):
+    """A Plackett-Luce human (beta 1) whose ground truth is the identity, with values by rank."""
+    return HumanType(Ranking.identity(len(values)), PlackettLuceModel(values, 1.0), ValueProfile(values), 1.0)
 
 
 def hundredfold_top_human(top_value=100.0):
@@ -108,11 +115,11 @@ class TestSwapEffect:
 
 class TestPsi:
     def test_pinned_value(self):
-        a = AlgorithmPolicy(Ranking.identity(4), 1.0, 2)
+        a = MallowsModel(Ranking.identity(4), 1.0)
         assert psi(a, 1, 2, 0) == pytest.approx(0.37038616779461636, abs=1e-12)
 
     def test_uniform_algorithm_gives_zero(self):
-        a = AlgorithmPolicy(Ranking.identity(4), 0.0, 2)
+        a = MallowsModel(Ranking.identity(4), 0.0)
         assert psi(a, 1, 2, 0) == pytest.approx(0.0, abs=1e-15)
 
     def test_nonnegative_mallows_and_pl(self, rng):
@@ -131,13 +138,8 @@ class TestPsi:
                 i, j = j, i
             assert psi(alg, i, j, r) >= -1e-12
 
-    def test_requires_menu_size_two(self):
-        a = AlgorithmPolicy(Ranking.identity(4), 1.0, 3)
-        with pytest.raises(DomainError):
-            psi(a, 1, 2, 0)
-
     def test_orientation(self):
-        a = AlgorithmPolicy(Ranking.identity(4), 1.0, 2)
+        a = MallowsModel(Ranking.identity(4), 1.0)
         with pytest.raises(DomainError):
             psi(a, 2, 1, 0)
 
@@ -250,16 +252,11 @@ class TestPlHarmful:
 
 
 class TestPlHelpful:
-    def _pl_human(self, values):
-        gt = Ranking.identity(len(values))
-        item_values = tuple(values[gt.position(x)] for x in range(len(values)))
-        return HumanType(gt, PlackettLuceModel(item_values, 1.0), ValueProfile(values), 1.0)
-
     def test_dominant_top_value_instance(self):
         # the 100-value item dominates every menu, so the psi weights for
         # menus that exclude it are vanishing and the inequality holds; the
         # swap is then (weakly) helpful, though numerically a dead heat
-        h = self._pl_human((100.0, 2.0, 1.0, 1.0))
+        h = pl_human((100.0, 2.0, 1.0, 1.0))
         alg = PlackettLuceModel((100.0, 2.0, 1.0, 1.0), 1.0)
         verdict = check_pl_helpful(h, alg, 1, 2)
         assert verdict.applicable and verdict.holds
@@ -269,7 +266,7 @@ class TestPlHelpful:
         assert u_swapped >= u_aligned - 1e-12
 
     def test_moderate_values_hold_with_strict_gain(self):
-        h = self._pl_human((8.0, 1.0, 0.5, 0.25))
+        h = pl_human((8.0, 1.0, 0.5, 0.25))
         alg = PlackettLuceModel((8.0, 1.0, 0.5, 0.25), 1.0)
         verdict = check_pl_helpful(h, alg, 1, 2)
         assert verdict.holds and verdict.witness == 1
@@ -278,13 +275,13 @@ class TestPlHelpful:
         assert u_swapped > u_aligned
 
     def test_top_item_not_applicable(self):
-        h = self._pl_human((3.0, 1.0, 0.0))
+        h = pl_human((3.0, 1.0, 0.0))
         alg = PlackettLuceModel((3.0, 1.0, 0.0), 1.0)
         verdict = check_pl_helpful(h, alg, 0, 1)
         assert not verdict.applicable
 
     def test_uniform_algorithm_rhs_infinite(self):
-        h = self._pl_human((4.0, 2.0, 1.0, 0.5))
+        h = pl_human((4.0, 2.0, 1.0, 0.5))
         alg = PlackettLuceModel((1.0, 1.0, 1.0, 1.0), 1.0)
         verdict = check_pl_helpful(h, alg, 1, 2)
         assert not verdict.holds
@@ -293,7 +290,7 @@ class TestPlHelpful:
     def test_value_gap_past_the_exp_range_gives_a_verdict(self):
         # (v_1 - v_i) / beta = 998 is past where exp overflows (~709); the
         # rank-1 item's psi weight underflows to 0, so no witness holds
-        h = self._pl_human((1000.0, 2.0, 1.0, 0.5))
+        h = pl_human((1000.0, 2.0, 1.0, 0.5))
         verdict = check_pl_helpful(h, AlgorithmPolicy(Ranking.identity(4), 1.0, 2), 1, 2)
         assert verdict.applicable and not verdict.holds
         assert verdict.witness == 1
@@ -309,7 +306,8 @@ class TestHelpfulWitness:
         rank = {x: h.ground_truth.position(x) + 1 for x in range(h.m)}
         v = {x: h.value_of(x) for x in range(h.m)}
         others = [r for r in range(h.m) if r not in (i, j)]
-        p = {r: psi(a, i, j, r) for r in others}
+        model = policy_ranking_model(a) if isinstance(a, AlgorithmPolicy) else a
+        p = {r: psi(model, i, j, r) for r in others}
         if isinstance(h.noise, MallowsModel):
             phi = h.noise.phi
             num = sum(p.values())
@@ -365,6 +363,35 @@ class TestHelpfulWitness:
                     if not verdict.holds:
                         assert verdict.witness == 1
         assert checked > 100 and 0 < held < checked
+
+    def test_a_policy_needs_menu_size_two(self):
+        a = AlgorithmPolicy(Ranking.identity(4), 1.0, 3)
+        with pytest.raises(DomainError, match="menu size 2"):
+            check_mallows_helpful(hundredfold_top_human(), a, 1, 2)
+        with pytest.raises(DomainError, match="menu size 2"):
+            check_pl_helpful(pl_human((100.0, 2.0, 1.0, 1.0)), a, 1, 2)
+
+    def test_a_policy_builds_its_ranking_model_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(analysis, "policy_ranking_model", lambda a: calls.append(a) or policy_ranking_model(a))
+        a = AlgorithmPolicy(Ranking.identity(8), 1.0, 2)
+        h = mallows_human(Ranking.identity(8), 1.0, borda_values(8))
+        check_mallows_helpful(h, a, 2, 3)
+        assert calls == [a]
+
+    @pytest.mark.parametrize("m_h, m_a", [(3, 4), (4, 3)])
+    def test_curator_over_another_item_universe_is_refused(self, monkeypatch, m_h, m_a):
+        monkeypatch.setattr(analysis, "psi", lambda *args: pytest.fail("psi was computed"))
+        values = (100.0, 2.0, 1.0, 1.0)[:m_h]
+        mallows = mallows_human(Ranking.identity(m_h), 1.0, ValueProfile(values))
+        for check, h, a in (
+            (check_mallows_helpful, mallows, AlgorithmPolicy(Ranking.identity(m_a), 1.0, 2)),
+            (check_mallows_helpful, mallows, MallowsModel(Ranking.identity(m_a), 1.0)),
+            (check_pl_helpful, pl_human(values), AlgorithmPolicy(Ranking.identity(m_a), 1.0, 2)),
+            (check_pl_helpful, pl_human(values), PlackettLuceModel((3.0, 2.0, 1.0, 0.0)[:m_a], 1.0)),
+        ):
+            with pytest.raises(DomainError, match="share the item universe"):
+                check(h, a, 1, 2)
 
 
 def _pl_utility(h, alg_values):

@@ -11,7 +11,6 @@ from shortlist import (
     PlackettLuceModel,
     Ranking,
     choice_dist,
-    choice_prob,
     choice_table,
 )
 from shortlist.choice import oracle_choice_dist
@@ -39,23 +38,23 @@ class TestPickDistribution:
 class TestMallowsChoice:
     def test_gap_two_menu(self):
         model = MallowsModel(R(0, 1, 2), LN2)
-        assert choice_prob(model, {0, 2}, 0) == pytest.approx(16 / 21, abs=1e-12)
+        assert choice_dist(model, {0, 2})[0] == pytest.approx(16 / 21, abs=1e-12)
 
     def test_singleton(self):
         model = MallowsModel(R(0, 1, 2), LN2)
-        assert choice_prob(model, {1}, 1) == 1.0
+        assert choice_dist(model, {1})[1] == 1.0
 
     def test_full_menu_equals_first_item(self):
         model = MallowsModel(R(3, 1, 0, 2), 0.9)
         for x in range(4):
-            assert choice_prob(model, range(4), x) == pytest.approx(
+            assert choice_dist(model, range(4))[x] == pytest.approx(
                 model.topk_set_prob({x}), abs=1e-12
             )
 
     def test_target_must_be_in_menu(self):
-        model = MallowsModel(R(0, 1, 2), LN2)
-        with pytest.raises(DomainError):
-            choice_prob(model, {0, 1}, 2)
+        # an item outside the menu is never picked; the CLI refuses it as --target
+        dist = choice_dist(MallowsModel(R(0, 1, 2), LN2), {0, 1})
+        assert dist[2] == 0.0 and dist.support() == frozenset({0, 1})
 
     def test_empty_menu(self):
         model = MallowsModel(R(0, 1, 2), LN2)
@@ -116,7 +115,8 @@ class TestMallowsChoice:
             for b, (i, j) in enumerate(pairs):
                 assert table[b, 0] == pytest.approx(model.pairwise_prob(i, j), abs=1e-14)
                 if b % 13 == 0:
-                    assert choice_dist(model, {i, j}).as_tuple((i, j)) == tuple(table[b].tolist())
+                    dist = choice_dist(model, {i, j})
+                    assert (dist[i], dist[j]) == tuple(table[b].tolist())
 
     def test_large_m_full_menu_matches_first_item_closed_form(self, rng):
         m = 25
@@ -144,22 +144,22 @@ class TestMallowsChoice:
             x_l = int(rng.choice(better))
             menu2 = (menu - {x_l}) | {x_out}
             for x in menu - {x_l}:
-                assert choice_prob(model, menu, x) <= choice_prob(model, menu2, x) + 1e-12
+                assert choice_dist(model, menu)[x] <= choice_dist(model, menu2)[x] + 1e-12
 
 
 class TestPlackettLuceChoice:
     def test_even_pair(self):
         model = PlackettLuceModel((0.7, 0.7), 1.0)
-        assert choice_prob(model, {0, 1}, 0) == pytest.approx(0.5)
+        assert choice_dist(model, {0, 1})[0] == pytest.approx(0.5)
 
     def test_three_item_softmax(self):
         model = PlackettLuceModel((1.0, 0.0, -1.0), 1.0)
         expected = math.e / (math.e + 1 + math.exp(-1))
-        assert choice_prob(model, {0, 1, 2}, 0) == pytest.approx(expected, abs=1e-12)
+        assert choice_dist(model, {0, 1, 2})[0] == pytest.approx(expected, abs=1e-12)
 
     def test_low_noise_picks_max(self):
         model = PlackettLuceModel((3.0, 1.0, 0.5), 1e-3)
-        assert choice_prob(model, {0, 1, 2}, 0) == pytest.approx(1.0, abs=1e-12)
+        assert choice_dist(model, {0, 1, 2})[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_enumeration(self, rng):
         for m in (3, 4, 5):
@@ -176,9 +176,9 @@ class TestPlackettLuceChoice:
                         assert dist[x] == pytest.approx(expected, abs=1e-10)
 
     def test_target_validation(self):
-        model = PlackettLuceModel((1.0, 0.0), 1.0)
-        with pytest.raises(DomainError):
-            choice_prob(model, {0}, 1)
+        # an item outside the menu is never picked; the CLI refuses it as --target
+        dist = choice_dist(PlackettLuceModel((1.0, 0.0), 1.0), {0})
+        assert dist[1] == 0.0 and dist.support() == frozenset({0})
 
 
 class TestExplicitChoice:

@@ -401,6 +401,14 @@ class TestMipBench:
         with pytest.raises(DomainError, match="'k_list'"):
             mip_bench(sizes=(8, 10), k_list=(2, 0), type_counts=(1,))
 
+    def test_type_counts_above_the_largest_size_are_refused_before_any_search(self, monkeypatch):
+        def search(*args):
+            raise AssertionError("a menu was searched")
+
+        monkeypatch.setattr(experiments, "branch_and_bound_menu", search)
+        with pytest.raises(DomainError, match="'type_counts'.*'sizes'"):
+            mip_bench(sizes=(4,), k_list=(2,), type_counts=(5,))
+
     def test_solver_error_row(self, monkeypatch):
         def fail(mip):
             raise RuntimeError("solver failed: infeasible")
@@ -945,8 +953,15 @@ class TestCli:
             (["analyze", "swap", "--human-center", "1 2 3", "--phi-h", "1", "--values", "top",
               "--alg-center", "1 2 3", "--phi-a", "1", "-k", "2", "--pair", "3 1"],
              "--pair: item 3 must be ahead of item 1 in --alg-center"),
+            (["analyze", "conditions", "--kind", "helpful", "--values", "100 2 1", "--human-center", "1 2 3",
+              "--phi-h", "1.0", "--alg-center", "1 2 3 4", "--phi-a", "1.0", "--ranks", "2 3"],
+             "--alg-center has 4 items, --human-center has 3"),
+            (["analyze", "conditions", "--kind", "helpful", "--values", "100 2 1 1", "--human-center", "1 2 3 4",
+              "--phi-h", "1.0", "--alg-center", "1 2 3", "--phi-a", "1.0", "--ranks", "2 4"],
+             "--alg-center has 3 items, --human-center has 4"),
         ],
-        ids=["prob-item", "prob-menu", "prob-target", "collab-alg-center", "swap-pair"],
+        ids=["prob-item", "prob-menu", "prob-target", "collab-alg-center", "swap-pair",
+             "helpful-larger-curator", "helpful-larger-human"],
     )
     def test_bad_item_label_is_named_as_given(self, capsys, argv, want):
         assert cli.main(argv) == 2

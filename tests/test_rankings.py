@@ -38,7 +38,6 @@ class TestRanking:
         r = R(2, 0, 1)
         assert r.m == 3
         assert r.position(2) == 0 and r.position(1) == 2
-        assert r.prefix(2) == (2, 0)
         assert r.top(2) == frozenset({0, 2})
         assert list(r) == [2, 0, 1]
 

@@ -1,10 +1,13 @@
 """README's examples run as printed: every `shortlist` command line and the library example."""
+import importlib
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import shortlist
 from shortlist import cli
 from shortlist.experiments import EXPERIMENTS
 
@@ -49,6 +52,19 @@ def test_library_example_prints_its_comments(capsys):
     joint, solo = map(float, first.split(" > "))
     assert joint == pytest.approx(88 / 147, abs=1e-12) and solo == pytest.approx(4 / 7, abs=1e-12)
     assert second.startswith("(0, 2) ")
+
+
+def library_names() -> list[tuple[str, str]]:
+    """Each backticked `module.name` or `shortlist.module.name` whose module is a shortlist module."""
+    modules = {info.name for info in pkgutil.iter_modules(shortlist.__path__)}
+    return [(mod, name) for mod, name in re.findall(r"`(?:shortlist\.)?(\w+)\.(\w+)`", README) if mod in modules]
+
+
+def test_library_names_resolve():
+    names = library_names()
+    assert len(names) >= 7
+    missing = [f"{mod}.{name}" for mod, name in names if not hasattr(importlib.import_module(f"shortlist.{mod}"), name)]
+    assert missing == []
 
 
 def experiment_table() -> dict[str, list[list[str]]]:
