@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .collab import center_menu_rows, center_utilities, expected_utility, joint_pick_dist, menu_utility_table
 from .errors import DomainError
-from .models import MallowsModel, PlackettLuceModel, _logistic, policy_ranking_model
-from .rankings import AlgorithmPolicy, HumanType, Population, Ranking, ValueProfile, apply_swap, is_number
+from .models import MallowsModel, PlackettLuceModel, _check_items, _logistic, policy_ranking_model
+from .rankings import AlgorithmPolicy, HumanType, Population, Ranking, ValueProfile, apply_swap, check_universe, is_number
 
 
 @dataclass(frozen=True)
@@ -51,11 +51,7 @@ def swap_effect(h: HumanType, a: AlgorithmPolicy, i: int, j: int) -> SwapReport:
         raise DomainError(
             f"item {i} must be ahead of item {j} in the algorithm center"
         )
-    swapped = AlgorithmPolicy(
-        center=apply_swap(a.center, i, j),
-        accuracy=a.accuracy,
-        menu_size=a.menu_size,
-    )
+    swapped = replace(a, center=apply_swap(a.center, i, j))
     d1 = joint_pick_dist(h, a)
     d2 = joint_pick_dist(h, swapped)
     item_probs = {x: (d1[x], d2[x]) for x in range(h.m)}
@@ -66,13 +62,17 @@ def swap_effect(h: HumanType, a: AlgorithmPolicy, i: int, j: int) -> SwapReport:
 def psi(model, i: int, j: int, r: int) -> float:
     """Difference of the top-2 menu probabilities {i, r} vs {j, r} under a curator's ranking model.
 
-    Nonnegative whenever ``i`` is center-better than ``j``: replacing a menu
-    item with a center-worse one can only lose probability.
+    Nonnegative when ``i`` is center-better than ``j``: replacing a menu item
+    with a center-worse one can only lose probability. ``i``, ``j`` and
+    ``r`` must be three distinct items (``_check_items``). The one
+    orientation rule, DomainError otherwise: a model with a center (Mallows,
+    Plackett-Luce) must put ``i`` ahead of ``j`` there, and an explicit model
+    in every ranking of its support, as a NOISELESS policy's point mass does.
     """
-    if r in (i, j) or i == j:
-        raise DomainError("psi needs three distinct items")
+    _check_items(model.m, (i, j, r))
     center = getattr(model, "center", None)
-    if isinstance(center, Ranking) and center.position(i) >= center.position(j):
+    rankings = [center] if isinstance(center, Ranking) else [ranking for ranking, _ in model.support()]
+    if any(ranking.position(i) > ranking.position(j) for ranking in rankings):
         raise DomainError(f"item {i} must be center-better than item {j}")
     return model.topk_set_prob((i, r)) - model.topk_set_prob((j, r))
 
@@ -135,11 +135,12 @@ def _helpful_witness(h: HumanType, a, i: int, j: int, terms) -> ConditionVerdict
     ``terms(psis, rank, rank_i, rank_j)`` turns psi of every item ``r`` other
     than i and j into the family's numerator and denominator terms (dicts
     keyed by ``r``) and its scale, ``inf`` when no witness can hold. The
-    first holding witness is reported, else the first one tried. A policy
-    ``a`` must rank i ahead of j and show 2-item menus; its model is built once.
+    first holding witness is reported, else the first one tried. ``a`` is a
+    curator's ranking model or a policy showing 2-item menus, whose model is
+    built once; either must share the human's item universe, and ``psi``
+    refuses one that does not rank i ahead of j.
     """
-    if a.m != h.m:
-        raise DomainError("human and curator must share the item universe")
+    check_universe(h, a)
     rank_i = h.ground_truth.position(i) + 1
     rank_j = h.ground_truth.position(j) + 1
     if rank_i >= rank_j:
@@ -156,8 +157,6 @@ def _helpful_witness(h: HumanType, a, i: int, j: int, terms) -> ConditionVerdict
             note="value ratio undefined: v_i = 0",
         )
     if isinstance(a, AlgorithmPolicy):
-        if a.center.position(i) >= a.center.position(j):
-            raise DomainError(f"item {i} must be center-better than item {j}")
         if a.menu_size != 2:
             raise DomainError("psi is defined for menu size 2")
         a = policy_ranking_model(a)
@@ -263,8 +262,7 @@ def derive_partial_order(h: HumanType, candidates, phi_a: float, k: int) -> Cand
     candidates = list(candidates)
     if not candidates:
         raise DomainError("candidate list must be nonempty")
-    if any(c.m != h.m for c in candidates):
-        raise DomainError("candidates must share the human's item universe")
+    check_universe(h, *candidates)
     values = h.values
     vmin = min(values)
     vmax = max(values)

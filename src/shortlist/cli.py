@@ -334,6 +334,10 @@ def _cmd_analyze_conditions(args) -> int:
     family = _family(args)
     if family == "mallows":
         _require(args.phi_h, "--phi-h or --beta", args)
+    if args.kind == "harmful":
+        for flag in ("--human-center", "--alg-center", "--phi-a"):
+            if getattr(args, flag[2:].replace("-", "_")) is not None:
+                raise ShortlistError(f"{flag} applies to --kind helpful only")
     ranks = _parse_list(args.ranks, int, "--ranks")
     need = 1 if (family, args.kind) == ("pl", "harmful") else 2
     if len(ranks) != need:
@@ -439,10 +443,17 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose refusals, and its subparsers', are ``ShortlistError``: one ``error:`` line in ``main``."""
+
+    def error(self, message):
+        raise ShortlistError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built once per process: parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="shortlist",
         description="Exact curation outcomes under noisy ranking models",
     )
@@ -457,9 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ShortlistError, OSError) as exc:
         # OSError: an input file that cannot be read or an output that cannot be written

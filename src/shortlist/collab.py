@@ -8,7 +8,7 @@ import numpy as np
 from .choice import MENU_BLOCK, PickDistribution, choice_dist, choice_table
 from .errors import DomainError
 from .models import MallowsModel, k_menus, model_menu_distribution, policy_ranking_model
-from .rankings import AlgorithmPolicy, HumanType, Population, is_integer
+from .rankings import AlgorithmPolicy, HumanType, Population, check_universe, is_integer
 
 MC_BLOCK = 1 << 14  # Monte Carlo samples drawn per pass; bounds the sample arrays
 PRODUCT_BLOCK = 1 << 16  # (center, menu) pairs per pass of center_utilities; bounds its memory
@@ -49,8 +49,7 @@ def joint_pick_dist(h: HumanType, a: AlgorithmPolicy) -> PickDistribution:
     C(m, k); only a noisy policy raises CapacityError above
     ``MENU_ENUMERATION_CAP`` (use ``mc_joint_pick_dist`` then).
     """
-    if h.m != a.m:
-        raise DomainError("human and policy must share the item universe")
+    check_universe(h, a)
     if a.is_noiseless:
         return choice_dist(h.noise, a.fixed_menu())
     return joint_pick_from_menus(h, model_menu_distribution(policy_ranking_model(a), a.menu_size))
@@ -68,8 +67,7 @@ def mc_joint_pick_dist(
     """
     if not is_integer(samples) or samples < 1:
         raise DomainError(f"need an integer number of samples, at least one, got {samples!r}")
-    if h.m != a.m:
-        raise DomainError("human and policy must share the item universe")
+    check_universe(h, a)
     model = policy_ranking_model(a)
     counts = np.zeros(h.m, dtype=np.int64)
     for lo in range(0, samples, MC_BLOCK):
@@ -213,8 +211,7 @@ def joint_utility(h: HumanType, a: AlgorithmPolicy) -> float:
     ``menu_utility``, with the same bits, so it also answers where C(m, k)
     exceeds ``MENU_ENUMERATION_CAP``.
     """
-    if h.m != a.m:
-        raise DomainError("human and policy must share the item universe")
+    check_universe(h, a)
     if a.is_noiseless:
         return menu_utility(h, a.fixed_menu())
     table = menu_utility_table(Population.single(h), a.menu_size)

@@ -6,11 +6,11 @@ class ShortlistError(Exception):
 
 
 class DimensionError(ShortlistError, ValueError):
-    """Objects built over different item universes were combined."""
+    """Objects built over different item universes were combined, or an item lies outside ``0..m-1``."""
 
 
 class DomainError(ShortlistError, ValueError):
-    """An argument is outside the domain an operation is defined on."""
+    """An argument is outside the domain an operation is defined on, such as an item given twice."""
 
 
 class CapacityError(ShortlistError, RuntimeError):

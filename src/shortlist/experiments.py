@@ -102,8 +102,8 @@ def load_profile(source) -> PreferenceProfile:
     Text rows look like ``<count> <r1> <r2> ... <rm>`` with 1-indexed items;
     CSV needs a header whose first column is the count, and refuses an empty
     cell before a row's last filled one. A source whose first data line holds
-    a comma is read as CSV, any other as text. ``source`` may be a path, a
-    file object, or an iterable of lines.
+    a comma is read as CSV, any other as text. ``source`` is a path or a file
+    object; anything else is refused (DomainError).
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as handle:
@@ -111,7 +111,7 @@ def load_profile(source) -> PreferenceProfile:
     elif hasattr(source, "read"):
         lines = source.read().splitlines()
     else:
-        lines = list(source)
+        raise DomainError(f"profile source must be a path or a file object, got {type(source).__name__}")
 
     stripped = [ln.strip() for ln in lines]
     content = [(no + 1, ln) for no, ln in enumerate(stripped) if ln and not ln.startswith("#")]

@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError, DimensionError, DomainError
-from .rankings import AlgorithmPolicy, Ranking, check_menu_size, is_integer, is_number, kendall_tau
+from .rankings import AlgorithmPolicy, Ranking, check_menu_size, check_universe, is_integer, is_number, kendall_tau
 
 ENUMERATION_CAP = 7
 MENU_ENUMERATION_CAP = 10**6
@@ -50,14 +50,20 @@ def row_z(j: int, phi: float) -> float:
 
 
 def _check_items(m: int, items) -> frozenset:
-    """``items`` as a set, refused when empty or not integers (DomainError) or outside ``0..m-1`` (DimensionError)."""
-    items = frozenset(items)
-    if not items:
+    """``items`` as a set: the one item rule wherever items enter a model's query, a menu or a MIP.
+
+    Refused when empty, not integers or repeated (DomainError) or outside ``0..m-1`` (DimensionError).
+    """
+    given = tuple(items)
+    if not given:
         raise DomainError("item set must be nonempty")
-    if not all(map(is_integer, items)):
-        raise DomainError(f"items must be integers, got {set(items)}")
-    if min(items) < 0 or max(items) >= m:
-        raise DimensionError(f"items {sorted(items)} outside 0..{m - 1}")
+    if not all(map(is_integer, given)):
+        raise DomainError(f"items must be integers, got {list(given)}")
+    if min(given) < 0 or max(given) >= m:
+        raise DimensionError(f"items {sorted(given)} outside 0..{m - 1}")
+    items = frozenset(given)
+    if len(items) != len(given):
+        raise DomainError(f"items must be distinct, got {list(given)}")
     return items
 
 
@@ -119,8 +125,7 @@ class MallowsModel:
 
     def perm_prob(self, r: Ranking) -> float:
         """Probability of sampling exactly the ranking ``r``."""
-        if r.m != self.m:
-            raise DimensionError(f"ranking over {r.m} items, model over {self.m}")
+        check_universe(self, r)
         log_perm_z = sum(math.log(z) for z in _row_z_values(self.m, self.phi))
         return math.exp(-self.phi * kendall_tau(self.center, r) - log_perm_z)
 
@@ -136,8 +141,6 @@ class MallowsModel:
         underflows to 0 at large ``phi``. The center-better side is its
         complement, so the pair sums to one and stays in [0, 1].
         """
-        if i == j:
-            raise DomainError("pairwise comparison needs two distinct items")
         _check_items(self.m, (i, j))
         pos = self.center.positions
         n = abs(pos[j] - pos[i])
@@ -365,8 +368,7 @@ class PlackettLuceModel:
 
     def perm_prob(self, r: Ranking) -> float:
         """Sequential-choice probability of the exact ranking ``r``."""
-        if r.m != self.m:
-            raise DimensionError(f"ranking over {r.m} items, model over {self.m}")
+        check_universe(self, r)
         u = self._scaled()[list(r.order)]
         total = 0.0
         for j in range(self.m):
@@ -376,8 +378,6 @@ class PlackettLuceModel:
 
     def pairwise_prob(self, i: int, j: int) -> float:
         """P[i before j]; the Gumbel race makes this a logistic in the value gap."""
-        if i == j:
-            raise DomainError("pairwise comparison needs two distinct items")
         _check_items(self.m, (i, j))
         return _logistic((self.item_values[i] - self.item_values[j]) / self.beta)
 
@@ -473,9 +473,7 @@ class ExplicitModel:
         entries = tuple((r, float(p)) for r, p in entries)
         if not entries:
             raise DomainError("explicit model needs a nonempty support")
-        m = entries[0][0].m
-        if any(r.m != m for r, _ in entries):
-            raise DimensionError("support rankings must share the same item count")
+        check_universe(*(r for r, _ in entries))
         if any(not (math.isfinite(p) and p > 0) for _, p in entries):
             raise DomainError("support probabilities must be finite and positive")
         total = math.fsum(p for _, p in entries)
@@ -490,8 +488,7 @@ class ExplicitModel:
         return self.entries[0][0].m
 
     def perm_prob(self, r: Ranking) -> float:
-        if r.m != self.m:
-            raise DimensionError(f"ranking over {r.m} items, model over {self.m}")
+        check_universe(self, r)
         for ranking, p in self.entries:
             if ranking == r:
                 return p
@@ -504,8 +501,6 @@ class ExplicitModel:
 
     def pairwise_prob(self, i: int, j: int) -> float:
         """P[i before j], for either orientation of the pair."""
-        if i == j:
-            raise DomainError("pairwise comparison needs two distinct items")
         _check_items(self.m, (i, j))
         return math.fsum(p for r, p in self.entries if r.positions[i] < r.positions[j])
 

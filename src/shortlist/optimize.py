@@ -17,7 +17,7 @@ import numpy as np
 from .collab import center_utilities, menu_utility, menu_utility_table, solo_utilities
 from .errors import DimensionError, DomainError
 from .models import MallowsModel, _check_items, _insertion_rows, pairwise_matrix, policy_ranking_model
-from .rankings import AlgorithmPolicy, Population, Ranking, check_menu_size
+from .rankings import AlgorithmPolicy, Population, Ranking, check_menu_size, check_universe
 from .welfare import _welfare, uplifted, welfare_report
 
 BOUND_SLACK = 1e-12
@@ -201,8 +201,7 @@ def noisy_uplift_search(pop: Population, center: Ranking, phi_grid, k: int):
     phi_grid = list(phi_grid)
     if not phi_grid:
         raise DomainError("accuracy grid must be nonempty")
-    if center.m != pop.m:
-        raise DomainError("center and population must share the item universe")
+    check_universe(pop, center)
     table = menu_utility_table(pop, k)
     solo = solo_utilities(pop).tolist()
     identity = np.arange(len(table[0]))[None]

@@ -44,6 +44,13 @@ def check_menu_size(k: int, m: int) -> None:
         raise DomainError(f"menu size {k} out of range for m={m}")
 
 
+def check_universe(first, *others) -> None:
+    """Refuse objects (anything with an item count ``m``) over different item universes (DimensionError)."""
+    for other in others:
+        if other.m != first.m:
+            raise DimensionError(f"objects over different item universes: {first.m} and {other.m} items")
+
+
 @dataclass(frozen=True)
 class Ranking:
     """A strict total order over items ``0..m-1``, most preferred first.
@@ -106,8 +113,7 @@ def kendall_tau(a: Ranking, b: Ranking) -> int:
     coordinates: walking ``b`` from the back, each item adds the number of
     later items that ``a`` puts ahead of it, counted by bisection.
     """
-    if a.m != b.m:
-        raise DimensionError(f"rankings over different universes: {a.m} vs {b.m}")
+    check_universe(a, b)
     later: list[int] = []
     count = 0
     for pos in reversed([a.position(item) for item in b.order]):
@@ -161,17 +167,13 @@ class ValueProfile:
 
 
 def borda_values(m: int) -> ValueProfile:
-    """Borda scores by rank: ``(m-1, m-2, ..., 0)``."""
-    if m < 1:
-        raise DomainError("m must be at least 1")
+    """Borda scores by rank: ``(m-1, m-2, ..., 0)``; ``ValueProfile`` refuses ``m < 1``."""
     return ValueProfile(tuple(float(m - 1 - p) for p in range(m)))
 
 
 def top_item_values(m: int) -> ValueProfile:
-    """Top-item-recovery profile: only the best item carries value, 1.0."""
-    if m < 1:
-        raise DomainError("m must be at least 1")
-    return ValueProfile((1.0,) + (0.0,) * (m - 1))
+    """Top-item-recovery profile: only the best item carries value, 1.0; ``ValueProfile`` refuses ``m < 1``."""
+    return ValueProfile(tuple(float(p == 0) for p in range(m)))
 
 
 @dataclass(frozen=True)
@@ -186,10 +188,7 @@ class HumanType:
     def __post_init__(self):
         if not is_number(self.weight) or not 0 < self.weight <= 1:
             raise DomainError(f"weight must be a number in (0, 1]: {self.weight!r}")
-        if self.values.m != self.ground_truth.m:
-            raise DimensionError("value profile and ranking sizes differ")
-        if self.noise.m != self.ground_truth.m:
-            raise DimensionError(f"noise model over {self.noise.m} items, ground truth over {self.m}")
+        check_universe(self.ground_truth, self.values, self.noise)
         center = getattr(self.noise, "center", None)
         if isinstance(center, Ranking) and center != self.ground_truth:
             # a Plackett-Luce center breaks value ties by item index, so it
@@ -220,9 +219,7 @@ class Population:
         types = tuple(self.types)
         if not types:
             raise DomainError("population must contain at least one type")
-        m = types[0].m
-        if any(t.m != m for t in types):
-            raise DimensionError("all types must share the same item count")
+        check_universe(*types)
         total = math.fsum(t.weight for t in types)
         if abs(total - 1.0) > WEIGHT_TOLERANCE:
             raise DomainError(f"type weights sum to {total!r}, expected 1")

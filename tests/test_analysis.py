@@ -27,7 +27,7 @@ from shortlist import (
     top_item_values,
 )
 from shortlist import analysis
-from shortlist.errors import DomainError
+from shortlist.errors import DimensionError, DomainError
 from shortlist.models import policy_ranking_model
 
 LN2 = math.log(2)
@@ -390,7 +390,7 @@ class TestHelpfulWitness:
             (check_pl_helpful, pl_human(values), AlgorithmPolicy(Ranking.identity(m_a), 1.0, 2)),
             (check_pl_helpful, pl_human(values), PlackettLuceModel((3.0, 2.0, 1.0, 0.0)[:m_a], 1.0)),
         ):
-            with pytest.raises(DomainError, match="share the item universe"):
+            with pytest.raises(DimensionError, match="different item universes: "):
                 check(h, a, 1, 2)
 
 

@@ -1,5 +1,7 @@
 """Fuzzed command lines: every run exits 0, 1 or 2 and none prints a traceback.
 
+A run that exits 2 prints exactly one line, which starts with ``error:``.
+
 Arguments are drawn per subcommand from its flags, each with a mix of valid
 and invalid tokens over small universes (m <= 5), so runs get past argparse
 and into the library as often as they stop at a bad token. Three narrower
@@ -91,11 +93,12 @@ def run(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
-        except SystemExit as exc:  # argparse rejects the command line
-            code = exc.code
         except Exception:
             pytest.fail(f"{argv} raised\n{traceback.format_exc()}")
-    return code, out.getvalue(), err.getvalue()
+    out, err = out.getvalue(), err.getvalue()
+    # every refusal, argparse's included, is one error: line
+    assert code != 2 or (len(err.splitlines()) == 1 and err.startswith("error:")), (argv, err)
+    return code, out, err
 
 
 @given(argv=argvs())

@@ -24,7 +24,7 @@ from shortlist import (
     verify_uplift,
 )
 from shortlist import collab
-from shortlist.errors import CapacityError, DomainError
+from shortlist.errors import CapacityError, DimensionError, DomainError
 from shortlist.models import model_menu_distribution, policy_ranking_model
 from shortlist.rankings import borda_values
 
@@ -167,7 +167,7 @@ class TestJointUtility:
 
     @pytest.mark.parametrize("accuracy", [0.0, 1.0, NOISELESS])
     def test_universe_mismatch_rejected(self, accuracy):
-        with pytest.raises(DomainError, match="human and policy must share the item universe"):
+        with pytest.raises(DimensionError, match="different item universes: 3 and 4 items"):
             joint_utility(aligned_human(m=3), AlgorithmPolicy(Ranking.identity(4), accuracy, 2))
 
 
@@ -195,7 +195,7 @@ class TestMonteCarlo:
         assert est[0] == 1.0
 
     def test_universe_mismatch_rejected(self, rng):
-        with pytest.raises(DomainError):
+        with pytest.raises(DimensionError):
             mc_joint_pick_dist(aligned_human(m=3), AlgorithmPolicy(Ranking.identity(4), 0.5, 2), 10, rng)
 
 

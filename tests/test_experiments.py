@@ -91,6 +91,14 @@ class TestLoadProfile:
         trailing = load_profile(io.StringIO("count,a,b,c,\n4,2,1,3,\n3,1,3,2,,\n"))
         assert [r for r, _ in trailing.entries] == [R(1, 0, 2), R(0, 2, 1)]
 
+    @pytest.mark.parametrize("source", [["10 1 2 3\n"], ("10 1 2 3",), iter(["10 1 2 3"]), None, 3])
+    def test_source_is_a_path_or_a_file_object(self, tmp_path, source):
+        with pytest.raises(DomainError, match="path or a file object"):
+            load_profile(source)
+        path = tmp_path / "p.txt"
+        path.write_text("10 1 2 3\n")
+        assert load_profile(path) == load_profile(str(path)) == load_profile(io.StringIO("10 1 2 3\n"))
+
 
 class TestSushiFixture:
     def test_row_count_and_total(self):
@@ -1152,6 +1160,41 @@ class TestCli:
     def test_missing_flag_names_the_command(self, capsys, argv, want):
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == f"error: {want}\n"
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["optimize", "--phi-h", "1", "-k", "x"], "argument -k: invalid int value: 'x'"),
+            (["optimize", "--phi-h", "1"], "the following arguments are required: -k"),
+            (["optimize", "--phi-h", "1", "-k", "2", "--phi-a", "1"], "unrecognized arguments: --phi-a 1"),
+            (["prob", "median", "--center", "1 2"], "argument query: invalid choice: 'median'"),
+            ([], "the following arguments are required: command"),
+        ],
+        ids=["bad-type", "missing-required", "unknown-flag", "bad-choice", "no-command"],
+    )
+    def test_argparse_refusal_is_one_error_line(self, capsys, argv, want):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {want}") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize(
+        "flags, flag",
+        [
+            (["--human-center", "9 9"], "--human-center"),
+            (["--alg-center", "1 2 3 4"], "--alg-center"),
+            (["--phi-a", "5"], "--phi-a"),
+            (["--alg-center", "1 2 3 4", "--phi-a", "5", "--human-center", "9 9"], "--human-center"),
+        ],
+        ids=["human-center", "alg-center", "phi-a", "all-three"],
+    )
+    @pytest.mark.parametrize("family", [["--phi-h", "1"], ["--beta", "1"]], ids=["mallows", "pl"])
+    def test_harmful_conditions_refuse_a_helpful_only_flag(self, capsys, family, flags, flag):
+        ranks = "1 2" if family[0] == "--phi-h" else "2"
+        argv = ["analyze", "conditions", "--kind", "harmful", "--values", "3 2 1", *family, "--ranks", ranks]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert cli.main([*argv, *flags]) == 2
+        assert capsys.readouterr() == ("", f"error: {flag} applies to --kind helpful only\n")
 
     def test_conditions_pl_helpful_without_beta_names_beta(self, capsys):
         code = cli.main([
