@@ -106,13 +106,12 @@ def check_mallows_harmful(
     return ConditionVerdict(holds=lhs <= rhs, lhs=lhs, rhs=rhs)
 
 
-def check_mallows_helpful(
-    h: HumanType, a, i: int, j: int
-) -> ConditionVerdict:
-    """Helpfulness condition for a Mallows human at menu size 2.
+def check_mallows_helpful(h: HumanType, a, i: int, j: int) -> ConditionVerdict:
+    """Helpfulness condition for a Mallows human and a curator's ranking model ``a``, at menu size 2.
 
-    Searches for a witness rank ``i' < rank(i)`` whose value dominates
-    the psi-weighted comparison ratio; the first witness is reported.
+    A policy's model is ``models.policy_ranking_model(policy)``. Searches for
+    a witness rank ``i' < rank(i)`` whose value dominates the psi-weighted
+    comparison ratio; the first witness is reported.
     """
     phi_h = _mallows_phi(h)
 
@@ -135,10 +134,9 @@ def _helpful_witness(h: HumanType, a, i: int, j: int, terms) -> ConditionVerdict
     ``terms(psis, rank, rank_i, rank_j)`` turns psi of every item ``r`` other
     than i and j into the family's numerator and denominator terms (dicts
     keyed by ``r``) and its scale, ``inf`` when no witness can hold. The
-    first holding witness is reported, else the first one tried. ``a`` is a
-    curator's ranking model or a policy showing 2-item menus, whose model is
-    built once; either must share the human's item universe, and ``psi``
-    refuses one that does not rank i ahead of j.
+    first holding witness is reported, else the first one tried. ``a`` is the
+    curator's ranking model, read through its top-2 sets as ``psi`` reads it:
+    it must share the human's item universe and rank i ahead of j.
     """
     check_universe(h, a)
     rank_i = h.ground_truth.position(i) + 1
@@ -156,10 +154,6 @@ def _helpful_witness(h: HumanType, a, i: int, j: int, terms) -> ConditionVerdict
             holds=False, lhs=None, rhs=None, applicable=False,
             note="value ratio undefined: v_i = 0",
         )
-    if isinstance(a, AlgorithmPolicy):
-        if a.menu_size != 2:
-            raise DomainError("psi is defined for menu size 2")
-        a = policy_ranking_model(a)
     rank = [p + 1 for p in h.ground_truth.positions]
     psis = {r: psi(a, i, j, r) for r in range(h.m) if r not in (i, j)}
     num, den, scale = terms(psis, rank, rank_i, rank_j)
@@ -193,7 +187,7 @@ def check_pl_harmful(values: ValueProfile, beta: float, rank_j: int) -> Conditio
 
 
 def check_pl_helpful(h: HumanType, a, i: int, j: int) -> ConditionVerdict:
-    """Helpfulness condition for a Plackett-Luce human at menu size 2."""
+    """Helpfulness condition for a Plackett-Luce human and a curator's ranking model ``a``, at menu size 2."""
     if not isinstance(h.noise, PlackettLuceModel):
         raise DomainError("human noise model must be Plackett-Luce")
     beta = h.noise.beta

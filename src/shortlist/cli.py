@@ -21,7 +21,7 @@ from .choice import choice_dist
 from .collab import expected_utility, joint_pick_dist, joint_utility, solo_pick_dist
 from .errors import CapacityError, DimensionError, DomainError, ShortlistError
 from .experiments import EXPERIMENTS, load_profile, run_config, sushi_profile
-from .models import MallowsModel, PlackettLuceModel
+from .models import MallowsModel, PlackettLuceModel, policy_ranking_model
 from .optimize import (
     branch_and_bound_menu,
     build_mip,
@@ -103,18 +103,21 @@ def _fmt_dist(dist) -> str:
 
 
 # Each flag group is a parent parser: the commands that build a human type, a
-# policy or a population take its flags, and one constructor below reads them.
-_HUMAN_FLAGS = argparse.ArgumentParser(add_help=False)
+# policy or a population take its flags, and one function below reads them.
+_FAMILY_FLAGS = argparse.ArgumentParser(add_help=False)
+_FAMILY_FLAGS.add_argument("--phi-h", type=float, default=None, help="Mallows human accuracy")
+_FAMILY_FLAGS.add_argument("--beta", type=float, default=None, help="Plackett-Luce human instead of Mallows")
+_HUMAN_FLAGS = argparse.ArgumentParser(add_help=False, parents=[_FAMILY_FLAGS])
 _HUMAN_FLAGS.add_argument("--human-center", required=True, help="human ground-truth ranking")
-_HUMAN_FLAGS.add_argument("--phi-h", type=float, default=None, help="Mallows human accuracy")
-_HUMAN_FLAGS.add_argument("--beta", type=float, default=None, help="Plackett-Luce human instead of Mallows")
 _HUMAN_FLAGS.add_argument("--values", required=True, help="'borda', 'top', or explicit list by rank")
 
 
 def _family(args) -> str:
-    """The human model family: "pl" when --beta is given, else "mallows"."""
+    """The human model family: "pl" with --beta, "mallows" with --phi-h; exactly one is given."""
     if args.beta is not None and args.phi_h is not None:
         raise ShortlistError("--phi-h (Mallows) and --beta (Plackett-Luce) select different human models")
+    if args.beta is None:
+        _require(args.phi_h, "--phi-h or --beta", args)
     return "mallows" if args.beta is None else "pl"
 
 
@@ -127,19 +130,19 @@ def _human_from_args(args) -> HumanType:
         item_values = tuple(values[center.position(x)] for x in range(center.m))
         noise = PlackettLuceModel(item_values, args.beta)
     else:
-        noise = MallowsModel(center, _require(args.phi_h, "--phi-h", args))
+        noise = MallowsModel(center, args.phi_h)
     return HumanType(center, noise, values, 1.0)
 
 
-_POLICY_FLAGS = argparse.ArgumentParser(add_help=False)
-_POLICY_FLAGS.add_argument("--alg-center", required=True, help="algorithm center ranking")
-_POLICY_FLAGS.add_argument("--phi-a", type=float, default=None, help="Mallows accuracy (inf: the center's top k)")
+_CURATOR_FLAGS = argparse.ArgumentParser(add_help=False)
+_CURATOR_FLAGS.add_argument("--alg-center", required=True, help="algorithm center ranking")
+_CURATOR_FLAGS.add_argument("--phi-a", type=float, required=True, help="Mallows accuracy (inf: the center's top k)")
+_POLICY_FLAGS = argparse.ArgumentParser(add_help=False, parents=[_CURATOR_FLAGS])
 _POLICY_FLAGS.add_argument("-k", type=int, required=True, help="menu size")
 
 
 def _policy_from_args(args) -> AlgorithmPolicy:
-    center = _parse_ranking(args.alg_center, "--alg-center")
-    return AlgorithmPolicy(center, _require(args.phi_a, "--phi-a", args), args.k)
+    return AlgorithmPolicy(_parse_ranking(args.alg_center, "--alg-center"), args.phi_a, args.k)
 
 
 def _check_ahead(policy: AlgorithmPolicy, i: int, j: int, flag: str) -> None:
@@ -160,18 +163,22 @@ def _population_from_args(args) -> Population:
     return profile.to_population(args.phi_h, values)
 
 
+_MODEL_FLAGS = argparse.ArgumentParser(add_help=False)
+_MODEL_FLAGS.add_argument("--center", default=None, help="Mallows center ranking, 1-indexed")
+_MODEL_FLAGS.add_argument("--phi", type=float, default=None, help="Mallows accuracy")
+_MODEL_FLAGS.add_argument("--pl-values", default=None, help="per-item values (Plackett-Luce, centered on their order)")
+_MODEL_FLAGS.add_argument("--beta", type=float, default=None, help="Plackett-Luce noise scale (default 1)")
+
+
 def _add_prob_parser(sub):
     p = sub.add_parser("prob", help="single-query probabilities under one model")
-    p.add_argument("query", choices=["perm", "first", "pairwise", "topk", "choice"])
-    p.add_argument("--center", default=None, help="Mallows center ranking, 1-indexed")
-    p.add_argument("--phi", type=float, default=None, help="Mallows accuracy")
-    p.add_argument("--pl-values", default=None, help="per-item values (Plackett-Luce, centered on their order)")
-    p.add_argument("--beta", type=float, default=None, help="Plackett-Luce noise scale (default 1)")
-    p.add_argument("--ranking", help="query ranking (perm)")
-    p.add_argument("--item", type=int, help="query item (first)")
-    p.add_argument("--pair", help="two items, P[first before second] (pairwise)")
-    p.add_argument("--menu", help="item set (topk, choice)")
-    p.add_argument("--target", type=int, help="target item (choice)")
+    query = functools.partial(p.add_subparsers(dest="query", required=True).add_parser, parents=[_MODEL_FLAGS])
+    query("perm", help="P[ranking]").add_argument("--ranking", required=True, help="query ranking")
+    query("pairwise", help="P[first item ranked before second]").add_argument("--pair", required=True, help="two items")
+    query("topk", help="P[the menu is the top |menu| items]").add_argument("--menu", required=True, help="item set")
+    choice = query("choice", help="P[target is picked from the menu]")
+    choice.add_argument("--menu", required=True, help="item set")
+    choice.add_argument("--target", type=int, required=True, help="target item, one of --menu")
     p.set_defaults(func=_cmd_prob)
 
 
@@ -197,17 +204,15 @@ def _cmd_prob(args) -> int:
             raise ShortlistError("--beta needs --pl-values; a Mallows model takes --phi only")
         model = MallowsModel(center, _require(args.phi, "--phi", args))
     if args.query == "perm":
-        out = model.perm_prob(_parse_ranking(_require(args.ranking, "--ranking", args), "--ranking"))
-    elif args.query == "first":
-        out = model.topk_set_prob({_item(_require(args.item, "--item", args), model.m, "--item")})
+        out = model.perm_prob(_parse_ranking(args.ranking, "--ranking"))
     elif args.query == "pairwise":
-        out = model.pairwise_prob(*_parse_pair(_require(args.pair, "--pair", args), "--pair", model.m))
+        out = model.pairwise_prob(*_parse_pair(args.pair, "--pair", model.m))
     else:
-        menu = _parse_items(_require(args.menu, "--menu", args), "--menu", model.m)
+        menu = _parse_items(args.menu, "--menu", model.m)
         if args.query == "topk":
             out = model.topk_set_prob(menu)
         else:
-            target = _item(_require(args.target, "--target", args), model.m, "--target")
+            target = _item(args.target, model.m, "--target")
             if target not in menu:
                 raise DomainError(f"--target: item {target + 1} is not in --menu {_fmt_items(menu)}")
             out = choice_dist(model, menu)[target]
@@ -298,16 +303,15 @@ def _add_analyze_parser(sub):
     swap.add_argument("--pair", required=True, help="two items, algorithm-better first")
     swap.set_defaults(func=_cmd_analyze_swap)
 
-    cond = kind.add_parser("conditions", help="sufficient-condition checkers")
-    cond.add_argument("--kind", choices=["harmful", "helpful"], required=True)
-    cond.add_argument("--values", required=True, help="explicit value list by rank")
-    cond.add_argument("--phi-h", type=float, default=None)
-    cond.add_argument("--beta", type=float, default=None)
-    cond.add_argument("--ranks", required=True, help="1-based ranks i j (harmful: i j; pl harmful: j)")
-    cond.add_argument("--human-center", default=None, help="helpful checkers: human ranking")
-    cond.add_argument("--alg-center", default=None, help="helpful checkers: algorithm center")
-    cond.add_argument("--phi-a", type=float, default=None)
-    cond.set_defaults(func=_cmd_analyze_conditions)
+    harmful = kind.add_parser("harmful", parents=[_FAMILY_FLAGS], help="sufficient condition for a harmful swap")
+    harmful.add_argument("--values", required=True, help="explicit value list by rank")
+    harmful.add_argument("--ranks", required=True, help="1-based ranks i j (Plackett-Luce: j)")
+    harmful.set_defaults(func=_cmd_analyze_harmful)
+
+    helpful = kind.add_parser("helpful", parents=[_HUMAN_FLAGS, _CURATOR_FLAGS],
+                              help="sufficient condition for a helpful swap, at menu size 2")
+    helpful.add_argument("--ranks", required=True, help="1-based ranks i j")
+    helpful.set_defaults(func=_cmd_analyze_helpful)
 
     order = kind.add_parser("order", parents=[_HUMAN_FLAGS], help="certified preference order over candidate centers")
     order.add_argument("--phi-a", type=float, required=True)
@@ -330,41 +334,38 @@ def _cmd_analyze_swap(args) -> int:
     return 0
 
 
-def _cmd_analyze_conditions(args) -> int:
-    family = _family(args)
-    if family == "mallows":
-        _require(args.phi_h, "--phi-h or --beta", args)
-    if args.kind == "harmful":
-        for flag in ("--human-center", "--alg-center", "--phi-a"):
-            if getattr(args, flag[2:].replace("-", "_")) is not None:
-                raise ShortlistError(f"{flag} applies to --kind helpful only")
+def _ranks(args, family: str, need: int) -> tuple[int, ...]:
     ranks = _parse_list(args.ranks, int, "--ranks")
-    need = 1 if (family, args.kind) == ("pl", "harmful") else 2
     if len(ranks) != need:
-        raise ShortlistError(f"--ranks needs {need} rank(s) for {family} {args.kind}, got {len(ranks)}")
-    if args.kind == "harmful":
-        values = ValueProfile(_parse_list(args.values, float, "--values"))
-    if family == "mallows" and args.kind == "harmful":
-        verdict = check_mallows_harmful(values, args.phi_h, ranks[0], ranks[1])
-    elif args.kind == "harmful":
-        verdict = check_pl_harmful(values, args.beta, ranks[0])
-    else:
-        _require(args.human_center, "--human-center", args)
-        alg_center = _require(args.alg_center, "--alg-center", args)
-        phi_a = _require(args.phi_a, "--phi-a", args)
-        human = _human_from_args(args)
-        policy = AlgorithmPolicy(_parse_ranking(alg_center, "--alg-center"), phi_a, 2)
-        if policy.m != human.m:
-            raise DimensionError(f"--alg-center has {policy.m} items, --human-center has {human.m}")
-        if not 1 <= ranks[0] < ranks[1] <= human.m:
-            raise DomainError(f"--ranks needs 1 <= i < j <= {human.m}, got {ranks}")
-        item_i = human.ground_truth.order[ranks[0] - 1]
-        item_j = human.ground_truth.order[ranks[1] - 1]
-        _check_ahead(policy, item_i, item_j, "--ranks")
-        if family == "mallows":
-            verdict = check_mallows_helpful(human, policy, item_i, item_j)
-        else:
-            verdict = check_pl_helpful(human, policy, item_i, item_j)
+        raise ShortlistError(f"--ranks needs {need} rank(s) for {family} {args.analysis}, got {len(ranks)}")
+    return ranks
+
+
+def _cmd_analyze_harmful(args) -> int:
+    family = _family(args)
+    ranks = _ranks(args, family, 2 if family == "mallows" else 1)
+    values = ValueProfile(_parse_list(args.values, float, "--values"))
+    if family == "mallows":
+        return _print_verdict(check_mallows_harmful(values, args.phi_h, *ranks))
+    return _print_verdict(check_pl_harmful(values, args.beta, *ranks))
+
+
+def _cmd_analyze_helpful(args) -> int:
+    family = _family(args)
+    ranks = _ranks(args, family, 2)
+    human = _human_from_args(args)
+    policy = AlgorithmPolicy(_parse_ranking(args.alg_center, "--alg-center"), args.phi_a, 2)
+    if policy.m != human.m:
+        raise DimensionError(f"--alg-center has {policy.m} items, --human-center has {human.m}")
+    if not 1 <= ranks[0] < ranks[1] <= human.m:
+        raise DomainError(f"--ranks needs 1 <= i < j <= {human.m}, got {ranks}")
+    item_i, item_j = (human.ground_truth.order[rank - 1] for rank in ranks)
+    _check_ahead(policy, item_i, item_j, "--ranks")
+    check = check_mallows_helpful if family == "mallows" else check_pl_helpful
+    return _print_verdict(check(human, policy_ranking_model(policy), item_i, item_j))
+
+
+def _print_verdict(verdict) -> int:
     print(f"holds: {verdict.holds}")
     print(f"applicable: {verdict.applicable}")
     if verdict.lhs is not None:
@@ -444,7 +445,10 @@ def _cmd_experiment(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """A parser whose refusals, and its subparsers', are ``ShortlistError``: one ``error:`` line in ``main``."""
+    """A parser, as are its subparsers, that reads a flag by its full name only and refuses by ``ShortlistError``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise ShortlistError(message)

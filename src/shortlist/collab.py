@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from .choice import MENU_BLOCK, PickDistribution, choice_dist, choice_table
-from .errors import DomainError
+from .errors import DimensionError, DomainError
 from .models import MallowsModel, k_menus, model_menu_distribution, policy_ranking_model
 from .rankings import AlgorithmPolicy, HumanType, Population, check_universe, is_integer
 
@@ -186,9 +186,16 @@ def center_utilities(table, model, rows: np.ndarray) -> np.ndarray:
     center, the centers' ``center_menu_rows`` score a Mallows policy at each
     c, or a Plackett-Luce one whose values follow center position. Each entry
     is ``math.fsum`` of its terms, and menus of zero probability are skipped.
-    Returns (rows, types).
+    Returns (rows, types). A model over another item universe than the
+    table's, or ``rows`` not C(m, k) wide, is a DimensionError, raised before
+    the law is built.
     """
     menus, utilities = table
+    m = menus[-1][-1] + 1  # the last k-menu ends with the last item
+    if model.m != m:
+        raise DimensionError(f"a curator model over {model.m} items for a menu table over {m} items")
+    if rows.shape[1] != len(menus):
+        raise DimensionError(f"rows {rows.shape[1]} menus wide for a table of C({m}, {len(menus[0])}) = {len(menus)}")
     p_id = np.fromiter(model_menu_distribution(model, len(menus[0])).values(), dtype=float)
     support = np.flatnonzero(p_id)
     weights = p_id[support, None]

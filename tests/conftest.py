@@ -1,13 +1,30 @@
+import argparse
 import itertools
 import math
 
 import pytest
 
-from shortlist import HumanType, MallowsModel, Population, Ranking, top_item_values
+from shortlist import HumanType, MallowsModel, Population, Ranking, cli, top_item_values
 
 
 def make_ranking(*items) -> Ranking:
     return Ranking(tuple(items))
+
+
+def declared_flags() -> dict[str, set[str]]:
+    """Each leaf subcommand of the CLI parser ("analyze swap") and the flags it declares, -h aside."""
+    leaves = {}
+
+    def walk(parser, words):
+        subcommands = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subcommands:
+            leaves[" ".join(words)] = {flag for a in parser._actions for flag in a.option_strings} - {"-h", "--help"}
+        for action in subcommands:
+            for name, child in action.choices.items():
+                walk(child, [*words, name])
+
+    walk(cli.build_parser(), [])
+    return leaves
 
 
 def discordant_pairs(a: Ranking, b: Ranking) -> int:

@@ -56,7 +56,7 @@ from shortlist.experiments import (
     tension_experiment,
     tension_population,
 )
-from shortlist.models import row_z
+from shortlist.models import policy_ranking_model, row_z
 from shortlist.optimize import menu_utility
 from shortlist.welfare import best_worst_topitem_rankings
 
@@ -182,7 +182,7 @@ def test_criterion_4_best_and_worst_centers():
 def test_criterion_5_helpful_condition_worked_example():
     h = mallows_human(Ranking.identity(4), 1.0, ValueProfile((100.0, 2.0, 1.0, 1.0)))
     a1 = AlgorithmPolicy(Ranking.identity(4), 1.0, 2)
-    verdict = check_mallows_helpful(h, a1, 1, 2)
+    verdict = check_mallows_helpful(h, policy_ranking_model(a1), 1, 2)
     assert verdict.holds
     assert verdict.lhs == pytest.approx(50.0, abs=1e-12)
     assert verdict.rhs <= 31.79

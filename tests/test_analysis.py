@@ -200,7 +200,7 @@ class TestMallowsHelpful:
     def test_hundredfold_worked_example(self):
         h = hundredfold_top_human()
         a = AlgorithmPolicy(Ranking.identity(4), 1.0, 2)
-        verdict = check_mallows_helpful(h, a, 1, 2)
+        verdict = check_mallows_helpful(h, policy_ranking_model(a), 1, 2)
         assert verdict.holds
         assert verdict.lhs == pytest.approx(50.0)
         assert verdict.witness == 1
@@ -215,20 +215,20 @@ class TestMallowsHelpful:
     def test_small_top_value_fails(self):
         h = hundredfold_top_human(top_value=10.0)
         a = AlgorithmPolicy(Ranking.identity(4), 1.0, 2)
-        verdict = check_mallows_helpful(h, a, 1, 2)
+        verdict = check_mallows_helpful(h, policy_ranking_model(a), 1, 2)
         assert not verdict.holds
         assert verdict.lhs == pytest.approx(5.0)
 
     def test_top_item_not_applicable(self):
         h = hundredfold_top_human()
         a = AlgorithmPolicy(Ranking.identity(4), 1.0, 2)
-        verdict = check_mallows_helpful(h, a, 0, 1)
+        verdict = check_mallows_helpful(h, policy_ranking_model(a), 0, 1)
         assert not verdict.applicable
 
     def test_zero_value_not_applicable(self):
         h = mallows_human(Ranking.identity(4), 1.0, top_item_values(4))
         a = AlgorithmPolicy(Ranking.identity(4), 1.0, 2)
-        verdict = check_mallows_helpful(h, a, 1, 2)
+        verdict = check_mallows_helpful(h, policy_ranking_model(a), 1, 2)
         assert not verdict.applicable
 
 
@@ -291,7 +291,7 @@ class TestPlHelpful:
         # (v_1 - v_i) / beta = 998 is past where exp overflows (~709); the
         # rank-1 item's psi weight underflows to 0, so no witness holds
         h = pl_human((1000.0, 2.0, 1.0, 0.5))
-        verdict = check_pl_helpful(h, AlgorithmPolicy(Ranking.identity(4), 1.0, 2), 1, 2)
+        verdict = check_pl_helpful(h, policy_ranking_model(AlgorithmPolicy(Ranking.identity(4), 1.0, 2)), 1, 2)
         assert verdict.applicable and not verdict.holds
         assert verdict.witness == 1
         assert verdict.lhs == 500.0 and verdict.rhs == math.inf
@@ -306,8 +306,7 @@ class TestHelpfulWitness:
         rank = {x: h.ground_truth.position(x) + 1 for x in range(h.m)}
         v = {x: h.value_of(x) for x in range(h.m)}
         others = [r for r in range(h.m) if r not in (i, j)]
-        model = policy_ranking_model(a) if isinstance(a, AlgorithmPolicy) else a
-        p = {r: psi(model, i, j, r) for r in others}
+        p = {r: psi(a, i, j, r) for r in others}
         if isinstance(h.noise, MallowsModel):
             phi = h.noise.phi
             num = sum(p.values())
@@ -334,7 +333,7 @@ class TestHelpfulWitness:
             center = Ranking(tuple(int(x) for x in rng.permutation(m)))
             if family == "mallows":
                 h = mallows_human(gt, float(rng.uniform(0.2, 2.0)), values)
-                a = AlgorithmPolicy(center, float(rng.uniform(0.2, 2.0)), 2)
+                a = policy_ranking_model(AlgorithmPolicy(center, float(rng.uniform(0.2, 2.0)), 2))
                 check = check_mallows_helpful
             else:
                 beta = float(rng.uniform(0.5, 3.0))
@@ -364,30 +363,14 @@ class TestHelpfulWitness:
                         assert verdict.witness == 1
         assert checked > 100 and 0 < held < checked
 
-    def test_a_policy_needs_menu_size_two(self):
-        a = AlgorithmPolicy(Ranking.identity(4), 1.0, 3)
-        with pytest.raises(DomainError, match="menu size 2"):
-            check_mallows_helpful(hundredfold_top_human(), a, 1, 2)
-        with pytest.raises(DomainError, match="menu size 2"):
-            check_pl_helpful(pl_human((100.0, 2.0, 1.0, 1.0)), a, 1, 2)
-
-    def test_a_policy_builds_its_ranking_model_once(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(analysis, "policy_ranking_model", lambda a: calls.append(a) or policy_ranking_model(a))
-        a = AlgorithmPolicy(Ranking.identity(8), 1.0, 2)
-        h = mallows_human(Ranking.identity(8), 1.0, borda_values(8))
-        check_mallows_helpful(h, a, 2, 3)
-        assert calls == [a]
-
     @pytest.mark.parametrize("m_h, m_a", [(3, 4), (4, 3)])
     def test_curator_over_another_item_universe_is_refused(self, monkeypatch, m_h, m_a):
         monkeypatch.setattr(analysis, "psi", lambda *args: pytest.fail("psi was computed"))
         values = (100.0, 2.0, 1.0, 1.0)[:m_h]
         mallows = mallows_human(Ranking.identity(m_h), 1.0, ValueProfile(values))
         for check, h, a in (
-            (check_mallows_helpful, mallows, AlgorithmPolicy(Ranking.identity(m_a), 1.0, 2)),
             (check_mallows_helpful, mallows, MallowsModel(Ranking.identity(m_a), 1.0)),
-            (check_pl_helpful, pl_human(values), AlgorithmPolicy(Ranking.identity(m_a), 1.0, 2)),
+            (check_pl_helpful, pl_human(values), policy_ranking_model(AlgorithmPolicy(Ranking.identity(m_a), 1.0, 2))),
             (check_pl_helpful, pl_human(values), PlackettLuceModel((3.0, 2.0, 1.0, 0.0)[:m_a], 1.0)),
         ):
             with pytest.raises(DimensionError, match="different item universes: "):

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import declared_flags
 from shortlist import cli
 
 RANKINGS = ["1 2 3", "2 1 3", "3,1,2", "1 2 3 4", "2 4 5 1 3", "1 x 3", "", "0 1 2", "1 1 2", "1 2 9"]
@@ -35,30 +36,28 @@ FLAG = object()  # a store_true flag takes no token
 HUMAN = {"--human-center": RANKINGS, "--phi-h": NUMBERS, "--beta": NUMBERS, "--values": VALUES}
 POLICY = {"--alg-center": RANKINGS, "--phi-a": NUMBERS, "-k": INTS}
 POPULATION = {"--profile": PATHS, "--phi-h": NUMBERS, "--values": VALUES}
+MODEL = {"--center": RANKINGS, "--phi": NUMBERS, "--pl-values": VALUES, "--beta": NUMBERS}
+# the bench experiment's default sizes take seconds; the fuzz keeps m small
+BENCH_SIZES = ["4", "4,5", "3", "x", "", "4,,5"]
+# each leaf subcommand and its flags, the positional (None) first
 COMMANDS = {
-    "prob": {
-        None: ["perm", "first", "pairwise", "topk", "choice", "bogus"],
-        "--center": RANKINGS, "--phi": NUMBERS, "--pl-values": VALUES, "--beta": NUMBERS,
-        "--ranking": RANKINGS, "--item": INTS, "--pair": PAIRS, "--menu": RANKINGS, "--target": INTS,
-    },
+    "prob perm": {**MODEL, "--ranking": RANKINGS},
+    "prob pairwise": {**MODEL, "--pair": PAIRS},
+    "prob topk": {**MODEL, "--menu": RANKINGS},
+    "prob choice": {**MODEL, "--menu": RANKINGS, "--target": INTS},
     "collab": {**HUMAN, **POLICY},
     "welfare": {**POPULATION, **POLICY},
     "optimize": {**POPULATION, "-k": INTS, "--uplift": [FLAG], "--export-lp": PATHS},
     "analyze swap": {**HUMAN, **POLICY, "--pair": PAIRS},
-    "analyze conditions": {
-        "--kind": ["harmful", "helpful"], "--values": VALUES,
-        "--phi-h": NUMBERS, "--beta": NUMBERS, "--ranks": PAIRS, "--human-center": RANKINGS,
-        "--alg-center": RANKINGS, "--phi-a": NUMBERS,
-    },
+    "analyze harmful": {"--values": VALUES, "--phi-h": NUMBERS, "--beta": NUMBERS, "--ranks": PAIRS},
+    "analyze helpful": {**HUMAN, "--alg-center": RANKINGS, "--phi-a": NUMBERS, "--ranks": PAIRS},
     "analyze order": {**HUMAN, "--phi-a": NUMBERS, "-k": INTS, "--candidates": ["1 2 3; 2 1 3", "1 2 3;", "1 x 3; 3 2 1", "", ";"]},
     "experiment": {
         None: ["sushi", "tension", "beta-sweep", "bench", "bogus"],
         "--config": PATHS, "--output": PATHS, "--profile": PATHS, "-k": INTS, "--gamma": NUMBERS,
-        "--phi-grid": GRIDS, "--beta-grid": GRIDS, "--solver": ["bnb", "mip"],
+        "--phi-grid": GRIDS, "--beta-grid": GRIDS, "--solver": ["bnb", "mip"], "--sizes": BENCH_SIZES,
     },
 }
-# the bench experiment's default sizes take seconds; the fuzz keeps m small
-BENCH_SIZES = ["4", "4,5", "3", "x", "", "4,,5"]
 
 
 @pytest.fixture(scope="module")
@@ -79,12 +78,13 @@ def argvs(draw):
     command = draw(st.sampled_from(sorted(COMMANDS)))
     argv = command.split()
     for flag, tokens in COMMANDS[command].items():
-        if draw(st.integers(0, 3)) == 0:  # each flag is left out a quarter of the time
+        if flag == "--sizes":  # small sizes, and only for the bench experiment
+            if argv[:2] != ["experiment", "bench"]:
+                continue
+        elif draw(st.integers(0, 3)) == 0:  # each other flag is left out a quarter of the time
             continue
         token = draw(st.sampled_from(tokens))
         argv += [token] if flag is None else [flag] if token is FLAG else [flag, token]
-    if argv[:2] == ["experiment", "bench"]:
-        argv += ["--sizes", draw(st.sampled_from(BENCH_SIZES))]
     return argv
 
 
@@ -143,7 +143,7 @@ def test_fuzzed_profile_counts_are_refused_unless_finite(paths, command, counts)
 )
 @settings(max_examples=60, deadline=None)
 def test_fuzzed_harmful_conditions_refuse_invalid_accuracies(flag, accuracy, values, ranks):
-    argv = ["analyze", "conditions", "--kind", "harmful", flag, accuracy, "--values", values, "--ranks", ranks]
+    argv = ["analyze", "harmful", flag, accuracy, "--values", values, "--ranks", ranks]
     code, out, err = run(argv)
     assert code in (0, 1, 2) and "Traceback" not in err, (argv, code, err)
     x = float(accuracy)
@@ -152,7 +152,7 @@ def test_fuzzed_harmful_conditions_refuse_invalid_accuracies(flag, accuracy, val
 
 
 PL_COMMANDS = [
-    ["prob", "first", "--item", "2", "--pl-values"],
+    ["prob", "topk", "--menu", "2", "--pl-values"],
     ["prob", "choice", "--menu", "1 2", "--target", "2", "--pl-values"],
     ["collab", "--human-center", "1 2 3", "--alg-center", "2 1 3", "--phi-a", "1", "-k", "2", "--values"],
     ["analyze", "swap", "--human-center", "1 2 3", "--alg-center", "1 2 3", "--phi-a", "1", "-k", "2",
@@ -178,3 +178,11 @@ def test_help_lists_each_flag_once(capsys, command):
     flags = [t for t in usage.replace("[", " ").replace("]", " ").split() if t.startswith("-")]
     assert len(flags) == len(set(flags)), usage
     assert set(COMMANDS[command]) - {None} <= set(flags), usage
+
+
+def test_fuzz_table_follows_the_parser():
+    # every leaf subcommand has an entry, none is stale, and each draws exactly its declared flags
+    declared = declared_flags()
+    assert sorted(COMMANDS) == sorted(declared)
+    for command, flags in declared.items():
+        assert set(COMMANDS[command]) - {None} == flags, command

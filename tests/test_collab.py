@@ -223,6 +223,33 @@ class TestExpectedUtility:
         assert solo_utility(zeroed) == 0.0
 
 
+class TestCenterUtilities:
+    """A curator model or rows built for another table are refused before the law is built."""
+
+    @staticmethod
+    def table():
+        h = HumanType(Ranking.identity(4), MallowsModel(Ranking.identity(4), 1.0), borda_values(4), 1.0)
+        return collab.menu_utility_table(Population.single(h), 2)
+
+    @pytest.mark.parametrize("m", [3, 5])
+    def test_model_over_another_item_universe(self, monkeypatch, m):
+        monkeypatch.setattr(collab, "model_menu_distribution", lambda *args: pytest.fail("the law was built"))
+        with pytest.raises(DimensionError, match=f"model over {m} items for a menu table over 4 items"):
+            collab.center_utilities(self.table(), MallowsModel(Ranking.identity(m), 1.0), np.arange(6)[None])
+
+    @pytest.mark.parametrize("width", [5, 7])
+    def test_rows_not_one_per_menu(self, monkeypatch, width):
+        monkeypatch.setattr(collab, "model_menu_distribution", lambda *args: pytest.fail("the law was built"))
+        with pytest.raises(DimensionError, match=rf"rows {width} menus wide for a table of C\(4, 2\) = 6"):
+            collab.center_utilities(self.table(), MallowsModel(Ranking.identity(4), 1.0), np.arange(width)[None])
+
+    def test_matching_model_and_rows_score_the_joint_utility(self):
+        h = HumanType(Ranking.identity(4), MallowsModel(Ranking.identity(4), 1.0), borda_values(4), 1.0)
+        a = AlgorithmPolicy(R(1, 0, 2, 3), 1.0, 2)
+        got = collab.center_utilities(self.table(), policy_ranking_model(a), np.arange(6)[None])
+        assert got.shape == (1, 1) and got[0, 0] == joint_utility(h, a)
+
+
 class TestSoloUtilities:
     def test_one_solo_utility_per_interchangeable_group(self, monkeypatch):
         values = borda_values(4)

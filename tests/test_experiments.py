@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import make_ranking as R
+from conftest import declared_flags, make_ranking as R
 from shortlist import MallowsModel, PlackettLuceModel, Ranking, ValueProfile, enumerate_event_prob
 from shortlist.analysis import check_mallows_harmful, check_pl_harmful
 from shortlist.collab import expected_utility, joint_pick_dist
@@ -534,7 +534,64 @@ class TestCsvAndConfig:
             assert name in message
 
 
+# a valid run of each prob query and swap condition; each declares only the flags it reads
+ONE_QUESTION = {
+    "prob perm": ["--center", "1 2 3", "--phi", "0.5", "--ranking", "2 1 3"],
+    "prob pairwise": ["--center", "1 2 3", "--phi", "0.5", "--pair", "1 3"],
+    "prob topk": ["--pl-values", "1 0.5 0", "--menu", "1 2"],
+    "prob choice": ["--center", "1 2 3", "--phi", "0.5", "--menu", "1 2", "--target", "1"],
+    "analyze harmful": ["--values", "3 2 1", "--phi-h", "1", "--ranks", "1 2"],
+    "analyze helpful": ["--values", "100 2 1 1", "--human-center", "1 2 3 4", "--phi-h", "1",
+                        "--alg-center", "1 2 3 4", "--phi-a", "1", "--ranks", "2 3"],
+}
+DECLARED = declared_flags()
+FOREIGN_FLAGS = [
+    (command, flag)
+    for command in ONE_QUESTION
+    for flag in sorted(set().union(*(DECLARED[other] for other in ONE_QUESTION)) - DECLARED[command])
+]
+
+
 class TestCli:
+    @pytest.mark.parametrize("command, flag", FOREIGN_FLAGS, ids=[f"{c}-{f}" for c, f in FOREIGN_FLAGS])
+    def test_a_flag_another_question_reads_is_refused(self, capsys, command, flag):
+        argv = [*command.split(), *ONE_QUESTION[command]]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert cli.main([*argv, flag, "1"]) == 2
+        assert capsys.readouterr() == ("", f"error: unrecognized arguments: {flag} 1\n")
+
+    @pytest.mark.parametrize(
+        "argv, refused",
+        [
+            (["prob", "perm", "--center", "1 2 3", "--phi", "0.5", "--ranking", "2 1 3", "--menu", "9 9",
+              "--item", "40"], "--menu 9 9 --item 40"),
+            (["prob", "choice", "--center", "1 2 3", "--phi", "0.5", "--menu", "1 2", "--target", "1",
+              "--item", "1"], "--item 1"),
+            (["analyze", "harmful", "--values", "3 2 1", "--phi-h", "1", "--ranks", "1 2", "--alg-center", "1 2 3"],
+             "--alg-center 1 2 3"),
+            # a prefix of a declared flag (--phi-h) is not read as that flag
+            (["analyze", "harmful", "--values", "3 2 1", "--phi", "1", "--ranks", "1 2"], "--phi 1"),
+        ],
+        ids=["perm-menu-item", "choice-item", "harmful-alg-center", "harmful-prefix"],
+    )
+    def test_a_flag_the_question_does_not_read_is_refused(self, capsys, argv, refused):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: unrecognized arguments: {refused}\n")
+
+    @pytest.mark.parametrize(
+        "model_flags, want",
+        [
+            (["--center", "2 1 3", "--phi", "0.7", "--menu", "2"], "0.5736634765683373"),
+            (["--pl-values", "1,0.5,0", "--beta", "0.3", "--menu", "3"], "0.029132338500945727"),
+        ],
+        ids=["mallows", "pl"],
+    )
+    def test_prob_topk_of_one_item_prints_the_first_item_probability(self, capsys, model_flags, want):
+        # golden strings of the first-item query, which a one-item topk menu answers bit for bit
+        assert cli.main(["prob", "topk", *model_flags]) == 0
+        assert capsys.readouterr() == (f"{want}\n", "")
+
     def test_prob_perm(self, capsys):
         assert cli.main([
             "prob", "perm", "--center", "1 2 3", "--phi", "0.6931471805599453",
@@ -608,12 +665,12 @@ class TestCli:
                 ["collab", *flags, *policy],
                 ["analyze", "swap", *flags, *policy, "--pair", "1 2"],
                 ["analyze", "order", *flags, "--phi-a", "1", "-k", "2", "--candidates", "1 2 3;2 1 3"],
-                ["analyze", "conditions", "--kind", "helpful", *flags, "--alg-center", human_center,
+                ["analyze", "helpful", *flags, "--alg-center", human_center,
                  "--phi-a", "1", "--ranks", "2 3"],
             ):
                 assert cli.main(argv) == 0, capsys.readouterr().err
                 outputs.append(capsys.readouterr().out)
-        assert outputs[:2] == outputs[4:6]  # collab and swap; order and conditions name the items
+        assert outputs[:2] == outputs[4:6]  # collab and swap; order and helpful name the items
 
     @pytest.mark.parametrize("ranks, want", [
         ("2 3", "--ranks: item 3 must be ahead of item 2 in --alg-center"),
@@ -621,7 +678,7 @@ class TestCli:
         ("2 2", "--ranks needs 1 <= i < j <= 3, got (2, 2)"),
     ])
     def test_helpful_condition_names_its_ranks_by_label(self, capsys, ranks, want):
-        argv = ["analyze", "conditions", "--kind", "helpful", "--values", "3 2 1", "--human-center", "1 3 2",
+        argv = ["analyze", "helpful", "--values", "3 2 1", "--human-center", "1 3 2",
                 "--phi-h", "1", "--alg-center", "1 2 3", "--phi-a", "1", "--ranks", ranks]
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
@@ -721,7 +778,7 @@ class TestCli:
 
     def test_analyze_conditions(self, capsys):
         code = cli.main([
-            "analyze", "conditions", "--kind", "helpful",
+            "analyze", "helpful",
             "--values", "100 2 1 1", "--human-center", "1 2 3 4", "--phi-h", "1.0",
             "--alg-center", "1 2 3 4", "--phi-a", "1.0", "--ranks", "2 3",
         ])
@@ -731,7 +788,7 @@ class TestCli:
 
     def test_analyze_conditions_pl_value_gap_past_the_exp_range(self, capsys):
         code = cli.main([
-            "analyze", "conditions", "--kind", "helpful",
+            "analyze", "helpful",
             "--values", "1000 2 1 0.5", "--beta", "1", "--ranks", "2 3",
             "--human-center", "1 2 3 4", "--alg-center", "1 2 3 4", "--phi-a", "1",
         ])
@@ -757,16 +814,14 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv, flag",
         [
-            (["prob", "first", "--center", "1 x 3", "--phi", "1", "--item", "1"], "--center"),
+            (["prob", "topk", "--center", "1 x 3", "--phi", "1", "--menu", "1"], "--center"),
             (["collab", "--human-center", "1 2 3", "--phi-h", "1", "--values", "1 a 0",
               "--alg-center", "1 2 3", "--phi-a", "inf", "-k", "2"], "--values"),
             (["experiment", "sushi", "--phi-grid", "0.5,,1", "--output", "out.csv"], "--phi-grid"),
-            (["analyze", "conditions", "--kind", "harmful",
-              "--values", "3 2 1", "--phi-h", "1", "--ranks", "1 x"], "--ranks"),
+            (["analyze", "harmful", "--values", "3 2 1", "--phi-h", "1", "--ranks", "1 x"], "--ranks"),
             (["experiment", "bench", "--sizes", "4,x", "--output", "out.csv"], "--sizes"),
             (["prob", "pairwise", "--center", "1 2 3", "--phi", "1", "--pair", "1"], "--pair"),
-            (["analyze", "conditions", "--kind", "harmful",
-              "--values", "3 2 1", "--phi-h", "1", "--ranks", "1"], "--ranks"),
+            (["analyze", "harmful", "--values", "3 2 1", "--phi-h", "1", "--ranks", "1"], "--ranks"),
         ],
     )
     def test_bad_token_is_an_error(self, tmp_path, monkeypatch, capsys, argv, flag):
@@ -796,7 +851,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["prob", "first", "--pl-values", "1e308,0", "--beta", "0.5", "--item", "2"],
+            ["prob", "topk", "--pl-values", "1e308,0", "--beta", "0.5", "--menu", "2"],
             ["collab", "--human-center", "1,2,3", "--beta", "5e-324", "--values", "1,0.5,0",
              "--alg-center", "1,2,3", "--phi-a", "1", "-k", "2"],
         ],
@@ -916,10 +971,8 @@ class TestCli:
             (["analyze", "swap", "--human-center", "1 2 3", "--phi-h", "1", "--beta", "1",
               "--values", "borda", "--alg-center", "1 2 3", "--phi-a", "1", "-k", "2", "--pair", "1 2"],
              "--phi-h"),
-            (["analyze", "conditions", "--kind", "harmful",
-              "--values", "3 2 1", "--phi-h", "1", "--beta", "1", "--ranks", "1 2"], "--beta"),
-            (["analyze", "conditions", "--kind", "harmful",
-              "--values", "3 2 1", "--phi-h", "1", "--beta", "1", "--ranks", "2"], "--phi-h"),
+            (["analyze", "harmful", "--values", "3 2 1", "--phi-h", "1", "--beta", "1", "--ranks", "1 2"], "--beta"),
+            (["analyze", "harmful", "--values", "3 2 1", "--phi-h", "1", "--beta", "1", "--ranks", "2"], "--phi-h"),
         ],
     )
     def test_flag_of_the_other_model_family_is_an_error(self, capsys, argv, flag):
@@ -939,10 +992,8 @@ class TestCli:
     @pytest.mark.parametrize("kind", ["harmful", "helpful"])
     @pytest.mark.parametrize("family_flags", [[], ["--phi-h", "1", "--beta", "1"]], ids=["neither", "both"])
     def test_conditions_take_one_of_phi_h_and_beta(self, capsys, kind, family_flags):
-        code = cli.main([
-            "analyze", "conditions", "--kind", kind, "--values", "4 3 2 1", "--ranks", "2 3",
-            "--human-center", "1 2 3 4", "--alg-center", "1 2 3 4", "--phi-a", "1", *family_flags,
-        ])
+        curator = ["--human-center", "1 2 3 4", "--alg-center", "1 2 3 4", "--phi-a", "1"] if kind == "helpful" else []
+        code = cli.main(["analyze", kind, "--values", "4 3 2 1", "--ranks", "2 3", *curator, *family_flags])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -952,7 +1003,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv, want",
         [
-            (["prob", "first", "--center", "1 2 3", "--phi", "1", "--item", "4"], "--item: item 4 outside 1..3"),
+            (["prob", "topk", "--center", "1 2 3", "--phi", "1", "--menu", "4"], "--menu: item 4 outside 1..3"),
             (["prob", "topk", "--center", "1 2 3", "--phi", "1", "--menu", "1 4"], "--menu: item 4 outside 1..3"),
             (["prob", "choice", "--center", "1 2 3", "--phi", "1", "--menu", "1 2", "--target", "3"],
              "--target: item 3 is not in --menu 1 2"),
@@ -961,10 +1012,10 @@ class TestCli:
             (["analyze", "swap", "--human-center", "1 2 3", "--phi-h", "1", "--values", "top",
               "--alg-center", "1 2 3", "--phi-a", "1", "-k", "2", "--pair", "3 1"],
              "--pair: item 3 must be ahead of item 1 in --alg-center"),
-            (["analyze", "conditions", "--kind", "helpful", "--values", "100 2 1", "--human-center", "1 2 3",
+            (["analyze", "helpful", "--values", "100 2 1", "--human-center", "1 2 3",
               "--phi-h", "1.0", "--alg-center", "1 2 3 4", "--phi-a", "1.0", "--ranks", "2 3"],
              "--alg-center has 4 items, --human-center has 3"),
-            (["analyze", "conditions", "--kind", "helpful", "--values", "100 2 1 1", "--human-center", "1 2 3 4",
+            (["analyze", "helpful", "--values", "100 2 1 1", "--human-center", "1 2 3 4",
               "--phi-h", "1.0", "--alg-center", "1 2 3", "--phi-a", "1.0", "--ranks", "2 4"],
              "--alg-center has 3 items, --human-center has 4"),
         ],
@@ -1007,7 +1058,7 @@ class TestCli:
         ["--phi-h", "-1", "--ranks", "1 3"], ["--beta", "nan", "--ranks", "3"], ["--beta", "inf", "--ranks", "3"],
     ])
     def test_harmful_condition_refuses_an_invalid_accuracy(self, capsys, flags):
-        argv = ["analyze", "conditions", "--kind", "harmful", "--values", "1 0.5 0", *flags]
+        argv = ["analyze", "harmful", "--values", "1 0.5 0", *flags]
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
@@ -1054,7 +1105,7 @@ class TestCli:
         default, explicit = capsys.readouterr().out.split()
         assert default == explicit
 
-    @pytest.mark.parametrize("given", [[], ["--phi-h", "1.0"]])
+    @pytest.mark.parametrize("given", [["--phi-a", "1.0"], ["--phi-h", "1.0"]])
     def test_collab_missing_accuracy_is_an_error(self, capsys, given):
         code = cli.main([
             "collab", "--human-center", "1 2 3", "--alg-center", "2 1 3",
@@ -1062,7 +1113,7 @@ class TestCli:
         ])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and ("--phi-a" if given else "--phi-h") in err
+        assert err.startswith("error:") and ("--phi-h" if given[0] == "--phi-a" else "--phi-a") in err
 
     @pytest.mark.parametrize(
         "argv, center",
@@ -1115,7 +1166,7 @@ class TestCli:
             (["prob", "choice", "--center", "1 2 3", "--phi", "0.7", "--menu", "1 1 2", "--target", "1"], "--menu"),
             (["prob", "topk", "--center", "1 2 3", "--phi", "0.7", "--menu", "1 1"], "--menu"),
             (["prob", "pairwise", "--center", "1 2 3", "--phi", "0.7", "--pair", "2 2"], "--pair"),
-            (["prob", "first", "--center", "1 1 2", "--phi", "0.7", "--item", "1"], "--center"),
+            (["prob", "topk", "--center", "1 1 2", "--phi", "0.7", "--menu", "1"], "--center"),
             (["collab", "--human-center", "1 2 3", "--phi-h", "0.7", "--values", "top",
               "--alg-center", "2 2 3", "--phi-a", "inf", "-k", "2"], "--alg-center"),
         ],
@@ -1132,7 +1183,7 @@ class TestCli:
             (["collab", "--human-center", "1 2 3", "--phi-h", "0.7", "--values", "3 2 1 0",
               "--alg-center", "1 2 3", "--phi-a", "inf", "-k", "2"], "--values"),
             (["prob", "perm", "--center", "1 2 3", "--ranking", "2 1 3"], "--phi"),
-            (["analyze", "conditions", "--kind", "helpful", "--values", "4 3 2 1",
+            (["analyze", "helpful", "--values", "4 3 2 1",
               "--human-center", "1 2 3 4", "--phi-h", "1", "--alg-center", "1 2 3 4", "--phi-a", "1",
               "--ranks", "2 5"], "--ranks"),
         ],
@@ -1147,13 +1198,13 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv, want",
         [
-            (["prob", "perm", "--center", "1 2 3", "--phi", "1"], "--ranking is required for 'prob perm'"),
+            (["prob", "perm", "--center", "1 2 3", "--phi", "1"], "the following arguments are required: --ranking"),
             (["collab", "--human-center", "1 2 3", "--values", "top", "--alg-center", "1 2 3", "--phi-a", "inf",
-              "-k", "2"], "--phi-h is required for 'collab'"),
+              "-k", "2"], "--phi-h or --beta is required for 'collab'"),
             (["analyze", "swap", "--human-center", "1 2 3", "--phi-h", "1", "--values", "top",
-              "--alg-center", "1 2 3", "-k", "2", "--pair", "1 2"], "--phi-a is required for 'analyze swap'"),
-            (["analyze", "conditions", "--kind", "harmful", "--values", "3 2 1", "--ranks", "2"],
-             "--phi-h or --beta is required for 'analyze conditions'"),
+              "--alg-center", "1 2 3", "-k", "2", "--pair", "1 2"], "the following arguments are required: --phi-a"),
+            (["analyze", "harmful", "--values", "3 2 1", "--ranks", "2"],
+             "--phi-h or --beta is required for 'analyze harmful'"),
         ],
         ids=["prob", "collab", "analyze-swap", "analyze-conditions"],
     )
@@ -1190,15 +1241,16 @@ class TestCli:
     @pytest.mark.parametrize("family", [["--phi-h", "1"], ["--beta", "1"]], ids=["mallows", "pl"])
     def test_harmful_conditions_refuse_a_helpful_only_flag(self, capsys, family, flags, flag):
         ranks = "1 2" if family[0] == "--phi-h" else "2"
-        argv = ["analyze", "conditions", "--kind", "harmful", "--values", "3 2 1", *family, "--ranks", ranks]
+        argv = ["analyze", "harmful", "--values", "3 2 1", *family, "--ranks", ranks]
         assert cli.main(argv) == 0
         capsys.readouterr()
         assert cli.main([*argv, *flags]) == 2
-        assert capsys.readouterr() == ("", f"error: {flag} applies to --kind helpful only\n")
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: unrecognized arguments: {' '.join(flags)}\n") and flag in err
 
     def test_conditions_pl_helpful_without_beta_names_beta(self, capsys):
         code = cli.main([
-            "analyze", "conditions", "--kind", "helpful",
+            "analyze", "helpful",
             "--values", "4 3 2 1", "--ranks", "2 3", "--human-center", "1 2 3 4",
             "--alg-center", "1 2 3 4", "--phi-a", "1",
         ])
@@ -1215,7 +1267,7 @@ class TestCli:
         ids=["mallows", "pl"],
     )
     def test_conditions_harmful_reads_the_explicit_values(self, capsys, flags, ranks, verdict):
-        base = ["analyze", "conditions", "--kind", "harmful", *flags, "--ranks", ranks]
+        base = ["analyze", "harmful", *flags, "--ranks", ranks]
         assert cli.main([*base, "--values", "1 0.9 0.5 0"]) == 0
         want = verdict(ValueProfile((1.0, 0.9, 0.5, 0.0)))
         assert want.holds
@@ -1236,13 +1288,14 @@ class TestCli:
         ids=["mallows", "pl"],
     )
     def test_prob_first(self, capsys, model_flags, model):
-        # the first-item closed forms: e^{-phi pos} / row_z(m) and a softmax of value / beta
+        # a one-item topk menu is the first-item event, with its closed forms:
+        # e^{-phi pos} / row_z(m) and a softmax of value / beta
         if isinstance(model, MallowsModel):
             weights = [math.exp(-0.7 * model.center.position(x)) for x in range(3)]
         else:
             weights = [math.exp(v / 2.0) for v in model.item_values]
         for item in range(3):
-            assert cli.main(["prob", "first", *model_flags, "--item", str(item + 1)]) == 0
+            assert cli.main(["prob", "topk", *model_flags, "--menu", str(item + 1)]) == 0
             got = float(capsys.readouterr().out.strip())
             assert got == model.topk_set_prob({item})
             assert got == pytest.approx(weights[item] / math.fsum(weights), rel=1e-14)

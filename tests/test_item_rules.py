@@ -36,6 +36,7 @@ from shortlist import (
 from shortlist import analysis, collab, optimize
 from shortlist.choice import oracle_choice_dist
 from shortlist.errors import DimensionError, DomainError
+from shortlist.models import policy_ranking_model
 
 FAMILIES = {
     "mallows": MallowsModel(R(0, 1, 2, 3), 0.7),
@@ -97,7 +98,7 @@ UNIVERSE_SITES = {
     "joint_utility": lambda m_h, m_a: joint_utility(
         mallows_human(m_h), AlgorithmPolicy(Ranking.identity(m_a), 1.0, 2)),
     "helpful-policy": lambda m_h, m_a: check_mallows_helpful(
-        mallows_human(m_h), AlgorithmPolicy(Ranking.identity(m_a), 1.0, 2), 1, 2),
+        mallows_human(m_h), policy_ranking_model(AlgorithmPolicy(Ranking.identity(m_a), 1.0, 2)), 1, 2),
     "helpful-model": lambda m_h, m_a: check_pl_helpful(
         pl_human((3.0, 2.0, 1.0, 0.0)[:m_h]), MallowsModel(Ranking.identity(m_a), 1.0), 1, 2),
     "derive_partial_order": lambda m_h, m_a: derive_partial_order(
@@ -142,7 +143,7 @@ def test_psi_refuses_a_misoriented_explicit_curator(curator):
 
 @pytest.mark.parametrize(
     "curator",
-    [*MISORIENTED.values(), AlgorithmPolicy(R(0, 2, 1, 3), NOISELESS, 2)],
+    [*MISORIENTED.values(), policy_ranking_model(AlgorithmPolicy(R(0, 2, 1, 3), NOISELESS, 2))],
     ids=[*MISORIENTED, "noiseless-policy"],
 )
 @pytest.mark.parametrize("check, h", list(HUMANS.values()), ids=list(HUMANS))
@@ -155,7 +156,7 @@ def test_checkers_refuse_a_misoriented_curator(check, h, curator):
 def test_well_oriented_explicit_curators_get_the_policy_verdict(check, h):
     policy = AlgorithmPolicy(Ranking.identity(4), NOISELESS, 2)
     point_mass = ExplicitModel(((Ranking.identity(4), 1.0),))
-    assert check(h, point_mass, 1, 2) == check(h, policy, 1, 2)
+    assert check(h, point_mass, 1, 2) == check(h, policy_ranking_model(policy), 1, 2)
     # every support ranking puts 1 ahead of 2, so the curator is accepted
     mixed = ExplicitModel(((R(0, 1, 2, 3), 0.5), (R(1, 3, 0, 2), 0.5)))
     assert all(psi(mixed, 1, 2, r) >= 0 for r in (0, 3))
