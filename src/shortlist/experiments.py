@@ -170,22 +170,27 @@ def sushi_experiment(
     both with ``verify_uplift``'s bits. Any profile with at least ``k`` items
     works; the default is the packaged sushi fixture. A knob value a config
     refuses is refused here too, and ``profile`` is a loaded profile, not a path.
+
+    The grid is scored in one table (``_grid_tables``), with the bits of one
+    ``to_population`` per accuracy; every ranking shares its accuracy's solo utility.
     """
     if profile is not None and not isinstance(profile, PreferenceProfile):
         raise DomainError(f"profile must be a PreferenceProfile (load_profile reads a path), got {profile!r}")
     _check_knobs("sushi", phi_grid=phi_grid, k=k)
     profile = profile if profile is not None else sushi_profile()
     modal_menu = tuple(sorted(profile.modal_ranking().top(k)))
+    phis = list(map(float, phi_grid))
+    weights = profile.to_population(phis[0]).weights()  # a Population's (renormalized) weights
+    menus, tables, grid = _grid_tables(phis, borda_values(profile.m), [r for r, _ in profile.entries], k)
+    solos = solo_utilities(grid).tolist()
+    idx_m = menus.index(modal_menu)
     rows: list[dict] = []
-    for phi_h in map(float, phi_grid):
-        pop = profile.to_population(phi_h)
-        menus, table = menu_utility_table(pop, k)
-        welfare = _welfare(table, pop.weights())
-        fractions = _welfare(uplifted(table, solo_utilities(pop)), pop.weights())
+    for phi_h, table, solo in zip(phis, tables, solos):
+        welfare = _welfare(table, weights)
+        fractions = _welfare(uplifted(table, solo), weights)
 
         idx_w = int(np.argmax(welfare))
         idx_u = int(np.lexsort((-welfare, -fractions))[0])
-        idx_m = menus.index(modal_menu)
 
         for name, idx in (("A_m", idx_m), ("A_w", idx_w), ("A_u", idx_u)):
             rows.append(
@@ -198,6 +203,21 @@ def sushi_experiment(
                 }
             )
     return rows
+
+
+def _grid_tables(phis, values: ValueProfile, centers, k: int):
+    """The menus, each accuracy's (menus, centers) table for Mallows types at ``centers``, and the grid population.
+
+    The grid population holds one identity-centred type per accuracy, so its
+    table's column g is accuracy g's utility of every position set; table g
+    reads it at the ``center_menu_rows`` of the centers, as
+    ``menu_utility_table`` fills a relabelling group, with the same bits.
+    """
+    gt = Ranking.identity(values.m)
+    grid = Population(tuple(HumanType(gt, MallowsModel(gt, phi), values, 1 / len(phis)) for phi in phis))
+    menus, columns = menu_utility_table(grid, k)
+    at = center_menu_rows([r.positions for r in centers], k).T  # (menus, centers)
+    return menus, [columns[at, g] for g in range(len(phis))], grid
 
 
 def _menu_label(menu) -> str:
@@ -261,20 +281,23 @@ def beta_sweep(
     return out
 
 
-def _head_population(values: ValueProfile, t: int, gamma: float, phi_h: float) -> Population:
-    """t! Mallows(phi_h) types differing only in their top-t order, weighted Mallows(gamma)."""
+def _head_orders(m: int, t: int, gamma: float) -> list[tuple[Ranking, float]]:
+    """The t! orders of m items differing only in their top t, each with its Mallows(gamma) head weight."""
     head_model = MallowsModel(Ranking.identity(t), gamma)
-    types = []
-    for perm in itertools.permutations(range(t)):
-        weight = head_model.perm_prob(Ranking(perm))
-        gt = Ranking(tuple(perm) + tuple(range(t, values.m)))
-        types.append(HumanType(gt, MallowsModel(gt, phi_h), values, weight))
-    return Population(tuple(types))
+    return [
+        (Ranking(perm + tuple(range(t, m))), head_model.perm_prob(Ranking(perm)))
+        for perm in itertools.permutations(range(t))
+    ]
+
+
+def _head_population(values: ValueProfile, heads, phi_h: float) -> Population:
+    """One Mallows(phi_h) type per ``_head_orders`` entry, at that order with its weight."""
+    return Population(tuple(HumanType(gt, MallowsModel(gt, phi_h), values, w) for gt, w in heads))
 
 
 def tension_population(gamma: float, phi_h: float) -> Population:
     """Six types differing only in their top-3 order, weighted Mallows(gamma)."""
-    return _head_population(ValueProfile(TENSION_VALUES), 3, gamma, phi_h)
+    return _head_population(ValueProfile(TENSION_VALUES), _head_orders(len(TENSION_VALUES), 3, gamma), phi_h)
 
 
 def tension_experiment(gamma: float = 3.0, phi_grid=TENSION_PHI_GRID, k: int = 3) -> list[dict]:
@@ -284,18 +307,25 @@ def tension_experiment(gamma: float = 3.0, phi_grid=TENSION_PHI_GRID, k: int = 3
     finite, nonnegative and small enough (below about 248.4) that the least
     likely order, the reversed one, keeps a positive weight. A knob value a
     config refuses is refused here too.
+
+    The grid is scored in one table (``_grid_tables``), with the bits of one
+    ``tension_population`` per accuracy, which still gives the optimizers its
+    weights and solo utilities.
     """
     _check_knobs("tension", gamma=gamma, phi_grid=phi_grid, k=k)
     if not 0 <= gamma < math.inf:
         raise DomainError(f"gamma must be finite and nonnegative, got {gamma!r}")
-    if MallowsModel(Ranking.identity(3), gamma).perm_prob(Ranking((2, 1, 0))) == 0:
+    values = ValueProfile(TENSION_VALUES)
+    heads = _head_orders(values.m, 3, gamma)
+    if heads[-1][1] == 0:  # the reversed head order comes last
         raise DomainError(f"gamma {gamma!r} is too large: the weight of the reversed head order underflows to 0")
+    phis = list(map(float, phi_grid))
+    menus, tables, _ = _grid_tables(phis, values, [gt for gt, _ in heads], k)
     rows: list[dict] = []
-    for phi_h in map(float, phi_grid):
-        pop = tension_population(gamma, phi_h)
-        table = menu_utility_table(pop, k)
-        unconstrained = enumerate_best_menu(pop, k, table=table)
-        constrained = optimize_with_uplift(pop, k, table=table)
+    for phi_h, table in zip(phis, tables):
+        pop = _head_population(values, heads, phi_h)
+        unconstrained = enumerate_best_menu(pop, k, table=(menus, table))
+        constrained = optimize_with_uplift(pop, k, table=(menus, table))
         rows.append(
             {
                 "gamma": gamma,
@@ -360,7 +390,7 @@ def mip_bench(
             pop = _bench_two_type_population(m)
             rows.append(_bench_row("two-type", pop, m, k, solver))
     for t in type_counts:
-        pop = _head_population(_bench_values(m_pop), t, 1.0, 1.0)
+        pop = _head_population(_bench_values(m_pop), _head_orders(m_pop, t, 1.0), 1.0)
         rows.append(_bench_row(f"mallows-pop(t={t})", pop, m_pop, min(k_list), solver))
     return rows
 

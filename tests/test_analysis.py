@@ -376,6 +376,19 @@ class TestHelpfulWitness:
             with pytest.raises(DimensionError, match="different item universes: "):
                 check(h, a, 1, 2)
 
+    @pytest.mark.parametrize("entry", ["psi", "mallows", "pl"])
+    def test_a_policy_in_place_of_its_ranking_model_is_refused(self, entry):
+        # the top item is human-best, so the checkers would answer "not applicable" without psi
+        policy = AlgorithmPolicy(Ranking.identity(4), 1.0, 2)
+        calls = {
+            "psi": lambda i, j: psi(policy, i, j, 3),
+            "mallows": lambda i, j: check_mallows_helpful(hundredfold_top_human(), policy, i, j),
+            "pl": lambda i, j: check_pl_helpful(pl_human((4.0, 3.0, 2.0, 1.0)), policy, i, j),
+        }
+        for i, j in ((1, 2), (0, 1)):
+            with pytest.raises(DomainError, match=r"ranking model, got AlgorithmPolicy.*models\.policy_ranking_model"):
+                calls[entry](i, j)
+
 
 def _pl_utility(h, alg_values):
     from shortlist.collab import expected_utility, joint_pick_from_menus

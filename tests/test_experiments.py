@@ -163,6 +163,80 @@ def test_one_solo_utility_per_accuracy(monkeypatch, experiment, grid):
     assert calls == list(grid)
 
 
+def sushi_reference(profile, grid, k):
+    """Sushi rows from one population, table and ``solo_utilities`` per accuracy."""
+    modal = tuple(sorted(profile.modal_ranking().top(k)))
+    out = []
+    for phi_h in map(float, grid):
+        pop = profile.to_population(phi_h)
+        menus, table = collab.menu_utility_table(pop, k)
+        total = welfare._welfare(table, pop.weights())
+        fractions = welfare._welfare(welfare.uplifted(table, collab.solo_utilities(pop)), pop.weights())
+        best, most = int(np.argmax(total)), int(np.lexsort((-total, -fractions))[0])
+        for name, idx in (("A_m", menus.index(modal)), ("A_w", best), ("A_u", most)):
+            out.append({"phi_h": phi_h, "algorithm": name, "welfare": float(total[idx]),
+                        "uplift_fraction": float(fractions[idx]), "menu": experiments._menu_label(menus[idx])})
+    return out
+
+
+def tension_reference(gamma, grid, k):
+    """Tension rows from one ``tension_population`` and table per accuracy."""
+    out = []
+    for phi_h in map(float, grid):
+        pop = tension_population(gamma, phi_h)
+        table = collab.menu_utility_table(pop, k)
+        free = optimize.enumerate_best_menu(pop, k, table=table)
+        held = optimize.optimize_with_uplift(pop, k, table=table)
+        out.append({"gamma": gamma, "phi_h": phi_h, "welfare_unconstrained": free.welfare,
+                    "menu_unconstrained": experiments._menu_label(free.menu),
+                    "welfare_uplift_constrained": held.welfare if held is not None else "",
+                    "menu_uplift_constrained": experiments._menu_label(held.menu) if held is not None else "infeasible"})
+    return out
+
+
+UNSORTED_GRID = (2.0, 0.5, 0.0, 0.5, 1.3)  # unsorted, a repeated accuracy and a 0
+# five fractions of these counts sum to 1 - 2**-53, so the Population renormalizes its weights
+RENORMALIZING_PROFILE = "2 1 2 3 4 5\n51 2 1 3 5 4\n44 5 4 3 2 1\n22 3 1 2 4 5\n34 1 3 5 2 4\n"
+
+
+class TestGridTable:
+    """The studies score a whole accuracy grid in one table, with the bits of one population per accuracy."""
+
+    @pytest.mark.parametrize("grid", [DEFAULT_PHI_GRID, UNSORTED_GRID], ids=["default", "unsorted"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_sushi_rows_have_the_bits_of_one_population_per_accuracy(self, grid, k):
+        profile = sushi_profile()
+        assert repr(sushi_experiment(phi_grid=grid, k=k)) == repr(sushi_reference(profile, grid, k))
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_sushi_keeps_the_renormalized_weights(self, k):
+        profile = load_profile(io.StringIO(RENORMALIZING_PROFILE))
+        weights = profile.to_population(1.0).weights()
+        assert weights != profile.fractions() and math.fsum(profile.fractions()) != 1.0
+        got = sushi_experiment(profile=profile, phi_grid=UNSORTED_GRID, k=k)
+        assert repr(got) == repr(sushi_reference(profile, UNSORTED_GRID, k))
+
+    @pytest.mark.parametrize("grid", [TENSION_PHI_GRID, UNSORTED_GRID], ids=["default", "unsorted"])
+    @pytest.mark.parametrize("gamma", [0.0, 3.0])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_tension_rows_have_the_bits_of_one_population_per_accuracy(self, grid, gamma, k):
+        assert repr(tension_experiment(gamma, grid, k)) == repr(tension_reference(gamma, grid, k))
+
+    @pytest.mark.parametrize("grid", [(1.0,), UNSORTED_GRID, DEFAULT_PHI_GRID], ids=["one", "unsorted", "default"])
+    @pytest.mark.parametrize("driver", [sushi_experiment, tension_experiment])
+    def test_one_table_per_run(self, monkeypatch, driver, grid):
+        sizes = []
+        real = experiments.menu_utility_table
+
+        def counted(pop, k):
+            sizes.append(pop.n)
+            return real(pop, k)
+
+        monkeypatch.setattr(experiments, "menu_utility_table", counted)
+        driver(phi_grid=grid)
+        assert sizes == [len(grid)]  # one type per accuracy
+
+
 @pytest.fixture(scope="module")
 def rows():
     return sushi_experiment(phi_grid=(0.5, 1.5, 3.0))
