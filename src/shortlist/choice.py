@@ -8,10 +8,11 @@ knows the family. ``choice_table`` sorts the rows by those positions before
 it cuts them into blocks of ``MENU_BLOCK`` menus, so a block holds whole runs
 of menus with common leading items. For Mallows models the math is one
 insertion DP whose states are the distinct prefixes of a block's menus:
-menus that share leading items share those steps, and each whole menu's
-state still rides on to the last step, so a menu has the same bits alone or
-in any batch. A menu table calls ``pick_rows`` directly on position sets
-(see ``collab.menu_utility_table``).
+menus that share leading items share those steps, and each whole menu is
+read at the step of its last item, whatever the block holds, so a menu has
+the same bits alone or in any batch. A menu table runs that DP directly on
+position sets, once per block for every Mallows accuracy it holds (see
+``collab.menu_utility_table``).
 """
 from __future__ import annotations
 
@@ -50,8 +51,9 @@ class PickDistribution:
         return self.probs.items()
 
 
-# menus per pass of the batched DP: a pass holds at most k * MENU_BLOCK prefix
-# states of k * m floats, so the block bounds its working memory
+# (menu, accuracy) pairs per pass of the batched DP: a pass holds at most
+# (k - 1) * MENU_BLOCK prefix states of k * m floats, so the block bounds its
+# working memory
 MENU_BLOCK = 512
 
 

@@ -7,7 +7,7 @@ import numpy as np
 
 from .choice import MENU_BLOCK, PickDistribution, choice_dist, choice_table
 from .errors import DimensionError, DomainError
-from .models import MallowsModel, k_menus, model_menu_distribution, policy_ranking_model
+from .models import MallowsModel, _mallows_pick_rows, k_menus, model_menu_distribution, policy_ranking_model
 from .rankings import AlgorithmPolicy, HumanType, Population, check_universe, is_integer
 
 MC_BLOCK = 1 << 14  # Monte Carlo samples drawn per pass; bounds the sample arrays
@@ -94,8 +94,9 @@ def _relabelling_groups(pop: Population) -> dict:
     """Type indices keyed by (model key, value profile), in first-seen order.
 
     A Mallows type's model key is its phi: types of one phi differ only in
-    their center, so they share ``pick_rows``, and with one value profile
-    they are relabellings of one another. Any other type is its own key.
+    their center, so they read one accuracy of the pick kernel
+    (``models._mallows_pick_rows``), and with one value profile they are
+    relabellings of one another. Any other type is its own key.
     """
     groups: dict = {}
     for col, h in enumerate(pop):
@@ -125,9 +126,13 @@ def menu_utility_table(pop: Population, k: int):
     position set: the model's ``pick_rows`` over the C(m, k) lexicographic
     sets, each row times the type's values in that order and summed with
     ``math.fsum``, the bits of ``menu_utility``. Each group of
-    ``_relabelling_groups`` shares a column, the groups of one Mallows phi
-    share each block's ``pick_rows``, and all types read their columns at
-    the rows of one ``center_menu_rows`` call.
+    ``_relabelling_groups`` shares a column. The sets are scored in blocks
+    of ``MENU_BLOCK`` (menu, accuracy) pairs, or of one menu past
+    ``MENU_BLOCK`` accuracies: each block makes one
+    ``models._mallows_pick_rows`` call for every Mallows accuracy in the
+    population, with the bits of each accuracy's own ``pick_rows``, and any
+    other group calls its model's ``pick_rows``. All types read their
+    columns at the rows of one ``center_menu_rows`` call.
     """
     m = pop.m
     menus = k_menus(m, k)
@@ -135,10 +140,13 @@ def menu_utility_table(pop: Population, k: int):
     groups = _relabelling_groups(pop)
     heads = [pop.types[cols[0]] for cols in groups.values()]
     values = [np.array([h.value_of(x) for x in np.argsort(h.noise.ranks)]) for h in heads]
+    phis = list(dict.fromkeys(h.noise.phi for h in heads if isinstance(h.noise, MallowsModel)))
     columns = np.empty((len(groups), len(menus)))
-    for lo in range(0, len(menus), MENU_BLOCK):
-        block = positions[lo : lo + MENU_BLOCK]
-        picks: dict = {}  # model key -> the block's pick_rows
+    size = max(1, MENU_BLOCK // max(1, len(phis)))  # menus per block
+    for lo in range(0, len(menus), size):
+        block = positions[lo : lo + size]
+        # model key -> the block's pick rows
+        picks: dict = dict(zip(phis, _mallows_pick_rows(block, m, phis))) if phis else {}
         for g, (model, _) in enumerate(groups):
             if model not in picks:
                 picks[model] = heads[g].noise.pick_rows(block)

@@ -6,6 +6,7 @@ no Monte Carlo enters any of the shipped experiment paths.
 from __future__ import annotations
 
 import csv
+import functools
 import importlib.resources
 import io
 import itertools
@@ -147,8 +148,13 @@ def load_profile(source) -> PreferenceProfile:
     return PreferenceProfile(tuple(entries))
 
 
+@functools.cache
 def sushi_profile() -> PreferenceProfile:
-    """The packaged 33-row sushi fixture (counts out of a 5000-person survey)."""
+    """The packaged 33-row sushi fixture (counts out of a 5000-person survey).
+
+    Parsed once per process: the profile is frozen and its entries are
+    tuples, so every caller shares the one object.
+    """
     text = (
         importlib.resources.files("shortlist")
         .joinpath("data/sushi_top33.txt")

@@ -77,21 +77,110 @@ def _insertion_rows(m: int, phi: float) -> tuple[np.ndarray, np.ndarray, np.ndar
     """Insertion probabilities of every step as read-only (m, m) arrays, and the rows per step.
 
     Row ``t - 1`` of ``probs`` holds ``p_{t,s}`` for ``s = 1..t`` and zeros
-    after; ``gammas`` are their running sums and ``keeps = 1 - gammas``, the
-    chance that an earlier item at position ``s`` stays there. The fourth
-    value holds per step the rows ``MallowsModel.pick_rows`` reads: ``probs``
-    forwards and backwards, ``gammas`` without its last entry, and ``keeps``.
+    after, from one ``np.exp`` over the step x slot grid; ``gammas`` are
+    their running sums and ``keeps = 1 - gammas``, the chance that an
+    earlier item at position ``s`` stays there. The fourth value is
+    ``_step_rows`` of this one accuracy, the per-step rows
+    ``_mallows_pick_rows`` reads.
     """
-    probs = np.zeros((m, m))
-    for t in range(1, m + 1):
-        with np.errstate(over="ignore"):  # phi times a gap may round to inf; exp(-inf) = 0 is right
-            probs[t - 1, :t] = np.exp(-phi * (t - np.arange(1, t + 1, dtype=float)))
-        probs[t - 1, :t] /= row_z(t, phi)
+    t = np.arange(m, dtype=float)
+    gaps = np.tril(np.subtract.outer(t, t))  # t - s on and below the diagonal
+    with np.errstate(over="ignore"):  # phi times a gap may round to inf; exp(-inf) = 0 is right
+        probs = np.tril(np.exp(-phi * gaps))
+    probs /= np.array(_row_z_values(m, phi))[:, None]
     gammas = np.cumsum(probs, axis=1)
     keeps = 1.0 - gammas
     for array in (probs, gammas, keeps):
         array.setflags(write=False)
-    return probs, gammas, keeps, tuple(zip(probs, probs[:, ::-1], gammas[:, :-1], keeps))
+    return probs, gammas, keeps, _step_rows(probs[:, None], gammas[:, None], keeps[:, None])
+
+
+def _step_rows(probs: np.ndarray, gammas: np.ndarray, keeps: np.ndarray) -> tuple:
+    """Per step, the rows of (m, phis, m) insertion arrays that ``_mallows_pick_rows`` reads.
+
+    Each is ``probs`` forwards and backwards, then ``gammas`` without its
+    last entry and ``keeps``, both shaped to broadcast over a state's slots.
+    """
+    return tuple(zip(probs, probs[:, :, ::-1], gammas[:, :, None, :-1], keeps[:, :, None]))
+
+
+def _mallows_pick_rows(positions: np.ndarray, m: int, phis) -> np.ndarray:
+    """Mallows pick probabilities of a (B, k) intp block of menus at every accuracy, shape (phis, B, k).
+
+    The insertion DP over center positions of ``m`` items, run once for all
+    ``phis`` (accuracies as ``MallowsModel`` holds them) and once per
+    distinct prefix of the block's menus (``_prefix_tree``); each row holds
+    a menu's increasing center positions. Step t inserts the item at center
+    position t - 1. A state holds, per accuracy, W[j, s - 1]: the
+    probability that the prefix's j-th item is inserted, leads the prefix
+    and sits at position ``s`` of the partial permutation; its last slot
+    holds the front-runner's mass, whichever item it is. After step t it
+    depends on a menu only through its items at positions below t, so menus
+    with a common prefix share one state until their next items. Each step
+    gives every live state the keep/shift update of an item outside its
+    prefix, and spawns each prefix that ends in the step's item from its
+    parent's state: the item leads at ``s`` with probability ``p_{t,s}``
+    times the front-runner mass at ``s`` or behind (1 for a first item), and
+    an earlier front-runner keeps the lead only where the item lands behind
+    it. Only prefixes shorter than k are states. A whole menu is read at the
+    step of its last item, from its parent's state: its earlier items keep
+    the lead with ``1 - gamma_{t,s}`` and its last item takes it with
+    ``gamma_{t,s}`` at the front-runner's position. Later steps only move
+    positions, never the leader, so the plan stops at the block's last item.
+    Every operation acts on one (state, accuracy) row at a time, so a row
+    has the same bits alone, in any block and beside any set of accuracies.
+    A block of B menus has at most (k - 1) B states of k m floats per
+    accuracy, and a step costs O(k m) per live state and accuracy. A
+    full-universe menu (k = m) is the first-item law e^{-phi j} / row_z(m),
+    read off the last insertion row in O(m).
+    """
+    B, k = positions.shape
+    if k == 1:
+        return np.ones((len(phis), B, 1))
+    if k == m:
+        firsts = np.array([_insertion_rows(m, phi)[0][m - 1, ::-1] for phi in phis])
+        return np.repeat(firsts[:, None], B, axis=1)
+    if len(phis) == 1:
+        steps = _insertion_rows(m, phis[0])[3]
+    else:
+        steps = _step_rows(*(np.stack(rows, axis=1) for rows in zip(*(_insertion_rows(m, phi)[:3] for phi in phis))))
+    top = k - 1  # a prefix's front-runner mass
+    nodes, plan = _prefix_tree(positions, m)
+    W = np.zeros((nodes, len(phis), k, m))
+    out = np.empty((B, len(phis), k))
+    span = None
+    for t, a, c, b, lo, parents, targets, reads in plan:
+        p, p_back, g, kp = steps[t]
+        if reads is not None:
+            # whole menus ending in the step's item: the item leads where it
+            # lands at or ahead of the front-runner, whose last position is
+            # still empty
+            rows, sources = reads
+            X = W[sources]
+            X[:, :, :top] *= kp
+            X[:, :, top:, :-1] *= g
+            out[rows] = X.sum(axis=3)
+        if b > c:
+            # prefixes ending in the step's item, spawned the same way
+            W[c:b] = W[parents]
+            X = W[c:b]
+            fresh = p_back * X[:, :, top, ::-1].cumsum(axis=2)  # by position from the back
+            X *= kp
+            X[:, :, top, ::-1] += fresh
+            W[targets] = fresh[:, :, ::-1]
+        if a > lo:
+            # an item outside the prefix: the front-runner stays, or moves back one place
+            if span != (lo, a):
+                span = (lo, a)
+                live = W[lo:a]
+                ahead, behind = live[..., :-1], live[..., 1:]
+            moved = g * ahead
+            live *= kp
+            behind += moved
+        if c > a:
+            # a one-item prefix leads wherever its item lands
+            W[a:c, :, 0] = W[a:c, :, top] = p
+    return out.transpose(1, 0, 2)
 
 
 @dataclass(frozen=True)
@@ -185,96 +274,49 @@ class MallowsModel:
     def pick_rows(self, menus: np.ndarray) -> np.ndarray:
         """Pick probabilities of a (B, k) intp block of menus as increasing center positions.
 
-        The insertion DP over center positions, run once per distinct prefix
-        of the block's menus (``_prefix_tree``). Step t inserts the item at
-        center position t - 1. A state W[j, s - 1] is the probability that
-        the menu's j-th item in center order is inserted, leads the menu and
-        sits at position ``s`` of the partial permutation. After step t it
-        depends on a menu only through its items at positions below t, so
-        menus with a common prefix share one state until their next items.
-        Each step gives every live state the keep/shift update of an item
-        outside its menu, and spawns each prefix that ends in the step's item
-        from its parent's state: the item leads at ``s`` with probability
-        ``p_{t,s}`` times the front-runner mass at ``s`` or behind (1 for a
-        first item), and an earlier front-runner keeps the lead only where
-        the item lands behind it. A prefix keeps that front-runner mass in
-        its last slot, where a whole menu keeps its k-th item. Whole-menu
-        states ride on to t = m, as the per-menu DP's rows do, so a row has
-        the same bits alone, in any block and beside any rows. A block of B
-        menus has at most k B states of k m floats, and a step costs O(k m)
-        per live state. A full-universe menu (k = m) is the first-item law
-        e^{-phi j} / row_z(m), read off the last insertion row in O(m).
+        ``_mallows_pick_rows`` at this one accuracy: the insertion DP over
+        the block's distinct prefixes, each menu read at the step of its
+        last item, with the same bits alone, in any block and beside any
+        other accuracies.
         """
-        B, k = menus.shape
-        m = self.m
-        if k == 1:
-            return np.ones((B, 1))
-        if k == m:
-            return np.tile(_insertion_rows(m, self.phi)[0][m - 1, ::-1], (B, 1))
-        top = k - 1  # a prefix's front-runner mass, and a whole menu's k-th item
-        nodes, rows, plan = _prefix_tree(menus, m)
-        W = np.zeros((nodes, k, m))
-        cells = W.reshape(-1, m)  # one row per (state, slot)
-        steps = _insertion_rows(m, self.phi)[3]
-        span = None
-        for t, a, c, b, lo, parents, targets in plan:
-            p, p_back, g, kp = steps[t]
-            if b > c:
-                # prefixes ending in the step's item: the item leads where it
-                # lands at or ahead of the parent's front-runner
-                W[c:b] = W[parents]
-                X = W[c:b]
-                fresh = p_back * X[:, top, ::-1].cumsum(axis=1)  # by position from the back
-                X *= kp
-                X[:, top, ::-1] += fresh
-                cells[targets] = fresh[:, ::-1]
-            if a > lo:
-                # an item outside the menu: the front-runner stays, or moves back one place
-                if span != (lo, a):
-                    span = (lo, a)
-                    live = W[lo:a]
-                    ahead, behind = live[:, :, :-1], live[:, :, 1:]
-                moved = g * ahead
-                live *= kp
-                behind += moved
-            if c > a:
-                # a one-item prefix leads wherever its item lands
-                W[a:c, 0] = W[a:c, top] = p
-        return W[rows].sum(axis=2)
+        return _mallows_pick_rows(menus, self.m, (self.phi,))[0]
 
     def support(self):
         return _enumerated_support(self)
 
 
 def _prefix_tree(pos: np.ndarray, m: int):
-    """The prefix tree of a block of menus, laid out for ``MallowsModel.pick_rows``.
+    """The prefix tree of a block of menus, laid out for ``_mallows_pick_rows``.
 
-    ``pos`` is (B, k), each row a menu's center positions in increasing
-    order. The tree's nodes are the runs of adjacent rows that share a
-    prefix, so rows in lexicographic order share every common prefix. A
-    node is born at the step that inserts its last item and is needed
-    until the step that spawns its last child; a whole menu is needed to
-    the end. Nodes are listed by birth and, within a birth, by length, so
-    the nodes born at a step are a contiguous run and so are those alive
-    across it (with some dead ones among them). Returns the number of
-    nodes, each row's whole-menu node, and per step from the first birth:
-    the step, the first node born at it, the first such node with a parent,
-    the first node born after it, the first node still needed after it, and
-    the parents and (node * k + slot) cells of that step's nodes with a
-    parent. One menu's tree is a chain, written out directly with slices in
-    place of index arrays; a block's is built with array operations and
+    ``pos`` is (B, k) with 1 < k < m, each row a menu's center positions in
+    increasing order. The tree's nodes are the runs of adjacent rows that
+    share a prefix shorter than k, so rows in lexicographic order share
+    every common prefix; a whole menu is no node. A node is born at the
+    step that inserts its last item and is needed until the step that
+    spawns its last child, and a whole menu is read at the step of its last
+    item. Nodes are listed by birth and, within a birth, by length, so the
+    nodes born at a step are a contiguous run and so are those alive across
+    it (with some dead ones among them). Returns the number of nodes and
+    per step from the first birth to the last read: the step, the first
+    node born at it, the first such node with a parent, the first node born
+    after it, the first node still needed after it, the parents of that
+    step's nodes with a parent and the (node, slot) index of their last
+    item, and the rows read at the step with their parents (None when no
+    row is). One menu's tree is a chain, written out directly with slices
+    in place of index arrays; a block's is built with array operations and
     cached.
     """
     B, k = pos.shape
     if B == 1:
         # one menu: a chain whose node j is born at its (j + 1)-th position
-        p = pos[0].tolist() + [m]
-        plan = [(p[0], 0, 1, 1, 0, None, None)]
-        for j in range(1, k + 1):
-            plan += [(t, j, j, j, j - 1, None, None) for t in range(p[j - 1] + 1, p[j])]
-            if j < k:
-                plan.append((p[j], j, j, j + 1, j, slice(j - 1, j), slice(j * (k + 1), j * (k + 1) + 1)))
-        return k, slice(k - 1, k), plan
+        p = pos[0].tolist()
+        plan = [(p[0], 0, 1, 1, 0, None, None, None)]
+        for j in range(1, k):
+            plan += [(t, j, j, j, j - 1, None, None, None) for t in range(p[j - 1] + 1, p[j])]
+            if j < k - 1:
+                plan.append((p[j], j, j, j + 1, j, slice(j - 1, j), (slice(j, j + 1), slice(None), j), None))
+        plan.append((p[k - 1], k - 1, k - 1, k - 1, k - 1, None, None, (slice(0, 1), slice(k - 2, k - 1))))
+        return k - 1, plan
     return _shared_prefixes(m, k, pos.tobytes())
 
 
@@ -282,33 +324,42 @@ def _prefix_tree(pos: np.ndarray, m: int):
 def _shared_prefixes(m: int, k: int, block: bytes):
     """``_prefix_tree`` of a block of several menus, given as the bytes of its
     positions: the tree depends on nothing else, so blocks that recur (every
-    accuracy of one population, every call over the same menus) reuse it."""
+    call over the same menus, at any accuracies) reuse it."""
     pos = np.frombuffer(block, dtype=np.intp).reshape(-1, k)
     B = len(pos)
-    starts = np.ones((k, B), dtype=bool)  # starts[j, b]: row b starts a prefix of j + 1 items
-    starts[:, 1:] = np.logical_or.accumulate(pos[1:] != pos[:-1], axis=1).T
+    L = k - 1  # the longest prefix that is a node
+    starts = np.ones((L, B), dtype=bool)  # starts[j, b]: row b starts a prefix of j + 1 items
+    starts[:, 1:] = np.logical_or.accumulate(pos[1:, :L] != pos[:-1, :L], axis=1).T
     flat = starts.ravel()
     ids = np.cumsum(flat) - 1
     nodes = np.flatnonzero(flat)  # node (j, b) as j * B + b, shorter prefixes first
-    at = np.append(pos.T.ravel(), np.full(B, m))  # at[n + B]: the next position in n's row
-    death = np.maximum.reduceat(at[B:], nodes)  # its last child's birth, or m for a whole menu
-    key = at[nodes] * k + nodes // B  # birth, then length - 1, the last item's slot
+    at = pos.T.ravel()  # at[n + B]: the next position in n's row
+    death = np.maximum.reduceat(at[B:], nodes)  # its last child's birth
+    key = at[nodes] * L + nodes // B  # birth, then length - 1, the last item's slot
     by_birth = np.argsort(key)
     key, death = key[by_birth], death[by_birth]
     where = np.empty_like(by_birth)
     where[by_birth] = np.arange(len(nodes))
     parent = where[ids[nodes[by_birth] - B]]  # junk for one-item prefixes, never read
-    target = np.arange(len(nodes)) * k + key % k
-    born, deep = np.searchsorted(key, np.arange(m + 1)[:, None] * k + (0, 1)).T.tolist()
+    slot = key % L
+    index = np.arange(len(nodes))
+    born, deep = np.searchsorted(key, np.arange(m + 1)[:, None] * L + (0, 1)).T.tolist()
     live = np.searchsorted(np.maximum.accumulate(death), np.arange(m), side="right").tolist()
-    rows = where[ids[(k - 1) * B :]]
-    for array in (parent, target, rows):
+    last = pos[:, L]
+    by_read = np.argsort(last, kind="stable")
+    read = np.searchsorted(last[by_read], np.arange(m + 1)).tolist()
+    source = where[ids[(L - 1) * B :]][by_read]  # each row's parent, in read order
+    for array in (parent, slot, index, by_read, source):
         array.setflags(write=False)  # shared by every caller of the cached tree
     plan = tuple(
-        (t, born[t], deep[t], born[t + 1], live[t], parent[deep[t] : born[t + 1]], target[deep[t] : born[t + 1]])
-        for t in range(key[0] // k, m)
+        (
+            t, born[t], deep[t], born[t + 1], live[t], parent[deep[t] : born[t + 1]],
+            (index[deep[t] : born[t + 1]], slice(None), slot[deep[t] : born[t + 1]]),
+            (by_read[read[t] : read[t + 1]], source[read[t] : read[t + 1]]) if read[t + 1] > read[t] else None,
+        )
+        for t in range(key[0] // L, int(last.max()) + 1)
     )
-    return len(nodes), rows, plan
+    return len(nodes), plan
 
 
 def _enumerated_support(model):

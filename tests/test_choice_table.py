@@ -19,10 +19,12 @@ from shortlist import (
     choice_table,
     enumerate_best_menu,
 )
+from shortlist import collab
 from shortlist.choice import MENU_BLOCK, oracle_choice_dist
 from shortlist.collab import center_menu_rows, joint_pick_from_menus, menu_utility, menu_utility_table
 from shortlist.errors import DimensionError, DomainError
 from shortlist.experiments import sushi_profile, tension_population
+from shortlist.models import _mallows_pick_rows
 from shortlist.rankings import Population
 
 accuracies = st.floats(min_value=0.0, max_value=4.0, allow_nan=False)
@@ -127,6 +129,59 @@ class TestChoiceTable:
         menus = random_menus(rng, m, k, count)
         items = np.take_along_axis(menus, np.argsort(ranks[menus], axis=1), axis=1)  # in model order
         assert model.pick_rows(ranks[items]).tobytes() == choice_table(model, items).tobytes()
+
+    @given(
+        m=st.integers(1, 16),
+        phis=st.lists(st.one_of(st.sampled_from([0.0, 700.0]), accuracies), min_size=1, max_size=5),
+        layout=st.sampled_from(["lexicographic", "shuffled", "repeated"]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_accuracy_axis_keeps_each_accuracys_bits(self, m, phis, layout, seed, data):
+        k = data.draw(st.integers(1, m), label="k")
+        count = data.draw(st.one_of(st.integers(1, 40), st.integers(MENU_BLOCK - 3, MENU_BLOCK + 60)), label="menus")
+        rng = np.random.default_rng(seed)
+        if data.draw(st.booleans(), label="repeat"):
+            phis = phis + [phis[int(rng.integers(len(phis)))]]
+        center = Ranking(tuple(int(x) for x in rng.permutation(m)))
+        ranks = np.asarray(center.positions, dtype=np.intp)
+        positions = np.sort(ranks[random_menus(rng, m, k, count)], axis=1)
+        if layout == "lexicographic":
+            positions = positions[np.lexsort(positions.T[::-1])]
+        elif layout == "repeated":
+            positions = positions[rng.integers(0, max(1, count // 3), count)]
+        rows = _mallows_pick_rows(positions, m, phis)
+        assert rows.shape == (len(phis), count, k)
+        checked = rng.choice(count, size=min(count, 25), replace=False)
+        for phi, got in zip(phis, rows):
+            model = MallowsModel(center, phi)
+            assert got.tobytes() == model.pick_rows(positions).tobytes()
+            for b in checked.tolist():
+                menu = [center.order[p] for p in positions[b].tolist()]
+                assert tuple(choice_dist(model, menu)[x] for x in menu) == tuple(got[b].tolist())
+
+    @given(
+        m=st.integers(2, 11),
+        phi=st.one_of(st.sampled_from([0.0, 700.0]), accuracies),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_row_depends_only_on_positions_up_to_its_last_item(self, m, phi, seed, data):
+        # a menu is read at the step of its last item: items inserted later,
+        # as in a larger universe, leave its row unchanged
+        k = data.draw(st.integers(1, m - 1), label="k")
+        rng = np.random.default_rng(seed)
+        positions = np.sort(random_menus(rng, m, k, data.draw(st.integers(1, 12), label="menus")), axis=1)
+        rows = MallowsModel(Ranking.identity(m), phi).pick_rows(positions)
+        for wider in range(m + 1, m + 6):
+            assert np.max(np.abs(MallowsModel(Ranking.identity(wider), phi).pick_rows(positions) - rows)) <= 1e-15
+        if m <= 7:
+            model = MallowsModel(Ranking.identity(m), phi)
+            for menu, row in zip(positions.tolist(), rows):
+                oracle = oracle_choice_dist(model, menu)
+                assert np.max(np.abs(row - [oracle[x] for x in menu])) <= 1e-12
 
     def test_explicit_model_rows(self, rng):
         model = explicit_model(rng, 5)
@@ -259,23 +314,25 @@ class TestTableAgreement:
             for col, h in enumerate(pop):
                 assert table[row, col] == menu_utility(h, menu)
 
-    def test_one_phi_shares_pick_rows_and_keeps_each_types_bits(self, rng, monkeypatch):
-        # C(13, 4) = 715 menus in two blocks; Mallows types of one phi, each with its own center and values
+    def test_one_kernel_call_per_block_keeps_each_types_bits(self, rng, monkeypatch):
+        # C(13, 4) = 715 menus; Mallows types at two accuracies, each with its own center and values
         m, k = 13, 4
         types = []
-        for _ in range(4):
-            model = mallows_model(rng, m, 0.8)
+        for phi in (0.8, 1.7, 0.8, 1.7):
+            model = mallows_model(rng, m, phi)
             values = ValueProfile(tuple(sorted(rng.uniform(0.0, 5.0, m).tolist(), reverse=True)))
             types.append(HumanType(model.center, model, values, 0.25))
         pop = Population(tuple(types))
         want = [[u.hex() for u in menu_utility_table(Population.single(h), k)[1][:, 0].tolist()] for h in pop]
-        blocks = []
-        pick_rows = MallowsModel.pick_rows
+        calls = []
+        kernel = collab._mallows_pick_rows
         monkeypatch.setattr(
-            MallowsModel, "pick_rows", lambda model, menus: blocks.append(len(menus)) or pick_rows(model, menus)
+            collab, "_mallows_pick_rows", lambda pos, m, phis: calls.append((len(pos), list(phis))) or kernel(pos, m, phis)
         )
+        monkeypatch.setattr(MallowsModel, "pick_rows", None)  # the table never scores one accuracy alone
         menus, table = menu_utility_table(pop, k)
-        assert blocks == [MENU_BLOCK, len(menus) - MENU_BLOCK]
+        size = MENU_BLOCK // 2  # (menu, accuracy) pairs per block
+        assert calls == [(size, [0.8, 1.7]), (size, [0.8, 1.7]), (len(menus) - 2 * size, [0.8, 1.7])]
         assert [[u.hex() for u in column] for column in table.T.tolist()] == want
 
 

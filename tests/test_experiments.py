@@ -116,6 +116,9 @@ class TestSushiFixture:
     def test_modal_ranking(self):
         assert sushi_profile().modal_ranking() == R(3, 4, 1, 0, 2)
 
+    def test_parsed_once_per_process(self):
+        assert sushi_profile() is sushi_profile()
+
     def test_population_weights(self):
         pop = sushi_profile().to_population(1.0)
         assert math.fsum(pop.weights()) == pytest.approx(1.0, abs=1e-12)

@@ -242,6 +242,17 @@ class TestInsertionTable:
         for t in range(1, 5):
             assert tuple(probs[t - 1, :t]) == pytest.approx(tuple([1 / t] * t))
 
+    def test_one_exp_over_the_grid_has_the_bits_of_one_exp_per_step(self, rng):
+        for _ in range(100):
+            m = int(rng.integers(1, 40))
+            phi = float(rng.choice([0.0, 700.0, 1e300, rng.uniform(0.0, 5.0), rng.exponential(20.0)]))
+            want = np.zeros((m, m))
+            for t in range(1, m + 1):
+                with np.errstate(over="ignore"):
+                    want[t - 1, :t] = np.exp(-phi * (t - np.arange(1, t + 1, dtype=float)))
+                want[t - 1, :t] /= row_z(t, phi)
+            assert _insertion_rows(m, phi)[0].tobytes() == want.tobytes()
+
     def test_rows_sum_to_one_and_gamma_monotone(self, rng):
         for _ in range(20):
             m = int(rng.integers(1, 9))
