@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from .collab import center_menu_rows, center_utilities, expected_utility, joint_pick_dist, menu_utility_table
 from .errors import DomainError
 from .models import MallowsModel, PlackettLuceModel, _check_items, _logistic, policy_ranking_model
-from .rankings import AlgorithmPolicy, HumanType, Population, Ranking, ValueProfile, apply_swap, check_universe, is_number
+from .rankings import AlgorithmPolicy, HumanType, Population, Ranking, ValueProfile, apply_swap, check_universe, is_integer, is_number
 
 
 @dataclass(frozen=True)
@@ -101,8 +101,8 @@ def check_mallows_harmful(
     inversion growth of the item swap, so the verdict is sound for any
     algorithm distribution that ranks item i ahead of item j.
     """
-    if not 1 <= rank_i < rank_j <= values.m:
-        raise DomainError("need ranks 1 <= rank_i < rank_j <= m")
+    if not (is_integer(rank_i) and is_integer(rank_j) and 1 <= rank_i < rank_j <= values.m):
+        raise DomainError(f"need integer ranks 1 <= rank_i < rank_j <= {values.m}, got {rank_i!r}, {rank_j!r}")
     if not is_number(phi_h) or not 0 <= phi_h < math.inf:
         raise DomainError(f"accuracy phi_h must be a nonnegative finite number, got {phi_h!r}")
     if phi_h == 0:
@@ -190,8 +190,8 @@ def check_pl_harmful(values: ValueProfile, beta: float, rank_j: int) -> Conditio
     """Harmfulness condition for a Plackett-Luce human: top value gap <= 1.27 beta."""
     if not is_number(beta) or not 0 < beta < math.inf:
         raise DomainError(f"noise scale beta must be a positive finite number, got {beta!r}")
-    if not 1 <= rank_j <= values.m:
-        raise DomainError("rank_j out of range")
+    if not (is_integer(rank_j) and 1 <= rank_j <= values.m):
+        raise DomainError(f"need an integer rank 1 <= rank_j <= {values.m}, got {rank_j!r}")
     lhs = values[0] - values[rank_j - 1]
     rhs = 1.27 * beta
     return ConditionVerdict(holds=lhs <= rhs, lhs=lhs, rhs=rhs)

@@ -399,12 +399,15 @@ def _fmt_ranking(r: Ranking) -> str:
 
 def _add_experiment_parser(sub):
     p = sub.add_parser("experiment", help="run a shipped experiment, write CSV")
-    p.add_argument("name", nargs="?", choices=list(EXPERIMENTS), help="experiment name (or use --config)")
     p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--output", default=None, help="CSV destination")
-    for flag, _, options in _EXPERIMENT_FLAGS.values():
-        p.add_argument(flag, default=None, **options)
     p.set_defaults(func=_cmd_experiment)
+    names = p.add_subparsers(dest="name", help="experiment name (or use --config)")
+    for name, (_, knobs) in EXPERIMENTS.items():
+        run = names.add_parser(name)
+        run.add_argument("--output", required=True, help="CSV destination")
+        for key, (flag, _, options) in _EXPERIMENT_FLAGS.items():
+            if key in knobs:
+                run.add_argument(flag, default=None, **options)
 
 
 # experiment flags by config key (the argparse dest): the flag, the element
@@ -415,30 +418,22 @@ _EXPERIMENT_FLAGS = {
     "gamma": ("--gamma", None, {"type": float}),
     "phi_grid": ("--phi-grid", float, {"help": "comma-separated accuracies"}),
     "beta_grid": ("--beta-grid", float, {"help": "comma-separated value decays"}),
-    "sizes": ("--sizes", int, {"help": "comma-separated m values (bench)"}),
+    "sizes": ("--sizes", int, {"help": "comma-separated m values"}),
     "solver": ("--solver", None, {"choices": ["bnb", "mip"]}),
 }
 
 
 def _cmd_experiment(args) -> int:
     """Run the named experiment, or ``--config``, through ``run_config``."""
-    given = {key: getattr(args, key) for key in _EXPERIMENT_FLAGS if getattr(args, key) is not None}
-    if args.config:
-        if args.name or args.output or given:
-            raise ShortlistError("--config takes no experiment name, --output or experiment flags")
-        config = args.config
-    else:
-        if not args.name:
-            raise ShortlistError("give an experiment name or --config")
-        if not args.output:
-            raise ShortlistError("--output is required")
+    if (args.name is None) == (args.config is None):
+        raise ShortlistError("give either an experiment name or --config")
+    config = args.config
+    if args.name:
         config = {"experiment": args.name, "output": args.output}
-        _, knobs = EXPERIMENTS[args.name]
-        for key, value in given.items():
-            flag, kind, _ = _EXPERIMENT_FLAGS[key]
-            if key not in knobs:
-                raise ShortlistError(f"{flag} does not apply to the {args.name!r} experiment")
-            config[key] = value if kind is None else _numbers(value.split(","), kind, flag)
+        for key, (flag, kind, _) in _EXPERIMENT_FLAGS.items():
+            value = getattr(args, key, None)
+            if value is not None:
+                config[key] = value if kind is None else _numbers(value.split(","), kind, flag)
     for path in run_config(config):
         print(f"wrote {path}")
     return 0

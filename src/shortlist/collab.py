@@ -27,6 +27,9 @@ def joint_pick_from_menus(h: HumanType, menus: dict[frozenset[int], float]) -> P
     over the law, so it is exactly rounded and does not depend on the law's
     order; the support is every item of a menu with nonzero probability.
     """
+    # is_integer reads only an item's type, so one item of each type stands for all
+    if not all(map(is_integer, {type(x): x for menu in menus for x in menu}.values())):
+        raise DomainError("menu items must be integers")
     by_size: dict[int, tuple[list, list]] = {}
     for menu, p_menu in menus.items():
         if p_menu != 0.0:

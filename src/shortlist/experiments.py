@@ -72,13 +72,12 @@ class PreferenceProfile:
     def to_population(self, phi_h: float, values: ValueProfile | None = None) -> Population:
         """Population of Mallows humans, weighted by profile fractions."""
         values = values if values is not None else borda_values(self.m)
-        fracs = self.fractions()
-        return Population(
-            tuple(
-                HumanType(r, MallowsModel(r, phi_h), values, w)
-                for (r, _), w in zip(self.entries, fracs)
-            )
-        )
+        return _mallows_population(values, zip([r for r, _ in self.entries], self.fractions()), phi_h)
+
+
+def _mallows_population(values: ValueProfile, centers, phi_h: float) -> Population:
+    """One Mallows(phi_h) type with ``values`` per (center, weight) pair of ``centers``, in that order."""
+    return Population(tuple(HumanType(gt, MallowsModel(gt, phi_h), values, w) for gt, w in centers))
 
 
 def _parse_ranking_tokens(tokens, m_expected: int | None, line_no: int) -> Ranking:
@@ -296,14 +295,9 @@ def _head_orders(m: int, t: int, gamma: float) -> list[tuple[Ranking, float]]:
     ]
 
 
-def _head_population(values: ValueProfile, heads, phi_h: float) -> Population:
-    """One Mallows(phi_h) type per ``_head_orders`` entry, at that order with its weight."""
-    return Population(tuple(HumanType(gt, MallowsModel(gt, phi_h), values, w) for gt, w in heads))
-
-
 def tension_population(gamma: float, phi_h: float) -> Population:
     """Six types differing only in their top-3 order, weighted Mallows(gamma)."""
-    return _head_population(ValueProfile(TENSION_VALUES), _head_orders(len(TENSION_VALUES), 3, gamma), phi_h)
+    return _mallows_population(ValueProfile(TENSION_VALUES), _head_orders(len(TENSION_VALUES), 3, gamma), phi_h)
 
 
 def tension_experiment(gamma: float = 3.0, phi_grid=TENSION_PHI_GRID, k: int = 3) -> list[dict]:
@@ -329,7 +323,7 @@ def tension_experiment(gamma: float = 3.0, phi_grid=TENSION_PHI_GRID, k: int = 3
     menus, tables, _ = _grid_tables(phis, values, [gt for gt, _ in heads], k)
     rows: list[dict] = []
     for phi_h, table in zip(phis, tables):
-        pop = _head_population(values, heads, phi_h)
+        pop = _mallows_population(values, heads, phi_h)
         unconstrained = enumerate_best_menu(pop, k, table=(menus, table))
         constrained = optimize_with_uplift(pop, k, table=(menus, table))
         rows.append(
@@ -354,15 +348,9 @@ def _bench_values(m: int) -> ValueProfile:
 
 
 def _bench_two_type_population(m: int) -> Population:
-    gt1 = Ranking.identity(m)
-    gt2 = apply_swap(gt1, 0, 3)
-    values = _bench_values(m)
-    return Population(
-        (
-            HumanType(gt1, MallowsModel(gt1, 1.0), values, 0.5),
-            HumanType(gt2, MallowsModel(gt2, 1.0), values, 0.5),
-        )
-    )
+    """Two Mallows(1) types, the identity and the identity with its first and fourth items swapped."""
+    gt = Ranking.identity(m)
+    return _mallows_population(_bench_values(m), [(gt, 0.5), (apply_swap(gt, 0, 3), 0.5)], 1.0)
 
 
 def mip_bench(
@@ -396,7 +384,7 @@ def mip_bench(
             pop = _bench_two_type_population(m)
             rows.append(_bench_row("two-type", pop, m, k, solver))
     for t in type_counts:
-        pop = _head_population(_bench_values(m_pop), _head_orders(m_pop, t, 1.0), 1.0)
+        pop = _mallows_population(_bench_values(m_pop), _head_orders(m_pop, t, 1.0), 1.0)
         rows.append(_bench_row(f"mallows-pop(t={t})", pop, m_pop, min(k_list), solver))
     return rows
 

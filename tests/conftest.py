@@ -12,12 +12,15 @@ def make_ranking(*items) -> Ranking:
 
 
 def declared_flags() -> dict[str, set[str]]:
-    """Each leaf subcommand of the CLI parser ("analyze swap") and the flags it declares, -h aside."""
+    """Each command line the CLI parser runs ("analyze swap") and the flags its last word declares, -h aside.
+
+    That is each leaf subcommand, and each subcommand whose own subcommand may be left out (``experiment --config``).
+    """
     leaves = {}
 
     def walk(parser, words):
         subcommands = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        if not subcommands:
+        if not any(a.required for a in subcommands):
             leaves[" ".join(words)] = {flag for a in parser._actions for flag in a.option_strings} - {"-h", "--help"}
         for action in subcommands:
             for name, child in action.choices.items():

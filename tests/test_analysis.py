@@ -150,6 +150,12 @@ class TestMallowsHarmful:
         with pytest.raises(DomainError, match="phi_h must be a nonnegative finite number"):
             check_mallows_harmful(ValueProfile((1.0, 0.9, 0.5, 0.0)), phi_h, 2, 3)
 
+    @pytest.mark.parametrize("ranks", [(1.5, 2), (1, 2.0), (True, 2)], ids=["float-i", "float-j", "bool-i"])
+    def test_ranks_must_be_integers(self, ranks):
+        # a float rank would index the values, and True would be read as rank 1
+        with pytest.raises(DomainError, match="integer ranks"):
+            check_mallows_harmful(ValueProfile((3.0, 2.0, 1.0)), 1.0, *ranks)
+
     def test_near_top_item_holds(self):
         # x_i nearly top valued, adjacent swap: demoting it must be harmful
         verdict = check_mallows_harmful(ValueProfile((1.0, 0.9, 0.5, 0.0)), 1.0, 2, 3)
@@ -237,6 +243,11 @@ class TestPlHarmful:
     def test_scale_must_be_a_number(self, beta):
         with pytest.raises(DomainError, match="beta must be a positive finite number"):
             check_pl_harmful(ValueProfile((1.0, 0.5, 0.0)), beta, 3)
+
+    @pytest.mark.parametrize("rank_j", [2.0, 2.5, True])
+    def test_rank_must_be_an_integer(self, rank_j):
+        with pytest.raises(DomainError, match="integer rank"):
+            check_pl_harmful(ValueProfile((3.0, 2.0, 1.0)), 1.0, rank_j)
 
     def test_unit_gap_holds(self):
         verdict = check_pl_harmful(ValueProfile((1.0, 0.5, 0.0)), 1.0, 3)

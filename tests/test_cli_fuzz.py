@@ -39,7 +39,8 @@ POPULATION = {"--profile": PATHS, "--phi-h": NUMBERS, "--values": VALUES}
 MODEL = {"--center": RANKINGS, "--phi": NUMBERS, "--pl-values": VALUES, "--beta": NUMBERS}
 # the bench experiment's default sizes take seconds; the fuzz keeps m small
 BENCH_SIZES = ["4", "4,5", "3", "x", "", "4,,5"]
-# each leaf subcommand and its flags, the positional (None) first
+# each command line the parser runs and its flags; a positional (None) comes last,
+# and its token may carry flags of its own
 COMMANDS = {
     "prob perm": {**MODEL, "--ranking": RANKINGS},
     "prob pairwise": {**MODEL, "--pair": PAIRS},
@@ -52,11 +53,11 @@ COMMANDS = {
     "analyze harmful": {"--values": VALUES, "--phi-h": NUMBERS, "--beta": NUMBERS, "--ranks": PAIRS},
     "analyze helpful": {**HUMAN, "--alg-center": RANKINGS, "--phi-a": NUMBERS, "--ranks": PAIRS},
     "analyze order": {**HUMAN, "--phi-a": NUMBERS, "-k": INTS, "--candidates": ["1 2 3; 2 1 3", "1 2 3;", "1 x 3; 3 2 1", "", ";"]},
-    "experiment": {
-        None: ["sushi", "tension", "beta-sweep", "bench", "bogus"],
-        "--config": PATHS, "--output": PATHS, "--profile": PATHS, "-k": INTS, "--gamma": NUMBERS,
-        "--phi-grid": GRIDS, "--beta-grid": GRIDS, "--solver": ["bnb", "mip"], "--sizes": BENCH_SIZES,
-    },
+    "experiment": {"--config": PATHS, None: ["sushi", "sushi --output @ok.csv", "bogus"]},
+    "experiment sushi": {"--output": PATHS, "--profile": PATHS, "-k": INTS, "--phi-grid": GRIDS},
+    "experiment tension": {"--output": PATHS, "-k": INTS, "--gamma": NUMBERS, "--phi-grid": GRIDS},
+    "experiment beta-sweep": {"--output": PATHS, "-k": INTS, "--beta-grid": GRIDS},
+    "experiment bench": {"--output": PATHS, "--sizes": BENCH_SIZES, "--solver": ["bnb", "mip"]},
 }
 
 
@@ -78,13 +79,11 @@ def argvs(draw):
     command = draw(st.sampled_from(sorted(COMMANDS)))
     argv = command.split()
     for flag, tokens in COMMANDS[command].items():
-        if flag == "--sizes":  # small sizes, and only for the bench experiment
-            if argv[:2] != ["experiment", "bench"]:
-                continue
-        elif draw(st.integers(0, 3)) == 0:  # each other flag is left out a quarter of the time
+        # each flag is left out a quarter of the time, but --sizes always keeps the bench small
+        if flag != "--sizes" and draw(st.integers(0, 3)) == 0:
             continue
         token = draw(st.sampled_from(tokens))
-        argv += [token] if flag is None else [flag] if token is FLAG else [flag, token]
+        argv += token.split() if flag is None else [flag] if token is FLAG else [flag, token]
     return argv
 
 
@@ -181,7 +180,7 @@ def test_help_lists_each_flag_once(capsys, command):
 
 
 def test_fuzz_table_follows_the_parser():
-    # every leaf subcommand has an entry, none is stale, and each draws exactly its declared flags
+    # every command line the parser runs has an entry, none is stale, and each draws exactly its declared flags
     declared = declared_flags()
     assert sorted(COMMANDS) == sorted(declared)
     for command, flags in declared.items():

@@ -134,6 +134,17 @@ class TestJointPick:
         with pytest.raises(CapacityError, match=re.escape("C(60,5) = 5461512 menus exceeds")):
             joint_pick_dist(h, AlgorithmPolicy(center, 1.0, k))
 
+    @pytest.mark.parametrize("menu", [frozenset({0.5, 1.7}), frozenset({0.0, 1.0}), frozenset({"a", "b"}), frozenset({True, 2})])
+    def test_menu_of_non_integer_items_is_refused(self, menu):
+        # as choice_dist and choice_table refuse it, not truncated to a menu of integers
+        h = aligned_human(m=4)
+        with pytest.raises(DomainError):
+            choice_dist(h.noise, menu)
+        with pytest.raises(DomainError):
+            collab.joint_pick_from_menus(h, {menu: 1.0})
+        with pytest.raises(DomainError):
+            collab.joint_pick_from_menus(h, {frozenset({0, 1}): 0.5, menu: 0.5})
+
     def test_equal_laws_in_any_order_give_equal_pick_laws(self, rng):
         for _ in range(10):
             m = int(rng.integers(5, 9))

@@ -562,7 +562,7 @@ class TestCsvAndConfig:
         # m = 30 is past the enumeration check, m = 8 is not (C(8, 4) = 70)
         out = tmp_path / "bench.csv"
         run_config({"experiment": "bench", "output": str(out), "sizes": [30, 8], "k_list": [4], "type_counts": [1]})
-        rows = list(csv.DictReader(out.open()))
+        rows = list(csv.DictReader(out.read_text().splitlines()))
         assert [r["m"] for r in rows] == ["30", "8", "30"]
         assert [r["welfare_gap_vs_enumeration"] != "" for r in rows] == [False, True, False]
         assert float(rows[1]["welfare_gap_vs_enumeration"]) <= 1e-9
@@ -611,7 +611,7 @@ class TestCsvAndConfig:
             assert name in message
 
 
-# a valid run of each prob query and swap condition; each declares only the flags it reads
+# a valid run of each prob query, swap condition and experiment; each declares only the flags it reads
 ONE_QUESTION = {
     "prob perm": ["--center", "1 2 3", "--phi", "0.5", "--ranking", "2 1 3"],
     "prob pairwise": ["--center", "1 2 3", "--phi", "0.5", "--pair", "1 3"],
@@ -620,6 +620,10 @@ ONE_QUESTION = {
     "analyze harmful": ["--values", "3 2 1", "--phi-h", "1", "--ranks", "1 2"],
     "analyze helpful": ["--values", "100 2 1 1", "--human-center", "1 2 3 4", "--phi-h", "1",
                         "--alg-center", "1 2 3 4", "--phi-a", "1", "--ranks", "2 3"],
+    "experiment sushi": ["--profile", "{tmp}/profile.txt", "-k", "2", "--phi-grid", "0.5", "--output", "{tmp}/out.csv"],
+    "experiment tension": ["--gamma", "1", "-k", "2", "--phi-grid", "0.5", "--output", "{tmp}/out.csv"],
+    "experiment beta-sweep": ["-k", "2", "--beta-grid", "0.5", "--output", "{tmp}/out.csv"],
+    "experiment bench": ["--sizes", "4", "--solver", "bnb", "--output", "{tmp}/out.csv"],
 }
 DECLARED = declared_flags()
 FOREIGN_FLAGS = [
@@ -631,8 +635,9 @@ FOREIGN_FLAGS = [
 
 class TestCli:
     @pytest.mark.parametrize("command, flag", FOREIGN_FLAGS, ids=[f"{c}-{f}" for c, f in FOREIGN_FLAGS])
-    def test_a_flag_another_question_reads_is_refused(self, capsys, command, flag):
-        argv = [*command.split(), *ONE_QUESTION[command]]
+    def test_a_flag_another_question_reads_is_refused(self, tmp_path, capsys, command, flag):
+        (tmp_path / "profile.txt").write_text("2 1 2 3\n1 2 1 3\n")
+        argv = [*command.split(), *(a.replace("{tmp}", str(tmp_path)) for a in ONE_QUESTION[command])]
         assert cli.main(argv) == 0
         capsys.readouterr()
         assert cli.main([*argv, flag, "1"]) == 2
@@ -989,6 +994,8 @@ class TestCli:
             ["experiment", "bench", "-k", "2", "--sizes", "5", "--output", "{tmp}/out.csv"],
             ["experiment", "tension", "--sizes", "5", "--output", "{tmp}/out.csv"],
             ["experiment", "beta-sweep", "--phi-grid", "0.5", "--output", "{tmp}/out.csv"],
+            ["experiment", "--config", "{tmp}/config.json", "sushi", "--output", "{tmp}/out.csv"],
+            ["experiment", "bogus", "--output", "{tmp}/out.csv"],
         ],
     )
     def test_flag_that_does_not_apply_is_an_error(self, tmp_path, capsys, argv):
@@ -1161,7 +1168,7 @@ class TestCli:
             for grid, path in paths.items():
                 assert cli.main(["experiment", "sushi", "--phi-grid", grid, "--output", str(path)]) == 0
         assert capsys.readouterr().err == ""
-        huge, large = ([row[1:] for row in csv.reader(path.open())] for path in paths.values())
+        huge, large = ([row[1:] for row in csv.reader(path.read_text().splitlines())] for path in paths.values())
         assert huge == large  # both accuracies give the noiseless pick
 
     def test_parser_is_built_once(self):
