@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
-from .models import _check_items
+from .errors import DomainError
+from .models import _check_items, _check_menus
 
 
 @dataclass(frozen=True)
@@ -66,22 +66,10 @@ def choice_table(model, menus) -> np.ndarray:
     model's own order (``model.ranks``), the rows are sorted by those
     positions, and ``model.pick_rows`` scores the sorted positions in blocks
     of ``MENU_BLOCK`` menus; a menu's row has the same bits as when it is
-    scored alone.
+    scored alone. ``models._check_menus`` checks the menus.
     """
-    menus = np.asarray(menus)
-    if menus.size and not np.issubdtype(menus.dtype, np.integer):
-        raise DomainError(f"menu items must be integers, got an array of {menus.dtype}")
-    menus = menus.astype(np.intp, copy=False)
-    if menus.ndim != 2:
-        raise DimensionError(f"menus must be a 2-d array, got shape {menus.shape}")
+    menus = _check_menus(model.m, menus)
     B, k = menus.shape
-    if k == 0:
-        raise DomainError("menu must be nonempty")
-    m = model.m
-    if menus.size and (menus.min() < 0 or menus.max() >= m):
-        raise DimensionError(f"menus contain items outside 0..{m - 1}")
-    if k > 1 and (np.diff(np.sort(menus, axis=1), axis=1) == 0).any():
-        raise DomainError("menu items must be distinct")
     ranks = np.asarray(model.ranks, dtype=np.intp)[menus]
     order = np.argsort(ranks, axis=1)
     rows = np.take_along_axis(ranks, order, axis=1)

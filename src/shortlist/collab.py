@@ -7,7 +7,7 @@ import numpy as np
 
 from .choice import MENU_BLOCK, PickDistribution, choice_dist, choice_table
 from .errors import DimensionError, DomainError
-from .models import MallowsModel, _mallows_pick_rows, k_menus, model_menu_distribution, policy_ranking_model
+from .models import MallowsModel, _mallows_pick_rows, k_menus, policy_ranking_model
 from .rankings import AlgorithmPolicy, HumanType, Population, check_universe, is_integer
 
 MC_BLOCK = 1 << 14  # Monte Carlo samples drawn per pass; bounds the sample arrays
@@ -19,43 +19,52 @@ def solo_pick_dist(h: HumanType) -> PickDistribution:
     return choice_dist(h.noise, range(h.m))
 
 
-def joint_pick_from_menus(h: HumanType, menus: dict[frozenset[int], float]) -> PickDistribution:
-    """Pick distribution when the menu itself is drawn from ``menus``.
+def _pick_law(h: HumanType, blocks) -> PickDistribution:
+    """Pick distribution when the menu is drawn from ``blocks``, (menus, law) pairs of (C, k) menus of one size.
 
-    Menus of each size are scored in one batched ``choice_table`` call. An
-    item's probability is one ``math.fsum`` of its pick masses p(S) P(x | S)
-    over the law, so it is exactly rounded and does not depend on the law's
-    order; the support is every item of a menu with nonzero probability.
+    Each block's menus of nonzero probability are scored in one
+    ``choice_table`` call. An item's probability is one ``math.fsum`` of its
+    pick masses p(S) P(x | S): exactly rounded, whatever the law's order.
+    The support is every item of a menu with nonzero probability.
     """
+    items, masses = [np.empty(0, dtype=np.intp)], [np.empty(0)]  # an empty law is PickDistribution's error
+    for menus, law in blocks:
+        keep = law != 0.0
+        items.append(menus[keep].ravel())
+        masses.append((choice_table(h.noise, menus[keep]) * law[keep, None]).ravel())
+    items = np.concatenate(items)
+    order = np.argsort(items, kind="stable")  # each item's masses, gathered in law order
+    keys, starts = np.unique(items[order], return_index=True)
+    flat = np.concatenate(masses)[order].tolist()
+    bounds = starts.tolist() + [len(flat)]
+    return PickDistribution({x: math.fsum(flat[i:j]) for x, i, j in zip(keys.tolist(), bounds, bounds[1:])})
+
+
+def joint_pick_from_menus(h: HumanType, menus: dict[frozenset[int], float]) -> PickDistribution:
+    """Pick distribution when the menu itself is drawn from ``menus``: ``_pick_law`` of its menus by size."""
     # is_integer reads only an item's type, so one item of each type stands for all
     if not all(map(is_integer, {type(x): x for menu in menus for x in menu}.values())):
         raise DomainError("menu items must be integers")
-    by_size: dict[int, tuple[list, list]] = {}
+    by_size: dict[int, list] = {}
     for menu, p_menu in menus.items():
-        if p_menu != 0.0:
-            rows, weights = by_size.setdefault(len(menu), ([], []))
-            rows.append(tuple(menu))
-            weights.append(p_menu)
-    mass: dict[int, list[float]] = {}  # an empty law is PickDistribution's error
-    for rows, weights in by_size.values():
-        rows = np.array(rows, dtype=np.intp)
-        picks = choice_table(h.noise, rows) * np.asarray(weights)[:, None]
-        for x, p in zip(rows.ravel().tolist(), picks.ravel().tolist()):
-            mass.setdefault(x, []).append(p)
-    return PickDistribution({x: math.fsum(mass[x]) for x in sorted(mass)})
+        by_size.setdefault(len(menu), []).append((tuple(menu), p_menu))
+    blocks = [(np.array([s for s, _ in law], dtype=np.intp), np.array([p for _, p in law])) for law in by_size.values()]
+    return _pick_law(h, blocks)
 
 
 def joint_pick_dist(h: HumanType, a: AlgorithmPolicy) -> PickDistribution:
     """Exact pick distribution of the human-algorithm system.
 
-    A noiseless policy's fixed menu is scored by ``choice_dist`` at any
-    C(m, k); only a noisy policy raises CapacityError above
-    ``MENU_ENUMERATION_CAP`` (use ``mc_joint_pick_dist`` then).
+    A noisy policy's ``topk_law`` over ``k_menus`` is scored by ``_pick_law``
+    and raises CapacityError above ``MENU_ENUMERATION_CAP`` (use
+    ``mc_joint_pick_dist`` then); a noiseless policy's fixed menu is scored
+    by ``choice_dist`` at any C(m, k).
     """
     check_universe(h, a)
     if a.is_noiseless:
         return choice_dist(h.noise, a.fixed_menu())
-    return joint_pick_from_menus(h, model_menu_distribution(policy_ranking_model(a), a.menu_size))
+    menus = np.array(k_menus(h.m, a.menu_size), dtype=np.intp)
+    return _pick_law(h, [(menus, policy_ranking_model(a).topk_law(menus))])
 
 
 def mc_joint_pick_dist(
@@ -189,7 +198,7 @@ def center_utilities(table, model, rows: np.ndarray) -> np.ndarray:
 
     ``table`` is ``menu_utility_table``'s (menus, utilities) pair and
     ``model`` any curator's ranking model. With ``p`` the model's
-    ``model_menu_distribution``, read by position in ``k_menus`` order, entry
+    ``topk_law`` of the table's menus (``k_menus`` order), entry
     (c, t) is ``sum_T p[T] * utilities[rows[c, T], t]``, where ``rows[c, T]``
     is the table row of the menu the curator at c shows where ``model``
     shows its T-th menu. Identity rows (``np.arange(C(m, k))[None]``) score
@@ -197,17 +206,23 @@ def center_utilities(table, model, rows: np.ndarray) -> np.ndarray:
     center, the centers' ``center_menu_rows`` score a Mallows policy at each
     c, or a Plackett-Luce one whose values follow center position. Each entry
     is ``math.fsum`` of its terms, and menus of zero probability are skipped.
-    Returns (rows, types). A model over another item universe than the
-    table's, or ``rows`` not C(m, k) wide, is a DimensionError, raised before
-    the law is built.
+    Returns (rows, types). Before the law is built, a model over another item
+    universe than the table's, or ``rows`` not 2-d, not C(m, k) wide or not
+    table rows, is a DimensionError, and non-integer ``rows`` a DomainError.
     """
     menus, utilities = table
     m = menus[-1][-1] + 1  # the last k-menu ends with the last item
     if model.m != m:
         raise DimensionError(f"a curator model over {model.m} items for a menu table over {m} items")
+    if rows.ndim != 2:
+        raise DimensionError(f"rows must be a 2-d array of table rows, got shape {rows.shape}")
     if rows.shape[1] != len(menus):
         raise DimensionError(f"rows {rows.shape[1]} menus wide for a table of C({m}, {len(menus[0])}) = {len(menus)}")
-    p_id = np.fromiter(model_menu_distribution(model, len(menus[0])).values(), dtype=float)
+    if not np.issubdtype(rows.dtype, np.integer):
+        raise DomainError(f"rows must be integer table rows, got an array of {rows.dtype}")
+    if rows.size and (rows.min() < 0 or rows.max() >= len(menus)):
+        raise DimensionError(f"rows outside the table's 0..{len(menus) - 1}")
+    p_id = model.topk_law(np.array(menus, dtype=np.intp))
     support = np.flatnonzero(p_id)
     weights = p_id[support, None]
     rows = rows[:, support]

@@ -253,8 +253,9 @@ def beta_sweep(
     model, through one ``center_menu_rows``. The Mallows family's models do
     not depend on ``beta``: its whole grid is one population, one type per
     ``beta``, scored by one ``menu_utility_table`` and one
-    ``center_utilities`` call. The RUM family's models do, so it is scored
-    per ``beta``, from a one-type table.
+    ``center_utilities`` call. The RUM family's models do: its grid is one
+    ``menu_utility_table`` too, each type its own relabelling group, and
+    each ``beta`` is one ``center_utilities`` call on its own column.
     """
     _check_knobs("beta-sweep", beta_grid=beta_grid, m=m, k=k, phi=phi, gumbel_beta=gumbel_beta, families=families)
     if m > ENUMERATION_CAP:
@@ -271,10 +272,10 @@ def beta_sweep(
         pop = Population(tuple(HumanType(gt, mallows, vals, 1 / len(betas)) for vals in profiles))
         utilities["mallows"] = center_utilities(menu_utility_table(pop, k), mallows, rows)
     if "rum" in families:
-        humans = [HumanType(gt, PlackettLuceModel(vals.values, gumbel_beta), vals, 1.0) for vals in profiles]
-        utilities["rum"] = np.hstack(
-            [center_utilities(menu_utility_table(Population.single(h), k), h.noise, rows) for h in humans]
-        )
+        humans = tuple(HumanType(gt, PlackettLuceModel(v.values, gumbel_beta), v, 1 / len(betas)) for v in profiles)
+        menus, table = menu_utility_table(Population(humans), k)
+        each = [center_utilities((menus, table[:, [g]]), h.noise, rows) for g, h in enumerate(humans)]
+        utilities["rum"] = np.hstack(each)
     out: list[dict] = []
     for col, beta in enumerate(betas):
         for family, table in utilities.items():

@@ -10,7 +10,8 @@ library never asks which family it has:
   orders) and ``support`` (the enumeration oracle, refused above
   ``ENUMERATION_CAP`` items for the closed-form families);
 - ``topk_set_prob``, the law of the top-k set, whose singletons are the
-  first-item law, and ``pairwise_prob``, P[i before j] in either order;
+  first-item law, ``topk_law``, its bits over rows of (C, k) intp menus,
+  and ``pairwise_prob``, P[i before j] in either order;
 - ``ranks``, each item's position in the model's own order (the center for
   Mallows and Plackett-Luce, item order for explicit models), and
   ``pick_rows``, the pick probabilities of a block of menus given as rows
@@ -65,6 +66,27 @@ def _check_items(m: int, items) -> frozenset:
     if len(items) != len(given):
         raise DomainError(f"items must be distinct, got {list(given)}")
     return items
+
+
+def _check_menus(m: int, menus) -> np.ndarray:
+    """``menus`` as a (B, k) intp array under ``_check_items``'s rule, by array ops on an integer ndarray."""
+    # a list's items are checked by type (one item of each type) before numpy reads a bool as 0 or 1
+    listed = () if isinstance(menus, np.ndarray) else np.asarray(menus, dtype=object).ravel().tolist()
+    if not all(map(is_integer, {type(x): x for x in listed}.values())):
+        raise DomainError("menu items must be integers")
+    menus = np.asarray(menus)
+    if menus.size and not np.issubdtype(menus.dtype, np.integer):
+        raise DomainError(f"menu items must be integers, got an array of {menus.dtype}")
+    menus = menus.astype(np.intp, copy=False)
+    if menus.ndim != 2:
+        raise DimensionError(f"menus must be a 2-d array, got shape {menus.shape}")
+    if menus.shape[1] == 0:
+        raise DomainError("menu must be nonempty")
+    if menus.size and (menus.min() < 0 or menus.max() >= m):
+        raise DimensionError(f"menus contain items outside 0..{m - 1}")
+    if menus.shape[1] > 1 and (np.diff(np.sort(menus, axis=1), axis=1) == 0).any():
+        raise DomainError("menu items must be distinct")
+    return menus
 
 
 @lru_cache(maxsize=256)
@@ -248,6 +270,16 @@ class MallowsModel:
         for i in range(1, k + 1):
             log_p += math.log(zs[i - 1]) - math.log(zs[m - i])
         return math.exp(log_p)
+
+    def topk_law(self, menus: np.ndarray) -> np.ndarray:
+        """``topk_set_prob`` of each row of (C, k) intp item menus, once per sum of center positions.
+
+        P(S) depends on S only through that sum, which takes at most k (m - k) + 1 values.
+        """
+        menus = _check_menus(self.m, menus)
+        sums = np.asarray(self.ranks, dtype=np.intp)[menus].sum(axis=1)
+        _, first, back = np.unique(sums, return_index=True, return_inverse=True)
+        return np.array([self.topk_set_prob(menus[i].tolist()) for i in first.tolist()])[back]
 
     def sample_many(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw n rankings by repeated insertion of the center items, as (n, m) orders.
@@ -475,6 +507,10 @@ class PlackettLuceModel:
                 )
         return f[masks[-1]]
 
+    def topk_law(self, menus: np.ndarray) -> np.ndarray:
+        """``topk_set_prob`` of each row of (C, k) intp item menus, sharing its subset memo."""
+        return np.array([self.topk_set_prob(menu) for menu in _check_menus(self.m, menus).tolist()])
+
     @property
     def ranks(self) -> tuple[int, ...]:
         """Each item's center position: the order ``pick_rows`` takes rows in."""
@@ -550,6 +586,10 @@ class ExplicitModel:
         k = len(items)
         return math.fsum(p for r, p in self.entries if r.top(k) == items)
 
+    def topk_law(self, menus: np.ndarray) -> np.ndarray:
+        """``topk_set_prob`` of each row of (C, k) intp item menus."""
+        return np.array([self.topk_set_prob(menu) for menu in _check_menus(self.m, menus).tolist()])
+
     def pairwise_prob(self, i: int, j: int) -> float:
         """P[i before j], for either orientation of the pair."""
         _check_items(self.m, (i, j))
@@ -623,5 +663,6 @@ def k_menus(m: int, k: int) -> list[tuple[int, ...]]:
 
 
 def model_menu_distribution(model, k: int) -> dict[frozenset[int], float]:
-    """Distribution of the top-``k`` set of a sampled ranking, over all k-subsets."""
-    return {frozenset(s): model.topk_set_prob(s) for s in k_menus(model.m, k)}
+    """Distribution of the top-``k`` set over all k-subsets: the model's ``topk_law`` of ``k_menus`` as a dict."""
+    menus = k_menus(model.m, k)
+    return dict(zip(map(frozenset, menus), model.topk_law(np.array(menus, dtype=np.intp)).tolist()))

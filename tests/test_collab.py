@@ -161,6 +161,33 @@ class TestJointPick:
                 assert collab.joint_pick_from_menus(h, shuffled) == collab.joint_pick_from_menus(h, law)
 
 
+    def test_joint_pick_dist_has_the_bits_of_the_dict_law(self, rng):
+        for case in range(60):
+            m = int(rng.integers(2, 10))
+            k = int(rng.integers(1, m + 1))
+            gt = Ranking(tuple(int(x) for x in rng.permutation(m)))
+            if case % 3:
+                noise = MallowsModel(gt, float(rng.uniform(0, 3)))
+            else:
+                scores = sorted(rng.normal(0.0, 1.0, m).tolist(), reverse=True)  # decreasing along gt
+                noise = PlackettLuceModel(tuple(scores[p] for p in gt.positions), float(rng.uniform(0.1, 2)))
+            h = HumanType(gt, noise, borda_values(m), 1.0)
+            phi = (0.0, float(rng.uniform(0, 4)), 700.0, 1e-9)[case % 4]
+            a = AlgorithmPolicy(Ranking(tuple(int(x) for x in rng.permutation(m))), phi, k)
+            want = collab.joint_pick_from_menus(h, model_menu_distribution(policy_ranking_model(a), k))
+            got = joint_pick_dist(h, a)
+            assert list(got.probs) == list(want.probs)
+            assert [p.hex() for p in got.probs.values()] == [p.hex() for p in want.probs.values()]
+
+    def test_menus_of_zero_probability_are_dropped(self):
+        h = aligned_human(m=4)
+        law = {frozenset({0, 1}): 0.5, frozenset({1, 2}): 0.5, frozenset({2, 3}): 0.0, frozenset({3}): 0.0}
+        dist = collab.joint_pick_from_menus(h, law)
+        assert list(dist.probs) == [0, 1, 2]
+        with pytest.raises(DomainError, match="nonempty support"):
+            collab.joint_pick_from_menus(h, {frozenset({2, 3}): 0.0})
+
+
 class TestJointUtility:
     def test_noiseless_policy_above_the_cap_scores_its_fixed_menu(self):
         m, k = 60, 5  # C(60, 5) menus exceed MENU_ENUMERATION_CAP
@@ -242,17 +269,41 @@ class TestCenterUtilities:
         h = HumanType(Ranking.identity(4), MallowsModel(Ranking.identity(4), 1.0), borda_values(4), 1.0)
         return collab.menu_utility_table(Population.single(h), 2)
 
+    @staticmethod
+    def refuse_the_law(monkeypatch):
+        monkeypatch.setattr(MallowsModel, "topk_law", lambda *args: pytest.fail("the law was built"))
+
     @pytest.mark.parametrize("m", [3, 5])
     def test_model_over_another_item_universe(self, monkeypatch, m):
-        monkeypatch.setattr(collab, "model_menu_distribution", lambda *args: pytest.fail("the law was built"))
+        self.refuse_the_law(monkeypatch)
         with pytest.raises(DimensionError, match=f"model over {m} items for a menu table over 4 items"):
             collab.center_utilities(self.table(), MallowsModel(Ranking.identity(m), 1.0), np.arange(6)[None])
 
     @pytest.mark.parametrize("width", [5, 7])
     def test_rows_not_one_per_menu(self, monkeypatch, width):
-        monkeypatch.setattr(collab, "model_menu_distribution", lambda *args: pytest.fail("the law was built"))
+        self.refuse_the_law(monkeypatch)
         with pytest.raises(DimensionError, match=rf"rows {width} menus wide for a table of C\(4, 2\) = 6"):
             collab.center_utilities(self.table(), MallowsModel(Ranking.identity(4), 1.0), np.arange(width)[None])
+
+    @pytest.mark.parametrize("rows", [np.arange(6), np.arange(6)[None, None]], ids=["1-d", "3-d"])
+    def test_rows_not_2d(self, monkeypatch, rows):
+        self.refuse_the_law(monkeypatch)
+        with pytest.raises(DimensionError, match="rows must be a 2-d array of table rows"):
+            collab.center_utilities(self.table(), MallowsModel(Ranking.identity(4), 1.0), rows)
+
+    @pytest.mark.parametrize("rows", [np.arange(6.0)[None], np.ones((1, 6), dtype=bool)], ids=["float", "bool"])
+    def test_non_integer_rows(self, monkeypatch, rows):
+        self.refuse_the_law(monkeypatch)
+        with pytest.raises(DomainError, match="rows must be integer table rows"):
+            collab.center_utilities(self.table(), MallowsModel(Ranking.identity(4), 1.0), rows)
+
+    @pytest.mark.parametrize("bad", [-1, 6, 10])
+    def test_rows_outside_the_table(self, monkeypatch, bad):
+        self.refuse_the_law(monkeypatch)
+        rows = np.arange(6)[None].repeat(2, axis=0)
+        rows[1, 3] = bad
+        with pytest.raises(DimensionError, match=r"rows outside the table's 0\.\.5"):
+            collab.center_utilities(self.table(), MallowsModel(Ranking.identity(4), 1.0), rows)
 
     def test_matching_model_and_rows_score_the_joint_utility(self):
         h = HumanType(Ranking.identity(4), MallowsModel(Ranking.identity(4), 1.0), borda_values(4), 1.0)

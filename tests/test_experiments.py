@@ -346,17 +346,19 @@ class TestBetaSweep:
         ]
 
     @pytest.mark.parametrize(
-        "grid, families",
+        "grid, families, m, k, gumbel_beta",
         [
-            ((0.0, 0.5, 2.0, 6.0), ("mallows", "rum")),
-            ((1.5, 4.0), ("mallows",)),
-            ((1.5, 4.0), ("rum",)),
-            ((2.0, 0.5, 2.0), ("rum", "mallows")),
+            ((0.0, 0.5, 2.0, 6.0), ("mallows", "rum"), 4, 2, 0.1),
+            ((1.5, 4.0), ("mallows",), 4, 2, 0.1),
+            ((1.5, 4.0), ("rum",), 4, 2, 0.1),
+            ((2.0, 0.5, 2.0), ("rum", "mallows"), 4, 2, 0.1),
+            ((0.0, 0.3, 1.1, 2.9, 5.7), ("rum",), 5, 3, 0.7),
+            ((0.2, 3.0), ("rum",), 3, 1, 2.5),
         ],
-        ids=["both", "mallows", "rum", "repeated-beta"],
+        ids=["both", "mallows", "rum", "repeated-beta", "rum-m5-k3", "rum-m3-k1"],
     )
-    def test_rows_equal_one_table_per_beta_and_family(self, grid, families):
-        m, k, phi, gumbel_beta = 4, 2, 0.5, 0.1
+    def test_rows_equal_one_table_per_beta_and_family(self, grid, families, m, k, gumbel_beta):
+        phi = 0.5
         gt = Ranking.identity(m)
         centers = list(itertools.permutations(range(m)))
         rows = collab.center_menu_rows(centers, k)

@@ -25,6 +25,7 @@ from shortlist import (
     check_mallows_helpful,
     check_pl_helpful,
     choice_dist,
+    choice_table,
     derive_partial_order,
     joint_pick_dist,
     joint_utility,
@@ -49,6 +50,7 @@ REPEATED = {
     "oracle_choice_dist": lambda model: oracle_choice_dist(model, [1, 1, 2]),
     "topk_set_prob": lambda model: model.topk_set_prob((1, 1)),
     "topk_set_prob-triple": lambda model: model.topk_set_prob([2, 0, 2]),
+    "topk_law": lambda model: model.topk_law(np.array([[0, 2], [1, 1]])),
     "pairwise_prob": lambda model: model.pairwise_prob(1, 1),
     "psi-i-is-r": lambda model: psi(model, 1, 2, 1),
     "psi-j-is-r": lambda model: psi(model, 1, 2, 2),
@@ -77,6 +79,43 @@ def test_fixed_mip_menu_refuses_a_repeated_item():
     pop = Population((mallows_human(4),))
     with pytest.raises(DomainError, match="items must be distinct"):
         solve_mip(build_mip(pop, 2), fix_menu=(1, 1))
+
+
+@pytest.mark.parametrize(
+    "menus",
+    [[[True, 2]], [[0, 2], [1, False]], [(np.int64(1), np.True_)], [[1, 2.0]], [[1, 2], [3]]],
+    ids=["bool", "bool-in-a-later-row", "numpy-bool", "float", "ragged"],
+)
+@pytest.mark.parametrize("model", list(FAMILIES.values()), ids=list(FAMILIES))
+def test_choice_table_checks_list_items_before_numpy_converts_them(model, menus):
+    # numpy would read [[True, 2]] as the menu {1, 2}; choice_dist refuses [True, 2]
+    with pytest.raises(DomainError, match="menu items must be integers"):
+        choice_table(model, menus)
+
+
+@pytest.mark.parametrize(
+    "menus, error, match",
+    [
+        (np.array([[0, 2], [-1, 3]]), DimensionError, r"outside 0\.\.3"),
+        (np.array([[0, 4]]), DimensionError, r"outside 0\.\.3"),
+        (np.array([[0.0, 2.0]]), DomainError, "must be integers"),
+        ([[True, 2]], DomainError, "must be integers"),
+        (np.array([0, 2]), DimensionError, "2-d"),
+    ],
+    ids=["negative", "past-the-last-item", "float", "bool-list", "one-menu-1-d"],
+)
+@pytest.mark.parametrize("model", list(FAMILIES.values()), ids=list(FAMILIES))
+def test_topk_law_checks_its_menus_in_every_family(model, menus, error, match):
+    # numpy would wrap the item -1 to the last item's position
+    with pytest.raises(error, match=match):
+        model.topk_law(menus)
+
+
+def test_choice_table_takes_integer_lists_and_arrays_alike():
+    model = FAMILIES["mallows"]
+    menus = [[2, 0], [np.int64(1), 3]]
+    want = choice_table(model, np.array(menus, dtype=np.int32))
+    assert [row.hex() for row in choice_table(model, menus).ravel()] == [row.hex() for row in want.ravel()]
 
 
 def test_distinct_items_in_any_container_are_accepted():

@@ -586,7 +586,7 @@ def test_numpy_integers_are_items():
 def test_every_family_answers_the_same_queries(family):
     model = FAMILIES[family]()
     methods = {name for name, attr in vars(type(model)).items() if callable(attr) and not name.startswith("_")}
-    assert methods == {"perm_prob", "topk_set_prob", "pairwise_prob", "sample_many", "pick_rows", "support"}
+    assert methods == {"perm_prob", "topk_set_prob", "topk_law", "pairwise_prob", "sample_many", "pick_rows", "support"}
     assert model.m == len(model.ranks) == 4
     for i, j in itertools.permutations(range(4), 2):
         assert abs(model.pairwise_prob(i, j) + model.pairwise_prob(j, i) - 1.0) <= 4.5e-16
@@ -687,3 +687,60 @@ class TestMallowsLowerBounds:
             for s in range(1, k + 1):
                 cumulative = math.fsum(firsts[:s])
                 assert cumulative >= row_z(s, phi) / row_z(k, phi) - 1e-12
+
+
+class TestTopkLaw:
+    """``topk_law`` has the bits of one ``topk_set_prob`` call per menu, and ``model_menu_distribution`` is its dict view."""
+
+    @staticmethod
+    def assert_law_is_per_menu(model, k):
+        sets = list(itertools.combinations(range(model.m), k))
+        want = [model.topk_set_prob(s).hex() for s in sets]
+        menus = np.array(sets, dtype=np.intp)
+        assert [p.hex() for p in model.topk_law(menus).tolist()] == want
+        # rows in any order and with items in any order
+        shuffled = np.random.default_rng(k).permutation(len(sets))
+        flipped = menus[shuffled, ::-1]
+        assert [p.hex() for p in model.topk_law(flipped).tolist()] == [want[i] for i in shuffled]
+        law = model_menu_distribution(model, k)
+        assert list(law) == [frozenset(s) for s in sets]
+        assert [p.hex() for p in law.values()] == want
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_mallows(self, m):
+        rng = np.random.default_rng(100 + m)
+        for phi in (0.0, float(rng.uniform(0.0, 4.0)), 700.0, 1e-9):
+            model = MallowsModel(Ranking(tuple(int(x) for x in rng.permutation(m))), phi)
+            for k in range(1, m + 1):
+                self.assert_law_is_per_menu(model, k)
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_explicit(self, m):
+        rng = np.random.default_rng(200 + m)
+        perms = sorted({tuple(int(x) for x in rng.permutation(m)) for _ in range(8)})
+        weights = rng.dirichlet(np.ones(len(perms)))
+        model = ExplicitModel(tuple((Ranking(p), float(w)) for p, w in zip(perms, weights)))
+        for k in range(1, m + 1):
+            self.assert_law_is_per_menu(model, k)
+            for s in itertools.combinations(range(m), k):  # the support sum the explicit law is
+                want = math.fsum(p for r, p in model.support() if set(r.order[:k]) == set(s))
+                assert model.topk_set_prob(s).hex() == want.hex()
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_plackett_luce(self, m):
+        rng = np.random.default_rng(300 + m)
+        model = PlackettLuceModel(tuple(float(v) for v in rng.normal(0.0, 2.0, m)), float(rng.uniform(0.05, 3.0)))
+        for k in range(1, m + 1):
+            self.assert_law_is_per_menu(model, k)
+
+    def test_mallows_calls_topk_set_prob_once_per_position_sum(self, monkeypatch):
+        m, k = 9, 4
+        model = MallowsModel(Ranking(tuple(range(m))[::-1]), 0.8)
+        calls = []
+        original = MallowsModel.topk_set_prob
+        monkeypatch.setattr(
+            MallowsModel, "topk_set_prob", lambda self, items: calls.append(items) or original(self, items)
+        )
+        law = model.topk_law(np.array(list(itertools.combinations(range(m), k)), dtype=np.intp))
+        assert len(law) == math.comb(m, k)
+        assert len(calls) == len({sum(model.center.positions[x] for x in items) for items in calls}) == k * (m - k) + 1
