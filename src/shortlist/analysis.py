@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from .collab import center_menu_rows, center_utilities, expected_utility, joint_pick_dist, menu_utility_table
 from .errors import DomainError
 from .models import MallowsModel, PlackettLuceModel, _check_items, _logistic, policy_ranking_model
-from .rankings import AlgorithmPolicy, HumanType, Population, Ranking, ValueProfile, apply_swap, check_universe, is_integer, is_number
+from .rankings import AlgorithmPolicy, HumanType, Population, Ranking, ValueProfile, apply_swap, check_ranking_model, check_universe, is_integer, is_number
 
 
 @dataclass(frozen=True)
@@ -68,23 +68,14 @@ def psi(model, i: int, j: int, r: int) -> float:
     orientation rule, DomainError otherwise: a model with a center (Mallows,
     Plackett-Luce) must put ``i`` ahead of ``j`` there, and an explicit model
     in every ranking of its support, as a NOISELESS policy's point mass does.
-    A curator given as anything but a ranking model is a DomainError.
     """
-    _check_ranking_model(model)
+    check_ranking_model(model)
     _check_items(model.m, (i, j, r))
     center = getattr(model, "center", None)
     rankings = [center] if isinstance(center, Ranking) else [ranking for ranking, _ in model.support()]
     if any(ranking.position(i) > ranking.position(j) for ranking in rankings):
         raise DomainError(f"item {i} must be center-better than item {j}")
     return model.topk_set_prob((i, r)) - model.topk_set_prob((j, r))
-
-
-def _check_ranking_model(model) -> None:
-    if not hasattr(model, "topk_set_prob"):
-        raise DomainError(
-            f"the curator must be a ranking model, got {type(model).__name__}: "
-            "pass models.policy_ranking_model(policy) for a policy"
-        )
 
 
 def check_mallows_harmful(
@@ -148,8 +139,8 @@ def _helpful_witness(h: HumanType, a, i: int, j: int, terms) -> ConditionVerdict
     curator's ranking model, read through its top-2 sets as ``psi`` reads it:
     it must share the human's item universe and rank i ahead of j.
     """
+    check_ranking_model(a)
     check_universe(h, a)
-    _check_ranking_model(a)
     rank_i = h.ground_truth.position(i) + 1
     rank_j = h.ground_truth.position(j) + 1
     if rank_i >= rank_j:

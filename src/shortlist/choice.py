@@ -1,18 +1,18 @@
 """Probability that an item is ranked first among a presented menu.
 
 ``choice_table`` scores a batch of B menus of k items and ``choice_dist``
-scores one. Both validate the menus, map each to the sorted positions of its
+scores one. Both check the model (``rankings.check_ranking_model``) and the
+menus (``models._check_menus``), map each menu to the sorted positions of its
 items in the model's own order (``ranks``) and leave the family's math to the
-model's ``pick_rows`` (see ``models``), which reads positions, so neither
-knows the family. ``choice_table`` sorts the rows by those positions before
-it cuts them into blocks of ``MENU_BLOCK`` menus, so a block holds whole runs
-of menus with common leading items. For Mallows models the math is one
-insertion DP whose states are the distinct prefixes of a block's menus:
-menus that share leading items share those steps, and each whole menu is
-read at the step of its last item, whatever the block holds, so a menu has
-the same bits alone or in any batch. A menu table runs that DP directly on
-position sets, once per block for every Mallows accuracy it holds (see
-``collab.menu_utility_table``).
+model's ``pick_rows`` (see ``models``), so neither knows the family.
+``choice_table`` sorts the rows by those positions before it cuts them into
+blocks of ``MENU_BLOCK`` menus, so a block holds whole runs of menus with
+common leading items. For Mallows models the math is one insertion DP whose
+states are the distinct prefixes of a block's menus: menus that share leading
+items share those steps, and each whole menu is read at the step of its last
+item, whatever the block holds, so a menu has the same bits alone or in any
+batch. A menu table runs that DP directly on position sets, once per block for
+every Mallows accuracy it holds (see ``collab.menu_utility_table``).
 """
 from __future__ import annotations
 
@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import DomainError
 from .models import _check_items, _check_menus
+from .rankings import check_ranking_model
 
 
 @dataclass(frozen=True)
@@ -44,9 +45,6 @@ class PickDistribution:
     def __getitem__(self, item: int) -> float:
         return self.probs.get(item, 0.0)
 
-    def support(self) -> frozenset[int]:
-        return frozenset(x for x, p in self.probs.items() if p > 0)
-
     def items(self):
         return self.probs.items()
 
@@ -66,8 +64,9 @@ def choice_table(model, menus) -> np.ndarray:
     model's own order (``model.ranks``), the rows are sorted by those
     positions, and ``model.pick_rows`` scores the sorted positions in blocks
     of ``MENU_BLOCK`` menus; a menu's row has the same bits as when it is
-    scored alone. ``models._check_menus`` checks the menus.
+    scored alone. ``check_ranking_model`` and ``_check_menus`` check the input.
     """
+    check_ranking_model(model)
     menus = _check_menus(model.m, menus)
     B, k = menus.shape
     ranks = np.asarray(model.ranks, dtype=np.intp)[menus]
@@ -84,6 +83,7 @@ def choice_table(model, menus) -> np.ndarray:
 
 def choice_dist(model, items) -> PickDistribution:
     """Pick distribution over one menu, with the bits of its ``choice_table`` row."""
+    check_ranking_model(model)
     ranks = model.ranks
     menu = sorted(_check_items(model.m, items), key=ranks.__getitem__)
     row = model.pick_rows(np.array([[ranks[x] for x in menu]], dtype=np.intp))[0].tolist()

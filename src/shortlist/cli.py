@@ -18,7 +18,7 @@ from .analysis import (
     swap_effect,
 )
 from .choice import choice_dist
-from .collab import expected_utility, joint_pick_dist, joint_utility, solo_pick_dist
+from .collab import expected_utility, joint_pick_dist, joint_utility
 from .errors import CapacityError, DimensionError, DomainError, ShortlistError
 from .experiments import EXPERIMENTS, load_profile, run_config, sushi_profile
 from .models import MallowsModel, PlackettLuceModel, policy_ranking_model
@@ -229,7 +229,7 @@ def _add_collab_parser(sub):
 def _cmd_collab(args) -> int:
     human = _human_from_args(args)
     policy = _policy_from_args(args)
-    solo = solo_pick_dist(human)
+    solo = choice_dist(human.noise, range(human.m))
     joint = joint_pick_dist(human, policy)
     solo_u = expected_utility(solo, human)
     joint_u = joint_utility(human, policy)

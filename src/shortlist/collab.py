@@ -1,4 +1,7 @@
-"""Pick distributions, menu utility tables and expected utilities for solo and curated humans."""
+"""Pick distributions, menu utility tables and expected utilities for solo and curated humans.
+
+Curators pass ``rankings.check_ranking_model``, menu lists ``models._check_menus`` and centers ``center_menu_rows``.
+"""
 from __future__ import annotations
 
 import math
@@ -7,16 +10,11 @@ import numpy as np
 
 from .choice import MENU_BLOCK, PickDistribution, choice_dist, choice_table
 from .errors import DimensionError, DomainError
-from .models import MallowsModel, _mallows_pick_rows, k_menus, policy_ranking_model
-from .rankings import AlgorithmPolicy, HumanType, Population, check_universe, is_integer
+from .models import MallowsModel, _check_menus, _mallows_pick_rows, k_menus, policy_ranking_model
+from .rankings import AlgorithmPolicy, HumanType, Population, check_ranking_model, check_universe, is_integer, is_number
 
 MC_BLOCK = 1 << 14  # Monte Carlo samples drawn per pass; bounds the sample arrays
 PRODUCT_BLOCK = 1 << 16  # (center, menu) pairs per pass of center_utilities; bounds its memory
-
-
-def solo_pick_dist(h: HumanType) -> PickDistribution:
-    """Distribution of the item the human picks from the full universe."""
-    return choice_dist(h.noise, range(h.m))
 
 
 def _pick_law(h: HumanType, blocks) -> PickDistribution:
@@ -41,14 +39,14 @@ def _pick_law(h: HumanType, blocks) -> PickDistribution:
 
 
 def joint_pick_from_menus(h: HumanType, menus: dict[frozenset[int], float]) -> PickDistribution:
-    """Pick distribution when the menu itself is drawn from ``menus``: ``_pick_law`` of its menus by size."""
-    # is_integer reads only an item's type, so one item of each type stands for all
-    if not all(map(is_integer, {type(x): x for menu in menus for x in menu}.values())):
-        raise DomainError("menu items must be integers")
+    """Pick distribution when the menu is drawn from ``menus``: ``_pick_law`` of its menus by size, checked by ``_check_menus``."""
+    # is_number reads only a value's type, so one value of each type stands for all
+    if not all(map(is_number, {type(p): p for p in menus.values()}.values())):
+        raise DomainError("menu probabilities must be numbers")
     by_size: dict[int, list] = {}
     for menu, p_menu in menus.items():
         by_size.setdefault(len(menu), []).append((tuple(menu), p_menu))
-    blocks = [(np.array([s for s, _ in law], dtype=np.intp), np.array([p for _, p in law])) for law in by_size.values()]
+    blocks = [(_check_menus(h.m, [s for s, _ in law]), np.array([p for _, p in law])) for law in by_size.values()]
     return _pick_law(h, blocks)
 
 
@@ -99,7 +97,7 @@ def expected_utility(dist: PickDistribution, h: HumanType) -> float:
 
 
 def solo_utility(h: HumanType) -> float:
-    return expected_utility(solo_pick_dist(h), h)
+    return expected_utility(choice_dist(h.noise, range(h.m)), h)
 
 
 def _relabelling_groups(pop: Population) -> dict:
@@ -174,12 +172,14 @@ def center_menu_rows(centers, k: int) -> np.ndarray:
     """Each k-set of ``k_menus(m, k)`` moved by each permutation, shape (centers, sets).
 
     Entry (c, T) is the ``k_menus`` index of the sorted images of the T-th
-    set under row c of ``centers``, a (centers, m) array of permutations,
-    taken ``MENU_BLOCK`` sets at a time. For center orders it is the table
+    set under row c of ``centers``, a (centers, m) integer array of permutations
+    (the one center rule; else DomainError). For center orders it is the table
     row of the menu a policy at c presents where the identity's presents T;
     for a model's ``ranks``, the position set whose column entry menu T reads.
     """
-    centers = np.asarray(centers, dtype=np.intp)
+    centers = np.asarray(centers)
+    if centers.ndim != 2 or not np.issubdtype(centers.dtype, np.integer) or (np.sort(centers, axis=1) != np.arange(centers.shape[1])).any():
+        raise DomainError(f"centers must be a 2-d integer array of permutations of 0..m-1, got shape {centers.shape}")
     m = centers.shape[1]
     sets = np.array(k_menus(m, k), dtype=np.intp)
     total = len(sets)
@@ -208,8 +208,9 @@ def center_utilities(table, model, rows: np.ndarray) -> np.ndarray:
     is ``math.fsum`` of its terms, and menus of zero probability are skipped.
     Returns (rows, types). Before the law is built, a model over another item
     universe than the table's, or ``rows`` not 2-d, not C(m, k) wide or not
-    table rows, is a DimensionError, and non-integer ``rows`` a DomainError.
+    table rows, is a DimensionError, and a non-model or non-integer ``rows`` a DomainError.
     """
+    check_ranking_model(model)
     menus, utilities = table
     m = menus[-1][-1] + 1  # the last k-menu ends with the last item
     if model.m != m:

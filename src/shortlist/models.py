@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError, DimensionError, DomainError
-from .rankings import AlgorithmPolicy, Ranking, check_menu_size, check_universe, is_integer, is_number, kendall_tau
+from .rankings import AlgorithmPolicy, Ranking, check_menu_size, check_ranking_model, check_universe, is_integer, is_number, kendall_tau
 
 ENUMERATION_CAP = 7
 MENU_ENUMERATION_CAP = 10**6
@@ -664,5 +664,6 @@ def k_menus(m: int, k: int) -> list[tuple[int, ...]]:
 
 def model_menu_distribution(model, k: int) -> dict[frozenset[int], float]:
     """Distribution of the top-``k`` set over all k-subsets: the model's ``topk_law`` of ``k_menus`` as a dict."""
+    check_ranking_model(model)
     menus = k_menus(model.m, k)
     return dict(zip(map(frozenset, menus), model.topk_law(np.array(menus, dtype=np.intp)).tolist()))

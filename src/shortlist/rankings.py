@@ -2,7 +2,8 @@
 
 Items are plain integers ``0..m-1`` everywhere inside the library; the CLI
 translates to and from 1-indexed labels. All types here are immutable after
-construction and safe to share across workers.
+construction and safe to share across workers. The shared input rules live here:
+``is_integer``, ``is_number``, ``check_menu_size``, ``check_universe``, ``check_ranking_model``.
 """
 from __future__ import annotations
 
@@ -42,6 +43,12 @@ def check_menu_size(k: int, m: int) -> None:
     """Refuse a menu size that is not an integer in ``1..m`` (DomainError)."""
     if not is_integer(k) or not 1 <= k <= m:
         raise DomainError(f"menu size {k} out of range for m={m}")
+
+
+def check_ranking_model(model) -> None:
+    """Refuse a human's noise or a curator that is not a ranking model, a policy included (DomainError)."""
+    if not hasattr(model, "topk_set_prob"):
+        raise DomainError(f"expected a ranking model, got {type(model).__name__}: use models.policy_ranking_model for a policy")
 
 
 def check_universe(first, *others) -> None:
@@ -186,6 +193,7 @@ class HumanType:
     weight: float = 1.0
 
     def __post_init__(self):
+        check_ranking_model(self.noise)
         if not is_number(self.weight) or not 0 < self.weight <= 1:
             raise DomainError(f"weight must be a number in (0, 1]: {self.weight!r}")
         check_universe(self.ground_truth, self.values, self.noise)

@@ -43,7 +43,6 @@ from shortlist import (
     noisy_uplift_search,
     optimize_with_uplift,
     psi,
-    solo_pick_dist,
     solo_utility,
     solve_mip,
     swap_effect,
@@ -144,7 +143,7 @@ def test_criterion_2_aligned_uplift_exact_values():
 def test_criterion_3_deterministic_menu_fixes_the_pick():
     noise = ExplicitModel(((Ranking((0, 1, 2)), 0.9), (Ranking((1, 0, 2)), 0.1)))
     h = HumanType(Ranking((0, 1, 2)), noise, top_item_values(3), 1.0)
-    solo = solo_pick_dist(h)[0]
+    solo = choice_dist(h.noise, range(h.m))[0]
     policy = AlgorithmPolicy(Ranking((0, 2, 1)), NOISELESS, 2)  # menu {x1, x3}
     joint = joint_pick_dist(h, policy)[0]
     assert joint == 1.0
@@ -532,7 +531,7 @@ class TestCriterion10PropertySuites:
             h = mallows_human(gt, phi, ValueProfile(vals))
             a = AlgorithmPolicy(gt, phi, k)
             joint = joint_pick_dist(h, a)
-            solo = solo_pick_dist(h)
+            solo = choice_dist(h.noise, range(h.m))
             cum_joint = cum_solo = 0.0
             for i in range(T):
                 item = gt.order[i]

@@ -18,7 +18,6 @@ from shortlist import (
     joint_pick_dist,
     joint_utility,
     mc_joint_pick_dist,
-    solo_pick_dist,
     solo_utility,
     top_item_values,
     verify_uplift,
@@ -56,15 +55,17 @@ def double_enumeration_joint(h, policy):
 
 class TestSoloPick:
     def test_mallows_first_item_probs(self):
-        dist = solo_pick_dist(aligned_human())
+        h = aligned_human()
+        dist = choice_dist(h.noise, range(h.m))
         assert tuple(dist[x] for x in (0, 1, 2)) == pytest.approx((4 / 7, 2 / 7, 1 / 7), abs=1e-12)
 
     def test_explicit_human(self):
-        assert solo_pick_dist(fig1_human())[0] == pytest.approx(0.9)
+        h = fig1_human()
+        assert choice_dist(h.noise, range(h.m))[0] == pytest.approx(0.9)
 
     def test_near_noiseless_point_mass(self):
         h = aligned_human(phi=60.0)
-        assert solo_pick_dist(h)[0] == pytest.approx(1.0, abs=1e-12)
+        assert choice_dist(h.noise, range(h.m))[0] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestJointPick:
@@ -83,7 +84,7 @@ class TestJointPick:
         h = aligned_human(m=4, phi=0.8, values=borda_values(4))
         a = AlgorithmPolicy(R(2, 0, 3, 1), 1.3, 4)
         joint = joint_pick_dist(h, a)
-        solo = solo_pick_dist(h)
+        solo = choice_dist(h.noise, range(h.m))
         for x in range(4):
             assert joint[x] == pytest.approx(solo[x], abs=1e-12)
 
@@ -114,7 +115,7 @@ class TestJointPick:
         assert math.fsum(dist.probs.values()) == pytest.approx(1.0, abs=1e-9)
         menus = model_menu_distribution(policy_ranking_model(a), a.menu_size)
         reachable = frozenset().union(*menus)
-        assert dist.support() <= reachable
+        assert {x for x, p in dist.items() if p > 0} <= reachable
 
     def test_capacity_guard(self):
         m = 40
@@ -345,7 +346,7 @@ class TestStochasticDominance:
             h = HumanType(gt, MallowsModel(gt, phi), type(borda_values(m))(vals), 1.0)
             a = AlgorithmPolicy(gt, phi, k)
             joint = joint_pick_dist(h, a)
-            solo = solo_pick_dist(h)
+            solo = choice_dist(h.noise, range(h.m))
             cum_joint = cum_solo = 0.0
             for i in range(T):
                 item = gt.order[i]

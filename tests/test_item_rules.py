@@ -6,6 +6,11 @@
   (DimensionError) before any menu table or law is built.
 - ``analysis.psi`` holds every curator to one orientation rule: a center
   for Mallows and Plackett-Luce, every support ranking for an explicit model.
+- ``rankings.check_ranking_model`` refuses a human's noise or a curator that
+  is not a ranking model (DomainError) at every entry that takes one.
+- ``collab.center_menu_rows`` refuses centers that are not a 2-d integer
+  array of permutations (DomainError), and ``collab.joint_pick_from_menus``
+  a menu probability that is not a number.
 """
 import numpy as np
 import pytest
@@ -37,7 +42,7 @@ from shortlist import (
 from shortlist import analysis, collab, optimize
 from shortlist.choice import oracle_choice_dist
 from shortlist.errors import DimensionError, DomainError
-from shortlist.models import policy_ranking_model
+from shortlist.models import model_menu_distribution, policy_ranking_model
 
 FAMILIES = {
     "mallows": MallowsModel(R(0, 1, 2, 3), 0.7),
@@ -200,3 +205,46 @@ def test_well_oriented_explicit_curators_get_the_policy_verdict(check, h):
     mixed = ExplicitModel(((R(0, 1, 2, 3), 0.5), (R(1, 3, 0, 2), 0.5)))
     assert all(psi(mixed, 1, 2, r) >= 0 for r in (0, 3))
     assert check(h, mixed, 1, 2).lhs is not None
+
+
+# each entry whose argument is a human's noise or a curator's ranking model
+MODEL_ENTRIES = {
+    "HumanType": lambda model: HumanType(Ranking.identity(4), model, ValueProfile((3.0, 2.0, 1.0, 0.0))),
+    "choice_dist": lambda model: choice_dist(model, [0, 1]),
+    "choice_table": lambda model: choice_table(model, [[0, 1]]),
+    "model_menu_distribution": lambda model: model_menu_distribution(model, 2),
+    "center_utilities": lambda model: collab.center_utilities(
+        collab.menu_utility_table(Population((mallows_human(4),)), 2), model, np.arange(6)[None]),
+    "psi": lambda model: psi(model, 1, 2, 0),
+    "mallows-helpful": lambda model: check_mallows_helpful(mallows_human(4, (100.0, 2.0, 1.0, 1.0)), model, 1, 2),
+    "pl-helpful": lambda model: check_pl_helpful(pl_human((3.0, 2.0, 1.0, 0.0)), model, 1, 2),
+}
+
+
+@pytest.mark.parametrize(
+    "model", [AlgorithmPolicy(Ranking.identity(4), 1.0, 2), None, "mallows"], ids=["policy", "none", "string"]
+)
+@pytest.mark.parametrize("entry", list(MODEL_ENTRIES.values()), ids=list(MODEL_ENTRIES))
+def test_every_model_entry_refuses_what_is_not_a_ranking_model(entry, model):
+    # before the rule each ended in an AttributeError, or took the policy as a human's noise
+    with pytest.raises(DomainError, match=f"expected a ranking model, got {type(model).__name__}"):
+        entry(model)
+
+
+@pytest.mark.parametrize(
+    "centers",
+    [[[1, 1, 2, 3]], [[0.0, 1.0, 2.0, 3.0]], np.arange(4), [[0, 1, 2, 4]], np.array([[0, 1, 2, -1]])],
+    ids=["repeated-item", "floats", "1-d", "past-the-last-item", "negative"],
+)
+def test_center_menu_rows_refuses_what_is_not_a_permutation_array(centers):
+    # [[1, 1, 2, 3]] gave in-range rows that center_utilities scored as a center
+    with pytest.raises(DomainError, match="2-d integer array of permutations"):
+        collab.center_menu_rows(centers, 2)
+
+
+@pytest.mark.parametrize("value", ["1.0", None, True], ids=["string", "none", "bool"])
+def test_joint_pick_from_menus_refuses_a_probability_that_is_not_a_number(value):
+    with pytest.raises(DomainError, match="menu probabilities must be numbers"):
+        collab.joint_pick_from_menus(mallows_human(4), {frozenset({0, 1}): value})
+    with pytest.raises(DomainError, match="menu probabilities must be numbers"):
+        collab.joint_pick_from_menus(mallows_human(4), {frozenset({0, 1}): 0.5, frozenset({2, 3}): value})
