@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from .collab import center_menu_rows, center_utilities, expected_utility, joint_pick_dist, menu_utility_table
 from .errors import DomainError
 from .models import MallowsModel, PlackettLuceModel, _check_items, _logistic, policy_ranking_model
-from .rankings import AlgorithmPolicy, HumanType, Population, Ranking, ValueProfile, apply_swap, check_ranking_model, check_universe, is_integer, is_number
+from .rankings import AlgorithmPolicy, HumanType, Population, Ranking, ValueProfile, apply_swap, check_accuracy, check_ranking_model, check_universe, is_integer, is_number
 
 
 @dataclass(frozen=True)
@@ -47,12 +47,12 @@ def swap_effect(h: HumanType, a: AlgorithmPolicy, i: int, j: int) -> SwapReport:
     ``i`` must be strictly ahead of ``j`` in the policy's center; the swapped
     policy keeps the same accuracy and menu size.
     """
+    d1 = joint_pick_dist(h, a)
     if a.center.position(i) >= a.center.position(j):
         raise DomainError(
             f"item {i} must be ahead of item {j} in the algorithm center"
         )
     swapped = replace(a, center=apply_swap(a.center, i, j))
-    d1 = joint_pick_dist(h, a)
     d2 = joint_pick_dist(h, swapped)
     item_probs = {x: (d1[x], d2[x]) for x in range(h.m)}
     delta = expected_utility(d2, h) - expected_utility(d1, h)
@@ -94,8 +94,7 @@ def check_mallows_harmful(
     """
     if not (is_integer(rank_i) and is_integer(rank_j) and 1 <= rank_i < rank_j <= values.m):
         raise DomainError(f"need integer ranks 1 <= rank_i < rank_j <= {values.m}, got {rank_i!r}, {rank_j!r}")
-    if not is_number(phi_h) or not 0 <= phi_h < math.inf:
-        raise DomainError(f"accuracy phi_h must be a nonnegative finite number, got {phi_h!r}")
+    check_accuracy(phi_h, "phi_h")
     if phi_h == 0:
         return ConditionVerdict(
             holds=False, lhs=None, rhs=None, applicable=False,
@@ -235,13 +234,9 @@ class CandidateOrder:
 
 
 def _single_swap(a: Ranking, b: Ranking) -> tuple[int, int] | None:
+    """The two items ``a`` and ``b`` place differently, if only two: all else fixed, they swapped places."""
     diff = [x for x in range(a.m) if a.position(x) != b.position(x)]
-    if len(diff) != 2:
-        return None
-    x, y = diff
-    if a.position(x) == b.position(y) and a.position(y) == b.position(x):
-        return x, y
-    return None
+    return tuple(diff) if len(diff) == 2 else None
 
 
 def derive_partial_order(h: HumanType, candidates, phi_a: float, k: int) -> CandidateOrder:

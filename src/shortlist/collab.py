@@ -1,6 +1,6 @@
 """Pick distributions, menu utility tables and expected utilities for solo and curated humans.
 
-Curators pass ``rankings.check_ranking_model``, menu lists ``models._check_menus`` and centers ``center_menu_rows``.
+Curators pass ``rankings.check_ranking_model``, policies ``rankings.check_policy``, rows ``models._integer_rows``, centers ``center_menu_rows``.
 """
 from __future__ import annotations
 
@@ -10,8 +10,8 @@ import numpy as np
 
 from .choice import MENU_BLOCK, PickDistribution, choice_dist, choice_table
 from .errors import DimensionError, DomainError
-from .models import MallowsModel, _check_menus, _mallows_pick_rows, k_menus, policy_ranking_model
-from .rankings import AlgorithmPolicy, HumanType, Population, check_ranking_model, check_universe, is_integer, is_number
+from .models import MallowsModel, _check_menus, _integer_rows, _mallows_pick_rows, k_menus, policy_ranking_model
+from .rankings import AlgorithmPolicy, HumanType, Population, check_policy, check_ranking_model, check_universe, is_integer, is_number
 
 MC_BLOCK = 1 << 14  # Monte Carlo samples drawn per pass; bounds the sample arrays
 PRODUCT_BLOCK = 1 << 16  # (center, menu) pairs per pass of center_utilities; bounds its memory
@@ -39,7 +39,9 @@ def _pick_law(h: HumanType, blocks) -> PickDistribution:
 
 
 def joint_pick_from_menus(h: HumanType, menus: dict[frozenset[int], float]) -> PickDistribution:
-    """Pick distribution when the menu is drawn from ``menus``: ``_pick_law`` of its menus by size, checked by ``_check_menus``."""
+    """Pick distribution when the menu is drawn from the dict law ``menus``: ``_pick_law`` of its menus by size, checked by ``_check_menus``."""
+    if not isinstance(menus, dict):
+        raise DomainError(f"a menu law must be a dict of menus to probabilities, got {type(menus).__name__}")
     # is_number reads only a value's type, so one value of each type stands for all
     if not all(map(is_number, {type(p): p for p in menus.values()}.values())):
         raise DomainError("menu probabilities must be numbers")
@@ -58,6 +60,7 @@ def joint_pick_dist(h: HumanType, a: AlgorithmPolicy) -> PickDistribution:
     ``mc_joint_pick_dist`` then); a noiseless policy's fixed menu is scored
     by ``choice_dist`` at any C(m, k).
     """
+    check_policy(a)
     check_universe(h, a)
     if a.is_noiseless:
         return choice_dist(h.noise, a.fixed_menu())
@@ -77,6 +80,7 @@ def mc_joint_pick_dist(
     """
     if not is_integer(samples) or samples < 1:
         raise DomainError(f"need an integer number of samples, at least one, got {samples!r}")
+    check_policy(a)
     check_universe(h, a)
     model = policy_ranking_model(a)
     counts = np.zeros(h.m, dtype=np.int64)
@@ -162,7 +166,7 @@ def menu_utility_table(pop: Population, k: int):
                 picks[model] = heads[g].noise.pick_rows(block)
             columns[g, lo : lo + len(block)] = [math.fsum(row) for row in (picks[model] * values[g][block]).tolist()]
     table = np.empty((len(menus), pop.n))
-    rows = center_menu_rows([h.noise.ranks for h in pop], k)
+    rows = center_menu_rows(np.array([h.noise.ranks for h in pop], dtype=np.intp), k)
     for cols, column in zip(groups.values(), columns):
         table[:, cols] = column[rows[cols]].T
     return menus, table
@@ -177,9 +181,10 @@ def center_menu_rows(centers, k: int) -> np.ndarray:
     row of the menu a policy at c presents where the identity's presents T;
     for a model's ``ranks``, the position set whose column entry menu T reads.
     """
-    centers = np.asarray(centers)
-    if centers.ndim != 2 or not np.issubdtype(centers.dtype, np.integer) or (np.sort(centers, axis=1) != np.arange(centers.shape[1])).any():
-        raise DomainError(f"centers must be a 2-d integer array of permutations of 0..m-1, got shape {centers.shape}")
+    rule = "centers must be a 2-d integer array of permutations of 0..m-1"
+    centers = _integer_rows(centers, rule)
+    if centers.ndim != 2 or (np.sort(centers, axis=1) != np.arange(centers.shape[1])).any():
+        raise DomainError(f"{rule}, got shape {centers.shape}")
     m = centers.shape[1]
     sets = np.array(k_menus(m, k), dtype=np.intp)
     total = len(sets)
@@ -193,7 +198,7 @@ def center_menu_rows(centers, k: int) -> np.ndarray:
     return out
 
 
-def center_utilities(table, model, rows: np.ndarray) -> np.ndarray:
+def center_utilities(table, model, rows) -> np.ndarray:
     """Expected utility of every type under a curator's menu law, at each row of ``rows``.
 
     ``table`` is ``menu_utility_table``'s (menus, utilities) pair and
@@ -215,12 +220,11 @@ def center_utilities(table, model, rows: np.ndarray) -> np.ndarray:
     m = menus[-1][-1] + 1  # the last k-menu ends with the last item
     if model.m != m:
         raise DimensionError(f"a curator model over {model.m} items for a menu table over {m} items")
+    rows = _integer_rows(rows, "rows must be integer table rows")
     if rows.ndim != 2:
         raise DimensionError(f"rows must be a 2-d array of table rows, got shape {rows.shape}")
     if rows.shape[1] != len(menus):
         raise DimensionError(f"rows {rows.shape[1]} menus wide for a table of C({m}, {len(menus[0])}) = {len(menus)}")
-    if not np.issubdtype(rows.dtype, np.integer):
-        raise DomainError(f"rows must be integer table rows, got an array of {rows.dtype}")
     if rows.size and (rows.min() < 0 or rows.max() >= len(menus)):
         raise DimensionError(f"rows outside the table's 0..{len(menus) - 1}")
     p_id = model.topk_law(np.array(menus, dtype=np.intp))
@@ -245,6 +249,7 @@ def joint_utility(h: HumanType, a: AlgorithmPolicy) -> float:
     ``menu_utility``, with the same bits, so it also answers where C(m, k)
     exceeds ``MENU_ENUMERATION_CAP``.
     """
+    check_policy(a)
     check_universe(h, a)
     if a.is_noiseless:
         return menu_utility(h, a.fixed_menu())

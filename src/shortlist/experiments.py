@@ -22,7 +22,7 @@ from .collab import center_menu_rows, center_utilities, menu_utility_table, solo
 from .errors import CapacityError, DimensionError, DomainError, ProfileParseError
 from .models import ENUMERATION_CAP, MallowsModel, PlackettLuceModel
 from .optimize import branch_and_bound_menu, build_mip, enumerate_best_menu, optimize_with_uplift, solve_mip
-from .rankings import HumanType, Population, Ranking, ValueProfile, apply_swap, borda_values, is_integer, is_number
+from .rankings import HumanType, Population, Ranking, ValueProfile, apply_swap, borda_values, check_accuracy, is_integer, is_number
 from .welfare import _welfare, uplifted
 
 DEFAULT_PHI_GRID = tuple(0.25 * i for i in range(13))  # 0 .. 3 step 0.25
@@ -221,7 +221,7 @@ def _grid_tables(phis, values: ValueProfile, centers, k: int):
     gt = Ranking.identity(values.m)
     grid = Population(tuple(HumanType(gt, MallowsModel(gt, phi), values, 1 / len(phis)) for phi in phis))
     menus, columns = menu_utility_table(grid, k)
-    at = center_menu_rows([r.positions for r in centers], k).T  # (menus, centers)
+    at = center_menu_rows(np.array([r.positions for r in centers], dtype=np.intp), k).T  # (menus, centers)
     return menus, [columns[at, g] for g in range(len(phis))], grid
 
 
@@ -314,8 +314,7 @@ def tension_experiment(gamma: float = 3.0, phi_grid=TENSION_PHI_GRID, k: int = 3
     weights and solo utilities.
     """
     _check_knobs("tension", gamma=gamma, phi_grid=phi_grid, k=k)
-    if not 0 <= gamma < math.inf:
-        raise DomainError(f"gamma must be finite and nonnegative, got {gamma!r}")
+    check_accuracy(gamma, "gamma")
     values = ValueProfile(TENSION_VALUES)
     heads = _head_orders(values.m, 3, gamma)
     if heads[-1][1] == 0:  # the reversed head order comes last
@@ -487,7 +486,7 @@ EXPERIMENTS = {
         "gumbel_beta": _NUMBER,
         "families": _nonempty_list(lambda x: x in ("mallows", "rum"), "'mallows' and 'rum'"),
     }),
-    "tension": ("tension_experiment", {"gamma": _NUMBER, "phi_grid": _grid("an accuracy grid"), "k": _INT}),
+    "tension": ("tension_experiment", {"gamma": (is_number, "a nonnegative finite number"), "phi_grid": _grid("an accuracy grid"), "k": _INT}),
     "bench": ("mip_bench", {
         "sizes": _nonempty_list(lambda x: is_integer(x) and x >= 4, "integers >= 4"),
         "k_list": _nonempty_list(lambda x: is_integer(x) and x >= 1, "integers >= 1"),

@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError, DimensionError, DomainError
-from .rankings import AlgorithmPolicy, Ranking, check_menu_size, check_ranking_model, check_universe, is_integer, is_number, kendall_tau
+from .rankings import AlgorithmPolicy, Ranking, check_accuracy, check_menu_size, check_policy, check_ranking_model, check_universe, is_integer, is_number, kendall_tau
 
 ENUMERATION_CAP = 7
 MENU_ENUMERATION_CAP = 10**6
@@ -68,16 +68,24 @@ def _check_items(m: int, items) -> frozenset:
     return items
 
 
+def _integer_rows(rows, rule: str) -> np.ndarray:
+    """``rows`` as an intp array, else DomainError(``rule``): the one integer pass for menus, centers and table rows.
+
+    A list's entries are checked by type (one of each type), so numpy never reads a bool as 0 or 1 or meets a ragged row.
+    """
+    if not isinstance(rows, np.ndarray):
+        listed = np.asarray(rows, dtype=object).ravel().tolist()
+        if not all(map(is_integer, {type(x): x for x in listed}.values())):
+            raise DomainError(rule)
+        rows = np.asarray(rows)
+    if rows.size and not np.issubdtype(rows.dtype, np.integer):
+        raise DomainError(f"{rule}, got an array of {rows.dtype}")
+    return rows.astype(np.intp, copy=False)
+
+
 def _check_menus(m: int, menus) -> np.ndarray:
-    """``menus`` as a (B, k) intp array under ``_check_items``'s rule, by array ops on an integer ndarray."""
-    # a list's items are checked by type (one item of each type) before numpy reads a bool as 0 or 1
-    listed = () if isinstance(menus, np.ndarray) else np.asarray(menus, dtype=object).ravel().tolist()
-    if not all(map(is_integer, {type(x): x for x in listed}.values())):
-        raise DomainError("menu items must be integers")
-    menus = np.asarray(menus)
-    if menus.size and not np.issubdtype(menus.dtype, np.integer):
-        raise DomainError(f"menu items must be integers, got an array of {menus.dtype}")
-    menus = menus.astype(np.intp, copy=False)
+    """``menus`` as a (B, k) intp array under ``_check_items``'s rule, by array ops on ``_integer_rows``."""
+    menus = _integer_rows(menus, "menu items must be integers")
     if menus.ndim != 2:
         raise DimensionError(f"menus must be a 2-d array, got shape {menus.shape}")
     if menus.shape[1] == 0:
@@ -218,17 +226,7 @@ class MallowsModel:
     phi: float
 
     def __post_init__(self):
-        if not is_number(self.phi):
-            raise DomainError(f"accuracy parameter phi must be a number, got {self.phi!r}")
-        phi = float(self.phi)
-        if math.isnan(phi) or phi < 0:
-            raise DomainError(f"accuracy parameter phi must be nonnegative, got {phi!r}")
-        if math.isinf(phi):
-            raise DomainError(
-                "accuracy parameter phi must be finite; a point mass on the center "
-                "is the NOISELESS policy accuracy"
-            )
-        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "phi", check_accuracy(self.phi, "phi"))
 
     @property
     def m(self) -> int:
@@ -642,6 +640,7 @@ def pairwise_matrix(model) -> np.ndarray:
 
 def policy_ranking_model(policy: AlgorithmPolicy) -> MallowsModel | ExplicitModel:
     """The ranking model behind a policy; at accuracy NOISELESS (inf) it is the point mass on its center."""
+    check_policy(policy)
     if policy.is_noiseless:
         return ExplicitModel(((policy.center, 1.0),))
     return MallowsModel(policy.center, policy.accuracy)

@@ -2,8 +2,8 @@
 
 Items are plain integers ``0..m-1`` everywhere inside the library; the CLI
 translates to and from 1-indexed labels. All types here are immutable after
-construction and safe to share across workers. The shared input rules live here:
-``is_integer``, ``is_number``, ``check_menu_size``, ``check_universe``, ``check_ranking_model``.
+construction and safe to share across workers. The shared input rules live here: ``is_integer``,
+``is_number``, ``check_accuracy``, ``check_menu_size``, ``check_universe``, ``check_ranking_model``, ``check_policy``.
 """
 from __future__ import annotations
 
@@ -39,6 +39,14 @@ def is_number(x) -> bool:
     return type(x) is float or type(x) is int or (isinstance(x, numbers.Real) and not isinstance(x, bool))
 
 
+def check_accuracy(value, name: str, noiseless: bool = False) -> float:
+    """The one accuracy rule: ``value`` as a float if nonnegative and finite, or NOISELESS (inf) if ``noiseless``; else DomainError."""
+    if is_number(value) and 0 <= value and (noiseless or value < math.inf):
+        return float(value)
+    hint = " or NOISELESS (inf)" if noiseless else "; NOISELESS (inf) is a policy accuracy only"
+    raise DomainError(f"{name} must be a nonnegative finite number{hint}, got {value!r}")
+
+
 def check_menu_size(k: int, m: int) -> None:
     """Refuse a menu size that is not an integer in ``1..m`` (DomainError)."""
     if not is_integer(k) or not 1 <= k <= m:
@@ -49,6 +57,12 @@ def check_ranking_model(model) -> None:
     """Refuse a human's noise or a curator that is not a ranking model, a policy included (DomainError)."""
     if not hasattr(model, "topk_set_prob"):
         raise DomainError(f"expected a ranking model, got {type(model).__name__}: use models.policy_ranking_model for a policy")
+
+
+def check_policy(policy) -> None:
+    """Refuse a curator that is not an ``AlgorithmPolicy``, a ranking model included (DomainError)."""
+    if not isinstance(policy, AlgorithmPolicy):
+        raise DomainError(f"expected a policy (an AlgorithmPolicy), got {type(policy).__name__}")
 
 
 def check_universe(first, *others) -> None:
@@ -274,12 +288,7 @@ class AlgorithmPolicy:
 
     def __post_init__(self):
         check_menu_size(self.menu_size, self.center.m)
-        if not is_number(self.accuracy):
-            raise DomainError(f"accuracy must be a number, got {self.accuracy!r}")
-        acc = float(self.accuracy)
-        if math.isnan(acc) or acc < 0:
-            raise DomainError(f"accuracy must be nonnegative, got {acc!r}")
-        object.__setattr__(self, "accuracy", acc)
+        object.__setattr__(self, "accuracy", check_accuracy(self.accuracy, "accuracy", noiseless=True))
 
     @property
     def m(self) -> int:

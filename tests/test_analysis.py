@@ -203,6 +203,10 @@ class TestMallowsHarmful:
 
 
 class TestMallowsHelpful:
+    def test_refuses_an_i_that_is_not_human_better_than_j(self):
+        with pytest.raises(DomainError, match="item i must be human-better than item j"):
+            check_mallows_helpful(hundredfold_top_human(), MallowsModel(Ranking.identity(4), 1.0), 2, 1)
+
     def test_hundredfold_worked_example(self):
         h = hundredfold_top_human()
         a = AlgorithmPolicy(Ranking.identity(4), 1.0, 2)
@@ -263,6 +267,10 @@ class TestPlHarmful:
 
 
 class TestPlHelpful:
+    def test_refuses_a_mallows_human(self):
+        with pytest.raises(DomainError, match="human noise model must be Plackett-Luce"):
+            check_pl_helpful(hundredfold_top_human(), MallowsModel(Ranking.identity(4), 1.0), 1, 2)
+
     def test_dominant_top_value_instance(self):
         # the 100-value item dominates every menu, so the psi weights for
         # menus that exclude it are vanishing and the inequality holds; the
@@ -414,6 +422,11 @@ class TestDerivePartialOrder:
         h = mallows_human(Ranking.identity(3), 1.0, ValueProfile((1.0, 0.25, 0.25)))
         with pytest.raises(DomainError, match="nonempty"):
             derive_partial_order(h, [], 1.0, 2)
+
+    def test_single_swap_names_the_two_items_that_moved(self):
+        assert analysis._single_swap(R(0, 1, 2, 3), R(0, 3, 2, 1)) == (1, 3)
+        assert analysis._single_swap(R(0, 1, 2), R(0, 1, 2)) is None
+        assert analysis._single_swap(R(0, 1, 2), R(1, 2, 0)) is None  # three items moved
 
     def test_four_candidate_diamond(self):
         # centers: aligned, low-swap, top-swap of the low-swap, full reversal

@@ -29,6 +29,10 @@ class TestPickDistribution:
         with pytest.raises(DomainError):
             PickDistribution(probs)
 
+    def test_a_negative_probability_is_refused(self):
+        with pytest.raises(DomainError, match="pick probabilities must be nonnegative"):
+            PickDistribution({0: 1.5, 1: -0.5})
+
     def test_default_zero(self):
         d = PickDistribution({0: 1.0})
         assert d[3] == 0.0

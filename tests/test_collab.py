@@ -292,7 +292,9 @@ class TestCenterUtilities:
         with pytest.raises(DimensionError, match="rows must be a 2-d array of table rows"):
             collab.center_utilities(self.table(), MallowsModel(Ranking.identity(4), 1.0), rows)
 
-    @pytest.mark.parametrize("rows", [np.arange(6.0)[None], np.ones((1, 6), dtype=bool)], ids=["float", "bool"])
+    @pytest.mark.parametrize(
+        "rows", [np.arange(6.0)[None], np.ones((1, 6), dtype=bool), [[0, 1, 2, True, 4, 5]]], ids=["float", "bool", "bool-in-a-list"]
+    )
     def test_non_integer_rows(self, monkeypatch, rows):
         self.refuse_the_law(monkeypatch)
         with pytest.raises(DomainError, match="rows must be integer table rows"):

@@ -65,6 +65,12 @@ class TestLoadProfile:
         with pytest.raises(ProfileParseError):
             load_profile(io.StringIO("10 1 2 3\n5 2 1\n"))
 
+    @pytest.mark.parametrize("text", ["10 1\n", "count,r1\n10,1\n"], ids=["text", "csv"])
+    def test_a_row_of_fewer_than_three_fields_is_refused(self, text):
+        with pytest.raises(ProfileParseError, match="too few fields") as err:
+            load_profile(io.StringIO(text))
+        assert err.value.line == text.count("\n")
+
     def test_bad_ranking(self):
         with pytest.raises(ProfileParseError):
             load_profile(io.StringIO("10 1 1 3\n"))
@@ -456,6 +462,10 @@ class TestMipBench:
             assert row.get("welfare_gap_vs_enumeration", 0.0) <= 1e-6
 
 
+    def test_a_menu_size_above_a_size_is_skipped_for_that_size(self):
+        rows = mip_bench(sizes=(4, 6), k_list=(2, 5), type_counts=(1,))
+        assert [(r["m"], r["k"]) for r in rows if r["family"] == "two-type"] == [(4, 2), (6, 2), (6, 5)]
+
     def test_only_the_seconds_column_varies(self, tmp_path, capsys):
         runs = []
         for name in ("a.csv", "b.csv"):
@@ -573,6 +583,12 @@ class TestCsvAndConfig:
         buf = io.StringIO()
         emit_csv([{"x": 1.0, "y": None, "z": "a,b"}, {"z": 1 / 3}, {"y": 1e-17, "x": -2.5e300}], buf)
         assert buf.getvalue() == 'x,y,z\n1.0,,"a,b"\n,,0.3333333333333333\n-2.5e+300,1e-17,\n'
+
+    def test_no_rows_are_refused_and_no_file_is_written(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        with pytest.raises(DomainError, match="no rows to write"):
+            emit_csv([], path)
+        assert not path.exists()
 
     def test_csv_columns_are_the_union_in_first_seen_order(self):
         buf = io.StringIO()
@@ -819,6 +835,15 @@ class TestCli:
         err = captured.err.splitlines()
         assert code == 2 and captured.out == ""
         assert len(err) == 1 and err[0].startswith("error:")
+
+    def test_analyze_order_says_when_no_edge_is_certified(self, capsys):
+        # two candidates a three-cycle apart: neither single-swap argument applies
+        code = cli.main([
+            "analyze", "order", "--human-center", "1 2 3", "--phi-h", "1.0", "--values", "borda",
+            "--phi-a", "1.0", "-k", "2", "--candidates", "1 2 3; 2 3 1",
+        ])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0 and out[-1] == "no certified edges" and len(out) == 3
 
     def test_analyze_order(self, capsys):
         code = cli.main([

@@ -8,10 +8,17 @@
   for Mallows and Plackett-Luce, every support ranking for an explicit model.
 - ``rankings.check_ranking_model`` refuses a human's noise or a curator that
   is not a ranking model (DomainError) at every entry that takes one.
+- ``rankings.check_policy`` refuses a curator that is not a policy
+  (DomainError) at every entry that takes one.
+- ``rankings.check_accuracy`` is the one accuracy rule, with one message.
+- ``models._integer_rows`` is the one integer pass for menus, centers and
+  table rows: a bool or a ragged row in a list is a DomainError.
 - ``collab.center_menu_rows`` refuses centers that are not a 2-d integer
   array of permutations (DomainError), and ``collab.joint_pick_from_menus``
-  a menu probability that is not a number.
+  a law that is not a dict or a menu probability that is not a number.
 """
+import math
+
 import numpy as np
 import pytest
 
@@ -27,6 +34,7 @@ from shortlist import (
     Ranking,
     ValueProfile,
     build_mip,
+    check_mallows_harmful,
     check_mallows_helpful,
     check_pl_helpful,
     choice_dist,
@@ -37,10 +45,14 @@ from shortlist import (
     mc_joint_pick_dist,
     noisy_uplift_search,
     psi,
+    social_welfare,
     solve_mip,
+    swap_effect,
+    verify_uplift,
 )
 from shortlist import analysis, collab, optimize
 from shortlist.choice import oracle_choice_dist
+from shortlist.experiments import tension_experiment
 from shortlist.errors import DimensionError, DomainError
 from shortlist.models import model_menu_distribution, policy_ranking_model
 
@@ -233,11 +245,13 @@ def test_every_model_entry_refuses_what_is_not_a_ranking_model(entry, model):
 
 @pytest.mark.parametrize(
     "centers",
-    [[[1, 1, 2, 3]], [[0.0, 1.0, 2.0, 3.0]], np.arange(4), [[0, 1, 2, 4]], np.array([[0, 1, 2, -1]])],
-    ids=["repeated-item", "floats", "1-d", "past-the-last-item", "negative"],
+    [[[1, 1, 2, 3]], [[0.0, 1.0, 2.0, 3.0]], np.arange(4), [[0, 1, 2, 4]], np.array([[0, 1, 2, -1]]),
+     [[0, 1, 2, 3], [0, 1]], [[0, True, 2, 3]], [(np.int64(0), np.True_, 2, 3)]],
+    ids=["repeated-item", "floats", "1-d", "past-the-last-item", "negative", "ragged", "bool", "numpy-bool"],
 )
 def test_center_menu_rows_refuses_what_is_not_a_permutation_array(centers):
-    # [[1, 1, 2, 3]] gave in-range rows that center_utilities scored as a center
+    # [[1, 1, 2, 3]] gave in-range rows that center_utilities scored as a center; numpy
+    # refused the ragged list with its own ValueError and read [[0, True, 2, 3]] as the identity
     with pytest.raises(DomainError, match="2-d integer array of permutations"):
         collab.center_menu_rows(centers, 2)
 
@@ -248,3 +262,69 @@ def test_joint_pick_from_menus_refuses_a_probability_that_is_not_a_number(value)
         collab.joint_pick_from_menus(mallows_human(4), {frozenset({0, 1}): value})
     with pytest.raises(DomainError, match="menu probabilities must be numbers"):
         collab.joint_pick_from_menus(mallows_human(4), {frozenset({0, 1}): 0.5, frozenset({2, 3}): value})
+
+
+def test_center_utilities_takes_a_list_of_rows_as_it_takes_an_array():
+    # it ended in an AttributeError on rows.ndim; a bool in the list is refused (test_collab)
+    table = collab.menu_utility_table(Population((mallows_human(4),)), 2)
+    model = FAMILIES["mallows"]
+    want = collab.center_utilities(table, model, np.arange(6)[None])
+    assert collab.center_utilities(table, model, [[0, 1, 2, 3, 4, 5]]).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("law", [[((0, 1), 1.0)], ((frozenset({0, 1}), 1.0),), None], ids=["list", "tuple", "none"])
+def test_joint_pick_from_menus_refuses_a_law_that_is_not_a_dict(law):
+    with pytest.raises(DomainError, match="a menu law must be a dict"):
+        collab.joint_pick_from_menus(mallows_human(4), law)
+
+
+# each entry whose argument is a curator's policy; before the rule a ranking
+# model ended in an AttributeError on ``is_noiseless``
+POLICY_ENTRIES = {
+    "joint_pick_dist": lambda a: joint_pick_dist(mallows_human(4), a),
+    "joint_utility": lambda a: joint_utility(mallows_human(4), a),
+    "policy_ranking_model": policy_ranking_model,
+    "mc_joint_pick_dist": lambda a: mc_joint_pick_dist(mallows_human(4), a, 10, np.random.default_rng(0)),
+    "verify_uplift": lambda a: verify_uplift(Population((mallows_human(4),)), a),
+    "social_welfare": lambda a: social_welfare(Population((mallows_human(4),)), a),
+    "swap_effect": lambda a: swap_effect(mallows_human(4), a, 0, 1),
+}
+
+
+@pytest.mark.parametrize("curator", [FAMILIES["mallows"], None, "mallows"], ids=["mallows-model", "none", "string"])
+@pytest.mark.parametrize("entry", list(POLICY_ENTRIES.values()), ids=list(POLICY_ENTRIES))
+def test_every_policy_entry_refuses_what_is_not_a_policy(entry, curator):
+    with pytest.raises(DomainError, match=rf"expected a policy \(an AlgorithmPolicy\), got {type(curator).__name__}"):
+        entry(curator)
+
+
+# each accuracy site, given the accuracy, and the name its message uses
+ACCURACY_SITES = {
+    "MallowsModel": (lambda v: MallowsModel(R(0, 1, 2), v), "phi"),
+    "AlgorithmPolicy": (lambda v: AlgorithmPolicy(R(0, 1, 2), v, 2), "accuracy"),
+    "check_mallows_harmful": (lambda v: check_mallows_harmful(ValueProfile((1.0, 0.9, 0.5, 0.0)), v, 2, 3), "phi_h"),
+    # the config rule names the key of a value that is not a number, in the same words
+    "tension_experiment": (lambda v: tension_experiment(v, phi_grid=(0.5,), k=2), "'?gamma'?"),
+}
+FINITE_ONLY = ["MallowsModel", "check_mallows_harmful", "tension_experiment"]
+
+
+@pytest.mark.parametrize("value", [math.nan, -1.0, "x", True], ids=["nan", "negative", "string", "bool"])
+@pytest.mark.parametrize("site, name", list(ACCURACY_SITES.values()), ids=list(ACCURACY_SITES))
+def test_every_accuracy_site_states_the_one_rule(site, name, value):
+    with pytest.raises(DomainError, match=f"^(config key )?{name} must be a nonnegative finite number"):
+        site(value)
+
+
+@pytest.mark.parametrize("site", FINITE_ONLY)
+def test_finite_accuracy_sites_refuse_inf_and_point_to_noiseless(site):
+    call, name = ACCURACY_SITES[site]
+    with pytest.raises(DomainError, match=rf"^{name} must be a nonnegative finite number; NOISELESS \(inf\)"):
+        call(math.inf)
+
+
+def test_zero_is_an_accuracy_and_a_policy_takes_noiseless():
+    assert AlgorithmPolicy(R(0, 1, 2), math.inf, 2).is_noiseless
+    assert MallowsModel(R(0, 1, 2), 0).phi == 0.0 and type(MallowsModel(R(0, 1, 2), 0).phi) is float
+    assert AlgorithmPolicy(R(0, 1, 2), np.float64(0.0), 2).accuracy == 0.0
+    assert not check_mallows_harmful(ValueProfile((1.0, 0.9, 0.5, 0.0)), 0, 2, 3).applicable

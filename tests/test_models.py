@@ -424,6 +424,8 @@ class TestExplicitModel:
             ExplicitModel(((R(0, 1), 0.5), (R(0, 1), 0.5)))
         with pytest.raises(DimensionError):
             ExplicitModel(((R(0, 1), 0.5), (R(0, 1, 2), 0.5)))
+        with pytest.raises(DomainError, match="explicit model needs a nonempty support"):
+            ExplicitModel(())
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_refuses_probabilities_that_are_not_finite_and_positive(self, bad):

@@ -237,13 +237,13 @@ NOT_NUMBERS = ["x", "1.5", True, None]
 
 @pytest.mark.parametrize("phi", NOT_NUMBERS)
 def test_mallows_accuracy_must_be_a_number(phi):
-    with pytest.raises(DomainError, match="phi must be a number"):
+    with pytest.raises(DomainError, match="phi must be a nonnegative finite number"):
         MallowsModel(R(0, 1, 2), phi)
 
 
 @pytest.mark.parametrize("accuracy", NOT_NUMBERS)
 def test_policy_accuracy_must_be_a_number(accuracy):
-    with pytest.raises(DomainError, match="accuracy must be a number"):
+    with pytest.raises(DomainError, match="accuracy must be a nonnegative finite number"):
         AlgorithmPolicy(R(0, 1, 2), accuracy, 2)
 
 
