@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from .collab import center_menu_rows, center_utilities, expected_utility, joint_pick_dist, menu_utility_table
 from .errors import DomainError
 from .models import MallowsModel, PlackettLuceModel, _check_items, _logistic, policy_ranking_model
-from .rankings import AlgorithmPolicy, HumanType, Population, Ranking, ValueProfile, apply_swap, check_accuracy, check_ranking_model, check_universe, is_integer, is_number
+from .rankings import AlgorithmPolicy, HumanType, Population, Ranking, ValueProfile, apply_swap, check_accuracy, check_noise_scale, check_ranking_model, check_universe, is_integer
 
 
 @dataclass(frozen=True)
@@ -178,8 +178,7 @@ def _helpful_witness(h: HumanType, a, i: int, j: int, terms) -> ConditionVerdict
 
 def check_pl_harmful(values: ValueProfile, beta: float, rank_j: int) -> ConditionVerdict:
     """Harmfulness condition for a Plackett-Luce human: top value gap <= 1.27 beta."""
-    if not is_number(beta) or not 0 < beta < math.inf:
-        raise DomainError(f"noise scale beta must be a positive finite number, got {beta!r}")
+    check_noise_scale(beta)
     if not (is_integer(rank_j) and 1 <= rank_j <= values.m):
         raise DomainError(f"need an integer rank 1 <= rank_j <= {values.m}, got {rank_j!r}")
     lhs = values[0] - values[rank_j - 1]

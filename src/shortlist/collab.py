@@ -11,7 +11,7 @@ import numpy as np
 from .choice import MENU_BLOCK, PickDistribution, choice_dist, choice_table
 from .errors import DimensionError, DomainError
 from .models import MallowsModel, _check_menus, _integer_rows, _mallows_pick_rows, k_menus, policy_ranking_model
-from .rankings import AlgorithmPolicy, HumanType, Population, check_policy, check_ranking_model, check_universe, is_integer, is_number
+from .rankings import AlgorithmPolicy, HumanType, Population, check_policy, check_population, check_ranking_model, check_universe, is_integer, is_number
 
 MC_BLOCK = 1 << 14  # Monte Carlo samples drawn per pass; bounds the sample arrays
 PRODUCT_BLOCK = 1 << 16  # (center, menu) pairs per pass of center_utilities; bounds its memory
@@ -112,6 +112,7 @@ def _relabelling_groups(pop: Population) -> dict:
     (``models._mallows_pick_rows``), and with one value profile they are
     relabellings of one another. Any other type is its own key.
     """
+    check_population(pop)
     groups: dict = {}
     for col, h in enumerate(pop):
         model = h.noise.phi if isinstance(h.noise, MallowsModel) else ("type", col)
@@ -121,8 +122,9 @@ def _relabelling_groups(pop: Population) -> dict:
 
 def solo_utilities(pop: Population) -> np.ndarray:
     """Every type's ``solo_utility``, computed once per group of ``_relabelling_groups``."""
+    groups = _relabelling_groups(pop)
     solo = np.empty(pop.n)
-    for cols in _relabelling_groups(pop).values():
+    for cols in groups.values():
         solo[cols] = solo_utility(pop.types[cols[0]])
     return solo
 

@@ -19,10 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from .collab import center_menu_rows, center_utilities, menu_utility_table, solo_utilities
-from .errors import CapacityError, DimensionError, DomainError, ProfileParseError
+from .errors import CapacityError, DomainError, ProfileParseError
 from .models import ENUMERATION_CAP, MallowsModel, PlackettLuceModel
 from .optimize import branch_and_bound_menu, build_mip, enumerate_best_menu, optimize_with_uplift, solve_mip
-from .rankings import HumanType, Population, Ranking, ValueProfile, apply_swap, borda_values, check_accuracy, is_integer, is_number
+from .rankings import HumanType, Population, Ranking, ValueProfile, apply_swap, borda_values, check_accuracy, check_universe, is_accuracy, is_integer, is_number, open_text
 from .welfare import _welfare, uplifted
 
 DEFAULT_PHI_GRID = tuple(0.25 * i for i in range(13))  # 0 .. 3 step 0.25
@@ -40,9 +40,7 @@ class PreferenceProfile:
     def __post_init__(self):
         if not self.entries:
             raise ProfileParseError("profile is empty")
-        m = self.entries[0][0].m
-        if any(r.m != m for r, _ in self.entries):
-            raise DimensionError("profile rankings must share the same item count")
+        check_universe(*(r for r, _ in self.entries))
         try:
             finite = all(c > 0 for _, c in self.entries) and self.total < math.inf
         except OverflowError:  # fsum of finite counts that overflows
@@ -103,18 +101,11 @@ def load_profile(source) -> PreferenceProfile:
     CSV needs a header whose first column is the count, and refuses an empty
     cell before a row's last filled one. A source whose first data line holds
     a comma is read as CSV, any other as text. ``source`` is a path or a file
-    object; anything else is refused (DomainError).
+    object (``open_text``); its text is split into lines by ``str.splitlines``.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-    elif hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        raise DomainError(f"profile source must be a path or a file object, got {type(source).__name__}")
-
-    stripped = [ln.strip() for ln in lines]
-    content = [(no + 1, ln) for no, ln in enumerate(stripped) if ln and not ln.startswith("#")]
+    with open_text(source, "r", "profile source") as handle:
+        lines = [ln.strip() for ln in handle.read().splitlines()]
+    content = [(no + 1, ln) for no, ln in enumerate(lines) if ln and not ln.startswith("#")]
     if not content:
         raise ProfileParseError("profile source contains no data rows")
 
@@ -437,17 +428,8 @@ def emit_csv(rows: list[dict], destination) -> None:
     if not rows:
         raise DomainError("no rows to write")
     fieldnames = list(dict.fromkeys(key for row in rows for key in row))
-    if hasattr(destination, "write"):
-        _write_csv(rows, destination, fieldnames)
-        return
-    with open(destination, "w", encoding="utf-8", newline="") as handle:
-        _write_csv(rows, handle, fieldnames)
-
-
-def _write_csv(rows, handle, fieldnames) -> None:
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(fieldnames)
-    writer.writerows([row.get(f, "") for f in fieldnames] for row in rows)
+    with open_text(destination, "w", "CSV destination") as handle:
+        csv.writer(handle, lineterminator="\n").writerows([fieldnames] + [[row.get(f, "") for f in fieldnames] for row in rows])
 
 
 def _nonempty_list(check, noun: str):
@@ -457,9 +439,9 @@ def _nonempty_list(check, noun: str):
     return is_list, f"a nonempty list of {noun}"
 
 
-def _grid(name: str):
-    check, wanted = _nonempty_list(lambda x: is_number(x) and 0 <= x < math.inf, "finite nonnegative numbers")
-    return check, f"{name}: {wanted}"
+def _grid(name: str, check):
+    is_list, wanted = _nonempty_list(check, "finite nonnegative numbers")
+    return is_list, f"{name}: {wanted}"
 
 
 _INT = (is_integer, "an integer")
@@ -475,18 +457,18 @@ _NUMBER = (is_number, "a number")
 EXPERIMENTS = {
     "sushi": ("sushi_experiment", {
         "profile": (lambda x: isinstance(x, str), "a profile path"),
-        "phi_grid": _grid("an accuracy grid"),
+        "phi_grid": _grid("an accuracy grid", is_accuracy),
         "k": _INT,
     }),
     "beta-sweep": ("beta_sweep", {
-        "beta_grid": _grid("a value-decay grid"),
+        "beta_grid": _grid("a value-decay grid", lambda x: is_number(x) and 0 <= x < math.inf),
         "m": _INT,
         "k": _INT,
         "phi": _NUMBER,
         "gumbel_beta": _NUMBER,
         "families": _nonempty_list(lambda x: x in ("mallows", "rum"), "'mallows' and 'rum'"),
     }),
-    "tension": ("tension_experiment", {"gamma": (is_number, "a nonnegative finite number"), "phi_grid": _grid("an accuracy grid"), "k": _INT}),
+    "tension": ("tension_experiment", {"gamma": (is_number, "a nonnegative finite number"), "phi_grid": _grid("an accuracy grid", is_accuracy), "k": _INT}),
     "bench": ("mip_bench", {
         "sizes": _nonempty_list(lambda x: is_integer(x) and x >= 4, "integers >= 4"),
         "k_list": _nonempty_list(lambda x: is_integer(x) and x >= 1, "integers >= 1"),

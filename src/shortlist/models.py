@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError, DimensionError, DomainError
-from .rankings import AlgorithmPolicy, Ranking, check_accuracy, check_menu_size, check_policy, check_ranking_model, check_universe, is_integer, is_number, kendall_tau
+from .rankings import AlgorithmPolicy, Ranking, as_tuple, check_accuracy, check_menu_size, check_noise_scale, check_policy, check_ranking_model, check_universe, is_integer, is_number, kendall_tau
 
 ENUMERATION_CAP = 7
 MENU_ENUMERATION_CAP = 10**6
@@ -55,7 +55,7 @@ def _check_items(m: int, items) -> frozenset:
 
     Refused when empty, not integers or repeated (DomainError) or outside ``0..m-1`` (DimensionError).
     """
-    given = tuple(items)
+    given = as_tuple(items, "items")
     if not given:
         raise DomainError("item set must be nonempty")
     if not all(map(is_integer, given)):
@@ -226,6 +226,7 @@ class MallowsModel:
     phi: float
 
     def __post_init__(self):
+        check_universe(self.center)
         object.__setattr__(self, "phi", check_accuracy(self.phi, "phi"))
 
     @property
@@ -422,17 +423,11 @@ class PlackettLuceModel:
     _subsets: tuple[dict, dict] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        values = tuple(self.item_values)
-        if not all(map(is_number, values)) or not is_number(self.beta):
-            raise DomainError(f"item values and noise scale beta must be numbers, got {values} and {self.beta!r}")
+        values = as_tuple(self.item_values, "item values")
+        if not values or not all(is_number(v) and math.isfinite(v) for v in values):
+            raise DomainError(f"item values must be numbers, finite and at least one, got {values}")
         values = tuple(map(float, values))
-        beta = float(self.beta)
-        if len(values) < 1:
-            raise DomainError("need at least one item value")
-        if not all(math.isfinite(v) for v in values):
-            raise DomainError(f"item values must be finite: {values}")
-        if not (math.isfinite(beta) and beta > 0):
-            raise DomainError(f"noise scale beta must be positive and finite, got {beta!r}")
+        beta = check_noise_scale(self.beta)
         if not all(math.isfinite(v / beta) for v in values):
             raise DomainError(f"item values divided by noise scale beta={beta!r} overflow")
         object.__setattr__(self, "item_values", values)
@@ -552,7 +547,7 @@ class ExplicitModel:
     entries: tuple[tuple[Ranking, float], ...]
 
     def __post_init__(self):
-        entries = tuple(self.entries)
+        entries = as_tuple(self.entries, "an explicit support")
         if not all(is_number(p) for _, p in entries):
             raise DomainError(f"support probabilities must be numbers, got {[p for _, p in entries]}")
         entries = tuple((r, float(p)) for r, p in entries)

@@ -8,7 +8,6 @@ in LP format) as the bridge to external solvers for larger instances.
 """
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -17,7 +16,7 @@ import numpy as np
 from .collab import center_utilities, menu_utility, menu_utility_table, solo_utilities
 from .errors import DimensionError, DomainError
 from .models import MallowsModel, _check_items, _insertion_rows, pairwise_matrix, policy_ranking_model
-from .rankings import AlgorithmPolicy, Population, Ranking, check_menu_size, check_universe
+from .rankings import AlgorithmPolicy, Population, Ranking, check_menu_size, check_population, check_universe, open_text
 from .welfare import _welfare, uplifted, welfare_report
 
 BOUND_SLACK = 1e-12
@@ -122,6 +121,7 @@ def branch_and_bound_menu(pop: Population, k: int) -> OptimizeResult:
     table is built, so it also runs where C(m, k) exceeds
     ``MENU_ENUMERATION_CAP``.
     """
+    check_population(pop)
     m = pop.m
     check_menu_size(k, m)
     values, caps, weights = _bound_inputs(pop)
@@ -280,6 +280,7 @@ def build_mip(pop: Population, k: int) -> MipInstance:
     instance; solving is the caller's choice (see ``solve_mip`` /
     ``export_lp``).
     """
+    check_population(pop)
     m = pop.m
     check_menu_size(k, m)
     for h in pop:
@@ -379,30 +380,23 @@ def _format_terms(coeffs: dict[str, float]) -> str:
 
 
 def export_lp(mip: MipInstance, destination) -> None:
-    """Write the instance in LP format (objective, constraints, bounds, binaries)."""
-    if hasattr(destination, "write"):
-        _write_lp(mip, destination)
-        return
-    with open(destination, "w", encoding="utf-8") as handle:
-        _write_lp(mip, handle)
-
-
-def _write_lp(mip: MipInstance, out: io.TextIOBase) -> None:
-    out.write(f"\\ welfare-maximizing menu: m={mip.m} k={mip.k} types={mip.n_types}\n")
-    out.write("Maximize\n")
-    terms = _format_terms(mip.objective)
-    out.write(f" obj: {terms}\n")
-    out.write("Subject To\n")
-    for idx, (coeffs, sense, rhs) in enumerate(mip.constraints):
-        body = _format_terms(coeffs)
-        out.write(f" c{idx}: {body} {sense} {_format_coeff(rhs)}\n")
-    out.write("Bounds\n")
-    for name in mip.var_names:
-        out.write(f" 0 <= {name} <= 1\n")
-    out.write("Binary\n")
-    for name in mip.binaries:
-        out.write(f" {name}\n")
-    out.write("End\n")
+    """Write the instance in LP format (objective, constraints, bounds, binaries) to a path or a file object (``open_text``)."""
+    with open_text(destination, "w", "LP destination") as out:
+        out.write(f"\\ welfare-maximizing menu: m={mip.m} k={mip.k} types={mip.n_types}\n")
+        out.write("Maximize\n")
+        terms = _format_terms(mip.objective)
+        out.write(f" obj: {terms}\n")
+        out.write("Subject To\n")
+        for idx, (coeffs, sense, rhs) in enumerate(mip.constraints):
+            body = _format_terms(coeffs)
+            out.write(f" c{idx}: {body} {sense} {_format_coeff(rhs)}\n")
+        out.write("Bounds\n")
+        for name in mip.var_names:
+            out.write(f" 0 <= {name} <= 1\n")
+        out.write("Binary\n")
+        for name in mip.binaries:
+            out.write(f" {name}\n")
+        out.write("End\n")
 
 
 def solve_mip(mip: MipInstance, fix_menu=None):

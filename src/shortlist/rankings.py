@@ -2,16 +2,19 @@
 
 Items are plain integers ``0..m-1`` everywhere inside the library; the CLI
 translates to and from 1-indexed labels. All types here are immutable after
-construction and safe to share across workers. The shared input rules live here: ``is_integer``,
-``is_number``, ``check_accuracy``, ``check_menu_size``, ``check_universe``, ``check_ranking_model``, ``check_policy``.
+construction and safe to share across workers. The shared input rules live here: ``is_integer``, ``is_number``, ``as_tuple``,
+``item_range``, ``is_accuracy`` and ``check_accuracy``, ``check_noise_scale``, ``check_menu_size``, ``check_universe`` (every
+object's item count ``m``), ``check_ranking_model``, ``check_policy``, ``check_population``, ``open_text`` (a path or a file object).
 """
 from __future__ import annotations
 
 import bisect
+import contextlib
 import math
 import numbers
+import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 from .errors import DimensionError, DomainError
@@ -39,12 +42,39 @@ def is_number(x) -> bool:
     return type(x) is float or type(x) is int or (isinstance(x, numbers.Real) and not isinstance(x, bool))
 
 
+def as_tuple(items, what: str) -> tuple:
+    """``items`` as a tuple: the one iterable rule, a DomainError naming ``what`` for anything that is not iterable."""
+    try:
+        return tuple(items)
+    except TypeError:
+        raise DomainError(f"{what} must be an iterable, got {type(items).__name__}") from None
+
+
+def item_range(m) -> range:
+    """The items ``0..m-1`` of an item count ``m``: the one count rule, a DomainError unless ``is_integer(m)``."""
+    if not is_integer(m):
+        raise DomainError(f"an item count must be an integer, got {m!r}")
+    return range(m)
+
+
+def is_accuracy(value, noiseless: bool = False) -> bool:
+    """The one accuracy test: a nonnegative finite number, or NOISELESS (inf) too if ``noiseless``."""
+    return is_number(value) and 0 <= value and (noiseless or value < math.inf)
+
+
 def check_accuracy(value, name: str, noiseless: bool = False) -> float:
-    """The one accuracy rule: ``value`` as a float if nonnegative and finite, or NOISELESS (inf) if ``noiseless``; else DomainError."""
-    if is_number(value) and 0 <= value and (noiseless or value < math.inf):
+    """The one accuracy rule: ``value`` as a float if ``is_accuracy``, else DomainError."""
+    if is_accuracy(value, noiseless):
         return float(value)
     hint = " or NOISELESS (inf)" if noiseless else "; NOISELESS (inf) is a policy accuracy only"
     raise DomainError(f"{name} must be a nonnegative finite number{hint}, got {value!r}")
+
+
+def check_noise_scale(beta) -> float:
+    """The one noise-scale rule: ``beta`` as a float if a positive finite number, else DomainError."""
+    if is_number(beta) and 0 < beta < math.inf:
+        return float(beta)
+    raise DomainError(f"noise scale beta must be a positive finite number, got {beta!r}")
 
 
 def check_menu_size(k: int, m: int) -> None:
@@ -65,11 +95,30 @@ def check_policy(policy) -> None:
         raise DomainError(f"expected a policy (an AlgorithmPolicy), got {type(policy).__name__}")
 
 
+def check_population(pop) -> None:
+    """Refuse a population that is not a ``Population``, a single ``HumanType`` included (DomainError)."""
+    if not isinstance(pop, Population):
+        raise DomainError(f"expected a Population, got {type(pop).__name__}: use Population.single for one type")
+
+
 def check_universe(first, *others) -> None:
-    """Refuse objects (anything with an item count ``m``) over different item universes (DimensionError)."""
-    for other in others:
-        if other.m != first.m:
-            raise DimensionError(f"objects over different item universes: {first.m} and {other.m} items")
+    """Refuse objects over different item universes (DimensionError), or one without an item count ``m`` (DomainError)."""
+    try:
+        m = first.m
+        for other in others:
+            if other.m != m:
+                raise DimensionError(f"objects over different item universes: {m} and {other.m} items")
+    except AttributeError:
+        raise DomainError(f"expected objects with an item count m, got {', '.join(type(x).__name__ for x in (first, *others))}") from None
+
+
+def open_text(source, mode: str, what: str):
+    """The one path-or-stream rule: a ``str`` or ``os.PathLike`` opened as UTF-8 text, newlines untranslated, or a file object passed through unclosed."""
+    if isinstance(source, (str, os.PathLike)):
+        return open(source, mode, encoding="utf-8", newline="")
+    if not hasattr(source, "read" if mode == "r" else "write"):
+        raise DomainError(f"{what} must be a path or a file object, got {type(source).__name__}")
+    return contextlib.nullcontext(source)
 
 
 @dataclass(frozen=True)
@@ -84,15 +133,13 @@ class Ranking:
     positions: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        order = tuple(self.order)
+        order = as_tuple(self.order, "a ranking")
         if not all(map(is_integer, order)):
             raise DomainError(f"ranking items must be integers, got {order}")
         order = tuple(map(int, order))
         m = len(order)
-        if m < 1:
-            raise DomainError("a ranking needs at least one item")
-        if sorted(order) != list(range(m)):
-            raise DomainError(f"not a permutation of 0..{m - 1}: {order}")
+        if m < 1 or sorted(order) != list(range(m)):
+            raise DomainError(f"a ranking must be a permutation of 0..m-1 for some m >= 1, got {order}")
         positions = [0] * m
         for pos, item in enumerate(order):
             positions[item] = pos
@@ -101,7 +148,7 @@ class Ranking:
 
     @classmethod
     def identity(cls, m: int) -> "Ranking":
-        return cls(tuple(range(m)))
+        return cls(tuple(item_range(m)))
 
     @property
     def m(self) -> int:
@@ -122,9 +169,6 @@ class Ranking:
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.order)
-
-    def __getitem__(self, pos: int) -> int:
-        return self.order[pos]
 
 
 def kendall_tau(a: Ranking, b: Ranking) -> int:
@@ -147,6 +191,7 @@ def apply_swap(r: Ranking, i: int, j: int) -> Ranking:
     """Exchange the positions of items ``i`` and ``j``; everything else fixed."""
     if i == j:
         raise DomainError("swap needs two distinct items")
+    check_universe(r)
     pi, pj = r.position(i), r.position(j)
     order = list(r.order)
     order[pi], order[pj] = j, i
@@ -160,14 +205,10 @@ class ValueProfile:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        values = tuple(self.values)
-        if not all(map(is_number, values)):
-            raise DomainError(f"values must be numbers: {values}")
+        values = as_tuple(self.values, "a value profile")
+        if not values or not all(is_number(v) and 0 <= v < math.inf for v in values):
+            raise DomainError(f"values must be numbers, finite, nonnegative and at least one: {values}")
         values = tuple(map(float, values))
-        if len(values) < 1:
-            raise DomainError("a value profile needs at least one entry")
-        if any(not (math.isfinite(v) and v >= 0) for v in values):
-            raise DomainError(f"values must be finite and nonnegative: {values}")
         if any(values[p] < values[p + 1] for p in range(len(values) - 1)):
             raise DomainError(f"values must be non-increasing: {values}")
         object.__setattr__(self, "values", values)
@@ -189,12 +230,12 @@ class ValueProfile:
 
 def borda_values(m: int) -> ValueProfile:
     """Borda scores by rank: ``(m-1, m-2, ..., 0)``; ``ValueProfile`` refuses ``m < 1``."""
-    return ValueProfile(tuple(float(m - 1 - p) for p in range(m)))
+    return ValueProfile(tuple(float(m - 1 - p) for p in item_range(m)))
 
 
 def top_item_values(m: int) -> ValueProfile:
     """Top-item-recovery profile: only the best item carries value, 1.0; ``ValueProfile`` refuses ``m < 1``."""
-    return ValueProfile(tuple(float(p == 0) for p in range(m)))
+    return ValueProfile(tuple(float(p == 0) for p in item_range(m)))
 
 
 @dataclass(frozen=True)
@@ -238,7 +279,7 @@ class Population:
     types: tuple[HumanType, ...]
 
     def __post_init__(self):
-        types = tuple(self.types)
+        types = as_tuple(self.types, "a population's types")
         if not types:
             raise DomainError("population must contain at least one type")
         check_universe(*types)
@@ -250,10 +291,7 @@ class Population:
                 warnings.warn(
                     f"renormalizing type weights (sum was {total!r})", stacklevel=2
                 )
-            types = tuple(
-                HumanType(t.ground_truth, t.noise, t.values, t.weight / total)
-                for t in types
-            )
+            types = tuple(replace(t, weight=t.weight / total) for t in types)
         object.__setattr__(self, "types", types)
 
     @classmethod
@@ -274,9 +312,6 @@ class Population:
     def __iter__(self) -> Iterator[HumanType]:
         return iter(self.types)
 
-    def __len__(self) -> int:
-        return len(self.types)
-
 
 @dataclass(frozen=True)
 class AlgorithmPolicy:
@@ -287,6 +322,7 @@ class AlgorithmPolicy:
     menu_size: int
 
     def __post_init__(self):
+        check_universe(self.center)
         check_menu_size(self.menu_size, self.center.m)
         object.__setattr__(self, "accuracy", check_accuracy(self.accuracy, "accuracy", noiseless=True))
 

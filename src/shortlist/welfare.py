@@ -8,7 +8,7 @@ import numpy as np
 
 from .collab import joint_utility, solo_utilities
 from .errors import DomainError
-from .rankings import AlgorithmPolicy, Population, Ranking, check_menu_size, menu_policy
+from .rankings import AlgorithmPolicy, Population, Ranking, check_menu_size, check_population, is_integer, menu_policy
 
 UPLIFT_TOLERANCE = 1e-12
 
@@ -71,6 +71,7 @@ class WelfareReport:
 
 def social_welfare(pop: Population, a: AlgorithmPolicy) -> float:
     """Weighted sum of every type's expected utility under the policy."""
+    check_population(pop)
     return float(_welfare([[joint_utility(h, a) for h in pop]], pop.weights())[0])
 
 
@@ -93,6 +94,7 @@ def top_recovery_strategy(pop: Population, k: int) -> AlgorithmPolicy | None:
     zero-value items, ascending) when those fit in a menu of size
     ``min(k, m-1)``; None when they do not.
     """
+    check_population(pop)
     if any(not h.values.is_top_item_recovery() for h in pop):
         raise DomainError("population is not in the top-item-recovery setting")
     m = pop.m
@@ -111,8 +113,8 @@ def best_worst_topitem_rankings(m: int) -> tuple[Ranking, Ranking]:
     best center keeps her top item first and reverses the rest; the worst
     pushes her top item to the very end.
     """
-    if m < 2:
-        raise DomainError("need at least two items")
+    if not is_integer(m) or m < 2:
+        raise DomainError(f"need an integer item count m >= 2, got {m!r}")
     best = Ranking((0,) + tuple(range(m - 1, 0, -1)))
     worst = Ranking(tuple(range(1, m)) + (0,))
     return best, worst

@@ -16,8 +16,20 @@
 - ``collab.center_menu_rows`` refuses centers that are not a 2-d integer
   array of permutations (DomainError), and ``collab.joint_pick_from_menus``
   a law that is not a dict or a menu probability that is not a number.
+- ``rankings.check_noise_scale`` is the one noise-scale rule, and the
+  ``phi_grid`` knobs read ``rankings.is_accuracy``, the accuracy rule's test.
+- ``rankings.open_text`` is the one path-or-stream rule: an integer file
+  descriptor or None is refused, not written to and closed.
+- ``rankings.check_universe`` also refuses an object with no item count, and
+  ``as_tuple``, ``item_range`` and ``check_population`` refuse a
+  non-iterable, a count that is not an integer and a lone type (DomainError).
 """
+import importlib.resources
+import io
+import json
 import math
+import os
+import re
 
 import numpy as np
 import pytest
@@ -33,27 +45,39 @@ from shortlist import (
     Population,
     Ranking,
     ValueProfile,
+    apply_swap,
+    best_worst_topitem_rankings,
+    borda_values,
+    branch_and_bound_menu,
     build_mip,
     check_mallows_harmful,
     check_mallows_helpful,
+    check_pl_harmful,
     check_pl_helpful,
     choice_dist,
     choice_table,
     derive_partial_order,
+    enumerate_best_menu,
+    export_lp,
     joint_pick_dist,
     joint_utility,
+    kendall_tau,
     mc_joint_pick_dist,
     noisy_uplift_search,
+    optimize_with_uplift,
     psi,
     social_welfare,
     solve_mip,
     swap_effect,
+    top_item_values,
+    top_recovery_strategy,
     verify_uplift,
 )
 from shortlist import analysis, collab, optimize
 from shortlist.choice import oracle_choice_dist
-from shortlist.experiments import tension_experiment
-from shortlist.errors import DimensionError, DomainError
+from shortlist.experiments import PreferenceProfile, emit_csv, load_profile, run_config, sushi_experiment, sushi_profile, tension_experiment
+from shortlist.errors import DimensionError, DomainError, ProfileParseError, ShortlistError
+from shortlist.rankings import check_accuracy, is_accuracy
 from shortlist.models import model_menu_distribution, policy_ranking_model
 
 FAMILIES = {
@@ -328,3 +352,227 @@ def test_zero_is_an_accuracy_and_a_policy_takes_noiseless():
     assert MallowsModel(R(0, 1, 2), 0).phi == 0.0 and type(MallowsModel(R(0, 1, 2), 0).phi) is float
     assert AlgorithmPolicy(R(0, 1, 2), np.float64(0.0), 2).accuracy == 0.0
     assert not check_mallows_harmful(ValueProfile((1.0, 0.9, 0.5, 0.0)), 0, 2, 3).applicable
+
+
+# the noise-scale rule, at each of its sites
+NOISE_SCALE_SITES = {
+    "PlackettLuceModel": lambda beta: PlackettLuceModel((1.0, 0.0), beta),
+    "check_pl_harmful": lambda beta: check_pl_harmful(ValueProfile((1.0, 0.5, 0.0)), beta, 2),
+}
+
+
+@pytest.mark.parametrize("beta", [0, -1, math.inf, math.nan, "x", True], ids=["zero", "negative", "inf", "nan", "string", "bool"])
+@pytest.mark.parametrize("site", list(NOISE_SCALE_SITES.values()), ids=list(NOISE_SCALE_SITES))
+def test_every_noise_scale_site_states_the_one_rule(site, beta):
+    with pytest.raises(DomainError, match="^noise scale beta must be a positive finite number, got "):
+        site(beta)
+
+
+def test_a_noise_scale_is_held_as_a_float():
+    beta = PlackettLuceModel((1.0, 0.0), np.float32(0.5)).beta
+    assert beta == 0.5 and type(beta) is float
+    assert PlackettLuceModel((1.0, 0.0), 2).beta == 2.0
+
+
+@pytest.mark.parametrize("bad", [math.inf, True], ids=["inf", "bool"])
+@pytest.mark.parametrize("study", [sushi_experiment, tension_experiment], ids=["sushi", "tension"])
+def test_an_accuracy_grid_reads_the_accuracy_rule(study, bad):
+    # inf is a policy accuracy only, and True is not a number; the config message is the grid's own
+    with pytest.raises(DomainError, match="^config key 'phi_grid' must be an accuracy grid: a nonempty list of finite nonnegative numbers"):
+        study(phi_grid=(0.5, bad), k=2)
+
+
+def test_the_accuracy_test_is_the_accuracy_rule():
+    for value in (0, np.float64(2.5), math.inf, -1.0, math.nan, True, "1"):
+        for noiseless in (False, True):
+            try:
+                check_accuracy(value, "phi", noiseless)
+            except DomainError:
+                assert not is_accuracy(value, noiseless)
+            else:
+                assert is_accuracy(value, noiseless)
+
+
+# each entry that takes a path or a file object, given one
+PATH_OR_STREAM = {
+    "load_profile": load_profile,
+    "emit_csv": lambda dest: emit_csv([{"a": 1}], dest),
+    "export_lp": lambda dest: export_lp(build_mip(Population((mallows_human(4),)), 2), dest),
+}
+
+
+@pytest.mark.parametrize("entry", list(PATH_OR_STREAM), ids=list(PATH_OR_STREAM))
+def test_every_path_or_stream_entry_refuses_a_descriptor_and_none(entry):
+    # an integer was opened as a file descriptor, written to and closed
+    read_end, write_end = os.pipe()
+    try:
+        for dest, name in ((write_end, "int"), (None, "NoneType")):
+            with pytest.raises(DomainError, match=f"must be a path or a file object, got {name}$"):
+                PATH_OR_STREAM[entry](dest)
+        os.write(write_end, b"!")  # still open
+        assert os.read(read_end, 100) == b"!"  # and nothing else was written
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+
+
+class _ReadOnly:
+    def read(self):
+        return ""
+
+
+@pytest.mark.parametrize("entry", ["emit_csv", "export_lp"])
+def test_a_writer_refuses_a_file_object_it_cannot_write(entry):
+    with pytest.raises(DomainError, match="must be a path or a file object, got _ReadOnly$"):
+        PATH_OR_STREAM[entry](_ReadOnly())
+
+
+@pytest.mark.parametrize("entry", ["emit_csv", "export_lp"])
+def test_a_writer_writes_the_same_text_to_a_path_and_to_a_stream(tmp_path, entry):
+    stream = io.StringIO()
+    PATH_OR_STREAM[entry](stream)
+    PATH_OR_STREAM[entry](tmp_path / "out")  # a PathLike
+    PATH_OR_STREAM[entry](str(tmp_path / "str"))
+    text = stream.getvalue()
+    assert "\r" not in text and stream.closed is False
+    assert (tmp_path / "out").read_bytes() == (tmp_path / "str").read_bytes() == text.encode("utf-8")
+
+
+SUSHI_TEXT = importlib.resources.files("shortlist").joinpath("data/sushi_top33.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [SUSHI_TEXT, SUSHI_TEXT.replace("\n", "\r\n"), "# counts\n10 1 2 3\r\n\r\n5 2 1 3", "count,a,b\r\n2,1,2\r\n1,2,1\r\n"],
+    ids=["sushi", "sushi-crlf", "text-crlf", "csv-crlf"],
+)
+def test_a_profile_reads_the_same_from_a_path_and_a_stream(tmp_path, text):
+    path = tmp_path / "profile.txt"
+    path.write_bytes(text.encode("utf-8"))
+    want = load_profile(io.StringIO(text))
+    assert load_profile(path) == load_profile(str(path)) == want
+    if text.startswith(SUSHI_TEXT[:20]):
+        assert want == sushi_profile()
+
+
+def test_a_path_splits_its_lines_as_a_stream_does(tmp_path):
+    # readlines() kept a form feed or U+2028 inside a line; str.splitlines ends the line there
+    text = "10 1 2 3\f5 2 1 3\u20284 3 2 1\n"
+    path = tmp_path / "profile.txt"
+    path.write_text(text, encoding="utf-8")
+    assert load_profile(path) == load_profile(io.StringIO(text))
+    assert len(load_profile(path).entries) == 3
+
+
+# objects without an item count m, where a Ranking, a value profile or a type belongs;
+# each ended in an AttributeError
+_GT = Ranking.identity(4)
+NO_UNIVERSE = {
+    "MallowsModel-center": lambda: MallowsModel((0, 1, 2, 3), 1.0).m,
+    "AlgorithmPolicy-center": lambda: AlgorithmPolicy((0, 1, 2, 3), 1.0, 2),
+    "HumanType-ground-truth": lambda: HumanType((0, 1, 2, 3), MallowsModel(_GT, 1.0), ValueProfile((3.0, 2.0, 1.0, 0.0))),
+    "HumanType-values": lambda: HumanType(_GT, MallowsModel(_GT, 1.0), (3.0, 2.0, 1.0, 0.0)),
+    "Population-type": lambda: Population((mallows_human(4), "x")),
+    "kendall_tau": lambda: kendall_tau(_GT, (1, 0, 2, 3)),
+    "perm_prob": lambda: MallowsModel(_GT, 1.0).perm_prob((0, 1, 2, 3)),
+    "derive_partial_order": lambda: derive_partial_order(mallows_human(4), [(0, 1, 2, 3)], 1.0, 2),
+    "noisy_uplift_search": lambda: noisy_uplift_search(Population((mallows_human(4),)), (0, 1, 2, 3), [1.0], 2),
+    "ExplicitModel": lambda: ExplicitModel((((0, 1, 2, 3), 1.0),)),
+    "apply_swap": lambda: apply_swap((0, 1, 2, 3), 0, 1),
+}
+
+
+@pytest.mark.parametrize("entry", list(NO_UNIVERSE.values()), ids=list(NO_UNIVERSE))
+def test_an_object_without_an_item_count_is_refused(entry):
+    with pytest.raises(DomainError, match=r"^expected objects with an item count m, got .*(tuple|str)"):
+        entry()
+
+
+def test_the_universe_rule_names_every_type_it_was_given():
+    with pytest.raises(DomainError, match="^expected objects with an item count m, got Ranking, tuple$"):
+        kendall_tau(_GT, (1, 0, 2, 3))
+    with pytest.raises(DimensionError, match="different item universes: 4 and 3 items"):
+        kendall_tau(_GT, Ranking.identity(3))
+
+
+# other wrong-typed inputs: counts, non-iterables, and a type where a population belongs;
+# each ended in a TypeError
+WRONG_TYPES = {
+    "identity-float": (lambda: Ranking.identity(2.0), "an item count must be an integer, got 2.0"),
+    "borda-string": (lambda: borda_values("3"), "an item count must be an integer, got '3'"),
+    "top-float": (lambda: top_item_values(2.0), "an item count must be an integer, got 2.0"),
+    "best-worst-float": (lambda: best_worst_topitem_rankings(2.5), "need an integer item count m >= 2, got 2.5"),
+    "best-worst-string": (lambda: best_worst_topitem_rankings("3"), "need an integer item count m >= 2, got '3'"),
+    "Ranking": (lambda: Ranking(3), "a ranking must be an iterable, got int"),
+    "ValueProfile": (lambda: ValueProfile(3), "a value profile must be an iterable, got int"),
+    "choice_dist": (lambda: choice_dist(FAMILIES["mallows"], 5), "items must be an iterable, got int"),
+    "Population": (lambda: Population(mallows_human(4)), "a population's types must be an iterable, got HumanType"),
+    "branch_and_bound_menu": (lambda: branch_and_bound_menu(mallows_human(4), 2), "expected a Population, got HumanType"),
+    "social_welfare": (
+        lambda: social_welfare(mallows_human(4), AlgorithmPolicy(_GT, 1.0, 2)), "expected a Population, got HumanType"),
+}
+
+
+@pytest.mark.parametrize("entry, message", list(WRONG_TYPES.values()), ids=list(WRONG_TYPES))
+def test_a_wrong_typed_input_is_refused(entry, message):
+    with pytest.raises(ShortlistError, match=f"^{re.escape(message)}"):
+        entry()
+
+
+# each entry whose argument is a population, given one human type; the rule runs in
+# branch_and_bound_menu, build_mip, social_welfare, top_recovery_strategy and the
+# menu table's and solo utilities' type grouping, which the others reach
+POPULATION_ENTRIES = {
+    "enumerate_best_menu": lambda h: enumerate_best_menu(h, 2),
+    "optimize_with_uplift": lambda h: optimize_with_uplift(h, 2),
+    "noisy_uplift_search": lambda h: noisy_uplift_search(h, _GT, [1.0], 2),
+    "verify_uplift": lambda h: verify_uplift(h, AlgorithmPolicy(_GT, 1.0, 2)),
+    "build_mip": lambda h: build_mip(h, 2),
+    "top_recovery_strategy": lambda h: top_recovery_strategy(h, 2),
+    "menu_utility_table": lambda h: collab.menu_utility_table(h, 2),
+    "solo_utilities": collab.solo_utilities,
+}
+
+
+@pytest.mark.parametrize("entry", list(POPULATION_ENTRIES.values()), ids=list(POPULATION_ENTRIES))
+def test_every_population_entry_refuses_a_single_type(entry):
+    with pytest.raises(DomainError, match="^expected a Population, got HumanType: use Population.single"):
+        entry(mallows_human(4))
+
+
+def test_integer_counts_of_any_integer_type_are_accepted():
+    assert Ranking.identity(np.int64(3)) == Ranking.identity(3)
+    assert borda_values(np.int32(3)) == borda_values(3)
+    assert best_worst_topitem_rankings(np.int64(3)) == best_worst_topitem_rankings(3)
+
+
+# branches that no other test enters
+def test_mallows_helpful_refuses_a_plackett_luce_human_and_a_uniform_one():
+    curator = MallowsModel(Ranking.identity(4), 1.0)
+    with pytest.raises(DomainError, match="human noise model must be Mallows"):
+        check_mallows_helpful(pl_human((3.0, 2.0, 1.0, 0.0)), curator, 1, 2)
+    gt = Ranking.identity(4)
+    uniform = HumanType(gt, MallowsModel(gt, 0.0), ValueProfile((3.0, 2.0, 1.0, 0.0)))
+    with pytest.raises(DomainError, match="condition checkers need phi_h > 0"):
+        check_mallows_helpful(uniform, curator, 1, 2)
+
+
+def test_a_text_profile_row_with_a_non_integer_item_is_refused():
+    with pytest.raises(ProfileParseError, match="^line 2: non-integer ranking entry"):
+        load_profile(io.StringIO("10 1 2 3\n5 1 x 3\n"))
+
+
+def test_a_json_config_that_is_a_list_is_refused(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps([{"experiment": "sushi", "output": "x.csv"}]))
+    with pytest.raises(DomainError, match="^config must be a JSON object$"):
+        run_config(path)
+
+
+def test_profiles_and_populations_built_directly_are_checked():
+    with pytest.raises(ProfileParseError, match="profile is empty"):
+        PreferenceProfile(())
+    with pytest.raises(DimensionError, match="different item universes: 3 and 4 items"):
+        PreferenceProfile(((Ranking.identity(3), 1.0), (Ranking.identity(4), 1.0)))
+    with pytest.raises(DomainError, match="population must contain at least one type"):
+        Population(())

@@ -262,7 +262,9 @@ def test_type_weight_must_be_a_number(weight):
 
 @pytest.mark.parametrize("values, beta", [((bad, 0.0), 1.0) for bad in NOT_NUMBERS] + [((1.0, 0.0), bad) for bad in NOT_NUMBERS])
 def test_plackett_luce_values_and_scale_must_be_numbers(values, beta):
-    with pytest.raises(DomainError, match="must be numbers"):
+    # a bad beta (the good one is the float 1.0) meets the one noise-scale rule
+    match = "must be numbers" if type(beta) is float else "noise scale beta must be a positive finite number"
+    with pytest.raises(DomainError, match=match):
         PlackettLuceModel(values, beta)
 
 
