@@ -1,4 +1,4 @@
-"""Pick distributions, menu utility tables and expected utilities for solo and curated humans.
+"""Pick distributions, menu utility tables and expected utilities for solo and curated humans; menus are ``k_menus`` arrays.
 
 Curators pass ``rankings.check_ranking_model``, policies ``rankings.check_policy``, rows ``models._integer_rows``, centers ``center_menu_rows``.
 """
@@ -64,7 +64,7 @@ def joint_pick_dist(h: HumanType, a: AlgorithmPolicy) -> PickDistribution:
     check_universe(h, a)
     if a.is_noiseless:
         return choice_dist(h.noise, a.fixed_menu())
-    menus = np.array(k_menus(h.m, a.menu_size), dtype=np.intp)
+    menus = k_menus(h.m, a.menu_size)
     return _pick_law(h, [(menus, policy_ranking_model(a).topk_law(menus))])
 
 
@@ -135,7 +135,7 @@ def menu_utility(h: HumanType, menu) -> float:
 
 
 def menu_utility_table(pop: Population, k: int):
-    """All k-menus (``models.k_menus``) with per-type utilities, shape (menus, types).
+    """The ``models.k_menus`` array of all k-menus and their per-type utilities, shape (menus, types).
 
     A type's utility of a menu depends only on the menu's position set in
     its model's order (``ranks``). So a column holds the utility of every
@@ -152,7 +152,6 @@ def menu_utility_table(pop: Population, k: int):
     """
     m = pop.m
     menus = k_menus(m, k)
-    positions = np.array(menus, dtype=np.intp)
     groups = _relabelling_groups(pop)
     heads = [pop.types[cols[0]] for cols in groups.values()]
     values = [np.array([h.value_of(x) for x in np.argsort(h.noise.ranks)]) for h in heads]
@@ -160,7 +159,7 @@ def menu_utility_table(pop: Population, k: int):
     columns = np.empty((len(groups), len(menus)))
     size = max(1, MENU_BLOCK // max(1, len(phis)))  # menus per block
     for lo in range(0, len(menus), size):
-        block = positions[lo : lo + size]
+        block = menus[lo : lo + size]
         # model key -> the block's pick rows
         picks: dict = dict(zip(phis, _mallows_pick_rows(block, m, phis))) if phis else {}
         for g, (model, _) in enumerate(groups):
@@ -188,7 +187,7 @@ def center_menu_rows(centers, k: int) -> np.ndarray:
     if centers.ndim != 2 or (np.sort(centers, axis=1) != np.arange(centers.shape[1])).any():
         raise DomainError(f"{rule}, got shape {centers.shape}")
     m = centers.shape[1]
-    sets = np.array(k_menus(m, k), dtype=np.intp)
+    sets = k_menus(m, k)
     total = len(sets)
     # reflecting positions (p -> m-1-p) turns lexicographic order into reversed colexicographic
     # order, whose rank is a sum of binomials; no term of a valid set exceeds C(m, k): clip there
@@ -203,7 +202,7 @@ def center_menu_rows(centers, k: int) -> np.ndarray:
 def center_utilities(table, model, rows) -> np.ndarray:
     """Expected utility of every type under a curator's menu law, at each row of ``rows``.
 
-    ``table`` is ``menu_utility_table``'s (menus, utilities) pair and
+    ``table`` is ``menu_utility_table``'s (menus array, utilities) pair, or one with a list of menus, and
     ``model`` any curator's ranking model. With ``p`` the model's
     ``topk_law`` of the table's menus (``k_menus`` order), entry
     (c, t) is ``sum_T p[T] * utilities[rows[c, T], t]``, where ``rows[c, T]``
@@ -229,7 +228,7 @@ def center_utilities(table, model, rows) -> np.ndarray:
         raise DimensionError(f"rows {rows.shape[1]} menus wide for a table of C({m}, {len(menus[0])}) = {len(menus)}")
     if rows.size and (rows.min() < 0 or rows.max() >= len(menus)):
         raise DimensionError(f"rows outside the table's 0..{len(menus) - 1}")
-    p_id = model.topk_law(np.array(menus, dtype=np.intp))
+    p_id = model.topk_law(menus)
     support = np.flatnonzero(p_id)
     weights = p_id[support, None]
     rows = rows[:, support]

@@ -179,7 +179,7 @@ def sushi_experiment(
     weights = profile.to_population(phis[0]).weights()  # a Population's (renormalized) weights
     menus, tables, grid = _grid_tables(phis, borda_values(profile.m), [r for r, _ in profile.entries], k)
     solos = solo_utilities(grid).tolist()
-    idx_m = menus.index(modal_menu)
+    idx_m = int((menus == modal_menu).all(axis=1).argmax())
     rows: list[dict] = []
     for phi_h, table, solo in zip(phis, tables, solos):
         welfare = _welfare(table, weights)

@@ -20,7 +20,8 @@ library never asks which family it has:
   menus of items, and ``collab.center_menu_rows`` for a menu table.
 
 A brute-force enumeration oracle sits alongside them so every closed form
-can be cross-checked at desk scale.
+can be cross-checked at desk scale. ``k_menus`` gives an enumerated menu set
+its one form, the (C(m, k), k) intp array every table, law and relabelling reads.
 
 Two different normalizers both get called "Z" in the Mallows literature; here
 ``row_z(j)`` is the single-row sum ``1 + e^{-phi} + ... + e^{-phi (j-1)}``, and
@@ -418,8 +419,9 @@ class PlackettLuceModel:
     item_values: tuple[float, ...]
     beta: float
     center: Ranking = field(init=False, compare=False)
-    # topk_set_prob's subset memo: item bitmask -> log-normaliser of the
-    # items outside it, and item bitmask -> prefix-set probability f(T)
+    # item_values / beta; topk_set_prob's subset memo: item bitmask -> log-normaliser
+    # of the items outside it, and item bitmask -> prefix-set probability f(T)
+    _scaled_values: np.ndarray = field(init=False, compare=False, repr=False)
     _subsets: tuple[dict, dict] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -428,24 +430,23 @@ class PlackettLuceModel:
             raise DomainError(f"item values must be numbers, finite and at least one, got {values}")
         values = tuple(map(float, values))
         beta = check_noise_scale(self.beta)
-        if not all(math.isfinite(v / beta) for v in values):
+        scaled = np.array([v / beta for v in values])
+        if not np.isfinite(scaled).all():
             raise DomainError(f"item values divided by noise scale beta={beta!r} overflow")
         object.__setattr__(self, "item_values", values)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "center", _sorted_by_value(values))
+        object.__setattr__(self, "_scaled_values", scaled)
         object.__setattr__(self, "_subsets", ({}, {0: 1.0}))
 
     @property
     def m(self) -> int:
         return len(self.item_values)
 
-    def _scaled(self) -> np.ndarray:
-        return np.asarray(self.item_values, dtype=float) / self.beta
-
     def perm_prob(self, r: Ranking) -> float:
         """Sequential-choice probability of the exact ranking ``r``."""
         check_universe(self, r)
-        u = self._scaled()[list(r.order)]
+        u = self._scaled_values[list(r.order)]
         total = 0.0
         for j in range(self.m):
             tail = u[j:]
@@ -488,11 +489,11 @@ class PlackettLuceModel:
             # the full set is never a denominator
             taken = np.zeros((len(missing), self.m), dtype=bool)
             taken[:, items] = np.array(missing)[:, None] >> np.arange(k) & 1
-            rest = np.where(taken, -np.inf, self._scaled())
+            rest = np.where(taken, -np.inf, self._scaled_values)
             hi = rest.max(axis=1, keepdims=True)
             rows = (hi + np.log(np.exp(rest - hi).sum(axis=1, keepdims=True)))[:, 0]
             log_norm.update(zip((masks[S] for S in missing), rows.tolist()))
-        u = self._scaled().tolist()
+        u = self._scaled_values.tolist()
         for T in masks[1:]:
             if T not in f:
                 f[T] = math.fsum(
@@ -514,7 +515,7 @@ class PlackettLuceModel:
 
         A softmax of their scaled values, summed in center order alone or in a batch.
         """
-        u = self._scaled()[list(self.center.order)][menus]
+        u = self._scaled_values[list(self.center.order)][menus]
         w = np.exp(u - u.max(axis=1, keepdims=True))
         return w / w.sum(axis=1, keepdims=True)
 
@@ -641,23 +642,22 @@ def policy_ranking_model(policy: AlgorithmPolicy) -> MallowsModel | ExplicitMode
     return MallowsModel(policy.center, policy.accuracy)
 
 
-def k_menus(m: int, k: int) -> list[tuple[int, ...]]:
-    """Every k-subset of ``0..m-1`` in lexicographic order, if there are few enough.
+def k_menus(m: int, k: int) -> np.ndarray:
+    """Every k-subset of ``0..m-1`` in lexicographic order, as a (C(m, k), k) intp array, if there are few enough.
 
-    The one place that decides which menus can be enumerated: raises
-    ``check_menu_size``'s DomainError, and CapacityError when C(m, k) exceeds
-    ``MENU_ENUMERATION_CAP``, before any menu is built.
+    The one place that decides which menus can be enumerated and their one form, the array every
+    table, law and relabelling reads: raises ``check_menu_size``'s DomainError, and CapacityError
+    when C(m, k) exceeds ``MENU_ENUMERATION_CAP``, before any menu is built.
     """
     check_menu_size(k, m)
-    if math.comb(m, k) > MENU_ENUMERATION_CAP:
-        raise CapacityError(
-            f"C({m},{k}) = {math.comb(m, k)} menus exceeds the exact-enumeration cap"
-        )
-    return list(itertools.combinations(range(m), k))
+    count = math.comb(m, k)
+    if count > MENU_ENUMERATION_CAP:
+        raise CapacityError(f"C({m},{k}) = {count} menus exceeds the exact-enumeration cap")
+    return np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(m), k)), np.intp, count * k).reshape(count, k)
 
 
 def model_menu_distribution(model, k: int) -> dict[frozenset[int], float]:
     """Distribution of the top-``k`` set over all k-subsets: the model's ``topk_law`` of ``k_menus`` as a dict."""
     check_ranking_model(model)
     menus = k_menus(model.m, k)
-    return dict(zip(map(frozenset, menus), model.topk_law(np.array(menus, dtype=np.intp)).tolist()))
+    return dict(zip(map(frozenset, menus.tolist()), model.topk_law(menus).tolist()))

@@ -48,7 +48,7 @@ def _best_menu(menus, table: np.ndarray, welfare: np.ndarray, method: str) -> Op
     """The row of largest ``welfare``; argmax takes the first, lexicographically smallest, of ties."""
     best = int(np.argmax(welfare))
     return OptimizeResult(
-        menu=menus[best],
+        menu=tuple(map(int, menus[best])),
         welfare=float(welfare[best]),
         per_type=tuple(float(u) for u in table[best]),
         method=method,

@@ -13,6 +13,7 @@ import contextlib
 import math
 import numbers
 import os
+import sys
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Iterator
@@ -35,11 +36,14 @@ def is_integer(x) -> bool:
 
 
 def is_number(x) -> bool:
-    """The one rule for a real parameter: ``numbers.Real``, numpy floats and integers included, ``bool`` refused.
+    """The one rule for a real parameter: a ``numbers.Real`` within float range, numpy floats and integers included, ``bool`` refused.
 
-    ``float`` and ``int`` are tested first because the ABC check costs far more per call.
+    ``float`` and ``int`` are tested first, as the ABC check costs far more; a finite real past float range (``10**400``) is refused.
     """
-    return type(x) is float or type(x) is int or (isinstance(x, numbers.Real) and not isinstance(x, bool))
+    try:
+        return type(x) is float or (type(x) is int or isinstance(x, numbers.Real) and not isinstance(x, bool)) and (not math.isinf(f := float(x)) or f == x)
+    except OverflowError:  # int and Fraction raise where a float would overflow
+        return False
 
 
 def as_tuple(items, what: str) -> tuple:
@@ -51,8 +55,8 @@ def as_tuple(items, what: str) -> tuple:
 
 
 def item_range(m) -> range:
-    """The items ``0..m-1`` of an item count ``m``: the one count rule, a DomainError unless ``is_integer(m)``."""
-    if not is_integer(m):
+    """The items ``0..m-1`` of an item count ``m``: the one count rule, a DomainError unless ``is_integer(m)`` and a sequence length."""
+    if not is_integer(m) or m > sys.maxsize:
         raise DomainError(f"an item count must be an integer, got {m!r}")
     return range(m)
 
@@ -283,6 +287,8 @@ class Population:
         if not types:
             raise DomainError("population must contain at least one type")
         check_universe(*types)
+        if not all(isinstance(t, HumanType) for t in types):
+            raise DomainError(f"population types must be HumanTypes, got {', '.join(type(t).__name__ for t in types)}")
         total = math.fsum(t.weight for t in types)
         if abs(total - 1.0) > WEIGHT_TOLERANCE:
             raise DomainError(f"type weights sum to {total!r}, expected 1")

@@ -4,10 +4,12 @@ A run that exits 2 prints exactly one line, which starts with ``error:``.
 
 Arguments are drawn per subcommand from its flags, each with a mix of valid
 and invalid tokens over small universes (m <= 5), so runs get past argparse
-and into the library as often as they stop at a bad token. Three narrower
-fuzzes draw profile counts, harmful-condition accuracies and Plackett-Luce
-values and scales: a count or accuracy outside its domain must exit 2, and a
-scale that overflows the values must not be answered with NaN.
+and into the library as often as they stop at a bad token. Four narrower
+fuzzes draw profile counts, harmful-condition accuracies, Plackett-Luce
+values and scales, and configs whose knobs hold huge integers or bools: a
+count or accuracy outside its domain must exit 2, a scale that overflows the
+values must not be answered with NaN, and no knob takes a huge integer or a
+bool, so such a config exits 2.
 """
 import contextlib
 import importlib.resources
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 
 from conftest import declared_flags
 from shortlist import cli
+from shortlist.experiments import EXPERIMENTS
 
 RANKINGS = ["1 2 3", "2 1 3", "3,1,2", "1 2 3 4", "2 4 5 1 3", "1 x 3", "", "0 1 2", "1 1 2", "1 2 9"]
 PAIRS = ["1 2", "2 3", "3 1", "1", "1 2 3", "1 x", "0 1"]
@@ -166,6 +169,23 @@ def test_fuzzed_plackett_luce_scales_never_answer_nan(command, values, beta):
     code, out, err = run(argv)
     assert code in (0, 1, 2) and "Traceback" not in err, (argv, code, err)
     assert code != 0 or "nan" not in out, (argv, out)
+
+
+# a value no config knob takes: an integer past float range, or a bool, alone or in a list
+BAD_KNOB_VALUES = [10**400, -(10**400), True, False, [10**400], [True], [0.5, 10**400], [4, False]]
+
+
+@pytest.mark.parametrize("name, key", [(name, key) for name in EXPERIMENTS for key in EXPERIMENTS[name][1]])
+@given(value=st.sampled_from(BAD_KNOB_VALUES), others=st.lists(st.sampled_from(BAD_KNOB_VALUES), max_size=3))
+@settings(max_examples=20, deadline=None)
+def test_fuzzed_configs_with_huge_integers_and_bools_exit_2(paths, name, key, value, others):
+    # the knob under test holds a bad value; so may up to three other knobs
+    config = {"experiment": name, "output": str(paths / "huge.csv"), key: value}
+    config.update({k: v for k, v in zip(sorted(set(EXPERIMENTS[name][1]) - {key}), others)})
+    (paths / "huge.json").write_text(json.dumps(config))
+    code, out, err = run(["experiment", "--config", str(paths / "huge.json")])
+    assert code in (0, 1, 2) and "Traceback" not in err, (config, code, err)
+    assert code == 2, (config, out)
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))

@@ -24,7 +24,7 @@ from shortlist import (
 )
 from shortlist import collab
 from shortlist.errors import CapacityError, DimensionError, DomainError
-from shortlist.models import model_menu_distribution, policy_ranking_model
+from shortlist.models import k_menus, model_menu_distribution, policy_ranking_model
 from shortlist.rankings import borda_values
 
 LN2 = math.log(2)
@@ -307,6 +307,15 @@ class TestCenterUtilities:
         rows[1, 3] = bad
         with pytest.raises(DimensionError, match=r"rows outside the table's 0\.\.5"):
             collab.center_utilities(self.table(), MallowsModel(Ranking.identity(4), 1.0), rows)
+
+    def test_the_table_holds_the_k_menus_array_and_a_listed_table_scores_alike(self):
+        menus, utilities = self.table()
+        assert menus.dtype == np.intp and np.array_equal(menus, k_menus(4, 2))
+        model = MallowsModel(R(2, 0, 3, 1), 0.7)
+        rows = collab.center_menu_rows([[0, 1, 2, 3], [3, 1, 0, 2]], 2)
+        listed = (list(map(tuple, menus.tolist())), utilities)
+        got = collab.center_utilities(listed, model, rows)
+        assert got.tobytes() == collab.center_utilities((menus, utilities), model, rows).tobytes()
 
     def test_matching_model_and_rows_score_the_joint_utility(self):
         h = HumanType(Ranking.identity(4), MallowsModel(Ranking.identity(4), 1.0), borda_values(4), 1.0)

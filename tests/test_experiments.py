@@ -182,7 +182,7 @@ def sushi_reference(profile, grid, k):
         total = welfare._welfare(table, pop.weights())
         fractions = welfare._welfare(welfare.uplifted(table, collab.solo_utilities(pop)), pop.weights())
         best, most = int(np.argmax(total)), int(np.lexsort((-total, -fractions))[0])
-        for name, idx in (("A_m", menus.index(modal)), ("A_w", best), ("A_u", most)):
+        for name, idx in (("A_m", menus.tolist().index(list(modal))), ("A_w", best), ("A_u", most)):
             out.append({"phi_h": phi_h, "algorithm": name, "welfare": float(total[idx]),
                         "uplift_fraction": float(fractions[idx]), "menu": experiments._menu_label(menus[idx])})
     return out

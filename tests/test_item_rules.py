@@ -23,7 +23,11 @@
 - ``rankings.check_universe`` also refuses an object with no item count, and
   ``as_tuple``, ``item_range`` and ``check_population`` refuse a
   non-iterable, a count that is not an integer and a lone type (DomainError).
+- ``rankings.is_number`` refuses a finite real past float range, so a huge
+  integer is refused in each site's own words, by a library call and by a
+  config alike; a ``Population`` refuses a type that is not a ``HumanType``.
 """
+import contextlib
 import importlib.resources
 import io
 import json
@@ -73,11 +77,11 @@ from shortlist import (
     top_recovery_strategy,
     verify_uplift,
 )
-from shortlist import analysis, collab, optimize
+from shortlist import analysis, cli, collab, optimize
 from shortlist.choice import oracle_choice_dist
-from shortlist.experiments import PreferenceProfile, emit_csv, load_profile, run_config, sushi_experiment, sushi_profile, tension_experiment
+from shortlist.experiments import PreferenceProfile, beta_sweep, emit_csv, load_profile, run_config, sushi_experiment, sushi_profile, tension_experiment
 from shortlist.errors import DimensionError, DomainError, ProfileParseError, ShortlistError
-from shortlist.rankings import check_accuracy, is_accuracy
+from shortlist.rankings import check_accuracy, is_accuracy, is_number
 from shortlist.models import model_menu_distribution, policy_ranking_model
 
 FAMILIES = {
@@ -393,6 +397,66 @@ def test_the_accuracy_test_is_the_accuracy_rule():
                 assert is_accuracy(value, noiseless)
 
 
+# each site of a real parameter, given a 401-digit integer; each ended in an OverflowError
+HUGE = 10**400
+HUGE_SITES = {
+    "MallowsModel-phi": (lambda: MallowsModel(R(0, 1, 2), HUGE), "phi must be a nonnegative finite number"),
+    "AlgorithmPolicy-accuracy": (lambda: AlgorithmPolicy(R(0, 1, 2), HUGE, 2), "accuracy must be a nonnegative finite number"),
+    "PlackettLuceModel-beta": (lambda: PlackettLuceModel((1.0, 0.0), HUGE), "noise scale beta must be a positive finite number"),
+    "PlackettLuceModel-value": (lambda: PlackettLuceModel((HUGE, 0.0), 1.0), "item values must be numbers"),
+    "ValueProfile": (lambda: ValueProfile((HUGE, 0.0)), "values must be numbers"),
+    "ExplicitModel": (lambda: ExplicitModel(((R(0, 1), HUGE),)), "support probabilities must be numbers"),
+    "check_mallows_harmful": (lambda: check_mallows_harmful(ValueProfile((1.0, 0.5, 0.0)), HUGE, 1, 2), "phi_h must be"),
+    "check_pl_harmful": (lambda: check_pl_harmful(ValueProfile((1.0, 0.5, 0.0)), HUGE, 2), "noise scale beta must be"),
+    "beta_sweep-beta_grid": (lambda: beta_sweep(beta_grid=[HUGE]), "config key 'beta_grid' must be"),
+    "beta_sweep-phi": (lambda: beta_sweep(phi=HUGE), "config key 'phi' must be"),
+    "beta_sweep-gumbel_beta": (lambda: beta_sweep(gumbel_beta=HUGE), "config key 'gumbel_beta' must be"),
+    "tension-gamma": (lambda: tension_experiment(gamma=HUGE), "config key 'gamma' must be"),
+    "sushi-phi_grid": (lambda: sushi_experiment(phi_grid=[HUGE]), "config key 'phi_grid' must be"),
+    "noisy_uplift_search": (lambda: noisy_uplift_search(Population((mallows_human(3),)), R(0, 1, 2), [HUGE], 2), "accuracy must be"),
+    "derive_partial_order": (lambda: derive_partial_order(mallows_human(3), [R(0, 1, 2)], HUGE, 2), "accuracy must be"),
+}
+
+
+@pytest.mark.parametrize("entry, message", list(HUGE_SITES.values()), ids=list(HUGE_SITES))
+def test_a_huge_integer_is_refused_in_the_sites_own_words(entry, message):
+    with pytest.raises(ShortlistError, match=f"^{re.escape(message)}"):
+        entry()
+
+
+# each config knob of a real, given a 401-digit integer; each exited 1 with a traceback
+HUGE_CONFIGS = {
+    "tension-gamma": ("tension", "gamma", HUGE),
+    "tension-phi_grid": ("tension", "phi_grid", [HUGE]),
+    "sushi-phi_grid": ("sushi", "phi_grid", [HUGE]),
+    "beta-sweep-beta_grid": ("beta-sweep", "beta_grid", [HUGE]),
+    "beta-sweep-phi": ("beta-sweep", "phi", HUGE),
+    "beta-sweep-gumbel_beta": ("beta-sweep", "gumbel_beta", HUGE),
+    "bench-sizes": ("bench", "sizes", [HUGE]),  # an item count past any sequence length
+}
+
+
+@pytest.mark.parametrize("experiment, key, value", list(HUGE_CONFIGS.values()), ids=list(HUGE_CONFIGS))
+def test_a_config_with_a_huge_integer_exits_2_with_one_error_line(tmp_path, experiment, key, value):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"experiment": experiment, "output": str(tmp_path / "out.csv"), key: value}))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["experiment", "--config", str(config)])
+    lines = err.getvalue().splitlines()
+    assert code == 2 and len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_a_number_is_a_real_that_a_float_holds():
+    for x in (0, -3, 1.5, np.int64(7), np.float32(0.25), math.inf, -math.inf, np.float64(math.inf), math.nan, 2**1023):
+        assert is_number(x), x
+    for x in (True, np.bool_(False), "1", None, HUGE, -HUGE, 2**1024):
+        assert not is_number(x), x
+    if np.finfo(np.longdouble).maxexp > 1024:  # a long double wider than a float is not rounded to inf
+        assert not is_number(np.longdouble("1e400")) and is_number(np.longdouble("inf"))
+
+
 # each entry that takes a path or a file object, given one
 PATH_OR_STREAM = {
     "load_profile": load_profile,
@@ -507,6 +571,8 @@ WRONG_TYPES = {
     "ValueProfile": (lambda: ValueProfile(3), "a value profile must be an iterable, got int"),
     "choice_dist": (lambda: choice_dist(FAMILIES["mallows"], 5), "items must be an iterable, got int"),
     "Population": (lambda: Population(mallows_human(4)), "a population's types must be an iterable, got HumanType"),
+    "Population-type": (
+        lambda: Population((mallows_human(3), borda_values(3))), "population types must be HumanTypes, got HumanType, ValueProfile"),
     "branch_and_bound_menu": (lambda: branch_and_bound_menu(mallows_human(4), 2), "expected a Population, got HumanType"),
     "social_welfare": (
         lambda: social_welfare(mallows_human(4), AlgorithmPolicy(_GT, 1.0, 2)), "expected a Population, got HumanType"),

@@ -16,7 +16,7 @@ from shortlist import (
     model_menu_distribution,
 )
 from shortlist.errors import CapacityError, DimensionError, DomainError
-from shortlist.models import ENUMERATION_CAP, _insertion_rows, row_z
+from shortlist.models import ENUMERATION_CAP, _insertion_rows, _logsumexp, k_menus, row_z
 
 LN2 = math.log(2)
 
@@ -414,6 +414,58 @@ class TestPlackettLuce:
     def test_low_noise_sampling(self, rng):
         model = PlackettLuceModel((5.0, 1.0, 0.0), 1e-3)
         assert model.sample_many(rng, 1)[0].tolist() == [0, 1, 2]
+
+
+class TestPlackettLuceScalesOnce:
+    """A Plackett-Luce model divides its values by beta once; every query reads those quotients."""
+
+    @staticmethod
+    def reference_topk(values, beta, items):
+        """P[``items`` is the top set] from ``values[x] / beta``: each subset's log-normaliser in its own row."""
+        u = [v / beta for v in values]
+
+        def log_norm(taken):
+            rest = np.array([[-np.inf if y in taken else u[y] for y in range(len(u))]])
+            hi = rest.max(axis=1, keepdims=True)
+            return float((hi + np.log(np.exp(rest - hi).sum(axis=1, keepdims=True)))[0, 0])
+
+        f = {frozenset(): 1.0}
+        for size in range(1, len(items) + 1):
+            for T in map(frozenset, itertools.combinations(sorted(items), size)):
+                f[T] = math.fsum(f[T - {x}] * math.exp(u[x] - log_norm(T - {x})) for x in sorted(T))
+        return f[frozenset(items)]
+
+    def test_no_per_call_scaling_is_left(self):
+        assert not hasattr(PlackettLuceModel, "_scaled")
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_queries_have_the_bits_of_values_over_beta(self, m):
+        rng = np.random.default_rng(400 + m)
+        values = tuple(float(v) for v in rng.normal(0.0, 2.0, m))
+        beta = float(rng.uniform(0.05, 3.0))
+        model = PlackettLuceModel(values, beta)
+        u = np.array([v / beta for v in values])
+        assert model._scaled_values.tobytes() == (np.asarray(values) / beta).tobytes() == u.tobytes()
+        for perm in itertools.permutations(range(m)):
+            order = u[list(perm)]
+            want = math.exp(sum(order[j] - _logsumexp(order[j:]) for j in range(m)))
+            assert model.perm_prob(Ranking(perm)).hex() == want.hex()
+        for k in range(1, m + 1):
+            rows = np.array(list(itertools.combinations(range(m), k)), dtype=np.intp)
+            by_center = u[list(model.center.order)][rows]
+            w = np.exp(by_center - by_center.max(axis=1, keepdims=True))
+            assert model.pick_rows(rows).tobytes() == (w / w.sum(axis=1, keepdims=True)).tobytes()
+            cold = PlackettLuceModel(values, beta)
+            for items in rows.tolist():
+                assert cold.topk_set_prob(items).hex() == self.reference_topk(values, beta, items).hex()
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_k_menus_is_the_intp_array_of_lexicographic_k_sets(m):
+    for k in range(1, m + 1):
+        menus = k_menus(m, k)
+        assert isinstance(menus, np.ndarray) and menus.dtype == np.intp and menus.shape == (math.comb(m, k), k)
+        assert menus.tolist() == [list(s) for s in itertools.combinations(range(m), k)]
 
 
 class TestExplicitModel:

@@ -252,7 +252,7 @@ class TestBranchAndBound:
             families = ("mallows", "pl", "explicit") if i % 3 == 0 else ("mallows",)
             pop = heterogeneous_population(rng, m, int(rng.integers(1, 4)), families)
             menus, table = menu_utility_table(pop, k)
-            welfare = dict(zip(menus, _welfare(table, pop.weights())))
+            welfare = dict(zip(map(tuple, menus.tolist()), _welfare(table, pop.weights())))
             values, caps, weights = _bound_inputs(pop)
             order = tuple(int(x) for x in rng.permutation(m))
             for fixed, rest, slots in search_nodes(order, k):
@@ -322,6 +322,16 @@ class TestSharedTable:
             table = menu_utility_table(pop, k)
             assert enumerate_best_menu(pop, k, table=table) == enumerate_best_menu(pop, k)
             assert optimize_with_uplift(pop, k, table=table) == optimize_with_uplift(pop, k)
+
+    def test_a_menu_is_a_tuple_of_ints_from_the_array_or_a_list_of_menus(self):
+        pop = tension_population(0.5, 0.0)  # every k has a menu that uplifts
+        for k in (1, 3, 5):
+            menus, utilities = menu_utility_table(pop, k)
+            listed = (list(map(tuple, menus.tolist())), utilities)
+            for result in (enumerate_best_menu(pop, k), optimize_with_uplift(pop, k), branch_and_bound_menu(pop, k),
+                           enumerate_best_menu(pop, k, table=listed), optimize_with_uplift(pop, k, table=listed)):
+                assert type(result.menu) is tuple and all(type(x) is int for x in result.menu), result
+            assert enumerate_best_menu(pop, k, table=listed) == enumerate_best_menu(pop, k)
 
     @pytest.mark.parametrize("solver", [enumerate_best_menu, optimize_with_uplift])
     def test_a_table_of_another_shape_is_refused(self, solver):

@@ -119,7 +119,7 @@ class TestCenterUtilities:
         menus, table = menu_utility_table(pop, 2)
         center = Ranking((3, 1, 4, 0, 2))
         got = product(pop, [center], NOISELESS, 2)
-        assert np.array_equal(got[0], table[menus.index((1, 3))])
+        assert np.array_equal(got[0], table[menus.tolist().index([1, 3])])
 
     def test_empty_center_list(self, rng):
         pop = three_family_population(rng, 4)
