@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from .collab import center_menu_rows, center_utilities, expected_utility, joint_pick_dist, menu_utility_table
 from .errors import DomainError
 from .models import MallowsModel, PlackettLuceModel, _check_items, _logistic, policy_ranking_model
-from .rankings import AlgorithmPolicy, HumanType, Population, Ranking, ValueProfile, apply_swap, check_accuracy, check_noise_scale, check_ranking_model, check_universe, is_integer
+from .rankings import AlgorithmPolicy, HumanType, Population, Ranking, ValueProfile, apply_swap, as_tuple, check_accuracy, check_noise_scale, check_ranking_model, check_universe, is_integer
 
 
 @dataclass(frozen=True)
@@ -249,7 +249,7 @@ def derive_partial_order(h: HumanType, candidates, phi_a: float, k: int) -> Cand
     identity's policy relabelled, so one menu table of the human and the
     identity's ranking model give every candidate's utility (``center_utilities``).
     """
-    candidates = list(candidates)
+    candidates = as_tuple(candidates, "candidate centers")
     if not candidates:
         raise DomainError("candidate list must be nonempty")
     check_universe(h, *candidates)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError
 from .models import _check_items, _check_menus
-from .rankings import check_ranking_model
+from .rankings import check_ranking_model, is_number
 
 
 @dataclass(frozen=True)
@@ -33,8 +33,12 @@ class PickDistribution:
     probs: dict[int, float]
 
     def __post_init__(self):
+        if not isinstance(self.probs, dict):
+            raise DomainError(f"pick probabilities must be a dict of items to numbers, got {type(self.probs).__name__}")
         if not self.probs:
             raise DomainError("pick distribution needs a nonempty support")
+        if not all(map(is_number, self.probs.values())):
+            raise DomainError("pick probabilities must be numbers")
         if any(p < -1e-12 for p in self.probs.values()):
             raise DomainError("pick probabilities must be nonnegative")
         total = math.fsum(self.probs.values())

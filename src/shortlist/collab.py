@@ -5,6 +5,7 @@ Curators pass ``rankings.check_ranking_model``, policies ``rankings.check_policy
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -199,11 +200,39 @@ def center_menu_rows(centers, k: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=16)
+def _k_menus_bytes(m: int, k: int) -> bytes:
+    """The bytes of ``k_menus(m, k)``: a table checked once per grid accuracy builds its menu set once."""
+    return k_menus(m, k).tobytes()
+
+
+def check_menu_table(table) -> tuple[np.ndarray, np.ndarray]:
+    """``table`` as ``menu_utility_table``'s (menus, utilities) pair, its menus an intp array: the one table rule.
+
+    The menus, an array or a list, must be ``k_menus(m, k)`` for their width k and last item m - 1, in
+    that order, and the utilities a 2-d real array of one row per menu. A non-pair, non-integer menus or
+    other menus are a DomainError, menus or utilities of another shape a DimensionError. The menus are
+    compared with the bytes of ``k_menus(m, k)``, cached for the last 16 menu sets.
+    """
+    if not isinstance(table, (tuple, list)) or len(table) != 2:
+        size = f" of {len(table)}" if isinstance(table, (tuple, list)) else ""
+        raise DomainError(f"a menu table must be a (menus, utilities) pair, got {type(table).__name__}{size}")
+    menus, utilities = _integer_rows(table[0], "table menus must be integers"), table[1]
+    if not isinstance(utilities, np.ndarray) or utilities.dtype.kind not in "fiu":
+        raise DomainError(f"table utilities must be an array of numbers, got {type(utilities).__name__}")
+    if menus.ndim != 2 or not menus.size or utilities.ndim != 2 or len(utilities) != len(menus):
+        raise DimensionError(f"a menu table of {menus.shape} menus and {utilities.shape} utilities, expected one row per menu")
+    m, k = int(menus[-1, -1]) + 1, menus.shape[1]
+    if k > m or len(menus) != math.comb(m, k) or menus.tobytes() != _k_menus_bytes(m, k):
+        raise DomainError(f"table menus must be every {k}-menu of {m} items in k_menus order")
+    return menus, utilities
+
+
 def center_utilities(table, model, rows) -> np.ndarray:
     """Expected utility of every type under a curator's menu law, at each row of ``rows``.
 
-    ``table`` is ``menu_utility_table``'s (menus array, utilities) pair, or one with a list of menus, and
-    ``model`` any curator's ranking model. With ``p`` the model's
+    ``table`` is ``menu_utility_table``'s (menus array, utilities) pair, or one with a list of menus,
+    held to ``check_menu_table``, and ``model`` any curator's ranking model. With ``p`` the model's
     ``topk_law`` of the table's menus (``k_menus`` order), entry
     (c, t) is ``sum_T p[T] * utilities[rows[c, T], t]``, where ``rows[c, T]``
     is the table row of the menu the curator at c shows where ``model``
@@ -217,8 +246,8 @@ def center_utilities(table, model, rows) -> np.ndarray:
     table rows, is a DimensionError, and a non-model or non-integer ``rows`` a DomainError.
     """
     check_ranking_model(model)
-    menus, utilities = table
-    m = menus[-1][-1] + 1  # the last k-menu ends with the last item
+    menus, utilities = check_menu_table(table)
+    m = int(menus[-1, -1]) + 1  # the last k-menu ends with the last item
     if model.m != m:
         raise DimensionError(f"a curator model over {model.m} items for a menu table over {m} items")
     rows = _integer_rows(rows, "rows must be integer table rows")

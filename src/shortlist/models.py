@@ -104,15 +104,13 @@ def _row_z_values(m: int, phi: float) -> tuple[float, ...]:
 
 
 @lru_cache(maxsize=256)
-def _insertion_rows(m: int, phi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
-    """Insertion probabilities of every step as read-only (m, m) arrays, and the rows per step.
+def _insertion_rows(m: int, phi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Insertion probabilities of every step as read-only (m, m) arrays.
 
     Row ``t - 1`` of ``probs`` holds ``p_{t,s}`` for ``s = 1..t`` and zeros
     after, from one ``np.exp`` over the step x slot grid; ``gammas`` are
     their running sums and ``keeps = 1 - gammas``, the chance that an
-    earlier item at position ``s`` stays there. The fourth value is
-    ``_step_rows`` of this one accuracy, the per-step rows
-    ``_mallows_pick_rows`` reads.
+    earlier item at position ``s`` stays there.
     """
     t = np.arange(m, dtype=float)
     gaps = np.tril(np.subtract.outer(t, t))  # t - s on and below the diagonal
@@ -123,15 +121,17 @@ def _insertion_rows(m: int, phi: float) -> tuple[np.ndarray, np.ndarray, np.ndar
     keeps = 1.0 - gammas
     for array in (probs, gammas, keeps):
         array.setflags(write=False)
-    return probs, gammas, keeps, _step_rows(probs[:, None], gammas[:, None], keeps[:, None])
+    return probs, gammas, keeps
 
 
-def _step_rows(probs: np.ndarray, gammas: np.ndarray, keeps: np.ndarray) -> tuple:
-    """Per step, the rows of (m, phis, m) insertion arrays that ``_mallows_pick_rows`` reads.
+@lru_cache(maxsize=256)
+def _step_rows(m: int, phis: tuple[float, ...]) -> tuple:
+    """Per step, the rows of the (m, phis, m) stacked ``_insertion_rows`` that ``_mallows_pick_rows`` reads.
 
     Each is ``probs`` forwards and backwards, then ``gammas`` without its
     last entry and ``keeps``, both shaped to broadcast over a state's slots.
     """
+    probs, gammas, keeps = (np.stack(rows, axis=1) for rows in zip(*(_insertion_rows(m, phi) for phi in phis)))
     return tuple(zip(probs, probs[:, :, ::-1], gammas[:, :, None, :-1], keeps[:, :, None]))
 
 
@@ -171,10 +171,7 @@ def _mallows_pick_rows(positions: np.ndarray, m: int, phis) -> np.ndarray:
     if k == m:
         firsts = np.array([_insertion_rows(m, phi)[0][m - 1, ::-1] for phi in phis])
         return np.repeat(firsts[:, None], B, axis=1)
-    if len(phis) == 1:
-        steps = _insertion_rows(m, phis[0])[3]
-    else:
-        steps = _step_rows(*(np.stack(rows, axis=1) for rows in zip(*(_insertion_rows(m, phi)[:3] for phi in phis))))
+    steps = _step_rows(m, tuple(phis))
     top = k - 1  # a prefix's front-runner mass
     nodes, plan = _prefix_tree(positions, m)
     W = np.zeros((nodes, len(phis), k, m))
@@ -549,6 +546,8 @@ class ExplicitModel:
 
     def __post_init__(self):
         entries = as_tuple(self.entries, "an explicit support")
+        if not all(isinstance(e, (tuple, list)) and len(e) == 2 for e in entries):
+            raise DomainError("an explicit support must hold (ranking, probability) pairs")
         if not all(is_number(p) for _, p in entries):
             raise DomainError(f"support probabilities must be numbers, got {[p for _, p in entries]}")
         entries = tuple((r, float(p)) for r, p in entries)
@@ -618,12 +617,17 @@ def enumerate_event_prob(model, predicate) -> float:
 
     The universal brute-force oracle: valid for any model kind, but full
     permutation enumeration is refused above ``ENUMERATION_CAP`` items.
+    ``predicate`` must be callable (DomainError).
     """
+    check_ranking_model(model)
+    if not callable(predicate):
+        raise DomainError(f"an event must be a callable predicate on rankings, got {type(predicate).__name__}")
     return math.fsum(p for r, p in model.support() if predicate(r))
 
 
 def pairwise_matrix(model) -> np.ndarray:
     """Matrix P with P[i, j] = P[i before j] (diagonal zero)."""
+    check_ranking_model(model)
     m = model.m
     out = np.zeros((m, m))
     for i in range(m):

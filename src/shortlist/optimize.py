@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collab import center_utilities, menu_utility, menu_utility_table, solo_utilities
+from .collab import center_utilities, check_menu_table, menu_utility, menu_utility_table, solo_utilities
 from .errors import DimensionError, DomainError
 from .models import MallowsModel, _check_items, _insertion_rows, pairwise_matrix, policy_ranking_model
-from .rankings import AlgorithmPolicy, Population, Ranking, check_menu_size, check_population, check_universe, open_text
+from .rankings import AlgorithmPolicy, Population, Ranking, as_tuple, check_menu_size, check_population, check_universe, open_text
 from .welfare import _welfare, uplifted, welfare_report
 
 BOUND_SLACK = 1e-12
@@ -33,14 +33,14 @@ class OptimizeResult:
 
 
 def _menu_table(pop: Population, k: int, table):
-    """A caller's ``menu_utility_table(pop, k)``, refused unless (C(m, k), types), or a new one."""
+    """A caller's ``menu_utility_table(pop, k)``, held to ``check_menu_table`` and to (C(m, k), types) of k-menus, or a new one."""
     if table is None:
         return menu_utility_table(pop, k)
     check_menu_size(k, pop.m)
-    menus, utilities = table
+    menus, utilities = check_menu_table(table)
     expected = (math.comb(pop.m, k), pop.n)
-    if np.shape(utilities) != expected or len(menus) != expected[0]:
-        raise DimensionError(f"menu table of shape {np.shape(utilities)}, expected {expected} for k={k}")
+    if utilities.shape != expected or menus.shape[1] != k:
+        raise DimensionError(f"menu table of shape {utilities.shape} over {menus.shape[1]}-menus, expected {expected} for k={k}")
     return menus, utilities
 
 
@@ -198,7 +198,7 @@ def noisy_uplift_search(pop: Population, center: Ranking, phi_grid, k: int):
     ``collab.joint_utility``'s formula, so each equals that type's
     ``joint_utility`` bit for bit.
     """
-    phi_grid = list(phi_grid)
+    phi_grid = as_tuple(phi_grid, "an accuracy grid")
     if not phi_grid:
         raise DomainError("accuracy grid must be nonempty")
     check_universe(pop, center)
@@ -251,6 +251,12 @@ class MipInstance:
         return self.var_names[: self.m]
 
 
+def _check_mip(mip) -> None:
+    """Refuse an instance that is not a ``MipInstance`` (DomainError)."""
+    if not isinstance(mip, MipInstance):
+        raise DomainError(f"expected a MipInstance (see build_mip), got {type(mip).__name__}")
+
+
 def build_mip(pop: Population, k: int) -> MipInstance:
     """Assemble the welfare-maximization MIP for a Mallows population.
 
@@ -294,7 +300,7 @@ def build_mip(pop: Population, k: int) -> MipInstance:
     for h_idx, h in enumerate(pop):
         model: MallowsModel = h.noise
         center = model.center.order
-        probs, gammas, keeps, _ = _insertion_rows(m, model.phi)
+        probs, gammas, keeps = _insertion_rows(m, model.phi)
         v_max = h.values[0]
         prefix = f"type{h_idx}"
 
@@ -381,6 +387,7 @@ def _format_terms(coeffs: dict[str, float]) -> str:
 
 def export_lp(mip: MipInstance, destination) -> None:
     """Write the instance in LP format (objective, constraints, bounds, binaries) to a path or a file object (``open_text``)."""
+    _check_mip(mip)
     with open_text(destination, "w", "LP destination") as out:
         out.write(f"\\ welfare-maximizing menu: m={mip.m} k={mip.k} types={mip.n_types}\n")
         out.write("Maximize\n")
@@ -420,6 +427,7 @@ def solve_mip(mip: MipInstance, fix_menu=None):
     from scipy import sparse
     from scipy.optimize import Bounds, LinearConstraint, milp
 
+    _check_mip(mip)
     if fix_menu is not None:
         fix_menu = _check_items(mip.m, fix_menu)
         if len(fix_menu) > mip.k:

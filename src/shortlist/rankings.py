@@ -349,6 +349,9 @@ class AlgorithmPolicy:
 
 def menu_policy(m: int, menu) -> AlgorithmPolicy:
     """The noiseless policy that always presents ``menu``: its items in increasing order, then the rest."""
+    menu = as_tuple(menu, "a menu")
+    if not all(map(is_integer, menu)):
+        raise DomainError(f"menu items must be integers, got {list(menu)}")
     menu = sorted(menu)
-    rest = [x for x in range(m) if x not in menu]
+    rest = [x for x in item_range(m) if x not in menu]
     return AlgorithmPolicy(center=Ranking(tuple(menu + rest)), accuracy=NOISELESS, menu_size=len(menu))

@@ -14,12 +14,13 @@ from shortlist import (
     PlackettLuceModel,
     Ranking,
     ValueProfile,
+    borda_values,
     branch_and_bound_menu,
     choice_dist,
     choice_table,
     enumerate_best_menu,
 )
-from shortlist import collab
+from shortlist import collab, models
 from shortlist.choice import MENU_BLOCK, oracle_choice_dist
 from shortlist.collab import center_menu_rows, joint_pick_from_menus, menu_utility, menu_utility_table
 from shortlist.errors import DimensionError, DomainError
@@ -334,6 +335,19 @@ class TestTableAgreement:
         size = MENU_BLOCK // 2  # (menu, accuracy) pairs per block
         assert calls == [(size, [0.8, 1.7]), (size, [0.8, 1.7]), (len(menus) - 2 * size, [0.8, 1.7])]
         assert [[u.hex() for u in column] for column in table.T.tolist()] == want
+
+    def test_a_table_stacks_its_accuracies_once(self, rng):
+        # C(16, 4) = 1820 menus at six accuracies: 22 blocks of 85 menus read one stacked step table
+        m, k = 16, 4
+        types = []
+        for phi in (0.3, 0.6, 0.9, 1.2, 1.5, 1.8):
+            model = mallows_model(rng, m, phi)
+            types.append(HumanType(model.center, model, borda_values(m), 1 / 6))
+        pop = Population(tuple(types))
+        models._step_rows.cache_clear()
+        menus, _ = menu_utility_table(pop, k)
+        assert len(menus) > 20 * (MENU_BLOCK // 6)
+        assert models._step_rows.cache_info().misses == 1
 
 
 def mixed_population(rng, m: int) -> Population:

@@ -28,7 +28,7 @@ from shortlist.experiments import (
     tension_experiment,
     tension_population,
 )
-from shortlist.models import _insertion_rows
+from shortlist.models import _insertion_rows, _step_rows
 from shortlist.rankings import NOISELESS, AlgorithmPolicy, HumanType, Population, borda_values, menu_policy
 from shortlist.welfare import verify_uplift
 from shortlist import cli, collab, experiments, optimize, welfare
@@ -1189,6 +1189,7 @@ class TestCli:
 
     def test_sushi_at_extreme_accuracy_warns_nothing(self, tmp_path, capsys):
         _insertion_rows.cache_clear()  # the rows are built, and could warn, once per (m, phi)
+        _step_rows.cache_clear()  # and stacked once per (m, phis), from those rows
         paths = {grid: tmp_path / f"{grid}.csv" for grid in ("1e308", "1e300")}
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -45,6 +45,7 @@ from shortlist import (
     ExplicitModel,
     HumanType,
     MallowsModel,
+    PickDistribution,
     PlackettLuceModel,
     Population,
     Ranking,
@@ -62,11 +63,13 @@ from shortlist import (
     choice_table,
     derive_partial_order,
     enumerate_best_menu,
+    enumerate_event_prob,
     export_lp,
     joint_pick_dist,
     joint_utility,
     kendall_tau,
     mc_joint_pick_dist,
+    menu_policy,
     noisy_uplift_search,
     optimize_with_uplift,
     psi,
@@ -82,7 +85,7 @@ from shortlist.choice import oracle_choice_dist
 from shortlist.experiments import PreferenceProfile, beta_sweep, emit_csv, load_profile, run_config, sushi_experiment, sushi_profile, tension_experiment
 from shortlist.errors import DimensionError, DomainError, ProfileParseError, ShortlistError
 from shortlist.rankings import check_accuracy, is_accuracy, is_number
-from shortlist.models import model_menu_distribution, policy_ranking_model
+from shortlist.models import model_menu_distribution, pairwise_matrix, policy_ranking_model
 
 FAMILIES = {
     "mallows": MallowsModel(R(0, 1, 2, 3), 0.7),
@@ -642,3 +645,76 @@ def test_profiles_and_populations_built_directly_are_checked():
         PreferenceProfile(((Ranking.identity(3), 1.0), (Ranking.identity(4), 1.0)))
     with pytest.raises(DomainError, match="population must contain at least one type"):
         Population(())
+
+
+def _five_item_table():
+    """The one-type C(5, 2) table of a Borda human at accuracy 0.7."""
+    gt = Ranking.identity(5)
+    return collab.menu_utility_table(Population((HumanType(gt, MallowsModel(gt, 0.7), borda_values(5), 1.0),)), 2)
+
+
+def _permuted_table():
+    # rows permuted alike in both arrays, the last row kept: a curator at accuracy 0.9 scored
+    # 2.638 and 2.758 at the centers 2 0 1 4 3 and 4 3 2 1 0, where joint_utility gives 3.101 and 1.348
+    menus, utilities = _five_item_table()
+    rows = [3, 0, 7, 1, 5, 2, 8, 4, 6, 9]
+    return menus[rows], utilities[rows]
+
+
+_CURATOR = MallowsModel(Ranking.identity(5), 0.9)
+
+
+# a malformed menu table at center_utilities and at a solver's table=, and a wrong-typed
+# argument at nine more entries; each ended in a TypeError, an AttributeError, an IndexError
+# or a ValueError, or (the permuted tables) in a wrong value
+MALFORMED = {
+    "table-permuted": (
+        lambda: collab.center_utilities(_permuted_table(), _CURATOR, collab.center_menu_rows([[2, 0, 1, 4, 3], [4, 3, 2, 1, 0]], 2)),
+        DomainError, "table menus must be every 2-menu of 5 items in k_menus order"),
+    "table-not-a-pair": (
+        lambda: collab.center_utilities(5, _CURATOR, np.arange(10)[None]),
+        DomainError, "a menu table must be a (menus, utilities) pair, got int"),
+    "table-string-utilities": (
+        lambda: collab.center_utilities((_five_item_table()[0], "x"), _CURATOR, np.arange(10)[None]),
+        DomainError, "table utilities must be an array of numbers, got str"),
+    "table-1-d-utilities": (
+        lambda: collab.center_utilities(
+            (_five_item_table()[0], _five_item_table()[1][:, 0]), _CURATOR, np.arange(10)[None]),
+        DimensionError, "a menu table of (10, 2) menus and (10,) utilities, expected one row per menu"),
+    "solver-table-not-a-pair": (
+        lambda: enumerate_best_menu(Population((mallows_human(5),)), 2, table=5),
+        DomainError, "a menu table must be a (menus, utilities) pair, got int"),
+    "solver-table-triple": (
+        lambda: enumerate_best_menu(Population((mallows_human(5),)), 2, table=(*_five_item_table(), None)),
+        DomainError, "a menu table must be a (menus, utilities) pair, got tuple of 3"),
+    "solver-table-permuted": (
+        lambda: optimize_with_uplift(Population((mallows_human(5),)), 2, table=_permuted_table()),
+        DomainError, "table menus must be every 2-menu of 5 items in k_menus order"),
+    "noisy_uplift_search-int-grid": (
+        lambda: noisy_uplift_search(Population((mallows_human(4),)), _GT, 5, 2),
+        DomainError, "an accuracy grid must be an iterable, got int"),
+    "noisy_uplift_search-none-grid": (
+        lambda: noisy_uplift_search(Population((mallows_human(4),)), _GT, None, 2),
+        DomainError, "an accuracy grid must be an iterable, got NoneType"),
+    "derive_partial_order": (
+        lambda: derive_partial_order(mallows_human(4), 5, 1.0, 2), DomainError, "candidate centers must be an iterable, got int"),
+    "menu_policy-menu": (lambda: menu_policy(4, 5), DomainError, "a menu must be an iterable, got int"),
+    "menu_policy-count": (lambda: menu_policy("x", [0]), DomainError, "an item count must be an integer, got 'x'"),
+    "pairwise_matrix": (lambda: pairwise_matrix(5), DomainError, "expected a ranking model, got int"),
+    "solve_mip": (lambda: solve_mip(5), DomainError, "expected a MipInstance (see build_mip), got int"),
+    "export_lp": (lambda: export_lp(5, io.StringIO()), DomainError, "expected a MipInstance (see build_mip), got int"),
+    "ExplicitModel": (
+        lambda: ExplicitModel(((_GT, 1.0), 5)), DomainError, "an explicit support must hold (ranking, probability) pairs"),
+    "PickDistribution-int": (
+        lambda: PickDistribution(5), DomainError, "pick probabilities must be a dict of items to numbers, got int"),
+    "PickDistribution-string": (lambda: PickDistribution({0: "x"}), DomainError, "pick probabilities must be numbers"),
+    "enumerate_event_prob": (
+        lambda: enumerate_event_prob(FAMILIES["mallows"], 5), DomainError, "an event must be a callable predicate on rankings, got int"),
+}
+
+
+@pytest.mark.parametrize("entry, error, message", list(MALFORMED.values()), ids=list(MALFORMED))
+def test_a_malformed_table_or_argument_is_refused_in_its_own_words(entry, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}"):
+        entry()
+

@@ -402,7 +402,7 @@ class TestMipBuild:
         pop = self._small_pop()
         mip = build_mip(pop, 2)
         for h_idx, h in enumerate(pop):
-            probs, _, _, _ = _insertion_rows(h.m, h.noise.phi)
+            probs, _, _ = _insertion_rows(h.m, h.noise.phi)
             center = h.noise.center.order
             for t in range(1, 4):
                 for s in range(1, t + 1):
