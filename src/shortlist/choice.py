@@ -46,6 +46,13 @@ class PickDistribution:
             raise DomainError(f"pick probabilities sum to {total!r}, expected 1")
         object.__setattr__(self, "probs", dict(self.probs))
 
+    @classmethod
+    def _of_row(cls, items, row) -> PickDistribution:
+        """The distribution of a ``pick_rows`` row over ``items``, which is one by construction, so ``__post_init__``'s checks are skipped."""
+        dist = object.__new__(cls)
+        object.__setattr__(dist, "probs", dict(zip(items, row)))
+        return dist
+
     def __getitem__(self, item: int) -> float:
         return self.probs.get(item, 0.0)
 
@@ -91,7 +98,7 @@ def choice_dist(model, items) -> PickDistribution:
     ranks = model.ranks
     menu = sorted(_check_items(model.m, items), key=ranks.__getitem__)
     row = model.pick_rows(np.array([[ranks[x] for x in menu]], dtype=np.intp))[0].tolist()
-    return PickDistribution(dict(zip(menu, row)))
+    return PickDistribution._of_row(menu, row)
 
 
 def oracle_choice_dist(model, items) -> PickDistribution:

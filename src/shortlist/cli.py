@@ -290,7 +290,8 @@ def _cmd_optimize(args) -> int:
             result = branch_and_bound_menu(pop, args.k)
     print(f"menu: {_fmt_items(result.menu)}")
     print(f"welfare: {result.welfare!r}")
-    print(f"method: {result.method} ({result.evaluations} evaluations)")
+    searched = "" if result.nodes is None else f", {result.nodes} nodes"
+    print(f"method: {result.method} ({result.evaluations} evaluations{searched})")
     return 0
 
 

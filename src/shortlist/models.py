@@ -251,10 +251,13 @@ class MallowsModel:
         """
         _check_items(self.m, (i, j))
         pos = self.center.positions
-        n = abs(pos[j] - pos[i])
-        zs = _row_z_values(len(pos), self.phi)
-        worse = math.exp(-self.phi * n) * sum(zs[:n]) / (zs[n - 1] * zs[n])
+        worse = self._worse_first(abs(pos[j] - pos[i]))
         return 1.0 - worse if pos[i] < pos[j] else worse
+
+    def _worse_first(self, n: int) -> float:
+        """``pairwise_prob``'s chance that the center-worse item of a pair ``n`` center positions apart comes first."""
+        zs = _row_z_values(self.m, self.phi)
+        return math.exp(-self.phi * n) * sum(zs[:n]) / (zs[n - 1] * zs[n])
 
     def topk_set_prob(self, items) -> float:
         """Probability that ``items`` is exactly the unordered top-|items| set."""
@@ -340,10 +343,13 @@ def _prefix_tree(pos: np.ndarray, m: int):
         # one menu: a chain whose node j is born at its (j + 1)-th position
         p = pos[0].tolist()
         plan = [(p[0], 0, 1, 1, 0, None, None, None)]
-        for j in range(1, k):
-            plan += [(t, j, j, j, j - 1, None, None, None) for t in range(p[j - 1] + 1, p[j])]
-            if j < k - 1:
-                plan.append((p[j], j, j, j + 1, j, slice(j - 1, j), (slice(j, j + 1), slice(None), j), None))
+        j = 1  # the next item's slot
+        for t in range(p[0] + 1, p[-1]):
+            if t == p[j]:
+                plan.append((t, j, j, j + 1, j, slice(j - 1, j), (slice(j, j + 1), slice(None), j), None))
+                j += 1
+            else:
+                plan.append((t, j, j, j, j - 1, None, None, None))
         plan.append((p[k - 1], k - 1, k - 1, k - 1, k - 1, None, None, (slice(0, 1), slice(k - 2, k - 1))))
         return k - 1, plan
     return _shared_prefixes(m, k, pos.tobytes())
@@ -626,9 +632,20 @@ def enumerate_event_prob(model, predicate) -> float:
 
 
 def pairwise_matrix(model) -> np.ndarray:
-    """Matrix P with P[i, j] = P[i before j] (diagonal zero)."""
+    """Matrix P with P[i, j] = P[i before j]: ``pairwise_prob(i, j)`` above the diagonal, its complement below, zero on it.
+
+    A Mallows pair depends only on its center gap, so the m - 1 values of
+    ``_worse_first`` fill the matrix, with the bits of the per-pair calls.
+    """
     check_ranking_model(model)
     m = model.m
+    if isinstance(model, MallowsModel):
+        pos = np.asarray(model.center.positions)
+        gap = pos[None, :] - pos[:, None]  # > 0 where i is ahead of j in the center
+        worse = np.array([0.0] + [model._worse_first(n) for n in range(1, m)])[np.abs(gap)]
+        better = 1.0 - worse
+        # where j is ahead: pairwise_prob(i, j) above the diagonal, 1 - pairwise_prob(j, i) below it
+        return np.where(gap > 0, better, np.where(np.less.outer(range(m), range(m)), worse, 1.0 - better))
     out = np.zeros((m, m))
     for i in range(m):
         for j in range(i + 1, m):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,12 +25,29 @@ BOUND_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class OptimizeResult:
+    """A best menu (sorted item ids), its welfare and per-type utilities, and how it was found.
+
+    ``evaluations`` counts the menus scored: every k-menu for enumeration;
+    for branch and bound, every leaf whose bound let it be scored, a leaf
+    abandoned part-way included (see ``branch_and_bound_menu``). ``nodes`` is
+    the number of branch-and-bound nodes visited, leaves included, and None
+    for enumeration.
+    """
+
     menu: tuple[int, ...]
     welfare: float
     per_type: tuple[float, ...]
     method: str
     evaluations: int
     nodes: int | None = None
+
+
+class _BoundInputs(NamedTuple):
+    order: tuple[int, ...]  # the search order of the items
+    items: np.ndarray  # (types, m): each type's items, by descending value, ties by search position
+    values: np.ndarray  # (types, m): their values
+    caps: np.ndarray  # (m, types, m): caps[f, h, j] = P[type h's j-th item before f], 1 at f itself
+    weights: np.ndarray
 
 
 def _menu_table(pop: Population, k: int, table):
@@ -65,43 +83,49 @@ def enumerate_best_menu(pop: Population, k: int, *, table=None) -> OptimizeResul
     return _best_menu(menus, table, _welfare(table, pop.weights()), "enumeration")
 
 
-def _bound_inputs(pop: Population):
-    """Per-type values (types, m), pairwise caps (types, m, m) and weights.
+def _bound_inputs(pop: Population, order=None) -> _BoundInputs:
+    """``_node_bound``'s tables for a search over ``order``, by default ``branch_and_bound_menu``'s.
 
-    ``caps[h, x, f]`` is P[x before f] for type h, with a diagonal of 1, so a
-    minimum over a set's columns ignores the item itself.
+    Each type's items are sorted once, by descending value with ties by
+    search position. A node's fixed items and candidates always form a
+    subsequence of the search order, so this is the stable order the pour
+    takes them in at every node. ``caps[f]`` holds, in that order, the
+    pairwise caps P[item before f] from ``pairwise_matrix``, with 1 where
+    the item is f, so a running minimum over a menu's rows ignores the item
+    itself.
     """
-    values = np.asarray([[h.value_of(x) for x in range(pop.m)] for h in pop])
-    caps = np.asarray([pairwise_matrix(h.noise) for h in pop])
-    caps[:, np.arange(pop.m), np.arange(pop.m)] = 1.0
-    return values, caps, np.asarray(pop.weights())
+    m = pop.m
+    values = np.asarray([[h.values[rank] for rank in h.ground_truth.positions] for h in pop])  # each item's value_of
+    weights = np.asarray(pop.weights())
+    if order is None:
+        item_value = weights @ values
+        order = sorted(range(m), key=lambda x: (-item_value[x], x))
+    pairs = np.asarray([pairwise_matrix(h.noise) for h in pop])
+    pairs[:, np.arange(m), np.arange(m)] = 1.0
+    rows = np.arange(pop.n)[:, None]
+    items = np.asarray(order, dtype=np.intp)[np.argsort(-values[:, order], axis=1, kind="stable")]
+    caps = np.ascontiguousarray(pairs[rows, items].transpose(2, 0, 1))
+    return _BoundInputs(tuple(order), items, values[rows, items], caps, weights)
 
 
-def _node_bound(values, caps, weights, fixed, rest) -> float:
-    """Upper bound on the welfare of any menu of ``fixed`` plus items of ``rest``.
+def _node_bound(values, cap, keep) -> np.ndarray:
+    """Per-type upper bound on the utility of any menu of a node's fixed items plus some of its candidates.
 
-    An item is picked from a menu no more often than it beats any other item
-    of the menu pairwise, so each item's pick probability is capped by its
-    weakest comparison against the other fixed items. The pick probabilities
-    sum to 1, so per type the bound is a fractional knapsack: mass 1 is
-    poured in descending value over the fixed items and every candidate,
-    each taking at most its cap. It ignores how many candidates still fit,
-    and values are nonnegative, so it over-promises and is admissible.
+    ``values``, ``cap`` and ``keep`` are (types, m), each row in its type's
+    ``_bound_inputs`` order. ``cap`` caps each item's pick probability by
+    its weakest pairwise comparison against the fixed items (1 with none
+    fixed): an item is picked from a menu no more often than it beats any
+    other item of the menu. ``keep`` marks the fixed items and the
+    candidates. The pick probabilities sum to 1, so per type the bound is a
+    fractional knapsack: mass 1 is poured in descending value over the kept
+    items, each taking at most its cap. It ignores how many candidates still
+    fit, and values are nonnegative, so it over-promises and is admissible.
     """
-    fixed = list(fixed)
-    items = fixed + list(rest)
-    v = values[:, items]
-    if fixed:
-        cap = caps[:, items][:, :, fixed].min(axis=2)
-    else:
-        cap = np.ones_like(v)
-    rows = np.arange(len(v))[:, None]
-    by_value = np.argsort(-v, axis=1, kind="stable")
-    poured = np.minimum(np.cumsum(cap[rows, by_value], axis=1), 1.0)
+    n = len(values)
+    poured = np.minimum(cap[keep].reshape(n, -1).cumsum(axis=1), 1.0)
     mass = poured.copy()
     mass[:, 1:] -= poured[:, :-1]
-    knapsack = (v[rows, by_value] * mass).sum(axis=1)
-    return float(weights @ knapsack)
+    return (values[keep].reshape(n, -1) * mass).sum(axis=1)
 
 
 def branch_and_bound_menu(pop: Population, k: int) -> OptimizeResult:
@@ -110,23 +134,35 @@ def branch_and_bound_menu(pop: Population, k: int) -> OptimizeResult:
     Items are branched on in descending population value
     ``sum_h w_h v_h(x)`` (ties by item id), include before exclude, so the
     first leaf is the top-``k`` menu by value and a strong incumbent comes
-    early. A node is pruned when ``_node_bound`` (a per-type knapsack of
-    pick-probability mass under pairwise caps) is below the incumbent by
-    more than ``BOUND_SLACK``; a node whose menu is complete is bounded on
-    that menu alone before it is scored. Leaves are scored with
-    ``menu_utility`` and ``_welfare``, so a menu has the same welfare bits as
-    in ``enumerate_best_menu``; since the visit order is not lexicographic, a
-    leaf of equal welfare replaces the incumbent when its sorted menu is
-    lexicographically smaller, and both solvers return the same menu. No menu
-    table is built, so it also runs where C(m, k) exceeds
-    ``MENU_ENUMERATION_CAP``.
+    early. A node is pruned when the weighted sum of ``_node_bound`` (a
+    per-type knapsack of pick-probability mass under pairwise caps) is below
+    the incumbent by more than ``BOUND_SLACK``; a node whose menu is
+    complete is bounded on that menu alone before it is scored. The caps are
+    carried down the tree as a running minimum over the fixed items, and each
+    type's items are sorted once (``_bound_inputs``), so a node costs a few
+    array operations. A leaf is scored one type at a time with
+    ``menu_utility``, and abandoned as soon as the exactly rounded sum of the
+    scored types' weighted utilities and the unscored types' weighted bounds
+    is at most the incumbent minus ``BOUND_SLACK``; types whose bounds have
+    over-promised most so far are scored first. A leaf scored in full gets
+    ``_welfare``, the bits of its ``enumerate_best_menu`` row; since the visit
+    order is not lexicographic, a leaf of equal welfare replaces the
+    incumbent when its sorted menu is lexicographically smaller, and both
+    solvers return the same menu. No menu table is built, so it also runs
+    where C(m, k) exceeds ``MENU_ENUMERATION_CAP``.
     """
     check_population(pop)
     m = pop.m
     check_menu_size(k, m)
-    values, caps, weights = _bound_inputs(pop)
-    item_value = weights @ values
-    order = sorted(range(m), key=lambda x: (-item_value[x], x))
+    order, items, values, caps, weights = _bound_inputs(pop)
+    at = np.empty(m, dtype=np.intp)
+    at[list(order)] = np.arange(m)
+    at = at[items]  # each sorted item's search position
+    alive = np.ones(m, dtype=bool)  # by search position: not excluded on the path
+    ones = np.ones_like(values)
+    types = pop.types
+    w = weights.tolist()
+    slack = [0.0] * len(types)  # how far each type's leaf bounds have over-promised
 
     best_menu: tuple[int, ...] | None = None
     best_value = -math.inf
@@ -134,32 +170,47 @@ def branch_and_bound_menu(pop: Population, k: int) -> OptimizeResult:
     nodes = 0
     evaluations = 0
 
-    def evaluate(menu: tuple[int, ...]):
+    def evaluate(menu: tuple[int, ...], bound):
         nonlocal best_menu, best_value, best_per_type, evaluations
         evaluations += 1
-        per_type = np.asarray([menu_utility(h, menu) for h in pop])
-        value = float(_welfare(per_type[None, :], weights)[0])
+        per_type = bound.tolist()
+        terms = [wh * b for wh, b in zip(w, per_type)]
+        scoring = sorted(range(len(types)), key=slack.__getitem__, reverse=True)
+        for h in scoring:
+            u = menu_utility(types[h], menu)
+            slack[h] += terms[h] - w[h] * u
+            per_type[h] = u
+            terms[h] = w[h] * u
+            if h != scoring[-1] and math.fsum(terms) <= best_value - BOUND_SLACK:
+                return
+        value = float(_welfare(np.asarray(per_type)[None, :], weights)[0])
         if value > best_value or (value == best_value and menu < best_menu):
             best_value = value
             best_menu = menu
-            best_per_type = tuple(float(u) for u in per_type)
+            best_per_type = tuple(per_type)
 
-    def descend(fixed: tuple[int, ...], next_idx: int):
+    def descend(fixed: tuple[int, ...], next_idx: int, cap):
         nonlocal nodes
         nodes += 1
         slots = k - len(fixed)
-        rest = order[next_idx:]
-        if slots == 0 or len(rest) == slots:
-            menu = fixed + tuple(rest[:slots])
-            if _node_bound(values, caps, weights, menu, ()) > best_value - BOUND_SLACK:
-                evaluate(tuple(sorted(menu)))
+        if slots == 0 or m - next_idx == slots:
+            rest = order[next_idx : next_idx + slots]
+            for x in rest:
+                cap = caps[x] if cap is None else np.minimum(cap, caps[x])
+            bound = _node_bound(values, cap, alive[at] & (at < next_idx + slots))
+            if float(weights @ bound) > best_value - BOUND_SLACK:
+                evaluate(tuple(sorted(fixed + rest)), bound)
             return
-        if _node_bound(values, caps, weights, fixed, rest) <= best_value - BOUND_SLACK:
+        bound = _node_bound(values, ones if cap is None else cap, alive[at])
+        if float(weights @ bound) <= best_value - BOUND_SLACK:
             return
-        descend(fixed + (rest[0],), next_idx + 1)
-        descend(fixed, next_idx + 1)
+        x = order[next_idx]
+        descend(fixed + (x,), next_idx + 1, caps[x] if cap is None else np.minimum(cap, caps[x]))
+        alive[next_idx] = False
+        descend(fixed, next_idx + 1, cap)
+        alive[next_idx] = True
 
-    descend((), 0)
+    descend((), 0, None)
     assert best_menu is not None
     return OptimizeResult(
         menu=best_menu,

@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -1442,4 +1443,4 @@ class TestCli:
         assert code == 0, captured.err
         lines = captured.out.splitlines()
         assert len(lines[0].split()) == 6  # "menu:" and five items
-        assert lines[2].startswith("method: branch-and-bound (")
+        assert re.fullmatch(r"method: branch-and-bound \(\d+ evaluations, \d+ nodes\)", lines[2]), lines[2]

@@ -16,7 +16,7 @@ from shortlist import (
     model_menu_distribution,
 )
 from shortlist.errors import CapacityError, DimensionError, DomainError
-from shortlist.models import ENUMERATION_CAP, _insertion_rows, _logsumexp, k_menus, row_z
+from shortlist.models import ENUMERATION_CAP, _insertion_rows, _logsumexp, k_menus, pairwise_matrix, row_z
 
 LN2 = math.log(2)
 
@@ -673,6 +673,37 @@ class TestOrientedPairwise:
         assert model.pairwise_prob(1, 0) == pytest.approx(0.1)
         with pytest.raises(DomainError):
             model.pairwise_prob(2, 2)
+
+
+def _per_pair_matrix(model) -> np.ndarray:
+    """``pairwise_matrix``'s contract as a loop: ``pairwise_prob(i, j)`` above the diagonal, ``1 - p`` below, 0 on it."""
+    out = np.zeros((model.m, model.m))
+    for i, j in itertools.combinations(range(model.m), 2):
+        p = model.pairwise_prob(i, j)
+        out[i, j] = p
+        out[j, i] = 1.0 - p
+    return out
+
+
+class TestPairwiseMatrix:
+    @pytest.mark.parametrize("m", [2, 3, 5, 8, 12])
+    @pytest.mark.parametrize("phi", [0.0, 1e-9, "uniform", 50.0, 800.0])
+    def test_mallows_matrix_is_the_per_pair_loop_byte_for_byte(self, m, phi):
+        rng = np.random.default_rng(m)
+        for _ in range(4):
+            accuracy = float(rng.uniform(0.0, 3.0)) if phi == "uniform" else phi
+            model = MallowsModel(Ranking(tuple(int(x) for x in rng.permutation(m))), accuracy)
+            assert pairwise_matrix(model).tobytes() == _per_pair_matrix(model).tobytes()
+
+    @pytest.mark.parametrize("m", [2, 4, 7, 12])
+    def test_other_families_are_the_per_pair_loop_byte_for_byte(self, m):
+        rng = np.random.default_rng(m)
+        pl = PlackettLuceModel(tuple(float(v) for v in rng.normal(0.0, 2.0, m)), float(rng.uniform(0.2, 2.0)))
+        orders = {tuple(int(x) for x in rng.permutation(m)) for _ in range(5)}
+        probs = rng.uniform(0.1, 1.0, len(orders))
+        explicit = ExplicitModel(tuple((Ranking(r), float(p)) for r, p in zip(sorted(orders), probs / probs.sum())))
+        for model in (pl, explicit):
+            assert pairwise_matrix(model).tobytes() == _per_pair_matrix(model).tobytes()
 
 
 class TestEnumerationOracle:

@@ -6,6 +6,8 @@ import re
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_ranking as R
 from shortlist import (
@@ -33,7 +35,7 @@ from shortlist import (
 )
 from shortlist.errors import CapacityError, DimensionError, DomainError
 from shortlist.experiments import _bench_two_type_population, tension_population
-from shortlist.models import ExplicitModel, PlackettLuceModel, _insertion_rows, k_menus
+from shortlist.models import ExplicitModel, PlackettLuceModel, _insertion_rows, k_menus, pairwise_matrix
 from shortlist.optimize import BOUND_SLACK, _bound_inputs, _node_bound, _welfare, menu_utility, menu_utility_table
 
 LN2 = math.log(2)
@@ -85,6 +87,79 @@ def heterogeneous_population(rng, m, n, families=("mallows", "pl", "explicit")):
             noise = MallowsModel(gt, float(rng.choice([0.0, rng.uniform(0.0, 3.0)])))
         types.append(HumanType(gt, noise, values, float(raw[i] / raw.sum())))
     return Population(tuple(types))
+
+
+BENCH_VALUES = (4.0, 3.0, 2.0, 1.0)
+
+
+def optimize_population(rng, m, n, family):
+    """The benchmark's seeded ``optimize`` population (``perfbench/workloads.py::_optimize_population``).
+
+    ``decreasing``: random centers, accuracies and sorted uniform values;
+    ``bench``: centers that permute the first three items, values (4, 3, 2, 1, 0, ...).
+    """
+    raw = rng.uniform(0.2, 1.0, n)
+    weights = [float(w) for w in raw / raw.sum()]
+    types = []
+    if family == "decreasing":
+        for w in weights:
+            gt = Ranking(tuple(int(x) for x in rng.permutation(m)))
+            phi = float(rng.uniform(0.2, 1.5))
+            values = ValueProfile(tuple(float(v) for v in np.sort(rng.uniform(0.0, 1.0, m))[::-1]))
+            types.append(mallows_type(gt, phi, values, w))
+    else:
+        values = ValueProfile(BENCH_VALUES + (0.0,) * (m - len(BENCH_VALUES)))
+        heads = list(itertools.permutations(range(3)))
+        for w, h in zip(weights, rng.choice(len(heads), size=n, replace=False)):
+            gt = Ranking(heads[h] + tuple(range(3, m)))
+            types.append(mallows_type(gt, float(rng.uniform(0.2, 1.5)), values, w))
+    return Population(tuple(types))
+
+
+# ((m, k, types, family, rng seed), menu, welfare.hex(), per-type hex, nodes, evaluations): the six
+# benchmark cycle sizes in both value families, and m = 60, k = 5 past the enumeration cap
+SEARCH_PINS = [
+    ((12, 4, 6, 'decreasing', 0), (0, 2, 3, 6), '0x1.dd4bcb4db89c5p-1', ('0x1.dbace65a883b8p-1', '0x1.de3769071df1fp-1', '0x1.d557e0a9d422bp-1', '0x1.d6b4c1e14827bp-1', '0x1.db3611ccaab08p-1', '0x1.e38731527da4dp-1'), 47, 6),
+    ((12, 4, 6, 'bench', 0), (0, 1, 2, 11), '0x1.b1212cd33ab33p+1', ('0x1.7d32c19419ff2p+1', '0x1.d895cd855370bp+1', '0x1.86b9392bc8066p+1', '0x1.d135f35e60395p+1', '0x1.a13ddfe69e572p+1', '0x1.d8e46ad26b982p+1'), 97, 45),
+    ((13, 4, 4, 'decreasing', 1), (1, 7, 9, 12), '0x1.c86cee033abb8p-1', ('0x1.e0e8b5207d261p-1', '0x1.d22bf2e58ab9fp-1', '0x1.e3ed28a950978p-1', '0x1.a60f75b664aedp-1'), 29, 4),
+    ((13, 4, 4, 'bench', 1), (0, 1, 11, 12), '0x1.b53f2aa6b061ap+1', ('0x1.db5a4209f59b6p+1', '0x1.9bda8e3f2129cp+1', '0x1.61e65da84e900p+1', '0x1.d1ddec66b04e1p+1'), 133, 59),
+    ((15, 3, 6, 'decreasing', 2), (3, 7, 13), '0x1.e3fc6b80f6aa3p-1', ('0x1.cd24c7e24f656p-1', '0x1.ec2e170317729p-1', '0x1.eae28c836c4f0p-1', '0x1.d1ae63b7dbbfep-1', '0x1.f0c3d26e3c9edp-1', '0x1.df2091f972b60p-1'), 45, 1),
+    ((15, 3, 6, 'bench', 2), (0, 1, 2), '0x1.c79697f0338dfp+1', ('0x1.a0dd7c1cd620ap+1', '0x1.bb7574b12e08dp+1', '0x1.cd5359b1566e7p+1', '0x1.ba9fcc8891592p+1', '0x1.cadf405f44319p+1', '0x1.de11ce3b3a0a9p+1'), 7, 1),
+    ((14, 4, 3, 'decreasing', 3), (4, 8, 10, 13), '0x1.e2368cb97a3b1p-1', ('0x1.ec5a558823121p-1', '0x1.c0e5cef3811c9p-1', '0x1.ee67268b79c21p-1'), 43, 9),
+    ((14, 4, 3, 'bench', 3), (0, 1, 12, 13), '0x1.d89032fae76b9p+1', ('0x1.d8e6ffe520073p+1', '0x1.c779f2da0f603p+1', '0x1.e05e0e81d7e63p+1'), 153, 67),
+    ((16, 4, 3, 'decreasing', 4), (0, 3, 7, 9), '0x1.d7f178b388263p-1', ('0x1.eff312d32560ep-1', '0x1.eb2c7a2748866p-1', '0x1.b4a5b11d64995p-1'), 271, 32),
+    ((16, 4, 3, 'bench', 4), (0, 1, 14, 15), '0x1.d64e05e04ec2cp+1', ('0x1.e353c3c7d42b2p+1', '0x1.a9c16924b2e62p+1', '0x1.e54b312cc587ap+1'), 185, 91),
+    ((16, 3, 5, 'decreasing', 5), (4, 7, 9), '0x1.d5101a0863146p-1', ('0x1.c1d92ffd31973p-1', '0x1.e5927b317bac9p-1', '0x1.faceec4acad0ap-1', '0x1.b63c3f039862cp-1', '0x1.b597e60a63257p-1'), 319, 6),
+    ((16, 3, 5, 'bench', 5), (0, 1, 2), '0x1.c2ad66312ca77p+1', ('0x1.cc3004405b084p+1', '0x1.a958db0576898p+1', '0x1.bba77630643b6p+1', '0x1.de61b05ad10f4p+1', '0x1.daae7f05fd3a9p+1'), 9, 1),
+    ((60, 5, 3, 'decreasing', 0), (6, 13, 19, 24, 47), '0x1.fd947aad569f0p-1', ('0x1.fd7d4a04b2ffep-1', '0x1.fd3c9ca02675dp-1', '0x1.fe7821db10cddp-1'), 4849, 710),
+    ((60, 5, 3, 'decreasing', 1), (11, 17, 30, 38, 42), '0x1.f69b317a6eefap-1', ('0x1.ed24c940050d4p-1', '0x1.ff805208c65b6p-1', '0x1.edcde0747d792p-1'), 8359, 327),
+]
+
+
+@st.composite
+def tie_heavy_populations(draw):
+    """A population of at most four types over m <= 8 items, and a k: phi = 0 types, repeated
+    types, value tails of zeros, tied and flat values and equal weights are all likely."""
+    m = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    specs = []
+    for _ in range(draw(st.integers(1, 4))):
+        if specs and draw(st.booleans()):
+            specs.append(specs[draw(st.integers(0, len(specs) - 1))])
+            continue
+        shape = draw(st.sampled_from(["random", "tied", "flat"]))
+        if shape == "random":
+            vals = np.sort(rng.uniform(0.0, 2.0, m))[::-1]
+        elif shape == "tied":
+            vals = np.maximum(2.0 - np.arange(m) // 2, 0.0)
+        else:
+            vals = np.ones(m)
+        vals[draw(st.integers(1, m)):] = 0.0
+        phi = draw(st.sampled_from([0.0, float(rng.uniform(0.05, 3.0))]))
+        specs.append((Ranking(tuple(int(x) for x in rng.permutation(m))), phi, ValueProfile(tuple(map(float, vals)))))
+    raw = np.ones(len(specs)) if draw(st.booleans()) else rng.uniform(0.2, 1.0, len(specs))
+    pop = Population(tuple(mallows_type(gt, phi, values, float(w / raw.sum())) for (gt, phi, values), w in zip(specs, raw)))
+    return pop, draw(st.integers(1, m))
 
 
 def search_nodes(order, k, fixed=(), next_idx=0):
@@ -253,11 +328,64 @@ class TestBranchAndBound:
             pop = heterogeneous_population(rng, m, int(rng.integers(1, 4)), families)
             menus, table = menu_utility_table(pop, k)
             welfare = dict(zip(map(tuple, menus.tolist()), _welfare(table, pop.weights())))
-            values, caps, weights = _bound_inputs(pop)
             order = tuple(int(x) for x in rng.permutation(m))
+            _, items, values, caps, weights = _bound_inputs(pop, order)
             for fixed, rest, slots in search_nodes(order, k):
                 best = max(welfare[tuple(sorted(fixed + extra))] for extra in itertools.combinations(rest, slots))
-                assert _node_bound(values, caps, weights, fixed, rest) >= best - BOUND_SLACK
+                cap = caps[list(fixed)].min(axis=0) if fixed else np.ones_like(values)
+                bound = _node_bound(values, cap, np.isin(items, fixed + rest))
+                assert weights @ bound >= best - BOUND_SLACK
+
+    @pytest.mark.parametrize(
+        "key, menu, welfare, per_type, nodes, evaluations", SEARCH_PINS,
+        ids=[f"m{m}-k{k}-t{n}-{family}-rng{seed}" for (m, k, n, family, seed), *_ in SEARCH_PINS],
+    )
+    def test_the_search_is_pinned(self, key, menu, welfare, per_type, nodes, evaluations):
+        m, k, n, family, seed = key
+        result = branch_and_bound_menu(optimize_population(np.random.default_rng(seed), m, n, family), k)
+        assert result.menu == menu
+        assert result.welfare.hex() == welfare
+        assert tuple(u.hex() for u in result.per_type) == per_type
+        assert (result.nodes, result.evaluations) == (nodes, evaluations)
+
+    @given(case=tie_heavy_populations())
+    @settings(max_examples=120, deadline=None)
+    def test_ties_give_enumerations_bits(self, case):
+        # a leaf abandoned part-way is never a lexicographically smaller tie of the optimum
+        pop, k = case
+        enum = enumerate_best_menu(pop, k)
+        bnb = branch_and_bound_menu(pop, k)
+        assert bnb.menu == enum.menu
+        assert bnb.welfare.hex() == enum.welfare.hex()
+        assert [u.hex() for u in bnb.per_type] == [u.hex() for u in enum.per_type]
+
+    def test_presorted_bound_has_the_bits_of_a_fresh_sort(self):
+        # the pour at a node, sorted afresh: its items are the fixed ones then the candidates, in
+        # search order, stably sorted by descending value, each capped by its weakest pairwise
+        # comparison against the fixed items
+        rng = np.random.default_rng(5)
+        for i in range(30):
+            m = int(rng.integers(3, 10))
+            k = int(rng.integers(1, m + 1))
+            families = ("mallows", "pl", "explicit") if i % 3 == 0 else ("mallows",)
+            pop = heterogeneous_population(rng, m, int(rng.integers(1, 5)), families)
+            order = tuple(int(x) for x in rng.permutation(m))
+            _, items, values, caps, weights = _bound_inputs(pop, order)
+            by_item = np.asarray([[h.value_of(x) for x in range(m)] for h in pop])
+            pairs = np.asarray([pairwise_matrix(h.noise) for h in pop])
+            pairs[:, np.arange(m), np.arange(m)] = 1.0  # an item never caps itself
+            rows = np.arange(pop.n)[:, None]
+            for fixed, rest, _ in search_nodes(order, k):
+                menu = list(fixed + rest)
+                v = by_item[:, menu]
+                cap = pairs[:, menu][:, :, list(fixed)].min(axis=2) if fixed else np.ones_like(v)
+                by_value = np.argsort(-v, axis=1, kind="stable")
+                poured = np.minimum(np.cumsum(cap[rows, by_value], axis=1), 1.0)
+                mass = poured.copy()
+                mass[:, 1:] -= poured[:, :-1]
+                fresh = float(weights @ (v[rows, by_value] * mass).sum(axis=1))
+                running = caps[list(fixed)].min(axis=0) if fixed else np.ones_like(values)
+                assert float(weights @ _node_bound(values, running, np.isin(items, menu))) == fresh
 
     def test_prunes_decreasing_values_population(self):
         # the shape of the benchmark's m = 16, k = 4 decreasing-values instance
