@@ -6,13 +6,17 @@ menus (``models._check_menus``), map each menu to the sorted positions of its
 items in the model's own order (``ranks``) and leave the family's math to the
 model's ``pick_rows`` (see ``models``), so neither knows the family.
 ``choice_table`` sorts the rows by those positions before it cuts them into
-blocks of ``MENU_BLOCK`` menus, so a block holds whole runs of menus with
-common leading items. For Mallows models the math is one insertion DP whose
-states are the distinct prefixes of a block's menus: menus that share leading
-items share those steps, and each whole menu is read at the step of its last
-item, whatever the block holds, so a menu has the same bits alone or in any
-batch. A menu table runs that DP directly on position sets, once per block for
-every Mallows accuracy it holds (see ``collab.menu_utility_table``).
+blocks of ``models.menu_block`` menus, as many as keep a pass's worst-case DP
+states within ``models.DP_STATE_FLOATS``, so a block holds whole runs of
+menus with common leading items. For Mallows models the math is one insertion
+DP whose states are the distinct prefixes of a block's menus: menus that share
+leading items share those steps, and each whole menu is read at the step of
+its last item, whatever the block holds, so a menu has the same bits alone or
+in any batch. ``choice_dist``'s one menu runs as a chain that resumes from the
+model's last one-menu chain where the two menus first differ. A menu table
+runs that DP directly on position sets, in blocks under the same bound, once
+per block for every Mallows accuracy it holds (see
+``collab.menu_utility_table``).
 """
 from __future__ import annotations
 
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .models import _check_items, _check_menus
+from .models import _check_items, _check_menus, menu_block
 from .rankings import check_ranking_model, is_number
 
 
@@ -60,12 +64,6 @@ class PickDistribution:
         return self.probs.items()
 
 
-# (menu, accuracy) pairs per pass of the batched DP: a pass holds at most
-# (k - 1) * MENU_BLOCK prefix states of k * m floats, so the block bounds its
-# working memory
-MENU_BLOCK = 512
-
-
 def choice_table(model, menus) -> np.ndarray:
     """Pick probabilities for a batch of equal-size menus, one row per menu.
 
@@ -74,8 +72,9 @@ def choice_table(model, menus) -> np.ndarray:
     ``menus[b, j]`` is picked from menu b. Each row is sorted into the
     model's own order (``model.ranks``), the rows are sorted by those
     positions, and ``model.pick_rows`` scores the sorted positions in blocks
-    of ``MENU_BLOCK`` menus; a menu's row has the same bits as when it is
-    scored alone. ``check_ranking_model`` and ``_check_menus`` check the input.
+    of ``models.menu_block(m, k)`` menus; a menu's row has the same bits as
+    when it is scored alone. ``check_ranking_model`` and ``_check_menus``
+    check the input.
     """
     check_ranking_model(model)
     menus = _check_menus(model.m, menus)
@@ -86,8 +85,9 @@ def choice_table(model, menus) -> np.ndarray:
     # blocks cut from rows sorted by their positions hold whole prefix subtrees
     by_position = np.lexsort(rows.T[::-1])
     out = np.empty((B, k))
-    for lo in range(0, B, MENU_BLOCK):
-        block = by_position[lo : lo + MENU_BLOCK]
+    size = menu_block(model.m, k)
+    for lo in range(0, B, size):
+        block = by_position[lo : lo + size]
         out[block[:, None], order[block]] = model.pick_rows(rows[block])
     return out
 

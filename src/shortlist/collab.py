@@ -9,9 +9,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .choice import MENU_BLOCK, PickDistribution, choice_dist, choice_table
+from .choice import PickDistribution, choice_dist, choice_table
 from .errors import DimensionError, DomainError
-from .models import MallowsModel, _check_menus, _integer_rows, _mallows_pick_rows, k_menus, policy_ranking_model
+from .models import DP_STATE_FLOATS, MallowsModel, _check_menus, _integer_rows, _mallows_pick_rows, k_menus, menu_block, policy_ranking_model
 from .rankings import AlgorithmPolicy, HumanType, Population, check_policy, check_population, check_ranking_model, check_universe, is_integer, is_number
 
 MC_BLOCK = 1 << 14  # Monte Carlo samples drawn per pass; bounds the sample arrays
@@ -102,7 +102,7 @@ def expected_utility(dist: PickDistribution, h: HumanType) -> float:
 
 
 def solo_utility(h: HumanType) -> float:
-    return expected_utility(choice_dist(h.noise, range(h.m)), h)
+    return menu_utility(h, range(h.m))
 
 
 def _relabelling_groups(pop: Population) -> dict:
@@ -131,8 +131,12 @@ def solo_utilities(pop: Population) -> np.ndarray:
 
 
 def menu_utility(h: HumanType, menu) -> float:
-    """Expected utility for one type when ``menu`` is always presented."""
-    return expected_utility(choice_dist(h.noise, menu), h)
+    """Expected utility for one type when ``menu`` is always presented: ``expected_utility``'s sum, each item's value read by rank.
+
+    ``choice_dist`` has checked the menu's items, so they are not checked again.
+    """
+    values, ranks = h.values.values, h.ground_truth.positions
+    return math.fsum(p * values[ranks[item]] for item, p in choice_dist(h.noise, menu).items())
 
 
 def menu_utility_table(pop: Population, k: int):
@@ -144,12 +148,13 @@ def menu_utility_table(pop: Population, k: int):
     sets, each row times the type's values in that order and summed with
     ``math.fsum``, the bits of ``menu_utility``. Each group of
     ``_relabelling_groups`` shares a column. The sets are scored in blocks
-    of ``MENU_BLOCK`` (menu, accuracy) pairs, or of one menu past
-    ``MENU_BLOCK`` accuracies: each block makes one
-    ``models._mallows_pick_rows`` call for every Mallows accuracy in the
-    population, with the bits of each accuracy's own ``pick_rows``, and any
-    other group calls its model's ``pick_rows``. All types read their
-    columns at the rows of one ``center_menu_rows`` call.
+    of ``models.menu_block(m, k, accuracies)`` menus, the most whose
+    worst-case DP states at every accuracy fit ``DP_STATE_FLOATS``, so a
+    table of up to 2^20 / ((k - 1) k m accuracies) menus is one pass: each
+    block makes one ``models._mallows_pick_rows`` call for every Mallows
+    accuracy in the population, with the bits of each accuracy's own
+    ``pick_rows``, and any other group calls its model's ``pick_rows``. All
+    types read their columns at the rows of one ``center_menu_rows`` call.
     """
     m = pop.m
     menus = k_menus(m, k)
@@ -158,7 +163,7 @@ def menu_utility_table(pop: Population, k: int):
     values = [np.array([h.value_of(x) for x in np.argsort(h.noise.ranks)]) for h in heads]
     phis = list(dict.fromkeys(h.noise.phi for h in heads if isinstance(h.noise, MallowsModel)))
     columns = np.empty((len(groups), len(menus)))
-    size = max(1, MENU_BLOCK // max(1, len(phis)))  # menus per block
+    size = menu_block(m, k, max(1, len(phis)))
     for lo in range(0, len(menus), size):
         block = menus[lo : lo + size]
         # model key -> the block's pick rows
@@ -194,8 +199,9 @@ def center_menu_rows(centers, k: int) -> np.ndarray:
     # order, whose rank is a sum of binomials; no term of a valid set exceeds C(m, k): clip there
     binom = np.array([[min(math.comb(n, r), total) for r in range(k, 0, -1)] for n in range(m)], dtype=np.intp)
     out = np.empty((len(centers), total), dtype=np.intp)
-    for lo in range(0, total, MENU_BLOCK):
-        images = np.sort(centers[:, sets[lo : lo + MENU_BLOCK]], axis=2)
+    size = max(1, DP_STATE_FLOATS // (max(1, len(centers)) * k))  # sets per pass: (centers, sets, k) images within DP_STATE_FLOATS
+    for lo in range(0, total, size):
+        images = np.sort(centers[:, sets[lo : lo + size]], axis=2)
         out[:, lo : lo + images.shape[1]] = total - 1 - binom[m - 1 - images, np.arange(k)].sum(axis=2)
     return out
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -135,6 +136,55 @@ def _step_rows(m: int, phis: tuple[float, ...]) -> tuple:
     return tuple(zip(probs, probs[:, :, ::-1], gammas[:, :, None, :-1], keeps[:, :, None]))
 
 
+# floats the states of one pass of the insertion DP may take at worst: a
+# block of B menus of k items holds at most (k - 1) B prefix states of k m
+# floats per accuracy, so 2^20 floats (8 MB) bound a pass's working memory
+DP_STATE_FLOATS = 1 << 20
+
+
+def menu_block(m: int, k: int, accuracies: int = 1) -> int:
+    """Menus per pass of ``_mallows_pick_rows``: the most whose worst-case states fit ``DP_STATE_FLOATS``, at least one."""
+    return max(1, DP_STATE_FLOATS // (max(1, k - 1) * accuracies * k * m))
+
+
+def _shift(states, g, kp, out=None):
+    """The insertion of an item outside the states' prefixes: each front-runner stays, or moves back one place.
+
+    Into ``out`` (a block's live states, in place) or a new array (a chain's next state).
+    """
+    moved = g * states[..., :-1]
+    out = np.multiply(states, kp, out=out)
+    out[..., 1:] += moved
+    return out
+
+
+def _spawn(parents, p_back, kp, out=None):
+    """The children of ``parents`` by the step's item, into ``out`` or a new array, and the item's lead rows.
+
+    The item leads at ``s`` with probability ``p_{t,s}`` times the
+    front-runner mass at ``s`` or behind, and an earlier front-runner keeps
+    the lead only where the item lands behind it. The caller writes the lead
+    rows to the item's slot.
+    """
+    fresh = p_back * parents[..., -1, ::-1].cumsum(axis=-1)  # by position from the back
+    out = np.multiply(parents, kp, out=out)
+    out[..., -1, ::-1] += fresh
+    return out, fresh[..., ::-1]
+
+
+def _read(parents, g, kp):
+    """Pick rows of whole menus ending in the step's item, from a copy of their parents' states that it overwrites.
+
+    The earlier items keep the lead with ``1 - gamma_{t,s}``, and the item
+    takes it where it lands at or ahead of the front-runner, with
+    ``gamma_{t,s}`` at the front-runner's position, whose last slot is still
+    empty.
+    """
+    parents[..., :-1, :] *= kp
+    parents[..., -1:, :-1] *= g
+    return parents.sum(axis=-1)
+
+
 def _mallows_pick_rows(positions: np.ndarray, m: int, phis) -> np.ndarray:
     """Mallows pick probabilities of a (B, k) intp block of menus at every accuracy, shape (phis, B, k).
 
@@ -149,19 +199,17 @@ def _mallows_pick_rows(positions: np.ndarray, m: int, phis) -> np.ndarray:
     depends on a menu only through its items at positions below t, so menus
     with a common prefix share one state until their next items. Each step
     gives every live state the keep/shift update of an item outside its
-    prefix, and spawns each prefix that ends in the step's item from its
-    parent's state: the item leads at ``s`` with probability ``p_{t,s}``
-    times the front-runner mass at ``s`` or behind (1 for a first item), and
-    an earlier front-runner keeps the lead only where the item lands behind
-    it. Only prefixes shorter than k are states. A whole menu is read at the
-    step of its last item, from its parent's state: its earlier items keep
-    the lead with ``1 - gamma_{t,s}`` and its last item takes it with
-    ``gamma_{t,s}`` at the front-runner's position. Later steps only move
-    positions, never the leader, so the plan stops at the block's last item.
-    Every operation acts on one (state, accuracy) row at a time, so a row
-    has the same bits alone, in any block and beside any set of accuracies.
-    A block of B menus has at most (k - 1) B states of k m floats per
-    accuracy, and a step costs O(k m) per live state and accuracy. A
+    prefix (``_shift``), spawns each prefix that ends in the step's item
+    from its parent's state (``_spawn``; a first item leads wherever it
+    lands), and reads each whole menu that ends in it from its parent's
+    state (``_read``). Only prefixes shorter than k are states. Later steps
+    only move positions, never the leader, so the plan stops at the block's
+    last item. Every operation acts on one (state, accuracy) row at a time,
+    so a row has the same bits alone, in any block, beside any set of
+    accuracies and in ``MallowsModel.pick_rows``' one-menu chain, which
+    calls the same three steps. A block of B menus has at most (k - 1) B
+    states of k m floats per accuracy (callers cut blocks by
+    ``menu_block``), and a step costs O(k m) per live state and accuracy. A
     full-universe menu (k = m) is the first-item law e^{-phi j} / row_z(m),
     read off the last insertion row in O(m).
     """
@@ -172,43 +220,73 @@ def _mallows_pick_rows(positions: np.ndarray, m: int, phis) -> np.ndarray:
         firsts = np.array([_insertion_rows(m, phi)[0][m - 1, ::-1] for phi in phis])
         return np.repeat(firsts[:, None], B, axis=1)
     steps = _step_rows(m, tuple(phis))
-    top = k - 1  # a prefix's front-runner mass
-    nodes, plan = _prefix_tree(positions, m)
+    nodes, plan = _prefix_tree(m, k, positions.tobytes())
     W = np.zeros((nodes, len(phis), k, m))
     out = np.empty((B, len(phis), k))
     span = None
     for t, a, c, b, lo, parents, targets, reads in plan:
         p, p_back, g, kp = steps[t]
         if reads is not None:
-            # whole menus ending in the step's item: the item leads where it
-            # lands at or ahead of the front-runner, whose last position is
-            # still empty
             rows, sources = reads
-            X = W[sources]
-            X[:, :, :top] *= kp
-            X[:, :, top:, :-1] *= g
-            out[rows] = X.sum(axis=3)
+            out[rows] = _read(W[sources], g, kp)
         if b > c:
-            # prefixes ending in the step's item, spawned the same way
-            W[c:b] = W[parents]
-            X = W[c:b]
-            fresh = p_back * X[:, :, top, ::-1].cumsum(axis=2)  # by position from the back
-            X *= kp
-            X[:, :, top, ::-1] += fresh
-            W[targets] = fresh[:, :, ::-1]
+            W[targets] = _spawn(W[parents], p_back, kp, out=W[c:b])[1]
         if a > lo:
-            # an item outside the prefix: the front-runner stays, or moves back one place
             if span != (lo, a):
                 span = (lo, a)
                 live = W[lo:a]
-                ahead, behind = live[..., :-1], live[..., 1:]
-            moved = g * ahead
-            live *= kp
-            behind += moved
+            _shift(live, g, kp, out=live)
         if c > a:
             # a one-item prefix leads wherever its item lands
-            W[a:c, :, 0] = W[a:c, :, top] = p
+            W[a:c, :, 0] = W[a:c, :, -1] = p
     return out.transpose(1, 0, 2)
+
+
+def _chain_pick_row(pos: list[int], m: int, phi: float, chain) -> tuple[np.ndarray, tuple]:
+    """The pick row of one menu of increasing center positions ``pos`` (1 < k < m), shape (1, k), and its chain.
+
+    ``_mallows_pick_rows``' DP for one menu is a chain of states, one per
+    step. ``chain`` is the previous menu's (positions, kept), where kept
+    lists (step, state) pairs in step order: the states just after each of
+    its first k - 1 items' steps and just before each later item's step, at
+    most 2 (k - 1) arrays of (1, k, m) floats. A state after step t depends
+    only on the menu's items at positions up to t, so a menu of the same
+    size resumes from the latest kept state below the first center position
+    where the two menus differ, and its row has the bits of a run from its
+    first item. Kept arrays are never written again: each step makes a new
+    state, and the returned chain keeps this menu's states.
+    """
+    steps = _step_rows(m, (phi,))
+    last, kept = chain
+    k = len(pos)
+    n = 0  # kept states this menu shares
+    if len(last) == k:
+        differ = next((min(a, b) for a, b in zip(last, pos) if a != b), m)
+        n = bisect_left([t for t, _ in kept], differ)
+    if n:
+        t, X = kept[n - 1]
+        # the latest such state is this menu's own unless the last menu had an item at ``differ``
+        kept = list(kept[:n] if t in pos[:-1] or t + 1 in pos[1:] else kept[: n - 1])
+    else:
+        t = pos[0]
+        X = np.zeros((1, k, m))
+        X[:, 0] = X[:, -1] = steps[t][0]  # a first item leads wherever it lands
+        kept = [(t, X)]
+    j = bisect_right(pos, t)  # the next item's slot
+    while True:
+        t += 1
+        p, p_back, g, kp = steps[t]
+        if t != pos[j]:
+            X = _shift(X, g, kp)
+            continue
+        if kept[-1][0] != t - 1:
+            kept.append((t - 1, X))
+        if j == k - 1:
+            return _read(X.copy(), g, kp), (tuple(pos), tuple(kept))
+        X, lead = _spawn(X, p_back, kp)
+        X[:, j] = lead
+        kept.append((t, X))
+        j += 1
 
 
 @dataclass(frozen=True)
@@ -222,6 +300,8 @@ class MallowsModel:
 
     center: Ranking
     phi: float
+    # the last one-menu pick_rows call's chain: its positions and kept (step, state) pairs
+    _chain: tuple = field(init=False, compare=False, repr=False, default=((), ()))
 
     def __post_init__(self):
         check_universe(self.center)
@@ -309,57 +389,49 @@ class MallowsModel:
         ``_mallows_pick_rows`` at this one accuracy: the insertion DP over
         the block's distinct prefixes, each menu read at the step of its
         last item, with the same bits alone, in any block and beside any
-        other accuracies.
+        other accuracies. One menu with 1 < k < m runs as a chain
+        (``_chain_pick_row``) that resumes from the states of the model's
+        last such menu: the model keeps that menu's positions and at most
+        2 (k - 1) states of k m floats, the states just before and after its
+        items' steps. A state after step t depends only on the items at
+        positions up to t, and the chain makes the block's operations in
+        the same order, so the bits do not depend on which menu came
+        before. Kept states are never written again and the memo is
+        replaced in one assignment, so threads sharing a model read whole
+        states.
         """
-        return _mallows_pick_rows(menus, self.m, (self.phi,))[0]
+        if len(menus) != 1 or not 1 < menus.shape[1] < self.m:
+            return _mallows_pick_rows(menus, self.m, (self.phi,))[0]
+        row, chain = _chain_pick_row(menus[0].tolist(), self.m, self.phi, self._chain)
+        object.__setattr__(self, "_chain", chain)
+        return row
 
     def support(self):
         return _enumerated_support(self)
 
 
-def _prefix_tree(pos: np.ndarray, m: int):
+@lru_cache(maxsize=64)
+def _prefix_tree(m: int, k: int, block: bytes):
     """The prefix tree of a block of menus, laid out for ``_mallows_pick_rows``.
 
-    ``pos`` is (B, k) with 1 < k < m, each row a menu's center positions in
-    increasing order. The tree's nodes are the runs of adjacent rows that
-    share a prefix shorter than k, so rows in lexicographic order share
-    every common prefix; a whole menu is no node. A node is born at the
-    step that inserts its last item and is needed until the step that
-    spawns its last child, and a whole menu is read at the step of its last
-    item. Nodes are listed by birth and, within a birth, by length, so the
-    nodes born at a step are a contiguous run and so are those alive across
-    it (with some dead ones among them). Returns the number of nodes and
-    per step from the first birth to the last read: the step, the first
-    node born at it, the first such node with a parent, the first node born
-    after it, the first node still needed after it, the parents of that
-    step's nodes with a parent and the (node, slot) index of their last
-    item, and the rows read at the step with their parents (None when no
-    row is). One menu's tree is a chain, written out directly with slices
-    in place of index arrays; a block's is built with array operations and
-    cached.
+    ``block`` holds the bytes of a (B, k) intp array with 1 < k < m, each
+    row a menu's center positions in increasing order. The tree's nodes are
+    the runs of adjacent rows that share a prefix shorter than k, so rows in
+    lexicographic order share every common prefix; a whole menu is no node.
+    A node is born at the step that inserts its last item and is needed
+    until the step that spawns its last child, and a whole menu is read at
+    the step of its last item. Nodes are listed by birth and, within a
+    birth, by length, so the nodes born at a step are a contiguous run and
+    so are those alive across it (with some dead ones among them). Returns
+    the number of nodes and per step from the first birth to the last read:
+    the step, the first node born at it, the first such node with a parent,
+    the first node born after it, the first node still needed after it, the
+    parents of that step's nodes with a parent and the (node, slot) index of
+    their last item, and the rows read at the step with their parents (None
+    when no row is). It is built with array operations, one menu's chain
+    included, and depends on nothing but the positions, so blocks that recur
+    (every call over the same menus, at any accuracies) reuse it.
     """
-    B, k = pos.shape
-    if B == 1:
-        # one menu: a chain whose node j is born at its (j + 1)-th position
-        p = pos[0].tolist()
-        plan = [(p[0], 0, 1, 1, 0, None, None, None)]
-        j = 1  # the next item's slot
-        for t in range(p[0] + 1, p[-1]):
-            if t == p[j]:
-                plan.append((t, j, j, j + 1, j, slice(j - 1, j), (slice(j, j + 1), slice(None), j), None))
-                j += 1
-            else:
-                plan.append((t, j, j, j, j - 1, None, None, None))
-        plan.append((p[k - 1], k - 1, k - 1, k - 1, k - 1, None, None, (slice(0, 1), slice(k - 2, k - 1))))
-        return k - 1, plan
-    return _shared_prefixes(m, k, pos.tobytes())
-
-
-@lru_cache(maxsize=64)
-def _shared_prefixes(m: int, k: int, block: bytes):
-    """``_prefix_tree`` of a block of several menus, given as the bytes of its
-    positions: the tree depends on nothing else, so blocks that recur (every
-    call over the same menus, at any accuracies) reuse it."""
     pos = np.frombuffer(block, dtype=np.intp).reshape(-1, k)
     B = len(pos)
     L = k - 1  # the longest prefix that is a node

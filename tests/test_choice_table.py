@@ -1,6 +1,8 @@
 """Property tests for the batched choice kernel and the callers routed through it."""
+import contextlib
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,11 +23,11 @@ from shortlist import (
     enumerate_best_menu,
 )
 from shortlist import collab, models
-from shortlist.choice import MENU_BLOCK, oracle_choice_dist
+from shortlist.choice import oracle_choice_dist
 from shortlist.collab import center_menu_rows, joint_pick_from_menus, menu_utility, menu_utility_table
 from shortlist.errors import DimensionError, DomainError
 from shortlist.experiments import sushi_profile, tension_population
-from shortlist.models import _mallows_pick_rows
+from shortlist.models import _mallows_pick_rows, menu_block
 from shortlist.rankings import Population
 
 accuracies = st.floats(min_value=0.0, max_value=4.0, allow_nan=False)
@@ -34,6 +36,17 @@ accuracies = st.floats(min_value=0.0, max_value=4.0, allow_nan=False)
 def random_menus(rng, m: int, k: int, count: int) -> np.ndarray:
     """``count`` menus of ``k`` distinct items, each row in random order."""
     return np.array([rng.choice(m, size=k, replace=False) for _ in range(count)], dtype=np.intp)
+
+
+SMALL_BLOCK = 64  # menus per block under small_blocks: a batch of a few hundred menus crosses several boundaries
+
+
+@contextlib.contextmanager
+def small_blocks(m: int, k: int, accuracies: int = 1):
+    """``models.DP_STATE_FLOATS`` shrunk so that ``menu_block(m, k, accuracies)`` is ``SMALL_BLOCK`` inside the block."""
+    with mock.patch.object(models, "DP_STATE_FLOATS", SMALL_BLOCK * max(1, k - 1) * accuracies * k * m):
+        assert menu_block(m, k, accuracies) == SMALL_BLOCK
+        yield
 
 
 def mallows_model(rng, m: int, phi: float) -> MallowsModel:
@@ -88,9 +101,10 @@ class TestChoiceTable:
 
     def test_rows_agree_across_block_boundaries(self, rng):
         model = mallows_model(rng, 9, 0.8)
-        menus = random_menus(rng, 9, 4, MENU_BLOCK + 50)
+        size = menu_block(9, 4)  # 9,709 menus under the 2^20-float bound
+        menus = random_menus(rng, 9, 4, size + 50)
         table = choice_table(model, menus)
-        for b in (0, MENU_BLOCK - 1, MENU_BLOCK, MENU_BLOCK + 49):
+        for b in (0, size - 1, size, size + 49):
             assert np.array_equal(choice_table(model, menus[b : b + 1])[0], table[b])
         assert np.allclose(table.sum(axis=1), 1.0, atol=1e-12)
         # menus that share a prefix share its DP state, so a row must not
@@ -107,8 +121,8 @@ class TestChoiceTable:
         # pick_rows itself takes position rows in any order: unsorted rows
         # share fewer prefixes but keep their bits
         rows = np.take_along_axis(shuffled, np.argsort(np.asarray(model.ranks)[shuffled], axis=1), axis=1)
-        positions = np.asarray(model.ranks, dtype=np.intp)[rows[:MENU_BLOCK]]
-        assert model.pick_rows(positions).tobytes() == choice_table(model, rows[:MENU_BLOCK]).tobytes()
+        positions = np.asarray(model.ranks, dtype=np.intp)[rows]
+        assert model.pick_rows(positions).tobytes() == choice_table(model, rows).tobytes()
 
     @given(
         m=st.integers(1, 16),
@@ -120,7 +134,7 @@ class TestChoiceTable:
     @settings(max_examples=30, deadline=None)
     def test_pick_rows_reads_sorted_positions(self, m, phi, seed, family, data):
         k = data.draw(st.integers(1, m), label="k")
-        count = data.draw(st.one_of(st.integers(1, 40), st.integers(MENU_BLOCK - 3, MENU_BLOCK + 60)), label="menus")
+        count = data.draw(st.one_of(st.integers(1, 40), st.integers(SMALL_BLOCK - 3, SMALL_BLOCK + 60)), label="menus")
         rng = np.random.default_rng(seed)
         if family == "mallows":
             model = mallows_model(rng, m, phi)
@@ -129,7 +143,8 @@ class TestChoiceTable:
         ranks = np.asarray(model.ranks, dtype=np.intp)
         menus = random_menus(rng, m, k, count)
         items = np.take_along_axis(menus, np.argsort(ranks[menus], axis=1), axis=1)  # in model order
-        assert model.pick_rows(ranks[items]).tobytes() == choice_table(model, items).tobytes()
+        with small_blocks(m, k):
+            assert model.pick_rows(ranks[items]).tobytes() == choice_table(model, items).tobytes()
 
     @given(
         m=st.integers(1, 16),
@@ -141,7 +156,7 @@ class TestChoiceTable:
     @settings(max_examples=40, deadline=None)
     def test_accuracy_axis_keeps_each_accuracys_bits(self, m, phis, layout, seed, data):
         k = data.draw(st.integers(1, m), label="k")
-        count = data.draw(st.one_of(st.integers(1, 40), st.integers(MENU_BLOCK - 3, MENU_BLOCK + 60)), label="menus")
+        count = data.draw(st.one_of(st.integers(1, 40), st.integers(SMALL_BLOCK - 3, SMALL_BLOCK + 60)), label="menus")
         rng = np.random.default_rng(seed)
         if data.draw(st.booleans(), label="repeat"):
             phis = phis + [phis[int(rng.integers(len(phis)))]]
@@ -158,6 +173,8 @@ class TestChoiceTable:
         for phi, got in zip(phis, rows):
             model = MallowsModel(center, phi)
             assert got.tobytes() == model.pick_rows(positions).tobytes()
+            with small_blocks(m, k):  # and cut into blocks, in any layout
+                assert got.tobytes() == choice_table(model, np.asarray(center.order)[positions]).tobytes()
             for b in checked.tolist():
                 menu = [center.order[p] for p in positions[b].tolist()]
                 assert tuple(choice_dist(model, menu)[x] for x in menu) == tuple(got[b].tolist())
@@ -223,6 +240,61 @@ class TestChoiceTable:
         pop = tension_population(1.0, 700.0)
         _, table = menu_utility_table(pop, 3)
         assert np.isfinite(table).all()
+
+
+def menu_walk(rng, m: int, count: int) -> list[list[int]]:
+    """``count`` menus of 1 < k < m increasing positions, each a new menu of any size, a repeat of the last or the
+    last one's leading positions followed by an item before or after its next one."""
+    walk = [sorted(rng.choice(m, int(rng.integers(2, m)), replace=False).tolist())]
+    while len(walk) < count:
+        last = walk[-1]
+        kind = int(rng.integers(4))
+        k, i = len(last), int(rng.integers(len(last)))  # the first index where the next menu differs
+        lo = last[i - 1] + 1 if i else 0
+        # the new item at index i, ahead of the last menu's (kind 2) or behind it (kind 3), with room for the rest
+        room = range(lo, last[i]) if kind == 2 else range(last[i] + 1, m - (k - i) + 1)
+        if kind == 0:
+            walk.append(sorted(rng.choice(m, int(rng.integers(2, m)), replace=False).tolist()))
+        elif kind == 1:
+            walk.append(list(last))
+        elif len(room):
+            first = int(rng.choice(room))
+            walk.append(last[:i] + [first] + sorted(rng.choice(range(first + 1, m), k - i - 1, replace=False).tolist()))
+    return walk
+
+
+class TestChainMemo:
+    """A one-menu ``MallowsModel.pick_rows`` call resumes from the states of the model's last one."""
+
+    @pytest.mark.parametrize("phi", [0.0, 1e-9, "uniform", 50.0, 800.0])
+    @pytest.mark.parametrize("m", [3, 4, 7, 12, 20])
+    def test_a_walk_of_menus_keeps_the_kernels_bits(self, rng, m, phi):
+        phi = float(rng.uniform(0.0, 3.0)) if phi == "uniform" else phi
+        center = Ranking(tuple(int(x) for x in rng.permutation(m)))
+        model = MallowsModel(center, phi)
+        walk = menu_walk(rng, m, 60)
+        kept = {}  # id -> (a kept state, its bytes when kept)
+        for pos in walk:
+            rows = np.array([pos], dtype=np.intp)
+            got = model.pick_rows(rows).tobytes()
+            assert got == _mallows_pick_rows(rows, m, (phi,))[0].tobytes()
+            assert got == MallowsModel(center, phi).pick_rows(rows).tobytes()
+            positions, states = model._chain
+            assert list(positions) == pos
+            assert len(states) <= 2 * (len(pos) - 1)
+            kept.update((id(X), (X, X.tobytes())) for _, X in states)
+        assert all(X.tobytes() == when_kept for X, when_kept in kept.values())
+        # the same menus in another order: the same bits
+        order = rng.permutation(len(walk))
+        for b in order.tolist():
+            rows = np.array([walk[b]], dtype=np.intp)
+            assert model.pick_rows(rows).tobytes() == _mallows_pick_rows(rows, m, (phi,))[0].tobytes()
+
+    def test_the_memo_is_not_part_of_the_model(self, rng):
+        model = mallows_model(rng, 9, 0.7)
+        model.pick_rows(np.array([[1, 4, 6]], dtype=np.intp))
+        twin = MallowsModel(model.center, 0.7)
+        assert model == twin and hash(model) == hash(twin) and repr(model) == repr(twin)
 
 
 class TestBatchedJoint:
@@ -291,7 +363,7 @@ class TestTableAgreement:
                         assert table[row, col] == menu_utility(h, menus[row])
 
     def test_gathered_columns_span_menu_blocks(self, rng):
-        # C(13, 4) = 715 menus: the gather crosses a MENU_BLOCK boundary
+        # C(13, 4) = 715 menus in blocks of SMALL_BLOCK: the gather crosses block boundaries
         m, k = 13, 4
         shared, other = (ValueProfile(tuple(sorted(rng.uniform(0.0, 5.0, m), reverse=True))) for _ in range(2))
         types = [
@@ -309,8 +381,9 @@ class TestTableAgreement:
         gt = Ranking(tuple(int(x) for x in rng.permutation(m)))
         types.append(HumanType(gt, explicit_model(rng, m), shared, 0.25))
         pop = Population(tuple(types))
-        menus, table = menu_utility_table(pop, k)
-        assert len(menus) > MENU_BLOCK
+        with small_blocks(m, k, 2):  # Mallows accuracies 0.8 and 1.7
+            menus, table = menu_utility_table(pop, k)
+        assert len(menus) > SMALL_BLOCK
         for row, menu in enumerate(menus):
             for col, h in enumerate(pop):
                 assert table[row, col] == menu_utility(h, menu)
@@ -332,12 +405,17 @@ class TestTableAgreement:
         )
         monkeypatch.setattr(MallowsModel, "pick_rows", None)  # the table never scores one accuracy alone
         menus, table = menu_utility_table(pop, k)
-        size = MENU_BLOCK // 2  # (menu, accuracy) pairs per block
-        assert calls == [(size, [0.8, 1.7]), (size, [0.8, 1.7]), (len(menus) - 2 * size, [0.8, 1.7])]
+        assert calls == [(len(menus), [0.8, 1.7])]  # one pass under the 2^20-float bound
+        assert [[u.hex() for u in column] for column in table.T.tolist()] == want
+        calls.clear()
+        with small_blocks(m, k, 2):
+            menus, table = menu_utility_table(pop, k)
+        assert calls == [(min(SMALL_BLOCK, len(menus) - lo), [0.8, 1.7]) for lo in range(0, len(menus), SMALL_BLOCK)]
+        assert len(calls) == 12
         assert [[u.hex() for u in column] for column in table.T.tolist()] == want
 
     def test_a_table_stacks_its_accuracies_once(self, rng):
-        # C(16, 4) = 1820 menus at six accuracies: 22 blocks of 85 menus read one stacked step table
+        # C(16, 4) = 1820 menus at six accuracies: two blocks of 910 menus read one stacked step table
         m, k = 16, 4
         types = []
         for phi in (0.3, 0.6, 0.9, 1.2, 1.5, 1.8):
@@ -346,7 +424,7 @@ class TestTableAgreement:
         pop = Population(tuple(types))
         models._step_rows.cache_clear()
         menus, _ = menu_utility_table(pop, k)
-        assert len(menus) > 20 * (MENU_BLOCK // 6)
+        assert len(menus) > menu_block(m, k, 6) == 910
         assert models._step_rows.cache_info().misses == 1
 
 

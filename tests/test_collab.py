@@ -11,6 +11,7 @@ from shortlist import (
     ExplicitModel,
     HumanType,
     MallowsModel,
+    PickDistribution,
     PlackettLuceModel,
     Population,
     Ranking,
@@ -260,6 +261,22 @@ class TestExpectedUtility:
             1.0,
         )
         assert solo_utility(zeroed) == 0.0
+
+    @pytest.mark.parametrize("item", [3, -1, 1.5, "0"])
+    def test_a_callers_distribution_over_an_unknown_item_is_refused(self, item):
+        h = aligned_human()
+        with pytest.raises(DomainError, match="unknown item"):
+            collab.expected_utility(PickDistribution({0: 0.5, item: 0.5}), h)
+
+    def test_menu_utility_has_the_bits_of_expected_utility(self):
+        rng = np.random.default_rng(3)
+        for phi in (0.0, 0.4, 2.5):
+            gt = Ranking(tuple(int(x) for x in rng.permutation(7)))
+            values = type(borda_values(7))(tuple(sorted(rng.uniform(0.0, 3.0, 7).tolist(), reverse=True)))
+            h = HumanType(gt, MallowsModel(gt, phi), values, 1.0)
+            for menu in ((0, 3), (6, 1, 2), (5, 4, 3, 2), tuple(range(7))):
+                want = collab.expected_utility(choice_dist(h.noise, menu), h)
+                assert collab.menu_utility(h, menu).hex() == want.hex()
 
 
 class TestCenterUtilities:
