@@ -15,7 +15,7 @@ from .models import DP_STATE_FLOATS, MallowsModel, _check_menus, _integer_rows, 
 from .rankings import AlgorithmPolicy, HumanType, Population, check_policy, check_population, check_ranking_model, check_universe, is_integer, is_number
 
 MC_BLOCK = 1 << 14  # Monte Carlo samples drawn per pass; bounds the sample arrays
-PRODUCT_BLOCK = 1 << 16  # (center, menu) pairs per pass of center_utilities; bounds its memory
+PRODUCT_BLOCK = 1 << 16  # (row, term) pairs per pass of _law_products; bounds its memory
 
 
 def _pick_law(h: HumanType, blocks) -> PickDistribution:
@@ -245,8 +245,9 @@ def center_utilities(table, model, rows) -> np.ndarray:
     shows its T-th menu. Identity rows (``np.arange(C(m, k))[None]``) score
     ``model`` where it stands: ``joint_utility``. For a model at the identity
     center, the centers' ``center_menu_rows`` score a Mallows policy at each
-    c, or a Plackett-Luce one whose values follow center position. Each entry
-    is ``math.fsum`` of its terms, and menus of zero probability are skipped.
+    c, or a Plackett-Luce one whose values follow center position. The product
+    is ``_law_products`` of the law broadcast to every type: each entry is
+    ``math.fsum`` of its terms, and menus of zero probability are skipped.
     Returns (rows, types). Before the law is built, a model over another item
     universe than the table's, or ``rows`` not 2-d, not C(m, k) wide or not
     table rows, is a DimensionError, and a non-model or non-integer ``rows`` a DomainError.
@@ -264,15 +265,26 @@ def center_utilities(table, model, rows) -> np.ndarray:
     if rows.size and (rows.min() < 0 or rows.max() >= len(menus)):
         raise DimensionError(f"rows outside the table's 0..{len(menus) - 1}")
     p_id = model.topk_law(menus)
-    support = np.flatnonzero(p_id)
-    weights = p_id[support, None]
-    rows = rows[:, support]
-    out = np.empty((len(rows), utilities.shape[1]))
-    step = max(1, PRODUCT_BLOCK // len(support))
+    return _law_products(np.broadcast_to(p_id[:, None], utilities.shape), utilities, rows)
+
+
+def _law_products(law: np.ndarray, utilities: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Entry (c, t) is ``sum_T law[T, t] * utilities[rows[c, T], t]``, one ``math.fsum`` per entry: shape (rows, columns).
+
+    ``law`` is a (menus, columns) menu law, one column per utility column,
+    and ``rows`` checked table rows. Only a column's menus of nonzero
+    probability make terms, so a zero-probability menu adds nothing to that
+    column, even where its utility is not finite. Rows go ``PRODUCT_BLOCK``
+    (row, term) pairs at a time.
+    """
+    cols, menus = np.nonzero(law.T)  # each column's menus of nonzero probability, column by column
+    weights = law[menus, cols]
+    bounds = [0, *np.cumsum(np.bincount(cols, minlength=law.shape[1])).tolist()]
+    out = np.empty((len(rows), law.shape[1]))
+    step = max(1, PRODUCT_BLOCK // len(menus))
     for lo in range(0, len(rows), step):
-        terms = weights * utilities[rows[lo : lo + step]]  # (centers, menus, types)
-        by_entry = terms.transpose(0, 2, 1).reshape(-1, len(support)).tolist()
-        out[lo : lo + len(terms)] = np.reshape([math.fsum(t) for t in by_entry], (len(terms), -1))
+        terms = (weights * utilities[rows[lo : lo + step, menus], cols]).tolist()
+        out[lo : lo + len(terms)] = [[math.fsum(row[i:j]) for i, j in zip(bounds, bounds[1:])] for row in terms]
     return out
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .collab import center_menu_rows, center_utilities, menu_utility_table, solo_utilities
+from .collab import _law_products, center_menu_rows, center_utilities, menu_utility_table, solo_utilities
 from .errors import CapacityError, DomainError, ProfileParseError
 from .models import ENUMERATION_CAP, MallowsModel, PlackettLuceModel
 from .optimize import branch_and_bound_menu, build_mip, enumerate_best_menu, optimize_with_uplift, solve_mip
@@ -240,13 +240,14 @@ def beta_sweep(
     too, and ``m`` above ``ENUMERATION_CAP`` before any center is built.
 
     Both sides are the identity's model relabelled by their center, so
-    ``center_utilities`` scores every center from the human's table and
-    model, through one ``center_menu_rows``. The Mallows family's models do
-    not depend on ``beta``: its whole grid is one population, one type per
-    ``beta``, scored by one ``menu_utility_table`` and one
-    ``center_utilities`` call. The RUM family's models do: its grid is one
-    ``menu_utility_table`` too, each type its own relabelling group, and
-    each ``beta`` is one ``center_utilities`` call on its own column.
+    ``center_utilities``' product, ``collab._law_products``, scores every
+    center from the human's table and menu law, through one
+    ``center_menu_rows``. The Mallows family's models do not depend on
+    ``beta``: its whole grid is one population, one type per ``beta``,
+    scored by one ``menu_utility_table`` and one ``center_utilities`` call.
+    The RUM family's models do: its grid is one ``menu_utility_table`` too,
+    each type its own relabelling group, and each ``beta``'s ``topk_law`` is
+    one column of a (menus, betas) law, scored by one product call.
     """
     _check_knobs("beta-sweep", beta_grid=beta_grid, m=m, k=k, phi=phi, gumbel_beta=gumbel_beta, families=families)
     if m > ENUMERATION_CAP:
@@ -265,8 +266,7 @@ def beta_sweep(
     if "rum" in families:
         humans = tuple(HumanType(gt, PlackettLuceModel(v.values, gumbel_beta), v, 1 / len(betas)) for v in profiles)
         menus, table = menu_utility_table(Population(humans), k)
-        each = [center_utilities((menus, table[:, [g]]), h.noise, rows) for g, h in enumerate(humans)]
-        utilities["rum"] = np.hstack(each)
+        utilities["rum"] = _law_products(np.stack([h.noise.topk_law(menus) for h in humans], axis=1), table, rows)
     out: list[dict] = []
     for col, beta in enumerate(betas):
         for family, table in utilities.items():
@@ -427,7 +427,7 @@ def emit_csv(rows: list[dict], destination) -> None:
     """
     if not rows:
         raise DomainError("no rows to write")
-    fieldnames = list(dict.fromkeys(key for row in rows for key in row))
+    fieldnames = list(dict.fromkeys(itertools.chain.from_iterable(rows)))
     with open_text(destination, "w", "CSV destination") as handle:
         csv.writer(handle, lineterminator="\n").writerows([fieldnames] + [[row.get(f, "") for f in fieldnames] for row in rows])
 

@@ -494,7 +494,7 @@ class PlackettLuceModel:
     item_values: tuple[float, ...]
     beta: float
     center: Ranking = field(init=False, compare=False)
-    # item_values / beta; topk_set_prob's subset memo: item bitmask -> log-normaliser
+    # item_values / beta; _subset_pass's memo: item bitmask -> log-normaliser
     # of the items outside it, and item bitmask -> prefix-set probability f(T)
     _scaled_values: np.ndarray = field(init=False, compare=False, repr=False)
     _subsets: tuple[dict, dict] = field(init=False, compare=False, repr=False)
@@ -541,44 +541,80 @@ class PlackettLuceModel:
         each pick probability is a softmax over the items not yet picked,
         normalized by their own log-sum-exp rather than by the total minus
         the picked part, which would cancel. Each subset's log-normaliser
-        and f(T) are kept in a per-model memo, so a law over many sets (as
-        in ``model_menu_distribution``) computes each subset once: the
-        missing log-normalisers in one batch, each missing f(T) by one
-        ``math.fsum`` in item order, the same bits as a cold model. The memo
-        lives as long as the model, one entry per subset of a queried set. A
-        cold query costs O(2^k k + 2^k m) for k items and a warm one O(2^k);
-        CapacityError when its 2^k m table exceeds ``MENU_ENUMERATION_CAP``.
+        and f(T) are kept in the model's own memo, filled by
+        ``_subset_pass``: a set the memo holds is read back at once, else
+        the pass computes its missing subsets, with the same bits as a cold
+        model. The memo lives as long as the model object and cannot be
+        cleared from outside, so a fresh model starts cold. A cold query
+        costs O(2^k k + 2^k m) for k items and a warm one O(k); CapacityError
+        when its 2^k m table exceeds ``MENU_ENUMERATION_CAP``.
         """
         items = sorted(map(int, _check_items(self.m, items)))
-        k = len(items)
-        if (1 << k) * self.m > MENU_ENUMERATION_CAP:
-            raise CapacityError(f"top-{k} set law over 2^{k} subsets x {self.m} items exceeds the cap")
+        f, mask = self._subsets[1], sum(1 << x for x in items)
+        if mask not in f:
+            self._subset_pass([items])
+        return f[mask]
+
+    def topk_law(self, menus: np.ndarray) -> np.ndarray:
+        """``topk_set_prob`` of each row of (C, k) intp item menus, after one ``_subset_pass`` over them all.
+
+        The pass fills the model's memo (a fresh model starts cold), so each
+        ``topk_set_prob`` call reads its menu back, with the bits it has alone.
+        """
+        menus = _check_menus(self.m, menus).tolist()
+        self._subset_pass(menus)
+        return np.array([self.topk_set_prob(menu) for menu in menus])
+
+    def _subset_pass(self, sets) -> None:
+        """Put every subset of the checked item lists ``sets``, all of one size k, into the memo.
+
+        A set the memo does not hold is refused (CapacityError) when its
+        2^k m table exceeds ``MENU_ENUMERATION_CAP``; one it holds passed
+        that check when it was computed. The sets it does not hold are
+        walked down by size: each level holds the subsets one item smaller
+        than those of the level above, each once, and a subset the memo
+        holds ends the walk below it, as its own subsets were computed with
+        it. The missing log-normalisers of the subsets met (a full set is
+        never a denominator) are numpy batches of at most
+        ``DP_STATE_FLOATS`` floats, one row per subset. Then each missing
+        f(T) is one ``math.fsum`` over T's items, smallest subsets first.
+        Keys are item bitmasks, Python ints of any width.
+        """
         log_norm, f = self._subsets
-        bits = [1 << x for x in items]
-        masks = [0]  # masks[S]: the item bitmask of S, whose bit i stands for items[i]
-        for bit in bits:
-            masks += [mask | bit for mask in masks]
-        missing = [S for S, mask in enumerate(masks[:-1]) if mask not in log_norm]
-        if missing:
-            # taken[row, y]: item y is in that row's proper subset of ``items``;
-            # the full set is never a denominator
-            taken = np.zeros((len(missing), self.m), dtype=bool)
-            taken[:, items] = np.array(missing)[:, None] >> np.arange(k) & 1
+        level: dict[int, tuple] = {}  # bitmask -> items, of the subsets of one size that f lacks
+        for items in sets:
+            mask = sum(1 << x for x in items)
+            if mask not in f:
+                k = len(items)
+                if (1 << k) * self.m > MENU_ENUMERATION_CAP:
+                    raise CapacityError(f"top-{k} set law over 2^{k} subsets x {self.m} items exceeds the cap")
+                level.setdefault(mask, tuple(items))
+        levels, missing = [], []
+        while level:
+            levels.append(level)
+            below: dict[int, tuple] = {}
+            for T, items in level.items():
+                for j, x in enumerate(items):
+                    S = T ^ (1 << x)
+                    if S not in below:
+                        below[S] = items[:j] + items[j + 1 :]
+            missing += [S for S in below if S not in log_norm]
+            level = {S: items for S, items in below.items() if S not in f}
+        width = (self.m + 7) // 8
+        size = max(1, DP_STATE_FLOATS // self.m)
+        for lo in range(0, len(missing), size):
+            batch = missing[lo : lo + size]
+            # taken[row, y]: item y is in that row's subset
+            packed = np.frombuffer(b"".join(mask.to_bytes(width, "little") for mask in batch), dtype=np.uint8)
+            taken = np.unpackbits(packed.reshape(len(batch), width), axis=1, count=self.m, bitorder="little").view(bool)
             rest = np.where(taken, -np.inf, self._scaled_values)
             hi = rest.max(axis=1, keepdims=True)
             rows = (hi + np.log(np.exp(rest - hi).sum(axis=1, keepdims=True)))[:, 0]
-            log_norm.update(zip((masks[S] for S in missing), rows.tolist()))
+            log_norm.update(zip(batch, rows.tolist()))
         u = self._scaled_values.tolist()
-        for T in masks[1:]:
-            if T not in f:
-                f[T] = math.fsum(
-                    f[T ^ bit] * math.exp(u[x] - log_norm[T ^ bit]) for x, bit in zip(items, bits) if T & bit
-                )
-        return f[masks[-1]]
-
-    def topk_law(self, menus: np.ndarray) -> np.ndarray:
-        """``topk_set_prob`` of each row of (C, k) intp item menus, sharing its subset memo."""
-        return np.array([self.topk_set_prob(menu) for menu in _check_menus(self.m, menus).tolist()])
+        for level in reversed(levels):
+            for T, items in level.items():
+                f[T] = math.fsum(f[T ^ (1 << x)] * math.exp(u[x] - log_norm[T ^ (1 << x)]) for x in items)
 
     @property
     def ranks(self) -> tuple[int, ...]:

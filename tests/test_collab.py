@@ -334,6 +334,32 @@ class TestCenterUtilities:
         got = collab.center_utilities(listed, model, rows)
         assert got.tobytes() == collab.center_utilities((menus, utilities), model, rows).tobytes()
 
+    @pytest.mark.parametrize("block", [collab.PRODUCT_BLOCK, 40], ids=["one-pass", "40-term-blocks"])
+    def test_a_law_per_column_has_the_bits_of_center_utilities_per_column(self, monkeypatch, rng, block):
+        monkeypatch.setattr(collab, "PRODUCT_BLOCK", block)
+        # each explicit curator's law is zero on most menus, each on other menus
+        curators = [
+            MallowsModel(Ranking.identity(5), 0.8),
+            PlackettLuceModel(tuple(rng.normal(0.0, 1.0, 5).tolist()), 0.6),
+            ExplicitModel(((Ranking.identity(5), 0.25), (R(4, 3, 2, 1, 0), 0.75))),
+            ExplicitModel(((R(4, 3, 2, 1, 0), 1.0),)),
+        ]
+        types = [HumanType(Ranking.identity(5), MallowsModel(Ranking.identity(5), phi), borda_values(5), 0.25) for phi in (0.3, 1.0, 2.0, 5.0)]
+        menus, table = collab.menu_utility_table(Population(tuple(types)), 2)
+        law = np.stack([model.topk_law(menus) for model in curators], axis=1)
+        # signed utilities, and inf where the last law is zero: a term of a zero-probability menu would make a NaN
+        wild = np.where(rng.random(table.shape) < 0.3, -0.0, -table)
+        wild[law[:, 3] == 0] = np.inf
+        centers = np.vstack([np.arange(5), rng.permuted(np.tile(np.arange(5), (6, 1)), axis=1)])
+        rows = collab.center_menu_rows(centers, 2)
+        for utilities in (table, wild):
+            got = collab._law_products(law, utilities, rows)
+            for g, model in enumerate(curators):
+                want = collab.center_utilities((menus, utilities[:, [g]]), model, rows)
+                assert got[:, [g]].tobytes() == want.tobytes()
+                assert collab._law_products(law[:, [g]], utilities[:, [g]], rows).tobytes() == want.tobytes()
+        assert np.isfinite(got[0, 3])
+
     def test_matching_model_and_rows_score_the_joint_utility(self):
         h = HumanType(Ranking.identity(4), MallowsModel(Ranking.identity(4), 1.0), borda_values(4), 1.0)
         a = AlgorithmPolicy(R(1, 0, 2, 3), 1.0, 2)

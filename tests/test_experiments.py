@@ -385,6 +385,23 @@ class TestBetaSweep:
         got = beta_sweep(beta_grid=grid, m=m, k=k, phi=phi, gumbel_beta=gumbel_beta, families=families)
         assert [(r["beta"], r["family"], r["utility_difference"].hex()) for r in got] == want
 
+    @pytest.mark.parametrize("m, k", [(4, 2), (5, 2), (5, 3), (6, 3)])
+    def test_rum_rows_have_the_bits_of_one_center_utilities_call_per_decay(self, m, k):
+        rng = np.random.default_rng(10 * m + k)
+        grid = sorted(rng.uniform(0.0, 6.0, int(rng.integers(1, 8))).tolist())
+        gumbel_beta = float(rng.uniform(0.05, 2.0))
+        gt = Ranking.identity(m)
+        rows = collab.center_menu_rows(list(itertools.permutations(range(m))), k)
+        profiles = [ValueProfile(tuple(math.exp(-beta * j) for j in range(m))) for beta in grid]
+        humans = tuple(HumanType(gt, PlackettLuceModel(v.values, gumbel_beta), v, 1 / len(grid)) for v in profiles)
+        menus, table = collab.menu_utility_table(Population(humans), k)
+        want = []
+        for g, (beta, h) in enumerate(zip(grid, humans)):
+            aligned, *misaligned = collab.center_utilities((menus, table[:, [g]]), h.noise, rows)[:, 0].tolist()
+            want += [(beta, (u - aligned).hex()) for u in misaligned]
+        got = beta_sweep(beta_grid=grid, m=m, k=k, gumbel_beta=gumbel_beta, families=["rum"])
+        assert [(r["beta"], r["utility_difference"].hex()) for r in got] == want
+
     @pytest.mark.parametrize("families", [(), ("foo",), ("rum", "plackett")])
     def test_refuses_families_its_config_refuses(self, families):
         with pytest.raises(DomainError, match="'families'"):

@@ -15,6 +15,7 @@ from shortlist import (
     enumerate_event_prob,
     model_menu_distribution,
 )
+from shortlist import models
 from shortlist.errors import CapacityError, DimensionError, DomainError
 from shortlist.models import ENUMERATION_CAP, _insertion_rows, _logsumexp, k_menus, pairwise_matrix, row_z
 
@@ -601,6 +602,54 @@ class TestPlackettLuceSubsetMemo:
             model.topk_set_prob(range(16))
         with pytest.raises(CapacityError, match="top-16 set law"):
             model.topk_set_prob(range(14, 30))
+
+    @staticmethod
+    def random_model(rng, m):
+        return PlackettLuceModel(tuple(float(v) for v in rng.normal(0.0, 2.0, m)), float(rng.uniform(0.05, 3.0)))
+
+    def assert_law_is_the_reference(self, model, menus):
+        got = [p.hex() for p in model.topk_law(menus).tolist()]
+        assert got == [self.reference(model, menu) for menu in np.asarray(menus).tolist()]
+
+    @pytest.mark.parametrize("m", range(2, 10))
+    def test_law_over_k_menus_has_the_references_bits(self, m):
+        rng = np.random.default_rng(100 + m)
+        for k in range(1, m + 1):
+            self.assert_law_is_the_reference(self.random_model(rng, m), k_menus(m, k))
+
+    @pytest.mark.parametrize("m", [4, 7, 10])
+    def test_law_over_a_shuffled_part_of_the_menus_has_the_references_bits(self, m):
+        rng = np.random.default_rng(200 + m)
+        for k in range(1, m):
+            menus = k_menus(m, k)
+            part = menus[rng.permutation(len(menus))[: max(1, len(menus) // 3)]]
+            # each menu's items in a random order too
+            self.assert_law_is_the_reference(self.random_model(rng, m), rng.permuted(part, axis=1))
+
+    def test_law_after_single_queries_has_the_references_bits(self, rng):
+        model = self.random_model(rng, 9)
+        for items in ((3,), (0, 4), (8, 1, 5), (0, 2, 4, 6), tuple(range(9))):
+            model.topk_set_prob(items)
+        for k in (2, 3, 4, 5):
+            self.assert_law_is_the_reference(model, k_menus(9, k))
+
+    def test_normalisers_in_several_blocks_have_the_references_bits(self, monkeypatch, rng):
+        # one 5-item row per 5-float block, so the 6 normalisers of the 2-menus of 5 items take 6 blocks,
+        # and the 93 of the 4-menus of 8 items take 12 blocks of 64 floats
+        monkeypatch.setattr(models, "DP_STATE_FLOATS", 5)
+        self.assert_law_is_the_reference(self.random_model(rng, 5), k_menus(5, 2))
+        monkeypatch.setattr(models, "DP_STATE_FLOATS", 64)
+        model = self.random_model(rng, 8)
+        self.assert_law_is_the_reference(model, k_menus(8, 4))
+        assert model.topk_set_prob(range(8)).hex() == self.reference(model, range(8))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_keys_past_63_bits_have_the_references_bits(self, rng, k):
+        model = self.random_model(rng, 70)
+        menus = k_menus(70, k)[:: 7 if k == 2 else 97]
+        assert menus.max() > 63
+        self.assert_law_is_the_reference(model, menus)
+        assert max(model._subsets[1]).bit_length() > 64
 
 
 def _non_integer_item_calls():
