@@ -5,7 +5,6 @@ Curators pass ``rankings.check_ranking_model``, policies ``rankings.check_policy
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -77,10 +76,13 @@ def mc_joint_pick_dist(
     Each sample draws an algorithm menu and an independent human ranking;
     per-item standard error is at most ``1 / (2 sqrt(samples))``. The menus,
     as top sets of ``policy_ranking_model``, and then the rankings are drawn
-    through ``sample_many``, ``MC_BLOCK`` samples at a time.
+    through ``sample_many``, ``MC_BLOCK`` samples at a time. An ``rng``
+    that is not a ``numpy.random.Generator`` is a DomainError.
     """
     if not is_integer(samples) or samples < 1:
         raise DomainError(f"need an integer number of samples, at least one, got {samples!r}")
+    if not isinstance(rng, np.random.Generator):
+        raise DomainError(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
     check_policy(a)
     check_universe(h, a)
     model = policy_ranking_model(a)
@@ -206,19 +208,12 @@ def center_menu_rows(centers, k: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=16)
-def _k_menus_bytes(m: int, k: int) -> bytes:
-    """The bytes of ``k_menus(m, k)``: a table checked once per grid accuracy builds its menu set once."""
-    return k_menus(m, k).tobytes()
-
-
 def check_menu_table(table) -> tuple[np.ndarray, np.ndarray]:
     """``table`` as ``menu_utility_table``'s (menus, utilities) pair, its menus an intp array: the one table rule.
 
     The menus, an array or a list, must be ``k_menus(m, k)`` for their width k and last item m - 1, in
     that order, and the utilities a 2-d real array of one row per menu. A non-pair, non-integer menus or
-    other menus are a DomainError, menus or utilities of another shape a DimensionError. The menus are
-    compared with the bytes of ``k_menus(m, k)``, cached for the last 16 menu sets.
+    other menus are a DomainError, menus or utilities of another shape a DimensionError; ``k_menus(m, k)`` itself skips the comparison.
     """
     if not isinstance(table, (tuple, list)) or len(table) != 2:
         size = f" of {len(table)}" if isinstance(table, (tuple, list)) else ""
@@ -229,7 +224,7 @@ def check_menu_table(table) -> tuple[np.ndarray, np.ndarray]:
     if menus.ndim != 2 or not menus.size or utilities.ndim != 2 or len(utilities) != len(menus):
         raise DimensionError(f"a menu table of {menus.shape} menus and {utilities.shape} utilities, expected one row per menu")
     m, k = int(menus[-1, -1]) + 1, menus.shape[1]
-    if k > m or len(menus) != math.comb(m, k) or menus.tobytes() != _k_menus_bytes(m, k):
+    if k > m or len(menus) != math.comb(m, k) or (menus is not k_menus(m, k) and not np.array_equal(menus, k_menus(m, k))):
         raise DomainError(f"table menus must be every {k}-menu of {m} items in k_menus order")
     return menus, utilities
 

@@ -423,8 +423,14 @@ def _bench_row(family: str, pop: Population, m: int, k: int, solver: str) -> dic
 def emit_csv(rows: list[dict], destination) -> None:
     """Write rows with a deterministic column order: every row's keys, in first-seen order.
 
-    The csv module writes each cell: a float as its repr, a missing key or None as empty.
+    The csv module writes each cell: a float as its repr, a missing key or None as empty. Rows that
+    are not a list or tuple of dicts are a DomainError.
     """
+    if not isinstance(rows, (list, tuple)):
+        raise DomainError(f"CSV rows must be a list of dicts, got {type(rows).__name__}")
+    for row in rows:
+        if not isinstance(row, dict):
+            raise DomainError(f"CSV rows must be dicts, got a row of {type(row).__name__}")
     if not rows:
         raise DomainError("no rows to write")
     fieldnames = list(dict.fromkeys(itertools.chain.from_iterable(rows)))

@@ -52,8 +52,8 @@ def row_z(j: int, phi: float) -> float:
     return math.expm1(-phi * j) / math.expm1(-phi)
 
 
-def _check_items(m: int, items) -> frozenset:
-    """``items`` as a set: the one item rule wherever items enter a model's query, a menu or a MIP.
+def _check_items(m: int, items) -> frozenset[int]:
+    """``items`` as a set of Python ints: the one item rule wherever items enter a model's query, a menu or a MIP.
 
     Refused when empty, not integers or repeated (DomainError) or outside ``0..m-1`` (DimensionError).
     """
@@ -64,7 +64,7 @@ def _check_items(m: int, items) -> frozenset:
         raise DomainError(f"items must be integers, got {list(given)}")
     if min(given) < 0 or max(given) >= m:
         raise DimensionError(f"items {sorted(given)} outside 0..{m - 1}")
-    items = frozenset(given)
+    items = frozenset(map(int, given))
     if len(items) != len(given):
         raise DomainError(f"items must be distinct, got {list(given)}")
     return items
@@ -130,9 +130,12 @@ def _step_rows(m: int, phis: tuple[float, ...]) -> tuple:
     """Per step, the rows of the (m, phis, m) stacked ``_insertion_rows`` that ``_mallows_pick_rows`` reads.
 
     Each is ``probs`` forwards and backwards, then ``gammas`` without its
-    last entry and ``keeps``, both shaped to broadcast over a state's slots.
+    last entry and ``keeps``, both shaped to broadcast over a state's slots:
+    read-only views, shared by every later pass at these accuracies.
     """
     probs, gammas, keeps = (np.stack(rows, axis=1) for rows in zip(*(_insertion_rows(m, phi) for phi in phis)))
+    for array in (probs, gammas, keeps):
+        array.setflags(write=False)
     return tuple(zip(probs, probs[:, :, ::-1], gammas[:, :, None, :-1], keeps[:, :, None]))
 
 
@@ -549,7 +552,7 @@ class PlackettLuceModel:
         costs O(2^k k + 2^k m) for k items and a warm one O(k); CapacityError
         when its 2^k m table exceeds ``MENU_ENUMERATION_CAP``.
         """
-        items = sorted(map(int, _check_items(self.m, items)))
+        items = sorted(_check_items(self.m, items))
         f, mask = self._subsets[1], sum(1 << x for x in items)
         if mask not in f:
             self._subset_pass([items])
@@ -772,17 +775,24 @@ def policy_ranking_model(policy: AlgorithmPolicy) -> MallowsModel | ExplicitMode
 
 
 def k_menus(m: int, k: int) -> np.ndarray:
-    """Every k-subset of ``0..m-1`` in lexicographic order, as a (C(m, k), k) intp array, if there are few enough.
+    """Every k-subset of ``0..m-1`` in lexicographic order, as a read-only (C(m, k), k) intp array, if there are few enough.
 
     The one place that decides which menus can be enumerated and their one form, the array every
     table, law and relabelling reads: raises ``check_menu_size``'s DomainError, and CapacityError
-    when C(m, k) exceeds ``MENU_ENUMERATION_CAP``, before any menu is built.
+    when C(m, k) exceeds ``MENU_ENUMERATION_CAP``, before any menu is built, then the one cached array of (m, k) all callers share.
     """
     check_menu_size(k, m)
     count = math.comb(m, k)
     if count > MENU_ENUMERATION_CAP:
         raise CapacityError(f"C({m},{k}) = {count} menus exceeds the exact-enumeration cap")
-    return np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(m), k)), np.intp, count * k).reshape(count, k)
+    return _menu_set(int(m), int(k))
+
+
+@lru_cache(maxsize=16)
+def _menu_set(m: int, k: int) -> np.ndarray:
+    menus = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(m), k)), np.intp, math.comb(m, k) * k).reshape(-1, k)
+    menus.setflags(write=False)
+    return menus
 
 
 def model_menu_distribution(model, k: int) -> dict[frozenset[int], float]:

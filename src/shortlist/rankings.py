@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import contextlib
+import io
 import math
 import numbers
 import os
@@ -117,11 +118,16 @@ def check_universe(first, *others) -> None:
 
 
 def open_text(source, mode: str, what: str):
-    """The one path-or-stream rule: a ``str`` or ``os.PathLike`` opened as UTF-8 text, newlines untranslated, or a file object passed through unclosed."""
+    """The one path-or-stream rule: a ``str`` or ``os.PathLike`` opened as UTF-8 text, newlines untranslated, or a text file object passed through unclosed.
+
+    A binary stream (an ``io`` raw or buffered stream, or a file object whose ``mode`` holds ``b``) is a DomainError.
+    """
     if isinstance(source, (str, os.PathLike)):
         return open(source, mode, encoding="utf-8", newline="")
     if not hasattr(source, "read" if mode == "r" else "write"):
         raise DomainError(f"{what} must be a path or a file object, got {type(source).__name__}")
+    if isinstance(source, (io.RawIOBase, io.BufferedIOBase)) or "b" in str(getattr(source, "mode", "")):
+        raise DomainError(f"{what} must be a path or a text file object, got the binary stream {type(source).__name__}")
     return contextlib.nullcontext(source)
 
 

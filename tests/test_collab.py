@@ -81,6 +81,16 @@ class TestJointPick:
         dist = joint_pick_dist(fig1_human(), a)
         assert dist[0] == 1.0
 
+    def test_numpy_items_give_int_keys_and_the_same_probabilities(self):
+        h = aligned_human(m=4, phi=0.8, values=borda_values(4))
+        listed = choice_dist(h.noise, [0, 1, 3])
+        for items in (np.array([0, 1, 3]), (np.int64(0), np.int32(1), 3)):
+            dist = choice_dist(h.noise, items)
+            assert all(type(x) is int for x in dist.probs)
+            assert list(dist.probs.items()) == list(listed.probs.items())
+        for a in (AlgorithmPolicy(R(2, 0, 3, 1), 1.3, 2), AlgorithmPolicy(R(2, 0, 3, 1), NOISELESS, 2)):
+            assert all(type(x) is int for x in joint_pick_dist(h, a).probs)
+
     def test_full_menu_equals_solo(self):
         h = aligned_human(m=4, phi=0.8, values=borda_values(4))
         a = AlgorithmPolicy(R(2, 0, 3, 1), 1.3, 4)
@@ -238,6 +248,12 @@ class TestMonteCarlo:
         with pytest.raises(DimensionError):
             mc_joint_pick_dist(aligned_human(m=3), AlgorithmPolicy(Ranking.identity(4), 0.5, 2), 10, rng)
 
+    @pytest.mark.parametrize("rng", [None, 0, np.random.RandomState(0)], ids=["none", "int", "legacy"])
+    def test_an_rng_that_is_not_a_generator_is_refused_before_sampling(self, monkeypatch, rng):
+        monkeypatch.setattr(MallowsModel, "sample_many", lambda *args: pytest.fail("sampling started"))
+        with pytest.raises(DomainError, match=f"rng must be a numpy.random.Generator, got {type(rng).__name__}$"):
+            mc_joint_pick_dist(aligned_human(), AlgorithmPolicy(Ranking.identity(3), 0.5, 2), 10, rng)
+
 
 class TestExpectedUtility:
     def test_solo_top_item(self):
@@ -327,12 +343,23 @@ class TestCenterUtilities:
 
     def test_the_table_holds_the_k_menus_array_and_a_listed_table_scores_alike(self):
         menus, utilities = self.table()
-        assert menus.dtype == np.intp and np.array_equal(menus, k_menus(4, 2))
+        assert menus is k_menus(4, 2)
         model = MallowsModel(R(2, 0, 3, 1), 0.7)
         rows = collab.center_menu_rows([[0, 1, 2, 3], [3, 1, 0, 2]], 2)
         listed = (list(map(tuple, menus.tolist())), utilities)
         got = collab.center_utilities(listed, model, rows)
         assert got.tobytes() == collab.center_utilities((menus, utilities), model, rows).tobytes()
+
+    def test_the_table_rule_takes_the_shared_menus_a_writable_copy_or_a_list_and_refuses_a_permutation(self):
+        menus, utilities = self.table()
+        assert collab.check_menu_table((menus, utilities))[0] is menus
+        copy = menus.copy()
+        assert copy.flags.writeable
+        for given in (copy, menus.tolist()):
+            got, same = collab.check_menu_table((given, utilities))
+            assert got.tolist() == menus.tolist() and same is utilities
+        with pytest.raises(DomainError, match=re.escape("table menus must be every 2-menu of 4 items in k_menus order")):
+            collab.check_menu_table((menus[[1, 0, 2, 3, 4, 5]], utilities))  # the last menu kept, so m reads 4
 
     @pytest.mark.parametrize("block", [collab.PRODUCT_BLOCK, 40], ids=["one-pass", "40-term-blocks"])
     def test_a_law_per_column_has_the_bits_of_center_utilities_per_column(self, monkeypatch, rng, block):

@@ -608,6 +608,18 @@ class TestCsvAndConfig:
             emit_csv([], path)
         assert not path.exists()
 
+    @pytest.mark.parametrize(
+        "rows, got",
+        [([1], "dicts, got a row of int"), ([{"a": 1}, ("a", 1)], "dicts, got a row of tuple"),
+         (iter([{"a": 1}]), "a list of dicts, got list_iterator"), ({"a": 1}, "a list of dicts, got dict")],
+        ids=["int-row", "tuple-row", "iterator", "dict"],
+    )
+    def test_rows_that_are_not_a_list_of_dicts_are_refused_and_no_file_is_written(self, tmp_path, rows, got):
+        path = tmp_path / "rows.csv"
+        with pytest.raises(DomainError, match=f"CSV rows must be {got}$"):
+            emit_csv(rows, path)
+        assert not path.exists()
+
     def test_csv_columns_are_the_union_in_first_seen_order(self):
         buf = io.StringIO()
         odd = {"a": 0.1 + 0.2, "b": -0.0, "c": math.inf, "d": math.nan, "e": 5e-324, "f": True}

@@ -34,6 +34,7 @@ import json
 import math
 import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
@@ -481,6 +482,18 @@ def test_every_path_or_stream_entry_refuses_a_descriptor_and_none(entry):
     finally:
         os.close(read_end)
         os.close(write_end)
+
+
+@pytest.mark.parametrize("entry", list(PATH_OR_STREAM), ids=list(PATH_OR_STREAM))
+def test_every_path_or_stream_entry_refuses_a_binary_stream(tmp_path, entry):
+    path = tmp_path / "profile.txt"
+    path.write_bytes(b"1 1 2 3\n")
+    # a bytes buffer, an open(path, "rb") or "r+b" handle, and a wrapper that is no io stream but says "rb+"
+    with open(path, "rb" if entry == "load_profile" else "r+b") as handle, tempfile.NamedTemporaryFile(dir=tmp_path) as named:
+        for stream in (io.BytesIO(b"1 1 2 3\n"), handle, named):
+            with pytest.raises(DomainError, match="must be a path or a text file object, got the binary stream "):
+                PATH_OR_STREAM[entry](stream)
+    assert path.read_bytes() == b"1 1 2 3\n"
 
 
 class _ReadOnly:

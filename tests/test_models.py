@@ -1,6 +1,9 @@
 import decimal
+import importlib
 import itertools
 import math
+import pkgutil
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from shortlist import (
     enumerate_event_prob,
     model_menu_distribution,
 )
+import shortlist
 from shortlist import models
 from shortlist.errors import CapacityError, DimensionError, DomainError
 from shortlist.models import ENUMERATION_CAP, _insertion_rows, _logsumexp, k_menus, pairwise_matrix, row_z
@@ -473,6 +477,58 @@ def test_k_menus_is_the_intp_array_of_lexicographic_k_sets(m):
         menus = k_menus(m, k)
         assert isinstance(menus, np.ndarray) and menus.dtype == np.intp and menus.shape == (math.comb(m, k), k)
         assert menus.tolist() == [list(s) for s in itertools.combinations(range(m), k)]
+
+
+def test_k_menus_is_one_read_only_array_per_menu_set_and_a_cached_size_is_no_refused_one():
+    menus = k_menus(6, 2)
+    assert k_menus(6, 2) is menus and k_menus(np.int64(6), np.int64(2)) is menus and not menus.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        menus[0, 0] = 5
+    k_menus(6, 1)
+    for k in (2.0, True, [2]):  # equal to a cached size, or unhashable, but not an integer
+        with pytest.raises(DomainError, match=re.escape(f"menu size {k} out of range for m=6")):
+            k_menus(6, k)
+
+
+# every lru_cache or functools.cache wrapper in the library, with a call for each that returns
+# arrays: a cached array is handed to every later caller, so none may be writable
+LIBRARY_CACHES = {
+    "shortlist.models._menu_set": lambda f: f(6, 3),
+    "shortlist.models._row_z_values": None,
+    "shortlist.models._insertion_rows": lambda f: f(5, 0.7),
+    "shortlist.models._step_rows": lambda f: f(5, (0.7, 1.3)),
+    "shortlist.models._prefix_tree": lambda f: f(6, 3, k_menus(6, 3).tobytes()),
+    "shortlist.experiments.sushi_profile": None,
+    "shortlist.cli.build_parser": None,
+}
+
+
+def _library_caches() -> dict:
+    found = {}
+    for info in pkgutil.iter_modules(shortlist.__path__):
+        module = importlib.import_module(f"shortlist.{info.name}")
+        for obj in vars(module).values():
+            for f in (obj, *vars(obj).values()) if isinstance(obj, type) else (obj,):
+                if hasattr(f, "cache_info") and f.__module__ == module.__name__:
+                    found[f"{module.__name__}.{f.__qualname__}"] = f
+    return found
+
+
+def _arrays(result):
+    if isinstance(result, np.ndarray):
+        yield result
+    elif isinstance(result, (tuple, list)):
+        for x in result:
+            yield from _arrays(x)
+
+
+def test_every_library_cache_is_known_and_hands_out_read_only_arrays():
+    caches = _library_caches()
+    assert sorted(caches) == sorted(LIBRARY_CACHES)
+    for name, call in LIBRARY_CACHES.items():
+        if call is not None:
+            arrays = list(_arrays(call(caches[name])))
+            assert arrays and not any(a.flags.writeable for a in arrays), name
 
 
 class TestExplicitModel:
