@@ -39,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError, DimensionError, DomainError
-from .rankings import AlgorithmPolicy, Ranking, as_tuple, check_accuracy, check_menu_size, check_noise_scale, check_policy, check_ranking_model, check_universe, is_integer, is_number, kendall_tau
+from .rankings import AlgorithmPolicy, Ranking, as_tuple, check_accuracy, check_menu_size, check_noise_scale, check_policy, check_ranking_model, check_universe, is_integer, is_number, item_range, kendall_tau
 
 ENUMERATION_CAP = 7
 MENU_ENUMERATION_CAP = 10**6
@@ -104,21 +104,24 @@ def _row_z_values(m: int, phi: float) -> tuple[float, ...]:
     return tuple(row_z(j, phi) for j in range(1, m + 1))
 
 
-@lru_cache(maxsize=256)
-def _insertion_rows(m: int, phi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Insertion probabilities of every step as read-only (m, m) arrays.
+def _insertion_table(m: int, phis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Insertion probabilities of every step at every accuracy as read-only (m, phis, m) arrays: the one builder.
 
-    Row ``t - 1`` of ``probs`` holds ``p_{t,s}`` for ``s = 1..t`` and zeros
-    after, from one ``np.exp`` over the step x slot grid; ``gammas`` are
-    their running sums and ``keeps = 1 - gammas``, the chance that an
-    earlier item at position ``s`` stays there.
+    Entry ``[t - 1, g]`` of ``probs`` holds ``p_{t,s}`` at accuracy ``phis[g]``
+    for ``s = 1..t`` and zeros after, from one ``np.exp`` over the step x
+    accuracy x slot grid, divided by its ``_row_z_values`` entry; ``gammas``
+    are their running sums and ``keeps = 1 - gammas``, the chance that an
+    earlier item at position ``s`` stays there. Every operation is
+    elementwise or runs along one row, so an accuracy has the same bits in
+    any grid. A step's rows are contiguous, as the DP reads them.
     """
     t = np.arange(m, dtype=float)
-    gaps = np.tril(np.subtract.outer(t, t))  # t - s on and below the diagonal
+    gaps = np.tril(np.subtract.outer(t, t))[:, None]  # t - s on and below the diagonal
     with np.errstate(over="ignore"):  # phi times a gap may round to inf; exp(-inf) = 0 is right
-        probs = np.tril(np.exp(-phi * gaps))
-    probs /= np.array(_row_z_values(m, phi))[:, None]
-    gammas = np.cumsum(probs, axis=1)
+        probs = np.exp(-np.array(phis, dtype=float)[:, None] * gaps)
+    probs *= np.tri(m)[:, None]  # zeros after slot t
+    probs /= np.array([_row_z_values(m, phi) for phi in phis]).T[:, :, None]
+    gammas = np.cumsum(probs, axis=-1)
     keeps = 1.0 - gammas
     for array in (probs, gammas, keeps):
         array.setflags(write=False)
@@ -126,16 +129,21 @@ def _insertion_rows(m: int, phi: float) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 @lru_cache(maxsize=256)
+def _insertion_rows(m: int, phi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_insertion_table`` at one accuracy: its read-only (m, m) ``probs``, ``gammas`` and ``keeps``, cached per (m, phi)."""
+    return tuple(array[:, 0] for array in _insertion_table(m, (phi,)))
+
+
+@lru_cache(maxsize=256)
 def _step_rows(m: int, phis: tuple[float, ...]) -> tuple:
-    """Per step, the rows of the (m, phis, m) stacked ``_insertion_rows`` that ``_mallows_pick_rows`` reads.
+    """Per step, the rows of ``_insertion_table(m, phis)`` that ``_mallows_pick_rows`` reads.
 
     Each is ``probs`` forwards and backwards, then ``gammas`` without its
     last entry and ``keeps``, both shaped to broadcast over a state's slots:
-    read-only views, shared by every later pass at these accuracies.
+    read-only views of one table built for the whole grid, shared by every
+    later pass at these accuracies.
     """
-    probs, gammas, keeps = (np.stack(rows, axis=1) for rows in zip(*(_insertion_rows(m, phi) for phi in phis)))
-    for array in (probs, gammas, keeps):
-        array.setflags(write=False)
+    probs, gammas, keeps = _insertion_table(m, phis)
     return tuple(zip(probs, probs[:, :, ::-1], gammas[:, :, None, :-1], keeps[:, :, None]))
 
 
@@ -214,13 +222,16 @@ def _mallows_pick_rows(positions: np.ndarray, m: int, phis) -> np.ndarray:
     states of k m floats per accuracy (callers cut blocks by
     ``menu_block``), and a step costs O(k m) per live state and accuracy. A
     full-universe menu (k = m) is the first-item law e^{-phi j} / row_z(m),
-    read off the last insertion row in O(m).
+    computed alone in O(m) per accuracy, with the bits of the last insertion
+    row reversed.
     """
     B, k = positions.shape
     if k == 1:
         return np.ones((len(phis), B, 1))
     if k == m:
-        firsts = np.array([_insertion_rows(m, phi)[0][m - 1, ::-1] for phi in phis])
+        with np.errstate(over="ignore"):
+            firsts = np.exp(-np.array(phis, dtype=float)[:, None] * np.arange(m, dtype=float))
+        firsts /= np.array([row_z(m, phi) for phi in phis])[:, None]
         return np.repeat(firsts[:, None], B, axis=1)
     steps = _step_rows(m, tuple(phis))
     nodes, plan = _prefix_tree(m, k, positions.tobytes())
@@ -778,9 +789,10 @@ def k_menus(m: int, k: int) -> np.ndarray:
     """Every k-subset of ``0..m-1`` in lexicographic order, as a read-only (C(m, k), k) intp array, if there are few enough.
 
     The one place that decides which menus can be enumerated and their one form, the array every
-    table, law and relabelling reads: raises ``check_menu_size``'s DomainError, and CapacityError
+    table, law and relabelling reads: raises ``item_range``'s and then ``check_menu_size``'s DomainError, and CapacityError
     when C(m, k) exceeds ``MENU_ENUMERATION_CAP``, before any menu is built, then the one cached array of (m, k) all callers share.
     """
+    item_range(m)
     check_menu_size(k, m)
     count = math.comb(m, k)
     if count > MENU_ENUMERATION_CAP:

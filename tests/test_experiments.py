@@ -232,6 +232,20 @@ class TestGridTable:
     def test_tension_rows_have_the_bits_of_one_population_per_accuracy(self, grid, gamma, k):
         assert repr(tension_experiment(gamma, grid, k)) == repr(tension_reference(gamma, grid, k))
 
+    @pytest.mark.parametrize("name, points, rows_per_point", [("sushi", 13, 3), ("tension", 11, 1)])
+    def test_a_random_grid_csv_has_each_accuracys_one_accuracy_rows(self, tmp_path, rng, name, points, rows_per_point):
+        # each accuracy's rows of one grid run, byte for byte, are the CSV rows of its own one-accuracy run
+        grid = [float(x) for x in rng.uniform(0.0, 3.0, points)]
+        grid[-1] = grid[0]  # and a repeated accuracy
+        out = tmp_path / "grid.csv"
+        assert cli.main(["experiment", name, "--phi-grid", ",".join(map(repr, grid)), "--output", str(out)]) == 0
+        header, *rows = out.read_bytes().splitlines(keepends=True)
+        assert len(rows) == rows_per_point * points
+        for i, phi in enumerate(grid):
+            one = tmp_path / f"{i}.csv"
+            assert cli.main(["experiment", name, "--phi-grid", repr(phi), "--output", str(one)]) == 0
+            assert one.read_bytes() == header + b"".join(rows[i * rows_per_point:(i + 1) * rows_per_point])
+
     @pytest.mark.parametrize("grid", [(1.0,), UNSORTED_GRID, DEFAULT_PHI_GRID], ids=["one", "unsorted", "default"])
     @pytest.mark.parametrize("driver", [sushi_experiment, tension_experiment])
     def test_one_table_per_run(self, monkeypatch, driver, grid):
@@ -1218,8 +1232,8 @@ class TestCli:
         assert not (tmp_path / "out.csv").exists()
 
     def test_sushi_at_extreme_accuracy_warns_nothing(self, tmp_path, capsys):
-        _insertion_rows.cache_clear()  # the rows are built, and could warn, once per (m, phi)
-        _step_rows.cache_clear()  # and stacked once per (m, phis), from those rows
+        _insertion_rows.cache_clear()  # one accuracy's rows are built, and could warn, once per (m, phi)
+        _step_rows.cache_clear()  # and a grid's once per (m, phis), in one table over the whole grid
         paths = {grid: tmp_path / f"{grid}.csv" for grid in ("1e308", "1e300")}
         with warnings.catch_warnings():
             warnings.simplefilter("error")

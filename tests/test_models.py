@@ -233,6 +233,17 @@ class TestMallowsTopK:
                     assert model.topk_set_prob(s) == pytest.approx(expected, abs=1e-12)
 
 
+def reference_insertion_rows(m: int, phi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The insertion rows at one accuracy by the (m, m) formula: tril(exp(-phi gaps)) / row_z, cumsum, 1 - gammas."""
+    t = np.arange(m, dtype=float)
+    gaps = np.tril(np.subtract.outer(t, t))
+    with np.errstate(over="ignore"):
+        probs = np.tril(np.exp(-phi * gaps))
+    probs /= np.array([row_z(j, phi) for j in range(1, m + 1)])[:, None]
+    gammas = np.cumsum(probs, axis=1)
+    return probs, gammas, 1.0 - gammas
+
+
 class TestInsertionTable:
     def test_two_slot_row(self):
         probs, _, _ = _insertion_rows(2, LN2)
@@ -263,6 +274,41 @@ class TestInsertionTable:
                     want[t - 1, :t] = np.exp(-phi * (t - np.arange(1, t + 1, dtype=float)))
                 want[t - 1, :t] /= row_z(t, phi)
             assert _insertion_rows(m, phi)[0].tobytes() == want.tobytes()
+
+    def test_a_grid_has_each_accuracys_per_accuracy_bits(self, rng):
+        # one table for a whole grid against the (m, m) formula at each accuracy alone
+        extremes = [0.0, 1e-300, 1e-9, 800.0, 1e300, 1e308]
+        for _ in range(300):
+            m = int(rng.integers(1, 41))
+            phis = [float(rng.choice([rng.choice(extremes), rng.uniform(0.0, 5.0), rng.exponential(30.0)])) for _ in range(int(rng.integers(1, 21)))]
+            phis = tuple(phis + [phis[int(rng.integers(len(phis)))] for _ in range(int(rng.integers(0, 3)))])
+            want = [reference_insertion_rows(m, phi) for phi in phis]
+            for t, step in enumerate(models._step_rows(m, phis)):
+                probs = np.array([w[0][t] for w in want])
+                gammas = np.array([w[1][t] for w in want])
+                keeps = np.array([w[2][t] for w in want])
+                expected = (probs, probs[:, ::-1], gammas[:, None, :-1], keeps[:, None])
+                assert [a.tobytes() for a in step] == [a.tobytes() for a in expected]
+            for phi, rows in zip(phis, want):
+                assert [a.tobytes() for a in _insertion_rows(m, phi)] == [a.tobytes() for a in rows]
+
+    def test_a_cold_grid_builds_no_single_accuracy_rows(self):
+        models._step_rows.cache_clear()
+        before = _insertion_rows.cache_info()
+        models._step_rows(9, (0.25, 0.5, 1.75))
+        assert _insertion_rows.cache_info() == before
+
+    def test_a_solo_pick_is_the_last_row_reversed_and_builds_no_table(self, rng):
+        for _ in range(100):
+            m = int(rng.integers(1, 41))
+            phis = tuple(float(rng.choice([0.0, 1e-300, 1e-9, 800.0, 1e300, 1e308, rng.uniform(0.0, 5.0), rng.exponential(30.0)])) for _ in range(int(rng.integers(1, 6))))
+            caches = _insertion_rows.cache_info(), models._step_rows.cache_info()
+            rows = models._mallows_pick_rows(np.tile(np.arange(m, dtype=np.intp), (3, 1)), m, phis)
+            assert (_insertion_rows.cache_info(), models._step_rows.cache_info()) == caches
+            assert rows.shape == (len(phis), 3, m)
+            for phi, got in zip(phis, rows):
+                want = reference_insertion_rows(m, phi)[0][-1, ::-1].tobytes()
+                assert [row.tobytes() for row in got] == [want] * 3
 
     def test_rows_sum_to_one_and_gamma_monotone(self, rng):
         for _ in range(20):
@@ -488,6 +534,12 @@ def test_k_menus_is_one_read_only_array_per_menu_set_and_a_cached_size_is_no_ref
     for k in (2.0, True, [2]):  # equal to a cached size, or unhashable, but not an integer
         with pytest.raises(DomainError, match=re.escape(f"menu size {k} out of range for m=6")):
             k_menus(6, k)
+
+
+@pytest.mark.parametrize("m", [[6], 6.0, np.array(6), True, np.float64(6.0)], ids=["list", "float", "0-d array", "bool", "numpy float"])
+def test_k_menus_refuses_an_item_count_that_is_not_an_integer(m):
+    with pytest.raises(DomainError, match=re.escape(f"an item count must be an integer, got {m!r}")):
+        k_menus(m, 1 if m is True else 2)
 
 
 # every lru_cache or functools.cache wrapper in the library, with a call for each that returns
