@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from .collab import center_menu_rows, center_utilities, expected_utility, joint_pick_dist, menu_utility_table
 from .errors import DomainError
 from .models import MallowsModel, PlackettLuceModel, _check_items, _logistic, policy_ranking_model
-from .rankings import AlgorithmPolicy, HumanType, Population, Ranking, ValueProfile, apply_swap, as_tuple, check_accuracy, check_noise_scale, check_ranking_model, check_universe, is_integer
+from .rankings import AlgorithmPolicy, HumanType, Population, Ranking, ValueProfile, apply_swap, as_tuple, check_accuracy, check_human, check_noise_scale, check_ranking_model, check_universe, check_value_profile, is_integer
 
 
 @dataclass(frozen=True)
@@ -92,6 +92,7 @@ def check_mallows_harmful(
     inversion growth of the item swap, so the verdict is sound for any
     algorithm distribution that ranks item i ahead of item j.
     """
+    check_value_profile(values)
     if not (is_integer(rank_i) and is_integer(rank_j) and 1 <= rank_i < rank_j <= values.m):
         raise DomainError(f"need integer ranks 1 <= rank_i < rank_j <= {values.m}, got {rank_i!r}, {rank_j!r}")
     check_accuracy(phi_h, "phi_h")
@@ -113,6 +114,7 @@ def check_mallows_helpful(h: HumanType, a, i: int, j: int) -> ConditionVerdict:
     a witness rank ``i' < rank(i)`` whose value dominates the psi-weighted
     comparison ratio; the first witness is reported.
     """
+    check_human(h)
     phi_h = _mallows_phi(h)
 
     def terms(psis, rank, rank_i, rank_j):
@@ -178,6 +180,7 @@ def _helpful_witness(h: HumanType, a, i: int, j: int, terms) -> ConditionVerdict
 
 def check_pl_harmful(values: ValueProfile, beta: float, rank_j: int) -> ConditionVerdict:
     """Harmfulness condition for a Plackett-Luce human: top value gap <= 1.27 beta."""
+    check_value_profile(values)
     check_noise_scale(beta)
     if not (is_integer(rank_j) and 1 <= rank_j <= values.m):
         raise DomainError(f"need an integer rank 1 <= rank_j <= {values.m}, got {rank_j!r}")
@@ -188,6 +191,7 @@ def check_pl_harmful(values: ValueProfile, beta: float, rank_j: int) -> Conditio
 
 def check_pl_helpful(h: HumanType, a, i: int, j: int) -> ConditionVerdict:
     """Helpfulness condition for a Plackett-Luce human and a curator's ranking model ``a``, at menu size 2."""
+    check_human(h)
     if not isinstance(h.noise, PlackettLuceModel):
         raise DomainError("human noise model must be Plackett-Luce")
     beta = h.noise.beta
@@ -249,6 +253,7 @@ def derive_partial_order(h: HumanType, candidates, phi_a: float, k: int) -> Cand
     identity's policy relabelled, so one menu table of the human and the
     identity's ranking model give every candidate's utility (``center_utilities``).
     """
+    check_human(h)
     candidates = as_tuple(candidates, "candidate centers")
     if not candidates:
         raise DomainError("candidate list must be nonempty")

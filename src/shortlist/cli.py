@@ -21,7 +21,7 @@ from .choice import choice_dist
 from .collab import expected_utility, joint_pick_dist, joint_utility
 from .errors import CapacityError, DimensionError, DomainError, ShortlistError
 from .experiments import EXPERIMENTS, load_profile, run_config, sushi_profile
-from .models import MallowsModel, PlackettLuceModel, policy_ranking_model
+from .models import MallowsModel, PlackettLuceModel, _memo, policy_ranking_model
 from .optimize import (
     branch_and_bound_menu,
     build_mip,
@@ -450,7 +450,7 @@ class _Parser(argparse.ArgumentParser):
         raise ShortlistError(message)
 
 
-@functools.cache
+@_memo()
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built once per process: parsing leaves it unchanged."""
     parser = _Parser(

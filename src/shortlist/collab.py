@@ -11,7 +11,7 @@ import numpy as np
 from .choice import PickDistribution, choice_dist, choice_table
 from .errors import DimensionError, DomainError
 from .models import DP_STATE_FLOATS, MallowsModel, _check_menus, _integer_rows, _mallows_pick_rows, k_menus, menu_block, policy_ranking_model
-from .rankings import AlgorithmPolicy, HumanType, Population, check_policy, check_population, check_ranking_model, check_universe, is_integer, is_number
+from .rankings import AlgorithmPolicy, HumanType, Population, check_human, check_policy, check_population, check_ranking_model, check_universe, is_integer, is_number
 
 MC_BLOCK = 1 << 14  # Monte Carlo samples drawn per pass; bounds the sample arrays
 PRODUCT_BLOCK = 1 << 16  # (row, term) pairs per pass of _law_products; bounds its memory
@@ -60,6 +60,7 @@ def joint_pick_dist(h: HumanType, a: AlgorithmPolicy) -> PickDistribution:
     ``mc_joint_pick_dist`` then); a noiseless policy's fixed menu is scored
     by ``choice_dist`` at any C(m, k).
     """
+    check_human(h)
     check_policy(a)
     check_universe(h, a)
     if a.is_noiseless:
@@ -79,6 +80,7 @@ def mc_joint_pick_dist(
     through ``sample_many``, ``MC_BLOCK`` samples at a time. An ``rng``
     that is not a ``numpy.random.Generator`` is a DomainError.
     """
+    check_human(h)
     if not is_integer(samples) or samples < 1:
         raise DomainError(f"need an integer number of samples, at least one, got {samples!r}")
     if not isinstance(rng, np.random.Generator):
@@ -100,10 +102,12 @@ def mc_joint_pick_dist(
 
 def expected_utility(dist: PickDistribution, h: HumanType) -> float:
     """Expected value of the picked item under the human's own values."""
+    check_human(h)
     return math.fsum(p * h.value_of(item) for item, p in dist.items())
 
 
 def solo_utility(h: HumanType) -> float:
+    check_human(h)
     return menu_utility(h, range(h.m))
 
 
@@ -158,6 +162,7 @@ def menu_utility_table(pop: Population, k: int):
     ``pick_rows``, and any other group calls its model's ``pick_rows``. All
     types read their columns at the rows of one ``center_menu_rows`` call.
     """
+    check_population(pop)
     m = pop.m
     menus = k_menus(m, k)
     groups = _relabelling_groups(pop)
@@ -292,6 +297,7 @@ def joint_utility(h: HumanType, a: AlgorithmPolicy) -> float:
     ``menu_utility``, with the same bits, so it also answers where C(m, k)
     exceeds ``MENU_ENUMERATION_CAP``.
     """
+    check_human(h)
     check_policy(a)
     check_universe(h, a)
     if a.is_noiseless:

@@ -6,7 +6,6 @@ no Monte Carlo enters any of the shipped experiment paths.
 from __future__ import annotations
 
 import csv
-import functools
 import importlib.resources
 import io
 import itertools
@@ -20,7 +19,7 @@ import numpy as np
 
 from .collab import _law_products, center_menu_rows, center_utilities, menu_utility_table, solo_utilities
 from .errors import CapacityError, DomainError, ProfileParseError
-from .models import ENUMERATION_CAP, MallowsModel, PlackettLuceModel
+from .models import ENUMERATION_CAP, MallowsModel, PlackettLuceModel, _memo
 from .optimize import branch_and_bound_menu, build_mip, enumerate_best_menu, optimize_with_uplift, solve_mip
 from .rankings import HumanType, Population, Ranking, ValueProfile, apply_swap, borda_values, check_accuracy, check_universe, is_accuracy, is_integer, is_number, open_text
 from .welfare import _welfare, uplifted
@@ -138,7 +137,7 @@ def load_profile(source) -> PreferenceProfile:
     return PreferenceProfile(tuple(entries))
 
 
-@functools.cache
+@_memo()
 def sushi_profile() -> PreferenceProfile:
     """The packaged 33-row sushi fixture (counts out of a 5000-person survey).
 

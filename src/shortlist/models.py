@@ -44,6 +44,23 @@ from .rankings import AlgorithmPolicy, Ranking, as_tuple, check_accuracy, check_
 ENUMERATION_CAP = 7
 MENU_ENUMERATION_CAP = 10**6
 
+# every module cache of the library, keyed "module.qualname": the one list of what it keeps
+_MEMOS: dict = {}
+
+
+def _memo(maxsize: int | None = None):
+    """The one way to keep a module cache: the plain ``lru_cache(maxsize)`` wrapper, recorded in ``_MEMOS``."""
+    def register(f):
+        _MEMOS[f"{f.__module__}.{f.__qualname__}"] = cached = lru_cache(maxsize)(f)
+        return cached
+    return register
+
+
+def clear_caches() -> None:
+    """Empty every ``_MEMOS`` cache, counts included; a model's own memo is no entry, so a fresh model starts cold."""
+    for cached in _MEMOS.values():
+        cached.cache_clear()
+
 
 def row_z(j: int, phi: float) -> float:
     """Single-row Mallows normalizer ``sum_{t=0}^{j-1} exp(-phi t)``."""
@@ -99,7 +116,7 @@ def _check_menus(m: int, menus) -> np.ndarray:
     return menus
 
 
-@lru_cache(maxsize=256)
+@_memo(256)
 def _row_z_values(m: int, phi: float) -> tuple[float, ...]:
     return tuple(row_z(j, phi) for j in range(1, m + 1))
 
@@ -128,13 +145,13 @@ def _insertion_table(m: int, phis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return probs, gammas, keeps
 
 
-@lru_cache(maxsize=256)
+@_memo(256)
 def _insertion_rows(m: int, phi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``_insertion_table`` at one accuracy: its read-only (m, m) ``probs``, ``gammas`` and ``keeps``, cached per (m, phi)."""
     return tuple(array[:, 0] for array in _insertion_table(m, (phi,)))
 
 
-@lru_cache(maxsize=256)
+@_memo(256)
 def _step_rows(m: int, phis: tuple[float, ...]) -> tuple:
     """Per step, the rows of ``_insertion_table(m, phis)`` that ``_mallows_pick_rows`` reads.
 
@@ -424,7 +441,7 @@ class MallowsModel:
         return _enumerated_support(self)
 
 
-@lru_cache(maxsize=64)
+@_memo(64)
 def _prefix_tree(m: int, k: int, block: bytes):
     """The prefix tree of a block of menus, laid out for ``_mallows_pick_rows``.
 
@@ -800,7 +817,7 @@ def k_menus(m: int, k: int) -> np.ndarray:
     return _menu_set(int(m), int(k))
 
 
-@lru_cache(maxsize=16)
+@_memo(16)
 def _menu_set(m: int, k: int) -> np.ndarray:
     menus = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(m), k)), np.intp, math.comb(m, k) * k).reshape(-1, k)
     menus.setflags(write=False)

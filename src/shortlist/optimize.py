@@ -54,6 +54,7 @@ def _menu_table(pop: Population, k: int, table):
     """A caller's ``menu_utility_table(pop, k)``, held to ``check_menu_table`` and to (C(m, k), types) of k-menus, or a new one."""
     if table is None:
         return menu_utility_table(pop, k)
+    check_population(pop)
     check_menu_size(k, pop.m)
     menus, utilities = check_menu_table(table)
     expected = (math.comb(pop.m, k), pop.n)

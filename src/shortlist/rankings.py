@@ -4,7 +4,8 @@ Items are plain integers ``0..m-1`` everywhere inside the library; the CLI
 translates to and from 1-indexed labels. All types here are immutable after
 construction and safe to share across workers. The shared input rules live here: ``is_integer``, ``is_number``, ``as_tuple``,
 ``item_range``, ``is_accuracy`` and ``check_accuracy``, ``check_noise_scale``, ``check_menu_size``, ``check_universe`` (every
-object's item count ``m``), ``check_ranking_model``, ``check_policy``, ``check_population``, ``open_text`` (a path or a file object).
+object's item count ``m``), ``check_ranking_model``, ``check_policy``, ``check_human``, ``check_value_profile``, ``check_population``,
+``open_text`` (a path or a file object).
 """
 from __future__ import annotations
 
@@ -56,9 +57,11 @@ def as_tuple(items, what: str) -> tuple:
 
 
 def item_range(m) -> range:
-    """The items ``0..m-1`` of an item count ``m``: the one count rule, a DomainError unless ``is_integer(m)`` and a sequence length."""
-    if not is_integer(m) or m > sys.maxsize:
+    """The items ``0..m-1`` of an item count ``m``: the one count rule, a DomainError unless ``is_integer(m)``, and one naming the limit above ``sys.maxsize``."""
+    if not is_integer(m):
         raise DomainError(f"an item count must be an integer, got {m!r}")
+    if m > sys.maxsize:
+        raise DomainError(f"an item count must be at most sys.maxsize = {sys.maxsize}, got {m!r}")
     return range(m)
 
 
@@ -98,6 +101,18 @@ def check_policy(policy) -> None:
     """Refuse a curator that is not an ``AlgorithmPolicy``, a ranking model included (DomainError)."""
     if not isinstance(policy, AlgorithmPolicy):
         raise DomainError(f"expected a policy (an AlgorithmPolicy), got {type(policy).__name__}")
+
+
+def check_human(h) -> None:
+    """Refuse a human that is not a ``HumanType``, a population, a model or a policy included (DomainError)."""
+    if not isinstance(h, HumanType):
+        raise DomainError(f"expected a HumanType, got {type(h).__name__}")
+
+
+def check_value_profile(values) -> None:
+    """Refuse values that are not a ``ValueProfile``, a tuple of numbers included (DomainError)."""
+    if not isinstance(values, ValueProfile):
+        raise DomainError(f"expected a ValueProfile, got {type(values).__name__}")
 
 
 def check_population(pop) -> None:
@@ -262,6 +277,7 @@ class HumanType:
         if not is_number(self.weight) or not 0 < self.weight <= 1:
             raise DomainError(f"weight must be a number in (0, 1]: {self.weight!r}")
         check_universe(self.ground_truth, self.values, self.noise)
+        check_value_profile(self.values)
         center = getattr(self.noise, "center", None)
         if isinstance(center, Ranking) and center != self.ground_truth:
             # a Plackett-Luce center breaks value ties by item index, so it
@@ -308,6 +324,7 @@ class Population:
 
     @classmethod
     def single(cls, human: HumanType) -> "Population":
+        check_human(human)
         return cls((HumanType(human.ground_truth, human.noise, human.values, 1.0),))
 
     @property

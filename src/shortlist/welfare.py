@@ -8,7 +8,7 @@ import numpy as np
 
 from .collab import joint_utility, solo_utilities
 from .errors import DomainError
-from .rankings import AlgorithmPolicy, Population, Ranking, check_menu_size, check_population, is_integer, menu_policy
+from .rankings import AlgorithmPolicy, Population, Ranking, check_menu_size, check_population, is_integer, item_range, menu_policy
 
 UPLIFT_TOLERANCE = 1e-12
 
@@ -115,6 +115,7 @@ def best_worst_topitem_rankings(m: int) -> tuple[Ranking, Ranking]:
     """
     if not is_integer(m) or m < 2:
         raise DomainError(f"need an integer item count m >= 2, got {m!r}")
-    best = Ranking((0,) + tuple(range(m - 1, 0, -1)))
-    worst = Ranking(tuple(range(1, m)) + (0,))
+    rest = item_range(m)[1:]
+    best = Ranking((0, *reversed(rest)))
+    worst = Ranking((*rest, 0))
     return best, worst

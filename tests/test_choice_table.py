@@ -422,7 +422,7 @@ class TestTableAgreement:
             model = mallows_model(rng, m, phi)
             types.append(HumanType(model.center, model, borda_values(m), 1 / 6))
         pop = Population(tuple(types))
-        models._step_rows.cache_clear()
+        models.clear_caches()
         menus, _ = menu_utility_table(pop, k)
         assert len(menus) > menu_block(m, k, 6) == 910
         assert models._step_rows.cache_info().misses == 1

@@ -29,7 +29,7 @@ from shortlist.experiments import (
     tension_experiment,
     tension_population,
 )
-from shortlist.models import _insertion_rows, _step_rows
+from shortlist.models import clear_caches
 from shortlist.rankings import NOISELESS, AlgorithmPolicy, HumanType, Population, borda_values, menu_policy
 from shortlist.welfare import verify_uplift
 from shortlist import cli, collab, experiments, optimize, welfare
@@ -1232,8 +1232,7 @@ class TestCli:
         assert not (tmp_path / "out.csv").exists()
 
     def test_sushi_at_extreme_accuracy_warns_nothing(self, tmp_path, capsys):
-        _insertion_rows.cache_clear()  # one accuracy's rows are built, and could warn, once per (m, phi)
-        _step_rows.cache_clear()  # and a grid's once per (m, phis), in one table over the whole grid
+        clear_caches()  # a grid's rows are built, and could warn, once per (m, phis)
         paths = {grid: tmp_path / f"{grid}.csv" for grid in ("1e308", "1e300")}
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -26,14 +26,22 @@
 - ``rankings.is_number`` refuses a finite real past float range, so a huge
   integer is refused in each site's own words, by a library call and by a
   config alike; a ``Population`` refuses a type that is not a ``HumanType``.
+- ``rankings.check_human`` and ``rankings.check_value_profile`` refuse
+  anything but a ``HumanType`` or a ``ValueProfile`` where one belongs, and
+  ``item_range`` names its limit for a count past ``sys.maxsize``. A
+  signature walk gives every public function's ``HumanType``,
+  ``Population``, ``AlgorithmPolicy`` and ``ValueProfile`` parameter each
+  other kind of object, so the next entry without its rule fails there.
 """
 import contextlib
 import importlib.resources
+import inspect
 import io
 import json
 import math
 import os
 import re
+import sys
 import tempfile
 
 import numpy as np
@@ -81,12 +89,13 @@ from shortlist import (
     top_recovery_strategy,
     verify_uplift,
 )
+import shortlist
 from shortlist import analysis, cli, collab, optimize
 from shortlist.choice import oracle_choice_dist
 from shortlist.experiments import PreferenceProfile, beta_sweep, emit_csv, load_profile, run_config, sushi_experiment, sushi_profile, tension_experiment
 from shortlist.errors import DimensionError, DomainError, ProfileParseError, ShortlistError
 from shortlist.rankings import check_accuracy, is_accuracy, is_number
-from shortlist.models import model_menu_distribution, pairwise_matrix, policy_ranking_model
+from shortlist.models import k_menus, model_menu_distribution, pairwise_matrix, policy_ranking_model
 
 FAMILIES = {
     "mallows": MallowsModel(R(0, 1, 2, 3), 0.7),
@@ -576,7 +585,9 @@ def test_the_universe_rule_names_every_type_it_was_given():
 
 
 # other wrong-typed inputs: counts, non-iterables, and a type where a population belongs;
-# each ended in a TypeError
+# each ended in a TypeError; from "k_menus-huge" on, each ended in an AttributeError or
+# an OverflowError, except that k_menus called a count past sys.maxsize a non-integer
+# and a HumanType took a population as its values
 WRONG_TYPES = {
     "identity-float": (lambda: Ranking.identity(2.0), "an item count must be an integer, got 2.0"),
     "borda-string": (lambda: borda_values("3"), "an item count must be an integer, got '3'"),
@@ -592,6 +603,16 @@ WRONG_TYPES = {
     "branch_and_bound_menu": (lambda: branch_and_bound_menu(mallows_human(4), 2), "expected a Population, got HumanType"),
     "social_welfare": (
         lambda: social_welfare(mallows_human(4), AlgorithmPolicy(_GT, 1.0, 2)), "expected a Population, got HumanType"),
+    "k_menus-huge": (lambda: k_menus(10**30, 2), f"an item count must be at most sys.maxsize = {sys.maxsize}, got {10**30}"),
+    "best-worst-huge": (
+        lambda: best_worst_topitem_rankings(10**30), f"an item count must be at most sys.maxsize = {sys.maxsize}, got {10**30}"),
+    "joint_pick_dist": (lambda: joint_pick_dist(Population((mallows_human(4),)), AlgorithmPolicy(_GT, 1.0, 2)), "expected a HumanType, got Population"),
+    "Population.single": (lambda: Population.single(5), "expected a HumanType, got int"),
+    "check_mallows_harmful": (lambda: check_mallows_harmful((1.0, 0.5, 0.0), 1.0, 1, 2), "expected a ValueProfile, got tuple"),
+    "check_pl_harmful": (lambda: check_pl_harmful(None, 1.0, 2), "expected a ValueProfile, got NoneType"),
+    "HumanType-values": (lambda: HumanType(_GT, MallowsModel(_GT, 1.0), Population((mallows_human(4),))), "expected a ValueProfile, got Population"),
+    "enumerate_best_menu": (lambda: enumerate_best_menu(None, 2), "expected a Population, got NoneType"),
+    "optimize_with_uplift": (lambda: optimize_with_uplift((1.0,), 2), "expected a Population, got tuple"),
 }
 
 
@@ -731,3 +752,77 @@ def test_a_malformed_table_or_argument_is_refused_in_its_own_words(entry, error,
     with pytest.raises(error, match=f"^{re.escape(message)}"):
         entry()
 
+
+# the signature walk: every public function with a parameter annotated as one of the
+# checked types, given in its place each other object below, raises a ShortlistError
+_H = mallows_human(4)
+_POP = Population((_H,))
+_POLICY = AlgorithmPolicy(_GT, 1.0, 2)
+WRONG_OBJECTS = {
+    "None": None,
+    "HumanType": _H,
+    "Population": _POP,
+    "AlgorithmPolicy": _POLICY,
+    "ValueProfile": borda_values(4),
+    "MallowsModel": FAMILIES["mallows"],
+    "tuple": (3.0, 2.0, 1.0, 0.0),
+}
+CHECKED_TYPES = ("HumanType", "Population", "AlgorithmPolicy", "ValueProfile")
+
+# one valid call per walked function; a function the walk finds but this table lacks fails the walk
+VALID_CALLS = {
+    "expected_utility": (PickDistribution({0: 1.0}), _H),
+    "joint_pick_dist": (_H, _POLICY),
+    "joint_utility": (_H, _POLICY),
+    "mc_joint_pick_dist": (_H, _POLICY, 10, np.random.default_rng(0)),
+    "solo_utility": (_H,),
+    "social_welfare": (_POP, _POLICY),
+    "top_recovery_strategy": (Population((mallows_human(4, (1.0, 0.0, 0.0, 0.0)),)), 2),
+    "verify_uplift": (_POP, _POLICY),
+    "branch_and_bound_menu": (_POP, 2),
+    "build_mip": (_POP, 2),
+    "enumerate_best_menu": (_POP, 2),
+    "noisy_uplift_search": (_POP, _GT, [1.0], 2),
+    "optimize_with_uplift": (_POP, 2),
+    "check_mallows_harmful": (borda_values(4), 1.0, 1, 2),
+    "check_mallows_helpful": (_H, FAMILIES["mallows"], 1, 2),
+    "check_pl_harmful": (borda_values(4), 1.0, 2),
+    "check_pl_helpful": (pl_human((3.0, 2.0, 1.0, 0.0)), FAMILIES["mallows"], 1, 2),
+    "derive_partial_order": (_H, [_GT], 1.0, 2),
+    "swap_effect": (_H, _POLICY, 0, 1),
+}
+
+
+def _walked_parameters() -> list:
+    """(function name, parameter name, its annotated type) for each checked-type parameter of a public function."""
+    found = []
+    for name in shortlist.__all__:
+        f = getattr(shortlist, name)
+        if inspect.isfunction(f):
+            found += [(name, p.name, p.annotation) for p in inspect.signature(f).parameters.values() if p.annotation in CHECKED_TYPES]
+    return found
+
+
+WALKED = _walked_parameters()
+
+
+def test_the_walk_has_one_valid_call_per_function():
+    assert {name for name, _, _ in WALKED} == set(VALID_CALLS)
+
+
+@pytest.mark.parametrize("name", list(VALID_CALLS))
+def test_each_walked_call_is_valid(name):
+    getattr(shortlist, name)(*VALID_CALLS[name])
+
+
+@pytest.mark.parametrize(
+    "name, param, wrong",
+    [(name, param, wrong) for name, param, annotation in WALKED for wrong in WRONG_OBJECTS if wrong != annotation],
+    ids=str,
+)
+def test_a_wrong_object_in_a_checked_parameter_is_refused(name, param, wrong):
+    f = getattr(shortlist, name)
+    call = inspect.signature(f).bind(*VALID_CALLS[name])
+    call.arguments[param] = WRONG_OBJECTS[wrong]
+    with pytest.raises(ShortlistError):
+        f(*call.args, **call.kwargs)

@@ -1,9 +1,14 @@
 import decimal
 import importlib
 import itertools
+import json
 import math
+import os
 import pkgutil
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -293,7 +298,7 @@ class TestInsertionTable:
                 assert [a.tobytes() for a in _insertion_rows(m, phi)] == [a.tobytes() for a in rows]
 
     def test_a_cold_grid_builds_no_single_accuracy_rows(self):
-        models._step_rows.cache_clear()
+        models.clear_caches()
         before = _insertion_rows.cache_info()
         models._step_rows(9, (0.25, 0.5, 1.75))
         assert _insertion_rows.cache_info() == before
@@ -542,20 +547,18 @@ def test_k_menus_refuses_an_item_count_that_is_not_an_integer(m):
         k_menus(m, 1 if m is True else 2)
 
 
-# every lru_cache or functools.cache wrapper in the library, with a call for each that returns
-# arrays: a cached array is handed to every later caller, so none may be writable
+# a call for each registered cache that returns arrays: a cached array is handed
+# to every later caller, so none may be writable
 LIBRARY_CACHES = {
-    "shortlist.models._menu_set": lambda f: f(6, 3),
-    "shortlist.models._row_z_values": None,
-    "shortlist.models._insertion_rows": lambda f: f(5, 0.7),
-    "shortlist.models._step_rows": lambda f: f(5, (0.7, 1.3)),
-    "shortlist.models._prefix_tree": lambda f: f(6, 3, k_menus(6, 3).tobytes()),
-    "shortlist.experiments.sushi_profile": None,
-    "shortlist.cli.build_parser": None,
+    models._menu_set: lambda f: f(6, 3),
+    models._insertion_rows: lambda f: f(5, 0.7),
+    models._step_rows: lambda f: f(5, (0.7, 1.3)),
+    models._prefix_tree: lambda f: f(6, 3, k_menus(6, 3).tobytes()),
 }
 
 
 def _library_caches() -> dict:
+    """Every lru_cache or functools.cache wrapper defined in a ``shortlist`` module, keyed "module.qualname"."""
     found = {}
     for info in pkgutil.iter_modules(shortlist.__path__):
         module = importlib.import_module(f"shortlist.{info.name}")
@@ -575,12 +578,71 @@ def _arrays(result):
 
 
 def test_every_library_cache_is_known_and_hands_out_read_only_arrays():
-    caches = _library_caches()
-    assert sorted(caches) == sorted(LIBRARY_CACHES)
-    for name, call in LIBRARY_CACHES.items():
-        if call is not None:
-            arrays = list(_arrays(call(caches[name])))
-            assert arrays and not any(a.flags.writeable for a in arrays), name
+    assert _library_caches() == models._MEMOS
+    for f, call in LIBRARY_CACHES.items():
+        arrays = list(_arrays(call(f)))
+        assert arrays and not any(a.flags.writeable for a in arrays), f.__qualname__
+
+
+# one run of the library's cached paths on freshly built objects (the sushi and
+# tension CLI, enumeration and branch and bound at m = 12, verify_uplift, a
+# Plackett-Luce menu law, a seeded Monte Carlo pick) in a fresh interpreter,
+# then again after clear_caches(): every output and every cache's cache_info()
+# must agree, so a cleared library is a cold one
+COLD_RUN = """
+import io, json, sys, tempfile
+from pathlib import Path
+import numpy as np
+from shortlist import cli, models
+from shortlist.collab import joint_pick_from_menus, mc_joint_pick_dist
+from shortlist.models import MallowsModel, PlackettLuceModel, model_menu_distribution
+from shortlist.optimize import branch_and_bound_menu, enumerate_best_menu
+from shortlist.rankings import AlgorithmPolicy, HumanType, Population, Ranking, ValueProfile, borda_values
+from shortlist.welfare import verify_uplift
+
+def run(tmp):
+    out = {}
+    for study, grid in (("sushi", "0.3,1.1"), ("tension", "0.4,1.7")):
+        path = Path(tmp) / f"{study}.csv"
+        assert cli.main(["experiment", study, "--phi-grid", grid, "--output", str(path)]) == 0
+        out[study] = path.read_text()
+    rng = np.random.default_rng(7)
+    types = []
+    for phi in (0.4, 0.9, 0.9):
+        center = Ranking(tuple(rng.permutation(12).tolist()))
+        values = ValueProfile(tuple(sorted(rng.uniform(0.0, 3.0, 12).tolist(), reverse=True)))
+        types.append(HumanType(center, MallowsModel(center, phi), values, 1 / 3))
+    pop = Population(tuple(types))
+    for solve in (enumerate_best_menu, branch_and_bound_menu):
+        result = solve(pop, 3)
+        out[solve.__name__] = [result.menu, result.welfare.hex(), result.nodes, result.evaluations]
+    report = verify_uplift(pop, AlgorithmPolicy(Ranking.identity(12), 0.8, 3))
+    out["verify_uplift"] = repr(report)
+    gt = Ranking.identity(7)
+    human = HumanType(gt, MallowsModel(gt, 0.6), borda_values(7))
+    curator = PlackettLuceModel((3.0, 2.5, 2.0, 1.0, 0.5, 0.2, 0.0), 0.9)
+    dist = joint_pick_from_menus(human, model_menu_distribution(curator, 3))
+    out["joint_pick_from_menus"] = {x: p.hex() for x, p in dist.items()}
+    sampled = mc_joint_pick_dist(human, AlgorithmPolicy(gt, 0.5, 3), 1000, np.random.default_rng(3))
+    out["mc_joint_pick_dist"] = {x: p.hex() for x, p in sampled.items()}
+    out["caches"] = {name: tuple(f.cache_info()) for name, f in models._MEMOS.items()}
+    return out
+
+with tempfile.TemporaryDirectory() as tmp:
+    fresh = run(tmp)
+    models.clear_caches()
+    cleared = run(tmp)
+print(json.dumps([fresh, cleared]))
+"""
+
+
+def test_a_cleared_library_computes_as_a_fresh_interpreter_does():
+    proc = subprocess.run([sys.executable, "-c", COLD_RUN], capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(shortlist.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])})
+    assert proc.returncode == 0, proc.stderr
+    fresh, cleared = json.loads(proc.stdout.splitlines()[-1])  # after the CLI's "wrote" lines
+    assert fresh == cleared
+    assert all(misses for _, misses, _, _ in fresh["caches"].values())  # the run reached every cache
 
 
 class TestExplicitModel:
