@@ -167,7 +167,8 @@ def menu_utility_table(pop: Population, k: int):
     menus = k_menus(m, k)
     groups = _relabelling_groups(pop)
     heads = [pop.types[cols[0]] for cols in groups.values()]
-    values = [np.array([h.value_of(x) for x in np.argsort(h.noise.ranks)]) for h in heads]
+    # each head's values in its model's order: item x's value, values[gt.position(x)], by one gather
+    values = [np.array(h.values.values)[np.array(h.ground_truth.positions)[np.argsort(h.noise.ranks)]] for h in heads]
     phis = list(dict.fromkeys(h.noise.phi for h in heads if isinstance(h.noise, MallowsModel)))
     columns = np.empty((len(groups), len(menus)))
     size = menu_block(m, k, max(1, len(phis)))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .collab import _law_products, center_menu_rows, center_utilities, menu_utility_table, solo_utilities
 from .errors import CapacityError, DomainError, ProfileParseError
-from .models import ENUMERATION_CAP, MallowsModel, PlackettLuceModel, _memo
+from .models import ENUMERATION_CAP, MallowsModel, PlackettLuceModel, _memo, _topk_laws
 from .optimize import branch_and_bound_menu, build_mip, enumerate_best_menu, optimize_with_uplift, solve_mip
 from .rankings import HumanType, Population, Ranking, ValueProfile, apply_swap, borda_values, check_accuracy, check_universe, is_accuracy, is_integer, is_number, open_text
 from .welfare import _welfare, uplifted
@@ -246,7 +246,9 @@ def beta_sweep(
     scored by one ``menu_utility_table`` and one ``center_utilities`` call.
     The RUM family's models do: its grid is one ``menu_utility_table`` too,
     each type its own relabelling group, and each ``beta``'s ``topk_law`` is
-    one column of a (menus, betas) law, scored by one product call.
+    one column of a (menus, betas) law, scored by one product call. The
+    betas' laws come from ``models._topk_laws``: one subset pass over all
+    their Plackett-Luce models, with the bits of each model's own law.
     """
     _check_knobs("beta-sweep", beta_grid=beta_grid, m=m, k=k, phi=phi, gumbel_beta=gumbel_beta, families=families)
     if m > ENUMERATION_CAP:
@@ -265,7 +267,7 @@ def beta_sweep(
     if "rum" in families:
         humans = tuple(HumanType(gt, PlackettLuceModel(v.values, gumbel_beta), v, 1 / len(betas)) for v in profiles)
         menus, table = menu_utility_table(Population(humans), k)
-        utilities["rum"] = _law_products(np.stack([h.noise.topk_law(menus) for h in humans], axis=1), table, rows)
+        utilities["rum"] = _law_products(_topk_laws([h.noise for h in humans], menus), table, rows)
     out: list[dict] = []
     for col, beta in enumerate(betas):
         for family, table in utilities.items():
@@ -433,8 +435,10 @@ def emit_csv(rows: list[dict], destination) -> None:
     if not rows:
         raise DomainError("no rows to write")
     fieldnames = list(dict.fromkeys(itertools.chain.from_iterable(rows)))
+    # a row keyed by the header, in its order, is read once; any other row cell by cell
+    cells = [row.values() if list(row) == fieldnames else [row.get(f, "") for f in fieldnames] for row in rows]
     with open_text(destination, "w", "CSV destination") as handle:
-        csv.writer(handle, lineterminator="\n").writerows([fieldnames] + [[row.get(f, "") for f in fieldnames] for row in rows])
+        csv.writer(handle, lineterminator="\n").writerows([fieldnames] + cells)
 
 
 def _nonempty_list(check, noun: str):

@@ -583,69 +583,19 @@ class PlackettLuceModel:
         items = sorted(_check_items(self.m, items))
         f, mask = self._subsets[1], sum(1 << x for x in items)
         if mask not in f:
-            self._subset_pass([items])
+            _subset_pass((self,), [items])
         return f[mask]
 
     def topk_law(self, menus: np.ndarray) -> np.ndarray:
-        """``topk_set_prob`` of each row of (C, k) intp item menus, after one ``_subset_pass`` over them all.
+        """``topk_set_prob`` of each row of (C, k) intp item menus, after one ``_subset_pass`` of this model over them all.
 
         The pass fills the model's memo (a fresh model starts cold), so each
-        ``topk_set_prob`` call reads its menu back, with the bits it has alone.
+        ``topk_set_prob`` call reads its menu back, with the bits it has
+        alone. A grid of models of one ``m`` shares one pass: ``_topk_laws``.
         """
         menus = _check_menus(self.m, menus).tolist()
-        self._subset_pass(menus)
+        _subset_pass((self,), menus)
         return np.array([self.topk_set_prob(menu) for menu in menus])
-
-    def _subset_pass(self, sets) -> None:
-        """Put every subset of the checked item lists ``sets``, all of one size k, into the memo.
-
-        A set the memo does not hold is refused (CapacityError) when its
-        2^k m table exceeds ``MENU_ENUMERATION_CAP``; one it holds passed
-        that check when it was computed. The sets it does not hold are
-        walked down by size: each level holds the subsets one item smaller
-        than those of the level above, each once, and a subset the memo
-        holds ends the walk below it, as its own subsets were computed with
-        it. The missing log-normalisers of the subsets met (a full set is
-        never a denominator) are numpy batches of at most
-        ``DP_STATE_FLOATS`` floats, one row per subset. Then each missing
-        f(T) is one ``math.fsum`` over T's items, smallest subsets first.
-        Keys are item bitmasks, Python ints of any width.
-        """
-        log_norm, f = self._subsets
-        level: dict[int, tuple] = {}  # bitmask -> items, of the subsets of one size that f lacks
-        for items in sets:
-            mask = sum(1 << x for x in items)
-            if mask not in f:
-                k = len(items)
-                if (1 << k) * self.m > MENU_ENUMERATION_CAP:
-                    raise CapacityError(f"top-{k} set law over 2^{k} subsets x {self.m} items exceeds the cap")
-                level.setdefault(mask, tuple(items))
-        levels, missing = [], []
-        while level:
-            levels.append(level)
-            below: dict[int, tuple] = {}
-            for T, items in level.items():
-                for j, x in enumerate(items):
-                    S = T ^ (1 << x)
-                    if S not in below:
-                        below[S] = items[:j] + items[j + 1 :]
-            missing += [S for S in below if S not in log_norm]
-            level = {S: items for S, items in below.items() if S not in f}
-        width = (self.m + 7) // 8
-        size = max(1, DP_STATE_FLOATS // self.m)
-        for lo in range(0, len(missing), size):
-            batch = missing[lo : lo + size]
-            # taken[row, y]: item y is in that row's subset
-            packed = np.frombuffer(b"".join(mask.to_bytes(width, "little") for mask in batch), dtype=np.uint8)
-            taken = np.unpackbits(packed.reshape(len(batch), width), axis=1, count=self.m, bitorder="little").view(bool)
-            rest = np.where(taken, -np.inf, self._scaled_values)
-            hi = rest.max(axis=1, keepdims=True)
-            rows = (hi + np.log(np.exp(rest - hi).sum(axis=1, keepdims=True)))[:, 0]
-            log_norm.update(zip(batch, rows.tolist()))
-        u = self._scaled_values.tolist()
-        for level in reversed(levels):
-            for T, items in level.items():
-                f[T] = math.fsum(f[T ^ (1 << x)] * math.exp(u[x] - log_norm[T ^ (1 << x)]) for x in items)
 
     @property
     def ranks(self) -> tuple[int, ...]:
@@ -668,6 +618,81 @@ class PlackettLuceModel:
 
     def support(self):
         return _enumerated_support(self)
+
+
+def _subset_pass(pls, sets) -> None:
+    """Put every subset of the checked item lists ``sets``, all of one size k, into the memo of each Plackett-Luce model of ``pls``, all of one ``m``.
+
+    A set is held when every model's memo holds it, tested against one key
+    view built per pass: the memo's own keys for one model, their
+    intersection for several. A set not held is refused (CapacityError)
+    when its 2^k m table exceeds ``MENU_ENUMERATION_CAP``; one held passed
+    that check when it was computed. The sets not held are walked down by
+    size: each level holds the subsets one item smaller than those of the
+    level above, each once, and a held subset ends the walk below it, as
+    its own subsets were computed with it. The missing log-normalisers of
+    the subsets met (a full set is never a denominator) are numpy batches
+    of (models, subsets, m) floats, at most ``DP_STATE_FLOATS`` of them.
+    Then, model by model, each missing f(T) is one ``math.fsum`` over T's
+    items, smallest subsets first. A model that already held a subset gets
+    it again with the same bits, so every model has the bits of a cold
+    one-model pass. Keys are item bitmasks, Python ints of any width.
+    """
+    m, memos = pls[0].m, [pl._subsets for pl in pls]
+    if len(memos) == 1:
+        held_norm, held = memos[0][0].keys(), memos[0][1].keys()
+    else:
+        held_norm = set(memos[0][0]).intersection(*(log_norm.keys() for log_norm, _ in memos[1:]))
+        held = set(memos[0][1]).intersection(*(f.keys() for _, f in memos[1:]))
+    level: dict[int, tuple] = {}  # bitmask -> items, of the subsets of one size not held
+    for items in sets:
+        mask = sum(1 << x for x in items)
+        if mask not in held:
+            k = len(items)
+            if (1 << k) * m > MENU_ENUMERATION_CAP:
+                raise CapacityError(f"top-{k} set law over 2^{k} subsets x {m} items exceeds the cap")
+            level.setdefault(mask, tuple(items))
+    levels, missing = [], []
+    while level:
+        levels.append(level)
+        below: dict[int, tuple] = {}
+        for T, items in level.items():
+            for j, x in enumerate(items):
+                S = T ^ (1 << x)
+                if S not in below:
+                    below[S] = items[:j] + items[j + 1 :]
+        missing += [S for S in below if S not in held_norm]
+        level = {S: items for S, items in below.items() if S not in held}
+    width = (m + 7) // 8
+    scaled = np.array([pl._scaled_values for pl in pls])[:, None, :]
+    size = max(1, DP_STATE_FLOATS // (m * len(pls)))
+    for lo in range(0, len(missing), size):
+        batch = missing[lo : lo + size]
+        # taken[row, y]: item y is in that row's subset
+        packed = np.frombuffer(b"".join(mask.to_bytes(width, "little") for mask in batch), dtype=np.uint8)
+        taken = np.unpackbits(packed.reshape(len(batch), width), axis=1, count=m, bitorder="little").view(bool)
+        rest = np.where(taken, -np.inf, scaled)
+        hi = rest.max(axis=2, keepdims=True)
+        rows = (hi + np.log(np.exp(rest - hi).sum(axis=2, keepdims=True)))[..., 0]
+        for (log_norm, _), row in zip(memos, rows.tolist()):
+            log_norm.update(zip(batch, row))
+    for pl, (log_norm, f) in zip(pls, memos):
+        u = pl._scaled_values.tolist()
+        for level in reversed(levels):
+            for T, items in level.items():
+                f[T] = math.fsum(f[T ^ (1 << x)] * math.exp(u[x] - log_norm[T ^ (1 << x)]) for x in items)
+
+
+def _topk_laws(pls, menus: np.ndarray) -> np.ndarray:
+    """Each Plackett-Luce model's ``topk_law`` of (C, k) intp item menus as one column, shape (C, models), after one shared ``_subset_pass``.
+
+    The models share one ``m``. Each column has the bits of that model's own
+    ``topk_law``; the law is read from each memo by bitmask.
+    """
+    menus = _check_menus(pls[0].m, menus).tolist()
+    _subset_pass(pls, menus)
+    masks = [sum(1 << x for x in menu) for menu in menus]
+    return np.array([[pl._subsets[1][mask] for mask in masks] for pl in pls]).T
 
 
 def _logsumexp(u: np.ndarray) -> float:

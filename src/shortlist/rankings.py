@@ -278,6 +278,8 @@ class HumanType:
             raise DomainError(f"weight must be a number in (0, 1]: {self.weight!r}")
         check_universe(self.ground_truth, self.values, self.noise)
         check_value_profile(self.values)
+        if not isinstance(self.ground_truth, Ranking):
+            raise DomainError(f"expected a Ranking as the ground truth, got {type(self.ground_truth).__name__}")
         center = getattr(self.noise, "center", None)
         if isinstance(center, Ranking) and center != self.ground_truth:
             # a Plackett-Luce center breaks value ties by item index, so it

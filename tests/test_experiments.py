@@ -32,7 +32,7 @@ from shortlist.experiments import (
 from shortlist.models import clear_caches
 from shortlist.rankings import NOISELESS, AlgorithmPolicy, HumanType, Population, borda_values, menu_policy
 from shortlist.welfare import verify_uplift
-from shortlist import cli, collab, experiments, optimize, welfare
+from shortlist import cli, collab, experiments, models, optimize, welfare
 
 # cumulative fractions as printed alongside the shipped 33 rows (denominator
 # 5000 = the full survey)
@@ -375,8 +375,12 @@ class TestBetaSweep:
             ((2.0, 0.5, 2.0), ("rum", "mallows"), 4, 2, 0.1),
             ((0.0, 0.3, 1.1, 2.9, 5.7), ("rum",), 5, 3, 0.7),
             ((0.2, 3.0), ("rum",), 3, 1, 2.5),
+            ((0.0, 1.0, 30.0), ("mallows", "rum"), 5, 2, 0.3),
+            ((45.0, 0.4, 2.2), ("rum",), 6, 2, 0.1),
+            ((0.0, 3.3), ("mallows",), 6, 3, 0.5),
+            ((5.0, 0.0, 1.7, 31.0), ("rum", "mallows"), 6, 3, 1.0),
         ],
-        ids=["both", "mallows", "rum", "repeated-beta", "rum-m5-k3", "rum-m3-k1"],
+        ids=["both", "mallows", "rum", "repeated-beta", "rum-m5-k3", "rum-m3-k1", "both-m5-k2", "rum-m6-k2", "mallows-m6-k3", "both-m6-k3"],
     )
     def test_rows_equal_one_table_per_beta_and_family(self, grid, families, m, k, gumbel_beta):
         phi = 0.5
@@ -415,6 +419,13 @@ class TestBetaSweep:
             want += [(beta, (u - aligned).hex()) for u in misaligned]
         got = beta_sweep(beta_grid=grid, m=m, k=k, gumbel_beta=gumbel_beta, families=["rum"])
         assert [(r["beta"], r["utility_difference"].hex()) for r in got] == want
+
+    def test_the_rum_grid_is_one_subset_pass(self, monkeypatch):
+        passes = []
+        original = models._subset_pass
+        monkeypatch.setattr(models, "_subset_pass", lambda pls, sets: passes.append(len(pls)) or original(pls, sets))
+        beta_sweep(beta_grid=(0.0, 1.0, 2.0, 30.0), m=5, k=2, families=["rum"])
+        assert passes == [4]
 
     @pytest.mark.parametrize("families", [(), ("foo",), ("rum", "plackett")])
     def test_refuses_families_its_config_refuses(self, families):

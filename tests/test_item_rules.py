@@ -587,7 +587,8 @@ def test_the_universe_rule_names_every_type_it_was_given():
 # other wrong-typed inputs: counts, non-iterables, and a type where a population belongs;
 # each ended in a TypeError; from "k_menus-huge" on, each ended in an AttributeError or
 # an OverflowError, except that k_menus called a count past sys.maxsize a non-integer
-# and a HumanType took a population as its values
+# and a HumanType took a population as its values, or a value profile as its ground
+# truth beside a model without a center
 WRONG_TYPES = {
     "identity-float": (lambda: Ranking.identity(2.0), "an item count must be an integer, got 2.0"),
     "borda-string": (lambda: borda_values("3"), "an item count must be an integer, got '3'"),
@@ -611,6 +612,8 @@ WRONG_TYPES = {
     "check_mallows_harmful": (lambda: check_mallows_harmful((1.0, 0.5, 0.0), 1.0, 1, 2), "expected a ValueProfile, got tuple"),
     "check_pl_harmful": (lambda: check_pl_harmful(None, 1.0, 2), "expected a ValueProfile, got NoneType"),
     "HumanType-values": (lambda: HumanType(_GT, MallowsModel(_GT, 1.0), Population((mallows_human(4),))), "expected a ValueProfile, got Population"),
+    "HumanType-ground-truth": (
+        lambda: HumanType(borda_values(4), ExplicitModel(((_GT, 1.0),)), borda_values(4)), "expected a Ranking as the ground truth, got ValueProfile"),
     "enumerate_best_menu": (lambda: enumerate_best_menu(None, 2), "expected a Population, got NoneType"),
     "optimize_with_uplift": (lambda: optimize_with_uplift((1.0,), 2), "expected a Population, got tuple"),
 }

@@ -822,6 +822,73 @@ class TestPlackettLuceSubsetMemo:
         assert max(model._subsets[1]).bit_length() > 64
 
 
+class TestSharedSubsetPass:
+    """``_topk_laws`` runs one ``_subset_pass`` for several Plackett-Luce models: each column has that model's cold bits."""
+
+    @staticmethod
+    def grid(rng, m, decays=(0.0, 30.0, 45.0), scales=(0.1, 1.0)):
+        decays = (*decays, float(rng.uniform(0.05, 6.0)))
+        scales = (*scales, float(rng.uniform(0.1, 1.0)))
+        return [PlackettLuceModel(tuple(math.exp(-d * j) for j in range(m)), s) for d in decays for s in scales]
+
+    @staticmethod
+    def cold_law(pl, menus) -> list[str]:
+        return [p.hex() for p in PlackettLuceModel(pl.item_values, pl.beta).topk_law(menus).tolist()]
+
+    def assert_columns_are_cold_laws(self, pls, menus):
+        laws = models._topk_laws(pls, menus)
+        assert laws.shape == (len(menus), len(pls))
+        for column, pl in zip(laws.T.tolist(), pls):
+            assert [p.hex() for p in column] == self.cold_law(pl, menus)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_cold_columns_have_each_models_own_bits(self, m):
+        rng = np.random.default_rng(400 + m)
+        for k in range(1, m + 1):
+            pls = self.grid(rng, m)
+            self.assert_columns_are_cold_laws(pls, k_menus(m, k))
+            for pl in pls:  # and every memo holds what a one-model pass leaves
+                alone = PlackettLuceModel(pl.item_values, pl.beta)
+                alone.topk_law(k_menus(m, k))
+                assert [{S: p.hex() for S, p in memo.items()} for memo in pl._subsets] == [
+                    {S: p.hex() for S, p in memo.items()} for memo in alone._subsets
+                ]
+
+    @pytest.mark.parametrize("m", [4, 6, 8])
+    def test_warm_and_partly_warm_memos_keep_the_bits(self, m):
+        rng = np.random.default_rng(500 + m)
+        for k in range(1, m + 1):
+            menus = k_menus(m, k)
+            pls = self.grid(rng, m)
+            self.assert_columns_are_cold_laws(pls, menus)
+            self.assert_columns_are_cold_laws(pls, menus)  # every memo warm
+            pls = self.grid(rng, m)
+            pls[1].topk_law(menus)  # one model queried first
+            pls[-1].topk_set_prob(range(m))
+            self.assert_columns_are_cold_laws(pls, menus)
+            pls = self.grid(rng, m)
+            part = menus[rng.permutation(len(menus))[: max(1, len(menus) // 3)]]
+            models._topk_laws(pls[::2], part)  # half the models, a third of the menus
+            self.assert_columns_are_cold_laws(pls, rng.permuted(menus, axis=1))
+
+    @pytest.mark.parametrize("floats", [5, 64, 1000])
+    def test_batches_cut_small_keep_the_bits(self, monkeypatch, floats):
+        rng = np.random.default_rng(floats)
+        monkeypatch.setattr(models, "DP_STATE_FLOATS", floats)
+        for m, k in ((5, 2), (7, 3), (8, 4)):
+            self.assert_columns_are_cold_laws(self.grid(rng, m), k_menus(m, k))
+
+    def test_keys_past_63_bits_keep_the_bits(self, rng):
+        menus = k_menus(70, 2)[::7]
+        assert menus.max() > 63
+        self.assert_columns_are_cold_laws([TestPlackettLuceSubsetMemo.random_model(rng, 70) for _ in range(3)], menus)
+
+    def test_the_cap_fires_for_a_grid(self):
+        pls = [PlackettLuceModel(tuple(float(v) for v in range(30)), beta) for beta in (0.5, 1.0)]
+        with pytest.raises(CapacityError, match="top-16 set law"):
+            models._topk_laws(pls, np.arange(16)[None])
+
+
 def _non_integer_item_calls():
     from shortlist import AlgorithmPolicy, HumanType, borda_values, choice_dist, choice_table, mc_joint_pick_dist
 
