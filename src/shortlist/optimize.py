@@ -8,6 +8,8 @@ in LP format) as the bridge to external solvers for larger instances.
 """
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -30,8 +32,9 @@ class OptimizeResult:
     ``evaluations`` counts the menus scored: every k-menu for enumeration;
     for branch and bound, every leaf whose bound let it be scored, a leaf
     abandoned part-way included (see ``branch_and_bound_menu``). ``nodes`` is
-    the number of branch-and-bound nodes visited, leaves included, and None
-    for enumeration.
+    the number of branch-and-bound nodes bounded: every node, whether its
+    bound let it in the heap or not, and each leaf of a one-slot expansion,
+    scored or not; None for enumeration.
     """
 
     menu: tuple[int, ...]
@@ -121,36 +124,48 @@ def _node_bound(values, cap, keep) -> np.ndarray:
     fractional knapsack: mass 1 is poured in descending value over the kept
     items, each taking at most its cap. It ignores how many candidates still
     fit, and values are nonnegative, so it over-promises and is admissible.
+    All three may carry one leading axis of nodes, (nodes, types, m), for
+    one bound row per node: each row is poured on its own, with the bits of
+    a call for that node alone.
     """
-    n = len(values)
-    poured = np.minimum(cap[keep].reshape(n, -1).cumsum(axis=1), 1.0)
+    shape = (*keep.shape[:-1], -1)
+    poured = np.minimum(cap[keep].reshape(shape).cumsum(axis=-1), 1.0)
     mass = poured.copy()
-    mass[:, 1:] -= poured[:, :-1]
-    return (values[keep].reshape(n, -1) * mass).sum(axis=1)
+    mass[..., 1:] -= poured[..., :-1]
+    return (values[keep].reshape(shape) * mass).sum(axis=-1)
 
 
 def branch_and_bound_menu(pop: Population, k: int) -> OptimizeResult:
-    """Exact menu optimization by depth-first branch and bound.
+    """Exact menu optimization by best-bound branch and bound.
 
     Items are branched on in descending population value
-    ``sum_h w_h v_h(x)`` (ties by item id), include before exclude, so the
-    first leaf is the top-``k`` menu by value and a strong incumbent comes
-    early. A node is pruned when the weighted sum of ``_node_bound`` (a
-    per-type knapsack of pick-probability mass under pairwise caps) is below
-    the incumbent by more than ``BOUND_SLACK``; a node whose menu is
-    complete is bounded on that menu alone before it is scored. The caps are
-    carried down the tree as a running minimum over the fixed items, and each
-    type's items are sorted once (``_bound_inputs``), so a node costs a few
-    array operations. A leaf is scored one type at a time with
-    ``menu_utility``, and abandoned as soon as the exactly rounded sum of the
-    scored types' weighted utilities and the unscored types' weighted bounds
-    is at most the incumbent minus ``BOUND_SLACK``; types whose bounds have
+    ``sum_h w_h v_h(x)`` (ties by item id), include before exclude. A node's
+    bound is the weighted sum of ``_node_bound`` (a per-type knapsack of
+    pick-probability mass under pairwise caps); the caps are carried down
+    the tree as a running minimum over the fixed items, and each type's
+    items are sorted once (``_bound_inputs``), so a node costs a few array
+    operations. Open nodes wait in a heap, and the one of highest bound is
+    expanded next (ties by the order they were opened in, so include before
+    exclude); the search ends when that bound is below the incumbent by
+    ``BOUND_SLACK`` or more, and a node is opened only if its own bound is
+    not. A node with two or more free slots opens its include and exclude
+    children. A node whose candidates exactly fill its slots is a leaf,
+    bounded on its complete menu. A node with one free slot is expanded
+    whole: each candidate completes a menu, all of them are bounded in one
+    ``_node_bound`` call, and they are scored in descending bound order
+    (ties by search position) while the bound still beats the incumbent.
+    Such siblings share k - 1 items, so each Mallows chain resumes near its
+    end. A leaf is scored one type at a time with ``menu_utility``, and
+    abandoned as soon as the exactly rounded sum of the scored types'
+    weighted utilities and the unscored types' weighted bounds is at most
+    the incumbent minus ``BOUND_SLACK``; types whose bounds have
     over-promised most so far are scored first. A leaf scored in full gets
-    ``_welfare``, the bits of its ``enumerate_best_menu`` row; since the visit
-    order is not lexicographic, a leaf of equal welfare replaces the
-    incumbent when its sorted menu is lexicographically smaller, and both
-    solvers return the same menu. No menu table is built, so it also runs
-    where C(m, k) exceeds ``MENU_ENUMERATION_CAP``.
+    the exactly rounded sum of its weighted utilities, the bits of its
+    ``enumerate_best_menu`` row; since the visit order is not lexicographic,
+    a leaf of equal welfare replaces the incumbent when its sorted menu is
+    lexicographically smaller, and both solvers return the same menu. No
+    menu table is built, so it also runs where C(m, k) exceeds
+    ``MENU_ENUMERATION_CAP``.
     """
     check_population(pop)
     m = pop.m
@@ -159,8 +174,6 @@ def branch_and_bound_menu(pop: Population, k: int) -> OptimizeResult:
     at = np.empty(m, dtype=np.intp)
     at[list(order)] = np.arange(m)
     at = at[items]  # each sorted item's search position
-    alive = np.ones(m, dtype=bool)  # by search position: not excluded on the path
-    ones = np.ones_like(values)
     types = pop.types
     w = weights.tolist()
     slack = [0.0] * len(types)  # how far each type's leaf bounds have over-promised
@@ -184,34 +197,50 @@ def branch_and_bound_menu(pop: Population, k: int) -> OptimizeResult:
             terms[h] = w[h] * u
             if h != scoring[-1] and math.fsum(terms) <= best_value - BOUND_SLACK:
                 return
-        value = float(_welfare(np.asarray(per_type)[None, :], weights)[0])
+        value = math.fsum(terms)
         if value > best_value or (value == best_value and menu < best_menu):
             best_value = value
             best_menu = menu
             best_per_type = tuple(per_type)
 
-    def descend(fixed: tuple[int, ...], next_idx: int, cap):
+    # open nodes as (-weighted bound, sequence, fixed items, next search position, caps, kept items, bound)
+    heap: list = []
+    sequence = itertools.count()
+
+    def open_node(fixed: tuple[int, ...], next_idx: int, cap, keep):
         nonlocal nodes
         nodes += 1
-        slots = k - len(fixed)
-        if slots == 0 or m - next_idx == slots:
-            rest = order[next_idx : next_idx + slots]
-            for x in rest:
-                cap = caps[x] if cap is None else np.minimum(cap, caps[x])
-            bound = _node_bound(values, cap, alive[at] & (at < next_idx + slots))
-            if float(weights @ bound) > best_value - BOUND_SLACK:
-                evaluate(tuple(sorted(fixed + rest)), bound)
-            return
-        bound = _node_bound(values, ones if cap is None else cap, alive[at])
-        if float(weights @ bound) <= best_value - BOUND_SLACK:
-            return
-        x = order[next_idx]
-        descend(fixed + (x,), next_idx + 1, caps[x] if cap is None else np.minimum(cap, caps[x]))
-        alive[next_idx] = False
-        descend(fixed, next_idx + 1, cap)
-        alive[next_idx] = True
+        if m - next_idx == k - len(fixed):  # the candidates fill the slots: a leaf
+            for x in order[next_idx:]:
+                cap = np.minimum(cap, caps[x])
+            fixed, next_idx = fixed + order[next_idx:], m
+        bound = _node_bound(values, cap, keep)
+        weighted = float(weights @ bound)
+        if weighted > best_value - BOUND_SLACK:
+            heapq.heappush(heap, (-weighted, next(sequence), fixed, next_idx, cap, keep, bound))
 
-    descend((), 0, None)
+    open_node((), 0, np.ones_like(values), np.ones(values.shape, dtype=bool))
+    while heap and -heap[0][0] > best_value - BOUND_SLACK:
+        _, _, fixed, next_idx, cap, keep, bound = heapq.heappop(heap)
+        slots = k - len(fixed)
+        if slots == 0:
+            evaluate(tuple(sorted(fixed)), bound)
+        elif slots == 1:
+            rest = order[next_idx:]
+            leaf_caps = np.minimum(cap, caps[list(rest)])
+            leaf_keep = (keep & (at < next_idx)) | (at == np.arange(next_idx, m)[:, None, None])
+            bounds = _node_bound(np.broadcast_to(values, leaf_keep.shape), leaf_caps, leaf_keep)
+            nodes += len(rest)
+            weighted = bounds @ weights
+            for j in np.argsort(-weighted, kind="stable").tolist():
+                if weighted[j] <= best_value - BOUND_SLACK:
+                    break
+                evaluate(tuple(sorted(fixed + (rest[j],))), bounds[j])
+        else:
+            x = order[next_idx]
+            open_node(fixed + (x,), next_idx + 1, np.minimum(cap, caps[x]), keep)
+            open_node(fixed, next_idx + 1, cap, keep & (at != next_idx))
+
     assert best_menu is not None
     return OptimizeResult(
         menu=best_menu,

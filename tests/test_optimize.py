@@ -119,20 +119,21 @@ def optimize_population(rng, m, n, family):
 # ((m, k, types, family, rng seed), menu, welfare.hex(), per-type hex, nodes, evaluations): the six
 # benchmark cycle sizes in both value families, and m = 60, k = 5 past the enumeration cap
 SEARCH_PINS = [
-    ((12, 4, 6, 'decreasing', 0), (0, 2, 3, 6), '0x1.dd4bcb4db89c5p-1', ('0x1.dbace65a883b8p-1', '0x1.de3769071df1fp-1', '0x1.d557e0a9d422bp-1', '0x1.d6b4c1e14827bp-1', '0x1.db3611ccaab08p-1', '0x1.e38731527da4dp-1'), 47, 6),
-    ((12, 4, 6, 'bench', 0), (0, 1, 2, 11), '0x1.b1212cd33ab33p+1', ('0x1.7d32c19419ff2p+1', '0x1.d895cd855370bp+1', '0x1.86b9392bc8066p+1', '0x1.d135f35e60395p+1', '0x1.a13ddfe69e572p+1', '0x1.d8e46ad26b982p+1'), 97, 45),
-    ((13, 4, 4, 'decreasing', 1), (1, 7, 9, 12), '0x1.c86cee033abb8p-1', ('0x1.e0e8b5207d261p-1', '0x1.d22bf2e58ab9fp-1', '0x1.e3ed28a950978p-1', '0x1.a60f75b664aedp-1'), 29, 4),
-    ((13, 4, 4, 'bench', 1), (0, 1, 11, 12), '0x1.b53f2aa6b061ap+1', ('0x1.db5a4209f59b6p+1', '0x1.9bda8e3f2129cp+1', '0x1.61e65da84e900p+1', '0x1.d1ddec66b04e1p+1'), 133, 59),
-    ((15, 3, 6, 'decreasing', 2), (3, 7, 13), '0x1.e3fc6b80f6aa3p-1', ('0x1.cd24c7e24f656p-1', '0x1.ec2e170317729p-1', '0x1.eae28c836c4f0p-1', '0x1.d1ae63b7dbbfep-1', '0x1.f0c3d26e3c9edp-1', '0x1.df2091f972b60p-1'), 45, 1),
-    ((15, 3, 6, 'bench', 2), (0, 1, 2), '0x1.c79697f0338dfp+1', ('0x1.a0dd7c1cd620ap+1', '0x1.bb7574b12e08dp+1', '0x1.cd5359b1566e7p+1', '0x1.ba9fcc8891592p+1', '0x1.cadf405f44319p+1', '0x1.de11ce3b3a0a9p+1'), 7, 1),
-    ((14, 4, 3, 'decreasing', 3), (4, 8, 10, 13), '0x1.e2368cb97a3b1p-1', ('0x1.ec5a558823121p-1', '0x1.c0e5cef3811c9p-1', '0x1.ee67268b79c21p-1'), 43, 9),
-    ((14, 4, 3, 'bench', 3), (0, 1, 12, 13), '0x1.d89032fae76b9p+1', ('0x1.d8e6ffe520073p+1', '0x1.c779f2da0f603p+1', '0x1.e05e0e81d7e63p+1'), 153, 67),
-    ((16, 4, 3, 'decreasing', 4), (0, 3, 7, 9), '0x1.d7f178b388263p-1', ('0x1.eff312d32560ep-1', '0x1.eb2c7a2748866p-1', '0x1.b4a5b11d64995p-1'), 271, 32),
-    ((16, 4, 3, 'bench', 4), (0, 1, 14, 15), '0x1.d64e05e04ec2cp+1', ('0x1.e353c3c7d42b2p+1', '0x1.a9c16924b2e62p+1', '0x1.e54b312cc587ap+1'), 185, 91),
-    ((16, 3, 5, 'decreasing', 5), (4, 7, 9), '0x1.d5101a0863146p-1', ('0x1.c1d92ffd31973p-1', '0x1.e5927b317bac9p-1', '0x1.faceec4acad0ap-1', '0x1.b63c3f039862cp-1', '0x1.b597e60a63257p-1'), 319, 6),
-    ((16, 3, 5, 'bench', 5), (0, 1, 2), '0x1.c2ad66312ca77p+1', ('0x1.cc3004405b084p+1', '0x1.a958db0576898p+1', '0x1.bba77630643b6p+1', '0x1.de61b05ad10f4p+1', '0x1.daae7f05fd3a9p+1'), 9, 1),
-    ((60, 5, 3, 'decreasing', 0), (6, 13, 19, 24, 47), '0x1.fd947aad569f0p-1', ('0x1.fd7d4a04b2ffep-1', '0x1.fd3c9ca02675dp-1', '0x1.fe7821db10cddp-1'), 4849, 710),
-    ((60, 5, 3, 'decreasing', 1), (11, 17, 30, 38, 42), '0x1.f69b317a6eefap-1', ('0x1.ed24c940050d4p-1', '0x1.ff805208c65b6p-1', '0x1.edcde0747d792p-1'), 8359, 327),
+    ((12, 4, 6, 'decreasing', 0), (0, 2, 3, 6), '0x1.dd4bcb4db89c5p-1', ('0x1.dbace65a883b8p-1', '0x1.de3769071df1fp-1', '0x1.d557e0a9d422bp-1', '0x1.d6b4c1e14827bp-1', '0x1.db3611ccaab08p-1', '0x1.e38731527da4dp-1'), 51, 2),
+    ((12, 4, 6, 'bench', 0), (0, 1, 2, 11), '0x1.b1212cd33ab33p+1', ('0x1.7d32c19419ff2p+1', '0x1.d895cd855370bp+1', '0x1.86b9392bc8066p+1', '0x1.d135f35e60395p+1', '0x1.a13ddfe69e572p+1', '0x1.d8e46ad26b982p+1'), 69, 45),
+    ((13, 4, 4, 'decreasing', 1), (1, 7, 9, 12), '0x1.c86cee033abb8p-1', ('0x1.e0e8b5207d261p-1', '0x1.d22bf2e58ab9fp-1', '0x1.e3ed28a950978p-1', '0x1.a60f75b664aedp-1'), 43, 1),
+    ((13, 4, 4, 'bench', 1), (0, 1, 11, 12), '0x1.b53f2aa6b061ap+1', ('0x1.db5a4209f59b6p+1', '0x1.9bda8e3f2129cp+1', '0x1.61e65da84e900p+1', '0x1.d1ddec66b04e1p+1'), 97, 59),
+    ((15, 3, 6, 'decreasing', 2), (3, 7, 13), '0x1.e3fc6b80f6aa3p-1', ('0x1.cd24c7e24f656p-1', '0x1.ec2e170317729p-1', '0x1.eae28c836c4f0p-1', '0x1.d1ae63b7dbbfep-1', '0x1.f0c3d26e3c9edp-1', '0x1.df2091f972b60p-1'), 65, 1),
+    ((15, 3, 6, 'bench', 2), (0, 1, 2), '0x1.c79697f0338dfp+1', ('0x1.a0dd7c1cd620ap+1', '0x1.bb7574b12e08dp+1', '0x1.cd5359b1566e7p+1', '0x1.ba9fcc8891592p+1', '0x1.cadf405f44319p+1', '0x1.de11ce3b3a0a9p+1'), 18, 1),
+    ((14, 4, 3, 'decreasing', 3), (4, 8, 10, 13), '0x1.e2368cb97a3b1p-1', ('0x1.ec5a558823121p-1', '0x1.c0e5cef3811c9p-1', '0x1.ee67268b79c21p-1'), 40, 7),
+    ((14, 4, 3, 'bench', 3), (0, 1, 12, 13), '0x1.d89032fae76b9p+1', ('0x1.d8e6ffe520073p+1', '0x1.c779f2da0f603p+1', '0x1.e05e0e81d7e63p+1'), 108, 67),
+    ((16, 4, 3, 'decreasing', 4), (0, 3, 7, 9), '0x1.d7f178b388263p-1', ('0x1.eff312d32560ep-1', '0x1.eb2c7a2748866p-1', '0x1.b4a5b11d64995p-1'), 328, 19),
+    ((16, 4, 3, 'bench', 4), (0, 1, 14, 15), '0x1.d64e05e04ec2cp+1', ('0x1.e353c3c7d42b2p+1', '0x1.a9c16924b2e62p+1', '0x1.e54b312cc587ap+1'), 119, 91),
+    ((16, 3, 5, 'decreasing', 5), (4, 7, 9), '0x1.d5101a0863146p-1', ('0x1.c1d92ffd31973p-1', '0x1.e5927b317bac9p-1', '0x1.faceec4acad0ap-1', '0x1.b63c3f039862cp-1', '0x1.b597e60a63257p-1'), 353, 1),
+    ((16, 3, 5, 'bench', 5), (0, 1, 2), '0x1.c2ad66312ca77p+1', ('0x1.cc3004405b084p+1', '0x1.a958db0576898p+1', '0x1.bba77630643b6p+1', '0x1.de61b05ad10f4p+1', '0x1.daae7f05fd3a9p+1'), 21, 1),
+    ((60, 5, 3, 'decreasing', 0), (6, 13, 19, 24, 47), '0x1.fd947aad569f0p-1', ('0x1.fd7d4a04b2ffep-1', '0x1.fd3c9ca02675dp-1', '0x1.fe7821db10cddp-1'), 3177, 568),
+    ((60, 5, 3, 'decreasing', 1), (11, 17, 30, 38, 42), '0x1.f69b317a6eefap-1', ('0x1.ed24c940050d4p-1', '0x1.ff805208c65b6p-1', '0x1.edcde0747d792p-1'), 1716, 124),
+    ((60, 5, 3, 'bench', 0), (0, 2, 41, 43, 44), '0x1.db0f5449e59fdp+1', ('0x1.d76f73ee3724ep+1', '0x1.e12dbf4368abdp+1', '0x1.db2d87ae72e17p+1'), 33995, 30856),
 ]
 
 
@@ -335,6 +336,28 @@ class TestBranchAndBound:
                 cap = caps[list(fixed)].min(axis=0) if fixed else np.ones_like(values)
                 bound = _node_bound(values, cap, np.isin(items, fixed + rest))
                 assert weights @ bound >= best - BOUND_SLACK
+
+    def test_one_slot_leaves_bounded_together_have_the_bits_of_one_call_each(self):
+        # a one-slot node's leaves: each candidate completes the menu, its caps are the running
+        # caps met with the candidate's own, and only the fixed items and the candidate are kept
+        rng = np.random.default_rng(13)
+        for i in range(40):
+            m = int(rng.integers(2, 10))
+            k = int(rng.integers(1, m))
+            families = ("mallows", "pl", "explicit") if i % 2 else ("mallows",)
+            pop = heterogeneous_population(rng, m, int(rng.integers(1, 5)), families)
+            order = tuple(int(x) for x in rng.permutation(m))
+            _, items, values, caps, _ = _bound_inputs(pop, order)
+            for fixed, rest, slots in search_nodes(order, k):
+                if slots != 1:
+                    continue
+                cap = caps[list(fixed)].min(axis=0) if fixed else np.ones_like(values)
+                leaf_caps = np.minimum(cap, caps[list(rest)])
+                leaf_keep = np.isin(items, fixed) | (items == np.array(rest)[:, None, None])
+                batched = _node_bound(np.broadcast_to(values, leaf_keep.shape), leaf_caps, leaf_keep)
+                assert batched.shape == (len(rest), pop.n)
+                for leaf, c, keep in zip(batched, leaf_caps, leaf_keep):
+                    assert leaf.tobytes() == _node_bound(values, c, keep).tobytes()
 
     @pytest.mark.parametrize(
         "key, menu, welfare, per_type, nodes, evaluations", SEARCH_PINS,
